@@ -495,10 +495,14 @@ class FailureModel:
                 f"unknown failure model {self.model!r}; only 'uniform' is "
                 "currently implemented"
             )
-        if self.size < 0:
-            raise SpecError(f"failure size must be >= 0, got {self.size}")
-        if self.n_trials < 1:
-            raise SpecError(f"failure n_trials must be >= 1, got {self.n_trials}")
+        for name, minimum in (("size", 0), ("n_trials", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SpecError(f"failure {name} must be an int, got {value!r}")
+            if value < minimum:
+                raise SpecError(
+                    f"failure {name} must be >= {minimum}, got {value}"
+                )
         if not isinstance(self.universe, UniverseSpec):
             # Accept the JSON spellings too: None (and a mapping) mean what
             # they mean in a serialised document — node mode by default.

@@ -40,6 +40,9 @@ The one engine output phrased in path indices — the Boolean measurement
 vector of Equation (1) — is mapped back through :meth:`CompressionPlan.expand_indices`,
 so callers keep seeing original path indices; the plan records the full
 ``class_of`` index remap and per-class ``multiplicity`` for that purpose.
+The reverse direction, :meth:`CompressionPlan.compress_indicator`, folds an
+observed vector into compressed columns for localisation and reports a
+vector that is not class-closed (no element set can produce it) as ``None``.
 
 Compression is on by default.  :func:`select_compression` /
 :func:`compression_policy` mirror the backend-policy API so benchmarks, the
@@ -225,6 +228,26 @@ class CompressionPlan:
             indices.extend(self.members[index])
         indices.sort()
         return tuple(indices)
+
+    @cached_property
+    def _column_classes(self) -> Tuple[int, ...]:
+        """Compressed column of each original column; dropped columns map to
+        the sentinel ``n_compressed``."""
+        classes = [self.n_compressed] * self.n_original
+        for compressed_index, group in enumerate(self.members):
+            for original_index in group:
+                classes[original_index] = compressed_index
+        return tuple(classes)
+
+    def compress_indicator(self, vector: Sequence[int]) -> Optional[Tuple[int, ...]]:
+        """The compressed 0/1 vector of an original-width 0/1 vector, or
+        ``None`` when the vector is not class-closed: some class's members
+        read different bits, or a dropped column reads 1."""
+        vector = tuple(vector)
+        bits = tuple(map(vector.__getitem__, self.representatives)) + (0,)
+        if tuple(map(bits.__getitem__, self._column_classes)) != vector:
+            return None
+        return bits[:-1]
 
     def expand_indicator(self, compressed_bits: Iterable[int]) -> Tuple[int, ...]:
         """The original-width 0/1 vector of a compressed bit iterable."""

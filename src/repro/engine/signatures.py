@@ -1416,7 +1416,10 @@ class SignatureEngine:
         :meth:`CompressionPlan.expand_indicator
         <repro.engine.compress.CompressionPlan.expand_indicator>`.
         """
-        signature = self.union_signature(failed)
+        return self.indicator_vector(self.union_signature(failed))
+
+    def indicator_vector(self, signature) -> Tuple[int, ...]:
+        """The original-width 0/1 vector of a packed signature."""
         if self.compression is not None:
             return self.compression.expand_indicator(self.backend.bits(signature))
         return self.backend.indicator_vector(signature)

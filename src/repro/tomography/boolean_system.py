@@ -8,9 +8,15 @@ of solutions of::
 where ``b_p`` is the bit received at the end monitor of path ``p`` (1 = some
 node on ``p`` failed) and ``x_v`` is true iff node ``v`` failed.  This module
 represents the system explicitly, evaluates candidate assignments, and
-enumerates its solutions up to a failure-set size bound.  It is the substrate
-the identifiability theory reasons about, and the inference layer
-(:mod:`repro.tomography.inference`) builds on it.
+enumerates its solutions up to a failure-set size bound.
+
+:class:`BooleanSystem` is the clause-level *reference oracle* for
+localisation: it builds one :class:`BooleanEquation` per path, which is far
+too slow for production use, and no library code calls it.  The localiser in
+:mod:`repro.tomography.inference` answers the same question on the signature
+engine's packed rows, and the parity tests hold it to
+:meth:`BooleanSystem.solutions` set for set and in order.  The forward model
+:func:`measurement_vector` lives here too and does run on the engine.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ class BooleanEquation:
 
 @dataclass(frozen=True)
 class BooleanSystem:
-    """The full measurement system of Equation (1)."""
+    """The full measurement system of Equation (1) (the localisation test
+    oracle; see the module docstring)."""
 
     equations: Tuple[BooleanEquation, ...]
 

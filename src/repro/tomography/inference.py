@@ -5,20 +5,37 @@ exactly the solutions of the Boolean system (Equation 1).  Identifiability is
 the statement that, among failure sets of size at most k, the solution is
 unique — this module turns that statement into an operational localiser and a
 report object used by the examples and the what-if analyses.
+
+There is one localiser, :func:`consistent_signature_sets`, and it runs on a
+:class:`~repro.engine.signatures.SignatureEngine`'s packed rows.  A set of
+elements explains the observations iff the union of its rows equals the
+failing paths, so a candidate element is one whose row is a non-empty subset
+of them (it touches a failing path and no healthy one), and a candidate set
+is consistent iff its union is exactly the failing mask.  Both tests are
+backend ``union`` + ``key`` equality, so under the engine's column
+compression they run at the compressed width: every row is class-closed, and
+the compressed image preserves union and equality (see
+:mod:`repro.engine.compress`).  An observation vector that is not itself
+class-closed — a compressed class whose member paths read different bits, or
+a 1 on a column no element touches — has no solution at any width, so it
+folds to ``()`` before any search.  Node, link and SRLG universes, the
+:class:`~repro.tomography.scenario.TomographySession` and the four public
+functions below all share this path; :class:`~repro.tomography.boolean_system.BooleanSystem`
+is kept as the clause-level reference oracle the tests compare against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
-
 import itertools
+from dataclasses import dataclass
+from typing import Any, FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from repro._typing import MeasurementVector, Node
+from repro._typing import Node
+from repro.engine.signatures import SignatureEngine
 from repro.exceptions import IdentifiabilityError
 from repro.failures.universe import FailureUniverse
 from repro.routing.paths import PathSet
-from repro.tomography.boolean_system import BooleanSystem, measurement_vector
+from repro.tomography.boolean_system import measurement_vector
 from repro.utils.bitset import mask_from_indices
 
 
@@ -62,15 +79,91 @@ class LocalizationResult:
         return truth in self.consistent_sets
 
 
+def fold_observations(engine: SignatureEngine, observations: Sequence[int]) -> Any:
+    """The packed signature of the failing paths, in ``engine``'s columns.
+
+    ``observations`` is an original-width 0/1 vector.  Returns ``None`` when
+    the vector is not class-closed under the engine's compression — a
+    compressed class whose member paths read different bits, or a 1 on a
+    dropped (element-free) column — because no element set can produce such
+    a vector, so it has no consistent explanation.  Raises
+    :class:`~repro.exceptions.IdentifiabilityError` on a wrong length or a
+    bit other than 0/1.
+    """
+    observations = tuple(observations)
+    if len(observations) != engine.n_paths:
+        raise IdentifiabilityError(
+            f"expected {engine.n_paths} observations, got {len(observations)}"
+        )
+    for bit in observations:
+        if bit not in (0, 1):
+            raise IdentifiabilityError(f"observation must be 0 or 1, got {bit!r}")
+    if engine.compression is not None:
+        observations = engine.compression.compress_indicator(observations)
+        if observations is None:
+            return None
+    failing = itertools.compress(range(len(observations)), observations)
+    return engine.backend.pack(mask_from_indices(failing))
+
+
+def consistent_signature_sets(
+    engine: SignatureEngine,
+    failing: Any,
+    max_failures: int,
+    allowed: Optional[Iterable[Node]] = None,
+) -> Tuple[FrozenSet[Node], ...]:
+    """All element sets of size ≤ ``max_failures`` whose union signature is
+    ``failing`` (a packed signature in ``engine``'s columns, or ``None`` for
+    a vector :func:`fold_observations` found inconsistent).
+
+    Candidates are the elements whose row is a non-empty subset of
+    ``failing`` (restricted to ``allowed`` when given), in repr order; sets
+    are reported size-ascending, each size in :func:`itertools.combinations`
+    order — the order of :meth:`BooleanSystem.solutions
+    <repro.tomography.boolean_system.BooleanSystem.solutions>`.
+    """
+    if max_failures < 0:
+        raise IdentifiabilityError(f"max_failures must be >= 0, got {max_failures}")
+    if failing is None:
+        return ()
+    backend = engine.backend
+    union, key = backend.union, backend.key
+    target = key(failing)
+    empty = key(backend.empty())
+    allowed = None if allowed is None else frozenset(allowed)
+    rows = {}
+    for element in engine.elements:
+        if allowed is not None and element not in allowed:
+            continue
+        row = engine.signature(element)
+        if key(row) != empty and key(union(row, failing)) == target:
+            rows[element] = row
+    candidates = sorted(rows, key=repr)
+    solutions = []
+    for size in range(min(max_failures, len(candidates)) + 1):
+        for combo in itertools.combinations(candidates, size):
+            covered = backend.empty()
+            for element in combo:
+                covered = union(covered, rows[element])
+            if key(covered) == target:
+                solutions.append(frozenset(combo))
+    return tuple(solutions)
+
+
 def consistent_failure_sets(
     pathset: PathSet,
     observations: Sequence[int],
     max_failures: int,
     universe: Optional[Iterable[Node]] = None,
 ) -> Tuple[FrozenSet[Node], ...]:
-    """All failure sets of size ≤ ``max_failures`` consistent with the observations."""
-    system = BooleanSystem.from_measurements(pathset, tuple(observations))
-    return tuple(system.solutions(max_failures, universe))
+    """All failure sets of size ≤ ``max_failures`` consistent with the
+    observations, over the path set's node universe.
+
+    ``universe``, when given, restricts the candidate nodes.
+    """
+    engine = pathset.engine()
+    failing = fold_observations(engine, observations)
+    return consistent_signature_sets(engine, failing, max_failures, universe)
 
 
 def localize_failures(
@@ -80,10 +173,17 @@ def localize_failures(
     universe: Optional[Iterable[Node]] = None,
 ) -> LocalizationResult:
     """Run the Boolean localiser and report uniqueness/ambiguity."""
-    if max_failures < 0:
-        raise IdentifiabilityError(f"max_failures must be >= 0, got {max_failures}")
     sets = consistent_failure_sets(pathset, observations, max_failures, universe)
     return LocalizationResult(consistent_sets=sets, max_failures=max_failures)
+
+
+def _universe_engine(universe: FailureUniverse) -> SignatureEngine:
+    """The engine over ``universe``: its path set's memoised engine, or a
+    fresh one for a hand-built (owner-less) universe."""
+    owner = universe.owner
+    if owner is not None:
+        return owner.engine(universe=universe)
+    return SignatureEngine.from_universe(universe)
 
 
 def consistent_element_sets(
@@ -94,54 +194,11 @@ def consistent_element_sets(
     """All element sets of size ≤ ``max_failures`` consistent with the
     observations, over an arbitrary failure universe.
 
-    The mask-native restatement of :meth:`BooleanSystem.solutions
-    <repro.tomography.boolean_system.BooleanSystem.solutions>`: a candidate
-    element must touch some failing path and no healthy path, and a candidate
-    set is consistent iff the union of its masks covers every failing path.
-    For the node universe this enumerates exactly the sets the clause-based
-    localiser finds, in the same (size-ascending, repr-sorted) order — the
-    parity tests hold it to that.
+    For the node universe this is exactly :func:`consistent_failure_sets`.
     """
-    if max_failures < 0:
-        raise IdentifiabilityError(
-            f"max_failures must be >= 0, got {max_failures}"
-        )
-    if len(observations) != universe.n_paths:
-        raise IdentifiabilityError(
-            f"expected {universe.n_paths} observations, got {len(observations)}"
-        )
-    for bit in observations:
-        if bit not in (0, 1):
-            # Same contract as the clause-based node localiser, which
-            # rejects malformed vectors in BooleanEquation.__post_init__.
-            raise IdentifiabilityError(
-                f"observation must be 0 or 1, got {bit!r}"
-            )
-    failing = mask_from_indices(
-        [i for i, bit in enumerate(observations) if bit]
-    )
-    healthy = mask_from_indices(
-        [i for i, bit in enumerate(observations) if not bit]
-    )
-    candidates = sorted(
-        (
-            element
-            for element in universe.elements
-            if universe.mask(element) & failing
-            and not universe.mask(element) & healthy
-        ),
-        key=repr,
-    )
-    masks = {element: universe.mask(element) for element in candidates}
-    solutions = []
-    for size in range(0, max_failures + 1):
-        for combo in itertools.combinations(candidates, size):
-            covered = 0
-            for element in combo:
-                covered |= masks[element]
-            if covered == failing:
-                solutions.append(frozenset(combo))
-    return tuple(solutions)
+    engine = _universe_engine(universe)
+    failing = fold_observations(engine, observations)
+    return consistent_signature_sets(engine, failing, max_failures)
 
 
 def localize_element_failures(

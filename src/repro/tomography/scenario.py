@@ -13,8 +13,8 @@ measurement path set and can
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro._typing import AnyGraph, MeasurementVector, Node
 from repro.engine.backends import BackendSpec
@@ -26,16 +26,23 @@ from repro.failures.universe import FailureUniverse
 from repro.monitors.placement import MonitorPlacement
 from repro.routing.mechanisms import RoutingMechanism
 from repro.routing.paths import PathSet, enumerate_paths
-from repro.tomography.boolean_system import measurement_vector
 from repro.tomography.inference import (
     LocalizationResult,
-    localize_element_failures,
-    localize_failures,
+    consistent_signature_sets,
+    fold_observations,
 )
 from repro.utils.seeds import RngLike, resolve_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api sits above)
     from repro.api.scenario import Scenario
+
+
+def _check_count(name: str, value: int, minimum: int) -> None:
+    """Require a real ``int`` (``bool`` excluded) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise IdentifiabilityError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise IdentifiabilityError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,8 @@ class TomographySession:
             backend, compress, universe=self.universe
         )
         self._mu_cache: Optional[int] = None
+        #: ``(observations, union signature)`` of the last :meth:`measure`.
+        self._measured: Optional[Tuple[MeasurementVector, Any]] = None
 
     @classmethod
     def from_scenario(cls, scenario: "Scenario") -> "TomographySession":
@@ -156,20 +165,28 @@ class TomographySession:
     def measure(self, failure_set: Iterable[Node]) -> MeasurementVector:
         """Boolean measurement vector produced by ``failure_set`` (a set of
         this session's universe elements)."""
-        if self._node_mode:
-            return measurement_vector(self.pathset, failure_set)
         failed = frozenset(failure_set)
         for element in failed:
             self.universe.mask(element)  # membership check with a clear error
-        return self.engine.measurement_vector(failed)
+        signature = self.engine.union_signature(failed)
+        observations = self.engine.indicator_vector(signature)
+        # Localising this very vector (``run_trial``) reuses the union
+        # signature instead of folding the vector back into engine columns.
+        self._measured = (observations, signature)
+        return observations
 
     def localize(
         self, observations: Sequence[int], max_failures: int
     ) -> LocalizationResult:
-        """Run the localiser on an observation vector."""
-        if self._node_mode:
-            return localize_failures(self.pathset, observations, max_failures)
-        return localize_element_failures(self.universe, observations, max_failures)
+        """Run the localiser on an observation vector, over the session
+        engine's (compressed) rows; ``()`` when no failure set produces it."""
+        measured = self._measured
+        if measured is not None and measured[0] is observations:
+            failing = measured[1]
+        else:
+            failing = fold_observations(self.engine, observations)
+        sets = consistent_signature_sets(self.engine, failing, max_failures)
+        return LocalizationResult(consistent_sets=sets, max_failures=max_failures)
 
     # -- simulation ---------------------------------------------------------
     def sample_failure_set(self, size: int, rng: RngLike = None) -> FrozenSet[Node]:
@@ -181,8 +198,7 @@ class TomographySession:
         universe.  Link and SRLG universes have no monitor elements, so their
         failures are drawn uniformly from all elements.
         """
-        if size < 0:
-            raise IdentifiabilityError(f"failure size must be >= 0, got {size}")
+        _check_count("failure size", size, 0)
         generator = resolve_rng(rng)
         if self._node_mode:
             non_monitors = sorted(
@@ -216,8 +232,8 @@ class TomographySession:
         below µ the rate measures how much practical localisation power the
         topology retains beyond the worst-case guarantee.
         """
-        if n_trials < 1:
-            raise IdentifiabilityError(f"n_trials must be >= 1, got {n_trials}")
+        _check_count("failure size", failure_size, 0)
+        _check_count("n_trials", n_trials, 1)
         generator = resolve_rng(rng)
         n_unique = 0
         total_ambiguity = 0

@@ -37,7 +37,7 @@ from repro.core.identifiability import maximal_identifiability_detailed
 from repro.core.truncated import default_truncation_level
 from repro.engine.backends import numpy_available
 from repro.engine.cache import clear_pathset_cache
-from repro.exceptions import SpecError
+from repro.exceptions import IdentifiabilityError, SpecError
 from repro.monitors import chi_g, mdmp_placement, random_placement
 from repro.routing import RoutingMechanism, enumerate_paths
 from repro.topology import claranet, directed_grid, erdos_renyi_connected
@@ -140,6 +140,37 @@ class TestSpecRoundTrip:
             FailureModel(n_trials=0)
         with pytest.raises(Exception):
             EngineConfig(backend="fortran")
+
+    @pytest.mark.parametrize(
+        "failures",
+        [{"size": True}, {"size": 1.5}, {"size": "2"}, {"size": None},
+         {"n_trials": 2.5}, {"n_trials": False}, {"n_trials": "3"}],
+    )
+    def test_failure_sizes_and_trial_counts_must_be_ints(self, failures):
+        with pytest.raises(SpecError, match="must be an int"):
+            FailureModel(**failures)
+        document = ScenarioSpec(
+            topology=TopologySpec("claranet"), placement=PlacementSpec("mdmp", {"d": 3})
+        ).to_dict()
+        document["failures"] = dict(document["failures"], **failures)
+        with pytest.raises(SpecError, match="must be an int"):
+            ScenarioSpec.from_dict(document)
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"failure_size": True}, {"failure_size": 1.5}, {"failure_size": "2"},
+         {"n_trials": 2.5}, {"n_trials": True}],
+    )
+    def test_localization_params_must_be_ints(self, params):
+        scenario = Scenario(ScenarioSpec(
+            topology=TopologySpec("dataxchange"),
+            placement=PlacementSpec("mdmp", {"d": 2}),
+            seed=3,
+        ))
+        with pytest.raises(IdentifiabilityError, match="must be an int"):
+            scenario.run_analysis(AnalysisSpec("localization", params))
+        with pytest.raises(IdentifiabilityError, match="must be an int"):
+            scenario.localization_campaign(**params)
 
 
 class TestRegistries:

@@ -148,6 +148,23 @@ class TestEndpoints:
         assert status == 400
         assert "placement" in body["error"]
 
+    @pytest.mark.parametrize(
+        "failures, params",
+        [({"size": True}, {}), ({"size": 1.5}, {}), ({"size": "2"}, {}),
+         ({"n_trials": 2.5}, {}), ({}, {"failure_size": True}),
+         ({}, {"failure_size": 1.5}), ({}, {"failure_size": "2"}),
+         ({}, {"n_trials": 2.5}), ({}, {"n_trials": True})],
+    )
+    def test_non_int_failure_sizes_and_trial_counts_400(self, server, failures, params):
+        document = dict(
+            CLARANET_SPEC,
+            failures=failures,
+            analyses=[{"analysis": "localization", "params": params}],
+        )
+        status, body = request(server, "POST", "/v1/analyze", document)
+        assert status == 400, body
+        assert "must be an int" in body["error"]
+
     def test_bad_budget_400(self, server):
         status, body = request(
             server, "POST", "/v1/analyze?budget=zero", CLARANET_SPEC

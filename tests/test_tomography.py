@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import IdentifiabilityError
+from repro.monitors import random_placement
 from repro.monitors.grid_placement import chi_g
 from repro.monitors.placement import MonitorPlacement
 from repro.routing.paths import PathSet, enumerate_paths
@@ -23,6 +27,7 @@ from repro.tomography.inference import (
     localize_failures,
 )
 from repro.tomography.scenario import TomographySession
+from repro.topology import erdos_renyi_connected
 from repro.topology.grids import directed_grid
 from repro.topology.lines import line_graph
 
@@ -182,6 +187,16 @@ class TestTomographySession:
         with pytest.raises(IdentifiabilityError):
             session.run_campaign(1, 0)
 
+    @pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "2", None])
+    def test_failure_size_and_trial_count_must_be_ints(self, bad, directed_grid_3):
+        session = TomographySession(directed_grid_3, chi_g(directed_grid_3))
+        with pytest.raises(IdentifiabilityError, match="must be an int"):
+            session.sample_failure_set(bad)
+        with pytest.raises(IdentifiabilityError, match="must be an int"):
+            session.run_campaign(bad, 2)
+        with pytest.raises(IdentifiabilityError, match="must be an int"):
+            session.run_campaign(1, bad)
+
     def test_describe_mentions_mechanism(self, directed_grid_3):
         session = TomographySession(directed_grid_3, chi_g(directed_grid_3))
         assert "CSP" in session.describe()
@@ -194,6 +209,63 @@ class TestTomographySession:
         # mu = 0: the failure is detected but cannot be pinned to node 1.
         assert sum(outcome.observations) > 0
         assert not outcome.uniquely_identified
+
+
+def law_instances():
+    """Small grids with χ_g and random instances, each in the node and the
+    link universe: ``(label, session)`` pairs."""
+    for n in (3, 4):
+        graph = directed_grid(n)
+        for universe in ("node", "link"):
+            yield f"H_{n}/{universe}", TomographySession(
+                graph, chi_g(graph), universe=universe
+            )
+    for seed in range(8):
+        rng = random.Random(f"definition-2.1:{seed}")
+        graph = erdos_renyi_connected(rng.randint(5, 7), 0.5, rng)
+        placement = random_placement(graph, 2, 2, rng=rng)
+        for universe in ("node", "link"):
+            yield f"random {seed}/{universe}", TomographySession(
+                graph, placement, universe=universe
+            )
+
+
+class TestDefinition21Law:
+    """Definition 2.1 end to end: µ from the subset search and localisation
+    through the session must agree."""
+
+    def test_every_failure_set_up_to_mu_localizes_uniquely(self):
+        for label, session in law_instances():
+            mu = session.mu
+            for size in range(mu + 1):
+                for failure in itertools.combinations(session.universe.elements, size):
+                    outcome = session.run_trial(failure, max_failures=mu)
+                    assert outcome.uniquely_identified, (label, mu, failure)
+
+    def test_witness_at_mu_plus_one_is_ambiguous(self):
+        witnessed = 0
+        for label, session in law_instances():
+            mu = session.mu
+            witness = session.engine.identifiability(max_size=mu + 1).witness
+            if witness is None:
+                continue  # identifiable up to the whole universe
+            assert witness.level == mu + 1, label
+            # Equal measurements: both sides solve Equation (1) for the
+            # witness's observations.
+            observations = session.measure(witness.first)
+            assert session.measure(witness.second) == observations, label
+            localization = session.localize(observations, mu + 1)
+            if not all(map(session.universe.mask, witness.first | witness.second)):
+                # An element on no path (µ = 0 via the pair ∅ / {v}) changes
+                # no measurement; like the BooleanSystem.solutions oracle, the
+                # localiser only proposes elements on some failing path.
+                assert mu == 0 and localization.consistent_sets == (frozenset(),)
+                continue
+            assert localization.contains_truth(witness.first), label
+            assert localization.contains_truth(witness.second), label
+            assert not localization.unique, label
+            witnessed += 1
+        assert witnessed >= 8
 
 
 class TestRoundTripProperty:

@@ -228,14 +228,32 @@ class TestUniverseObjects:
         assert pathset.engine("python", universe=hand_built) is not sub_engine
 
     def test_element_localiser_rejects_malformed_observations(self):
-        graph = claranet()
-        session = repro.TomographySession(
-            graph, mdmp_placement(graph, 4), universe="link"
+        from repro.tomography.inference import (
+            consistent_element_sets,
+            localize_failures,
         )
-        observations = [0] * session.pathset.n_paths
-        observations[0] = 2
-        with pytest.raises(IdentifiabilityError):
-            session.localize(observations, 1)
+
+        graph, placement, pathset = random_instance(0, "CSP")
+        good = [0] * pathset.n_paths
+        malformed = (good[:-1], good + [0], [2] + good[1:], [0.5] + good[1:],
+                     ["1"] + good[1:], [[1]] + good[1:])
+        for universe in localiser_universes(pathset):
+            for backend, compress in localiser_configs():
+                session = repro.TomographySession(
+                    graph, placement, pathset=pathset, backend=backend,
+                    compress=compress, universe=universe,
+                )
+                for vector in malformed:
+                    with pytest.raises(IdentifiabilityError):
+                        session.localize(vector, 1)
+                    with pytest.raises(IdentifiabilityError):
+                        consistent_element_sets(universe, vector, 1)
+                with pytest.raises(IdentifiabilityError):
+                    session.localize(good, -1)
+        for vector in malformed:
+            with pytest.raises(IdentifiabilityError):
+                localize_failures(pathset, vector, 1)
+
 
 
 # ---------------------------------------------------------------------------
@@ -334,22 +352,202 @@ class TestEngineNaiveParity:
 # Localisation over element universes
 # ---------------------------------------------------------------------------
 
+def naive_consistent_sets(universe, observations, max_failures):
+    """Reference localiser: the raw-width sweep straight off Equation (1).
+
+    A candidate touches some failing path and no healthy path; a candidate
+    set is consistent iff the union of its masks is exactly the failing
+    paths.  Size-ascending, repr-sorted candidates, combinations order.
+    """
+    failing = sum(1 << i for i, bit in enumerate(observations) if bit)
+    healthy = sum(1 << i for i, bit in enumerate(observations) if not bit)
+    candidates = sorted(
+        (
+            element
+            for element in universe.elements
+            if universe.mask(element) & failing
+            and not universe.mask(element) & healthy
+        ),
+        key=repr,
+    )
+    return tuple(
+        frozenset(combo)
+        for size in range(max_failures + 1)
+        for combo in itertools.combinations(candidates, size)
+        if universe.mask_of_set(combo) == failing
+    )
+
+
+def localiser_universes(pathset):
+    """The node, link and an SRLG universe (some links left ungrouped, so
+    the SRLG universe has element-free, dropped path columns)."""
+    links = pathset.links
+    groups = {f"g{i}": links[i : i + 2] for i in range(0, len(links) - 2, 2)}
+    return (
+        pathset.universe("node"),
+        pathset.universe("link"),
+        pathset.universe("srlg", groups=groups),
+    )
+
+
+def localiser_configs():
+    return [
+        (backend, compress)
+        for backend in repro.engine.backends.available_backends()
+        for compress in (True, False)
+    ]
+
+
 class TestElementLocalization:
     def test_node_mode_generic_localiser_matches_boolean_system(self):
+        """Parity matrix for the single engine-backed localiser: 20 seeds ×
+        mechanisms × failure sizes 0–3 × backends × compression, over the
+        node (``BooleanSystem.solutions`` oracle), link and SRLG (raw-width
+        naive sweep) universes — the same sets in the same order."""
+        from repro.tomography.boolean_system import BooleanSystem
         from repro.tomography.inference import (
             consistent_element_sets,
             consistent_failure_sets,
+            localize_element_failures,
+            localize_failures,
         )
 
-        for seed in range(5):
+        checked = 0
+        for mechanism in MECHANISMS:
+            for seed in range(20):
+                graph, placement, pathset = random_instance(seed, mechanism)
+                for universe in localiser_universes(pathset):
+                    for backend, compress in localiser_configs():
+                        session = repro.TomographySession(
+                            graph, placement, mechanism, pathset=pathset,
+                            backend=backend, compress=compress,
+                            universe=universe,
+                        )
+                        rng = random.Random(f"{seed}:{universe.kind}")
+                        for size in range(4):
+                            if size > len(universe.elements):
+                                continue
+                            failure = session.sample_failure_set(size, rng)
+                            observations = session.measure(failure)
+                            if universe.kind == "node":
+                                oracle = tuple(
+                                    BooleanSystem.from_measurements(
+                                        pathset, observations
+                                    ).solutions(size)
+                                )
+                                assert consistent_failure_sets(
+                                    pathset, observations, size
+                                ) == oracle
+                                assert localize_failures(
+                                    pathset, observations, size
+                                ).consistent_sets == oracle
+                            else:
+                                oracle = naive_consistent_sets(
+                                    universe, observations, size
+                                )
+                            if all(map(universe.mask, failure)):
+                                assert failure in oracle  # truth is consistent
+                            context = (mechanism, seed, universe.kind, backend,
+                                       compress, size)
+                            # Localised from the measured union signature,
+                            # then from a copy that has to be folded.
+                            assert session.localize(
+                                observations, size
+                            ).consistent_sets == oracle, context
+                            assert session.localize(
+                                list(observations), size
+                            ).consistent_sets == oracle, context
+                            assert consistent_element_sets(
+                                universe, observations, size
+                            ) == oracle, context
+                            assert localize_element_failures(
+                                universe, observations, size
+                            ).consistent_sets == oracle, context
+                            checked += 1
+        assert checked > 1000
+
+    def test_non_class_closed_observations_have_no_solution(self):
+        """A compressed class read with mixed bits, or a 1 on a column no
+        element touches, is explained by nothing — at raw width and at
+        compressed width alike."""
+        from repro.tomography.boolean_system import BooleanSystem
+        from repro.tomography.inference import consistent_failure_sets
+
+        mixed_seen = dropped_seen = 0
+        for mechanism in MECHANISMS:
+            for seed in range(20):
+                graph, placement, pathset = random_instance(seed, mechanism)
+                for universe in localiser_universes(pathset):
+                    compressed = repro.TomographySession(
+                        graph, placement, mechanism, pathset=pathset,
+                        backend="python", compress=True, universe=universe,
+                    )
+                    plan = compressed.engine.compression
+                    if plan is None:
+                        continue
+                    rng = random.Random(seed)
+                    failure = compressed.sample_failure_set(1, rng)
+                    base = list(compressed.measure(failure))
+                    vectors = []
+                    for group in plan.members:
+                        if len(group) > 1:
+                            mixed = list(base)
+                            mixed[group[0]] ^= 1
+                            vectors.append(mixed)
+                            mixed_seen += 1
+                            break
+                    kept = set(plan.class_of)
+                    for column in range(pathset.n_paths):
+                        if column not in kept:
+                            dropped = list(base)
+                            dropped[column] = 1
+                            vectors.append(dropped)
+                            dropped_seen += 1
+                            break
+                    for vector in vectors:
+                        if universe.kind == "node":
+                            oracle = tuple(
+                                BooleanSystem.from_measurements(
+                                    pathset, vector
+                                ).solutions(2)
+                            )
+                            assert consistent_failure_sets(
+                                pathset, vector, 2
+                            ) == ()
+                        else:
+                            oracle = naive_consistent_sets(universe, vector, 2)
+                        assert oracle == ()
+                        # The session just measured ``base``; localising a
+                        # different vector must not reuse that signature.
+                        assert compressed.localize(vector, 2).consistent_sets == ()
+                        for backend, compress in localiser_configs():
+                            session = repro.TomographySession(
+                                graph, placement, mechanism, pathset=pathset,
+                                backend=backend, compress=compress,
+                                universe=universe,
+                            )
+                            assert session.localize(vector, 2).consistent_sets == ()
+        assert mixed_seen and dropped_seen
+
+    def test_localize_failures_universe_filters_candidates(self):
+        from repro.tomography.boolean_system import BooleanSystem
+        from repro.tomography.inference import localize_failures
+
+        for seed in range(10):
             _, _, pathset = random_instance(seed, "CSP")
-            universe = pathset.universe("node")
             rng = random.Random(seed)
-            failed = frozenset(rng.sample(sorted(pathset.nodes, key=repr), 2))
+            nodes = sorted(pathset.nodes, key=repr)
+            failed = frozenset(rng.sample(nodes, 2))
             observations = repro.measurement_vector(pathset, failed)
-            assert consistent_element_sets(
-                universe, observations, 2
-            ) == consistent_failure_sets(pathset, observations, 2)
+            allowed = set(rng.sample(nodes, len(nodes) // 2)) | {"not-a-node"}
+            oracle = tuple(
+                BooleanSystem.from_measurements(pathset, observations).solutions(
+                    2, allowed
+                )
+            )
+            assert localize_failures(
+                pathset, observations, 2, universe=allowed
+            ).consistent_sets == oracle
 
     def test_link_session_round_trips_failures(self):
         graph = claranet()
