@@ -3,11 +3,11 @@
 One synthetic certification cell (40 random elements, ``C(40, 3) = 9880``
 frontier, no compression so the width under test is the width measured) is
 rebuilt and certified at a ladder of path-universe widths spanning the
-crossover, once per backend, each under ``kernel="auto"`` — i.e. each
-backend runs the execution strategy the auto policy actually gives it
-(python → scalar sweep, numpy → block kernel).  Timings include engine
-construction, so signature interning is part of the bill exactly as it is
-for a real ``resolve_backend`` decision.
+crossover, once per backend.  Both backends run the one subset sweep: numpy
+through its vectorized block ops, python through the pure-python fallback
+of the same ops.  Timings include engine construction, so signature
+interning is part of the bill exactly as it is for a real
+``resolve_backend`` decision.
 
 Asserted hard at every width: both backends report the **identical**
 result.  Asserted soft (generous tolerances, env-overridable): CPython
@@ -34,8 +34,9 @@ from repro.engine.backends import numpy_available
 from repro.engine.signatures import SignatureEngine
 from repro.utils.tables import format_table
 
-#: Path-universe widths swept, bracketing NUMPY_MIN_PATHS = 256.
-WIDTHS = (32, 64, 128, 256, 512, 1024, 4096, 16384)
+#: Path-universe widths swept, from below NUMPY_MIN_PATHS = 256 up to a
+#: width where the numpy sweep wins.
+WIDTHS = (32, 64, 128, 256, 512, 1024, 4096, 16384, 65536)
 
 #: Elements per synthetic cell; C(40, 3) = 9880 size-3 subsets.
 N_ELEMENTS = 40
@@ -61,7 +62,7 @@ def _certify(width: int, backend: str, seed: int) -> Tuple[object, float]:
         engine = SignatureEngine(
             nodes, masks, width, backend=backend, compress=False
         )
-        result = engine.identifiability(max_size=3, kernel="auto")
+        result = engine.identifiability(max_size=3)
         best = min(best, time.perf_counter() - start)
     return result, best
 
@@ -126,7 +127,7 @@ def test_backend_crossover(benchmark, bench_seed):
     )
 
     benchmark.extra_info["experiment"] = (
-        "python/numpy backend crossover sweep (auto kernel, "
+        "python/numpy backend crossover sweep (one subset sweep, "
         f"{N_ELEMENTS}-element certification cells)"
     )
     benchmark.extra_info["widths"] = list(WIDTHS)

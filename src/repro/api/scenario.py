@@ -395,10 +395,7 @@ class Scenario:
             backend=config.backend,
             compress=config.compress,
             universe=None if node_mode else universe,
-            search_jobs=config.search_jobs,
             budget=config.budget(),
-            kernel=config.kernel,
-            block_size=config.block_size,
         )
         return result, bound_value
 
@@ -456,10 +453,7 @@ class Scenario:
             backend=config.backend,
             compress=config.compress,
             universe=None if universe.kind == "node" else universe,
-            search_jobs=config.search_jobs,
             budget=config.budget(),
-            kernel=config.kernel,
-            block_size=config.block_size,
         )
         return TruncatedMuReport(
             value=result.value,
@@ -480,11 +474,7 @@ class Scenario:
 
         universe = self.universe
         pairs = self.engine.inseparable_pairs(
-            size,
-            search_jobs=self.spec.engine.search_jobs,
-            budget=self.spec.engine.budget(),
-            kernel=self.spec.engine.kernel,
-            block_size=self.spec.engine.block_size,
+            size, budget=self.spec.engine.budget()
         )
         n_subsets = math.comb(len(universe.elements), size)
         return SeparabilityReport(

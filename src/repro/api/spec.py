@@ -88,20 +88,19 @@ def _expect_mapping(payload: Any, kind: str) -> Dict[str, Any]:
     return dict(payload)
 
 
+#: Engine keys of earlier v2 documents that no longer select anything; they
+#: parse and are dropped.
+_RETIRED_ENGINE_FIELDS = frozenset({"search_jobs", "kernel", "block_size"})
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Spec-scoped engine policy: which signature backend, whether to
     compress the signature universe, and whether to use the pathset cache.
 
     Defaults match the library defaults (``auto`` backend, compression on,
-    cache on, serial search), so a default-constructed config computes
-    exactly what the global-policy path computes out of the box — without
-    touching globals.
-
-    ``search_jobs`` shards each exact-µ subset search across workers
-    (0 = all cores, 1 = serial); results are bit-identical for every value,
-    so the field is an execution knob, not a semantic one.  Additive in
-    schema v2: documents without the field parse with the serial default.
+    cache on), so a default-constructed config computes exactly what the
+    global-policy path computes out of the box — without touching globals.
 
     ``time_budget`` (wall-clock seconds) and ``subset_budget`` (max subsets
     enumerated) bound each subset search cooperatively: on expiry
@@ -120,52 +119,25 @@ class EngineConfig:
     --cache-size``) escapes the historical hard-coded 128 entries.  Additive
     in schema v2, execution-only (never changes any reported value).
 
-    ``kernel`` picks the subset-sweep execution strategy (``"auto"`` /
-    ``"scalar"`` / ``"block"``) and ``block_size`` the rows per block-kernel
-    chunk (``None`` = library default).  Like ``search_jobs`` these are
-    execution knobs — results are bit-identical for every combination — and
-    additive in schema v2: documents without them parse with the ``auto``
-    default.
+    The retired sweep knobs ``search_jobs``, ``kernel`` and ``block_size``
+    are still accepted by :meth:`from_dict` so existing v2 documents parse,
+    and discarded: there is one subset sweep, and no value of them ever
+    changed a reported result.
     """
 
     backend: str = "auto"
     compress: bool = True
     cache: bool = True
-    search_jobs: int = 1
     time_budget: Optional[float] = None
     subset_budget: Optional[int] = None
     cache_maxsize: Optional[int] = None
-    kernel: str = "auto"
-    block_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         from repro.engine.backends import normalize_backend_spec
-        from repro.engine.signatures import KERNELS
 
         object.__setattr__(self, "backend", normalize_backend_spec(self.backend))
         object.__setattr__(self, "compress", bool(self.compress))
         object.__setattr__(self, "cache", bool(self.cache))
-        jobs = self.search_jobs
-        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0:
-            raise SpecError(
-                f"engine search_jobs must be an int >= 0 (0 = all cores), "
-                f"got {jobs!r}"
-            )
-        kernel = self.kernel
-        if not isinstance(kernel, str) or kernel.strip().lower() not in KERNELS:
-            raise SpecError(
-                f"engine kernel must be one of {list(KERNELS)}, got {kernel!r}"
-            )
-        object.__setattr__(self, "kernel", kernel.strip().lower())
-        if self.block_size is not None and (
-            isinstance(self.block_size, bool)
-            or not isinstance(self.block_size, int)
-            or self.block_size < 1
-        ):
-            raise SpecError(
-                f"engine block_size must be an int >= 1 or null, "
-                f"got {self.block_size!r}"
-            )
         if self.time_budget is not None:
             if (
                 isinstance(self.time_budget, bool)
@@ -206,11 +178,6 @@ class EngineConfig:
         """
         from repro.engine.backends import select_backend
         from repro.engine.compress import compression_enabled
-        from repro.engine.signatures import (
-            select_block_size,
-            select_kernel,
-            select_search_jobs,
-        )
         from repro.resilience.budget import current_budget_limits
 
         time_budget, subset_budget = current_budget_limits()
@@ -218,11 +185,8 @@ class EngineConfig:
             backend=select_backend(),
             compress=compression_enabled(),
             cache=cache,
-            search_jobs=select_search_jobs(),
             time_budget=time_budget,
             subset_budget=subset_budget,
-            kernel=select_kernel(),
-            block_size=select_block_size(),
         )
 
     def budget(self) -> Optional[Budget]:
@@ -239,27 +203,21 @@ class EngineConfig:
             "backend": self.backend,
             "compress": self.compress,
             "cache": self.cache,
-            "search_jobs": self.search_jobs,
             "time_budget": self.time_budget,
             "subset_budget": self.subset_budget,
             "cache_maxsize": self.cache_maxsize,
-            "kernel": self.kernel,
-            "block_size": self.block_size,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "EngineConfig":
         data = _expect_mapping(payload, "engine config")
-        unknown = set(data) - {
+        unknown = set(data) - _RETIRED_ENGINE_FIELDS - {
             "backend",
             "compress",
             "cache",
-            "search_jobs",
             "time_budget",
             "subset_budget",
             "cache_maxsize",
-            "kernel",
-            "block_size",
         }
         if unknown:
             raise SpecError(f"unknown engine config fields {sorted(unknown)}")
@@ -267,12 +225,9 @@ class EngineConfig:
             backend=data.get("backend", "auto"),
             compress=data.get("compress", True),
             cache=data.get("cache", True),
-            search_jobs=data.get("search_jobs", 1),
             time_budget=data.get("time_budget"),
             subset_budget=data.get("subset_budget"),
             cache_maxsize=data.get("cache_maxsize"),
-            kernel=data.get("kernel", "auto"),
-            block_size=data.get("block_size"),
         )
 
 

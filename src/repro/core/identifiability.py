@@ -36,7 +36,11 @@ from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
 from repro._typing import AnyGraph, Node
 from repro.core.bounds import structural_upper_bound
 from repro.engine.backends import BackendSpec
-from repro.engine.signatures import ConfusablePair, IdentifiabilityResult
+from repro.engine.signatures import (
+    ConfusablePair,
+    IdentifiabilityResult,
+    _require_int,
+)
 from repro.exceptions import IdentifiabilityError
 from repro.failures.universe import FailureUniverse
 from repro.resilience.budget import Budget
@@ -93,10 +97,7 @@ def maximal_identifiability_detailed(
     backend: BackendSpec = None,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
-    search_jobs: Optional[int] = None,
     budget: Optional["Budget"] = None,
-    kernel: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> IdentifiabilityResult:
     """Compute µ with full diagnostics.
 
@@ -123,22 +124,15 @@ def maximal_identifiability_detailed(
         or a :class:`~repro.failures.FailureUniverse` built over ``pathset``
         (the SRLG route).  Witnesses are frozensets of that universe's
         elements.
-    search_jobs:
-        Shard the subset search across workers (``None`` = the global policy,
-        0 = all cores, 1 = serial).  Bit-identical results for every value —
-        see :func:`repro.engine.search_jobs_policy`.
     budget:
         A :class:`repro.resilience.Budget` bounding the search (``None`` =
         the global :func:`repro.resilience.budget_policy` limits).  On expiry
         the result truncates at the last fully completed subset size with
         ``exhausted_search=False`` and ``stats.budget_exhausted=True`` — a
         certified lower bound, same semantics as a ``max_size`` cap.
-    kernel:
-        The sweep execution strategy — ``"scalar"``, ``"block"`` (batched
-        block kernel) or ``"auto"`` (``None`` = the global
-        :func:`repro.engine.kernel_policy`).  Bit-identical results for every
-        value; ``block_size`` tunes the rows per block-kernel chunk.
     """
+    if max_size is not None:
+        _require_int("max_size", max_size)
     resolved = resolve_universe(pathset, universe)
     if nodes is None and (max_size is None or max_size >= 1) and resolved.elements:
         # µ = 0 early exit: an uncovered element is confusable with the
@@ -154,8 +148,7 @@ def maximal_identifiability_detailed(
                 value=0, witness=witness, searched_up_to=1, exhausted_search=False
             )
     return pathset.engine(backend, compress, universe=resolved).identifiability(
-        max_size=max_size, nodes=nodes, search_jobs=search_jobs, budget=budget,
-        kernel=kernel, block_size=block_size,
+        max_size=max_size, nodes=nodes, budget=budget
     )
 
 
@@ -166,16 +159,12 @@ def maximal_identifiability(
     backend: BackendSpec = None,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
-    search_jobs: Optional[int] = None,
     budget: Optional["Budget"] = None,
-    kernel: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> int:
     """µ of the failure universe with respect to ``pathset`` (Definition 2.2,
     generalised from nodes to arbitrary failure elements)."""
     return maximal_identifiability_detailed(
-        pathset, max_size, nodes, backend, compress, universe, search_jobs,
-        budget, kernel, block_size,
+        pathset, max_size, nodes, backend, compress, universe, budget
     ).value
 
 
@@ -185,7 +174,6 @@ def is_k_identifiable(
     nodes: Optional[Iterable[Node]] = None,
     backend: BackendSpec = None,
     universe: UniverseLike = None,
-    search_jobs: Optional[int] = None,
 ) -> bool:
     """Definition 2.1: is the failure universe k-identifiable w.r.t.
     ``pathset``?
@@ -197,8 +185,7 @@ def is_k_identifiable(
     if k == 0:
         return True
     result = maximal_identifiability_detailed(
-        pathset, max_size=k, nodes=nodes, backend=backend, universe=universe,
-        search_jobs=search_jobs,
+        pathset, max_size=k, nodes=nodes, backend=backend, universe=universe
     )
     return result.value >= k
 
@@ -209,12 +196,10 @@ def find_confusable_pair(
     nodes: Optional[Iterable[Node]] = None,
     backend: BackendSpec = None,
     universe: UniverseLike = None,
-    search_jobs: Optional[int] = None,
 ) -> Optional[ConfusablePair]:
     """Smallest confusable pair (the witness of Section 2.0.1), if any."""
     return maximal_identifiability_detailed(
-        pathset, max_size, nodes, backend, universe=universe,
-        search_jobs=search_jobs,
+        pathset, max_size, nodes, backend, universe=universe
     ).witness
 
 
@@ -326,10 +311,7 @@ def separability_matrix(
     backend: BackendSpec = None,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
-    search_jobs: Optional[int] = None,
     budget: Optional[Budget] = None,
-    kernel: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> Dict[Tuple[FrozenSet[Node], FrozenSet[Node]], bool]:
     """Explicit separation table for all pairs of element sets of a given size.
 
@@ -343,6 +325,5 @@ def separability_matrix(
     :class:`~repro.exceptions.BudgetExceededError` instead of truncating.
     """
     return pathset.engine(backend, compress, universe=universe).separability_matrix(
-        size, search_jobs=search_jobs, budget=budget, kernel=kernel,
-        block_size=block_size,
+        size, budget=budget
     )

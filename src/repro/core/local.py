@@ -13,18 +13,17 @@ exists both as public API and to back the DLP discussion tests.
 
 Like the global measure, the subset sweep runs on the signature engine
 (:meth:`PathSet.engine <repro.routing.paths.PathSet.engine>`): subsets are
-enumerated with incrementally-carried prefix unions instead of recomputing
-``P(U)`` per subset, and the signature keys group the S-projections.
+read off the engine's chunked frontier instead of recomputing ``P(U)`` per
+subset, and exact-verified signature keys group the S-projections.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 
 from repro._typing import Node
 from repro.core.identifiability import UniverseLike, resolve_universe
 from repro.engine.backends import BackendSpec
-from repro.engine.signatures import resolve_kernel, resolve_search_jobs
 from repro.exceptions import IdentifiabilityError
 from repro.routing.paths import PathSet
 
@@ -36,53 +35,37 @@ def _local_search(
     backend: BackendSpec = None,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
-    search_jobs: Optional[int] = None,
-    kernel: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> int:
     """Largest k ≤ cap with local k-identifiability (cap when none fails).
 
-    Walks subsets in increasing size; a failure at size s is two subsets with
-    the same signature but different S-projections, giving ``s − 1``.  With
-    ``search_jobs > 1`` — or an explicit ``kernel="block"`` — the per-size
-    enumeration goes through the digest stream
-    (:meth:`SignatureEngine.iter_subset_digests`): subsets still arrive in
-    serial order, digest matches are exact-verified through
-    :meth:`SignatureEngine.union_key`, and the result is bit-identical.
-    Under ``kernel="auto"`` the serial sweep keeps the exact-key path (no
-    digests to verify).
+    Walks subsets in increasing size through the engine's digest stream
+    (:meth:`SignatureEngine.iter_subset_digests`); a failure at size s is two
+    subsets with the same signature but different S-projections, giving
+    ``s − 1``.  Digest matches are exact-verified through
+    :meth:`SignatureEngine.union_key`, so distinct signatures sharing a
+    digest never merge.
     """
     engine = pathset.engine(backend, compress, universe=universe)
-    if resolve_search_jobs(search_jobs) <= 1 and resolve_kernel(kernel) != "block":
-        # signature key -> set of distinct S-projections observed so far.
-        projections: Dict[object, Set[FrozenSet[Node]]] = {}
-        for subset, signature_key in engine.iter_subset_signatures(
-            range(0, cap + 1)
-        ):
-            projection = frozenset(subset) & scope_set
-            seen = projections.setdefault(signature_key, set())
-            if any(other != projection for other in seen):
-                return len(subset) - 1
-            seen.add(projection)
-        return cap
-    # digest -> [subset, projection, exact key or None (computed lazily)].
+    # digest -> [[representative subset, its exact key (computed lazily),
+    # the S-projections observed for that key], ...]
     buckets: Dict[int, List[List[Any]]] = {}
-    for subset, digest in engine.iter_subset_digests(
-        range(0, cap + 1), search_jobs=search_jobs, kernel=kernel,
-        block_size=block_size,
-    ):
+    for subset, digest in engine.iter_subset_digests(range(0, cap + 1)):
         projection = frozenset(subset) & scope_set
-        bucket = buckets.get(digest)
-        if bucket is None:
-            buckets[digest] = [[subset, projection, None]]
+        groups = buckets.get(digest)
+        if groups is None:
+            buckets[digest] = [[subset, None, {projection}]]
             continue
         exact = engine.union_key(subset)
-        for item in bucket:
-            if item[2] is None:
-                item[2] = engine.union_key(item[0])
-            if item[2] == exact and item[1] != projection:
-                return len(subset) - 1
-        bucket.append([subset, projection, exact])
+        for group in groups:
+            if group[1] is None:
+                group[1] = engine.union_key(group[0])
+            if group[1] == exact:
+                if any(other != projection for other in group[2]):
+                    return len(subset) - 1
+                group[2].add(projection)
+                break
+        else:
+            groups.append([subset, exact, {projection}])
     return cap
 
 
@@ -93,9 +76,6 @@ def is_locally_k_identifiable(
     backend: BackendSpec = None,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
-    search_jobs: Optional[int] = None,
-    kernel: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> bool:
     """Local k-identifiability w.r.t. the scope ``S``.
 
@@ -114,11 +94,7 @@ def is_locally_k_identifiable(
         )
     if k == 0:
         return True
-    return (
-        _local_search(pathset, scope_set, k, backend, compress, resolved,
-                      search_jobs, kernel, block_size)
-        >= k
-    )
+    return _local_search(pathset, scope_set, k, backend, compress, resolved) >= k
 
 
 def local_maximal_identifiability(
@@ -128,9 +104,6 @@ def local_maximal_identifiability(
     backend: BackendSpec = None,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
-    search_jobs: Optional[int] = None,
-    kernel: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> int:
     """The largest k such that the universe is locally k-identifiable w.r.t. S.
 
@@ -142,10 +115,7 @@ def local_maximal_identifiability(
     resolved = resolve_universe(pathset, universe)
     n = len(resolved.elements)
     cap = n if max_size is None else max(0, min(max_size, n))
-    return _local_search(
-        pathset, scope_set, cap, backend, compress, resolved, search_jobs,
-        kernel, block_size,
-    )
+    return _local_search(pathset, scope_set, cap, backend, compress, resolved)
 
 
 def local_identifiability_per_node(
@@ -154,7 +124,6 @@ def local_identifiability_per_node(
     backend: BackendSpec = None,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
-    search_jobs: Optional[int] = None,
 ) -> Dict[Node, int]:
     """Local maximal identifiability of every singleton scope ``S = {v}``.
 
@@ -167,7 +136,7 @@ def local_identifiability_per_node(
     return {
         element: local_maximal_identifiability(
             pathset, {element}, max_size=max_size, backend=backend,
-            compress=compress, universe=resolved, search_jobs=search_jobs,
+            compress=compress, universe=resolved,
         )
         for element in resolved.elements
     }

@@ -152,10 +152,7 @@ def inseparable_pairs_of_size(
     size: int,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
-    search_jobs: Optional[int] = None,
     budget: Optional["Budget"] = None,
-    kernel: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> Tuple[Tuple[FrozenSet[Node], FrozenSet[Node]], ...]:
     """All unordered pairs of distinct element sets of exactly ``size``
     elements with identical path sets.  Exponential; meant for diagnostics on
@@ -168,6 +165,5 @@ def inseparable_pairs_of_size(
     :class:`~repro.exceptions.BudgetExceededError` (no partial census).
     """
     return pathset.engine(compress=compress, universe=universe).inseparable_pairs(
-        size, search_jobs=search_jobs, budget=budget, kernel=kernel,
-        block_size=block_size,
+        size, budget=budget
     )

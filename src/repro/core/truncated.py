@@ -25,6 +25,7 @@ from repro.core.identifiability import (
     maximal_identifiability_detailed,
 )
 from repro.engine.backends import BackendSpec
+from repro.engine.signatures import _require_int
 from repro.exceptions import IdentifiabilityError
 from repro.monitors.placement import MonitorPlacement
 from repro.resilience.budget import Budget
@@ -39,10 +40,7 @@ def truncated_identifiability_detailed(
     backend: BackendSpec = None,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
-    search_jobs: Optional[int] = None,
     budget: Optional["Budget"] = None,
-    kernel: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> IdentifiabilityResult:
     """µ_α with diagnostics: the engine search capped at subset size α.
 
@@ -53,12 +51,11 @@ def truncated_identifiability_detailed(
     the same truncation semantics (``stats.budget_exhausted`` distinguishes
     a budget stop from cap exhaustion).
     """
-    if alpha < 1:
+    if _require_int("alpha", alpha) < 1:
         raise IdentifiabilityError(f"alpha must be >= 1, got {alpha}")
     return maximal_identifiability_detailed(
         pathset, max_size=alpha, backend=backend, compress=compress,
-        universe=universe, search_jobs=search_jobs, budget=budget,
-        kernel=kernel, block_size=block_size,
+        universe=universe, budget=budget,
     )
 
 
@@ -68,10 +65,7 @@ def truncated_identifiability(
     backend: BackendSpec = None,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
-    search_jobs: Optional[int] = None,
     budget: Optional["Budget"] = None,
-    kernel: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> int:
     """µ_α(G): the truncated maximal identifiability.
 
@@ -80,8 +74,7 @@ def truncated_identifiability(
     values).
     """
     return truncated_identifiability_detailed(
-        pathset, alpha, backend, compress, universe, search_jobs, budget,
-        kernel, block_size,
+        pathset, alpha, backend, compress, universe, budget
     ).value
 
 

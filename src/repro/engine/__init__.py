@@ -6,9 +6,10 @@ the experiment drivers (:mod:`repro.experiments`):
 
 * :class:`SignatureEngine` interns each node's path-mask once, collapses
   nodes into signature equivalence classes (an O(|V|) µ = 0 fast path), and
-  runs the exact µ search as an incremental DFS with prefix-union carrying
-  and subset-dominance pruning — same results and witnesses as the naive
-  ``itertools.combinations`` sweep, at a fraction of the cost.
+  runs the exact µ search as one chunked frontier sweep with prefix-union
+  carrying, batched row evaluation and subset-dominance pruning — same
+  results and witnesses as the naive ``itertools.combinations`` sweep, at a
+  fraction of the cost.
 * :mod:`repro.engine.backends` provides two interchangeable signature
   representations: Python big-int bitmasks and numpy ``uint64``-packed rows.
 * :mod:`repro.engine.compress` collapses duplicate path columns (and drops
@@ -77,24 +78,14 @@ from repro.engine.cache import (
 )
 from repro.engine.signatures import (
     DEFAULT_BLOCK_SIZE,
-    KERNELS,
-    MIN_BLOCK_FRONTIER,
     ConfusablePair,
     IdentifiabilityResult,
     SearchCounters,
     SearchStats,
     SignatureEngine,
-    kernel_policy,
     record_external_search,
     reset_search_counters,
-    resolve_block_size,
-    resolve_kernel,
-    resolve_search_jobs,
     search_counters,
-    search_jobs_policy,
-    select_block_size,
-    select_kernel,
-    select_search_jobs,
 )
 
 __all__ = [
@@ -107,18 +98,7 @@ __all__ = [
     "search_counters",
     "reset_search_counters",
     "record_external_search",
-    "resolve_search_jobs",
-    "search_jobs_policy",
-    "select_search_jobs",
-    # block kernel
-    "KERNELS",
     "DEFAULT_BLOCK_SIZE",
-    "MIN_BLOCK_FRONTIER",
-    "kernel_policy",
-    "resolve_kernel",
-    "resolve_block_size",
-    "select_kernel",
-    "select_block_size",
     # backends
     "SignatureBackend",
     "PythonBackend",

@@ -46,12 +46,16 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
 #: "auto" switches to the numpy backend at this many measurement paths.
 #:
 #: The crossover is where numpy's fixed per-op call overhead is repaid by
-#: word-parallel unions: below it CPython big-int ops win outright
-#: (``benchmarks/bench_backend_crossover.py`` records the sweep this value
-#: was calibrated against).  It is read at resolution time, so tests (and
-#: unusual deployments) can override it by assigning
-#: ``repro.engine.backends.NUMPY_MIN_PATHS`` — note that the re-export in
-#: :mod:`repro.engine` is a copied value; patch *this* module's attribute.
+#: word-parallel row ops: below it CPython big-int ops win outright.  The
+#: subset sweep alone favours big ints to much wider universes, since both
+#: backends run the same chunked ops
+#: (``benchmarks/bench_backend_crossover.py`` records that ladder); the
+#: value is set by the whole scenario, where localization and measurement
+#: over a few thousand compressed columns run faster on numpy.  It is read
+#: at resolution time, so tests (and unusual deployments) can override it by
+#: assigning ``repro.engine.backends.NUMPY_MIN_PATHS`` — note that the
+#: re-export in :mod:`repro.engine` is a copied value; patch *this* module's
+#: attribute.
 NUMPY_MIN_PATHS = 256
 
 _POLICIES = ("auto", "python", "numpy")
@@ -188,17 +192,13 @@ class SignatureBackend(abc.ABC):
 
     # -- batched block ops ---------------------------------------------------
     #
-    # The block kernel (PR 10) evaluates the combination frontier in chunks:
+    # The subset sweep evaluates the combination frontier in chunks:
     # ``stack`` packs signatures into a single block operand once, then each
     # chunk is one ``block_scan`` (row-wise union + dominance against a shared
     # prefix) followed by one ``block_digests`` (row digests, exact-verified by
     # the engine on collision).  The defaults below are a pure-python
-    # fallback built on the scalar ops, so ``kernel="block"`` is legal on any
-    # backend; vectorized backends override them.
-
-    #: Whether the batched ops are truly vectorized (``kernel="auto"`` only
-    #: engages the block kernel when they are).
-    vectorized_blocks: bool = False
+    # fallback built on the scalar ops, so the sweep runs on any backend;
+    # vectorized backends override them.
 
     def stack(self, signatures):
         """Pack signatures into a block operand, one row per signature.
@@ -281,8 +281,6 @@ class NumpyBackend(SignatureBackend):
     """Signatures as read-only little-endian ``uint64`` word arrays."""
 
     name = "numpy"
-
-    vectorized_blocks = True
 
     def __init__(self, n_paths: int) -> None:
         if _np is None:

@@ -42,15 +42,9 @@ from repro.engine.backends import _install_policy, backend_policy, select_backen
 from repro.engine.compress import _install_compression, compression_enabled
 from repro.engine.cache import pathset_cache
 from repro.engine.signatures import (
-    _install_block_size,
-    _install_kernel,
-    _install_search_jobs,
     record_external_search,
     reset_search_counters,
     search_counters,
-    select_block_size,
-    select_kernel,
-    select_search_jobs,
 )
 from repro.exceptions import ExperimentError
 from repro.resilience.budget import _install_budget_limits, current_budget_limits
@@ -120,20 +114,15 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def _init_worker(
     backend: str,
     compress: bool,
-    search_jobs: int = 1,
     time_budget: Optional[float] = None,
     subset_budget: Optional[int] = None,
     chaos: Optional[ChaosConfig] = None,
-    kernel: str = "auto",
-    block_size: Optional[int] = None,
 ) -> None:
     """Pool initializer: propagate the engine policies, start a clean cache.
 
     The signature-backend policy (``--backend``), the signature-universe
-    compression policy (``--no-compress``), the search-sharding policy
-    (``--search-jobs``), the sweep-kernel policy (``--kernel`` /
-    ``--block-size``) and the search-budget limits (``--time-budget``)
-    are installed so workers compute exactly as the
+    compression policy (``--no-compress``) and the search-budget limits
+    (``--time-budget``) are installed so workers compute exactly as the
     parent would.  Clearing makes worker
     caches behave identically under ``fork`` (which inherits a copy of the
     parent's entries) and ``spawn`` (which starts empty), and makes the
@@ -148,9 +137,6 @@ def _init_worker(
     """
     _install_policy(backend)
     _install_compression(compress)
-    _install_search_jobs(search_jobs)
-    _install_kernel(kernel)
-    _install_block_size(block_size)
     _install_budget_limits(time_budget, subset_budget)
     install_chaos(chaos)
     pathset_cache().clear()
@@ -215,17 +201,11 @@ def _merge_worker_counters(results: Iterable[TrialResult]) -> None:
     )
     record_external_search(
         searches=sum(r.search_counters.get("searches", 0) for r in results),
-        sharded_searches=sum(
-            r.search_counters.get("sharded_searches", 0) for r in results
-        ),
         subsets_enumerated=sum(
             r.search_counters.get("subsets_enumerated", 0) for r in results
         ),
         dominance_prunes=sum(
             r.search_counters.get("dominance_prunes", 0) for r in results
-        ),
-        block_searches=sum(
-            r.search_counters.get("block_searches", 0) for r in results
         ),
         blocks_evaluated=sum(
             r.search_counters.get("blocks_evaluated", 0) for r in results
@@ -516,12 +496,9 @@ def run_trials(
     initargs = (
         policy_backend,
         compression_enabled(),
-        select_search_jobs(),
         time_budget,
         subset_budget,
         policy.chaos,
-        select_kernel(),
-        select_block_size(),
     )
     if policy.resilient or checkpoint is not None:
         return _run_resilient(spec_list, n_workers, initargs, policy, checkpoint)

@@ -61,9 +61,7 @@ from repro.engine import (
     cache_stats,
     clear_pathset_cache,
     compression_policy,
-    kernel_policy,
     search_counters,
-    search_jobs_policy,
 )
 from repro.exceptions import SpecError
 from repro.experiments import (
@@ -713,39 +711,10 @@ def build_parser() -> argparse.ArgumentParser:
         "deltas merged in) to stderr after the run",
     )
     parser.add_argument(
-        "--search-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard every exact-µ subset search across N workers "
-        "(0 = all cores; default: serial).  Composes with --jobs trial "
-        "fan-out and is bit-identical to the serial search — same µ, "
-        "witnesses and search bookkeeping, only the wall-clock changes",
-    )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=["auto", "scalar", "block"],
-        help="subset-sweep execution strategy for every µ computation: "
-        "'scalar' (one subset at a time), 'block' (batched block kernel — "
-        "frontier rows unioned, dominance-checked and digested per block) or "
-        "'auto' (block when the numpy backend is active and the frontier is "
-        "large).  Bit-identical results either way; propagated to pool "
-        "workers and restored after the run",
-    )
-    parser.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        metavar="ROWS",
-        help="candidate subsets per block-kernel chunk (default: 1024); only "
-        "meaningful with --kernel block/auto",
-    )
-    parser.add_argument(
         "--search-stats",
         action="store_true",
-        help="print the subset-search counters (searches run, sharded "
-        "searches, subsets enumerated, dominance prunes; worker deltas "
+        help="print the subset-search counters (searches run, subsets "
+        "enumerated, dominance prunes, blocks evaluated; worker deltas "
         "merged in) to stderr after the run",
     )
     parser.add_argument(
@@ -848,14 +817,8 @@ def _validate_arguments(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"--jobs must be >= 0 (0 = all cores), got {args.jobs}")
     if args.trials is not None and args.trials < 1:
         parser.error(f"--trials must be >= 1, got {args.trials}")
-    if args.search_jobs is not None and args.search_jobs < 0:
-        parser.error(
-            f"--search-jobs must be >= 0 (0 = all cores), got {args.search_jobs}"
-        )
     if args.time_budget is not None and args.time_budget <= 0:
         parser.error(f"--time-budget must be > 0 seconds, got {args.time_budget}")
-    if args.block_size is not None and args.block_size < 1:
-        parser.error(f"--block-size must be >= 1, got {args.block_size}")
     if args.trial_timeout is not None and args.trial_timeout <= 0:
         parser.error(
             f"--trial-timeout must be > 0 seconds, got {args.trial_timeout}"
@@ -867,8 +830,8 @@ def _validate_arguments(parser: argparse.ArgumentParser, args) -> None:
 def main(argv: List[str] | None = None) -> int:
     """Console-script entry point.
 
-    The ``--backend``, ``--no-compress``, ``--search-jobs``, ``--time-budget``
-    and resilience selections are scoped to this call (and propagated into any
+    The ``--backend``, ``--no-compress``, ``--time-budget`` and resilience
+    selections are scoped to this call (and propagated into any
     pool workers), so invoking ``main`` as a library function never leaks an
     engine-policy change into the host process.  ``Ctrl-C`` cancels the
     outstanding pool futures, leaves every already-journaled trial durable on
@@ -894,8 +857,6 @@ def main(argv: List[str] | None = None) -> int:
     try:
         with backend_policy(args.backend), compression_policy(
             False if args.no_compress else None
-        ), search_jobs_policy(args.search_jobs), kernel_policy(
-            args.kernel, args.block_size
         ), budget_policy(
             time_budget=args.time_budget
         ), execution_policy(
@@ -914,10 +875,7 @@ def main(argv: List[str] | None = None) -> int:
                 if (
                     args.backend is not None
                     or args.no_compress
-                    or args.search_jobs is not None
                     or args.time_budget is not None
-                    or args.kernel is not None
-                    or args.block_size is not None
                 ):
                     engine_override = EngineConfig.from_policy()
                 sections = run_spec_files(

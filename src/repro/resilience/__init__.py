@@ -5,8 +5,7 @@ Four orthogonal pieces, threaded through every execution layer:
 
 * :mod:`~repro.resilience.budget` — cooperative :class:`Budget` deadlines for
   the subset search (wall-clock and/or subset count), with graceful
-  completed-size truncation in ``identifiability()`` and a shared cancel
-  token for sharded workers.
+  completed-size truncation in ``identifiability()``.
 * :mod:`~repro.resilience.pool` — the :class:`ExecutionPolicy` knobs of the
   fault-tolerant trial pool (timeouts, bounded retries with backoff + jitter,
   :class:`TrialFailure` quarantine) plus its observability counters.
@@ -24,7 +23,6 @@ successful output never depends on how much fault handling happened.
 from repro.exceptions import BudgetExceededError
 from repro.resilience.budget import (
     Budget,
-    SharedBudgetState,
     budget_policy,
     current_budget_limits,
     resolve_budget,
@@ -57,7 +55,6 @@ from repro.resilience.pool import (
 __all__ = [
     "Budget",
     "BudgetExceededError",
-    "SharedBudgetState",
     "budget_policy",
     "current_budget_limits",
     "resolve_budget",

@@ -2,8 +2,8 @@
 
 A :class:`Budget` bounds one search by wall-clock seconds (monotonic clock,
 immune to NTP steps) and/or by a maximum number of enumerated subsets.  The
-engine polls it cooperatively inside :func:`_combination_frontier`
-consumption: ``identifiability()`` truncates at the last fully completed
+engine polls it cooperatively once per frontier row of the subset sweep:
+``identifiability()`` truncates at the last fully completed
 subset size (returning a well-formed, certified-lower-bound
 :class:`~repro.engine.signatures.IdentifiabilityResult` with
 ``exhausted_search=False`` and ``stats.budget_exhausted=True``), while the
@@ -16,15 +16,7 @@ fast path certifies, so ``subset_budget`` is on the same scale as the
 ``subset_budget`` the truncation point is a pure function of the enumeration
 and therefore deterministic, which is what the metamorphic tests rely on.
 
-Sharded searches share a budget across workers through
-:class:`SharedBudgetState`: a ``multiprocessing.Value`` subset counter plus
-the absolute monotonic deadline (valid across ``fork`` on Linux, where
-``CLOCK_MONOTONIC`` is system-wide).  Shards poll it in batches and stop
-early; the parent then discards the whole incomplete size, so the merged
-result is deterministic at completed-size granularity for every
-``search_jobs`` value.
-
-Like the backend/compression/sharding knobs, the budget has a process-global
+Like the backend/compression knobs, the budget has a process-global
 policy (``budget_policy`` / ``current_budget_limits``) so ``--time-budget``
 scopes a whole runner invocation and :meth:`EngineConfig.from_policy`
 captures it into specs that travel to pool workers.
@@ -33,16 +25,10 @@ captures it into specs that travel to pool workers.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import time
 from typing import Any, Iterator, Optional, Tuple
 
 from repro.exceptions import IdentifiabilityError
-
-#: How many subsets a shard scans between polls of the shared budget.  Serial
-#: sweeps poll every subset (the subset check is one int compare); shards
-#: batch to keep the shared-counter lock off the hot path.
-SHARD_POLL_STRIDE = 32
 
 
 def _validate_time_budget(value: Any) -> Optional[float]:
@@ -69,47 +55,6 @@ def _validate_subset_budget(value: Any) -> Optional[int]:
     if value <= 0:
         raise IdentifiabilityError(f"subset_budget must be > 0, got {value!r}")
     return value
-
-
-class SharedBudgetState:
-    """The fork/thread-shared projection of a started :class:`Budget`.
-
-    Created in the parent *before* the shard executor exists, so ``fork``
-    workers inherit the shared counter and threads share it outright.  The
-    deadline is an absolute ``time.monotonic()`` instant, comparable across
-    forked processes on the same host.
-    """
-
-    __slots__ = ("deadline", "limit", "counter")
-
-    def __init__(
-        self,
-        deadline: Optional[float],
-        limit: Optional[int],
-        consumed: int,
-    ) -> None:
-        self.deadline = deadline
-        self.limit = limit
-        self.counter = (
-            multiprocessing.Value("q", consumed) if limit is not None else None
-        )
-
-    def poll(self, n: int = 0) -> bool:
-        """Charge ``n`` subsets and report whether the budget is exhausted."""
-        expired = False
-        if self.counter is not None and self.limit is not None:
-            with self.counter.get_lock():
-                self.counter.value += n
-                expired = self.counter.value >= self.limit
-        if not expired and self.deadline is not None:
-            expired = time.monotonic() >= self.deadline
-        return expired
-
-    @property
-    def consumed(self) -> int:
-        if self.counter is None:
-            return 0
-        return int(self.counter.value)
 
 
 class Budget:
@@ -142,7 +87,7 @@ class Budget:
 
     @property
     def consumed(self) -> int:
-        """Subsets charged so far (including a shared-state sync)."""
+        """Subsets charged so far."""
         return self._consumed
 
     def start(self) -> "Budget":
@@ -166,22 +111,6 @@ class Budget:
         if self._deadline is not None:
             return time.monotonic() >= self._deadline
         return False
-
-    def share(self) -> SharedBudgetState:
-        """Project this (started) budget into fork/thread-shareable state."""
-        self.start()
-        return SharedBudgetState(
-            self._deadline, self.subset_budget, self._consumed
-        )
-
-    def sync_from(self, shared: Optional[SharedBudgetState]) -> None:
-        """Fold the shard workers' consumption back into this budget.
-
-        Accepts ``None`` (no-op) so callers can pass an unconditionally
-        declared ``Optional[SharedBudgetState]`` without narrowing.
-        """
-        if shared is not None and shared.counter is not None:
-            self._consumed = shared.consumed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -6,7 +6,7 @@ retries with exponential backoff + jitter, quarantine mode, and an optional
 :class:`~repro.resilience.chaos.ChaosConfig` — and the ambient
 :func:`execution_policy` context manager scopes them to a whole runner
 invocation (``--trial-timeout`` / ``--max-retries``) the same way the
-backend/compression/sharding policies scope their flags.
+backend/compression/budget policies scope their flags.
 
 Backoff jitter exists to decorrelate retry storms, not to perturb results:
 every trial's randomness travels in its pickled spec (the original

@@ -29,7 +29,7 @@ Endpoints
     Prometheus-style text exposition: request counts by path/status, a
     latency histogram, in-flight gauge, scenario- and pathset-cache
     counters, the PR-8 resilience ``pool_counters`` and the subset-search
-    counters (``repro_search_*`` — searches, block-kernel blocks, prunes).
+    counters (``repro_search_*`` — searches, sweep blocks, prunes).
 
 Error mapping: malformed JSON / invalid specs / bad parameters → 400 with a
 ``{"error": ...}`` body (never a traceback); unknown path → 404; wrong
@@ -199,7 +199,7 @@ class Metrics:
 
         lines.append(
             "# HELP repro_search Subset-search counters (searches run, "
-            "sharded/block searches, subsets enumerated, prunes)."
+            "subsets enumerated, prunes, blocks evaluated)."
         )
         for name, value in sorted(search_counters().as_dict().items()):
             emit(f"repro_search_{name}_total", value)

@@ -509,12 +509,9 @@ class TestSpecRunner:
             "backend": "python",
             "compress": False,
             "cache": True,
-            "search_jobs": 1,
             "time_budget": None,
             "subset_budget": None,
             "cache_maxsize": None,
-            "kernel": "auto",
-            "block_size": None,
         }
 
     def test_write_output_atomic_replaces_existing_content(self, tmp_path):

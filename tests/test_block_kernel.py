@@ -1,19 +1,19 @@
-"""Block-kernel parity: ``kernel="block"`` must be bit-identical to the
-scalar sweep — same µ, same min-lex witness, same ``searched_up_to`` /
-``exhausted_search`` and the same ``subsets_enumerated`` accounting — across
-every routing mechanism, every failure universe, serial and sharded
-execution, and budget truncation.  The matrix mirrors
-test_search_sharding.py; the block kernel adds the batched row-union /
-dominance / digest path on top of the same enumeration order, so equality is
-asserted on the full result dataclass *and* on the stats fields the scalar
-path defines.
+"""The single subset sweep against the naive oracle.
+
+The engine has one frontier evaluator (:func:`_block_chunks`) for µ, the
+separability census, the digest stream and local µ.  These suites hold it to
+the brute-force ``itertools.combinations`` oracle in ``tests/oracles.py`` —
+same µ, same witness pair, same ``searched_up_to`` / ``exhausted_search``
+and the same ``subsets_enumerated`` count up to the collision — across every
+routing mechanism, failure universe, backend (numpy vectorized ops and the
+pure-python fallback), compression setting and subset-budget truncation
+point.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import os
-import warnings
 
 import pytest
 
@@ -25,28 +25,28 @@ from repro.api.spec import (
     SpecError,
     TopologySpec,
 )
+from repro.core.identifiability import maximal_identifiability
 from repro.core.local import local_maximal_identifiability
 from repro.core.separability import inseparable_pairs_of_size
+from repro.core.truncated import truncated_identifiability
 from repro.engine import signatures as sig
-from repro.engine.backends import PythonBackend, numpy_available
-from repro.engine.signatures import (
-    DEFAULT_BLOCK_SIZE,
-    KERNELS,
-    SearchStats,
-    kernel_policy,
-    resolve_block_size,
-    resolve_kernel,
-    search_counters,
-    select_block_size,
-    select_kernel,
-)
+from repro.engine.backends import PythonBackend, available_backends, numpy_available
+from repro.engine.signatures import SearchStats, _lex_rank, search_counters
 from repro.exceptions import IdentifiabilityError
 from repro.resilience.budget import Budget
+
+from oracles import (
+    assert_matches_oracle,
+    naive_inseparable_pairs,
+    naive_local_mu,
+    naive_maximal_identifiability_detailed,
+)
 
 MECHANISMS = ("CSP", "CAP-", "CAP")
 KINDS = ("node", "link", "srlg")
 N_SEEDS = 20
 SUBSET_BUDGET = 25
+BACKENDS = tuple(sorted(available_backends()))
 
 
 def _pathset(seed: int, mechanism: str):
@@ -65,62 +65,46 @@ def _universe(pathset, kind: str):
     return pathset.universe("srlg", groups=groups)
 
 
-@pytest.fixture
-def forced(monkeypatch):
-    """Force sharding on for every size so jobs>1 actually shards."""
-    monkeypatch.setattr(sig, "MIN_SHARDED_FRONTIER", 0)
-    monkeypatch.setattr(sig, "_FORCE_EXECUTOR", "thread")
-
-
-def _assert_stats_parity(block, scalar, context):
-    """The block kernel must reproduce the scalar bookkeeping exactly."""
-    assert block == scalar, context  # value, witness, searched, exhausted
-    assert (
-        block.stats.subsets_enumerated == scalar.stats.subsets_enumerated
-    ), context
-    assert block.stats.table_entries == scalar.stats.table_entries, context
-    assert block.stats.budget_exhausted == scalar.stats.budget_exhausted, context
-
-
 class TestBlockParityMatrix:
-    """The acceptance matrix: seeds × mechanisms × universes × jobs × budget."""
+    """The acceptance matrix: seeds × mechanisms × universes × backends ×
+    compression × budget, every cell against the naive oracle."""
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     @pytest.mark.parametrize("kind", KINDS)
-    def test_bit_identical_matrix(self, mechanism, kind, forced):
+    def test_bit_identical_matrix(self, mechanism, kind):
         for seed in range(N_SEEDS):
             pathset = _pathset(seed, mechanism)
-            engine = pathset.engine(universe=_universe(pathset, kind))
-            for jobs in (1, 4):
-                scalar = engine.identifiability(
-                    search_jobs=jobs, kernel="scalar"
-                )
-                block = engine.identifiability(search_jobs=jobs, kernel="block")
-                _assert_stats_parity(block, scalar, (seed, mechanism, kind, jobs))
-                scalar_b = engine.identifiability(
-                    search_jobs=jobs,
-                    kernel="scalar",
-                    budget=Budget(subset_budget=SUBSET_BUDGET),
-                )
-                block_b = engine.identifiability(
-                    search_jobs=jobs,
-                    kernel="block",
-                    budget=Budget(subset_budget=SUBSET_BUDGET),
-                )
-                _assert_stats_parity(
-                    block_b, scalar_b, (seed, mechanism, kind, jobs, "budget")
+            universe = _universe(pathset, kind)
+            exact = naive_maximal_identifiability_detailed(
+                pathset, universe=universe
+            )
+            budgeted = naive_maximal_identifiability_detailed(
+                pathset, universe=universe, subset_budget=SUBSET_BUDGET
+            )
+            for backend, compress in itertools.product(BACKENDS, (True, False)):
+                engine = pathset.engine(backend, compress, universe=universe)
+                context = (seed, mechanism, kind, backend, compress)
+                assert_matches_oracle(engine.identifiability(), exact, context)
+                assert_matches_oracle(
+                    engine.identifiability(budget=Budget(subset_budget=SUBSET_BUDGET)),
+                    budgeted,
+                    context + ("budget",),
                 )
 
-    def test_block_size_does_not_change_results(self):
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        """Chunk boundaries inside and across prefix runs change nothing."""
         for seed in range(6):
             pathset = _pathset(seed, "CSP")
-            engine = pathset.engine(universe=_universe(pathset, "link"))
-            scalar = engine.identifiability(kernel="scalar")
+            universe = _universe(pathset, "link")
+            oracle = naive_maximal_identifiability_detailed(
+                pathset, universe=universe
+            )
+            engine = pathset.engine(universe=universe)
             for block_size in (1, 2, 3, 7, 4096):
-                block = engine.identifiability(
-                    kernel="block", block_size=block_size
+                monkeypatch.setattr(sig, "DEFAULT_BLOCK_SIZE", block_size)
+                assert_matches_oracle(
+                    engine.identifiability(), oracle, (seed, block_size)
                 )
-                _assert_stats_parity(block, scalar, (seed, block_size))
 
     @pytest.mark.parametrize(
         "backend", ["python"] + (["numpy"] if numpy_available() else [])
@@ -128,152 +112,199 @@ class TestBlockParityMatrix:
     def test_parity_on_each_backend(self, backend):
         for seed in range(8):
             pathset = _pathset(seed, "CAP")
-            engine = pathset.engine(
-                backend, universe=_universe(pathset, "node")
+            engine = pathset.engine(backend, universe=_universe(pathset, "node"))
+            assert_matches_oracle(
+                engine.identifiability(),
+                naive_maximal_identifiability_detailed(pathset),
+                (seed, backend),
             )
-            scalar = engine.identifiability(kernel="scalar")
-            block = engine.identifiability(kernel="block")
-            _assert_stats_parity(block, scalar, (seed, backend))
 
-    def test_census_queries_parity(self, forced):
+    def test_restricted_universe_and_cap_parity(self):
+        pathset = _pathset(3, "CSP")
+        engine = pathset.engine()
+        subset = engine.nodes[: max(4, len(engine.nodes) - 2)]
+        for cap in (0, 1, 2, 3, None):
+            assert_matches_oracle(
+                engine.identifiability(max_size=cap, nodes=subset),
+                naive_maximal_identifiability_detailed(
+                    pathset, max_size=cap, nodes=subset
+                ),
+                cap,
+            )
+
+    def test_census_queries_parity(self):
         for seed in range(4):
             pathset = _pathset(seed, "CSP")
-            engine = pathset.engine(universe=_universe(pathset, "link"))
-            for jobs in (1, 3):
-                scalar_pairs = engine.inseparable_pairs(
-                    2, search_jobs=jobs, kernel="scalar"
+            universe = _universe(pathset, "link")
+            for backend in BACKENDS:
+                engine = pathset.engine(backend, universe=universe)
+                for size in (1, 2):
+                    pairs = engine.inseparable_pairs(size)
+                    oracle = naive_inseparable_pairs(universe, size)
+                    assert len(pairs) == len(oracle), (seed, backend, size)
+                    assert set(pairs) == set(oracle), (seed, backend, size)
+                matrix = engine.separability_matrix(2)
+                assert list(matrix) == list(
+                    itertools.combinations(
+                        [
+                            frozenset(combo)
+                            for combo in itertools.combinations(engine.nodes, 2)
+                        ],
+                        2,
+                    )
                 )
-                assert engine.inseparable_pairs(
-                    2, search_jobs=jobs, kernel="block"
-                ) == scalar_pairs, (seed, jobs)
-                scalar_matrix = engine.separability_matrix(
-                    2, search_jobs=jobs, kernel="scalar"
-                )
-                block_matrix = engine.separability_matrix(
-                    2, search_jobs=jobs, kernel="block"
-                )
-                assert block_matrix == scalar_matrix
-                assert list(block_matrix) == list(scalar_matrix)  # same order
-            assert inseparable_pairs_of_size(
-                pathset, 2, universe=_universe(pathset, "link"), kernel="block"
-            ) == engine.inseparable_pairs(2, kernel="scalar")
+                for (first, second), separable in matrix.items():
+                    assert separable == universe.separates(first, second)
+            assert set(
+                inseparable_pairs_of_size(pathset, 2, universe=universe)
+            ) == set(naive_inseparable_pairs(universe, 2))
 
     def test_local_search_parity(self):
         for seed in range(4):
             pathset = _pathset(seed, "CSP")
+            universe = pathset.universe("node")
             for element in list(pathset.nodes)[:4]:
-                exact = local_maximal_identifiability(
-                    pathset, {element}, max_size=3, kernel="scalar"
-                )
+                cap = min(3, len(universe.elements))
                 assert local_maximal_identifiability(
-                    pathset, {element}, max_size=3, kernel="block"
-                ) == exact, (seed, element)
+                    pathset, {element}, max_size=3
+                ) == naive_local_mu(
+                    universe.elements, universe.masks, {element}, cap
+                ), (seed, element)
 
     def test_digest_stream_parity(self):
-        """iter_subset_digests: same subset order, self-consistent digests."""
+        """iter_subset_digests / iter_subset_signatures: combinations order,
+        self-consistent digests, exact keys."""
         pathset = _pathset(1, "CSP")
         engine = pathset.engine()
-        scalar = list(engine.iter_subset_digests(range(0, 3), kernel="scalar"))
-        block = list(engine.iter_subset_digests(range(0, 3), kernel="block"))
-        assert [subset for subset, _ in block] == [s for s, _ in scalar]
-        # Digest families differ between kernels, but within one family
-        # equal unions must share a digest.
-        for stream in (scalar, block):
-            by_key = {}
-            for subset, digest in stream:
-                by_key.setdefault(engine.union_key(subset), set()).add(digest)
-            assert all(len(digests) == 1 for digests in by_key.values())
+        expected = [
+            combo
+            for size in range(0, 3)
+            for combo in itertools.combinations(engine.nodes, size)
+        ]
+        digests = list(engine.iter_subset_digests(range(0, 3)))
+        keys = list(engine.iter_subset_signatures(range(0, 3)))
+        assert [subset for subset, _ in digests] == expected
+        assert [subset for subset, _ in keys] == expected
+        assert all(key == engine.union_key(subset) for subset, key in keys)
+        # Equal unions must share a digest.
+        by_key = {}
+        for subset, digest in digests:
+            by_key.setdefault(engine.union_key(subset), set()).add(digest)
+        assert all(len(group) == 1 for group in by_key.values())
+
+    def test_lex_rank_matches_enumeration_order(self):
+        for rank, combo in enumerate(itertools.combinations(range(9), 3)):
+            assert _lex_rank(combo, 9, 3) == rank
 
 
-class TestAutoResolution:
-    def test_auto_prefers_block_only_on_vectorized_backends(self):
-        assert sig._resolved_kernel("scalar", PythonBackend(4), 10**9) == "scalar"
-        assert sig._resolved_kernel("block", PythonBackend(4), 0) == "block"
-        assert sig._resolved_kernel("auto", PythonBackend(4), 10**9) == "scalar"
-        if numpy_available():
-            from repro.engine.backends import NumpyBackend
-
-            backend = NumpyBackend(4)
-            assert sig._resolved_kernel("auto", backend, 10**9) == "block"
-            assert (
-                sig._resolved_kernel("auto", backend, sig.MIN_BLOCK_FRONTIER - 1)
-                == "scalar"
-            )
-
-    def test_stats_record_resolved_kernel(self):
-        pathset = _pathset(2, "CSP")
-        engine = pathset.engine("python")
-        assert engine.identifiability(kernel="scalar").stats.kernel == "scalar"
-        block = engine.identifiability(kernel="block")
-        assert block.stats.kernel == "block"
-        # Pure-python auto stays scalar (no vectorized block ops to win with).
-        assert engine.identifiability(kernel="auto").stats.kernel == "scalar"
-
+class TestStatsAndCounters:
     def test_block_counters_accumulate(self):
         pathset = _pathset(1, "CSP")
         engine = pathset.engine()
         before = search_counters()
-        result = engine.identifiability(kernel="block")
+        result = engine.identifiability()
         after = search_counters()
-        assert after.block_searches == before.block_searches + 1
+        assert after.searches == before.searches + 1
         if result.searched_up_to >= 2:
             assert result.stats.blocks_evaluated > 0
-            assert (
-                after.blocks_evaluated
-                == before.blocks_evaluated + result.stats.blocks_evaluated
-            )
-            assert (
-                after.block_rows_pruned
-                == before.block_rows_pruned + result.stats.block_rows_pruned
-            )
+        assert (
+            after.blocks_evaluated
+            == before.blocks_evaluated + result.stats.blocks_evaluated
+        )
+        assert (
+            after.block_rows_pruned
+            == before.block_rows_pruned + result.stats.block_rows_pruned
+        )
 
-    def test_sharded_block_counters_merge(self, forced):
+    def test_result_stats_and_counters(self):
         pathset = _pathset(1, "CSP")
         engine = pathset.engine()
-        serial = engine.identifiability(kernel="block", search_jobs=1)
-        sharded = engine.identifiability(kernel="block", search_jobs=3)
-        assert sharded == serial
-        assert sharded.stats.kernel == "block"
-        if serial.searched_up_to >= 2:
-            assert sharded.stats.blocks_evaluated > 0
+        before = search_counters()
+        first = engine.identifiability()
+        assert isinstance(first.stats, SearchStats)
+        assert first.stats.subsets_enumerated >= 1
+        assert first.stats.table_entries >= 1
+        assert set(first.stats.as_dict()) == {
+            "subsets_enumerated",
+            "dominance_prunes",
+            "table_entries",
+            "budget_exhausted",
+            "blocks_evaluated",
+            "block_rows_pruned",
+        }
+        second = engine.identifiability(budget=Budget(subset_budget=10**9))
+        assert second == first  # stats never participate in equality
+        after = search_counters()
+        assert after.searches == before.searches + 2
+        assert after.subsets_enumerated > before.subsets_enumerated
+
+    def test_exhausted_stats_count_every_subset(self):
+        pathset = _pathset(2, "CSP")
+        engine = pathset.engine()
+        universe = engine.nodes[:6]
+        result = engine.identifiability(nodes=universe)
+        if result.exhausted_search:
+            assert result.stats.subsets_enumerated == 2 ** len(universe)
 
 
-class TestValidationAndPolicy:
-    def test_kernel_validation(self):
+class TestTypedSizeValidation:
+    """Search sizes must be real ints: typed errors, never a TypeError
+    from deep in the sweep and never a silent ``True == 1``."""
+
+    BAD_SIZES = (True, False, 1.5, "2")
+
+    def test_negative_max_size_raises_in_both_entry_points(self):
         pathset = _pathset(0, "CSP")
         engine = pathset.engine()
-        for bad in ("vector", "", 1, None):
-            if bad is None:
-                continue
-            with pytest.raises(IdentifiabilityError):
-                engine.identifiability(kernel=bad)
-        for bad in (0, -1, 1.5, True, "8"):
-            with pytest.raises(IdentifiabilityError):
-                engine.identifiability(kernel="block", block_size=bad)
+        with pytest.raises(IdentifiabilityError):
+            engine.identifiability(max_size=-1)
+        with pytest.raises(IdentifiabilityError):
+            list(engine.iter_subset_signatures([-1]))
 
-    def test_policy_scoping_and_deprecation(self):
-        assert select_kernel() == "auto"
-        assert select_block_size() is None
-        with kernel_policy("block", 16):
-            assert select_kernel() == "block"
-            assert select_block_size() == 16
-            assert resolve_kernel() == "block"
-            assert resolve_block_size() == 16
-        assert select_kernel() == "auto"
-        assert resolve_block_size() == DEFAULT_BLOCK_SIZE
-        with pytest.warns(DeprecationWarning):
-            select_kernel("scalar")
-        try:
-            assert select_kernel() == "scalar"
-        finally:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                select_kernel("auto")
+    @pytest.mark.parametrize("bad", BAD_SIZES)
+    def test_engine_rejects_non_int_sizes(self, bad):
+        engine = _pathset(0, "CSP").engine()
+        with pytest.raises(IdentifiabilityError, match="must be an int"):
+            engine.identifiability(max_size=bad)
+        with pytest.raises(IdentifiabilityError, match="must be an int"):
+            engine.inseparable_pairs(bad)
+        with pytest.raises(IdentifiabilityError, match="must be an int"):
+            engine.separability_matrix(bad)
 
-    def test_kernels_tuple_is_the_contract(self):
-        assert KERNELS == ("auto", "scalar", "block")
-        for name in KERNELS:
-            assert resolve_kernel(name) == name
+    @pytest.mark.parametrize("bad", BAD_SIZES)
+    def test_core_clients_reject_non_int_sizes(self, bad):
+        pathset = _pathset(0, "CSP")
+        for call in (
+            lambda: maximal_identifiability(pathset, max_size=bad),
+            lambda: truncated_identifiability(pathset, bad),
+            lambda: inseparable_pairs_of_size(pathset, bad),
+        ):
+            with pytest.raises(IdentifiabilityError, match="must be an int"):
+                call()
+
+    @pytest.mark.parametrize("bad", BAD_SIZES)
+    def test_scenario_rejects_non_int_sizes(self, bad):
+        scenario = repro.Scenario(
+            ScenarioSpec(
+                topology=TopologySpec("directed_grid", {"n": 3}),
+                placement=PlacementSpec("chi_g"),
+            )
+        )
+        for call in (
+            lambda: scenario.mu(max_size=bad),
+            lambda: scenario.truncated(alpha=bad),
+            lambda: scenario.separability(size=bad),
+        ):
+            with pytest.raises(IdentifiabilityError, match="must be an int"):
+                call()
+        for analysis, name in (
+            ("mu", "max_size"),
+            ("truncated", "alpha"),
+            ("separability", "size"),
+        ):
+            request = {"analysis": analysis, "params": {name: bad}}
+            with pytest.raises(IdentifiabilityError, match="must be an int"):
+                scenario.run_analysis(repro.AnalysisSpec.from_dict(request))
 
 
 class TestBackendBatchedOps:
@@ -328,7 +359,7 @@ class TestBackendBatchedOps:
 
     @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     def test_numpy_bits_round_trip_matches_python_backend(self):
-        """Satellite 1: NumpyBackend.bits() must match PythonBackend.bits()."""
+        """NumpyBackend.bits() must match PythonBackend.bits()."""
         from repro.engine.backends import NumpyBackend
 
         for width in (1, 63, 64, 65, 127, 130, 300):
@@ -352,42 +383,36 @@ class TestBackendBatchedOps:
                 assert from_numpy == from_python == indices, (width, indices)
 
     def test_kernel_block_legal_without_numpy(self, monkeypatch):
-        """kernel="block" must run on the fallback when numpy is absent."""
+        """The sweep runs on the pure-python fallback when numpy is absent."""
         from repro.engine import backends
 
         monkeypatch.setattr(backends, "_np", None)
         pathset = _pathset(0, "CSP")
-        engine = pathset.engine("python")
-        scalar = engine.identifiability(kernel="scalar")
-        block = engine.identifiability(kernel="block")
-        assert block == scalar
-        assert block.stats.kernel == "block"
+        result = pathset.engine("python").identifiability()
+        assert_matches_oracle(
+            result, naive_maximal_identifiability_detailed(pathset)
+        )
+        if result.searched_up_to >= 2:
+            assert result.stats.blocks_evaluated > 0
 
 
 class TestSpecRunnerAndWorkers:
     def test_engine_config_round_trip_and_validation(self):
-        config = EngineConfig(kernel="block", block_size=64)
+        config = EngineConfig(backend="python", subset_budget=40)
         payload = config.to_dict()
-        assert payload["kernel"] == "block" and payload["block_size"] == 64
         assert EngineConfig.from_dict(payload) == config
-        # Additive defaults: documents without the fields parse as auto.
+        # The retired sweep keys of earlier v2 documents parse and are dropped.
         legacy = EngineConfig.from_dict(
-            {"backend": "auto", "compress": True, "cache": True}
+            dict(payload, search_jobs=3, kernel="scalar", block_size=64)
         )
-        assert legacy.kernel == "auto" and legacy.block_size is None
-        for bad in ("vector", 1, ""):
-            with pytest.raises(SpecError):
-                EngineConfig(kernel=bad)
-        for bad in (0, -2, True, 1.5, "8"):
-            with pytest.raises(SpecError):
-                EngineConfig(block_size=bad)
-        assert EngineConfig(kernel="  Block ").kernel == "block"
-
-    def test_from_policy_captures_kernel(self):
-        with kernel_policy("block", 32):
-            captured = EngineConfig.from_policy()
-            assert captured.kernel == "block" and captured.block_size == 32
-        assert EngineConfig.from_policy().kernel == "auto"
+        assert legacy == config
+        assert legacy.to_dict() == payload
+        for retired in ("search_jobs", "kernel", "block_size"):
+            assert retired not in payload
+            with pytest.raises(TypeError):
+                EngineConfig(**{retired: 1})
+        with pytest.raises(SpecError):
+            EngineConfig.from_dict({"search_job": 2})
 
     def _spec(self, label: str) -> ScenarioSpec:
         return ScenarioSpec(
@@ -397,50 +422,40 @@ class TestSpecRunnerAndWorkers:
             seed=11,
         )
 
+    def _legacy_document(self, spec: ScenarioSpec) -> dict:
+        document = spec.to_dict()
+        document["engine"].update(search_jobs=2, kernel="scalar", block_size=8)
+        return document
+
     def test_scenario_facade_parity(self):
-        scalar = ScenarioSpec(
-            topology=TopologySpec("dataxchange"),
-            placement=PlacementSpec("mdmp", {"d": 2}),
-            engine=EngineConfig(kernel="scalar"),
+        spec = self._spec("facade")
+        legacy = ScenarioSpec.from_dict(self._legacy_document(spec))
+        assert legacy == spec
+        scenario = repro.Scenario(spec)
+        mu = scenario.mu()
+        assert repro.Scenario(legacy).mu() == mu
+        oracle = naive_maximal_identifiability_detailed(
+            scenario.pathset, max_size=mu.searched_up_to
         )
-        block = scalar.with_engine(EngineConfig(kernel="block", block_size=8))
-        scalar_mu = repro.Scenario(scalar).mu()
-        block_mu = repro.Scenario(block).mu()
-        assert block_mu.value == scalar_mu.value
-        assert block_mu.witness == scalar_mu.witness
-        assert block_mu.searched_up_to == scalar_mu.searched_up_to
+        assert mu.value == oracle["value"]
+        assert mu.searched_up_to == oracle["searched_up_to"]
         assert (
-            repro.Scenario(block).separability(2).n_inseparable
-            == repro.Scenario(scalar).separability(2).n_inseparable
+            scenario.separability(2).n_inseparable
+            == len(naive_inseparable_pairs(scenario.universe, 2))
         )
 
-    def test_kernel_propagates_to_pool_workers(self):
-        """--jobs fan-out under a block-kernel policy stays bit-identical."""
+    def test_legacy_engine_keys_fan_out_identically(self):
+        """--jobs fan-out of documents carrying the retired keys: identical."""
         from repro.experiments.runner import run_spec_sections
 
         specs = [self._spec("a"), self._spec("b")]
         baseline = run_spec_sections(specs, jobs=1)
-        block_specs = [
-            spec.with_engine(EngineConfig(kernel="block", block_size=16))
-            for spec in specs
+        legacy = [
+            ScenarioSpec.from_dict(self._legacy_document(spec)) for spec in specs
         ]
-        fanned = run_spec_sections(block_specs, jobs=2)
+        fanned = run_spec_sections(legacy, jobs=2)
         for serial_section, fanned_section in zip(baseline, fanned):
-            assert (
-                fanned_section.data["analyses"]
-                == serial_section.data["analyses"]
-            )
-
-    def test_init_worker_installs_kernel_policy(self):
-        from repro.experiments.parallel import _init_worker
-
-        try:
-            _init_worker("python", True, 1, None, None, None, "block", 8)
-            assert select_kernel() == "block"
-            assert select_block_size() == 8
-        finally:
-            sig._install_kernel("auto")
-            sig._install_block_size(None)
+            assert fanned_section.data == serial_section.data
 
     def test_worker_counter_merge_includes_block_counters(self):
         from repro.experiments.parallel import TrialResult, _merge_worker_counters
@@ -453,7 +468,6 @@ class TestSpecRunnerAndWorkers:
                     value=None,
                     search_counters={
                         "searches": 1,
-                        "block_searches": 1,
                         "blocks_evaluated": 5,
                         "block_rows_pruned": 9,
                     },
@@ -461,42 +475,40 @@ class TestSpecRunnerAndWorkers:
             ]
         )
         after = search_counters()
-        assert after.block_searches == before.block_searches + 1
+        assert after.searches == before.searches + 1
         assert after.blocks_evaluated == before.blocks_evaluated + 5
         assert after.block_rows_pruned == before.block_rows_pruned + 9
 
-    def test_runner_kernel_flags(self, tmp_path, capsys):
+    def test_runner_parses_legacy_spec_documents(self, tmp_path, capsys):
         from repro.experiments import runner
 
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(self._spec("flags").to_json())
+        spec_path.write_text(
+            json.dumps(self._legacy_document(self._spec("legacy")))
+        )
         out_path = tmp_path / "out.json"
         code = runner.main(
-            [
-                "--spec", str(spec_path),
-                "--kernel", "block",
-                "--block-size", "32",
-                "--search-stats",
-                "--format", "json",
-                "--output", str(out_path),
-            ]
+            ["--spec", str(spec_path), "--search-stats", "--format", "json",
+             "--output", str(out_path)]
         )
         assert code == 0
         engine = json.loads(out_path.read_text())["sections"][0]["data"][
             "spec"
         ]["engine"]
-        assert engine["kernel"] == "block"
-        assert engine["block_size"] == 32
-        assert "block_searches" in capsys.readouterr().err
-        # The scoped policy is restored after main() returns.
-        assert select_kernel() == "auto"
-        assert select_block_size() is None
+        assert engine == EngineConfig().to_dict()
+        assert "SearchCounters(searches=" in capsys.readouterr().err
 
-    def test_runner_rejects_bad_block_size(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [["--search-jobs", "2"], ["--kernel", "block"], ["--block-size", "8"]],
+    )
+    def test_runner_rejects_removed_sweep_flags(self, argv, capsys):
         from repro.experiments import runner
 
-        with pytest.raises(SystemExit):
-            runner.main(["--tables", "real", "--block-size", "0"])
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(["--tables", "real"] + argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_metrics_exposes_search_counters(self):
         from repro.service.app import Metrics
@@ -506,7 +518,7 @@ class TestSpecRunnerAndWorkers:
         text = Metrics().render(ScenarioCache(), AnalysisExecutor())
         for name in (
             "repro_search_searches_total",
-            "repro_search_block_searches_total",
+            "repro_search_subsets_enumerated_total",
             "repro_search_blocks_evaluated_total",
             "repro_search_block_rows_pruned_total",
         ):

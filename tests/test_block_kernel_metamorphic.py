@@ -1,8 +1,7 @@
-"""Engine-level metamorphic oracle: for *random* small instances the block
-kernel must agree with the scalar sweep on everything observable — µ, the
+"""Engine-level metamorphic oracle: for *random* small instances the subset
+sweep must agree with the naive oracle on everything observable — µ, the
 min-lex witness, ``searched_up_to``/``exhausted_search``, the enumeration
-accounting, and the full separability census — under both serial and sharded
-execution.
+accounting, and the full separability census — at every chunk size.
 
 Hypothesis drives the instance generator (a raw ``(element-masks, n_paths)``
 pair fed straight into :class:`SignatureEngine`, no graph layer in between,
@@ -14,6 +13,7 @@ replayed on every run.
 from __future__ import annotations
 
 import glob
+import itertools
 import json
 import os
 
@@ -26,6 +26,8 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.engine import signatures as sig  # noqa: E402
 from repro.engine.backends import available_backends  # noqa: E402
 from repro.engine.signatures import SignatureEngine  # noqa: E402
+
+from oracles import assert_matches_oracle, naive_sweep, union_mask  # noqa: E402
 
 CORPUS_GLOB = os.path.join(
     os.path.dirname(__file__), "corpus", "block_kernel_*.json"
@@ -66,37 +68,29 @@ def _engine(instance) -> SignatureEngine:
 
 def _assert_instance_parity(instance) -> None:
     engine = _engine(instance)
-    block_size = instance["block_size"]
+    masks = dict(zip(engine.nodes, instance["masks"]))
     n = len(engine.nodes)
-    forced = (sig.MIN_SHARDED_FRONTIER, sig._FORCE_EXECUTOR)
-    sig.MIN_SHARDED_FRONTIER, sig._FORCE_EXECUTOR = 0, "thread"
+    previous = sig.DEFAULT_BLOCK_SIZE
+    # ``block_size`` sets the chunk boundary, so tiny chunks split prefix
+    # runs exactly as the 1024-row default does on large frontiers.
+    sig.DEFAULT_BLOCK_SIZE = instance["block_size"]
     try:
-        # The accounting invariant holds *per jobs level*: a sharded search
-        # (either kernel) may legitimately scan a few subsets past the serial
-        # stop point, so scalar/block are compared at matching jobs.
-        for jobs in (1, 2):
-            scalar = engine.identifiability(search_jobs=jobs, kernel="scalar")
-            block = engine.identifiability(
-                search_jobs=jobs, kernel="block", block_size=block_size
-            )
-            assert block == scalar, (instance, jobs)
-            assert (
-                block.stats.subsets_enumerated
-                == scalar.stats.subsets_enumerated
-            ), (instance, jobs)
-            assert block.stats.table_entries == scalar.stats.table_entries, (
-                instance,
-                jobs,
-            )
+        assert_matches_oracle(
+            engine.identifiability(), naive_sweep(engine.nodes, masks), instance
+        )
         for size in range(1, min(n, 3) + 1):
-            census = engine.inseparable_pairs(size, kernel="scalar")
-            for jobs in (1, 2):
-                assert engine.inseparable_pairs(
-                    size, search_jobs=jobs, kernel="block",
-                    block_size=block_size,
-                ) == census, (instance, size, jobs)
+            pairs = engine.inseparable_pairs(size)
+            subsets = list(itertools.combinations(engine.nodes, size))
+            expected = {
+                (frozenset(first), frozenset(second))
+                for i, first in enumerate(subsets)
+                for second in subsets[i + 1 :]
+                if union_mask(masks, first) == union_mask(masks, second)
+            }
+            assert len(pairs) == len(expected), (instance, size)
+            assert set(pairs) == expected, (instance, size)
     finally:
-        sig.MIN_SHARDED_FRONTIER, sig._FORCE_EXECUTOR = forced
+        sig.DEFAULT_BLOCK_SIZE = previous
 
 
 class TestMetamorphicOracle:
@@ -106,7 +100,7 @@ class TestMetamorphicOracle:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(instance=instances())
-    def test_scalar_block_agree_on_random_instances(self, instance):
+    def test_sweep_matches_naive_oracle_on_random_instances(self, instance):
         _assert_instance_parity(instance)
 
     @pytest.mark.parametrize(

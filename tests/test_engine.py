@@ -39,43 +39,12 @@ from repro.routing.paths import PathSet, enumerate_paths
 from repro.topology.random_graphs import erdos_renyi_connected
 from repro.utils.bitset import bits_of
 
+from oracles import naive_maximal_identifiability_detailed
+
 MECHANISMS = ("CSP", "CAP-", "CAP")
 
 #: Seeds for the randomized parity instances — at least 20 per mechanism.
 PARITY_SEEDS = tuple(range(20))
-
-
-# ---------------------------------------------------------------------------
-# The pre-refactor naive implementation, kept verbatim as the parity oracle.
-# ---------------------------------------------------------------------------
-
-def naive_maximal_identifiability_detailed(pathset, max_size=None, nodes=None):
-    """The seed repository's flat ``itertools.combinations`` sweep."""
-    universe = (
-        tuple(sorted(set(nodes), key=repr)) if nodes is not None else pathset.nodes
-    )
-    n = len(universe)
-    cap = n if max_size is None else max(0, min(max_size, n))
-    signatures = {}
-    searched = -1
-    for size in range(0, cap + 1):
-        for subset in itertools.combinations(universe, size):
-            signature = pathset.paths_through_set(subset)
-            if signature in signatures:
-                return {
-                    "value": size - 1,
-                    "witness": (frozenset(signatures[signature]), frozenset(subset)),
-                    "searched_up_to": size,
-                    "exhausted": False,
-                }
-            signatures[signature] = subset
-        searched = size
-    return {
-        "value": cap,
-        "witness": None,
-        "searched_up_to": searched,
-        "exhausted": True,
-    }
 
 
 def random_instance(seed: int, mechanism: str):

@@ -87,12 +87,9 @@ EXPECTED_SPEC_SCHEMA = {
         "backend": "auto",
         "compress": True,
         "cache": True,
-        "search_jobs": 1,
         "time_budget": None,
         "subset_budget": None,
         "cache_maxsize": None,
-        "kernel": "auto",
-        "block_size": None,
     },
     "seed": None,
     "analyses": [{"analysis": "mu", "params": {}}],
@@ -138,12 +135,9 @@ class TestPublicSurface:
             "backend": "auto",
             "compress": True,
             "cache": True,
-            "search_jobs": 1,
             "time_budget": None,
             "subset_budget": None,
             "cache_maxsize": None,
-            "kernel": "auto",
-            "block_size": None,
         }
 
     def test_available_analyses_snapshot(self):

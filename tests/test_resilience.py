@@ -6,7 +6,8 @@ The central invariants:
 * a budget-truncated ``identifiability()`` is always *well-formed* — it stops
   at a completed subset size, reports ``exhausted_search=False`` and
   ``stats.budget_exhausted=True``, and its value is a certified lower bound
-  on the exact µ — for every ``search_jobs`` count;
+  on the exact µ — and a subset budget truncates at the same point on every
+  run, serial or through the trial pool;
 * a crash-riddled parallel run (seeded worker kills, injected errors) that
   converges produces output **bit-identical** to a clean serial run, because
   retried trials reuse their original pickled spec, seed included;
@@ -26,7 +27,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.api.spec import EngineConfig, PlacementSpec, ScenarioSpec, TopologySpec
-from repro.engine import signatures as sig
 from repro.exceptions import (
     BudgetExceededError,
     ExperimentError,
@@ -66,13 +66,6 @@ def _pathset(seed: int = 1, n: int = 12, monitors: int = 3):
     return repro.enumerate_paths(graph, placement)
 
 
-@pytest.fixture
-def sharded(monkeypatch):
-    """Force the sharding machinery on for every size, over threads."""
-    monkeypatch.setattr(sig, "MIN_SHARDED_FRONTIER", 0)
-    monkeypatch.setattr(sig, "_FORCE_EXECUTOR", "thread")
-
-
 # -- module-level trial functions (must pickle into pool workers) ------------
 
 def _square_trial(seed: int) -> int:
@@ -83,6 +76,11 @@ def _mu_trial(seed: int) -> int:
     graph = repro.erdos_renyi_connected(8, 0.4, rng=seed)
     placement = repro.random_placement(graph, 2, 2, rng=seed + 99)
     return repro.maximal_identifiability(repro.enumerate_paths(graph, placement))
+
+
+def _budgeted_mu_trial(spec: ScenarioSpec):
+    report = repro.Scenario(spec).mu()
+    return report.value, report.searched_up_to, report.exhausted_search
 
 
 def _poison_trial(seed: int, bad: int) -> int:
@@ -128,17 +126,6 @@ class TestBudgetObject:
         time.sleep(0.02)
         assert budget.expired()
 
-    def test_shared_state_roundtrip(self):
-        budget = Budget(subset_budget=10)
-        budget.start()
-        budget.spend(3)
-        shared = budget.share()
-        assert not shared.poll(4)
-        assert shared.poll(3)  # 3 + 4 + 3 = 10 reached
-        budget.sync_from(shared)
-        assert budget.consumed == 10
-        assert budget.expired()
-
     def test_policy_trio(self):
         assert current_budget_limits() == (None, None)
         assert resolve_budget(None) is None
@@ -154,50 +141,51 @@ class TestBudgetObject:
 
 
 class TestBudgetTruncation:
-    def test_well_formed_for_every_job_count(self, sharded):
+    def test_subset_budget_truncation_is_well_formed_and_deterministic(self):
         pathset = _pathset()
         engine = pathset.engine()
-        exact = engine.identifiability(search_jobs=1)
+        exact = engine.identifiability()
         outcomes = []
-        for jobs in (1, 2, 4):
-            result = engine.identifiability(
-                search_jobs=jobs, budget=nth_subset_budget(40)
-            )
+        for _ in range(3):
+            result = engine.identifiability(budget=nth_subset_budget(40))
             assert result.exhausted_search is False
             assert result.witness is None
             assert result.stats.budget_exhausted is True
             assert result.stats.as_dict()["budget_exhausted"] is True
             assert result.searched_up_to == result.value
             assert result.value <= exact.value
-            outcomes.append((result.value, result.searched_up_to))
-        # The subset-budget truncation point is scheduling-independent.
+            outcomes.append(
+                (result.value, result.searched_up_to, result.stats.subsets_enumerated)
+            )
+        # The subset-budget truncation point is a pure function of the sweep.
         assert len(set(outcomes)) == 1
 
-    def test_fork_pool_parity(self, monkeypatch):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        monkeypatch.setattr(sig, "MIN_SHARDED_FRONTIER", 0)
-        pathset = _pathset()
-        engine = pathset.engine()
-        results = [
-            engine.identifiability(search_jobs=jobs, budget=nth_subset_budget(40))
-            for jobs in (1, 2, 4)
-        ]
-        assert results[0] == results[1] == results[2]
-        assert all(r.stats.budget_exhausted for r in results)
-
-    def test_generous_budget_is_a_no_op(self, sharded):
-        pathset = _pathset()
-        engine = pathset.engine()
-        exact = engine.identifiability(search_jobs=1)
-        for jobs in (1, 2):
-            budgeted = engine.identifiability(
-                search_jobs=jobs, budget=nth_subset_budget(10**9)
+    def test_fork_pool_parity(self):
+        """Budget-truncated trials fanned out over the process pool match the
+        serial run bit for bit."""
+        specs = [
+            ScenarioSpec(
+                topology=TopologySpec(
+                    "erdos_renyi_connected", {"n_nodes": 12, "probability": 0.35}
+                ),
+                placement=PlacementSpec("random", {"n_inputs": 3, "n_outputs": 3}),
+                engine=EngineConfig(subset_budget=40),
+                seed=seed,
             )
-            assert budgeted == exact
-            assert budgeted.stats.budget_exhausted is False
+            for seed in (1, 2)
+        ]
+        trials = [TrialSpec(_budgeted_mu_trial, (spec,)) for spec in specs]
+        serial = run_trials(trials, jobs=1)
+        assert run_trials(trials, jobs=2) == serial
+        assert all(exhausted is False for _, _, exhausted in serial)
+
+    def test_generous_budget_is_a_no_op(self):
+        pathset = _pathset()
+        engine = pathset.engine()
+        exact = engine.identifiability()
+        budgeted = engine.identifiability(budget=nth_subset_budget(10**9))
+        assert budgeted == exact
+        assert budgeted.stats.budget_exhausted is False
 
     def test_time_budget_truncates_gracefully(self):
         pathset = _pathset()
@@ -208,15 +196,13 @@ class TestBudgetTruncation:
         assert result.stats.budget_exhausted is True
         assert result.value == result.searched_up_to
 
-    def test_census_raises_serial_and_sharded(self, sharded):
+    def test_census_raises_on_expired_budget(self):
         pathset = _pathset()
         engine = pathset.engine()
         with pytest.raises(BudgetExceededError):
             engine.inseparable_pairs(2, budget=nth_subset_budget(5))
         with pytest.raises(BudgetExceededError):
-            engine.separability_matrix(
-                2, search_jobs=2, budget=nth_subset_budget(5)
-            )
+            engine.separability_matrix(2, budget=nth_subset_budget(5))
 
     def test_budget_through_scenario_facade(self):
         graph = repro.erdos_renyi_connected(12, 0.35, rng=1)
@@ -535,7 +521,7 @@ class TestRunnerResilience:
         [
             ["--jobs", "-1"],
             ["--trials", "0"],
-            ["--search-jobs", "-2"],
+            ["--search-jobs", "2"],  # a removed flag is a usage error too
             ["--time-budget", "0"],
             ["--trial-timeout", "-1"],
             ["--max-retries", "-1"],

@@ -1,48 +1,26 @@
-"""Sharded subset-search parity: ``search_jobs=N`` must be bit-identical to
-the serial sweep — same µ, same witness pair, same ``searched_up_to`` and
-``exhausted_search`` — for every routing mechanism and failure universe, the
-way test_parallel.py parity-tests the trial fan-out.
+"""What search sharding used to split, on the one subset sweep.
 
-The heavy lifting uses the thread executor with the sharding threshold
-monkeypatched to zero, so every size actually exercises the partition/merge
-machinery on graphs small enough to sweep in milliseconds; a smaller set of
-cases pins the fork process-pool path.
+The sharded sweep and its ``search_jobs`` knob are gone: the census queries
+and local µ run on the single frontier evaluator.  These suites keep the
+parity guarantees sharding was held to — every entry point, backend and
+compression setting returns the same census and the same local µ, and a
+document carrying the retired ``search_jobs`` key still parses to the same
+engine config.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import warnings
-
 import pytest
 
 import repro
-from repro.api.spec import (
-    EngineConfig,
-    PlacementSpec,
-    ScenarioSpec,
-    SpecError,
-    TopologySpec,
-)
+from repro.api.spec import EngineConfig, SpecError
 from repro.core.local import local_maximal_identifiability
 from repro.core.separability import inseparable_pairs_of_size
-from repro.engine import signatures as sig
-from repro.engine.signatures import (
-    SearchStats,
-    _combination_frontier,
-    _first_index_blocks,
-    _lex_rank,
-    resolve_search_jobs,
-    search_counters,
-    search_jobs_policy,
-    select_search_jobs,
-)
-from repro.exceptions import IdentifiabilityError
+from repro.engine.backends import available_backends
 
-MECHANISMS = ("CSP", "CAP-", "CAP")
-KINDS = ("node", "link", "srlg")
-N_SEEDS = 20
+from oracles import naive_inseparable_pairs, naive_local_mu
+
+BACKENDS = tuple(sorted(available_backends()))
 
 
 def _pathset(seed: int, mechanism: str):
@@ -51,271 +29,67 @@ def _pathset(seed: int, mechanism: str):
     return repro.enumerate_paths(graph, placement, mechanism=mechanism)
 
 
-def _universe(pathset, kind: str):
-    if kind != "srlg":
-        return pathset.universe(kind)
-    links = pathset.links
-    groups = {
-        f"g{i}": links[2 * i : 2 * i + 2] for i in range((len(links) + 1) // 2)
-    }
-    return pathset.universe("srlg", groups=groups)
-
-
-@pytest.fixture
-def sharded(monkeypatch):
-    """Force the sharding machinery on for every size, over threads."""
-    monkeypatch.setattr(sig, "MIN_SHARDED_FRONTIER", 0)
-    monkeypatch.setattr(sig, "_FORCE_EXECUTOR", "thread")
-
-
 class TestShardedParity:
-    @pytest.mark.parametrize("mechanism", MECHANISMS)
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_bit_identical_across_seeds(self, mechanism, kind, sharded):
-        for seed in range(N_SEEDS):
-            pathset = _pathset(seed, mechanism)
-            engine = pathset.engine(universe=_universe(pathset, kind))
-            serial = engine.identifiability(search_jobs=1)
-            forked = engine.identifiability(search_jobs=2)
-            # dataclass equality covers value, witness, searched_up_to and
-            # exhausted_search (stats are compare-excluded diagnostics).
-            assert forked == serial, (seed, mechanism, kind)
-
-    def test_witness_deterministic_across_job_counts(self, sharded):
-        for seed in range(6):
-            pathset = _pathset(seed, "CSP")
-            engine = pathset.engine(universe=_universe(pathset, "link"))
-            results = [
-                engine.identifiability(search_jobs=jobs) for jobs in (1, 2, 4)
-            ]
-            assert results[0] == results[1] == results[2], seed
-            assert results[1].witness == results[0].witness
-            assert results[2].witness == results[0].witness
-
-    def test_restricted_universe_and_cap_parity(self, sharded):
-        pathset = _pathset(3, "CSP")
-        engine = pathset.engine()
-        subset = engine.nodes[: max(4, len(engine.nodes) - 2)]
-        for cap in (2, 3, None):
-            serial = engine.identifiability(max_size=cap, nodes=subset)
-            assert engine.identifiability(
-                max_size=cap, nodes=subset, search_jobs=3
-            ) == serial
-
-    def test_process_pool_parity(self, monkeypatch):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        monkeypatch.setattr(sig, "MIN_SHARDED_FRONTIER", 0)
-        monkeypatch.setattr(sig, "_FORCE_EXECUTOR", "process")
-        for seed in (0, 1, 2):
-            pathset = _pathset(seed, "CSP")
-            for kind in KINDS:
-                engine = pathset.engine(universe=_universe(pathset, kind))
-                serial = engine.identifiability()
-                assert engine.identifiability(search_jobs=2) == serial, (
-                    seed,
-                    kind,
-                )
-
-    def test_census_queries_parity(self, sharded):
+    def test_census_queries_parity(self):
         for seed in range(4):
             pathset = _pathset(seed, "CSP")
-            engine = pathset.engine(universe=_universe(pathset, "link"))
-            serial_pairs = engine.inseparable_pairs(2, search_jobs=1)
-            assert engine.inseparable_pairs(2, search_jobs=3) == serial_pairs
-            serial_matrix = engine.separability_matrix(2, search_jobs=1)
-            forked_matrix = engine.separability_matrix(2, search_jobs=3)
-            assert forked_matrix == serial_matrix
-            assert list(forked_matrix) == list(serial_matrix)  # same order
-            assert inseparable_pairs_of_size(
-                pathset, 2, universe=_universe(pathset, "link"), search_jobs=2
-            ) == serial_pairs
-
-    def test_local_search_parity(self, sharded):
-        for seed in range(4):
-            pathset = _pathset(seed, "CSP")
-            for element in list(pathset.nodes)[:4]:
-                serial = local_maximal_identifiability(
-                    pathset, {element}, max_size=3, search_jobs=1
-                )
-                assert local_maximal_identifiability(
-                    pathset, {element}, max_size=3, search_jobs=2
-                ) == serial, (seed, element)
-
-
-class TestFrontierHelpers:
-    def test_blocks_cover_first_indices(self):
-        for n in (5, 12, 30):
-            for size in (1, 2, 3):
-                for jobs in (1, 2, 4, 7, 100):
-                    blocks = _first_index_blocks(n, size, jobs)
-                    assert blocks[0][0] == 0
-                    assert blocks[-1][1] == n - size + 1
-                    for (_, hi), (lo, _) in zip(blocks, blocks[1:]):
-                        assert hi == lo
-                    assert len(blocks) <= max(1, min(jobs, n - size + 1))
-
-    def test_blocks_concatenate_to_lex_order(self):
-        import itertools
-
-        pathset = _pathset(0, "CSP")
-        engine = pathset.engine()
-        signatures = [engine.signature(node) for node in engine.nodes]
-        n = len(signatures)
-        for size in (2, 3):
-            expected = list(itertools.combinations(range(n), size))
-            for jobs in (1, 2, 3, 5):
-                observed = [
-                    tuple(indices)
-                    for lo, hi in _first_index_blocks(n, size, jobs)
-                    for indices, _, _ in _combination_frontier(
-                        signatures, engine.backend, size, lo, hi
+            universe = pathset.universe("link")
+            reference = pathset.engine(universe=universe).inseparable_pairs(2)
+            assert set(reference) == set(naive_inseparable_pairs(universe, 2))
+            for backend in BACKENDS:
+                for compress in (True, False):
+                    engine = pathset.engine(
+                        backend, compress=compress, universe=universe
                     )
-                ]
-                assert observed == expected, (size, jobs)
+                    context = (seed, backend, compress)
+                    # Same pairs in the same order on every configuration.
+                    assert engine.inseparable_pairs(2) == reference, context
+                    matrix = engine.separability_matrix(2)
+                    assert {
+                        frozenset(pair)
+                        for pair, separable in matrix.items()
+                        if not separable
+                    } == {frozenset(pair) for pair in reference}, context
+            assert (
+                inseparable_pairs_of_size(pathset, 2, universe=universe)
+                == reference
+            )
 
-    def test_lex_rank_matches_enumeration_order(self):
-        import itertools
-
-        for rank, combo in enumerate(itertools.combinations(range(9), 3)):
-            assert _lex_rank(combo, 9, 3) == rank
-
-
-class TestValidationAndStats:
-    def test_negative_max_size_raises_in_both_entry_points(self):
-        pathset = _pathset(0, "CSP")
-        engine = pathset.engine()
-        with pytest.raises(IdentifiabilityError):
-            engine.identifiability(max_size=-1)
-        with pytest.raises(IdentifiabilityError):
-            list(engine.iter_subset_signatures([-1]))
-
-    def test_search_jobs_validation(self):
-        pathset = _pathset(0, "CSP")
-        engine = pathset.engine()
-        for bad in (-1, -2, 1.5, True, "2"):
-            with pytest.raises(IdentifiabilityError):
-                engine.identifiability(search_jobs=bad)
-        assert resolve_search_jobs(0) == (os.cpu_count() or 1)
-        assert resolve_search_jobs(3) == 3
-
-    def test_result_stats_and_counters(self, sharded):
-        pathset = _pathset(1, "CSP")
-        engine = pathset.engine()
-        before = search_counters()
-        serial = engine.identifiability(search_jobs=1)
-        assert isinstance(serial.stats, SearchStats)
-        assert serial.stats.jobs == 1
-        assert serial.stats.subsets_enumerated >= 1
-        assert serial.stats.table_entries >= 1
-        forked = engine.identifiability(search_jobs=2)
-        assert forked == serial  # stats never participate in equality
-        after = search_counters()
-        assert after.searches == before.searches + 2
-        assert after.sharded_searches == before.sharded_searches + (
-            1 if serial.searched_up_to > 1 else 0
-        )
-        assert after.subsets_enumerated > before.subsets_enumerated
-        if forked.searched_up_to > 1:
-            assert forked.stats.jobs == 2
-            assert forked.stats.shard_subsets  # the per-shard split
-
-    def test_serial_exhausted_stats_count_every_subset(self):
-        pathset = _pathset(2, "CSP")
-        engine = pathset.engine()
-        universe = engine.nodes[:6]
-        result = engine.identifiability(nodes=universe)
-        if result.exhausted_search:
-            n = len(universe)
-            assert result.stats.subsets_enumerated == 2**n
-
-    def test_policy_scoping_and_deprecation(self):
-        assert select_search_jobs() == 1
-        with search_jobs_policy(4):
-            assert select_search_jobs() == 4
-            assert resolve_search_jobs() == 4
-        assert select_search_jobs() == 1
-        with pytest.warns(DeprecationWarning):
-            select_search_jobs(2)
-        try:
-            assert select_search_jobs() == 2
-        finally:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                select_search_jobs(1)
+    def test_local_search_parity(self):
+        for seed in range(4):
+            pathset = _pathset(seed, "CSP")
+            universe = pathset.universe("node")
+            elements = list(pathset.nodes)
+            for scope in ({elements[0]}, {elements[1]}, set(elements[:2])):
+                cap = min(3, len(universe.elements))
+                expected = naive_local_mu(
+                    universe.elements, universe.masks, scope, cap
+                )
+                for backend in BACKENDS:
+                    for compress in (True, False):
+                        assert local_maximal_identifiability(
+                            pathset,
+                            scope,
+                            max_size=3,
+                            backend=backend,
+                            compress=compress,
+                        ) == expected, (seed, sorted(scope, key=repr), backend)
 
 
 class TestSpecAndRunner:
     def test_engine_config_round_trip_and_validation(self):
-        config = EngineConfig(search_jobs=3)
-        assert config.to_dict()["search_jobs"] == 3
-        assert EngineConfig.from_dict(config.to_dict()) == config
-        # Additive default: documents without the field parse serially.
-        assert (
-            EngineConfig.from_dict(
-                {"backend": "auto", "compress": True, "cache": True}
-            ).search_jobs
-            == 1
-        )
-        for bad in (-1, True, "2", 1.5):
-            with pytest.raises(SpecError):
-                EngineConfig(search_jobs=bad)
+        config = EngineConfig(subset_budget=40)
+        payload = config.to_dict()
+        assert "search_jobs" not in payload
+        assert EngineConfig.from_dict(payload) == config
+        # Earlier v2 documents carry the retired key: any value parses and
+        # is dropped, so the round trip is unchanged.
+        for jobs in (1, 3):
+            legacy = EngineConfig.from_dict(dict(payload, search_jobs=jobs))
+            assert legacy == config
+            assert legacy.to_dict() == payload
+        assert EngineConfig.from_dict({"search_jobs": 2}) == EngineConfig()
+        with pytest.raises(TypeError):
+            EngineConfig(search_jobs=2)
         with pytest.raises(SpecError):
             EngineConfig.from_dict({"search_job": 2})
-
-    def test_from_policy_captures_search_jobs(self):
-        with search_jobs_policy(2):
-            assert EngineConfig.from_policy().search_jobs == 2
-        assert EngineConfig.from_policy().search_jobs == 1
-
-    def _spec(self, label: str) -> ScenarioSpec:
-        return ScenarioSpec(
-            topology=TopologySpec("dataxchange"),
-            placement=PlacementSpec("mdmp", {"d": 2}),
-            label=label,
-            seed=11,
-        )
-
-    def test_composes_with_trial_fanout(self, monkeypatch):
-        """--jobs trial fan-out × spec-scoped search_jobs: still bit-identical."""
-        from repro.experiments.runner import run_spec_sections
-
-        monkeypatch.setattr(sig, "MIN_SHARDED_FRONTIER", 0)
-        specs = [self._spec("a"), self._spec("b")]
-        baseline = run_spec_sections(specs, jobs=1)
-        sharded_specs = [
-            spec.with_engine(EngineConfig(search_jobs=2)) for spec in specs
-        ]
-        fanned = run_spec_sections(sharded_specs, jobs=2)
-        for serial_section, fanned_section in zip(baseline, fanned):
-            assert (
-                fanned_section.data["analyses"]
-                == serial_section.data["analyses"]
-            )
-
-    def test_runner_search_flags(self, tmp_path, capsys, monkeypatch):
-        from repro.experiments import runner
-
-        monkeypatch.setattr(sig, "MIN_SHARDED_FRONTIER", 0)
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(self._spec("flags").to_json())
-        out_path = tmp_path / "out.json"
-        code = runner.main(
-            [
-                "--spec", str(spec_path),
-                "--search-jobs", "2",
-                "--search-stats",
-                "--format", "json",
-                "--output", str(out_path),
-            ]
-        )
-        assert code == 0
-        engine = json.loads(out_path.read_text())["sections"][0]["data"][
-            "spec"
-        ]["engine"]
-        assert engine["search_jobs"] == 2
-        assert "SearchCounters" in capsys.readouterr().err
-        # The scoped policy is restored after main() returns.
-        assert select_search_jobs() == 1

@@ -165,6 +165,28 @@ class TestEndpoints:
         assert status == 400, body
         assert "must be an int" in body["error"]
 
+    @pytest.mark.parametrize("bad", [True, 1.5, "2"])
+    @pytest.mark.parametrize(
+        "analysis, name",
+        [("mu", "max_size"), ("truncated", "alpha"), ("separability", "size")],
+    )
+    def test_non_int_search_sizes_400(self, server, analysis, name, bad):
+        document = dict(
+            CLARANET_SPEC, analyses=[{"analysis": analysis, "params": {name: bad}}]
+        )
+        status, body = request(server, "POST", "/v1/analyze", document)
+        assert status == 400, body
+        assert f"{name} must be an int" in body["error"]
+
+    def test_retired_engine_keys_still_parse(self, server):
+        document = dict(
+            CLARANET_SPEC,
+            engine={"search_jobs": 2, "kernel": "scalar", "block_size": 8},
+        )
+        status, body = request(server, "POST", "/v1/analyze", document)
+        assert status == 200, body
+        assert body["spec"]["engine"] == EngineConfig().to_dict()
+
     def test_bad_budget_400(self, server):
         status, body = request(
             server, "POST", "/v1/analyze?budget=zero", CLARANET_SPEC

@@ -596,8 +596,7 @@ V1_PAYLOAD = {
 }
 
 #: What the v1 payload above must serialise to after parsing: the identical
-#: document at schema version 2 with the node-mode universe made explicit
-#: (and, since the sharded-search knob landed, the serial search default).
+#: document at schema version 2 with the node-mode universe made explicit.
 V1_UPGRADED_SNAPSHOT = {
     "schema_version": 2,
     "label": "legacy",
@@ -614,12 +613,9 @@ V1_UPGRADED_SNAPSHOT = {
         "backend": "auto",
         "compress": True,
         "cache": True,
-        "search_jobs": 1,
         "time_budget": None,
         "subset_budget": None,
         "cache_maxsize": None,
-        "kernel": "auto",
-        "block_size": None,
     },
     "seed": 7,
     "analyses": [{"analysis": "mu", "params": {}}],
