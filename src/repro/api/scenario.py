@@ -518,7 +518,7 @@ class Scenario:
             n_unique=report.n_unique,
             unique_rate=report.unique_rate,
             mean_ambiguity=report.mean_ambiguity,
-            mu=session.mu,
+            mu=self.mu().value,
             universe=self.universe.kind,
         )
 

@@ -333,7 +333,7 @@ class NumpyBackend(SignatureBackend):
         unpacked = _np.unpackbits(
             signature.view(_np.uint8), bitorder="little", count=self.n_paths
         )
-        return tuple(int(bit) for bit in unpacked)
+        return tuple(unpacked.tolist())
 
     def stack(self, signatures):
         if not signatures:

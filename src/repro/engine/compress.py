@@ -249,13 +249,11 @@ class CompressionPlan:
             return None
         return bits[:-1]
 
-    def expand_indicator(self, compressed_bits: Iterable[int]) -> Tuple[int, ...]:
-        """The original-width 0/1 vector of a compressed bit iterable."""
-        vector = [0] * self.n_original
-        for index in compressed_bits:
-            for original_index in self.members[index]:
-                vector[original_index] = 1
-        return tuple(vector)
+    def expand_indicator(self, compressed_vector: Sequence[int]) -> Tuple[int, ...]:
+        """The original-width 0/1 vector of a compressed-width 0/1 vector:
+        one gather through the column classes, dropped columns reading 0."""
+        bits = list(compressed_vector) + [0]
+        return tuple(map(bits.__getitem__, self._column_classes))
 
     # -- incremental patching ------------------------------------------------
     def patch(

@@ -63,13 +63,24 @@ differently:
    digest hit is exact-verified by recomputing the candidate's union key,
    and bucket order is enumeration order, so the first exact match is the
    naive sweep's partner.
+5. **Search memo.**  µ and every truncated µ_α are the same size-ordered
+   sweep stopped at different caps, so the engine keeps one slot holding the
+   last exact result over its full element universe and derives every later
+   budget-free cap from it.  A slot that found its witness at size ``s``
+   answers any cap ``c ≥ s`` with itself and any ``c < s`` with
+   ``(c, no witness, searched c, exhausted)``; a slot exhausted at cap ``C``
+   answers every ``c ≤ C`` the same way, and a larger cap searches afresh
+   and replaces it.  ``nodes=``-restricted and budgeted calls search as
+   without the memo (a budget-truncated result never fills the slot), and
+   an engine patched by :meth:`SignatureEngine.from_delta` starts empty.  A
+   hit records a search of zero subsets and carries ``SearchStats(0, 0, 0)``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Dict,
@@ -195,6 +206,10 @@ def record_external_search(
     _COUNTERS["dominance_prunes"] += dominance_prunes
     _COUNTERS["blocks_evaluated"] += blocks_evaluated
     _COUNTERS["block_rows_pruned"] += block_rows_pruned
+
+
+#: The stats of a query answered without a search (cap 0 or a memo hit).
+_NO_WORK = SearchStats(0, 0, 0)
 
 
 def _record_search(stats: SearchStats) -> None:
@@ -465,6 +480,8 @@ class SignatureEngine:
         self._keys = {
             node: key(signature) for node, signature in self._signatures.items()
         }
+        #: The search memo: the last exact full-universe µ result.
+        self._memo: Optional[IdentifiabilityResult] = None
 
     @property
     def n_columns(self) -> int:
@@ -608,6 +625,7 @@ class SignatureEngine:
             keys[element] = key(signature)
         engine._signatures = signatures
         engine._keys = keys
+        engine._memo = None
         return engine
 
     # -- signature accessors -------------------------------------------------
@@ -661,9 +679,10 @@ class SignatureEngine:
 
     def indicator_vector(self, signature) -> Tuple[int, ...]:
         """The original-width 0/1 vector of a packed signature."""
+        vector = self.backend.indicator_vector(signature)
         if self.compression is not None:
-            return self.compression.expand_indicator(self.backend.bits(signature))
-        return self.backend.indicator_vector(signature)
+            return self.compression.expand_indicator(vector)
+        return vector
 
     # -- equivalence classes -------------------------------------------------
     def equivalence_classes(
@@ -779,6 +798,10 @@ class SignatureEngine:
         completed size, ``stats.budget_exhausted=True`` — exactly the
         truncated-µ semantics of an explicit ``max_size``, just decided at
         run time.
+
+        An unrestricted call without a budget is answered from the search
+        memo when its cap follows from the last exact result (module
+        docstring, item 5); every exact unrestricted result refills it.
         """
         universe = self._resolve_universe(nodes)
         if not universe:
@@ -788,8 +811,12 @@ class SignatureEngine:
         budget = resolve_budget(budget)
         n = len(universe)
         cap = n if max_size is None else min(max_size, n)
+        memoized = universe is self.nodes
+        hit = self._memo_answer(cap) if memoized and budget is None else None
         if cap == 0:
-            result = IdentifiabilityResult(0, None, 0, True, SearchStats(0, 0, 0))
+            result = IdentifiabilityResult(0, None, 0, True, _NO_WORK)
+        elif hit is not None:
+            result = hit
         else:
             # Size-0/size-1 fast path over the equivalence classes.
             witness = self._confusable_singletons(universe)
@@ -800,9 +827,41 @@ class SignatureEngine:
                 result = IdentifiabilityResult(1, None, 1, True, covered)
             else:
                 result = self._sweep(universe, cap, budget)
+            assert result.stats is not None
+            if memoized and not result.stats.budget_exhausted:
+                self._remember(result)
         assert result.stats is not None
         _record_search(result.stats)
         return result
+
+    def _memo_answer(self, cap: int) -> Optional[IdentifiabilityResult]:
+        """The result a fresh full-universe search capped at ``cap`` would
+        return, derived from the memo; ``None`` when the memo is empty or
+        stops short of ``cap``."""
+        memo = self._memo
+        if memo is None:
+            return None
+        if memo.witness is not None:
+            if cap >= memo.searched_up_to:
+                return replace(memo, stats=_NO_WORK)
+        elif cap > memo.searched_up_to:
+            return None
+        # No collision up to the cap: exhausted there, like a fresh search.
+        return IdentifiabilityResult(cap, None, cap, True, _NO_WORK)
+
+    def _remember(self, result: IdentifiabilityResult) -> None:
+        """Keep ``result`` (exact, full universe) unless the memo already
+        decides every cap it does.  One attribute store of an immutable
+        result, so a concurrent reader never sees a torn slot."""
+        memo = self._memo
+        if memo is None or (
+            memo.witness is None
+            and (
+                result.witness is not None
+                or result.searched_up_to > memo.searched_up_to
+            )
+        ):
+            self._memo = result
 
     def _sweep(
         self, universe: Tuple[Node, ...], cap: int, budget: Optional[Budget]

@@ -121,7 +121,6 @@ class TomographySession:
         self.engine: SignatureEngine = self.pathset.engine(
             backend, compress, universe=self.universe
         )
-        self._mu_cache: Optional[int] = None
         #: ``(observations, union signature)`` of the last :meth:`measure`.
         self._measured: Optional[Tuple[MeasurementVector, Any]] = None
 
@@ -151,15 +150,13 @@ class TomographySession:
     # -- identifiability ----------------------------------------------------
     @property
     def mu(self) -> int:
-        """Exact maximal identifiability of the session's universe (cached)."""
-        if self._mu_cache is None:
-            bound = structural_upper_bound(
-                self.graph, self.placement, self.mechanism,
-                universe=None if self._node_mode else self.universe,
-            )
-            result = self.engine.identifiability(max_size=bound.combined + 1)
-            self._mu_cache = result.value
-        return self._mu_cache
+        """Exact maximal identifiability of the session's universe (a repeat
+        is answered by the engine's search memo)."""
+        bound = structural_upper_bound(
+            self.graph, self.placement, self.mechanism,
+            universe=None if self._node_mode else self.universe,
+        )
+        return self.engine.identifiability(max_size=bound.combined + 1).value
 
     # -- forward model ------------------------------------------------------
     def measure(self, failure_set: Iterable[Node]) -> MeasurementVector:

@@ -279,6 +279,22 @@ class TestFacadeParity:
         assert facade.mean_ambiguity == direct.mean_ambiguity
         assert facade.mu == session.mu
 
+    def test_localization_report_mu_honours_the_spec_budget(self):
+        """The campaign's µ is the scenario's µ report, so a subset budget
+        that truncates ``mu()`` truncates the localization report too."""
+        spec = ScenarioSpec(
+            topology=TopologySpec("directed_hypergrid", {"n": 3, "d": 3}),
+            placement=PlacementSpec("chi_g"),
+            engine=EngineConfig(subset_budget=50),
+        )
+        scenario = Scenario(spec)
+        truncated = scenario.mu()
+        assert (truncated.value, truncated.exhausted_search) == (1, False)
+        report = scenario.localization_campaign(1, 2)
+        assert report.mu == truncated.value == 1
+        unbounded = Scenario(spec.with_engine(EngineConfig()))
+        assert unbounded.localization_campaign(1, 2).mu == unbounded.mu().value == 3
+
 
 class TestDriverSpecParity:
     """Each driver trial fed a pickled ScenarioSpec must equal the hand-rolled

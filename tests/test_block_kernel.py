@@ -31,7 +31,12 @@ from repro.core.separability import inseparable_pairs_of_size
 from repro.core.truncated import truncated_identifiability
 from repro.engine import signatures as sig
 from repro.engine.backends import PythonBackend, available_backends, numpy_available
-from repro.engine.signatures import SearchStats, _lex_rank, search_counters
+from repro.engine.signatures import (
+    SearchStats,
+    SignatureEngine,
+    _lex_rank,
+    search_counters,
+)
 from repro.exceptions import IdentifiabilityError
 from repro.resilience.budget import Budget
 
@@ -99,9 +104,11 @@ class TestBlockParityMatrix:
             oracle = naive_maximal_identifiability_detailed(
                 pathset, universe=universe
             )
-            engine = pathset.engine(universe=universe)
             for block_size in (1, 2, 3, 7, 4096):
                 monkeypatch.setattr(sig, "DEFAULT_BLOCK_SIZE", block_size)
+                # A fresh engine per chunk size: a reused one would answer
+                # from its search memo without sweeping again.
+                engine = SignatureEngine.from_universe(universe)
                 assert_matches_oracle(
                     engine.identifiability(), oracle, (seed, block_size)
                 )
