@@ -44,6 +44,16 @@ The reverse direction, :meth:`CompressionPlan.compress_indicator`, folds an
 observed vector into compressed columns for localisation and reports a
 vector that is not class-closed (no element set can produce it) as ``None``.
 
+The collapse itself is one column dedup
+(:meth:`SignatureBackend.dedup_columns
+<repro.engine.backends.SignatureBackend.dedup_columns>`) over the rows —
+numpy bit matrices or the big-int fallback, identical plans either way — and
+:meth:`CompressionPlan.compress_mask` is one representative gather.  After a
+churn step :meth:`CompressionPlan.patch` moves the surviving members and
+files the added columns by touch key (one pass over the plan's members, not
+the incidence), and the engine translates clean rows by one class-remap
+gather; see :meth:`repro.engine.signatures.SignatureEngine.from_delta`.
+
 Compression is on by default.  :func:`select_compression` /
 :func:`compression_policy` mirror the backend-policy API so benchmarks, the
 CLI runner (``--no-compress``) and parity tests can scope the raw behaviour.
@@ -59,8 +69,9 @@ from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro._typing import Node
+from repro.engine.backends import BackendSpec, resolve_backend
 from repro.exceptions import IdentifiabilityError
-from repro.utils.bitset import bit_indices, bits_of, mask_from_indices
+from repro.utils.bitset import bits_of, mask_from_indices
 
 _compression_enabled = True
 
@@ -189,24 +200,12 @@ class CompressionPlan:
 
     # -- mask translation ---------------------------------------------------
     def compress_mask(self, mask: int) -> int:
-        """Map an original-space path mask into the compressed space.
-
-        Only class-closed masks (unions of node rows) round-trip exactly;
-        those are the only masks the engine ever builds.
-        """
-        class_of = self.class_of
-        n_original = self.n_original
-        compressed_indices = set()
-        for index in bit_indices(mask):
-            if index >= n_original:
-                raise IdentifiabilityError(
-                    f"path index {index} out of range for a universe of width "
-                    f"{n_original}"
-                )
-            compressed_index = class_of.get(index)
-            if compressed_index is not None:
-                compressed_indices.add(compressed_index)
-        return mask_from_indices(compressed_indices)
+        """Map a class-closed original-space path mask (a union of element
+        rows — the only masks the engine builds) into the compressed space:
+        a representative gather, bit ``k`` read off column
+        ``representatives[k]``."""
+        columns = resolve_backend(None, self.n_original)
+        return columns.gather_columns([mask], self.representatives, self.n_original)[0]
 
     def expand_mask(self, compressed_mask: int) -> int:
         """Map a compressed-space mask back to original path indices."""
@@ -262,7 +261,7 @@ class CompressionPlan:
         added: Sequence[Tuple[int, Tuple[int, ...]]],
         n_original: int,
         element_remap: Optional[Mapping[int, int]] = None,
-    ) -> "CompressionPlan":
+    ) -> Tuple["CompressionPlan", Dict[int, int], List[int]]:
         """A plan for the post-delta universe, equal to a fresh transpose.
 
         ``survivors`` maps surviving original columns to their post-delta
@@ -280,6 +279,11 @@ class CompressionPlan:
         all-zero columns drop, and classes are re-sorted by smallest member
         — exactly the fresh first-appearance order.
 
+        Returns ``(plan, class_remap, lost)``: the new plan, ``old class ->
+        new class`` for every class that kept a column, and the ascending
+        old classes that lost a column to ``survivors`` (the classes a
+        removed path belonged to).
+
         Raises :class:`~repro.exceptions.IdentifiabilityError` when this
         plan carries no touch keys, or when a surviving column references a
         vanished element (which contradicts ``survivors`` and signals a
@@ -290,12 +294,16 @@ class CompressionPlan:
                 "plan carries no touch keys; rebuild via compress_universe"
             )
         buckets: Dict[Tuple[int, ...], List[int]] = {}
-        for old_key, group in zip(self.touch_keys, self.members):
+        moved: List[Tuple[int, Tuple[int, ...]]] = []
+        lost: List[int] = []
+        for old_class, (old_key, group) in enumerate(zip(self.touch_keys, self.members)):
             new_members = [
                 new_column
                 for column in group
                 if (new_column := survivors.get(column)) is not None
             ]
+            if len(new_members) < len(group):
+                lost.append(old_class)
             if not new_members:
                 continue
             if element_remap is None:
@@ -308,6 +316,7 @@ class CompressionPlan:
                         "a surviving column touches a removed element"
                     ) from exc
             buckets.setdefault(new_key, []).extend(new_members)
+            moved.append((old_class, new_key))
         for new_column, key in added:
             if not key:
                 continue  # an all-zero column constrains nothing; drop it
@@ -315,11 +324,13 @@ class CompressionPlan:
         entries = sorted(
             (tuple(sorted(group)), key) for key, group in buckets.items()
         )
-        return CompressionPlan(
+        new_class = {key: k for k, (_, key) in enumerate(entries)}
+        plan = CompressionPlan(
             n_original=n_original,
             members=tuple(group for group, _ in entries),
             touch_keys=tuple(key for _, key in entries),
         )
+        return plan, {old: new_class[key] for old, key in moved}, lost
 
     def describe(self) -> str:
         """One-line summary used by benchmarks and ``SignatureEngine.describe``."""
@@ -332,51 +343,31 @@ class CompressionPlan:
 
 
 def compress_universe(
-    nodes: Sequence[Node], node_masks: Mapping[Node, int], n_paths: int
+    nodes: Sequence[Node],
+    node_masks: Mapping[Node, int],
+    n_paths: int,
+    backend: BackendSpec = None,
 ) -> Tuple[CompressionPlan, Dict[Node, int]]:
     """Collapse duplicate path columns of a ``node -> P(v)`` mask table.
 
     Returns the :class:`CompressionPlan` and the compressed mask table over
-    ``plan.n_compressed`` columns.  The construction is a single transpose of
-    the incidence — O(total incidence) — grouping columns by their touch-set
-    (as the tuple of node positions, which is canonical because the node
-    order is fixed); compressed node rows are built while the classes are
-    discovered, so no second pass over the masks is needed.
+    ``plan.n_compressed`` columns: one column dedup
+    (:meth:`SignatureBackend.dedup_columns
+    <repro.engine.backends.SignatureBackend.dedup_columns>`) over the
+    incidence rows, grouping columns by their touch-set (the tuple of node
+    positions, canonical because the node order is fixed).  ``backend``
+    picks the column backend the way an engine's is picked, against the raw
+    width ``n_paths``; every backend returns the same plan and rows.
     """
-    touch_sets: List[List[int]] = [[] for _ in range(n_paths)]
-    for position, node in enumerate(nodes):
-        mask = node_masks[node]
+    rows = [node_masks[node] for node in nodes]
+    for node, mask in zip(nodes, rows):
         if mask < 0 or mask.bit_length() > n_paths:
             raise IdentifiabilityError(
                 f"mask of {node!r} is wider than the declared universe "
                 f"({mask.bit_length()} > {n_paths} bits)"
             )
-        for path_index in bit_indices(mask):
-            touch_sets[path_index].append(position)
-
-    classes: Dict[Tuple[int, ...], int] = {}
-    members: List[List[int]] = []
-    compressed_rows = [0] * len(nodes)
-    for path_index, touch in enumerate(touch_sets):
-        if not touch:
-            continue  # an all-zero column constrains nothing; drop it
-        key = tuple(touch)
-        compressed_index = classes.get(key)
-        if compressed_index is None:
-            compressed_index = len(members)
-            classes[key] = compressed_index
-            members.append([path_index])
-            bit = 1 << compressed_index
-            for position in touch:
-                compressed_rows[position] |= bit
-        else:
-            members[compressed_index].append(path_index)
-
-    plan = CompressionPlan(
-        n_original=n_paths,
-        members=tuple(tuple(group) for group in members),
-        # Classes are created in ascending first-member order, so iterating
-        # the key dict recovers the per-class touch keys in class order.
-        touch_keys=tuple(classes),
-    )
-    return plan, {node: compressed_rows[i] for i, node in enumerate(nodes)}
+    members, touch_keys, compressed = resolve_backend(
+        backend, n_paths
+    ).dedup_columns(rows, n_paths)
+    plan = CompressionPlan(n_original=n_paths, members=members, touch_keys=touch_keys)
+    return plan, dict(zip(nodes, compressed))

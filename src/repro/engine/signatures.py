@@ -465,7 +465,7 @@ class SignatureEngine:
         plan: Optional[CompressionPlan] = None
         if compress:
             plan, compressed_masks = compress_universe(
-                self.nodes, node_masks, n_paths
+                self.nodes, node_masks, n_paths, backend
             )
             if plan.is_identity:
                 plan = None  # nothing merged or dropped: skip the indirection
@@ -537,7 +537,6 @@ class SignatureEngine:
         *,
         survivors: Mapping[int, int],
         added: Sequence[Tuple[int, Tuple[int, ...]]],
-        dirty: Iterable[Node],
         element_remap: Optional[Mapping[int, int]] = None,
     ) -> "SignatureEngine":
         """Build the post-delta engine by patching ``parent`` instead of
@@ -547,33 +546,34 @@ class SignatureEngine:
         universe; ``survivors`` maps surviving original path columns to their
         new positions, ``added`` lists the delta-added columns with their
         touch keys (see :meth:`CompressionPlan.patch
-        <repro.engine.compress.CompressionPlan.patch>`), ``dirty`` names the
-        elements whose rows a removed or added column touched, and
+        <repro.engine.compress.CompressionPlan.patch>`), and
         ``element_remap`` translates parent element positions when the
         element list changed.
 
-        Because the patched plan equals a fresh
-        :func:`~repro.engine.compress.compress_universe` plan, every *clean*
-        row — an element no removed or added column touches — equals its
-        parent row up to the class-index remap induced by the patch, so it
-        is translated bit-by-bit from the parent's packed signature (a walk
-        over the compressed width, typically several times narrower than the
-        original) instead of re-compressing its full mask.  Dirty rows are
-        re-interned from their post-delta masks.  The result is structurally
-        identical to ``SignatureEngine(elements, masks, n_paths, backend,
-        True)``: same plan, same backend choice, same packed rows and keys.
+        An element is *dirty* when an added column touches it (it is on an
+        added touch key) or a removed one did (its parent row holds a class
+        that lost a column), or when the parent has no row for it.  Because
+        the patched plan equals a fresh
+        :func:`~repro.engine.compress.compress_universe` plan, every clean
+        row equals its parent row up to the class-index remap induced by the
+        patch, so the clean rows are translated by one gather over the
+        parent's compressed columns; the dirty rows are compressed from
+        their post-delta masks by one representative gather.  The result is
+        structurally identical to ``SignatureEngine(elements, masks,
+        n_paths, backend, True)``: same plan, same backend choice, same
+        packed rows and keys.
 
         Raises :class:`~repro.exceptions.IdentifiabilityError` when the
         incremental route is unavailable (parent uncompressed, un-patchable
-        plan, identity patch result, or a backend mismatch); callers fall
-        back to the full constructor.
+        plan or identity patch result); callers fall back to the full
+        constructor.
         """
         parent_plan = parent.compression
         if parent_plan is None:
             raise IdentifiabilityError(
                 "parent engine is uncompressed; build the engine fresh"
             )
-        plan = parent_plan.patch(
+        plan, class_remap, lost = parent_plan.patch(
             survivors, added, n_paths, element_remap=element_remap
         )
         if plan.is_identity:
@@ -581,50 +581,48 @@ class SignatureEngine:
             raise IdentifiabilityError(
                 "patched plan is the identity; build the engine fresh"
             )
-        new_class_of = plan.class_of
-        class_remap: Dict[int, int] = {}
-        for old_class, group in enumerate(parent_plan.members):
-            for column in group:
-                new_column = survivors.get(column)
-                if new_column is not None:
-                    class_remap[old_class] = new_class_of[new_column]
-                    break
-            # A class whose columns were all removed stays unmapped: any row
-            # containing it was touched by a removed column, hence dirty.
+        elements = tuple(elements)
+        on_added = {position for _, key in added for position in key}
+        lost_mask = mask_from_indices(lost)
+        parent_signatures = parent._signatures
+        parent_mask = parent.backend.mask
+        clean: List[Node] = []
+        clean_rows: List[int] = []
+        dirty: List[Node] = []
+        for position, element in enumerate(elements):
+            signature = parent_signatures.get(element)
+            if signature is not None and position not in on_added:
+                row = parent_mask(signature)
+                if not row & lost_mask:
+                    clean.append(element)
+                    clean_rows.append(row)
+                    continue
+            dirty.append(element)
+        sources = [-1] * plan.n_compressed
+        for old_class, new_class in class_remap.items():
+            sources[new_class] = old_class
+        columns = resolve_backend(backend, n_paths)
+        translated = columns.gather_columns(
+            clean_rows, sources, parent_plan.n_compressed
+        )
+        compressed = columns.gather_columns(
+            [masks[element] for element in dirty], plan.representatives, n_paths
+        )
+        rows = dict(zip(clean, translated))
+        rows.update(zip(dirty, compressed))
 
         engine = cls.__new__(cls)
-        engine.nodes = tuple(elements)
+        engine.nodes = elements
         engine.n_paths = n_paths
         engine.compression = plan
         engine.backend = resolve_backend(backend, plan.n_compressed)
         pack = engine.backend.pack
         key = engine.backend.key
-        parent_signatures = parent._signatures
-        parent_bits = parent.backend.bits
-        compress_mask = plan.compress_mask
-        dirty_set = set(dirty)
-        signatures: Dict[Node, Any] = {}
-        keys: Dict[Node, Any] = {}
-        for element in engine.nodes:
-            if element in dirty_set or element not in parent_signatures:
-                row = compress_mask(masks[element])
-            else:
-                try:
-                    row = mask_from_indices(
-                        [
-                            class_remap[bit]
-                            for bit in parent_bits(parent_signatures[element])
-                        ]
-                    )
-                except KeyError as exc:  # pragma: no cover - delta-layer bug guard
-                    raise IdentifiabilityError(
-                        "clean row references a fully-removed class"
-                    ) from exc
-            signature = pack(row)
-            signatures[element] = signature
-            keys[element] = key(signature)
-        engine._signatures = signatures
-        engine._keys = keys
+        engine._signatures = {element: pack(rows[element]) for element in elements}
+        engine._keys = {
+            element: key(signature)
+            for element, signature in engine._signatures.items()
+        }
         engine._memo = None
         return engine
 

@@ -10,7 +10,23 @@ out of the consecutive node pairs of the stored paths in one deferred,
 memoised scan on first link-universe query, so node-only consumers never pay
 for them.  Only directly-constructed path sets fall back to re-scanning
 their paths for the node table too.
-Unions over element sets — ``P(U)`` — are then single bitwise ORs.  All heavy
+Unions over element sets — ``P(U)`` — are then single bitwise ORs.
+
+The incidence lives here, once: the node rows (and the link rows, once
+derived) are the element×path incidence matrix, one big-int row per element
+with bit ``j`` = path column ``j``.  Everything that edits it by columns —
+:meth:`PathSet.restrict_to_paths`, the survivor move and added-path scatter
+of :meth:`PathSet.apply_delta`, the added columns' touch keys read by the
+engine patch — is one call to the column primitives on the
+:class:`~repro.engine.backends.SignatureBackend` seam (numpy bit matrices,
+or the big-int fallback), picked the way an engine's backend is picked.  A
+churn step looks for removed paths only among the columns of ``P(link)`` or
+``P(u) & P(v)``; what still scales with ``|P|`` is the order-key sort of
+the merged family, one survivor pass over the path tuples, the
+:meth:`PathSet.fingerprint` digest and, with the paths through an added
+link, the DFS that finds them.
+
+All heavy
 identifiability queries go through the
 :class:`~repro.engine.signatures.SignatureEngine` exposed by
 :meth:`PathSet.engine`, which interns the masks of one
@@ -74,6 +90,7 @@ from repro.utils.bitset import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine sits above)
+    from repro.engine.backends import SignatureBackend
     from repro.engine.signatures import SignatureEngine
 
 #: Paths longer than this (in nodes) are never enumerated unless the caller
@@ -513,10 +530,15 @@ class PathSet:
         parent_engine = parent._engines.get((universe.fingerprint, name, compress))
         if parent_engine is None or parent_engine.compression is None:
             return None
-        touch_inputs = self._delta_touch_inputs(evolution, universe, parent_engine)
-        if touch_inputs is None:
-            return None
-        added_touch, dirty, element_remap = touch_inputs
+        added = self._added_touch_keys(evolution, universe)
+        element_remap: Optional[Dict[int, int]] = None
+        if parent_engine.elements != universe.elements:
+            position = {element: i for i, element in enumerate(universe.elements)}
+            element_remap = {
+                old: position[element]
+                for old, element in enumerate(parent_engine.elements)
+                if element in position
+            }
         from repro.engine.signatures import SignatureEngine
         from repro.exceptions import IdentifiabilityError
 
@@ -528,88 +550,30 @@ class PathSet:
                 len(self.paths),
                 name,
                 survivors=evolution.survivors,
-                added=added_touch,
-                dirty=dirty,
+                added=added,
                 element_remap=element_remap,
             )
         except IdentifiabilityError:
             return None
 
-    def _delta_touch_inputs(
-        self,
-        evolution: PathEvolution,
-        universe: FailureUniverse,
-        parent_engine: "SignatureEngine",
-    ) -> Optional[Tuple[List[Tuple[int, Tuple[int, ...]]], Set[Node], Optional[Dict[int, int]]]]:
-        """The universe-specific ingredients of an incremental re-intern.
-
-        Returns ``(added_touch, dirty, element_remap)``: for every added
-        path, its ascending element-position touch key in the *new* element
-        order; the set of (new-universe) elements touched by any removed or
-        added path, whose rows must be re-interned; and the old→new element
-        position remap when the element list itself changed (``None`` when
-        identical).  ``None`` as a whole means this universe kind has no
-        incremental route.
-        """
-        kind = universe.kind
-        position = {element: i for i, element in enumerate(universe.elements)}
-        directed = bool(self.directed)
-        if kind == "node":
-
-            def elements_of(path: Path) -> Set[Node]:
-                touched = path[:-1] if path[0] == path[-1] else path
-                return set(touched)
-
-        elif kind == "link":
-
-            def elements_of(path: Path) -> Set[Node]:
-                return {
-                    canonical_link(u, v, directed)
-                    for u, v in zip(path, path[1:])
-                    if u != v
-                }
-
-        elif kind == "srlg":
-            membership: Dict[Link, Tuple[str, ...]] = {}
-            for group_name, members in universe.groups or ():
-                for link in members:
-                    membership[link] = membership.get(link, ()) + (group_name,)
-
-            def elements_of(path: Path) -> Set[Node]:
-                groups: Set[Node] = set()
-                for u, v in zip(path, path[1:]):
-                    if u != v:
-                        groups.update(
-                            membership.get(canonical_link(u, v, directed), ())
-                        )
-                return groups
-
-        else:  # pragma: no cover - future universe kinds opt in explicitly
-            return None
-
-        added_touch: List[Tuple[int, Tuple[int, ...]]] = []
-        for new_index in evolution.added:
-            elements = elements_of(self.paths[new_index])
-            added_touch.append(
-                (new_index, tuple(sorted(position[e] for e in elements)))
-            )
-        dirty: Set[Node] = set()
-        parent_paths = evolution.parent.paths
-        for old_index in evolution.removed:
-            for element in elements_of(parent_paths[old_index]):
-                if element in position:  # removed links vanish with their paths
-                    dirty.add(element)
-        for new_index in evolution.added:
-            dirty.update(elements_of(self.paths[new_index]))
-        old_elements = parent_engine.elements
-        element_remap: Optional[Dict[int, int]] = None
-        if tuple(old_elements) != tuple(universe.elements):
-            element_remap = {}
-            for old_position, element in enumerate(old_elements):
-                new_position = position.get(element)
-                if new_position is not None:
-                    element_remap[old_position] = new_position
-        return added_touch, dirty, element_remap
+    def _added_touch_keys(
+        self, evolution: PathEvolution, universe: FailureUniverse
+    ) -> List[Tuple[int, Tuple[int, ...]]]:
+        """``(column, touch key)`` for every delta-added path column: the
+        ascending positions of the universe elements whose rows have the
+        column set, read off one gather and one dedup of the added columns
+        (duplicate added columns share one key tuple)."""
+        added = evolution.added
+        keys: List[Tuple[int, ...]] = [()] * len(added)
+        if added:
+            columns = _columns(len(self.paths))
+            rows = [universe.masks[element] for element in universe.elements]
+            gathered = columns.gather_columns(rows, added, len(self.paths))
+            members, touch_keys, _ = columns.dedup_columns(gathered, len(added))
+            for group, key in zip(members, touch_keys):
+                for j in group:
+                    keys[j] = key
+        return list(zip(added, keys))
 
     def restrict_to_paths(self, indices: Sequence[int]) -> "PathSet":
         """A new :class:`PathSet` over the same universe with a subset of paths.
@@ -617,10 +581,10 @@ class PathSet:
         ``indices`` selects (and orders) the paths of the restriction; each
         index must be in ``range(n_paths)`` and appear at most once —
         anything else raises :class:`~repro.exceptions.RoutingError`.  The
-        restricted node masks are obtained by *column selection* from this
-        path set's masks (bit ``j`` of the new ``P(v)`` is bit
-        ``indices[j]`` of the old one) instead of re-scanning the selected
-        path tuples.
+        restricted node (and, when derived, link) masks are one column
+        gather from this path set's masks (bit ``j`` of the new ``P(v)`` is
+        bit ``indices[j]`` of the old one) instead of re-scanning the
+        selected path tuples; the restriction keeps the full link universe.
         """
         indices = list(indices)
         n = len(self.paths)
@@ -633,36 +597,64 @@ class PathSet:
             if index in seen:
                 raise RoutingError(f"duplicate path index {index}")
             seen.add(index)
-        selected = tuple(self.paths[i] for i in indices)
-        # Walk each parent mask's set bits once (byte-table extraction) and
-        # remap the surviving columns, instead of testing every selected
-        # index against every node mask with O(|P|)-cost big-int shifts.
-        remap = {original: j for j, original in enumerate(indices)}
-        lookup = remap.get
-
-        def _select(mask: int) -> int:
-            return mask_from_indices(
-                [j for i in bit_indices(mask) if (j := lookup(i)) is not None]
-            )
-
-        masks = {node: _select(mask) for node, mask in self._node_masks.items()}
-        # Column-select the link table too when the parent has one, so the
-        # restriction keeps the full link universe (including untraversed
-        # links) instead of re-deriving only the links its paths touch.
-        links = self._links
-        link_masks = (
-            {link: _select(mask) for link, mask in self._link_masks.items()}
-            if self._link_masks is not None
-            else None
-        )
+        node_masks, link_masks = self._gather_masks(indices)
         return PathSet(
             self.nodes,
-            selected,
-            masks,
+            tuple(self.paths[i] for i in indices),
+            node_masks,
             directed=self.directed,
-            _links=links,
+            _links=self._links,
             _link_masks=link_masks,
         )
+
+    def _gather_masks(
+        self,
+        sources: Sequence[int],
+        links: Optional[Tuple[Link, ...]] = None,
+        new_paths: Sequence[Path] = (),
+    ) -> Tuple[Dict[Node, int], Optional[Dict[Link, int]]]:
+        """The node and link masks over new columns, in one column gather.
+
+        Column ``j`` of the result is column ``sources[j]`` of this path
+        set; a ``-1`` entry is an added column, filled by one scatter of the
+        elements its path ``new_paths[j]`` touches.  Node rows follow
+        :attr:`nodes`, link rows ``links``
+        (default: this path set's links; a link without a mask here starts
+        empty).  Link masks are produced only when this path set has
+        derived them.
+        """
+        n_rows = len(self.nodes)
+        rows = [self._node_masks[node] for node in self.nodes]
+        if self._link_masks is not None:
+            links = self._links if links is None else links
+            rows.extend(self._link_masks.get(link, 0) for link in links)
+        scatter: List[List[int]] = []
+        if -1 in sources:
+            directed = bool(self.directed)
+            row_of = {node: row for row, node in enumerate(self.nodes)}
+            if self._link_masks is not None:
+                row_of.update(
+                    (link, n_rows + row) for row, link in enumerate(links)
+                )
+            scatter = [[] for _ in rows]
+            for column in (j for j, source in enumerate(sources) if source < 0):
+                path = new_paths[column]
+                touched = path[:-1] if path[0] == path[-1] else path
+                for node in touched:
+                    scatter[row_of[node]].append(column)
+                if self._link_masks is not None:
+                    for u, v in zip(path, path[1:]):
+                        if u != v:
+                            scatter[row_of[canonical_link(u, v, directed)]].append(
+                                column
+                            )
+        gathered = _columns(len(self.paths)).gather_columns(
+            rows, sources, len(self.paths), scatter
+        )
+        node_masks = dict(zip(self.nodes, gathered))
+        if self._link_masks is None:
+            return node_masks, None
+        return node_masks, dict(zip(links, gathered[n_rows:]))
 
     def fingerprint(self) -> str:
         """A stable content digest of this path set (memoised).
@@ -775,23 +767,39 @@ class PathSet:
             )
 
         # 1. Open-family survivors: old simple input→output paths that avoid
-        #    every removed link and keep both endpoints monitored.
+        #    every removed link and keep both endpoints monitored.  Only the
+        #    columns of P(link) — or of P(u) & P(v) while link masks are
+        #    underived — can traverse a removed link, and only P(u) can start
+        #    or end at a removed monitor u.
+        paths = self.paths
+        dropped: Set[int] = set()
+        for u, v in removed_links:
+            if self._link_masks is not None:
+                dropped.update(bit_indices(self._link_masks[(u, v)]))
+                continue
+            for index in bit_indices(self._node_masks[u] & self._node_masks[v]):
+                path = paths[index]
+                at = path.index(u)  # open paths are simple: u occurs once
+                if (at + 1 < len(path) and path[at + 1] == v) or (
+                    not directed and at and path[at - 1] == v
+                ):
+                    dropped.add(index)
+        for monitors, end in ((removed_inputs, 0), (removed_outputs, -1)):
+            for u in monitors:
+                dropped.update(
+                    i
+                    for i in bit_indices(self._node_masks.get(u, 0))
+                    if paths[i][end] == u
+                )
         survivors: List[Tuple[int, Path]] = []
         old_closed_index: Dict[Path, int] = {}
-        for index, path in enumerate(self.paths):
+        for index, path in enumerate(paths):
             if path[0] == path[-1]:
                 # Closed families are re-emitted below; identical tuples are
                 # matched back to their old columns as survivors.
                 old_closed_index[path] = index
-                continue
-            if path[0] in removed_inputs or path[-1] in removed_outputs:
-                continue
-            if removed_links and any(
-                canonical_link(u, v, directed) in removed_links
-                for u, v in zip(path, path[1:])
-            ):
-                continue
-            survivors.append((index, path))
+            elif index not in dropped:
+                survivors.append((index, path))
 
         # 2. Open-family additions: every post-delta path missing from the
         #    old family starts at an added input, ends at an added output, or
@@ -879,69 +887,26 @@ class PathSet:
             )
 
         new_paths: List[Path] = [item[2] for item in open_family]
-        survivors_map: Dict[int, int] = {}
-        added_indices: List[int] = []
-        for new_index, (_, old_index, _path) in enumerate(open_family):
-            if old_index is None:
-                added_indices.append(new_index)
-            else:
-                survivors_map[old_index] = new_index
-        for offset, path in enumerate(closed):
-            new_index = len(new_paths)
+        sources: List[int] = [
+            -1 if old_index is None else old_index for _, old_index, _ in open_family
+        ]
+        for path in closed:
             new_paths.append(path)
-            old_index = old_closed_index.get(path)
-            if old_index is None:
-                added_indices.append(new_index)
-            else:
-                survivors_map[old_index] = new_index
+            sources.append(old_closed_index.get(path, -1))
+        survivors_map = {old: new for new, old in enumerate(sources) if old >= 0}
+        added_indices = [new for new, old in enumerate(sources) if old < 0]
 
-        # 5. Masks by column remap + scatter: surviving columns move to their
-        #    new positions, added paths scatter their touched elements.
-        node_extras: Dict[Node, List[int]] = {}
-        for new_index in added_indices:
-            path = new_paths[new_index]
-            touched = path[:-1] if path[0] == path[-1] else path
-            for node in touched:
-                node_extras.setdefault(node, []).append(new_index)
-        lookup = survivors_map.get
-
-        def _remap(mask: int, extra: Optional[List[int]]) -> int:
-            indices = [j for i in bit_indices(mask) if (j := lookup(i)) is not None]
-            if extra:
-                indices.extend(extra)
-            return mask_from_indices(indices)
-
-        node_masks = {
-            node: _remap(mask, node_extras.get(node))
-            for node, mask in self._node_masks.items()
-        }
-
-        # 6. The link universe changes only when links actually changed; the
-        #    memoised link masks are remapped (never re-derived) when the
-        #    parent had already paid for them.
+        # 5. Masks by one column gather: surviving columns move to their new
+        #    positions, added paths scatter their touched elements.  The link
+        #    universe changes only when links actually changed; the link
+        #    masks are gathered (never re-derived) when the parent had
+        #    already paid for them.
         links_changed = bool(removed_links or added_links)
         if links_changed or self._links is None:
             new_links: Tuple[Link, ...] = tuple(sorted(new_link_set, key=repr))
         else:
             new_links = self._links
-        link_masks: Optional[Dict[Link, int]] = None
-        if self._link_masks is not None:
-            link_extras: Dict[Link, List[int]] = {}
-            for new_index in added_indices:
-                path = new_paths[new_index]
-                for u, v in zip(path, path[1:]):
-                    if u != v:
-                        link_extras.setdefault(
-                            canonical_link(u, v, directed), []
-                        ).append(new_index)
-            old_link_masks = self._link_masks
-            link_masks = {}
-            for link in new_links:
-                old_mask = old_link_masks.get(link)
-                if old_mask is None:
-                    link_masks[link] = mask_from_indices(link_extras.get(link, []))
-                else:
-                    link_masks[link] = _remap(old_mask, link_extras.get(link))
+        node_masks, link_masks = self._gather_masks(sources, new_links, new_paths)
 
         removed_indices = tuple(
             index for index in range(len(self.paths)) if index not in survivors_map
@@ -973,6 +938,14 @@ class PathSet:
             f"PathSet(|V|={len(self.nodes)}, |P|={len(self.paths)}, "
             f"uncovered={len(self.uncovered_nodes())})"
         )
+
+
+def _columns(width: int) -> "SignatureBackend":
+    """The backend running the incidence column primitives for rows of
+    ``width`` bits, picked the way an engine's backend is picked."""
+    from repro.engine.backends import resolve_backend
+
+    return resolve_backend(None, width)
 
 
 def _iter_simple_paths(
