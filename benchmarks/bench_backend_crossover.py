@@ -1,13 +1,17 @@
 """Satellite sweep calibrating the ``NUMPY_MIN_PATHS = 256`` auto-crossover.
 
-One synthetic certification cell (40 random elements, ``C(40, 3) = 9880``
-frontier, no compression so the width under test is the width measured) is
-rebuilt and certified at a ladder of path-universe widths spanning the
-crossover, once per backend.  Both backends run the one subset sweep: numpy
-through its vectorized block ops, python through the pure-python fallback
-of the same ops.  Timings include engine construction, so signature
-interning is part of the bill exactly as it is for a real
-``resolve_backend`` decision.
+One synthetic census cell (40 random elements, the ``C(40, 3) = 9880``
+size-3 subsets, no compression so the width under test is the width
+measured) is rebuilt and its size-3 subsets grouped by signature at a
+ladder of path-universe widths spanning the crossover, once per backend.
+Both backends run the one subset frontier: numpy through its vectorized
+block ops, python through the pure-python fallback of the same ops.  (The
+µ search runs on big-int rows whatever the backend, so the census is where
+the backends differ.)  The cell times the grouping pass that
+``inseparable_pairs`` and ``separability_matrix`` share, not the pair list
+they build from it, whose Python cost does not depend on the backend.
+Timings include engine construction, so signature interning is part of
+the bill exactly as it is for a real ``resolve_backend`` decision.
 
 Asserted hard at every width: both backends report the **identical**
 result.  Asserted soft (generous tolerances, env-overridable): CPython
@@ -35,7 +39,7 @@ from repro.engine.signatures import SignatureEngine
 from repro.utils.tables import format_table
 
 #: Path-universe widths swept, from below NUMPY_MIN_PATHS = 256 up to a
-#: width where the numpy sweep wins.
+#: width where the numpy frontier wins.
 WIDTHS = (32, 64, 128, 256, 512, 1024, 4096, 16384, 65536)
 
 #: Elements per synthetic cell; C(40, 3) = 9880 size-3 subsets.
@@ -45,11 +49,11 @@ N_ELEMENTS = 40
 TIMING_REPEATS = 3
 
 #: Soft-claim tolerance: the winning side must be at least this much
-#: faster before the sweep calls the comparison conclusive.
+#: faster before the ladder calls the comparison conclusive.
 CROSSOVER_TOLERANCE = float(os.environ.get("BENCH_CROSSOVER_TOLERANCE", "1.1"))
 
 
-def _certify(width: int, backend: str, seed: int) -> Tuple[object, float]:
+def _census(width: int, backend: str, seed: int) -> Tuple[object, float]:
     rng = random.Random(seed * 1000 + width)
     nodes = [f"e{i}" for i in range(N_ELEMENTS)]
     masks = {
@@ -62,7 +66,7 @@ def _certify(width: int, backend: str, seed: int) -> Tuple[object, float]:
         engine = SignatureEngine(
             nodes, masks, width, backend=backend, compress=False
         )
-        result = engine.identifiability(max_size=3)
+        result = engine._subset_census(3, None, None)[1]
         best = min(best, time.perf_counter() - start)
     return result, best
 
@@ -70,13 +74,15 @@ def _certify(width: int, backend: str, seed: int) -> Tuple[object, float]:
 def _crossover_suite(seed: int) -> List[Dict[str, object]]:
     ladder: List[Dict[str, object]] = []
     for width in WIDTHS:
-        python_result, python_seconds = _certify(width, "python", seed)
-        numpy_result, numpy_seconds = _certify(width, "numpy", seed)
+        python_result, python_seconds = _census(width, "python", seed)
+        numpy_result, numpy_seconds = _census(width, "numpy", seed)
         assert numpy_result == python_result, (width, python_result, numpy_result)
         ladder.append(
             {
                 "width": width,
-                "mu": python_result.value,
+                "collision_groups": sum(
+                    len(group) > 1 for group in python_result
+                ),
                 "python_seconds": python_seconds,
                 "numpy_seconds": numpy_seconds,
                 "numpy_over_python": numpy_seconds / python_seconds,
@@ -111,24 +117,24 @@ def test_backend_crossover(benchmark, bench_seed):
     print()
     print(
         format_table(
-            ["|P|", "mu", "python (s)", "numpy (s)", "np/py"],
+            ["|P|", "collision groups", "python (s)", "numpy (s)", "np/py"],
             [
                 [
                     row["width"],
-                    row["mu"],
+                    row["collision_groups"],
                     row["python_seconds"],
                     row["numpy_seconds"],
                     round(row["numpy_over_python"], 3),
                 ]
                 for row in ladder
             ],
-            title="Backend auto-crossover sweep (NUMPY_MIN_PATHS = 256)",
+            title="Backend auto-crossover ladder (NUMPY_MIN_PATHS = 256)",
         )
     )
 
     benchmark.extra_info["experiment"] = (
-        "python/numpy backend crossover sweep (one subset sweep, "
-        f"{N_ELEMENTS}-element certification cells)"
+        "python/numpy backend crossover ladder (the subset-frontier census, "
+        f"{N_ELEMENTS}-element cells)"
     )
     benchmark.extra_info["widths"] = list(WIDTHS)
     benchmark.extra_info["empirical_crossover_width"] = _empirical_crossover(

@@ -102,9 +102,11 @@ class EngineConfig:
     cache on), so a default-constructed config computes exactly what the
     global-policy path computes out of the box — without touching globals.
 
-    ``time_budget`` (wall-clock seconds) and ``subset_budget`` (max subsets
-    enumerated) bound each subset search cooperatively: on expiry
-    ``identifiability()`` truncates at the last fully completed size
+    ``time_budget`` (wall-clock seconds) and ``subset_budget`` bound each
+    search cooperatively.  ``subset_budget`` counts search-tree nodes for µ
+    (see :mod:`repro.engine.signatures`, "The µ search") and enumerated
+    subsets for the census queries.  On expiry ``identifiability()``
+    truncates at the last fully completed level
     (``stats.budget_exhausted=True``, a certified lower bound) and the census
     queries raise :class:`~repro.exceptions.BudgetExceededError`.  Both are
     additive too — v1/v2 documents without them parse unchanged and mean
@@ -121,8 +123,7 @@ class EngineConfig:
 
     The retired sweep knobs ``search_jobs``, ``kernel`` and ``block_size``
     are still accepted by :meth:`from_dict` so existing v2 documents parse,
-    and discarded: there is one subset sweep, and no value of them ever
-    changed a reported result.
+    and discarded: no value of them ever changed a reported result.
     """
 
     backend: str = "auto"

@@ -127,7 +127,7 @@ def maximal_identifiability_detailed(
     budget:
         A :class:`repro.resilience.Budget` bounding the search (``None`` =
         the global :func:`repro.resilience.budget_policy` limits).  On expiry
-        the result truncates at the last fully completed subset size with
+        the result truncates at the last fully completed search level with
         ``exhausted_search=False`` and ``stats.budget_exhausted=True`` — a
         certified lower bound, same semantics as a ``max_size`` cap.
     """

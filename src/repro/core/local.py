@@ -11,7 +11,7 @@ Local identifiability is what degenerate loop paths trivially boost (Section
 identifiability w.r.t. ``S = {v}`` is as large as the universe.  The module
 exists both as public API and to back the DLP discussion tests.
 
-Like the global measure, the subset sweep runs on the signature engine
+The local subset sweep runs on the signature engine
 (:meth:`PathSet.engine <repro.routing.paths.PathSet.engine>`): subsets are
 read off the engine's chunked frontier instead of recomputing ``P(U)`` per
 subset, and exact-verified signature keys group the S-projections.

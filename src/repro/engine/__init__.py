@@ -6,10 +6,11 @@ the experiment drivers (:mod:`repro.experiments`):
 
 * :class:`SignatureEngine` interns each node's path-mask once, collapses
   nodes into signature equivalence classes (an O(|V|) µ = 0 fast path), and
-  runs the exact µ search as one chunked frontier sweep with prefix-union
-  carrying, batched row evaluation and subset-dominance pruning — same
-  results and witnesses as the naive ``itertools.combinations`` sweep, at a
-  fraction of the cost.
+  runs the exact µ search as a bounded hitting-set search for the smallest
+  dominating set — the same µ as the naive ``itertools.combinations``
+  sweep, with a canonical witness, at a fraction of the cost.  The
+  separability census runs one chunked subset frontier with prefix-union
+  carrying and batched row evaluation.
 * :mod:`repro.engine.backends` provides two interchangeable signature
   representations: Python big-int bitmasks and numpy ``uint64``-packed rows.
 * :mod:`repro.engine.compress` collapses duplicate path columns (and drops

@@ -1,16 +1,16 @@
 """Interchangeable signature backends for the :class:`SignatureEngine`.
 
 A *signature* is the set of measurement paths touched by a node set —
-``P(U)`` in the paper — and every identifiability query reduces to unions,
-equality tests and subset tests over signatures.  Two representations are
-provided behind one interface:
+``P(U)`` in the paper — and the engine's queries reduce to unions and
+equality tests over signatures (the µ search works on the rows' big-int
+masks directly).  Two representations are provided behind one interface:
 
 * :class:`PythonBackend` — a signature is a Python big integer used as a
   bitmask (bit ``i`` set iff path ``i`` is touched).  No dependencies, fast
   for small-to-medium path universes thanks to CPython's int ops.
 * :class:`NumpyBackend` — a signature is a read-only ``uint64`` array of
-  ``ceil(|P| / 64)`` words; unions and subset tests are vectorized bitwise
-  kernels and hashable keys are raw ``bytes``.  Preferable once ``|P|`` is
+  ``ceil(|P| / 64)`` words; unions are vectorized bitwise kernels and
+  hashable keys are raw ``bytes``.  Preferable once ``|P|`` is
   large enough that big-int hashing/allocation dominates.
 
 Both also run the incidence *column primitives* — ``gather_columns``
@@ -54,7 +54,7 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
 #:
 #: The crossover is where numpy's fixed per-op call overhead is repaid by
 #: word-parallel row ops: below it CPython big-int ops win outright.  The
-#: subset sweep alone favours big ints to much wider universes, since both
+#: subset census alone favours big ints to much wider universes, since both
 #: backends run the same chunked ops
 #: (``benchmarks/bench_backend_crossover.py`` records that ladder); the
 #: value is set by the whole scenario, where localization and measurement
@@ -182,10 +182,6 @@ class SignatureBackend(abc.ABC):
         """A hashable key; equal keys iff equal signatures."""
 
     @abc.abstractmethod
-    def is_subset(self, first, second) -> bool:
-        """Whether ``first ⊆ second`` as path sets (dominance test)."""
-
-    @abc.abstractmethod
     def is_empty(self, signature) -> bool:
         """Whether the signature touches no path."""
 
@@ -199,13 +195,13 @@ class SignatureBackend(abc.ABC):
 
     # -- batched block ops ---------------------------------------------------
     #
-    # The subset sweep evaluates the combination frontier in chunks:
+    # The subset census evaluates the combination frontier in chunks:
     # ``stack`` packs signatures into a single block operand once, then each
-    # chunk is one ``block_scan`` (row-wise union + dominance against a shared
-    # prefix) followed by one ``block_digests`` (row digests, exact-verified by
-    # the engine on collision).  The defaults below are a pure-python
-    # fallback built on the scalar ops, so the sweep runs on any backend;
-    # vectorized backends override them.
+    # chunk is one ``block_scan`` (row-wise union against a shared prefix)
+    # followed by one ``block_digests`` (row digests, exact-verified by the
+    # engine on collision).  The defaults below are a pure-python fallback
+    # built on the scalar ops, so the census runs on any backend; vectorized
+    # backends override them.
 
     def stack(self, signatures):
         """Pack signatures into a block operand, one row per signature.
@@ -222,20 +218,16 @@ class SignatureBackend(abc.ABC):
         is :meth:`stack` of one prefix union per run touched by the chunk,
         and ``spans`` is a list of ``(prefix_row, lo, hi)`` triples: rows
         ``matrix[lo:hi]`` are each evaluated against ``prefixes[prefix_row]``,
-        spans concatenated in order.  Returns ``(unions, dominated)`` over
-        the concatenated rows, where ``unions[j]`` is a signature
-        interchangeable with the scalar ops and ``dominated[j]`` is true iff
-        the row is a subset of its prefix.
+        spans concatenated in order.  Returns the unions over the
+        concatenated rows, each a signature interchangeable with the scalar
+        ops.
         """
-        union, is_subset = self.union, self.is_subset
-        unions = []
-        dominated = []
-        for prefix_row, lo, hi in spans:
-            prefix = prefixes[prefix_row]
-            for row in matrix[lo:hi]:
-                unions.append(union(prefix, row))
-                dominated.append(is_subset(row, prefix))
-        return unions, dominated
+        union = self.union
+        return [
+            union(prefixes[prefix_row], row)
+            for prefix_row, lo, hi in spans
+            for row in matrix[lo:hi]
+        ]
 
     def block_digests(self, unions):
         """64-bit digests of a block of union rows, as a list of ints.
@@ -375,9 +367,6 @@ class PythonBackend(SignatureBackend):
     def key(self, signature: int) -> int:
         return signature
 
-    def is_subset(self, first: int, second: int) -> bool:
-        return first | second == second
-
     def is_empty(self, signature: int) -> bool:
         return not signature
 
@@ -434,9 +423,6 @@ class NumpyBackend(SignatureBackend):
     def key(self, signature) -> bytes:
         return signature.tobytes()
 
-    def is_subset(self, first, second) -> bool:
-        return not bool(_np.any(first & ~second))
-
     def is_empty(self, signature) -> bool:
         return not bool(signature.any())
 
@@ -463,22 +449,17 @@ class NumpyBackend(SignatureBackend):
         # Each span is a *contiguous* matrix slice, so the chunk's unions are
         # written span-by-span into one preallocated buffer with a broadcast
         # OR over a view — no gathered row copy, no prefix broadcast copy.
-        # Dominance reuses the freshly written unions: ``row ⊆ prefix`` iff
-        # ``row | prefix == prefix``, one compare+reduce instead of the
-        # three-op ``row & ~prefix`` form.
         total = sum(hi - lo for _, lo, hi in spans)
         unions = _np.empty((total, self.n_words), dtype="<u8")
-        dominated = _np.empty(total, dtype=bool)
         base = 0
         for prefix_row, lo, hi in spans:
             count = hi - lo
-            prefix = prefixes[prefix_row]
-            out = unions[base:base + count]
-            _np.bitwise_or(matrix[lo:hi], prefix, out=out)
-            _np.all(out == prefix, axis=1, out=dominated[base:base + count])
+            _np.bitwise_or(
+                matrix[lo:hi], prefixes[prefix_row], out=unions[base:base + count]
+            )
             base += count
         unions.setflags(write=False)
-        return unions, dominated.tolist()
+        return unions
 
     def block_digests(self, unions):
         # Weighted fold first — one multiply and one XOR reduction over the

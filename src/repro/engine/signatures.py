@@ -24,48 +24,71 @@ and subset test below runs over the distinct-column width rather than
 path indices (the measurement vector) are expanded back before they leave
 the engine.
 
-The subset sweep
-----------------
+The µ search
+------------
 
-The naive reference implementation sweeps ``itertools.combinations`` and
-recomputes ``P(U)`` from scratch for every subset.  The engine keeps the same
-enumeration *order* (sizes increasing, lexicographic within a size) — so the
-computed µ, the witness, the ``searched_up_to`` bookkeeping and the
-exhaustion semantics are identical — but obtains each subset's signature
-differently:
+The naive reference implementation sweeps ``itertools.combinations`` by
+size and stops at the first subset whose ``P(U)`` repeats an earlier one.
+The engine computes the same µ, ``searched_up_to`` and exhaustion semantics
+without enumerating subsets at all:
 
 1. **Equivalence-class fast path.**  One O(|V|) pass compares the interned
    per-node signature keys.  An uncovered node (empty signature) is
    confusable with ∅ and two nodes in the same class are confusable with each
    other, so any non-singleton class certifies µ = 0 immediately.  Past this
-   point every class is a singleton, i.e. the class universe *is* the node
-   universe, and the subset search runs over provably distinct signatures.
-2. **One chunked frontier.**  The size-``s`` subsets sharing their first
-   ``s - 1`` indices form a contiguous *run* whose last elements are the
-   rows ``prefix[-1]+1 .. n-1`` of the stacked signature matrix
-   (:func:`_prefix_runs`, which carries prefix unions incrementally through
-   :func:`_combination_frontier`).  :func:`_block_chunks` gathers runs into
-   chunks of :data:`DEFAULT_BLOCK_SIZE` rows and evaluates each chunk with
-   two batched backend ops: ``block_scan`` (row-wise union against the run's
-   prefix plus row-wise dominance) and ``block_digests`` (64-bit row
-   digests).  The numpy backend vectorizes both; every other backend runs
-   the pure-python fallback of the same API.  µ, the separability census,
-   the digest stream and local µ all consume these chunks.
-3. **Subset-dominance pruning.**  When the last node ``u`` of a candidate
-   ``U`` satisfies ``P(u) ⊆ P(U∖{u})``, then ``P(U) = P(U∖{u})`` and the
-   collision is certified immediately — no table probe.  (Dominance can
-   only fire on the final extension: an earlier firing would exhibit a
-   collision between two smaller subsets, which the completed smaller sizes
-   have already excluded.)
-4. **Digest table.**  Remaining rows are checked against a
-   ``digest -> [subset, ...]`` table spanning all sizes searched so far.  A
-   digest miss dedups the row without a single exact key computation; a
-   digest hit is exact-verified by recomputing the candidate's union key,
-   and bucket order is enumeration order, so the first exact match is the
-   naive sweep's partner.
-5. **Search memo.**  µ and every truncated µ_α are the same size-ordered
-   sweep stopped at different caps, so the engine keeps one slot holding the
-   last exact result over its full element universe and derives every later
+   point every signature is distinct and non-empty, i.e. µ ≥ 1.
+2. **The reduction.**  Call ``W`` a *dominator* when some ``v ∉ W`` has
+   ``P(v) ⊆ P(W)``, and let ``m`` be the smallest dominator size.  Then
+   ``W`` and ``W ∪ {v}`` collide, so the first failing level is at most
+   ``m + 1``.  Conversely, take any collision ``P(U) = P(W)`` with
+   ``|U| ≤ |W|`` and ``U ≠ W``: some ``v ∈ W∖U`` exists, and
+   ``P(v) ⊆ P(W) = P(U)``, so ``U`` is a dominator and ``|W| ≥ |U| ≥ m``.
+   Hence µ ∈ {m − 1, m}, and µ = m − 1 exactly when a collision has both
+   sides of size ``m``.  Both sides of such a collision are dominators: ``U``
+   dominates an element of ``W∖U`` and ``W`` one of ``U∖W``.  So µ = m − 1
+   exactly when two distinct size-``m`` dominators have the same union, and
+   grouping the size-``m`` dominators by union key decides it — no separate
+   search for second explanations.  (This is the k-identifiability
+   condition of Ma et al., IMC 2014, turned into an exact algorithm.)
+3. **Hitting sets over the columns.**  ``W`` dominates ``v`` iff ``W`` hits
+   every path column of ``P(v)``, i.e. contains a *coverer* (an element on
+   that path) of each.  The full universe of an engine built through
+   compression reads every column's coverers from that pass (one backend
+   ``dedup_columns`` call); any other universe finds a column's coverers
+   from the rows on first use, and the search only asks for its branching
+   columns.  A bit-sliced counter over the rows splits the columns into
+   one mask per coverer count, with no per-column Python work.
+4. **Iterative deepening.**  Level ``ℓ = 1 .. cap`` searches, for each
+   ``v``, the hitting sets of size ``ℓ`` that avoid ``v``: branch on the
+   first un-hit column of ``P(v)`` in (coverer count, column index) order,
+   including its ``i``-th coverer and excluding coverers ``1 .. i − 1``.
+   Every hitting set lands in exactly one branch (the one of its first
+   coverer), and since no level below ``m`` found a dominator, the leaves
+   at level ``m`` are exactly the size-``m`` dominators of ``v``, each
+   once.  The last element is resolved without recursing: a coverer of the
+   first un-hit column completes ``W`` iff it covers every remaining
+   column.  Each candidate coverer tried is one *tree node*, the unit of
+   :class:`SearchStats` ``tree_nodes`` and of a µ ``subset_budget``.  Every
+   engine over the same rows searches the same tree: the rows are the same
+   big ints on every backend, and compression keeps each class of equal
+   columns under its first member's position, while every row (and so
+   every un-hit set) holds all of a class or none of it — so the first
+   un-hit raw column and the first un-hit compressed column belong to the
+   same class, with the same coverers.
+5. **Results and witnesses.**  No dominator up to the cap: exhausted at the
+   cap.  Otherwise, with ``m`` found: two equal-union size-``m`` dominators
+   give µ = m − 1 with ``searched_up_to = m`` and witness ``(W, U)``, the
+   lex-min such pair; failing that, a cap of ``m`` is exhausted at ``m``,
+   and a larger cap gives µ = m with ``searched_up_to = m + 1`` and witness
+   ``(W, W ∪ {v})`` for the lex-min dominator ``W`` and the smallest ``v``
+   it dominates.  Lex order compares element positions in the (possibly
+   restricted) universe.  A budget that runs out during level ``ℓ`` stops
+   the search with the certified lower bound ``ℓ − 1`` (never below the 1
+   the fast path certified): no witness, not exhausted,
+   ``stats.budget_exhausted``.
+6. **Search memo.**  µ and every truncated µ_α are the same search stopped
+   at different caps, so the engine keeps one slot holding the last exact
+   result over its full element universe and derives every later
    budget-free cap from it.  A slot that found its witness at size ``s``
    answers any cap ``c ≥ s`` with itself and any ``c < s`` with
    ``(c, no witness, searched c, exhausted)``; a slot exhausted at cap ``C``
@@ -73,13 +96,26 @@ differently:
    and replaces it.  ``nodes=``-restricted and budgeted calls search as
    without the memo (a budget-truncated result never fills the slot), and
    an engine patched by :meth:`SignatureEngine.from_delta` starts empty.  A
-   hit records a search of zero subsets and carries ``SearchStats(0, 0, 0)``.
+   hit records a search of no work and carries ``SearchStats(0, 0, 0)``.
+
+The subset frontier
+-------------------
+
+The separability census, the digest stream and local µ still enumerate
+subsets.  The size-``s`` subsets sharing their first ``s - 1`` indices form
+a contiguous *run* whose last elements are the rows ``prefix[-1]+1 .. n-1``
+of the stacked signature matrix (:func:`_prefix_runs`, which carries prefix
+unions incrementally through :func:`_combination_frontier`).
+:func:`_block_chunks` gathers runs into chunks of :data:`DEFAULT_BLOCK_SIZE`
+rows and evaluates each chunk with two batched backend ops: ``block_scan``
+(row-wise union against the run's prefix) and ``block_digests`` (64-bit row
+digests).  The numpy backend vectorizes both; every other backend runs the
+pure-python fallback of the same API.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -128,18 +164,19 @@ def _require_int(name: str, value: Any) -> int:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Diagnostic counters for one subset search (the work performed, never
-    part of the result's identity)."""
+    """Diagnostic counters for one µ search (the work performed, never part
+    of the result's identity)."""
 
+    #: The ``n + 1`` size-0/1 subsets the fast path certified, plus one
+    #: candidate set per search-tree node.
     subsets_enumerated: int
+    #: Dominators found at the deciding level (smallest size).
     dominance_prunes: int
+    #: Distinct unions among those dominators.
     table_entries: int
     budget_exhausted: bool = False
-    #: Frontier chunks the sweep evaluated (0 when the fast path decided).
-    blocks_evaluated: int = 0
-    #: Rows whose digest missed every table entry — dedup'd without a single
-    #: exact key computation (the batching win).
-    block_rows_pruned: int = 0
+    #: Search-tree nodes: candidate coverers tried (the µ budget unit).
+    tree_nodes: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -147,8 +184,7 @@ class SearchStats:
             "dominance_prunes": self.dominance_prunes,
             "table_entries": self.table_entries,
             "budget_exhausted": self.budget_exhausted,
-            "blocks_evaluated": self.blocks_evaluated,
-            "block_rows_pruned": self.block_rows_pruned,
+            "tree_nodes": self.tree_nodes,
         }
 
 
@@ -159,7 +195,10 @@ class SearchCounters:
     searches: int
     subsets_enumerated: int
     dominance_prunes: int
+    #: Subset-frontier chunks evaluated (census, digest stream, local µ).
     blocks_evaluated: int = 0
+    #: Census rows whose digest no other row shared — grouped without a
+    #: single exact key computation.
     block_rows_pruned: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -213,13 +252,7 @@ _NO_WORK = SearchStats(0, 0, 0)
 
 
 def _record_search(stats: SearchStats) -> None:
-    record_external_search(
-        1,
-        stats.subsets_enumerated,
-        stats.dominance_prunes,
-        stats.blocks_evaluated,
-        stats.block_rows_pruned,
-    )
+    record_external_search(1, stats.subsets_enumerated, stats.dominance_prunes)
 
 
 # -- the chunked combination frontier -----------------------------------------
@@ -261,16 +294,6 @@ def _combination_frontier(
             prefix[depth + 1] = union(prefix[depth], signatures[indices[depth]])
 
 
-def _lex_rank(indices: Sequence[int], n: int, size: int) -> int:
-    """0-based rank of a combination in the lexicographic enumeration."""
-    rank, prev = 0, -1
-    for depth, index in enumerate(indices):
-        for j in range(prev + 1, index):
-            rank += math.comb(n - 1 - j, size - 1 - depth)
-        prev = index
-    return rank
-
-
 def _prefix_runs(
     signatures: Sequence[Any], backend: SignatureBackend, size: int
 ) -> Iterator[Tuple[Tuple[int, ...], Any, int, int]]:
@@ -280,7 +303,7 @@ def _prefix_runs(
     Yields ``(prefix_indices, prefix_union, last_lo, last_hi)`` — the run's
     subsets are ``prefix_indices + (j,)`` for ``j`` in ``[last_lo, last_hi)``,
     i.e. contiguous *rows* of the stacked signature matrix, which is what
-    lets one broadcast union/dominance/digest op evaluate the whole run.
+    lets one broadcast union/digest op evaluate the whole run.
     Runs appear in lexicographic prefix order, so concatenating them (and the
     rows within each) reproduces the ``itertools.combinations`` order.  One
     backend union per *run* replaces one per subset.
@@ -305,7 +328,7 @@ def _block_chunks(
     backend: SignatureBackend,
     matrix: Any,
     size: int,
-) -> Iterator[Tuple[List[Tuple[int, ...]], Any, List[bool], List[int]]]:
+) -> Iterator[Tuple[List[Tuple[int, ...]], Any, List[int]]]:
     """Materialise the size-``size`` frontier in chunks of up to
     :data:`DEFAULT_BLOCK_SIZE` candidate subsets, one batched backend
     evaluation each — the engine's only frontier evaluator.
@@ -316,7 +339,7 @@ def _block_chunks(
     across consecutive runs — splitting a run when it straddles the chunk
     boundary — stacks one prefix union per run piece, and makes a single
     ``block_scan`` + ``block_digests`` call.  Yields ``(subsets, unions,
-    dominated, digests)`` with rows in exact lexicographic order.
+    digests)`` with rows in exact lexicographic order.
     """
     block_size = DEFAULT_BLOCK_SIZE
     prefixes: List[Any] = []
@@ -324,17 +347,16 @@ def _block_chunks(
     metas: List[Tuple[Tuple[int, ...], int, int]] = []
     filled = 0
 
-    def _evaluate() -> Tuple[List[Tuple[int, ...]], Any, List[bool], List[int]]:
-        unions, dominated = backend.block_scan(
-            matrix, backend.stack(prefixes), spans
-        )
+    def _evaluate() -> Tuple[List[Tuple[int, ...]], Any, List[int]]:
+        _COUNTERS["blocks_evaluated"] += 1
+        unions = backend.block_scan(matrix, backend.stack(prefixes), spans)
         digests = backend.block_digests(unions)
         subsets = [
             prefix_indices + (last,)
             for prefix_indices, lo, hi in metas
             for last in range(lo, hi)
         ]
-        return subsets, unions, dominated, digests
+        return subsets, unions, digests
 
     for prefix_indices, prefix, last_lo, last_hi in _prefix_runs(
         signatures, backend, size
@@ -363,6 +385,119 @@ def _subset_key(
     for index in indices:
         signature = union(signature, signatures[index])
     return backend.key(signature)
+
+
+# -- the dominance search -----------------------------------------------------
+
+
+class _BudgetExpired(Exception):
+    """Unwinds the dominance search when its budget runs out."""
+
+
+#: Tree nodes between budget polls inside one element's tree.  Where a subset
+#: budget truncates does not depend on it: the search stops during the first
+#: level whose cumulative node count reaches the budget, since the last poll
+#: of every level comes after its last node.
+_POLL_STRIDE = 256
+
+
+class _LazyCoverers(Dict[int, Tuple[int, ...]]):
+    """``column -> coverers`` (ascending row positions), each computed from
+    the rows on first use — the search reads only its branching columns."""
+
+    def __init__(self, rows: Sequence[int]) -> None:
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, column: int) -> Tuple[int, ...]:
+        bit = 1 << column
+        found = self[column] = tuple(
+            i for i, row in enumerate(self.rows) if row & bit
+        )
+        return found
+
+
+class _DominatorSearch:
+    """The bounded hitting-set search of the µ reduction (module docstring,
+    "The µ search").
+
+    ``rows[i]`` is element ``i``'s row, ``coverers[c]`` the ascending
+    element positions on column ``c``, and ``buckets`` splits the covered
+    columns by coverer count, ascending.  The search order is (coverer
+    count, column index): the first un-hit column is the lowest bit of the
+    first bucket the un-hit set meets.  ``nodes`` counts the candidate
+    coverers tried, over every level so far.
+    """
+
+    def __init__(
+        self,
+        rows: Sequence[int],
+        coverers: Any,
+        buckets: Sequence[int],
+        budget: Optional[Budget],
+    ) -> None:
+        self.rows = rows
+        self.coverers = coverers
+        self.buckets = buckets
+        self.budget = budget
+        self.nodes = 0
+        self._charged = 0
+
+    def _charge(self, nodes: int) -> None:
+        assert self.budget is not None
+        spent, self._charged = nodes - self._charged, nodes
+        if self.budget.spend(spent):
+            raise _BudgetExpired
+
+    def dominators(self, level: int) -> Dict[Tuple[int, ...], int]:
+        """Every size-``level`` dominator (ascending positions) mapped to the
+        smallest element it dominates — empty when there is none.  Assumes
+        no smaller dominator exists, so every leaf has exactly ``level``
+        elements.  Raises :class:`_BudgetExpired` when the budget runs out.
+        """
+        rows, coverers, buckets, budget = (
+            self.rows, self.coverers, self.buckets, self.budget
+        )
+        found: Dict[Tuple[int, ...], int] = {}
+        chosen: List[int] = []
+        nodes = self.nodes
+        v = 0
+
+        def descend(unhit: int, excluded: int, remaining: int) -> None:
+            nonlocal nodes
+            # Branch on the first un-hit column: the fewest coverers.
+            for bucket in buckets:
+                first = unhit & bucket
+                if first:
+                    break
+            candidates = coverers[(first & -first).bit_length() - 1]
+            if remaining == 1:
+                # The last element must cover every un-hit column at once.
+                for w in candidates:
+                    if not excluded >> w & 1:
+                        nodes += 1
+                        if unhit & rows[w] == unhit:
+                            found.setdefault(tuple(sorted(chosen + [w])), v)
+                return
+            if budget is not None and nodes - self._charged >= _POLL_STRIDE:
+                self._charge(nodes)
+            for w in candidates:
+                if not excluded >> w & 1:
+                    # Include the i-th coverer; later branches exclude it.
+                    nodes += 1
+                    chosen.append(w)
+                    descend(unhit ^ (unhit & rows[w]), excluded, remaining - 1)
+                    chosen.pop()
+                    excluded |= 1 << w
+
+        try:
+            for v, target in enumerate(rows):
+                descend(target, 1 << v, level)
+                if budget is not None:
+                    self._charge(nodes)
+        finally:
+            self.nodes = nodes
+        return found
 
 
 # -- witnesses and results ----------------------------------------------------
@@ -402,7 +537,8 @@ class IdentifiabilityResult:
     witness:
         The confusable pair proving ``µ < value + 1``, when one was found.
     searched_up_to:
-        The largest subset size whose subsets were fully enumerated.
+        The largest subset size the search settled — the size the naive
+        size-ordered sweep would have fully enumerated.
     exhausted_search:
         True when the search hit its size cap without finding a collision.
     stats:
@@ -463,10 +599,14 @@ class SignatureEngine:
         if compress is None:
             compress = compression_enabled()
         plan: Optional[CompressionPlan] = None
+        #: Each internal column's coverers (ascending element positions),
+        #: when a compression pass computed them; see :meth:`_search_columns`.
+        self._coverers: Optional[Tuple[Tuple[int, ...], ...]] = None
         if compress:
             plan, compressed_masks = compress_universe(
                 self.nodes, node_masks, n_paths, backend
             )
+            self._coverers = plan.touch_keys
             if plan.is_identity:
                 plan = None  # nothing merged or dropped: skip the indirection
             else:
@@ -615,6 +755,7 @@ class SignatureEngine:
         engine.nodes = elements
         engine.n_paths = n_paths
         engine.compression = plan
+        engine._coverers = plan.touch_keys
         engine.backend = resolve_backend(backend, plan.n_compressed)
         pack = engine.backend.pack
         key = engine.backend.key
@@ -741,7 +882,7 @@ class SignatureEngine:
                 empty = backend.stack([backend.empty()])
                 yield (), empty[0], backend.block_digests(empty)[0]
                 continue
-            for subsets, unions, _dominated, digests in _block_chunks(
+            for subsets, unions, digests in _block_chunks(
                 signatures, backend, matrix, size
             ):
                 for j, indices in enumerate(subsets):
@@ -784,22 +925,24 @@ class SignatureEngine:
     ) -> IdentifiabilityResult:
         """Exact maximal identifiability of the (possibly restricted) universe.
 
-        Semantics match the naive reference sweep exactly: the first subset
-        size ``s`` at which two subsets of size ≤ s share a signature gives
-        ``µ = s − 1``; searching up to the cap without a collision gives the
-        exhausted result.  See the module docstring for the fast paths.
+        µ, ``searched_up_to`` and ``exhausted_search`` match the naive
+        reference sweep exactly: the first subset size ``s`` at which two
+        subsets of size ≤ s share a signature gives ``µ = s − 1``; searching
+        up to the cap without a collision gives the exhausted result.  The
+        witness follows the canonical rule of the module docstring ("The µ
+        search", item 5), which also describes the search itself.
 
         ``budget`` (``None`` = the global :func:`budget_policy` limits)
-        bounds the search cooperatively: on expiry the sweep stops at the
-        last fully completed subset size and returns a *certified lower
-        bound* — ``exhausted_search=False``, ``searched_up_to`` at the
-        completed size, ``stats.budget_exhausted=True`` — exactly the
-        truncated-µ semantics of an explicit ``max_size``, just decided at
-        run time.
+        bounds the search cooperatively, counting search-tree nodes against
+        a ``subset_budget``: on expiry the search stops at the last fully
+        completed level and returns a *certified lower bound* —
+        ``exhausted_search=False``, ``searched_up_to`` at that level,
+        ``stats.budget_exhausted=True`` — exactly the truncated-µ semantics
+        of an explicit ``max_size``, just decided at run time.
 
         An unrestricted call without a budget is answered from the search
         memo when its cap follows from the last exact result (module
-        docstring, item 5); every exact unrestricted result refills it.
+        docstring, item 6); every exact unrestricted result refills it.
         """
         universe = self._resolve_universe(nodes)
         if not universe:
@@ -824,7 +967,7 @@ class SignatureEngine:
             elif cap == 1:
                 result = IdentifiabilityResult(1, None, 1, True, covered)
             else:
-                result = self._sweep(universe, cap, budget)
+                result = self._dominance_search(universe, cap, budget)
             assert result.stats is not None
             if memoized and not result.stats.budget_exhausted:
                 self._remember(result)
@@ -861,100 +1004,114 @@ class SignatureEngine:
         ):
             self._memo = result
 
-    def _sweep(
-        self, universe: Tuple[Node, ...], cap: int, budget: Optional[Budget]
-    ) -> IdentifiabilityResult:
-        """Sizes 2..cap over the chunked frontier (sizes 0/1 already
-        certified collision-free by the fast path).
+    def _search_columns(
+        self, universe: Tuple[Node, ...]
+    ) -> Tuple[List[int], Any, List[int]]:
+        """``(rows, coverers, buckets)`` for the µ search over ``universe``:
+        the element rows, each column's coverers (``coverers[c]``, ascending
+        positions in ``universe``), and one mask per coverer count — the
+        covered columns with 1, 2, ... coverers, ascending, empty ones
+        skipped.
 
-        The per-row loop does dict work only: dominance first, then the
-        digest table.  One :meth:`~repro.resilience.budget.Budget.spend` per
-        *inserted* row, so a subset budget truncates at a deterministic
-        point; on expiry the partial size is discarded and the result stops
-        at the previous completed size.
+        The full universe of an engine built through compression reads the
+        coverers its compression pass kept; any other universe finds a
+        column's coverers on first use.  Nothing here depends on the backend
+        or on compression (module docstring, "The µ search", item 3).
         """
         backend = self.backend
-        key = backend.key
-        signatures = [self._signatures[node] for node in universe]
-        matrix = backend.stack(signatures)
+        rows = [backend.mask(self._signatures[node]) for node in universe]
+        coverers: Any = self._coverers
+        if universe is not self.nodes or coverers is None:
+            coverers = _LazyCoverers(rows)
+        # A bit-sliced counter: planes[i] holds bit i of every column's
+        # coverer count, one ripple-carry add per row.
+        planes: List[int] = []
+        covered = 0
+        for row in rows:
+            covered |= row
+            carry = row
+            for i, plane in enumerate(planes):
+                planes[i] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        # Split the covered columns by count bit, most significant first, so
+        # the buckets come out in ascending count order.
+        buckets = [covered]
+        for plane in reversed(planes):
+            split: List[int] = []
+            for mask in buckets:
+                high = mask & plane
+                split += [part for part in (mask ^ high, high) if part]
+            buckets = split
+        return rows, coverers, buckets
+
+    def _dominance_search(
+        self, universe: Tuple[Node, ...], cap: int, budget: Optional[Budget]
+    ) -> IdentifiabilityResult:
+        """Levels ``1 .. cap`` of the dominance search (sizes 0/1 already
+        certified collision-free by the fast path); module docstring, "The
+        µ search"."""
         n = len(universe)
-        # digest -> [indices, ...] in enumeration order, seeded with the
-        # ∅/singleton subsets the fast path certified distinct.
-        table: Dict[int, List[Tuple[int, ...]]] = {}
-        empty_digest = backend.block_digests(backend.stack([backend.empty()]))[0]
-        table[empty_digest] = [()]
-        for index, digest in enumerate(backend.block_digests(matrix)):
-            table.setdefault(digest, []).append((index,))
-        entries = 1 + n
-        enumerated = n + 1
-        blocks = 0
-        pruned = 0
+        rows, coverers, buckets = self._search_columns(universe)
+        search = _DominatorSearch(rows, coverers, buckets, budget)
 
         def result(
             value: int,
-            witness: Optional[ConfusablePair],
-            searched: int,
-            subsets: int,
-            dominance: int = 0,
+            witness: Optional[ConfusablePair] = None,
+            searched: Optional[int] = None,
+            found: Optional[Dict[Tuple[int, ...], int]] = None,
+            groups: int = 0,
             budget_exhausted: bool = False,
         ) -> IdentifiabilityResult:
             return IdentifiabilityResult(
                 value,
                 witness,
-                searched,
+                value if searched is None else searched,
                 witness is None and not budget_exhausted,
                 SearchStats(
-                    subsets, dominance, entries, budget_exhausted, blocks, pruned
+                    n + 1 + search.nodes,
+                    len(found or ()),
+                    groups,
+                    budget_exhausted,
+                    search.nodes,
                 ),
             )
 
-        def nodes_of(indices: Sequence[int]) -> FrozenSet[Node]:
+        def nodes_of(indices: Iterable[int]) -> FrozenSet[Node]:
             return frozenset(universe[i] for i in indices)
 
         if budget is not None:
             budget.start()
-            budget.spend(enumerated)
-        for size in range(2, cap + 1):
-            if budget is not None and budget.expired():
-                return result(size - 1, None, size - 1, budget.consumed,
-                              budget_exhausted=True)
-            for subsets, unions, dominated, digests in _block_chunks(
-                signatures, backend, matrix, size
-            ):
-                blocks += 1
-                for j, digest in enumerate(digests):
-                    indices = subsets[j]
-                    if dominated[j]:
-                        # Dominance: P(last) ⊆ P(U∖{last}), so U collides
-                        # with U∖{last} — certified without the table.
-                        smaller = nodes_of(indices[:-1])
-                        witness = ConfusablePair(
-                            smaller, smaller | {universe[indices[-1]]}
-                        )
-                        position = enumerated + _lex_rank(indices, n, size) + 1
-                        return result(size - 1, witness, size, position, 1)
-                    bucket = table.get(digest)
-                    if bucket is None:
-                        table[digest] = [indices]
-                        pruned += 1
-                    else:
-                        exact = key(unions[j])
-                        for candidate in bucket:
-                            if _subset_key(signatures, backend, candidate) == exact:
-                                witness = ConfusablePair(
-                                    nodes_of(candidate), nodes_of(indices)
-                                )
-                                position = (
-                                    enumerated + _lex_rank(indices, n, size) + 1
-                                )
-                                return result(size - 1, witness, size, position)
-                        bucket.append(indices)
-                    entries += 1
-                    if budget is not None and budget.spend():
-                        return result(size - 1, None, size - 1, budget.consumed,
-                                      budget_exhausted=True)
-            enumerated += math.comb(n, size)
-        return result(cap, None, cap, enumerated)
+        for level in range(1, cap + 1):
+            try:
+                found = search.dominators(level)
+            except _BudgetExpired:
+                # Level ``level`` is incomplete: every smaller one is done.
+                return result(max(level - 1, 1), budget_exhausted=True)
+            if found:
+                break
+        else:
+            return result(cap)
+        by_union: Dict[int, List[Tuple[int, ...]]] = {}
+        for dominator in found:
+            union = 0
+            for i in dominator:
+                union |= rows[i]
+            by_union.setdefault(union, []).append(dominator)
+        pairs = [sorted(group)[:2] for group in by_union.values() if len(group) > 1]
+        if pairs:
+            first, second = min(pairs)
+            witness = ConfusablePair(nodes_of(first), nodes_of(second))
+            return result(level - 1, witness, level, found, len(by_union))
+        if cap == level:
+            return result(level, None, level, found, len(by_union))
+        dominator = min(found)
+        smaller = nodes_of(dominator)
+        witness = ConfusablePair(smaller, smaller | {universe[found[dominator]]})
+        return result(level, witness, level + 1, found, len(by_union))
 
     # -- separation queries --------------------------------------------------
     def separates(self, first: Iterable[Node], second: Iterable[Node]) -> bool:
@@ -985,7 +1142,7 @@ class SignatureEngine:
         if budget is not None:
             budget.start()
         buckets: Dict[int, List[Tuple[int, ...]]] = {}
-        for subsets, _unions, _dominated, digests in _block_chunks(
+        for subsets, _unions, digests in _block_chunks(
             signatures, backend, backend.stack(signatures), size
         ):
             for indices, digest in zip(subsets, digests):
@@ -997,6 +1154,7 @@ class SignatureEngine:
         groups: List[List[Tuple[int, ...]]] = []
         for members in buckets.values():
             if len(members) == 1:
+                _COUNTERS["block_rows_pruned"] += 1
                 groups.append(members)
                 continue
             by_key: Dict[Any, List[Tuple[int, ...]]] = {}

@@ -57,7 +57,7 @@ class BudgetExceededError(IdentifiabilityError):
     query that cannot degrade gracefully.
 
     ``identifiability()`` never raises this — it truncates at the last fully
-    completed subset size and flags ``stats.budget_exhausted`` instead.  The
+    completed search level and flags ``stats.budget_exhausted`` instead.  The
     census queries (``separability_matrix``, ``inseparable_pairs``) raise it,
     because a partially enumerated census would be silently wrong rather than
     a certified lower bound.

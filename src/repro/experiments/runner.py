@@ -722,8 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget for every exact-µ subset search: on expiry "
-        "the search truncates at the last fully completed subset size "
+        help="wall-clock budget for every exact-µ search: on expiry "
+        "the search truncates at the last fully completed level "
         "(exhausted_search=false, stats.budget_exhausted=true — a certified "
         "lower bound), propagated to pool workers",
     )

@@ -1,20 +1,21 @@
-"""Deadlines and cooperative cancellation for the subset search.
+"""Deadlines and cooperative cancellation for the engine's searches.
 
 A :class:`Budget` bounds one search by wall-clock seconds (monotonic clock,
-immune to NTP steps) and/or by a maximum number of enumerated subsets.  The
-engine polls it cooperatively once per frontier row of the subset sweep:
-``identifiability()`` truncates at the last fully completed
-subset size (returning a well-formed, certified-lower-bound
-:class:`~repro.engine.signatures.IdentifiabilityResult` with
-``exhausted_search=False`` and ``stats.budget_exhausted=True``), while the
-census queries raise :class:`~repro.exceptions.BudgetExceededError` because a
-partial census has no sound truncation.
+immune to NTP steps) and/or by a work count, ``subset_budget``.  The engine
+polls it cooperatively:
 
-Subset counting includes the ``n + 1`` size-0/1 subsets the equivalence-class
-fast path certifies, so ``subset_budget`` is on the same scale as the
-``subsets_enumerated`` counter of :class:`SearchStats` — with only a
-``subset_budget`` the truncation point is a pure function of the enumeration
-and therefore deterministic, which is what the metamorphic tests rely on.
+* the µ search (``identifiability()``) charges one unit per search-tree node
+  — one candidate coverer tried — and on expiry truncates at the last fully
+  completed level, returning a well-formed, certified-lower-bound
+  :class:`~repro.engine.signatures.IdentifiabilityResult` with
+  ``exhausted_search=False`` and ``stats.budget_exhausted=True``;
+* the census queries charge one unit per enumerated subset and raise
+  :class:`~repro.exceptions.BudgetExceededError` on expiry, because a
+  partial census has no sound truncation.
+
+The tree is the same on every backend and compression setting, so with only
+a ``subset_budget`` the truncation point is a pure function of the search
+and therefore deterministic, which is what the budget-law tests rely on.
 
 Like the backend/compression knobs, the budget has a process-global
 policy (``budget_policy`` / ``current_budget_limits``) so ``--time-budget``
@@ -58,10 +59,11 @@ def _validate_subset_budget(value: Any) -> Optional[int]:
 
 
 class Budget:
-    """A cooperative wall-clock / subset-count budget for one search.
+    """A cooperative wall-clock / work-count budget for one search.
 
     The budget is *stateful*: :meth:`start` pins the deadline on first use and
-    :meth:`spend` charges enumerated subsets, so a single instance can also be
+    :meth:`spend` charges work units (µ search-tree nodes, census subsets),
+    so a single instance can also be
     shared across several engine calls to bound them jointly.  A fresh
     instance per search (what :func:`resolve_budget` builds from the global
     limits or an :class:`~repro.api.spec.EngineConfig`) gives per-search
@@ -87,7 +89,7 @@ class Budget:
 
     @property
     def consumed(self) -> int:
-        """Subsets charged so far."""
+        """Work units charged so far."""
         return self._consumed
 
     def start(self) -> "Budget":
@@ -97,7 +99,7 @@ class Budget:
         return self
 
     def spend(self, n: int = 1) -> bool:
-        """Charge ``n`` subsets and report whether the budget is exhausted."""
+        """Charge ``n`` work units and report whether the budget is exhausted."""
         self._consumed += n
         return self.expired()
 

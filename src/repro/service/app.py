@@ -29,7 +29,7 @@ Endpoints
     Prometheus-style text exposition: request counts by path/status, a
     latency histogram, in-flight gauge, scenario- and pathset-cache
     counters, the PR-8 resilience ``pool_counters`` and the subset-search
-    counters (``repro_search_*`` — searches, sweep blocks, prunes).
+    counters (``repro_search_*`` — searches, census blocks, prunes).
 
 Error mapping: malformed JSON / invalid specs / bad parameters → 400 with a
 ``{"error": ...}`` body (never a traceback); unknown path → 404; wrong
@@ -198,8 +198,8 @@ class Metrics:
             emit(f"repro_pool_{name}_total", value)
 
         lines.append(
-            "# HELP repro_search Subset-search counters (searches run, "
-            "subsets enumerated, prunes, blocks evaluated)."
+            "# HELP repro_search Search counters (µ searches run, "
+            "subsets enumerated, prunes, census blocks evaluated)."
         )
         for name, value in sorted(search_counters().as_dict().items()):
             emit(f"repro_search_{name}_total", value)

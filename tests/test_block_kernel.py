@@ -1,13 +1,13 @@
-"""The single subset sweep against the naive oracle.
+"""The µ search and the subset frontier against the naive oracles.
 
-The engine has one frontier evaluator (:func:`_block_chunks`) for µ, the
-separability census, the digest stream and local µ.  These suites hold it to
-the brute-force ``itertools.combinations`` oracle in ``tests/oracles.py`` —
-same µ, same witness pair, same ``searched_up_to`` / ``exhausted_search``
-and the same ``subsets_enumerated`` count up to the collision — across every
-routing mechanism, failure universe, backend (numpy vectorized ops and the
-pure-python fallback), compression setting and subset-budget truncation
-point.
+µ runs the dominance search; the separability census, the digest stream and
+local µ run the one frontier evaluator (:func:`_block_chunks`).  These
+suites hold both to the brute-force oracles in ``tests/oracles.py`` — same
+µ, ``searched_up_to`` and ``exhausted_search`` as the
+``itertools.combinations`` sweep, the canonical witness pair, the same
+census — across every routing mechanism, failure universe, backend (numpy
+vectorized ops and the pure-python fallback) and compression setting.  A
+budget-truncated µ is a certified lower bound, identical on every engine.
 """
 
 from __future__ import annotations
@@ -31,16 +31,12 @@ from repro.core.separability import inseparable_pairs_of_size
 from repro.core.truncated import truncated_identifiability
 from repro.engine import signatures as sig
 from repro.engine.backends import PythonBackend, available_backends, numpy_available
-from repro.engine.signatures import (
-    SearchStats,
-    SignatureEngine,
-    _lex_rank,
-    search_counters,
-)
+from repro.engine.signatures import SearchStats, SignatureEngine, search_counters
 from repro.exceptions import IdentifiabilityError
 from repro.resilience.budget import Budget
 
 from oracles import (
+    assert_budget_law,
     assert_matches_oracle,
     naive_inseparable_pairs,
     naive_local_mu,
@@ -72,7 +68,7 @@ def _universe(pathset, kind: str):
 
 class TestBlockParityMatrix:
     """The acceptance matrix: seeds × mechanisms × universes × backends ×
-    compression × budget, every cell against the naive oracle."""
+    compression × budget, every cell against the naive oracles."""
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     @pytest.mark.parametrize("kind", KINDS)
@@ -83,32 +79,36 @@ class TestBlockParityMatrix:
             exact = naive_maximal_identifiability_detailed(
                 pathset, universe=universe
             )
-            budgeted = naive_maximal_identifiability_detailed(
-                pathset, universe=universe, subset_budget=SUBSET_BUDGET
-            )
+            stats, truncated = set(), set()
             for backend, compress in itertools.product(BACKENDS, (True, False)):
                 engine = pathset.engine(backend, compress, universe=universe)
                 context = (seed, mechanism, kind, backend, compress)
-                assert_matches_oracle(engine.identifiability(), exact, context)
-                assert_matches_oracle(
-                    engine.identifiability(budget=Budget(subset_budget=SUBSET_BUDGET)),
-                    budgeted,
-                    context + ("budget",),
+                result = engine.identifiability()
+                assert_matches_oracle(result, exact, context)
+                stats.add(result.stats)
+                budgeted = engine.identifiability(
+                    budget=Budget(subset_budget=SUBSET_BUDGET)
                 )
+                assert_budget_law(budgeted, exact, context + ("budget",))
+                truncated.add((budgeted, budgeted.stats))
+            # Every engine searches the same tree and truncates at one point.
+            assert len(stats) == 1, (seed, mechanism, kind, stats)
+            assert len(truncated) == 1, (seed, mechanism, kind, truncated)
 
     def test_block_size_does_not_change_results(self, monkeypatch):
-        """Chunk boundaries inside and across prefix runs change nothing."""
+        """Chunk boundaries inside and across prefix runs change neither the
+        census nor µ."""
         for seed in range(6):
             pathset = _pathset(seed, "CSP")
             universe = _universe(pathset, "link")
             oracle = naive_maximal_identifiability_detailed(
                 pathset, universe=universe
             )
+            pairs = set(naive_inseparable_pairs(universe, 2))
             for block_size in (1, 2, 3, 7, 4096):
                 monkeypatch.setattr(sig, "DEFAULT_BLOCK_SIZE", block_size)
-                # A fresh engine per chunk size: a reused one would answer
-                # from its search memo without sweeping again.
                 engine = SignatureEngine.from_universe(universe)
+                assert set(engine.inseparable_pairs(2)) == pairs, (seed, block_size)
                 assert_matches_oracle(
                     engine.identifiability(), oracle, (seed, block_size)
                 )
@@ -199,29 +199,27 @@ class TestBlockParityMatrix:
             by_key.setdefault(engine.union_key(subset), set()).add(digest)
         assert all(len(group) == 1 for group in by_key.values())
 
-    def test_lex_rank_matches_enumeration_order(self):
-        for rank, combo in enumerate(itertools.combinations(range(9), 3)):
-            assert _lex_rank(combo, 9, 3) == rank
-
 
 class TestStatsAndCounters:
     def test_block_counters_accumulate(self):
+        """µ searches count into ``searches``; frontier chunks are the
+        census's, and µ evaluates none."""
         pathset = _pathset(1, "CSP")
         engine = pathset.engine()
         before = search_counters()
         result = engine.identifiability()
         after = search_counters()
         assert after.searches == before.searches + 1
-        if result.searched_up_to >= 2:
-            assert result.stats.blocks_evaluated > 0
         assert (
-            after.blocks_evaluated
-            == before.blocks_evaluated + result.stats.blocks_evaluated
+            after.subsets_enumerated
+            == before.subsets_enumerated + result.stats.subsets_enumerated
         )
-        assert (
-            after.block_rows_pruned
-            == before.block_rows_pruned + result.stats.block_rows_pruned
-        )
+        assert after.blocks_evaluated == before.blocks_evaluated
+        engine.inseparable_pairs(2)
+        census = search_counters()
+        assert census.searches == after.searches
+        assert census.blocks_evaluated > after.blocks_evaluated
+        assert census.block_rows_pruned > after.block_rows_pruned
 
     def test_result_stats_and_counters(self):
         pathset = _pathset(1, "CSP")
@@ -236,8 +234,7 @@ class TestStatsAndCounters:
             "dominance_prunes",
             "table_entries",
             "budget_exhausted",
-            "blocks_evaluated",
-            "block_rows_pruned",
+            "tree_nodes",
         }
         second = engine.identifiability(budget=Budget(subset_budget=10**9))
         assert second == first  # stats never participate in equality
@@ -246,12 +243,15 @@ class TestStatsAndCounters:
         assert after.subsets_enumerated > before.subsets_enumerated
 
     def test_exhausted_stats_count_every_subset(self):
+        """``subsets_enumerated`` is the fast path's ``n + 1`` subsets plus
+        one candidate set per search-tree node."""
         pathset = _pathset(2, "CSP")
         engine = pathset.engine()
-        universe = engine.nodes[:6]
-        result = engine.identifiability(nodes=universe)
-        if result.exhausted_search:
-            assert result.stats.subsets_enumerated == 2 ** len(universe)
+        for universe in (engine.nodes[:6], engine.nodes):
+            result = engine.identifiability(nodes=universe)
+            assert result.stats.subsets_enumerated == (
+                len(universe) + 1 + result.stats.tree_nodes
+            )
 
 
 class TestTypedSizeValidation:
@@ -323,12 +323,10 @@ class TestBackendBatchedOps:
         stacked = backend.stack(rows)
         prefixes = backend.stack([backend.pack(1 << 1), backend.pack(1 << 4)])
         # Two spans against two different prefixes in one chunk.
-        unions, dominated = backend.block_scan(
-            stacked, prefixes, [(0, 1, 4), (1, 4, 5)]
-        )
-        assert len(unions) == 4 and len(dominated) == 4
-        assert dominated[0] is True or dominated[0] == True  # noqa: E712
-        assert dominated[3] is True or dominated[3] == True  # noqa: E712
+        unions = backend.block_scan(stacked, prefixes, [(0, 1, 4), (1, 4, 5)])
+        assert len(unions) == 4
+        assert backend.key(unions[0]) == backend.key(prefixes[0])
+        assert backend.key(unions[3]) == backend.key(prefixes[1])
         assert backend.key(unions[1]) == backend.key(
             backend.union(backend.pack(1 << 1), rows[2])
         )
@@ -349,7 +347,7 @@ class TestBackendBatchedOps:
         prefix_b = backend.pack((1 << 129) | (1 << 5))
         prefixes = backend.stack([prefix_a, prefix_b])
         spans = [(0, 0, 4), (1, 4, 9)]
-        unions, dominated = backend.block_scan(stacked, prefixes, spans)
+        unions = backend.block_scan(stacked, prefixes, spans)
         expected = [(prefix_a, row) for row in rows[0:4]] + [
             (prefix_b, row) for row in rows[4:9]
         ]
@@ -357,7 +355,6 @@ class TestBackendBatchedOps:
             assert backend.key(unions[j]) == backend.key(
                 backend.union(prefix, row)
             )
-            assert dominated[j] == backend.is_subset(row, prefix)
         digests = backend.block_digests(stacked)
         # Equal rows hash equal; the mix must separate these distinct rows.
         assert len(set(digests)) == len(rows)
@@ -390,17 +387,21 @@ class TestBackendBatchedOps:
                 assert from_numpy == from_python == indices, (width, indices)
 
     def test_kernel_block_legal_without_numpy(self, monkeypatch):
-        """The sweep runs on the pure-python fallback when numpy is absent."""
+        """µ and the census run on the pure-python fallback when numpy is
+        absent."""
         from repro.engine import backends
 
         monkeypatch.setattr(backends, "_np", None)
         pathset = _pathset(0, "CSP")
-        result = pathset.engine("python").identifiability()
+        engine = pathset.engine("python")
         assert_matches_oracle(
-            result, naive_maximal_identifiability_detailed(pathset)
+            engine.identifiability(), naive_maximal_identifiability_detailed(pathset)
         )
-        if result.searched_up_to >= 2:
-            assert result.stats.blocks_evaluated > 0
+        before = search_counters().blocks_evaluated
+        assert set(engine.inseparable_pairs(2)) == set(
+            naive_inseparable_pairs(pathset.universe("node"), 2)
+        )
+        assert search_counters().blocks_evaluated > before
 
 
 class TestSpecRunnerAndWorkers:

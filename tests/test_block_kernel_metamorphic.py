@@ -1,13 +1,14 @@
-"""Engine-level metamorphic oracle: for *random* small instances the subset
-sweep must agree with the naive oracle on everything observable — µ, the
-min-lex witness, ``searched_up_to``/``exhausted_search``, the enumeration
-accounting, and the full separability census — at every chunk size.
+"""Engine-level metamorphic oracle: for *random* small instances and caps
+the µ search must agree with the naive oracles on everything observable —
+µ, ``searched_up_to``/``exhausted_search`` and the canonical witness — and
+search the same tree on every backend × compression engine, and the subset
+census must reproduce the full separability census at every chunk size.
 
 Hypothesis drives the instance generator (a raw ``(element-masks, n_paths)``
-pair fed straight into :class:`SignatureEngine`, no graph layer in between,
-so shrinking produces minimal engine inputs); every shrunk failure gets
-committed as a ``tests/corpus/block_kernel_*.json`` regression file and
-replayed on every run.
+pair plus a cap fed straight into :class:`SignatureEngine`, no graph layer
+in between, so shrinking produces minimal engine inputs); every shrunk
+failure gets committed as a ``tests/corpus/block_kernel_*.json`` regression
+file and replayed on every run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.engine import signatures as sig  # noqa: E402
 from repro.engine.backends import available_backends  # noqa: E402
 from repro.engine.signatures import SignatureEngine  # noqa: E402
 
-from oracles import assert_matches_oracle, naive_sweep, union_mask  # noqa: E402
+from oracles import assert_matches_oracle, naive_oracle, union_mask  # noqa: E402
 
 CORPUS_GLOB = os.path.join(
     os.path.dirname(__file__), "corpus", "block_kernel_*.json"
@@ -46,23 +47,25 @@ def instances(draw):
     compress = draw(st.booleans())
     backend = draw(st.sampled_from(sorted(available_backends())))
     block_size = draw(st.sampled_from([1, 2, 3, 1024]))
+    cap = draw(st.sampled_from([0, 1, 2, 3, None]))
     return {
         "n_paths": n_paths,
         "masks": masks,
         "compress": compress,
         "backend": backend,
         "block_size": block_size,
+        "cap": cap,
     }
 
 
-def _engine(instance) -> SignatureEngine:
+def _engine(instance, backend=None, compress=None) -> SignatureEngine:
     nodes = [f"e{i}" for i in range(len(instance["masks"]))]
     return SignatureEngine(
         nodes,
         dict(zip(nodes, instance["masks"])),
         instance["n_paths"],
-        backend=instance["backend"],
-        compress=instance["compress"],
+        backend=instance["backend"] if backend is None else backend,
+        compress=instance["compress"] if compress is None else compress,
     )
 
 
@@ -70,14 +73,21 @@ def _assert_instance_parity(instance) -> None:
     engine = _engine(instance)
     masks = dict(zip(engine.nodes, instance["masks"]))
     n = len(engine.nodes)
+    cap = instance.get("cap")
     previous = sig.DEFAULT_BLOCK_SIZE
     # ``block_size`` sets the chunk boundary, so tiny chunks split prefix
     # runs exactly as the 1024-row default does on large frontiers.
     sig.DEFAULT_BLOCK_SIZE = instance["block_size"]
     try:
-        assert_matches_oracle(
-            engine.identifiability(), naive_sweep(engine.nodes, masks), instance
-        )
+        result = engine.identifiability(max_size=cap)
+        assert_matches_oracle(result, naive_oracle(engine.nodes, masks, cap), instance)
+        # Every backend × compression engine runs the same search tree.
+        for backend, compress in itertools.product(
+            available_backends(), (True, False)
+        ):
+            other = _engine(instance, backend, compress).identifiability(max_size=cap)
+            assert other == result, (instance, backend, compress)
+            assert other.stats == result.stats, (instance, backend, compress)
         for size in range(1, min(n, 3) + 1):
             pairs = engine.inseparable_pairs(size)
             subsets = list(itertools.combinations(engine.nodes, size))

@@ -1,9 +1,9 @@
 """Tests for the signature engine (repro.engine).
 
 The engine must be a drop-in replacement for the naive reference sweep: same
-µ, same exhaustion semantics, valid witnesses — on every routing mechanism
-and on both backends — plus the keyed pathset cache used by the experiment
-drivers.
+µ, same exhaustion semantics, the canonical witness — on every routing
+mechanism and on both backends — plus the keyed pathset cache used by the
+experiment drivers.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.routing.paths import PathSet, enumerate_paths
 from repro.topology.random_graphs import erdos_renyi_connected
 from repro.utils.bitset import bits_of
 
-from oracles import naive_maximal_identifiability_detailed
+from oracles import assert_matches_oracle, naive_maximal_identifiability_detailed
 
 MECHANISMS = ("CSP", "CAP-", "CAP")
 
@@ -97,6 +97,11 @@ class TestEngineNaiveParity:
     def test_mu_and_witness_parity(self, seed, mechanism):
         _, _, pathset = random_instance(seed, mechanism)
         naive = naive_maximal_identifiability_detailed(pathset, max_size=4)
+        assert_matches_oracle(
+            pathset.engine().identifiability(max_size=4), naive, (seed, mechanism)
+        )
+        # The core layer may exit early on an uncovered node, with its own
+        # (∅, {v}) witness; everything else is the engine's.
         fast = maximal_identifiability_detailed(pathset, max_size=4)
         assert fast.value == naive["value"]
         assert fast.exhausted_search == naive["exhausted"]
@@ -124,8 +129,7 @@ class TestEngineNaiveParity:
             pathset, max_size=3, nodes=restricted
         )
         fast = maximal_identifiability_detailed(pathset, max_size=3, nodes=restricted)
-        assert fast.value == naive["value"]
-        assert fast.exhausted_search == naive["exhausted"]
+        assert_matches_oracle(fast, naive, seed)
 
     @pytest.mark.parametrize("seed", (2, 5, 8))
     def test_local_identifiability_unchanged(self, seed):
@@ -223,6 +227,8 @@ class TestBackends:
         assert py.value == np_result.value
         assert py.exhausted_search == np_result.exhausted_search
         assert py.searched_up_to == np_result.searched_up_to
+        assert py.witness == np_result.witness
+        assert py.stats == np_result.stats  # the same search tree
         if py.witness is not None:
             assert_valid_witness(pathset, np_result)
 

@@ -4,10 +4,11 @@ pool, checkpoint/resume, and the deterministic fault-injection harness.
 The central invariants:
 
 * a budget-truncated ``identifiability()`` is always *well-formed* — it stops
-  at a completed subset size, reports ``exhausted_search=False`` and
+  at a completed search level, reports ``exhausted_search=False`` and
   ``stats.budget_exhausted=True``, and its value is a certified lower bound
-  on the exact µ — and a subset budget truncates at the same point on every
-  run, serial or through the trial pool;
+  on the exact µ — and a subset budget (search-tree nodes for µ) truncates
+  at the same point on every run and every backend × compression engine,
+  serial or through the trial pool, and never earlier for a larger budget;
 * a crash-riddled parallel run (seeded worker kills, injected errors) that
   converges produces output **bit-identical** to a clean serial run, because
   retried trials reuse their original pickled spec, seed included;
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.api.spec import EngineConfig, PlacementSpec, ScenarioSpec, TopologySpec
+from repro.engine.backends import available_backends
 from repro.exceptions import (
     BudgetExceededError,
     ExperimentError,
@@ -278,6 +280,54 @@ class TestBudgetMetamorphic:
         large = engine.identifiability(budget=nth_subset_budget(narrow + extra))
         assert small.searched_up_to <= large.searched_up_to
         assert small.value <= large.value
+
+
+def _grid_pathset(n: int, d: int):
+    grid = repro.directed_hypergrid(n, d) if d > 2 else repro.directed_grid(n)
+    return repro.enumerate_paths(grid, repro.chi_g(grid))
+
+
+class TestBudgetLaws:
+    """The µ subset budget counts search-tree nodes.  Over a ladder of node
+    budgets, on every backend × compression engine of cells with µ ≥ 1 in
+    the node and link universes: a truncated result is a certified lower
+    bound (``value == searched_up_to ≤ µ``, no witness, not exhausted),
+    every engine truncates identically, and a larger budget never stops
+    earlier."""
+
+    BUDGETS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 10**9)
+
+    @pytest.mark.parametrize("n, d", [(3, 2), (4, 2), (3, 3)])
+    def test_truncation_laws_over_a_budget_ladder(self, n, d):
+        pathset = _grid_pathset(n, d)
+        levels = set()
+        for kind in ("node", "link"):
+            universe = pathset.universe(kind)
+            exact = pathset.engine(universe=universe).identifiability()
+            engines = [
+                pathset.engine(backend, compress, universe=universe)
+                for backend in available_backends()
+                for compress in (True, False)
+            ]
+            previous = 0
+            for subsets in self.BUDGETS:
+                outcomes = set()
+                for engine in engines:
+                    result = engine.identifiability(budget=nth_subset_budget(subsets))
+                    outcomes.add((result, result.stats))
+                assert len(outcomes) == 1, (n, d, kind, subsets, outcomes)
+                (result, stats), = outcomes
+                if stats.budget_exhausted:
+                    assert result.witness is None
+                    assert result.exhausted_search is False
+                    assert result.value == result.searched_up_to <= exact.value
+                    levels.add(result.searched_up_to)
+                else:
+                    assert result == exact
+                assert result.searched_up_to >= previous, (n, d, kind, subsets)
+                previous = result.searched_up_to
+            assert not stats.budget_exhausted  # the last rung is generous
+        assert 1 in levels
 
 
 class TestChaosConfig:

@@ -19,6 +19,7 @@ from repro.analysis.theory import (
     predicted_mu_directed_tree,
 )
 from repro.analysis.verification import verify
+from repro.api import PlacementSpec, Scenario, ScenarioSpec, TopologySpec
 from repro.core.identifiability import mu
 from repro.monitors.grid_placement import chi_g, reduced_chi_g
 from repro.monitors.tree_placement import chi_t, chi_t_with_missing_leaf
@@ -99,6 +100,25 @@ class TestTheorem48Grids:
 class TestTheorem49Hypergrids:
     def test_three_dimensional_hypergrid_mu_is_three(self, hypergrid_333):
         assert mu(hypergrid_333, chi_g(hypergrid_333)) == 3
+
+    def test_four_dimensional_hypergrid_mu_is_four(self):
+        """Theorem 4.9 at d = 4: H_{3,4} has 81 nodes and 21,152 paths, and
+        its witness sits at size 5 — past C(81, 5) ≈ 25.6 M subsets, out of
+        reach of a size-ordered subset sweep."""
+        scenario = Scenario(
+            ScenarioSpec(
+                topology=TopologySpec("directed_hypergrid", {"n": 3, "d": 4}),
+                placement=PlacementSpec("chi_g"),
+            )
+        )
+        report = scenario.mu()
+        assert (report.value, report.searched_up_to) == (4, 5)
+        assert report.exhausted_search is False
+        first, second = scenario.engine.identifiability().witness
+        assert len(second) == 5
+        assert scenario.pathset.paths_through_set(
+            first
+        ) == scenario.pathset.paths_through_set(second)
 
     def test_prediction_matches(self, hypergrid_333):
         assert predicted_mu_directed_hypergrid(hypergrid_333).exact == 3

@@ -6,8 +6,9 @@ The load-bearing properties of the PR-5 refactor:
   DFS equal a from-scratch re-scan of the emitted paths, and the link
   universe covers every edge of the topology (untraversed edges included).
 * **Engine-vs-naive parity** — for the link and SRLG universes, the engine's
-  µ equals a brute-force sweep over the definition (random instances across
-  seeds × mechanisms), exactly like the node-mode parity tests of PR 1.
+  µ, ``searched_up_to`` and exhaustion equal a brute-force sweep over the
+  definition and its witness the canonical one (random instances across
+  seeds × mechanisms), exactly like the node-mode parity tests.
 * **Schema migration** — v1 spec payloads parse, auto-upgrade to the v2
   node-mode document (snapshotted), and build scenarios bit-identical to
   their v2 twins; malformed universes fail loudly.
@@ -45,6 +46,8 @@ from repro.routing import RoutingMechanism, enumerate_paths
 from repro.topology import claranet, erdos_renyi_connected
 from repro.topology.grids import directed_grid
 from repro.monitors.grid_placement import chi_g
+
+from oracles import assert_matches_oracle, naive_maximal_identifiability_detailed
 
 MECHANISMS = ("CSP", "CAP-", "CAP")
 
@@ -271,6 +274,13 @@ class TestEngineNaiveParity:
                 pathset, max_size=cap, universe=universe
             ).value
             assert engine_mu == naive_mu(universe, cap), (seed, mechanism)
+            assert_matches_oracle(
+                pathset.engine(universe=universe).identifiability(max_size=cap),
+                naive_maximal_identifiability_detailed(
+                    pathset, max_size=cap, universe=universe
+                ),
+                (seed, mechanism),
+            )
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_srlg_mu_matches_naive_sweep(self, mechanism):
@@ -290,6 +300,13 @@ class TestEngineNaiveParity:
                 pathset, max_size=cap, universe=universe
             ).value
             assert engine_mu == naive_mu(universe, cap), (seed, mechanism)
+            assert_matches_oracle(
+                pathset.engine(universe=universe).identifiability(max_size=cap),
+                naive_maximal_identifiability_detailed(
+                    pathset, max_size=cap, universe=universe
+                ),
+                (seed, mechanism),
+            )
 
     @pytest.mark.parametrize("kind", ("link", "srlg"))
     def test_separation_oracle_agrees(self, kind):
