@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 
-from conftest import run_once
+from conftest import exact_mu, run_once
 
 from repro.agrid.design import achievable_identifiability, design_network
-from repro.core.identifiability import mu
 
 
 def _run_design_sweep() -> dict:
@@ -31,7 +30,7 @@ def _run_design_sweep() -> dict:
     }
     # Exact verification on the smallest design (9 nodes, H_{3,2}).
     smallest = plans[9]
-    results[9]["mu_measured"] = mu(smallest.graph, smallest.placement)
+    results[9]["mu_measured"] = exact_mu(smallest.graph, smallest.placement)
     return results
 
 

@@ -9,9 +9,8 @@ all evaluated exactly on small DAG instances.
 from __future__ import annotations
 
 import networkx as nx
-from conftest import run_once
+from conftest import exact_mu, run_once
 
-from repro.core.identifiability import mu
 from repro.embeddings.dimension import order_dimension
 from repro.embeddings.embedding import find_order_embedding, identity_embedding
 from repro.embeddings.poset import transitive_closure
@@ -52,7 +51,7 @@ def _run_embedding_suite() -> dict:
     results["thm_6_7_mu"] = report.mu_value
     results["thm_6_7_dim"] = report.dimension
     results["thm_6_7_holds"] = report.holds
-    results["cor_6_8_holds"] = report.mu_value >= mu(h3, chi_g(h3))
+    results["cor_6_8_holds"] = report.mu_value >= exact_mu(h3, chi_g(h3))
 
     # Order dimension of reference posets.
     results["dim_diamond"] = order_dimension(diamond)

@@ -8,10 +8,9 @@ must respect every applicable bound.
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import exact_mu, run_once
 
 from repro.core.bounds import structural_upper_bound
-from repro.core.identifiability import mu
 from repro.monitors.grid_placement import chi_g
 from repro.monitors.heuristics import mdmp_placement
 from repro.topology.grids import directed_grid
@@ -25,18 +24,18 @@ def _run_bounds_sweep() -> list:
         graph = load(name)
         placement = mdmp_placement(graph, 2)
         report = structural_upper_bound(graph, placement, "CSP")
-        value = mu(graph, placement)
+        value = exact_mu(graph, placement)
         rows.append((name, value, report.combined, report.degree, report.monitor_count))
     for seed in range(5):
         graph = erdos_renyi_connected(7, 0.4, rng=seed)
         placement = mdmp_placement(graph, 2)
         report = structural_upper_bound(graph, placement, "CSP")
-        value = mu(graph, placement)
+        value = exact_mu(graph, placement)
         rows.append((f"gnp_{seed}", value, report.combined, report.degree, report.monitor_count))
     grid = directed_grid(3)
     placement = chi_g(grid)
     report = structural_upper_bound(grid, placement, "CSP")
-    rows.append(("H_3_directed", mu(grid, placement), report.combined, report.degree, report.monitor_count))
+    rows.append(("H_3_directed", exact_mu(grid, placement), report.combined, report.degree, report.monitor_count))
     return rows
 
 

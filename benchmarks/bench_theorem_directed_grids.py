@@ -9,9 +9,8 @@ observation of Section 4.1 (dropping the monitors on (1,2) and (2,1) breaks
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import exact_mu, run_once
 
-from repro.core.identifiability import mu
 from repro.monitors.grid_placement import chi_g, reduced_chi_g
 from repro.topology.grids import directed_grid, directed_hypergrid
 
@@ -20,12 +19,12 @@ def _run_directed_grid_suite() -> dict:
     results = {}
     for n in (3, 4, 5):
         grid = directed_grid(n)
-        results[f"H_{n}"] = mu(grid, chi_g(grid))
+        results[f"H_{n}"] = exact_mu(grid, chi_g(grid))
     for n, d in ((3, 3), (5, 3), (3, 4)):
         hypergrid = directed_hypergrid(n, d)
-        results[f"H_{n}_{d}"] = mu(hypergrid, chi_g(hypergrid))
+        results[f"H_{n}_{d}"] = exact_mu(hypergrid, chi_g(hypergrid))
     weakened = directed_grid(3)
-    results["H_3_reduced_monitors"] = mu(weakened, reduced_chi_g(weakened))
+    results["H_3_reduced_monitors"] = exact_mu(weakened, reduced_chi_g(weakened))
     return results
 
 

@@ -7,9 +7,8 @@ The benchmark measures the exact computation on directed (χ_t) and undirected
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import exact_mu, run_once
 
-from repro.core.identifiability import mu
 from repro.monitors.placement import MonitorPlacement
 from repro.monitors.tree_placement import balanced_leaf_placement, chi_t, chi_t_with_missing_leaf
 from repro.topology.trees import complete_kary_tree, tree_leaves
@@ -18,19 +17,19 @@ from repro.topology.trees import complete_kary_tree, tree_leaves
 def _run_tree_suite() -> dict:
     results = {}
     downward = complete_kary_tree(depth=3, arity=2)
-    results["directed_downward"] = mu(downward, chi_t(downward))
+    results["directed_downward"] = exact_mu(downward, chi_t(downward))
     upward = complete_kary_tree(depth=2, arity=3, direction="up")
-    results["directed_upward"] = mu(upward, chi_t(upward))
+    results["directed_upward"] = exact_mu(upward, chi_t(upward))
     # Optimality: drop one leaf monitor.
     leaf = sorted(tree_leaves(downward))[0]
-    results["directed_missing_leaf"] = mu(downward, chi_t_with_missing_leaf(downward, leaf))
+    results["directed_missing_leaf"] = exact_mu(downward, chi_t_with_missing_leaf(downward, leaf))
     # Undirected, monitor-balanced.
     undirected = complete_kary_tree(depth=3, arity=2).to_undirected()
-    results["undirected_balanced"] = mu(undirected, balanced_leaf_placement(undirected))
+    results["undirected_balanced"] = exact_mu(undirected, balanced_leaf_placement(undirected))
     # Undirected, unbalanced (all inputs in one subtree).
     small = complete_kary_tree(depth=2, arity=2).to_undirected()
     unbalanced = MonitorPlacement.of(inputs={"00", "01"}, outputs={"10", "11"})
-    results["undirected_unbalanced"] = mu(small, unbalanced)
+    results["undirected_unbalanced"] = exact_mu(small, unbalanced)
     return results
 
 

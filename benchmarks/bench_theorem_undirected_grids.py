@@ -8,9 +8,8 @@ are excluded from the timed run.
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import exact_mu, run_once
 
-from repro.core.identifiability import mu
 from repro.monitors.grid_placement import chi_corners
 from repro.monitors.heuristics import random_placement
 from repro.topology.grids import undirected_grid
@@ -20,11 +19,11 @@ def _run_undirected_grid_suite() -> dict:
     results = {}
     for n in (3, 4):
         grid = undirected_grid(n)
-        results[f"H_{n}_corners"] = mu(grid, chi_corners(grid))
+        results[f"H_{n}_corners"] = exact_mu(grid, chi_corners(grid))
     grid3 = undirected_grid(3)
     for seed in range(3):
         placement = random_placement(grid3, 2, 2, rng=seed)
-        results[f"H_3_random_{seed}"] = mu(grid3, placement)
+        results[f"H_3_random_{seed}"] = exact_mu(grid3, placement)
     return results
 
 

@@ -9,7 +9,7 @@ enough.
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import exact_mu, run_once
 
 from repro.agrid.algorithm import agrid
 from repro.agrid.tradeoffs import (
@@ -18,15 +18,14 @@ from repro.agrid.tradeoffs import (
     static_tradeoff,
     uniform_edge_cost,
 )
-from repro.core.identifiability import mu
 from repro.topology.zoo import eunetworks
 
 
 def _run_tradeoff_sweep() -> dict:
     graph = eunetworks()
     boost = agrid(graph, 3, rng=2018)
-    mu_before = mu(graph, boost.placement_original)
-    mu_after = mu(boost.boosted, boost.placement_boosted)
+    mu_before = exact_mu(graph, boost.placement_original)
+    mu_after = exact_mu(boost.boosted, boost.placement_boosted)
 
     kappas = {}
     for horizon in (4, 26, 52, 104, 520):

@@ -73,6 +73,20 @@ def run_once(benchmark, func, *args, **kwargs):
     return result
 
 
+def exact_mu(graph, placement) -> int:
+    """Exact µ(G|χ) under CSP on the :class:`repro.Scenario` facade.
+
+    Enumeration bypasses the process-wide pathset cache, so the large path
+    sets of the theorem benchmarks are freed after their measurement.
+    """
+    from repro.api import EngineConfig, Scenario
+
+    scenario = Scenario.from_components(
+        graph, placement, engine=EngineConfig(cache=False)
+    )
+    return scenario.mu().value
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Write the collected records to ``$BENCH_JSON``, if requested."""
     path = os.environ.get("BENCH_JSON")

@@ -51,8 +51,9 @@ Quickstart
 >>> repro.Scenario(spec).mu().value                     # exact µ(G|χ)
 1
 
-The free functions of the seed releases (``mu(graph, placement)`` and
-friends) remain available as thin deprecated shims over the facade.
+Version 3.0.0 removed the graph-level ``mu`` / ``mu_detailed`` /
+``mu_truncated`` shims and the process-global engine policies; the README's
+"Migration to 3.0.0" table maps each removed name to its replacement.
 """
 
 from repro.__about__ import __version__
@@ -76,14 +77,10 @@ from repro.engine import (
     SignatureEngine,
     available_backends,
     cached_enumerate_paths,
-    select_backend,
 )
 from repro.core import (
     is_k_identifiable,
     maximal_identifiability,
-    mu,
-    mu_detailed,
-    mu_truncated,
     structural_upper_bound,
 )
 from repro.monitors import (
@@ -123,16 +120,12 @@ __all__ = [
     "EngineConfig",
     "registries",
     # core measure
-    "mu",
-    "mu_detailed",
-    "mu_truncated",
     "maximal_identifiability",
     "is_k_identifiable",
     "structural_upper_bound",
     "verify",
     # signature engine
     "SignatureEngine",
-    "select_backend",
     "available_backends",
     "cached_enumerate_paths",
     # routing

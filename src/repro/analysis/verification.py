@@ -69,16 +69,15 @@ def verify(
 ) -> VerificationReport:
     """Compute µ exactly and check it against bounds and predictions.
 
-    Runs on the :class:`repro.api.scenario.Scenario` facade (with a
-    policy-capturing engine config), so it computes exactly what the legacy
-    graph-level wrappers did.
+    Runs on the :class:`repro.api.scenario.Scenario` facade with the default
+    engine config (uncached enumeration).
     """
     from repro.api.scenario import Scenario
     from repro.api.spec import EngineConfig
 
     mechanism = RoutingMechanism.parse(mechanism)
     scenario = Scenario.from_components(
-        graph, placement, mechanism, engine=EngineConfig.from_policy(cache=False)
+        graph, placement, mechanism, engine=EngineConfig(cache=False)
     )
     result: IdentifiabilityResult = scenario.identifiability(max_size=max_size)
     bounds = structural_upper_bound(graph, placement, mechanism)

@@ -14,8 +14,7 @@ every analysis:
   ``to_dict()``/``to_json()``-able report.
 
 The experiment drivers, the parallel trial executor and the CLI ``--spec``
-path are all built on these types; the legacy free-function entry points
-remain as thin deprecated shims over this facade.
+path are all built on these types.
 """
 
 from repro.api import registries

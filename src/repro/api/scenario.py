@@ -16,8 +16,7 @@ the signature engine on first identifiability question.
 Engine policy is **spec-scoped**: the scenario passes its
 :class:`~repro.api.spec.EngineConfig` explicitly into every engine
 construction, so two scenarios with different configs coexist in one process
-without touching the global :func:`repro.engine.select_backend` /
-:func:`repro.engine.select_compression` state.
+(the engine has no global policy to consult).
 
 Quickstart::
 
@@ -402,8 +401,7 @@ class Scenario:
     def identifiability(self, max_size: Optional[int] = None):
         """The raw :class:`~repro.engine.signatures.IdentifiabilityResult`
         (witness as node frozensets) — the engine-native counterpart of
-        :meth:`mu`, used by the legacy shims and by callers that need the
-        un-encoded witness."""
+        :meth:`mu`, for callers that need the un-encoded witness."""
         return self._identifiability_detailed(max_size)[0]
 
     def mu(self, max_size: Optional[int] = None) -> MuReport:
@@ -411,7 +409,8 @@ class Scenario:
 
         ``max_size=None`` caps the search one level above the Section-3
         structural bound (the exactness-preserving default); an explicit cap
-        reproduces the truncated-search semantics of the legacy ``mu()``.
+        gives the truncated-search semantics of
+        :func:`~repro.core.identifiability.maximal_identifiability_detailed`.
         """
         if max_size is None and self._mu_report is not None:
             return self._mu_report

@@ -31,11 +31,9 @@ groups; node labels use the literal-spec codec, so tuple labels are lists).
 Version-1 documents parse unchanged and auto-upgrade to node mode — a v1
 spec and its v2 upgrade build bit-identical scenarios.
 
-The engine axes (``backend``, ``compress``, ``cache``) are **spec-scoped**:
-a scenario built from a spec never reads or mutates the process-global
-policies of :mod:`repro.engine`, so scenarios with different engine configs
-coexist in one process.  :meth:`EngineConfig.from_policy` captures the
-current globals for callers bridging from the legacy policy world.
+The engine axes (``backend``, ``compress``, ``cache``, the budgets) are
+**spec-scoped**: the engine has no process-global policy to read, so
+scenarios with different engine configs coexist in one process.
 """
 
 from __future__ import annotations
@@ -99,8 +97,9 @@ class EngineConfig:
     compress the signature universe, and whether to use the pathset cache.
 
     Defaults match the library defaults (``auto`` backend, compression on,
-    cache on), so a default-constructed config computes exactly what the
-    global-policy path computes out of the box — without touching globals.
+    cache on, unbounded): a default-constructed config computes exactly what
+    ``backend=None, compress=None, budget=None`` computes at the pathset
+    level.
 
     ``time_budget`` (wall-clock seconds) and ``subset_budget`` bound each
     search cooperatively.  ``subset_budget`` counts search-tree nodes for µ
@@ -168,27 +167,6 @@ class EngineConfig:
                 f"engine cache_maxsize must be an int >= 1 or null, "
                 f"got {self.cache_maxsize!r}"
             )
-
-    @classmethod
-    def from_policy(cls, cache: bool = True) -> "EngineConfig":
-        """Capture the current process-global engine policies.
-
-        The bridge for legacy call sites: a spec stamped with the captured
-        config computes exactly what the global-policy code would have,
-        wherever the spec later runs (including pool workers).
-        """
-        from repro.engine.backends import select_backend
-        from repro.engine.compress import compression_enabled
-        from repro.resilience.budget import current_budget_limits
-
-        time_budget, subset_budget = current_budget_limits()
-        return cls(
-            backend=select_backend(),
-            compress=compression_enabled(),
-            cache=cache,
-            time_budget=time_budget,
-            subset_budget=subset_budget,
-        )
 
     def budget(self) -> Optional[Budget]:
         """A fresh per-search :class:`~repro.resilience.Budget` from this

@@ -21,8 +21,6 @@ from repro.core.identifiability import (
     is_k_identifiable,
     maximal_identifiability,
     maximal_identifiability_detailed,
-    mu,
-    mu_detailed,
     resolve_universe,
     separability_matrix,
 )
@@ -39,7 +37,6 @@ from repro.core.separability import (
 )
 from repro.core.truncated import (
     default_truncation_level,
-    mu_truncated,
     truncated_identifiability,
     truncated_identifiability_detailed,
     truncation_error_for_graph,
@@ -66,8 +63,6 @@ __all__ = [
     "is_k_identifiable",
     "maximal_identifiability",
     "maximal_identifiability_detailed",
-    "mu",
-    "mu_detailed",
     "resolve_universe",
     "separability_matrix",
     # local
@@ -81,7 +76,6 @@ __all__ = [
     "verify_k_identifiability_by_separation",
     # truncated
     "default_truncation_level",
-    "mu_truncated",
     "truncated_identifiability",
     "truncated_identifiability_detailed",
     "truncation_error_for_graph",

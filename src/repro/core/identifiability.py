@@ -7,34 +7,34 @@ iff for all ``U, W ⊆ N`` with ``U △ W ≠ ∅`` and ``|U|, |W| ≤ k`` it ho
 Exact algorithm
 ---------------
 
-Enumerate node subsets in order of increasing size (including the empty set —
-a node crossed by no path is confusable with ∅ and forces µ = 0).  Each
-subset's *signature* is the set of paths it touches.  The first size ``s`` at
-which a signature collision occurs yields ``µ = s − 1``:
+The definition suggests enumerating subsets in order of increasing size
+(including the empty set — an element crossed by no path is confusable with
+∅ and forces µ = 0) until two share a signature, the set of paths they
+touch.  The tests keep that sweep as the naive oracle; the engine computes
+the same µ, ``searched_up_to`` and exhaustion without enumerating subsets.
+After an O(|V|) equivalence-class fast path (µ = 0 iff two elements share a
+signature or one is uncovered) it reduces µ to the size ``m`` of the
+smallest *dominator* — a set ``W`` with ``P(v) ⊆ P(W)`` for some
+``v ∉ W`` — found by a bounded hitting-set search over the path columns:
+µ = m − 1 when two size-``m`` dominators have the same union, µ = m
+otherwise.  The section "The µ search" of :mod:`repro.engine.signatures`
+proves the reduction and describes the search, the canonical witness and
+the search memo.
 
-* a collision between subsets of sizes ``s₁ ≤ s₂ = s`` falsifies
-  ``s``-identifiability (both sets have size ≤ s and differ);
-* no collision occurred among subsets of size < s (they were enumerated
-  earlier), so ``(s−1)``-identifiability holds;
-* monotonicity (noted after Definition 2.2) does the rest.
-
-This module is a thin client of the :mod:`repro.engine` subsystem: the search
-itself — equivalence-class fast paths, incremental DFS with prefix unions,
-subset-dominance pruning, interchangeable python/numpy signature backends —
-lives in :class:`repro.engine.signatures.SignatureEngine`.  The search is
-capped by the structural bounds of Section 3 (see
-:func:`repro.core.bounds.structural_upper_bound`), so the computation is exact
-whenever the cap itself is a correct upper bound — which the paper proves for
-CSP and CAP⁻ — and otherwise explores up to ``max_size`` subsets.
+This module is a thin client of the :mod:`repro.engine` subsystem.  The
+search is capped by the structural bounds of Section 3 (see
+:func:`repro.core.bounds.structural_upper_bound`), so the computation is
+exact whenever the cap itself is a correct upper bound — which the paper
+proves for CSP and CAP⁻ — and otherwise certifies identifiability up to
+``max_size``.  The graph-level entry point is
+:meth:`repro.Scenario.mu`, which derives that cap.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
-from repro._typing import AnyGraph, Node
-from repro.core.bounds import structural_upper_bound
+from repro._typing import Node
 from repro.engine.backends import BackendSpec
 from repro.engine.signatures import (
     ConfusablePair,
@@ -44,9 +44,7 @@ from repro.engine.signatures import (
 from repro.exceptions import IdentifiabilityError
 from repro.failures.universe import FailureUniverse
 from repro.resilience.budget import Budget
-from repro.monitors.placement import MonitorPlacement
-from repro.routing.mechanisms import RoutingMechanism
-from repro.routing.paths import PathSet, enumerate_paths
+from repro.routing.paths import PathSet
 
 #: How the ``universe=`` argument of the thin clients is spelled: ``None``
 #: (node mode, the historical default), a kind name (``"node"``/``"link"``),
@@ -61,8 +59,6 @@ __all__ = [
     "maximal_identifiability",
     "is_k_identifiable",
     "find_confusable_pair",
-    "mu",
-    "mu_detailed",
     "resolve_universe",
     "separability_matrix",
 ]
@@ -113,11 +109,12 @@ def maximal_identifiability_detailed(
         Restrict the universe to these elements (defaults to the whole
         universe).  Used by the local-identifiability and what-if analyses.
     backend:
-        Signature backend override (see :func:`repro.engine.select_backend`).
+        Signature backend: ``None``/``"auto"``, ``"python"``, ``"numpy"`` or
+        a :class:`~repro.engine.backends.SignatureBackend` instance.
     compress:
-        Signature-universe compression override (see
-        :func:`repro.engine.select_compression`); ``None`` follows the global
-        policy.  The computed result is identical either way.
+        Signature-universe compression (see :mod:`repro.engine.compress`);
+        ``None`` means ``True``.  The computed result is identical either
+        way.
     universe:
         The failure universe µ ranges over: ``None``/``"node"`` (the paper's
         node measure, bit-identical to the historical behaviour), ``"link"``,
@@ -126,7 +123,7 @@ def maximal_identifiability_detailed(
         elements.
     budget:
         A :class:`repro.resilience.Budget` bounding the search (``None`` =
-        the global :func:`repro.resilience.budget_policy` limits).  On expiry
+        unbounded).  On expiry
         the result truncates at the last fully completed search level with
         ``exhausted_search=False`` and ``stats.budget_exhausted=True`` — a
         certified lower bound, same semantics as a ``max_size`` cap.
@@ -201,108 +198,6 @@ def find_confusable_pair(
     return maximal_identifiability_detailed(
         pathset, max_size, nodes, backend, universe=universe
     ).witness
-
-
-def _warn_graph_level_shim(old: str) -> None:
-    warnings.warn(
-        f"repro.core.{old}(graph, placement, ...) is a legacy shim; build a "
-        "repro.Scenario (repro.Scenario.from_components or a ScenarioSpec) "
-        "and call its analysis methods instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _graph_level_detailed(
-    graph: AnyGraph,
-    placement: MonitorPlacement,
-    mechanism: RoutingMechanism | str,
-    max_size: Optional[int],
-    cutoff: Optional[int],
-    max_paths: Optional[int],
-    backend: BackendSpec,
-) -> IdentifiabilityResult:
-    """The shared engine room of the deprecated graph-level wrappers and of
-    :func:`repro.analysis.verification.verify` (which is not deprecated)."""
-    mechanism = RoutingMechanism.parse(mechanism)
-    if isinstance(backend, str) or backend is None:
-        # The facade path: a spec-scoped engine config capturing the current
-        # global policies, so legacy global-policy callers see no change.
-        from repro.api.scenario import Scenario
-        from repro.api.spec import EngineConfig
-
-        config = EngineConfig.from_policy(cache=False)
-        if backend is not None:
-            config = EngineConfig(
-                backend=backend, compress=config.compress, cache=False
-            )
-        scenario = Scenario.from_components(
-            graph,
-            placement,
-            mechanism,
-            cutoff=cutoff,
-            max_paths=max_paths,
-            engine=config,
-        )
-        return scenario.identifiability(max_size=max_size)
-    # A concrete SignatureBackend instance cannot ride in a serialisable
-    # engine config; run the pathset-level computation directly.
-    kwargs = {}
-    if cutoff is not None:
-        kwargs["cutoff"] = cutoff
-    if max_paths is not None:
-        kwargs["max_paths"] = max_paths
-    pathset = enumerate_paths(graph, placement, mechanism, **kwargs)
-    if max_size is None:
-        bound = structural_upper_bound(graph, placement, mechanism)
-        max_size = bound.combined + 1
-    return maximal_identifiability_detailed(pathset, max_size=max_size, backend=backend)
-
-
-def mu(
-    graph: AnyGraph,
-    placement: MonitorPlacement,
-    mechanism: RoutingMechanism | str = RoutingMechanism.CSP,
-    max_size: Optional[int] = None,
-    cutoff: Optional[int] = None,
-    max_paths: Optional[int] = None,
-    backend: BackendSpec = None,
-) -> int:
-    """End-to-end convenience: µ(G|χ) under a routing mechanism.
-
-    Enumerates ``P(G|χ)``, derives the structural search cap of Section 3 and
-    runs the exact computation.  ``max_size`` overrides the cap (useful for
-    CAP, where the degree bounds do not apply).
-
-    .. deprecated::
-        A thin shim over :meth:`repro.Scenario.mu` — prefer
-        ``Scenario.from_components(graph, placement, mechanism).mu().value``
-        (bit-identical results).
-    """
-    _warn_graph_level_shim("mu")
-    return _graph_level_detailed(
-        graph, placement, mechanism, max_size, cutoff, max_paths, backend
-    ).value
-
-
-def mu_detailed(
-    graph: AnyGraph,
-    placement: MonitorPlacement,
-    mechanism: RoutingMechanism | str = RoutingMechanism.CSP,
-    max_size: Optional[int] = None,
-    cutoff: Optional[int] = None,
-    max_paths: Optional[int] = None,
-    backend: BackendSpec = None,
-) -> IdentifiabilityResult:
-    """Like :func:`mu` but returning the full :class:`IdentifiabilityResult`.
-
-    .. deprecated::
-        A thin shim over :meth:`repro.Scenario.mu`; see :func:`mu`.
-    """
-    _warn_graph_level_shim("mu_detailed")
-    return _graph_level_detailed(
-        graph, placement, mechanism, max_size, cutoff, max_paths, backend
-    )
 
 
 def separability_matrix(

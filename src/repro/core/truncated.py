@@ -27,10 +27,8 @@ from repro.core.identifiability import (
 from repro.engine.backends import BackendSpec
 from repro.engine.signatures import _require_int
 from repro.exceptions import IdentifiabilityError
-from repro.monitors.placement import MonitorPlacement
 from repro.resilience.budget import Budget
-from repro.routing.mechanisms import RoutingMechanism
-from repro.routing.paths import PathSet, enumerate_paths
+from repro.routing.paths import PathSet
 from repro.topology.base import average_degree, min_degree
 
 
@@ -76,50 +74,6 @@ def truncated_identifiability(
     return truncated_identifiability_detailed(
         pathset, alpha, backend, compress, universe, budget
     ).value
-
-
-def mu_truncated(
-    graph: AnyGraph,
-    placement: MonitorPlacement,
-    alpha: Optional[int] = None,
-    mechanism: RoutingMechanism | str = RoutingMechanism.CSP,
-    backend: BackendSpec = None,
-) -> int:
-    """End-to-end µ_α(G|χ).
-
-    ``alpha=None`` uses the paper's default: the (rounded) average degree λ(G).
-
-    .. deprecated::
-        A thin shim over :meth:`repro.Scenario.truncated` — prefer
-        ``Scenario.from_components(graph, placement, mechanism).truncated(alpha)``
-        (bit-identical results).
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.core.mu_truncated(graph, placement, ...) is a legacy shim; "
-        "build a repro.Scenario and call .truncated(alpha) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if alpha is None:
-        alpha = default_truncation_level(graph)
-    if isinstance(backend, str) or backend is None:
-        from repro.api.scenario import Scenario
-        from repro.api.spec import EngineConfig
-
-        config = EngineConfig.from_policy(cache=False)
-        if backend is not None:
-            config = EngineConfig(
-                backend=backend, compress=config.compress, cache=False
-            )
-        scenario = Scenario.from_components(
-            graph, placement, mechanism, engine=config
-        )
-        return scenario.truncated(alpha).value
-    # Concrete backend instances cannot ride in a serialisable engine config.
-    pathset = enumerate_paths(graph, placement, mechanism)
-    return truncated_identifiability(pathset, alpha, backend)
 
 
 def default_truncation_level(graph: AnyGraph) -> int:

@@ -17,8 +17,8 @@ the experiment drivers (:mod:`repro.experiments`):
   all-zero columns) before the signatures are packed, shrinking the mask
   width every query pays for; results are bit-identical and the
   :class:`CompressionPlan` expands measurement vectors back to original path
-  indices.  On by default — ``select_compression(False)`` /
-  ``compression_policy(False)`` scope the raw behaviour.
+  indices.  On by default; ``compress=False`` (or
+  ``EngineConfig(compress=False)``) builds a raw engine.
 * :mod:`repro.engine.cache` memoises enumerated path sets (and thereby the
   engines built on them) under content keys, so experiment tables stop
   re-enumerating identical ``(graph, placement, mechanism)`` triples.
@@ -26,25 +26,18 @@ the experiment drivers (:mod:`repro.experiments`):
 Backend selection
 -----------------
 
-Engines built without an explicit backend follow the global policy:
-
->>> import repro.engine
->>> repro.engine.select_backend()          # the current policy
-'auto'
->>> repro.engine.select_backend("python")  # force big-int masks everywhere
-'python'
->>> repro.engine.select_backend("auto")    # back to the default
-'auto'
-
-Under ``"auto"`` the numpy backend is chosen when numpy is importable and
-the path universe has at least :data:`~repro.engine.backends.NUMPY_MIN_PATHS`
-paths; otherwise the dependency-free python backend is used.  A specific
-engine can always override the policy::
+The backend is an argument, never ambient state: a
+:class:`repro.Scenario` carries it in its spec's
+:class:`~repro.api.spec.EngineConfig`, and the pathset-level functions take
+``backend=``.  ``None`` and ``"auto"`` choose the numpy backend when numpy is
+importable and the path universe has at least
+:data:`~repro.engine.backends.NUMPY_MIN_PATHS` paths, and the
+dependency-free python backend otherwise::
 
     engine = pathset.engine(backend="numpy")   # this engine only
 
-numpy is optional: nothing in the library requires it, and
-``select_backend("numpy")`` raises a clear error when it is missing.
+numpy is optional: nothing in the library requires it, and building a
+``"numpy"`` engine raises a clear error when it is missing.
 """
 
 from repro.engine.backends import (
@@ -53,19 +46,14 @@ from repro.engine.backends import (
     PythonBackend,
     SignatureBackend,
     available_backends,
-    backend_policy,
     normalize_backend_spec,
     numpy_available,
     resolve_backend,
     resolve_backend_name,
-    select_backend,
 )
 from repro.engine.compress import (
     CompressionPlan,
     compress_universe,
-    compression_enabled,
-    compression_policy,
-    select_compression,
 )
 from repro.engine.cache import (
     CacheStats,
@@ -109,15 +97,10 @@ __all__ = [
     "normalize_backend_spec",
     "resolve_backend",
     "resolve_backend_name",
-    "select_backend",
-    "backend_policy",
     "NUMPY_MIN_PATHS",
     # compression
     "CompressionPlan",
     "compress_universe",
-    "compression_enabled",
-    "compression_policy",
-    "select_compression",
     # cache
     "PathSetCache",
     "CacheStats",

@@ -23,24 +23,23 @@ Backend selection
 -----------------
 
 :func:`resolve_backend` turns a backend spec (``None``, a name, or an
-instance) into a concrete backend.  ``None`` defers to the module-level
-policy set via :func:`select_backend`:
+instance) into a concrete backend.  The spec travels explicitly, in
+:class:`repro.api.spec.EngineConfig` or as a ``backend=`` argument; there is
+no process-global policy:
 
-* ``"auto"`` (the default) — numpy when it is importable **and** the path
-  universe has at least :data:`NUMPY_MIN_PATHS` paths, python otherwise;
-* ``"python"`` / ``"numpy"`` — force one backend for every engine.
+* ``"auto"`` (also what ``None`` means) — numpy when it is importable **and**
+  the path universe has at least :data:`NUMPY_MIN_PATHS` paths, python
+  otherwise;
+* ``"python"`` / ``"numpy"`` — force one backend for that engine.
 
-``select_backend("numpy")`` raises when numpy is not installed; the library
-never hard-requires numpy.
+The library never hard-requires numpy.
 """
 
 from __future__ import annotations
 
 import abc
-import contextlib
 import itertools
-import warnings
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from repro.exceptions import IdentifiabilityError
 from repro.utils.bitset import bit_indices, bits_of, mask_from_indices
@@ -59,15 +58,11 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
 #: (``benchmarks/bench_backend_crossover.py`` records that ladder); the
 #: value is set by the whole scenario, where localization and measurement
 #: over a few thousand compressed columns run faster on numpy.  It is read
-#: at resolution time, so tests (and unusual deployments) can override it by
-#: assigning ``repro.engine.backends.NUMPY_MIN_PATHS`` — note that the
-#: re-export in :mod:`repro.engine` is a copied value; patch *this* module's
-#: attribute.
+#: at resolution time, which the backend-parity tests use to run the
+#: ``"auto"`` column primitives on each backend.
 NUMPY_MIN_PATHS = 256
 
 _POLICIES = ("auto", "python", "numpy")
-
-_policy = "auto"
 
 
 def numpy_available() -> bool:
@@ -78,76 +73,6 @@ def numpy_available() -> bool:
 def available_backends() -> Tuple[str, ...]:
     """Names of the backends constructible in this environment."""
     return ("python", "numpy") if numpy_available() else ("python",)
-
-
-def _install_policy(name: str) -> str:
-    """Install a backend policy without a deprecation warning.
-
-    Internal setter used by :func:`backend_policy` and the pool-worker
-    initializer; user code should carry an explicit
-    :class:`repro.api.spec.EngineConfig` instead of mutating the global.
-    """
-    global _policy
-    normalised = str(name).strip().lower()
-    if normalised not in _POLICIES:
-        raise IdentifiabilityError(
-            f"unknown backend policy {name!r}; expected one of {_POLICIES}"
-        )
-    if normalised == "numpy" and not numpy_available():
-        raise IdentifiabilityError(
-            "the numpy backend was requested but numpy is not installed"
-        )
-    _policy = normalised
-    return _policy
-
-
-def select_backend(name: Optional[str] = None) -> str:
-    """Get or set the global backend policy.
-
-    With no argument, returns the current policy (no warning).  With
-    ``"auto"``, ``"python"`` or ``"numpy"``, installs that policy for every
-    engine built without an explicit backend and returns it.
-
-    .. deprecated::
-        Setting the global policy is deprecated in favour of the spec-scoped
-        engine configuration — pass
-        ``EngineConfig(backend=...)`` into a :class:`repro.Scenario` (or the
-        ``backend=`` parameter of the pathset-level functions).  The global
-        setter remains bit-identical in behaviour while it lives.
-    """
-    if name is None:
-        return _policy
-    warnings.warn(
-        "select_backend(name) mutates process-global state; prefer the "
-        "spec-scoped repro.EngineConfig(backend=...) on a repro.Scenario, "
-        "or the scoped backend_policy() context manager",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _install_policy(name)
-
-
-@contextlib.contextmanager
-def backend_policy(name: Optional[str] = None) -> Iterator[str]:
-    """Scope a backend-policy change to a ``with`` block.
-
-    Installs ``name`` (when not ``None``) via :func:`select_backend` and
-    restores the previous policy on exit, so library callers — the CLI
-    runner's ``--backend`` flag in particular — never leak a policy change
-    into the host process::
-
-        with backend_policy("python") as policy:
-            ...  # every engine built here uses big-int masks
-
-    Yields the policy in effect inside the block.
-    """
-    previous = _policy
-    try:
-        if name is not None:
-            _install_policy(name)
-        yield _policy
-    finally:
-        _install_policy(previous)
 
 
 class SignatureBackend(abc.ABC):
@@ -571,7 +496,7 @@ BackendSpec = Union[None, str, SignatureBackend]
 def normalize_backend_spec(backend: BackendSpec) -> str:
     """Canonicalise a backend spec *without* resolving ``"auto"``.
 
-    ``None`` becomes the current global policy; strings are normalised and
+    ``None`` means ``"auto"``; strings are normalised and
     validated; instances map to their concrete name.  Callers that memoise
     engines key on this — keeping ``"auto"`` symbolic lets the engine resolve
     it against the width it will actually operate on (the compressed width),
@@ -579,7 +504,7 @@ def normalize_backend_spec(backend: BackendSpec) -> str:
     """
     if isinstance(backend, SignatureBackend):
         return backend.name
-    name = (_policy if backend is None else str(backend).strip().lower())
+    name = "auto" if backend is None else str(backend).strip().lower()
     if name not in _POLICIES:
         raise IdentifiabilityError(
             f"unknown backend {backend!r}; expected 'auto', 'python' or 'numpy'"

@@ -3,9 +3,10 @@
 The engine's data is the node×path incidence matrix: row ``v`` is the bitmask
 ``P(v)`` and column ``j`` is the *touch-set* of path ``j`` (the nodes the path
 crosses).  Every identifiability query the engine answers — equality of
-``P(U)`` and ``P(W)``, the subset-dominance test ``P(u) ⊆ P(U∖{u})``, unions
-along the subset DFS — is a Boolean-lattice query over rows, and the runtime
-of each primitive scales with the *bit-width* of the rows.  This module
+``P(U)`` and ``P(W)``, the dominance test ``P(v) ⊆ P(W)`` of the µ search
+(see "The µ search" in :mod:`repro.engine.signatures`), unions of rows — is
+a Boolean-lattice query over rows, and the runtime of each primitive scales
+with the *bit-width* of the rows.  This module
 shrinks that width by collapsing duplicate columns.
 
 Soundness of the collapse
@@ -28,12 +29,13 @@ preserves equality and inclusion in both directions::
     P(U) ⊆ P(W)  ⇔  φ(P(U)) ⊆ φ(P(W))
     φ(P(U) ∪ P(W)) = φ(P(U)) ∪ φ(P(W))
 
-Since the µ search, ``iter_subset_signatures``, the separability tables and
-the equivalence-class fast path are compositions of exactly these three
-primitives over node rows, running them on the compressed rows takes the
-*same branches* in the same order and yields bit-identical results — µ,
-witnesses, ``searched_up_to``, exhaustion — at a fraction of the per-union
-cost.  (Gale duality offers the same picture: the paths form a point
+Since the µ search (a hitting-set search over the path columns, see "The µ
+search" in :mod:`repro.engine.signatures`), ``iter_subset_signatures``, the
+separability tables and the equivalence-class fast path are compositions of
+exactly these three primitives over node rows, running them on the
+compressed rows takes the *same branches* in the same order and yields
+bit-identical results — µ, witnesses, ``searched_up_to``, exhaustion — at a
+fraction of the per-union cost.  (Gale duality offers the same picture: the paths form a point
 configuration and repeated points add nothing to its oriented-matroid data.)
 
 The one engine output phrased in path indices — the Boolean measurement
@@ -54,85 +56,24 @@ files the added columns by touch key (one pass over the plan's members, not
 the incidence), and the engine translates clean rows by one class-remap
 gather; see :meth:`repro.engine.signatures.SignatureEngine.from_delta`.
 
-Compression is on by default.  :func:`select_compression` /
-:func:`compression_policy` mirror the backend-policy API so benchmarks, the
-CLI runner (``--no-compress``) and parity tests can scope the raw behaviour.
+Compression is on by default: ``compress=None`` means ``True`` in
+:meth:`repro.routing.paths.PathSet.engine` and
+:class:`~repro.engine.signatures.SignatureEngine`.  The raw behaviour is
+chosen per engine — ``compress=False`` or ``EngineConfig(compress=False)``,
+which is what the CLI runner's ``--no-compress`` builds.
 """
 
 from __future__ import annotations
 
-import contextlib
-import warnings
 from dataclasses import dataclass
 from dataclasses import field as dataclasses_field
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro._typing import Node
 from repro.engine.backends import BackendSpec, resolve_backend
 from repro.exceptions import IdentifiabilityError
 from repro.utils.bitset import bits_of, mask_from_indices
-
-_compression_enabled = True
-
-
-def compression_enabled() -> bool:
-    """Whether engines built without an explicit ``compress=`` collapse
-    duplicate columns (the default)."""
-    return _compression_enabled
-
-
-def _install_compression(enabled: bool) -> bool:
-    """Install the compression policy without a deprecation warning
-    (internal setter for :func:`compression_policy` and the pool workers)."""
-    global _compression_enabled
-    _compression_enabled = bool(enabled)
-    return _compression_enabled
-
-
-def select_compression(enabled: Optional[bool] = None) -> bool:
-    """Get or set the global compression policy.
-
-    With no argument, returns the current policy (no warning); with a
-    boolean, installs it for every engine built without an explicit
-    ``compress=`` argument and returns the new value.  The counterpart of
-    :func:`repro.engine.backends.select_backend` for the compression axis.
-
-    .. deprecated::
-        Setting the global policy is deprecated in favour of the spec-scoped
-        engine configuration — pass ``EngineConfig(compress=...)`` into a
-        :class:`repro.Scenario` (or the ``compress=`` parameter of the
-        pathset-level functions).  Behaviour is unchanged while it lives.
-    """
-    if enabled is None:
-        return _compression_enabled
-    warnings.warn(
-        "select_compression(enabled) mutates process-global state; prefer "
-        "the spec-scoped repro.EngineConfig(compress=...) on a "
-        "repro.Scenario, or the scoped compression_policy() context manager",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _install_compression(enabled)
-
-
-@contextlib.contextmanager
-def compression_policy(enabled: Optional[bool] = None) -> Iterator[bool]:
-    """Scope a compression-policy change to a ``with`` block.
-
-    ``None`` leaves the policy untouched (the block still restores whatever
-    was in effect on entry, so nesting is safe)::
-
-        with compression_policy(False):
-            ...  # every default-built engine here runs on raw columns
-    """
-    previous = _compression_enabled
-    try:
-        if enabled is not None:
-            _install_compression(enabled)
-        yield _compression_enabled
-    finally:
-        _install_compression(previous)
 
 
 @dataclass(frozen=True)

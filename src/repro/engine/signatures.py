@@ -139,7 +139,6 @@ from repro.engine.backends import (
 from repro.engine.compress import (
     CompressionPlan,
     compress_universe,
-    compression_enabled,
 )
 from repro.exceptions import BudgetExceededError, IdentifiabilityError
 from repro.resilience.budget import Budget, resolve_budget
@@ -574,13 +573,12 @@ class SignatureEngine:
         unchanged even under compression — only the internal column width
         shrinks.
     backend:
-        ``None`` (global policy), a backend name, or a
+        ``None`` (``"auto"``), a backend name, or a
         :class:`~repro.engine.backends.SignatureBackend` instance.
     compress:
         Collapse duplicate path columns into a compressed universe (see
         :mod:`repro.engine.compress` for the soundness argument).  ``None``
-        (the default) follows the global policy of
-        :func:`~repro.engine.compress.select_compression`, which is on.
+        (the default) means ``True``.
         Every result — µ, witnesses, ``searched_up_to``, separability
         tables, measurement vectors — is bit-identical either way; only the
         per-union cost changes.
@@ -597,7 +595,7 @@ class SignatureEngine:
         self.nodes: Tuple[Node, ...] = tuple(nodes)
         self.n_paths = n_paths
         if compress is None:
-            compress = compression_enabled()
+            compress = True
         plan: Optional[CompressionPlan] = None
         #: Each internal column's coverers (ascending element positions),
         #: when a compression pass computed them; see :meth:`_search_columns`.
@@ -932,9 +930,8 @@ class SignatureEngine:
         witness follows the canonical rule of the module docstring ("The µ
         search", item 5), which also describes the search itself.
 
-        ``budget`` (``None`` = the global :func:`budget_policy` limits)
-        bounds the search cooperatively, counting search-tree nodes against
-        a ``subset_budget``: on expiry the search stops at the last fully
+        ``budget`` (``None`` = unbounded) bounds the search cooperatively,
+        counting search-tree nodes against a ``subset_budget``: on expiry the search stops at the last fully
         completed level and returns a *certified lower bound* —
         ``exhausted_search=False``, ``searched_up_to`` at that level,
         ``stats.budget_exhausted=True`` — exactly the truncated-µ semantics

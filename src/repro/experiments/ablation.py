@@ -33,6 +33,7 @@ from repro.api.spec import (
 from repro.exceptions import ExperimentError
 from repro.experiments.common import coerce_universe_spec, resolve_dimension
 from repro.experiments.parallel import TrialSpec, run_trials
+from repro.resilience.pool import ExecutionPolicy
 from repro.routing.mechanisms import RoutingMechanism
 from repro.utils.seeds import RngLike, spawn_rng, spawn_seed
 from repro.utils.tables import format_table
@@ -110,9 +111,11 @@ def _run_variant(
     mechanism: RoutingMechanism | str,
     jobs: int = 1,
     universe: str = "node",
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> AblationCell:
     mechanism = RoutingMechanism.parse(mechanism)
-    engine = EngineConfig.from_policy()
+    engine = engine or EngineConfig()
     failures = FailureModel(universe=coerce_universe_spec(universe))
     base_topology = TopologySpec.from_graph(graph).to_dict()
     specs = [
@@ -140,7 +143,7 @@ def _run_variant(
         )
         for run in range(n_runs)
     ]
-    values = run_trials(specs, jobs=jobs)
+    values = run_trials(specs, jobs=jobs, policy=policy)
     return AblationCell(
         variant=variant,
         n_runs=n_runs,
@@ -158,6 +161,8 @@ def placement_ablation(
     dimension: Optional[int] = None,
     jobs: int = 1,
     universe: str = "node",
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> AblationResult:
     """Ablation 1: how the monitor-placement heuristic affects µ(G^A).
 
@@ -173,6 +178,7 @@ def placement_ablation(
         name: _run_variant(
             graph, d, n_runs, spawn_rng(rng, index), name,
             "uniform", name, mechanism, jobs=jobs, universe=universe,
+            engine=engine, policy=policy,
         )
         for index, name in enumerate(PLACEMENT_VARIANTS)
     }
@@ -187,6 +193,8 @@ def selector_ablation(
     dimension: Optional[int] = None,
     jobs: int = 1,
     universe: str = "node",
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> AblationResult:
     """Ablation 2: how Agrid's edge-selection rule affects µ(G^A)."""
     if n_runs < 1:
@@ -197,6 +205,7 @@ def selector_ablation(
         name: _run_variant(
             graph, d, n_runs, spawn_rng(rng, index), name,
             name, "mdmp", mechanism, jobs=jobs, universe=universe,
+            engine=engine, policy=policy,
         )
         for index, name in enumerate(SELECTOR_VARIANTS)
     }

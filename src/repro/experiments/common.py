@@ -149,10 +149,8 @@ def measure_network(
     the defaults are spelled.
 
     ``engine`` scopes the signature-engine configuration (backend,
-    compression, cache use) to this measurement.  ``None`` captures the
-    process-global policies at call time — the exact legacy behaviour — so
-    specs carrying an explicit config and legacy global-policy callers
-    compute identically.
+    compression, cache use, budgets) to this measurement; ``None`` means
+    ``EngineConfig()``.
 
     ``universe`` selects the failure universe µ ranges over: ``None`` /
     ``"node"`` (the bit-identical historical behaviour), ``"link"``, or a
@@ -161,8 +159,7 @@ def measure_network(
     link-mode measurement of the same triple enumerate paths only once.
     """
     mechanism = RoutingMechanism.parse(mechanism)
-    if engine is None:
-        engine = EngineConfig.from_policy()
+    engine = engine or EngineConfig()
     if engine.cache:
         pathset: PathSet = cached_enumerate_paths(
             graph, placement, mechanism, cutoff=cutoff, max_paths=max_paths
@@ -178,7 +175,7 @@ def measure_network(
     if truncation is not None:
         mu_value = truncated_identifiability(
             pathset, truncation, backend=engine.backend, compress=engine.compress,
-            universe=resolved,
+            universe=resolved, budget=engine.budget(),
         )
     else:
         bound = structural_upper_bound(
@@ -190,6 +187,7 @@ def measure_network(
             backend=engine.backend,
             compress=engine.compress,
             universe=resolved,
+            budget=engine.budget(),
         ).value
     return NetworkMeasurement(
         mu=mu_value,
@@ -236,7 +234,7 @@ def compare_with_agrid(
     callable (e.g. a random placement closure) overrides how monitors are
     chosen on *both* graphs, which is what the Tables 11-13 experiments do.
     ``engine`` scopes the signature-engine configuration to both
-    measurements (``None`` = capture the global policies, as before);
+    measurements (``None`` = ``EngineConfig()``);
     ``universe`` selects the failure universe for both (node mode when
     omitted).
     """

@@ -10,22 +10,21 @@ picklable arguments, including a precomputed seed string from
   exactly the pre-parallel serial path, sharing the process-global
   :class:`~repro.engine.cache.PathSetCache`.
 * ``jobs>1`` fans the specs out over a ``ProcessPoolExecutor``.  Every worker
-  is a fresh process with its own process-global cache; an initializer
-  installs the parent's signature-backend policy so ``--backend`` reaches the
-  workers, and each trial reports its worker-cache hit/miss deltas back so
-  the parent can fold them into its own cache counters
-  (:meth:`PathSetCache.record_external`) for ``--cache-stats``.
+  is a fresh process with its own process-global cache; each trial reports
+  its worker-cache hit/miss deltas back so the parent can fold them into its
+  own cache counters (:meth:`PathSetCache.record_external`) for
+  ``--cache-stats``.
 
 Because every trial's randomness is fully determined by its seed string and
 results are returned in spec order, a parallel run is **bit-identical** to a
 serial run of the same specs — the scheduling only changes wall-clock time.
 
-Since the declarative API landed, the table drivers package each trial as a
-pickled :class:`repro.api.spec.ScenarioSpec` (plus at most a couple of scalar
+The table drivers package each trial as a pickled
+:class:`repro.api.spec.ScenarioSpec` (plus at most a couple of scalar
 arguments): seed, topology source, placement strategy, mechanism **and
-engine config** all travel inside the spec, so the worker-side policy
-installation below is a compatibility channel for legacy trial functions
-only — the spec-driven path needs no process-global mutation at all.
+engine config** all travel inside the spec, so ``--backend``,
+``--no-compress`` and ``--time-budget`` reach the workers with no
+process-global state to propagate.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.engine.backends import _install_policy, backend_policy, select_backend
-from repro.engine.compress import _install_compression, compression_enabled
 from repro.engine.cache import pathset_cache
 from repro.engine.signatures import (
     record_external_search,
@@ -47,7 +44,6 @@ from repro.engine.signatures import (
     search_counters,
 )
 from repro.exceptions import ExperimentError
-from repro.resilience.budget import _install_budget_limits, current_budget_limits
 from repro.resilience.chaos import ChaosConfig, chaos_hook, install_chaos
 from repro.resilience.checkpoint import (
     CheckpointJournal,
@@ -58,7 +54,6 @@ from repro.resilience.pool import (
     ExecutionPolicy,
     TrialFailure,
     _record_pool_event,
-    current_execution_policy,
 )
 
 
@@ -111,33 +106,16 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _init_worker(
-    backend: str,
-    compress: bool,
-    time_budget: Optional[float] = None,
-    subset_budget: Optional[int] = None,
-    chaos: Optional[ChaosConfig] = None,
-) -> None:
-    """Pool initializer: propagate the engine policies, start a clean cache.
+def _init_worker(chaos: Optional[ChaosConfig] = None) -> None:
+    """Pool initializer: arm the fault-injection hook, start a clean cache.
 
-    The signature-backend policy (``--backend``), the signature-universe
-    compression policy (``--no-compress``) and the search-budget limits
-    (``--time-budget``) are installed so workers compute exactly as the
-    parent would.  Clearing makes worker
-    caches behave identically under ``fork`` (which inherits a copy of the
-    parent's entries) and ``spawn`` (which starts empty), and makes the
-    reported deltas describe this run only.
-
-    This propagation only matters for *legacy* trial functions that read the
-    process-global policies; trials that carry a
-    :class:`repro.api.spec.ScenarioSpec` (every table driver since the
-    declarative API landed) take their engine config from the spec itself
-    and never consult the globals.  ``chaos`` arms the fault-injection hook
-    (``None`` — the default — means workers never inject faults).
+    ``chaos`` (``None`` — the default — means workers never inject faults) is
+    the only setting a worker needs from the parent; the engine config rides
+    in each trial's pickled spec.  Clearing makes worker caches behave
+    identically under ``fork`` (which inherits a copy of the parent's
+    entries) and ``spawn`` (which starts empty), and makes the reported
+    deltas describe this run only.
     """
-    _install_policy(backend)
-    _install_compression(compress)
-    _install_budget_limits(time_budget, subset_budget)
     install_chaos(chaos)
     pathset_cache().clear()
     reset_search_counters()
@@ -218,7 +196,6 @@ def _merge_worker_counters(results: Iterable[TrialResult]) -> None:
 
 def _run_serial(
     spec_list: List[TrialSpec],
-    backend: Optional[str],
     policy: ExecutionPolicy,
     checkpoint: Optional[CheckpointJournal],
 ) -> List[Any]:
@@ -231,43 +208,41 @@ def _run_serial(
     """
     keys = _checkpoint_keys(spec_list) if checkpoint is not None else []
     values: List[Any] = []
-    with backend_policy(backend):
-        for index, spec in enumerate(spec_list):
-            if checkpoint is not None and keys[index] in checkpoint:
-                values.append(checkpoint.restore(keys[index]))
-                continue
-            failures = 0
-            while True:
-                try:
-                    value = spec.run()
-                except Exception as error:  # noqa: BLE001 - retry boundary
-                    failures += 1
-                    if failures > policy.max_retries:
-                        _record_pool_event("trial_failures")
-                        if policy.failure_mode == "raise":
-                            raise
-                        value = TrialFailure(
-                            index=index,
-                            label=spec.label,
-                            kind="error",
-                            error=str(error) or type(error).__name__,
-                            attempts=failures,
-                        )
-                        break
-                    _record_pool_event("retries")
-                    time.sleep(policy.backoff_seconds(index, failures))
-                else:
-                    if checkpoint is not None:
-                        checkpoint.record(keys[index], value, label=spec.label)
+    for index, spec in enumerate(spec_list):
+        if checkpoint is not None and keys[index] in checkpoint:
+            values.append(checkpoint.restore(keys[index]))
+            continue
+        failures = 0
+        while True:
+            try:
+                value = spec.run()
+            except Exception as error:  # noqa: BLE001 - retry boundary
+                failures += 1
+                if failures > policy.max_retries:
+                    _record_pool_event("trial_failures")
+                    if policy.failure_mode == "raise":
+                        raise
+                    value = TrialFailure(
+                        index=index,
+                        label=spec.label,
+                        kind="error",
+                        error=str(error) or type(error).__name__,
+                        attempts=failures,
+                    )
                     break
-            values.append(value)
+                _record_pool_event("retries")
+                time.sleep(policy.backoff_seconds(index, failures))
+            else:
+                if checkpoint is not None:
+                    checkpoint.record(keys[index], value, label=spec.label)
+                break
+        values.append(value)
     return values
 
 
 def _run_resilient(
     spec_list: List[TrialSpec],
     n_workers: int,
-    initargs: Tuple,
     policy: ExecutionPolicy,
     checkpoint: Optional[CheckpointJournal],
 ) -> List[Any]:
@@ -300,7 +275,7 @@ def _run_resilient(
         return ProcessPoolExecutor(
             max_workers=n_workers,
             initializer=_init_worker,
-            initargs=initargs,
+            initargs=(policy.chaos,),
         )
 
     def charge(index: int, attempt: int, kind: str, error: object) -> None:
@@ -446,7 +421,6 @@ def _run_resilient(
 def run_trials(
     specs: Iterable[TrialSpec],
     jobs: Optional[int] = 1,
-    backend: Optional[str] = None,
     *,
     policy: Optional[ExecutionPolicy] = None,
     checkpoint: Optional[CheckpointJournal] = None,
@@ -454,15 +428,12 @@ def run_trials(
     """Execute the specs and return their values **in spec order**.
 
     ``jobs`` follows :func:`resolve_jobs` (1 = serial in-process, 0 = all
-    cores, N = a pool of N workers).  ``backend`` overrides the signature
-    backend policy for the trials — installed in the workers, or scoped
-    around the serial loop; by default the parent's current policy
-    (:func:`select_backend`) applies, so a scoped ``backend_policy(...)``
-    block in the parent covers the whole fan-out.
+    cores, N = a pool of N workers).  Engine settings are not a parameter:
+    they travel inside each trial's arguments (the drivers' pickled
+    :class:`~repro.api.spec.ScenarioSpec`).
 
-    ``policy`` (default: the ambient :func:`execution_policy
-    <repro.resilience.pool.execution_policy>` scope) selects the
-    fault-tolerant submit loop when any resilience knob is set: per-trial
+    ``policy`` (default: ``ExecutionPolicy()``, the plain fast path) selects
+    the fault-tolerant submit loop when any resilience knob is set: per-trial
     timeouts, bounded retry with exponential backoff, pool rebuild after a
     worker crash, and poison-trial quarantine.  ``checkpoint`` (default: the
     ambient :func:`checkpoint_scope
@@ -478,7 +449,7 @@ def run_trials(
     """
     spec_list = list(specs)
     if policy is None:
-        policy = current_execution_policy()
+        policy = ExecutionPolicy()
     if checkpoint is None:
         checkpoint = active_checkpoint()
     n_jobs = resolve_jobs(jobs)
@@ -486,22 +457,12 @@ def run_trials(
         return []
     if n_jobs == 1 or len(spec_list) == 1:
         if policy.resilient or checkpoint is not None:
-            return _run_serial(spec_list, backend, policy, checkpoint)
-        with backend_policy(backend):  # honor the override on the serial path too
-            return [spec.run() for spec in spec_list]
+            return _run_serial(spec_list, policy, checkpoint)
+        return [spec.run() for spec in spec_list]
 
-    policy_backend = backend if backend is not None else select_backend()
     n_workers = min(n_jobs, len(spec_list))
-    time_budget, subset_budget = current_budget_limits()
-    initargs = (
-        policy_backend,
-        compression_enabled(),
-        time_budget,
-        subset_budget,
-        policy.chaos,
-    )
     if policy.resilient or checkpoint is not None:
-        return _run_resilient(spec_list, n_workers, initargs, policy, checkpoint)
+        return _run_resilient(spec_list, n_workers, policy, checkpoint)
 
     # Chunking amortises IPC for large batches of cheap trials while still
     # keeping every worker busy until the tail of the batch.
@@ -509,7 +470,7 @@ def run_trials(
     with ProcessPoolExecutor(
         max_workers=n_workers,
         initializer=_init_worker,
-        initargs=initargs,
+        initargs=(policy.chaos,),
     ) as pool:
         results = list(
             pool.map(_run_spec, enumerate(spec_list), chunksize=chunksize)

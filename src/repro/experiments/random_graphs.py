@@ -27,6 +27,7 @@ from repro.api.spec import (
 from repro.exceptions import ExperimentError
 from repro.experiments.common import DIMENSION_RULES, coerce_universe_spec, compare_with_agrid
 from repro.experiments.parallel import TrialSpec, run_trials
+from repro.resilience.pool import ExecutionPolicy
 from repro.routing.mechanisms import RoutingMechanism
 from repro.topology.random_graphs import DEFAULT_EDGE_PROBABILITY
 from repro.utils.seeds import RngLike, spawn_rng, spawn_seed
@@ -111,13 +112,16 @@ def run_random_graph_cell(
     mechanism: RoutingMechanism | str = RoutingMechanism.CSP,
     jobs: int = 1,
     universe: str = "node",
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> RandomGraphCell:
     """Run one batch of Agrid-on-random-graph trials (``jobs`` workers).
 
     ``universe`` selects the failure universe of every µ in the cell
     (``"node"``, the paper's measure and the bit-identical default, or
     ``"link"``); it is stamped into each trial's pickled spec, so it reaches
-    the pool workers with no extra plumbing."""
+    the pool workers with no extra plumbing, like ``engine`` (default:
+    ``EngineConfig()``).  ``policy`` is the pool's execution policy."""
     if n_trials < 1:
         raise ExperimentError(f"n_trials must be >= 1, got {n_trials}")
     if dimension_rule not in DIMENSION_RULES:
@@ -126,7 +130,7 @@ def run_random_graph_cell(
             f"expected one of {sorted(DIMENSION_RULES)}"
         )
     mechanism = RoutingMechanism.parse(mechanism)
-    engine = EngineConfig.from_policy()
+    engine = engine or EngineConfig()
     failures = FailureModel(universe=coerce_universe_spec(universe))
     specs = [
         TrialSpec(
@@ -152,7 +156,7 @@ def run_random_graph_cell(
         )
         for trial in range(n_trials)
     ]
-    improvements = run_trials(specs, jobs=jobs)
+    improvements = run_trials(specs, jobs=jobs, policy=policy)
     improved = sum(1 for delta in improvements if delta > 0)
     equal = sum(1 for delta in improvements if delta == 0)
     decreased = sum(1 for delta in improvements if delta < 0)
@@ -202,6 +206,8 @@ def run_random_graph_table(
     rng: RngLike = 2018,
     jobs: int = 1,
     universe: str = "node",
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> RandomGraphTable:
     """Run a full random-graph table.
 
@@ -221,6 +227,8 @@ def run_random_graph_table(
                 rng=cell_rng,
                 jobs=jobs,
                 universe=universe,
+                engine=engine,
+                policy=policy,
             )
     return RandomGraphTable(dimension_rule=dimension_rule, cells=cells)
 
@@ -231,10 +239,13 @@ def run_table6(
     rng: RngLike = 2018,
     jobs: int = 1,
     universe: str = "node",
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> RandomGraphTable:
     """Table 6: the d = sqrt(log n) case."""
     return run_random_graph_table(
-        "sqrt_log", node_counts, batch_sizes, rng=rng, jobs=jobs, universe=universe
+        "sqrt_log", node_counts, batch_sizes, rng=rng, jobs=jobs, universe=universe,
+        engine=engine, policy=policy,
     )
 
 
@@ -244,8 +255,11 @@ def run_table7(
     rng: RngLike = 2018,
     jobs: int = 1,
     universe: str = "node",
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> RandomGraphTable:
     """Table 7: the d = log n case."""
     return run_random_graph_table(
-        "log", node_counts, batch_sizes, rng=rng, jobs=jobs, universe=universe
+        "log", node_counts, batch_sizes, rng=rng, jobs=jobs, universe=universe,
+        engine=engine, policy=policy,
     )

@@ -27,6 +27,7 @@ from repro.api.spec import (
 from repro.exceptions import ExperimentError
 from repro.experiments.common import coerce_universe_spec, resolve_dimension
 from repro.experiments.parallel import TrialSpec, run_trials
+from repro.resilience.pool import ExecutionPolicy
 from repro.routing.mechanisms import RoutingMechanism
 from repro.topology import zoo
 from repro.utils.seeds import RngLike, spawn_rng, spawn_seed
@@ -124,19 +125,23 @@ def run_random_monitor_experiment(
     dimension: Optional[int] = None,
     jobs: int = 1,
     universe: str = "node",
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> RandomMonitorResult:
     """Run the random-monitor comparison on one network (``jobs`` workers).
 
     ``universe`` selects the failure universe of every µ (``"node"`` — the
     bit-identical default — or ``"link"``); it rides inside each trial's
-    pickled spec, and the facade's ``measurement`` analysis honours it."""
+    pickled spec, and the facade's ``measurement`` analysis honours it, like
+    ``engine`` (default: ``EngineConfig()``).  ``policy`` is the pool's
+    execution policy."""
     if n_placements < 1:
         raise ExperimentError(f"n_placements must be >= 1, got {n_placements}")
     mechanism = RoutingMechanism.parse(mechanism)
     d = dimension if dimension is not None else resolve_dimension("log", graph)
     boost = agrid(graph, d, rng=spawn_rng(rng, 0))
 
-    engine = EngineConfig.from_policy()
+    engine = engine or EngineConfig()
     routing = RoutingSpec(mechanism=mechanism.value)
     failures = FailureModel(universe=coerce_universe_spec(universe))
     placement_spec = PlacementSpec("random", {"n_inputs": d, "n_outputs": d})
@@ -174,7 +179,7 @@ def run_random_monitor_experiment(
     ]
     original_counts: Dict[int, int] = {}
     boosted_counts: Dict[int, int] = {}
-    for mu_original, mu_boosted in run_trials(specs, jobs=jobs):
+    for mu_original, mu_boosted in run_trials(specs, jobs=jobs, policy=policy):
         original_counts[mu_original] = original_counts.get(mu_original, 0) + 1
         boosted_counts[mu_boosted] = boosted_counts.get(mu_boosted, 0) + 1
     return RandomMonitorResult(
@@ -219,12 +224,14 @@ def run_table13(
 def run_all_random_monitors(
     n_placements: int = PAPER_N_PLACEMENTS, rng: RngLike = 2018, jobs: int = 1,
     universe: str = "node",
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> Dict[str, RandomMonitorResult]:
     """Run Tables 11-13 and return results keyed by network name."""
     return {
         name: run_random_monitor_experiment(
             zoo.load(name), n_placements, spawn_rng(rng, index), jobs=jobs,
-            universe=universe,
+            universe=universe, engine=engine, policy=policy,
         )
         for index, name in enumerate(RANDOM_MONITOR_TABLES)
     }

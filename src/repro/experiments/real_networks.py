@@ -88,14 +88,12 @@ def run_real_network(
     """Reproduce the Table-3/4/5 measurement for one zoo network.
 
     ``engine`` scopes the signature-engine configuration to this table
-    (``None`` captures the global policies, the legacy behaviour);
+    (``None`` means ``EngineConfig()``);
     ``universe`` selects the failure universe of every µ (``"node"`` — the
     bit-identical default — or ``"link"``).
     """
     graph = zoo.load(name)
     n = graph.number_of_nodes()
-    if engine is None:
-        engine = EngineConfig.from_policy()
     d_sqrt = resolve_dimension("sqrt_log", graph)
     d_log = resolve_dimension("log", graph)
     sqrt_comparison = compare_with_agrid(
@@ -140,10 +138,12 @@ def run_table5(rng: RngLike = 2018) -> RealNetworkResult:
 
 
 def run_all_real_networks(
-    rng: RngLike = 2018, universe: str = "node"
+    rng: RngLike = 2018,
+    universe: str = "node",
+    engine: Optional[EngineConfig] = None,
 ) -> Dict[str, RealNetworkResult]:
     """Run Tables 3-5 and return the results keyed by network name."""
     return {
-        name: run_real_network(name, rng, universe=universe)
+        name: run_real_network(name, rng, engine=engine, universe=universe)
         for name in REAL_NETWORK_TABLES
     }

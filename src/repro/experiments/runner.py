@@ -57,10 +57,9 @@ from repro.api.spec import (
     load_spec_batch,
 )
 from repro.engine import (
-    backend_policy,
     cache_stats,
     clear_pathset_cache,
-    compression_policy,
+    numpy_available,
     search_counters,
 )
 from repro.exceptions import SpecError
@@ -72,7 +71,6 @@ from repro.experiments import (
     truncated,
 )
 from repro.experiments.parallel import TrialSpec, run_trials
-from repro.resilience.budget import budget_policy
 from repro.resilience.chaos import ChaosConfig
 from repro.resilience.checkpoint import (
     CheckpointJournal,
@@ -80,7 +78,7 @@ from repro.resilience.checkpoint import (
     checkpoint_scope,
     fingerprint_payload,
 )
-from repro.resilience.pool import TrialFailure, execution_policy
+from repro.resilience.pool import ExecutionPolicy, TrialFailure
 from repro.topology import zoo
 from repro.utils.tables import format_table
 
@@ -98,13 +96,13 @@ class Section:
         return f"== {self.title} ==\n{self.body}"
 
 
-#: Mapping of CLI group name -> callable(seed, jobs, trials, universe) ->
-#: sections.
-_GROUPS: Dict[str, Callable[[int, int, Optional[int], str], List[Section]]] = {}
+#: Mapping of CLI group name -> callable(seed, jobs, trials, universe,
+#: engine, policy) -> sections.
+_GROUPS: Dict[str, Callable[..., List[Section]]] = {}
 
 
 def _register(name: str):
-    def decorator(func: Callable[[int, int, Optional[int], str], List[Section]]):
+    def decorator(func: Callable[..., List[Section]]):
         _GROUPS[name] = func
         return func
 
@@ -113,13 +111,14 @@ def _register(name: str):
 
 @_register("real")
 def _run_real(
-    seed: int, jobs: int, trials: Optional[int], universe: str = "node"
+    seed: int, jobs: int, trials: Optional[int], universe: "str | UniverseSpec",
+    engine: EngineConfig, policy: ExecutionPolicy,
 ) -> List[Section]:
     # Tables 3-5 are single deterministic measurements per network — there is
     # no trial batch to fan out, so ``jobs``/``trials`` are ignored here.
     sections = []
     for table_name, result in real_networks.run_all_real_networks(
-        rng=seed, universe=universe
+        rng=seed, universe=universe, engine=engine
     ).items():
         label = real_networks.REAL_NETWORK_TABLES[table_name]
         sections.append(
@@ -131,14 +130,16 @@ def _run_real(
 
 @_register("random")
 def _run_random(
-    seed: int, jobs: int, trials: Optional[int], universe: str = "node"
+    seed: int, jobs: int, trials: Optional[int], universe: "str | UniverseSpec",
+    engine: EngineConfig, policy: ExecutionPolicy,
 ) -> List[Section]:
     batch_sizes = (trials,) if trials else (50, 100)
     sections = []
     for title, run_table in (("Table 6", random_graphs.run_table6),
                              ("Table 7", random_graphs.run_table7)):
         table = run_table(
-            batch_sizes=batch_sizes, rng=seed, jobs=jobs, universe=universe
+            batch_sizes=batch_sizes, rng=seed, jobs=jobs, universe=universe,
+            engine=engine, policy=policy,
         )
         sections.append(
             Section(group="random", title=title, body=table.render(),
@@ -149,12 +150,14 @@ def _run_random(
 
 @_register("truncated")
 def _run_truncated(
-    seed: int, jobs: int, trials: Optional[int], universe: str = "node"
+    seed: int, jobs: int, trials: Optional[int], universe: "str | UniverseSpec",
+    engine: EngineConfig, policy: ExecutionPolicy,
 ) -> List[Section]:
     n_samples = trials if trials else truncated.PAPER_N_SAMPLES
     sections = []
     results = truncated.run_all_truncated(
-        n_samples=n_samples, rng=seed, jobs=jobs, universe=universe
+        n_samples=n_samples, rng=seed, jobs=jobs, universe=universe,
+        engine=engine, policy=policy,
     )
     for name, result in results.items():
         label = truncated.TRUNCATED_TABLES[name]
@@ -167,12 +170,14 @@ def _run_truncated(
 
 @_register("monitors")
 def _run_monitors(
-    seed: int, jobs: int, trials: Optional[int], universe: str = "node"
+    seed: int, jobs: int, trials: Optional[int], universe: "str | UniverseSpec",
+    engine: EngineConfig, policy: ExecutionPolicy,
 ) -> List[Section]:
     n_placements = trials if trials else random_monitors.PAPER_N_PLACEMENTS
     sections = []
     results = random_monitors.run_all_random_monitors(
-        n_placements=n_placements, rng=seed, jobs=jobs, universe=universe
+        n_placements=n_placements, rng=seed, jobs=jobs, universe=universe,
+        engine=engine, policy=policy,
     )
     for name, result in results.items():
         label = random_monitors.RANDOM_MONITOR_TABLES[name]
@@ -185,15 +190,18 @@ def _run_monitors(
 
 @_register("ablation")
 def _run_ablation(
-    seed: int, jobs: int, trials: Optional[int], universe: str = "node"
+    seed: int, jobs: int, trials: Optional[int], universe: "str | UniverseSpec",
+    engine: EngineConfig, policy: ExecutionPolicy,
 ) -> List[Section]:
     graph = zoo.eunetworks()
     n_runs = trials if trials else 5
     placement = ablation.placement_ablation(
-        graph, n_runs=n_runs, rng=seed, jobs=jobs, universe=universe
+        graph, n_runs=n_runs, rng=seed, jobs=jobs, universe=universe,
+        engine=engine, policy=policy,
     )
     selector = ablation.selector_ablation(
-        graph, n_runs=n_runs, rng=seed, jobs=jobs, universe=universe
+        graph, n_runs=n_runs, rng=seed, jobs=jobs, universe=universe,
+        engine=engine, policy=policy,
     )
     return [
         Section(
@@ -248,7 +256,8 @@ def run_spec_sections(
     jobs: int = 1,
     trials: Optional[int] = None,
     seed: Optional[int] = None,
-    engine: Optional["EngineConfig"] = None,
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> List[Section]:
     """Run a batch of user-defined scenarios, one section per scenario.
 
@@ -258,7 +267,8 @@ def run_spec_sections(
     replaces every spec's engine config (how the CLI ``--backend`` /
     ``--no-compress`` flags reach a spec batch — an explicit flag wins over
     the file).  Scenarios are fanned out over ``jobs`` worker processes —
-    one pickled :class:`~repro.api.spec.ScenarioSpec` per trial.
+    one pickled :class:`~repro.api.spec.ScenarioSpec` per trial — under the
+    execution ``policy`` (default: ``ExecutionPolicy()``).
     """
     prepared: List[ScenarioSpec] = []
     for index, spec in enumerate(specs):
@@ -277,7 +287,7 @@ def run_spec_sections(
         )
         for spec in prepared
     ]
-    results = run_trials(trial_specs, jobs=jobs)
+    results = run_trials(trial_specs, jobs=jobs, policy=policy)
     sections = []
     for spec, analyses in zip(prepared, results):
         if isinstance(analyses, TrialFailure):
@@ -497,9 +507,14 @@ def run_churn_sections(
     return [Section(group="churn", title=title, body=body, data=data)]
 
 
-def run_churn_file(path: str, verify: bool = False) -> List[Section]:
-    """Load a ``--churn`` document and replay its delta sequence."""
+def run_churn_file(
+    path: str, verify: bool = False, engine: Optional[EngineConfig] = None
+) -> List[Section]:
+    """Load a ``--churn`` document and replay its delta sequence
+    (``engine``, when given, replaces the base scenario's engine config)."""
     base_spec, deltas = load_churn_file(path)
+    if engine is not None:
+        base_spec = base_spec.with_engine(engine)
     return run_churn_sections(base_spec, deltas, verify=verify)
 
 
@@ -543,7 +558,8 @@ def run_spec_files(
     jobs: int = 1,
     trials: Optional[int] = None,
     seed: Optional[int] = None,
-    engine: Optional["EngineConfig"] = None,
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> List[Section]:
     """Load one or more ``--spec`` documents (files or directories) and run
     the concatenated scenario batch.
@@ -557,7 +573,7 @@ def run_spec_files(
         specs.extend(_load_spec_file(path))
     clear_pathset_cache()
     return run_spec_sections(
-        specs, jobs=jobs, trials=trials, seed=seed, engine=engine
+        specs, jobs=jobs, trials=trials, seed=seed, engine=engine, policy=policy
     )
 
 
@@ -566,10 +582,13 @@ def run_spec_file(
     jobs: int = 1,
     trials: Optional[int] = None,
     seed: Optional[int] = None,
-    engine: Optional["EngineConfig"] = None,
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> List[Section]:
     """Load a single ``--spec`` JSON document and run its scenario batch."""
-    return run_spec_files([path], jobs=jobs, trials=trials, seed=seed, engine=engine)
+    return run_spec_files(
+        [path], jobs=jobs, trials=trials, seed=seed, engine=engine, policy=policy
+    )
 
 
 def write_output_atomic(path: str, payload: str) -> None:
@@ -680,9 +699,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=["auto", "python", "numpy"],
-        help="signature-engine backend policy for every µ computation, "
-        "propagated to pool workers and restored after the run "
-        "(default: the engine's current policy)",
+        help="signature-engine backend for every µ computation, carried "
+        "to pool workers inside each trial's engine config (default: auto; "
+        "with --spec/--churn, the scenario's own config)",
     )
     parser.add_argument(
         "--universe",
@@ -725,7 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock budget for every exact-µ search: on expiry "
         "the search truncates at the last fully completed level "
         "(exhausted_search=false, stats.budget_exhausted=true — a certified "
-        "lower bound), propagated to pool workers",
+        "lower bound), carried to pool workers inside each trial's engine "
+        "config",
     )
     parser.add_argument(
         "--trial-timeout",
@@ -765,6 +785,8 @@ def run(
     jobs: int = 1,
     trials: Optional[int] = None,
     universe: "str | UniverseSpec" = "node",
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> List[Section]:
     """Run one group (or 'all') and return the result sections.
 
@@ -773,16 +795,22 @@ def run(
     reproducible and its reported statistics describe this run only.
     ``universe`` switches every µ of the paper tables to the link-failure
     variant (``"node"`` is bit-identical to the historical output).
+    ``engine`` (default: ``EngineConfig()``) is stamped into every trial's
+    spec and ``policy`` (default: ``ExecutionPolicy()``) governs the trial
+    pools.
     """
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    engine = engine or EngineConfig()
+    policy = policy or ExecutionPolicy()
     clear_pathset_cache()
-    if group == "all":
-        sections: List[Section] = []
-        for name in sorted(_GROUPS):
-            sections.extend(_GROUPS[name](seed, jobs, trials, universe))
-        return sections
-    return _GROUPS[group](seed, jobs, trials, universe)
+    names = sorted(_GROUPS) if group == "all" else [group]
+    sections: List[Section] = []
+    for name in names:
+        sections.extend(
+            _GROUPS[name](seed, jobs, trials, universe, engine, policy)
+        )
+    return sections
 
 
 def render_text(sections: Iterable[Section]) -> str:
@@ -825,17 +853,33 @@ def _validate_arguments(parser: argparse.ArgumentParser, args) -> None:
         )
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
+    if args.backend == "numpy" and not numpy_available():
+        parser.error("--backend numpy needs numpy, which is not installed")
+
+
+def _engine_config(args) -> Optional[EngineConfig]:
+    """The engine config the flags ask for, or ``None`` when no engine flag
+    is given (each spec then keeps its own config)."""
+    if args.backend is None and not args.no_compress and args.time_budget is None:
+        return None
+    return EngineConfig(
+        backend=args.backend or "auto",
+        compress=not args.no_compress,
+        time_budget=args.time_budget,
+    )
 
 
 def main(argv: List[str] | None = None) -> int:
     """Console-script entry point.
 
-    The ``--backend``, ``--no-compress``, ``--time-budget`` and resilience
-    selections are scoped to this call (and propagated into any
-    pool workers), so invoking ``main`` as a library function never leaks an
-    engine-policy change into the host process.  ``Ctrl-C`` cancels the
-    outstanding pool futures, leaves every already-journaled trial durable on
-    disk, and exits with the conventional status 130.
+    The ``--backend``, ``--no-compress`` and ``--time-budget`` flags build
+    one :class:`~repro.api.spec.EngineConfig` and the resilience flags one
+    :class:`~repro.resilience.pool.ExecutionPolicy`; both are passed down
+    explicitly (the config inside every trial's spec), so invoking ``main``
+    as a library function changes no process-global engine state.
+    ``Ctrl-C`` cancels the outstanding pool futures, leaves every
+    already-journaled trial durable on disk, and exits with the conventional
+    status 130.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -852,38 +896,32 @@ def main(argv: List[str] | None = None) -> int:
         chaos = ChaosConfig.from_string(os.environ.get("REPRO_CHAOS"))
     except Exception as exc:  # noqa: BLE001 - env parse errors exit cleanly
         parser.error(f"invalid REPRO_CHAOS value: {exc}")
+    # An explicit engine flag overrides a spec batch's (or churn base's)
+    # engine configs; with no flag, each spec's own (or default) config
+    # stands.
+    engine = _engine_config(args)
+    policy = ExecutionPolicy(
+        trial_timeout=args.trial_timeout,
+        max_retries=args.max_retries or 0,
+        failure_mode="record" if args.spec else "raise",
+        chaos=chaos,
+    )
     journal = CheckpointJournal(args.checkpoint) if args.checkpoint else None
     failed = False
     try:
-        with backend_policy(args.backend), compression_policy(
-            False if args.no_compress else None
-        ), budget_policy(
-            time_budget=args.time_budget
-        ), execution_policy(
-            trial_timeout=args.trial_timeout,
-            max_retries=args.max_retries,
-            failure_mode="record" if args.spec else None,
-            chaos=chaos,
-        ), checkpoint_scope(journal):
+        with checkpoint_scope(journal):
             if args.churn:
-                sections = run_churn_file(args.churn, verify=args.churn_verify)
+                sections = run_churn_file(
+                    args.churn, verify=args.churn_verify, engine=engine
+                )
             elif args.spec:
-                # An explicit engine flag overrides the batch's engine
-                # configs; with no flag, each spec's own (or default) config
-                # stands.
-                engine_override = None
-                if (
-                    args.backend is not None
-                    or args.no_compress
-                    or args.time_budget is not None
-                ):
-                    engine_override = EngineConfig.from_policy()
                 sections = run_spec_files(
                     args.spec,
                     jobs=args.jobs,
                     trials=args.trials,
                     seed=args.seed,
-                    engine=engine_override,
+                    engine=engine,
+                    policy=policy,
                 )
                 failed = any(
                     isinstance(section.data, dict) and "failure" in section.data
@@ -892,7 +930,7 @@ def main(argv: List[str] | None = None) -> int:
             else:
                 sections = run(
                     args.tables, args.seed, jobs=args.jobs, trials=args.trials,
-                    universe=universe,
+                    universe=universe, engine=engine, policy=policy,
                 )
             if args.format == "json":
                 payload = render_json(sections, args.seed, args.jobs)

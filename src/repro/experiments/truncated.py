@@ -28,6 +28,7 @@ from repro.core.truncated import default_truncation_level
 from repro.exceptions import ExperimentError
 from repro.experiments.common import coerce_universe_spec, measure_network, resolve_dimension
 from repro.experiments.parallel import TrialSpec, run_trials
+from repro.resilience.pool import ExecutionPolicy
 from repro.routing.mechanisms import RoutingMechanism
 from repro.topology import zoo
 from repro.utils.seeds import RngLike, spawn_rng, spawn_seed
@@ -123,18 +124,22 @@ def run_truncated_experiment(
     dimension: Optional[int] = None,
     jobs: int = 1,
     universe: str = "node",
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> TruncatedResult:
     """Run the µ_λ comparison on one network (``jobs`` workers).
 
     ``universe`` selects the failure universe of every µ_λ (``"node"`` — the
     bit-identical default — or ``"link"``); it travels inside each sample's
-    pickled spec and the facade's ``truncated`` analysis honours it."""
+    pickled spec and the facade's ``truncated`` analysis honours it, like
+    ``engine`` (default: ``EngineConfig()``).  ``policy`` is the pool's
+    execution policy."""
     if n_samples < 1:
         raise ExperimentError(f"n_samples must be >= 1, got {n_samples}")
     mechanism = RoutingMechanism.parse(mechanism)
     d = dimension if dimension is not None else resolve_dimension("log", graph)
 
-    engine = EngineConfig.from_policy()
+    engine = engine or EngineConfig()
     routing = RoutingSpec(mechanism=mechanism.value)
     failures = FailureModel(universe=coerce_universe_spec(universe))
     base_topology = TopologySpec.from_graph(graph)
@@ -180,7 +185,7 @@ def run_truncated_experiment(
     ]
     boosted_counts: Dict[int, int] = {}
     boosted_truncation = original_truncation
-    for mu, truncation in run_trials(specs, jobs=jobs):
+    for mu, truncation in run_trials(specs, jobs=jobs, policy=policy):
         boosted_truncation = truncation
         boosted_counts[mu] = boosted_counts.get(mu, 0) + 1
     boosted = TruncatedDistribution(truncation=boosted_truncation, counts=boosted_counts)
@@ -226,12 +231,14 @@ def run_table10(
 def run_all_truncated(
     n_samples: int = PAPER_N_SAMPLES, rng: RngLike = 2018, jobs: int = 1,
     universe: str = "node",
+    engine: Optional[EngineConfig] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> Dict[str, TruncatedResult]:
     """Run Tables 8-10 and return results keyed by network name."""
     return {
         name: run_truncated_experiment(
             zoo.load(name), n_samples, spawn_rng(rng, i), jobs=jobs,
-            universe=universe,
+            universe=universe, engine=engine, policy=policy,
         )
         for i, name in enumerate(TRUNCATED_TABLES)
     }

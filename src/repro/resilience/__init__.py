@@ -4,8 +4,8 @@ and the deterministic fault-injection harness.
 Four orthogonal pieces, threaded through every execution layer:
 
 * :mod:`~repro.resilience.budget` — cooperative :class:`Budget` deadlines for
-  the subset search (wall-clock and/or subset count), with graceful
-  completed-size truncation in ``identifiability()``.
+  the engine's searches (wall-clock and/or work count), with graceful
+  completed-level truncation in ``identifiability()``.
 * :mod:`~repro.resilience.pool` — the :class:`ExecutionPolicy` knobs of the
   fault-tolerant trial pool (timeouts, bounded retries with backoff + jitter,
   :class:`TrialFailure` quarantine) plus its observability counters.
@@ -23,8 +23,6 @@ successful output never depends on how much fault handling happened.
 from repro.exceptions import BudgetExceededError
 from repro.resilience.budget import (
     Budget,
-    budget_policy,
-    current_budget_limits,
     resolve_budget,
 )
 from repro.resilience.chaos import (
@@ -46,8 +44,6 @@ from repro.resilience.pool import (
     ExecutionPolicy,
     PoolCounters,
     TrialFailure,
-    current_execution_policy,
-    execution_policy,
     pool_counters,
     reset_pool_counters,
 )
@@ -55,8 +51,6 @@ from repro.resilience.pool import (
 __all__ = [
     "Budget",
     "BudgetExceededError",
-    "budget_policy",
-    "current_budget_limits",
     "resolve_budget",
     "ChaosConfig",
     "ChaosInjectedError",
@@ -72,8 +66,6 @@ __all__ = [
     "ExecutionPolicy",
     "PoolCounters",
     "TrialFailure",
-    "current_execution_policy",
-    "execution_policy",
     "pool_counters",
     "reset_pool_counters",
 ]

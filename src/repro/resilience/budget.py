@@ -17,17 +17,17 @@ The tree is the same on every backend and compression setting, so with only
 a ``subset_budget`` the truncation point is a pure function of the search
 and therefore deterministic, which is what the budget-law tests rely on.
 
-Like the backend/compression knobs, the budget has a process-global
-policy (``budget_policy`` / ``current_budget_limits``) so ``--time-budget``
-scopes a whole runner invocation and :meth:`EngineConfig.from_policy`
-captures it into specs that travel to pool workers.
+The limits travel explicitly, like the backend and compression: an
+:class:`~repro.api.spec.EngineConfig` carries ``time_budget`` /
+``subset_budget`` (the runner's ``--time-budget`` builds one), every spec
+sent to a pool worker carries its config, and :meth:`EngineConfig.budget`
+builds a fresh :class:`Budget` per search.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Optional
 
 from repro.exceptions import IdentifiabilityError
 
@@ -65,9 +65,8 @@ class Budget:
     :meth:`spend` charges work units (µ search-tree nodes, census subsets),
     so a single instance can also be
     shared across several engine calls to bound them jointly.  A fresh
-    instance per search (what :func:`resolve_budget` builds from the global
-    limits or an :class:`~repro.api.spec.EngineConfig`) gives per-search
-    semantics.
+    instance per search (what :meth:`repro.api.spec.EngineConfig.budget`
+    builds) gives per-search semantics.
     """
 
     __slots__ = ("time_budget", "subset_budget", "_deadline", "_consumed")
@@ -121,62 +120,10 @@ class Budget:
         )
 
 
-# -- the budget policy --------------------------------------------------------
-
-#: Raw process-global budget limits (the ``--time-budget`` scope); ``None``
-#: means unbounded on that axis.
-_TIME_BUDGET: Optional[float] = None
-_SUBSET_BUDGET: Optional[int] = None
-
-
-def _install_budget_limits(
-    time_budget: Optional[float], subset_budget: Optional[int]
-) -> Tuple[Optional[float], Optional[int]]:
-    """Install the budget limits (internal setter for :func:`budget_policy`
-    and the pool-worker initializer)."""
-    global _TIME_BUDGET, _SUBSET_BUDGET
-    _TIME_BUDGET = _validate_time_budget(time_budget)
-    _SUBSET_BUDGET = _validate_subset_budget(subset_budget)
-    return _TIME_BUDGET, _SUBSET_BUDGET
-
-
-def current_budget_limits() -> Tuple[Optional[float], Optional[int]]:
-    """The process-global ``(time_budget, subset_budget)`` limits."""
-    return _TIME_BUDGET, _SUBSET_BUDGET
-
-
-@contextlib.contextmanager
-def budget_policy(
-    time_budget: Optional[float] = None,
-    subset_budget: Optional[int] = None,
-) -> Iterator[Tuple[Optional[float], Optional[int]]]:
-    """Scope budget limits to a ``with`` block.
-
-    ``(None, None)`` leaves the limits untouched (the block still restores
-    whatever was in effect on entry, so nesting is safe)::
-
-        with budget_policy(time_budget=5.0):
-            ...  # every search here without an explicit budget gets 5 s
-    """
-    previous = (_TIME_BUDGET, _SUBSET_BUDGET)
-    try:
-        if time_budget is not None or subset_budget is not None:
-            _install_budget_limits(time_budget, subset_budget)
-        yield (_TIME_BUDGET, _SUBSET_BUDGET)
-    finally:
-        _install_budget_limits(*previous)
-
-
 def resolve_budget(budget: Optional["Budget"] = None) -> Optional["Budget"]:
-    """Normalise a ``budget`` argument: ``None`` builds a fresh per-search
-    :class:`Budget` from the global limits (or stays ``None`` when both are
-    unset); an explicit :class:`Budget` passes through unchanged."""
-    if budget is None:
-        time_budget, subset_budget = _TIME_BUDGET, _SUBSET_BUDGET
-        if time_budget is None and subset_budget is None:
-            return None
-        return Budget(time_budget, subset_budget)
-    if not isinstance(budget, Budget):
+    """Check a ``budget`` argument: ``None`` (unbounded) and a
+    :class:`Budget` pass through unchanged; anything else is rejected."""
+    if budget is not None and not isinstance(budget, Budget):
         raise IdentifiabilityError(
             f"budget must be a repro.resilience.Budget or None, got {budget!r}"
         )

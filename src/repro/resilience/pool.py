@@ -3,10 +3,10 @@
 :class:`ExecutionPolicy` bundles the resilience knobs of
 :func:`repro.experiments.parallel.run_trials` — per-trial timeout, bounded
 retries with exponential backoff + jitter, quarantine mode, and an optional
-:class:`~repro.resilience.chaos.ChaosConfig` — and the ambient
-:func:`execution_policy` context manager scopes them to a whole runner
-invocation (``--trial-timeout`` / ``--max-retries``) the same way the
-backend/compression/budget policies scope their flags.
+:class:`~repro.resilience.chaos.ChaosConfig`.  It is passed explicitly: the
+CLI runner builds one policy per invocation (``--trial-timeout`` /
+``--max-retries`` / ``REPRO_CHAOS``) and hands it through the table drivers
+to ``run_trials(..., policy=)``.
 
 Backoff jitter exists to decorrelate retry storms, not to perturb results:
 every trial's randomness travels in its pickled spec (the original
@@ -23,10 +23,9 @@ assert zero retries).
 
 from __future__ import annotations
 
-import contextlib
 import random
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from repro.exceptions import ExperimentError
 from repro.resilience.chaos import ChaosConfig
@@ -115,45 +114,6 @@ class ExecutionPolicy:
         base = self.retry_backoff * (2 ** max(0, attempt - 1))
         jitter = random.Random(f"backoff:{index}:{attempt}").uniform(0.0, 1.0)
         return min(BACKOFF_CAP, base * (1.0 + jitter))
-
-
-_POLICY = ExecutionPolicy()
-
-
-def current_execution_policy() -> ExecutionPolicy:
-    """The ambient policy ``run_trials`` starts from."""
-    return _POLICY
-
-
-@contextlib.contextmanager
-def execution_policy(
-    trial_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    retry_backoff: Optional[float] = None,
-    failure_mode: Optional[str] = None,
-    chaos: Optional[ChaosConfig] = None,
-) -> Iterator[ExecutionPolicy]:
-    """Scope resilience knobs to a ``with`` block (``None`` fields keep the
-    current value; the previous policy is restored on exit)."""
-    global _POLICY
-    previous = _POLICY
-    overrides = {
-        name: value
-        for name, value in (
-            ("trial_timeout", trial_timeout),
-            ("max_retries", max_retries),
-            ("retry_backoff", retry_backoff),
-            ("failure_mode", failure_mode),
-            ("chaos", chaos),
-        )
-        if value is not None
-    }
-    try:
-        if overrides:
-            _POLICY = replace(previous, **overrides)
-        yield _POLICY
-    finally:
-        _POLICY = previous
 
 
 # -- retry observability ------------------------------------------------------

@@ -431,24 +431,21 @@ class PathSet:
         spec, compression flag), so every consumer of the same
         :class:`PathSet` — the identifiability core, the tomography layer,
         the experiment drivers — shares one interned signature store per
-        universe.  ``backend`` follows :func:`repro.engine.select_backend`
-        semantics: ``None`` defers to the global policy, a name forces that
-        backend, and a :class:`~repro.engine.backends.SignatureBackend`
-        instance is used as-is (not memoised).  An ``"auto"`` spec is kept
+        universe.  ``backend`` is ``None`` or ``"auto"`` (see
+        :func:`~repro.engine.backends.resolve_backend_name`), a name forcing
+        that backend, or a :class:`~repro.engine.backends.SignatureBackend`
+        instance used as-is (not memoised).  An ``"auto"`` spec is kept
         symbolic here and resolved by the engine against the width it
         actually operates on — the compressed column count — so this route
         and a direct :meth:`SignatureEngine.from_pathset` pick the same
-        backend.  ``compress`` follows
-        :func:`repro.engine.select_compression`: ``None`` defers to the
-        global policy (on), and an explicit boolean forces/disables the
-        duplicate-column collapse for this engine.  ``universe`` is ``None``
+        backend.  ``compress`` switches the duplicate-column collapse for
+        this engine; ``None`` means ``True``.  ``universe`` is ``None``
         (node mode), a kind name (``"node"``/``"link"``), or a
         :class:`~repro.failures.FailureUniverse` built over this path set
         (the only way to reach SRLG mode, which needs its groups).
         """
         # Imported lazily: the engine layer sits above routing.
         from repro.engine.backends import SignatureBackend, normalize_backend_spec
-        from repro.engine.compress import compression_enabled
         from repro.engine.signatures import SignatureEngine
 
         if universe is None or isinstance(universe, str):
@@ -459,7 +456,7 @@ class PathSet:
             # memo below for every later caller — refuse it outright.
             universe.check_built_over(self)
         if compress is None:
-            compress = compression_enabled()
+            compress = True
         elements, masks = universe.elements, universe.masks
         if isinstance(backend, SignatureBackend):
             return SignatureEngine(
@@ -495,7 +492,7 @@ class PathSet:
         if key not in self._engines:
             self._engines[key] = cached
             # Alias the concrete backend name so a later explicit request
-            # (e.g. engine("python") after a policy-default engine()) shares
+            # (e.g. engine("python") after a default engine()) shares
             # this instance instead of re-interning the signatures.
             self._engines.setdefault(
                 (universe.fingerprint, cached.backend.name, bool(compress)), cached

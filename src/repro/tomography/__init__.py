@@ -1,13 +1,6 @@
-"""Boolean network tomography substrate: the measurement system of Equation
-(1), forward measurement simulation, failure-set inference and end-to-end
-failure scenarios."""
+"""Boolean network tomography substrate: forward measurement simulation
+(Equation 1), failure-set inference and end-to-end failure scenarios."""
 
-from repro.tomography.boolean_system import (
-    BooleanEquation,
-    BooleanSystem,
-    build_system,
-    measurement_vector,
-)
 from repro.tomography.inference import (
     LocalizationResult,
     consistent_element_sets,
@@ -16,6 +9,7 @@ from repro.tomography.inference import (
     localization_is_unique,
     localize_element_failures,
     localize_failures,
+    measurement_vector,
 )
 from repro.tomography.scenario import (
     CampaignReport,
@@ -24,9 +18,6 @@ from repro.tomography.scenario import (
 )
 
 __all__ = [
-    "BooleanEquation",
-    "BooleanSystem",
-    "build_system",
     "measurement_vector",
     "LocalizationResult",
     "consistent_element_sets",

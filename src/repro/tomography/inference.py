@@ -20,8 +20,9 @@ class-closed — a compressed class whose member paths read different bits, or
 a 1 on a column no element touches — has no solution at any width, so it
 folds to ``()`` before any search.  Node, link and SRLG universes, the
 :class:`~repro.tomography.scenario.TomographySession` and the four public
-functions below all share this path; :class:`~repro.tomography.boolean_system.BooleanSystem`
-is kept as the clause-level reference oracle the tests compare against.
+functions below all share this path; the tests hold it to a clause-level
+reference oracle of Equation (1).  The forward model,
+:func:`measurement_vector`, lives here too.
 """
 
 from __future__ import annotations
@@ -30,13 +31,36 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from repro._typing import Node
+from repro._typing import MeasurementVector, Node
 from repro.engine.signatures import SignatureEngine
 from repro.exceptions import IdentifiabilityError
 from repro.failures.universe import FailureUniverse
 from repro.routing.paths import PathSet
-from repro.tomography.boolean_system import measurement_vector
 from repro.utils.bitset import mask_from_indices
+
+
+def measurement_vector(pathset: PathSet, failure_set: Iterable[Node]) -> MeasurementVector:
+    """Simulate the end-to-end measurement: 1 for each path crossing a failure.
+
+    This is the forward model of Boolean network tomography — a path reports 1
+    iff at least one of its nodes is in the failure set.  Computed from the
+    packed signatures of the pathset's engine: the observation vector is the
+    indicator of ``P(F)``, the union signature of the failed nodes, unpacked
+    in one vectorized pass (numpy backend) or one sparse bit walk (python
+    backend) instead of scanning every node of every path.  Under the default
+    signature-universe compression the union runs over distinct path columns
+    only and the engine expands the indicator back through its
+    :class:`~repro.engine.compress.CompressionPlan`, so the vector is always
+    indexed by the original paths of ``pathset``.
+    """
+    failed = frozenset(failure_set)
+    unknown = failed - pathset.node_universe
+    if unknown:
+        raise IdentifiabilityError(
+            f"failure nodes {sorted(map(repr, unknown))} are outside the node universe"
+        )
+    return pathset.engine().measurement_vector(failed)
+
 
 
 @dataclass(frozen=True)
@@ -119,8 +143,7 @@ def consistent_signature_sets(
     Candidates are the elements whose row is a non-empty subset of
     ``failing`` (restricted to ``allowed`` when given), in repr order; sets
     are reported size-ascending, each size in :func:`itertools.combinations`
-    order — the order of :meth:`BooleanSystem.solutions
-    <repro.tomography.boolean_system.BooleanSystem.solutions>`.
+    order — the order of the clause-level reference oracle.
     """
     if max_failures < 0:
         raise IdentifiabilityError(f"max_failures must be >= 0, got {max_failures}")

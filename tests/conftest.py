@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import sys
+from typing import Iterator
+
 import networkx as nx
 import pytest
 
+from repro.engine import backends
 from repro.monitors import MonitorPlacement, chi_corners, chi_g, chi_t, mdmp_placement
 from repro.routing import RoutingMechanism, enumerate_paths
 from repro.topology import (
@@ -83,3 +88,21 @@ def simple_diamond() -> nx.DiGraph:
 def diamond_placement() -> MonitorPlacement:
     """Source/sink placement on the diamond."""
     return MonitorPlacement.of(inputs={"s"}, outputs={"t"})
+
+
+@contextlib.contextmanager
+def auto_backend(name: str) -> Iterator[None]:
+    """Make ``"auto"`` resolve to ``name`` at every width inside the block.
+
+    The incidence column primitives of ``PathSet.apply_delta`` and
+    ``CompressionPlan.compress_mask`` pick their backend the way an
+    ``"auto"`` engine does, by width; moving the crossover to 0 (numpy) or
+    past any width (python) lets the backend-parity tests run them on each
+    backend.
+    """
+    saved = backends.NUMPY_MIN_PATHS
+    backends.NUMPY_MIN_PATHS = 0 if name == "numpy" else sys.maxsize
+    try:
+        yield
+    finally:
+        backends.NUMPY_MIN_PATHS = saved

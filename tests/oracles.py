@@ -3,13 +3,32 @@
 Each oracle runs a paper definition directly — a flat
 ``itertools.combinations`` sweep that recomputes ``P(U)`` from the element
 masks for every subset — with no signature engine in between, so the
-engine's µ search and subset census can be held to it bit for bit.
+engine's µ search and subset census can be held to it bit for bit.  The
+clause-level Boolean system of Equation (1) at the end of the module is the
+same kind of oracle for localisation.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+from repro._typing import Node, Path
+from repro.exceptions import IdentifiabilityError
+from repro.routing.paths import PathSet
+from repro.tomography.inference import measurement_vector
 
 
 def naive_sweep(
@@ -208,3 +227,159 @@ def union_mask(masks, subset: Iterable[Any]) -> int:
     for element in subset:
         signature |= masks[element]
     return signature
+
+
+# -- Equation (1) at clause level ---------------------------------------------
+#
+# Localisation of failing nodes from end-to-end Boolean measurements is the
+# set of solutions of  ⋀_{p ∈ P} ( ⋁_{v ∈ p} x_v ≡ b_p ),  where ``b_p`` is
+# the bit received at the end monitor of path ``p`` (1 = some node on ``p``
+# failed) and ``x_v`` is true iff node ``v`` failed.  :class:`BooleanSystem`
+# builds one :class:`BooleanEquation` per path — far too slow for the
+# library, which localises on the engine's packed rows — and the parity
+# tests hold the localiser to :meth:`BooleanSystem.solutions` set for set
+# and in order.
+
+
+@dataclass(frozen=True)
+class BooleanEquation:
+    """One clause ``⋁_{v ∈ p} x_v ≡ b`` of the measurement system."""
+
+    path: Path
+    observation: int
+
+    def __post_init__(self) -> None:
+        if self.observation not in (0, 1):
+            raise IdentifiabilityError(
+                f"observation must be 0 or 1, got {self.observation!r}"
+            )
+
+    @property
+    def variables(self) -> FrozenSet[Node]:
+        """The nodes (variables) appearing in the clause."""
+        return frozenset(self.path)
+
+    def is_satisfied_by(self, failure_set: Iterable[Node]) -> bool:
+        """Evaluate the clause under the assignment ``x_v = [v in failure_set]``."""
+        failed = frozenset(failure_set)
+        observed = int(any(node in failed for node in self.path))
+        return observed == self.observation
+
+
+@dataclass(frozen=True)
+class BooleanSystem:
+    """The full measurement system of Equation (1) (the localisation test
+    oracle; see the module docstring)."""
+
+    equations: Tuple[BooleanEquation, ...]
+
+    @classmethod
+    def from_measurements(
+        cls, pathset: PathSet, observations: Sequence[int]
+    ) -> "BooleanSystem":
+        """Build the system from a path set and its measurement vector."""
+        if len(observations) != pathset.n_paths:
+            raise IdentifiabilityError(
+                f"expected {pathset.n_paths} observations, got {len(observations)}"
+            )
+        equations = tuple(
+            BooleanEquation(path, int(bit))
+            for path, bit in zip(pathset.paths, observations)
+        )
+        return cls(equations)
+
+    @property
+    def variables(self) -> FrozenSet[Node]:
+        """All variables (nodes) appearing in the system."""
+        result: set = set()
+        for equation in self.equations:
+            result.update(equation.variables)
+        return frozenset(result)
+
+    @property
+    def n_equations(self) -> int:
+        return len(self.equations)
+
+    def is_satisfied_by(self, failure_set: Iterable[Node]) -> bool:
+        """True when the assignment encoded by ``failure_set`` solves the system."""
+        failed = frozenset(failure_set)
+        return all(eq.is_satisfied_by(failed) for eq in self.equations)
+
+    def healthy_nodes(self) -> FrozenSet[Node]:
+        """Nodes forced to be working: every node on a path measuring 0."""
+        healthy: set = set()
+        for equation in self.equations:
+            if equation.observation == 0:
+                healthy.update(equation.path)
+        return frozenset(healthy)
+
+    def failing_paths(self) -> Tuple[BooleanEquation, ...]:
+        """Clauses with observation 1 (each must be *hit* by a failing node)."""
+        return tuple(eq for eq in self.equations if eq.observation == 1)
+
+    def candidate_nodes(self) -> FrozenSet[Node]:
+        """Nodes that can possibly be failing: on some failing path, on no
+        healthy path."""
+        healthy = self.healthy_nodes()
+        candidates: set = set()
+        for equation in self.failing_paths():
+            candidates.update(set(equation.path) - healthy)
+        return frozenset(candidates)
+
+    def solutions(
+        self, max_failures: int, universe: Optional[Iterable[Node]] = None
+    ) -> Iterator[FrozenSet[Node]]:
+        """Enumerate the failure sets of size ≤ ``max_failures`` solving the system.
+
+        The enumeration is restricted to the candidate nodes (nodes on a
+        failed path and on no healthy path), which is sound: any node outside
+        that set either violates a 0-observation or cannot help satisfy any
+        1-observation.  When ``universe`` is given, candidates are additionally
+        intersected with it.
+        """
+        if max_failures < 0:
+            raise IdentifiabilityError(
+                f"max_failures must be >= 0, got {max_failures}"
+            )
+        candidates = self.candidate_nodes()
+        if universe is not None:
+            candidates &= frozenset(universe)
+        ordered = sorted(candidates, key=repr)
+        failing = self.failing_paths()
+        # Packed-signature formulation: index the failing clauses, give every
+        # candidate node the bitmask of clauses it would satisfy, and accept a
+        # combination iff the union of its masks covers every failing clause.
+        # This replaces the per-combination clause re-evaluation with one OR
+        # per node and one integer comparison per candidate set.
+        target = (1 << len(failing)) - 1
+        node_masks: Dict[Node, int] = {node: 0 for node in ordered}
+        for bit_index, equation in enumerate(failing):
+            bit = 1 << bit_index
+            for node in equation.variables:
+                if node in node_masks:
+                    node_masks[node] |= bit
+        for size in range(0, max_failures + 1):
+            for combo in itertools.combinations(ordered, size):
+                covered = 0
+                for node in combo:
+                    covered |= node_masks[node]
+                if covered == target:
+                    yield frozenset(combo)
+
+    def minimal_solutions(
+        self, max_failures: int, universe: Optional[Iterable[Node]] = None
+    ) -> Tuple[FrozenSet[Node], ...]:
+        """Solutions that are minimal under set inclusion (minimal hitting sets
+        of the failed paths among candidate nodes)."""
+        found: List[FrozenSet[Node]] = []
+        for solution in self.solutions(max_failures, universe):
+            if any(existing <= solution for existing in found):
+                continue
+            found.append(solution)
+        return tuple(found)
+
+
+def build_system(pathset: PathSet, failure_set: Iterable[Node]) -> BooleanSystem:
+    """Measurement system obtained by measuring ``pathset`` under ``failure_set``."""
+    observations = measurement_vector(pathset, failure_set)
+    return BooleanSystem.from_measurements(pathset, observations)

@@ -27,7 +27,7 @@ from repro.agrid.tradeoffs import (
     static_tradeoff,
     uniform_edge_cost,
 )
-from repro.core.identifiability import mu
+from repro.api.scenario import Scenario
 from repro.exceptions import DesignError, TopologyError
 from repro.topology.base import min_degree
 from repro.topology.random_graphs import erdos_renyi_connected
@@ -91,8 +91,8 @@ class TestAgrid:
     def test_boost_improves_or_preserves_mu(self):
         graph = eunetworks()
         result = agrid(graph, 3, rng=2018)
-        original = mu(graph, result.placement_original)
-        boosted = mu(result.boosted, result.placement_boosted)
+        original = Scenario.from_components(graph, result.placement_original).mu().value
+        boosted = Scenario.from_components(result.boosted, result.placement_boosted).mu().value
         assert boosted >= original
 
     def test_added_edges_reported(self):
@@ -148,7 +148,7 @@ class TestDesign:
 
     def test_design_guarantee_verified_exactly_on_small_plan(self):
         plan = design_network(9)
-        value = mu(plan.graph, plan.placement)
+        value = Scenario.from_components(plan.graph, plan.placement).mu().value
         assert plan.guaranteed_mu_lower <= value <= plan.guaranteed_mu_upper
 
     def test_achievable_identifiability_grows_with_n(self):

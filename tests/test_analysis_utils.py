@@ -164,10 +164,10 @@ class TestPackageSurface:
         import repro
 
         assert repro.__version__
-        assert "mu" in repro.__all__
+        assert "Scenario" in repro.__all__
 
     def test_quickstart_docstring_example(self):
-        from repro import chi_g as chi_g_public, directed_grid as dg, mu as mu_public
+        from repro import Scenario, chi_g as chi_g_public, directed_grid as dg
 
         grid = dg(4)
-        assert mu_public(grid, chi_g_public(grid)) == 2
+        assert Scenario.from_components(grid, chi_g_public(grid)).mu().value == 2

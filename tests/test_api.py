@@ -4,18 +4,20 @@ The load-bearing properties:
 
 * **Round trips** — a random spec survives ``to_json``/``from_json`` exactly,
   and the rebuilt scenario computes identical µ / witness / table values.
-* **Facade parity** — the facade and the legacy free functions are
+* **Facade parity** — the facade and the pathset-level functions are
   bit-identical, and every driver trial routed through a pickled
   ``ScenarioSpec`` equals the hand-rolled pre-spec computation.
 * **Globals-free engine config** — scenarios with different engine configs
-  coexist in one process with correct, independent results.
+  coexist in one process, even interleaved on threads, with correct,
+  independent results.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import warnings
+import sys
+import threading
 
 import pytest
 
@@ -234,38 +236,6 @@ class TestFacadeParity:
             assert scenario.mu().value == expected.value
             assert scenario.mu().bound == bound.combined
 
-    def test_legacy_mu_is_a_warning_shim_with_identical_values(self):
-        graph = claranet()
-        placement = mdmp_placement(graph, 4)
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.mu(graph, placement)
-        assert legacy == Scenario.from_components(graph, placement).mu().value
-        with pytest.warns(DeprecationWarning):
-            detailed = repro.mu_detailed(graph, placement)
-        assert detailed == Scenario.from_components(graph, placement).identifiability()
-        with pytest.warns(DeprecationWarning):
-            truncated = repro.mu_truncated(graph, placement, alpha=2)
-        assert truncated == Scenario.from_components(graph, placement).truncated(2).value
-
-    def test_select_backend_and_select_compression_warn_on_set_only(self):
-        from repro.engine import select_backend, select_compression
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # getters must stay silent
-            before_backend = select_backend()
-            before_compress = select_compression()
-        try:
-            with pytest.warns(DeprecationWarning):
-                select_backend("python")
-            with pytest.warns(DeprecationWarning):
-                select_compression(False)
-        finally:
-            from repro.engine.backends import _install_policy
-            from repro.engine.compress import _install_compression
-
-            _install_policy(before_backend)
-            _install_compression(before_compress)
-
     def test_localization_campaign_matches_tomography_session(self):
         grid = directed_grid(3)
         scenario = Scenario.from_components(grid, chi_g(grid), seed=5)
@@ -427,20 +397,78 @@ class TestEngineConfigIsolation:
         engines = {id(scenario.engine) for scenario in scenarios}
         assert len(engines) == len(scenarios)
 
-    def test_spec_engine_config_ignores_global_policy(self):
-        from repro.engine import backend_policy, compression_policy
-
-        spec = ScenarioSpec(
-            topology=TopologySpec("dataxchange"),
-            placement=PlacementSpec("mdmp", {"d": 2}),
-            engine=EngineConfig(backend="python", compress=True, cache=False),
+    @staticmethod
+    def _reports(spec):
+        """A fresh scenario's engine identity, µ report and µ_2 report."""
+        scenario = Scenario(spec)
+        engine = scenario.engine
+        return (
+            (engine.backend.name, engine.compression is not None),
+            scenario.mu(),
+            scenario.truncated(2),
         )
-        baseline = Scenario(spec).mu()
-        with backend_policy("python"), compression_policy(False):
-            inside = Scenario(spec).mu()
-            # Spec wins over the global policy: compression stays on.
-            assert Scenario(spec).engine.compression is not None
-        assert inside == baseline
+
+    @pytest.mark.parametrize(
+        "configs",
+        [
+            (
+                EngineConfig(backend="python", compress=False),
+                EngineConfig(
+                    backend="numpy" if numpy_available() else "auto",
+                    compress=True,
+                ),
+            ),
+            (EngineConfig(subset_budget=50), EngineConfig()),
+        ],
+        ids=["python-raw-vs-numpy-compressed", "budgeted-vs-unbounded"],
+    )
+    def test_threaded_scenarios_match_their_solo_runs(self, configs):
+        """Two configs interleaved on threads each get exactly their solo
+        result — witness and ``searched_up_to`` included — because no
+        engine setting lives outside the spec."""
+        specs = [
+            ScenarioSpec(
+                topology=TopologySpec("directed_hypergrid", {"n": 3, "d": 3}),
+                placement=PlacementSpec("chi_g"),
+                engine=config,
+            )
+            for config in configs
+        ]
+        clear_pathset_cache()
+        solo = [self._reports(spec) for spec in specs]
+        assert solo[0] != solo[1]
+        # Two threads per config (more threads than cores), switching often.
+        assignments = [index % len(specs) for index in range(2 * len(specs))]
+        rounds = 10
+        barrier = threading.Barrier(len(assignments))
+        results = [[] for _ in assignments]
+        errors = []
+
+        def work(slot):
+            try:
+                barrier.wait()
+                for _ in range(rounds):
+                    results[slot].append(self._reports(specs[assignments[slot]]))
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=work, args=(slot,))
+            for slot in range(len(assignments))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for slot, reports in enumerate(results):
+            assert reports == [solo[assignments[slot]]] * rounds
 
 
 class TestSpecRunner:

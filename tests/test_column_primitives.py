@@ -21,10 +21,11 @@ from repro.engine.backends import (
     NumpyBackend,
     PythonBackend,
     available_backends,
-    backend_policy,
 )
 from repro.engine.compress import CompressionPlan, compress_universe
 from repro.exceptions import IdentifiabilityError
+
+from conftest import auto_backend
 
 BACKENDS = tuple(sorted(available_backends()))
 WIDTHS = (0, 1, 7, 8, 9, 63, 64, 65, 130)
@@ -197,7 +198,7 @@ class TestPlanOnPrimitives:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_compress_mask_rejects_bits_beyond_the_width(self, name):
         plan = CompressionPlan(n_original=3, members=((0, 2), (1,)))
-        with backend_policy(name):
+        with auto_backend(name):
             assert plan.compress_mask(0b101) == 0b01
             with pytest.raises(IdentifiabilityError):
                 plan.compress_mask(0b1000)

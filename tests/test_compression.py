@@ -22,23 +22,12 @@ from repro.engine import (
     CompressionPlan,
     SignatureEngine,
     compress_universe,
-    compression_enabled,
-    compression_policy,
-    select_compression,
 )
 from repro.exceptions import IdentifiabilityError
 from repro.routing.paths import PathSet
 from repro.utils.bitset import bits_of, masks_for_nodes
 
 from test_engine import MECHANISMS, PARITY_SEEDS, random_instance
-
-
-@pytest.fixture(autouse=True)
-def reset_compression_policy():
-    """Keep the global compression policy pristine across tests."""
-    select_compression(True)
-    yield
-    select_compression(True)
 
 
 def _compressible_pathset() -> PathSet:
@@ -200,28 +189,24 @@ class TestCompressionPlan:
 
 
 # ---------------------------------------------------------------------------
-# Policy plumbing and memoisation
+# The compress argument and memoisation
 # ---------------------------------------------------------------------------
 
 class TestCompressionPolicy:
     def test_default_policy_is_on(self):
-        assert compression_enabled() is True
-        engine = _compressible_pathset().engine()
+        pathset = _compressible_pathset()
+        engine = pathset.engine()
         assert engine.compression is not None
+        assert pathset.engine(compress=None) is engine
+        assert pathset.engine(compress=True) is engine
+        masks = masks_for_nodes(("a", "b"), {"a": [0, 1], "b": [0, 1, 2]}, 3)
+        assert SignatureEngine(("a", "b"), masks, 3).compression is not None
 
-    def test_select_compression_toggles_default(self):
-        select_compression(False)
-        assert compression_enabled() is False
-        engine = _compressible_pathset().engine()
-        assert engine.compression is None
-
-    def test_policy_context_manager_restores(self):
-        with compression_policy(False) as enabled:
-            assert enabled is False
-            assert compression_enabled() is False
-        assert compression_enabled() is True
-        with compression_policy(None):
-            assert compression_enabled() is True
+    def test_compress_false_builds_a_raw_engine(self):
+        pathset = _compressible_pathset()
+        assert pathset.engine(compress=False).compression is None
+        # An explicit raw engine leaves the default engine compressed.
+        assert pathset.engine().compression is not None
 
     def test_engines_memoised_per_compression_flag(self):
         pathset = _compressible_pathset()

@@ -20,7 +20,7 @@ from repro.core.bounds import (
     monitor_count_bound,
     structural_upper_bound,
 )
-from repro.core.identifiability import mu
+from repro.api.scenario import Scenario
 from repro.exceptions import TopologyError
 from repro.monitors.grid_placement import chi_g
 from repro.monitors.heuristics import mdmp_placement
@@ -38,14 +38,16 @@ class TestTheorem31:
 
     def test_bound_is_respected_on_grid(self, directed_grid_3):
         placement = chi_g(directed_grid_3)
-        assert mu(directed_grid_3, placement) <= monitor_count_bound(placement)
+        value = Scenario.from_components(directed_grid_3, placement).mu().value
+        assert value <= monitor_count_bound(placement)
 
     @given(seed=st.integers(0, 100))
     @settings(max_examples=10, deadline=None)
     def test_bound_is_respected_on_random_graphs(self, seed):
         graph = erdos_renyi_connected(7, 0.5, rng=seed)
         placement = mdmp_placement(graph, 2)
-        assert mu(graph, placement) <= monitor_count_bound(placement)
+        value = Scenario.from_components(graph, placement).mu().value
+        assert value <= monitor_count_bound(placement)
 
 
 class TestLemma32:
@@ -70,7 +72,7 @@ class TestLemma32:
     def test_mu_never_exceeds_min_degree(self, seed):
         graph = erdos_renyi_connected(6, 0.5, rng=seed)
         placement = mdmp_placement(graph, 2)
-        assert mu(graph, placement) <= min_degree_bound(graph)
+        assert Scenario.from_components(graph, placement).mu().value <= min_degree_bound(graph)
 
 
 class TestCorollary33:
@@ -105,7 +107,8 @@ class TestLemma34:
 
     def test_mu_respects_delta_hat(self, directed_grid_3):
         placement = chi_g(directed_grid_3)
-        assert mu(directed_grid_3, placement) <= delta_hat(directed_grid_3, placement)
+        value = Scenario.from_components(directed_grid_3, placement).mu().value
+        assert value <= delta_hat(directed_grid_3, placement)
 
     def test_witness_is_confusable_on_grid(self, directed_grid_3):
         placement = chi_g(directed_grid_3)
@@ -164,4 +167,4 @@ class TestCombinedBound:
         graph = erdos_renyi_connected(7, 0.45, rng=seed)
         placement = mdmp_placement(graph, 2)
         report = structural_upper_bound(graph, placement, "CSP")
-        assert mu(graph, placement) <= report.combined
+        assert Scenario.from_components(graph, placement).mu().value <= report.combined

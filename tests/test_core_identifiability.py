@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.scenario import Scenario
 from repro.core.identifiability import (
     ConfusablePair,
     find_confusable_pair,
     is_k_identifiable,
     maximal_identifiability,
     maximal_identifiability_detailed,
-    mu,
-    mu_detailed,
     separability_matrix,
 )
 from repro.core.separability import verify_k_identifiability_by_separation
@@ -125,12 +124,12 @@ class TestAgainstBruteForceDefinition:
     def test_line_graph_mu_zero(self):
         graph = line_graph(5)
         placement = MonitorPlacement.of(inputs={0}, outputs={4})
-        assert mu(graph, placement) == 0
+        assert Scenario.from_components(graph, placement).mu().value == 0
 
     def test_mu_detailed_reports_paths_and_bound(self):
         graph = line_graph(4)
         placement = MonitorPlacement.of(inputs={0}, outputs={3})
-        result = mu_detailed(graph, placement)
+        result = Scenario.from_components(graph, placement).identifiability()
         assert result.value == 0
         assert result.witness is not None
 
@@ -140,13 +139,13 @@ class TestMuConvenience:
         from repro.monitors.grid_placement import chi_g
 
         placement = chi_g(directed_grid_3)
-        assert mu(directed_grid_3, placement, max_size=3) == 2
+        assert Scenario.from_components(directed_grid_3, placement).mu(max_size=3).value == 2
 
     def test_mu_accepts_mechanism_string(self, directed_grid_3):
         from repro.monitors.grid_placement import chi_g
 
         placement = chi_g(directed_grid_3)
-        assert mu(directed_grid_3, placement, "CAP-") >= 2
+        assert Scenario.from_components(directed_grid_3, placement, "CAP-").mu().value >= 2
 
 
 @st.composite

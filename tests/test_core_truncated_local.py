@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.scenario import Scenario
 from repro.core.identifiability import maximal_identifiability
 from repro.core.local import (
     is_locally_k_identifiable,
@@ -14,7 +15,6 @@ from repro.core.local import (
 )
 from repro.core.truncated import (
     default_truncation_level,
-    mu_truncated,
     truncated_identifiability,
     truncated_identifiability_detailed,
     truncation_error_for_graph,
@@ -60,7 +60,7 @@ class TestTruncated:
     def test_mu_truncated_end_to_end(self):
         graph = eunetwork_small()
         placement = mdmp_placement(graph, 2)
-        value = mu_truncated(graph, placement)
+        value = Scenario.from_components(graph, placement).truncated().value
         assert 0 <= value <= default_truncation_level(graph)
 
     @given(seed=st.integers(0, 60), alpha=st.integers(1, 4))

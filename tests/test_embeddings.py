@@ -40,7 +40,7 @@ from repro.embeddings.poset import (
 )
 from repro.embeddings.theorems import compare_under_embedding, theorem_6_7_report
 from repro.exceptions import EmbeddingError, TopologyError
-from repro.core.identifiability import mu
+from repro.api.scenario import Scenario
 from repro.monitors.grid_placement import chi_g
 from repro.monitors.placement import MonitorPlacement
 from repro.routing.paths import enumerate_paths
@@ -269,7 +269,9 @@ class TestSection6Theorems:
     def test_corollary_6_8_transitive_closure_never_hurts(self, directed_grid_3):
         placement = chi_g(directed_grid_3)
         closure = transitive_closure(directed_grid_3)
-        assert mu(closure, placement) >= mu(directed_grid_3, placement)
+        closure_mu = Scenario.from_components(closure, placement).mu().value
+        grid_mu = Scenario.from_components(directed_grid_3, placement).mu().value
+        assert closure_mu >= grid_mu
 
     def test_compare_rejects_non_embedding(self):
         graph = diamond()

@@ -28,9 +28,8 @@ from repro.engine import (
     clear_pathset_cache,
     numpy_available,
     pathset_cache,
-    select_backend,
 )
-from repro.engine.backends import resolve_backend_name
+from repro.engine.backends import normalize_backend_spec, resolve_backend_name
 from repro.exceptions import IdentifiabilityError
 from repro.experiments.common import measure_network
 from repro.monitors.heuristics import mdmp_placement, random_placement
@@ -79,11 +78,9 @@ def assert_valid_witness(pathset, result):
 
 
 @pytest.fixture(autouse=True)
-def reset_backend_policy():
-    """Keep the global backend policy and cache pristine across tests."""
-    select_backend("auto")
+def reset_pathset_cache():
+    """Keep the process-wide pathset cache pristine across tests."""
     yield
-    select_backend("auto")
     clear_pathset_cache()
 
 
@@ -251,15 +248,19 @@ class TestBackends:
         }
         assert py_classes == np_classes
 
-    def test_select_backend_roundtrip(self):
-        assert select_backend() == "auto"
-        assert select_backend("python") == "python"
-        assert select_backend() == "python"
-        assert resolve_backend_name(None, 10 ** 6) == "python"
+    def test_none_backend_spec_means_auto(self):
+        assert normalize_backend_spec(None) == "auto"
+        assert normalize_backend_spec(" Python ") == "python"
+        assert resolve_backend_name(None, 10 ** 6) == resolve_backend_name(
+            "auto", 10 ** 6
+        )
+        assert resolve_backend_name("python", 10 ** 6) == "python"
 
-    def test_select_backend_rejects_unknown(self):
+    def test_unknown_backend_spec_rejected(self):
         with pytest.raises(IdentifiabilityError):
-            select_backend("fortran")
+            normalize_backend_spec("fortran")
+        with pytest.raises(IdentifiabilityError):
+            PathSet(nodes=("a",), paths=(("a",),)).engine("fortran")
 
     def test_auto_policy_switches_on_path_count(self):
         expected_large = "numpy" if numpy_available() else "python"

@@ -39,13 +39,15 @@ from repro.api.spec import (
     ScenarioSpec,
     TopologySpec,
 )
-from repro.engine.backends import available_backends, backend_policy
+from repro.engine.backends import available_backends
 from repro.engine.cache import clear_pathset_cache
 from repro.engine.signatures import SignatureEngine
 from repro.exceptions import IdentifiabilityError, RoutingError
 from repro.monitors.placement import MonitorPlacement
 from repro.routing.paths import PathSetDelta, count_paths, enumerate_paths
 from repro.tomography.scenario import TomographySession
+
+from conftest import auto_backend
 
 BACKENDS = tuple(sorted(available_backends()))
 MECHANISMS = ("CSP", "CAP-", "CAP")
@@ -225,7 +227,7 @@ def _run_walk(case, backend):
     mechanism = case["mechanism"]
     edges, inputs, outputs = set(map(tuple, case["edges"])), case["inputs"], case["outputs"]
     graph = _graph(case, case["edges"])
-    with backend_policy(backend):
+    with auto_backend(backend):
         pathset = enumerate_paths(graph, MonitorPlacement(inputs, outputs), mechanism)
         for universe in _universes(pathset, case):
             pathset.engine(backend, compress=True, universe=universe)
@@ -375,5 +377,5 @@ def _without(graph, *links):
 def test_apply_delta_validation_errors(make, backend):
     graph, placement, pathset = _square()
     new_graph, new_placement, delta = make(graph, placement)
-    with backend_policy(backend), pytest.raises(RoutingError):
+    with auto_backend(backend), pytest.raises(RoutingError):
         pathset.apply_delta(new_graph, new_placement, "CSP", delta)

@@ -12,13 +12,12 @@ import random
 
 import pytest
 
+from repro.api import EngineConfig, PlacementSpec, ScenarioSpec, TopologySpec
 from repro.engine import (
-    backend_policy,
     cache_stats,
     clear_pathset_cache,
     normalize_limits,
     pathset_cache,
-    select_backend,
 )
 from repro.exceptions import ExperimentError
 from repro.experiments import runner
@@ -44,8 +43,10 @@ def _seeded_draw(seed: str) -> float:
     return random.Random(seed).random()
 
 
-def _current_policy(_index: int) -> str:
-    return select_backend()
+def _engine_of(spec: ScenarioSpec) -> tuple:
+    """The backend and compression of the engine a trial's spec builds."""
+    engine = spec.build().engine
+    return engine.backend.name, engine.compression is not None
 
 
 class TestRunTrials:
@@ -77,11 +78,14 @@ class TestRunTrials:
         assert spec.run() == 9
 
     def test_backend_override_reaches_serial_and_parallel_trials(self):
-        before = select_backend()
-        specs = [TrialSpec(_current_policy, (i,)) for i in range(2)]
-        assert run_trials(specs, jobs=1, backend="python") == ["python"] * 2
-        assert run_trials(specs, jobs=2, backend="python") == ["python"] * 2
-        assert select_backend() == before
+        spec = ScenarioSpec(
+            topology=TopologySpec("directed_grid", {"n": 3}),
+            placement=PlacementSpec("chi_g"),
+            engine=EngineConfig(backend="python", compress=False),
+        )
+        specs = [TrialSpec(_engine_of, (spec,)) for _ in range(2)]
+        assert run_trials(specs, jobs=1) == [("python", False)] * 2
+        assert run_trials(specs, jobs=2) == [("python", False)] * 2
 
 
 class TestSeedDerivation:
@@ -128,6 +132,12 @@ class TestDriverParity:
         parallel = selector_ablation(eunetwork_small(), n_runs=2, rng=1, jobs=2)
         assert serial == parallel
 
+    def test_explicit_engine_config_keeps_parallel_results(self):
+        raw = EngineConfig(backend="python", compress=False)
+        default = run_random_graph_cell(5, 4, "log", rng=3, jobs=2)
+        explicit = run_random_graph_cell(5, 4, "log", rng=3, jobs=2, engine=raw)
+        assert explicit == default
+
 
 class TestCacheStatsMerging:
     def test_worker_deltas_merge_into_parent(self):
@@ -166,28 +176,6 @@ class TestCacheStatsMerging:
         cache.get_or_enumerate(graph, placement, "CSP", max_paths=None)
         assert cache.stats().misses == 1
         assert cache.stats().hits == 2
-
-
-class TestBackendScoping:
-    def test_backend_policy_restores(self):
-        before = select_backend()
-        with backend_policy("python") as active:
-            assert active == "python"
-            assert select_backend() == "python"
-        assert select_backend() == before
-
-    def test_backend_policy_restores_on_error(self):
-        before = select_backend()
-        with pytest.raises(RuntimeError):
-            with backend_policy("python"):
-                raise RuntimeError("boom")
-        assert select_backend() == before
-
-    def test_backend_policy_none_is_a_noop(self):
-        before = select_backend()
-        with backend_policy(None) as active:
-            assert active == before
-        assert select_backend() == before
 
 
 class TestJsonFormat:

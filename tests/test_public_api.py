@@ -1,10 +1,14 @@
 """Public-API snapshot: accidental surface breaks must fail CI.
 
-Two frozen contracts:
+Frozen contracts:
 
 * ``repro.__all__`` — the names the package promises to export.  Additions
   are deliberate (update the snapshot in the same PR); removals/renames are
   breaking changes and should be caught here, not by downstream users.
+* ``repro.engine.__all__`` and ``repro.resilience.__all__`` — the engine and
+  execution settings travel in :class:`repro.EngineConfig` /
+  ``ExecutionPolicy`` values, so a process-global setter that comes back
+  shows up here.
 * The :class:`repro.ScenarioSpec` JSON schema — field names and defaults of
   every sub-spec.  Serialized specs are a wire format (CLI ``--spec`` files,
   archived experiment artifacts), so silent default changes are breaking.
@@ -12,7 +16,15 @@ Two frozen contracts:
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
+
+import pytest
+
 import repro
+import repro.engine
+import repro.resilience
 from repro.api.scenario import Scenario
 from repro.api.spec import SCHEMA_VERSION, PlacementSpec, ScenarioSpec, TopologySpec
 
@@ -56,16 +68,65 @@ EXPECTED_ALL = [
     "maximal_identifiability",
     "mdmp_placement",
     "measurement_vector",
-    "mu",
-    "mu_detailed",
-    "mu_truncated",
     "random_placement",
     "registries",
-    "select_backend",
     "structural_upper_bound",
     "undirected_grid",
     "undirected_hypergrid",
     "verify",
+]
+
+EXPECTED_ENGINE_ALL = [
+    "CacheStats",
+    "CompressionPlan",
+    "ConfusablePair",
+    "DEFAULT_BLOCK_SIZE",
+    "IdentifiabilityResult",
+    "NUMPY_MIN_PATHS",
+    "NumpyBackend",
+    "PathSetCache",
+    "PythonBackend",
+    "SearchCounters",
+    "SearchStats",
+    "SignatureBackend",
+    "SignatureEngine",
+    "available_backends",
+    "cache_stats",
+    "cached_enumerate_paths",
+    "clear_pathset_cache",
+    "compress_universe",
+    "graph_fingerprint",
+    "normalize_backend_spec",
+    "normalize_limits",
+    "numpy_available",
+    "pathset_cache",
+    "record_external_search",
+    "reset_search_counters",
+    "resolve_backend",
+    "resolve_backend_name",
+    "search_counters",
+]
+
+EXPECTED_RESILIENCE_ALL = [
+    "Budget",
+    "BudgetExceededError",
+    "ChaosConfig",
+    "ChaosInjectedError",
+    "CheckpointJournal",
+    "ExecutionPolicy",
+    "PoolCounters",
+    "TrialFailure",
+    "active_checkpoint",
+    "chaos_hook",
+    "checkpoint_scope",
+    "current_chaos",
+    "fingerprint_call",
+    "fingerprint_payload",
+    "install_chaos",
+    "nth_subset_budget",
+    "pool_counters",
+    "reset_pool_counters",
+    "resolve_budget",
 ]
 
 #: The full serialised form of a minimal spec — field names AND defaults.
@@ -114,6 +175,23 @@ class TestPublicSurface:
     def test_every_exported_name_resolves(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+    def test_engine_and_resilience_all_snapshots(self):
+        assert sorted(repro.engine.__all__) == EXPECTED_ENGINE_ALL
+        assert sorted(repro.resilience.__all__) == EXPECTED_RESILIENCE_ALL
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.engine.backends",
+            "repro.engine.compress",
+            "repro.resilience.budget",
+            "repro.resilience.pool",
+        ],
+    )
+    def test_engine_setting_modules_have_no_global_statement(self, module):
+        tree = ast.parse(inspect.getsource(importlib.import_module(module)))
+        assert not any(isinstance(node, ast.Global) for node in ast.walk(tree))
 
     def test_schema_version(self):
         assert SCHEMA_VERSION == 2

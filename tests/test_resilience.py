@@ -36,12 +36,7 @@ from repro.exceptions import (
 )
 from repro.experiments import runner
 from repro.experiments.parallel import TrialSpec, _checkpoint_keys, run_trials
-from repro.resilience.budget import (
-    Budget,
-    budget_policy,
-    current_budget_limits,
-    resolve_budget,
-)
+from repro.resilience.budget import Budget, resolve_budget
 from repro.resilience.chaos import (
     ChaosConfig,
     ChaosInjectedError,
@@ -56,7 +51,6 @@ from repro.resilience.checkpoint import (
 from repro.resilience.pool import (
     ExecutionPolicy,
     TrialFailure,
-    execution_policy,
     pool_counters,
     reset_pool_counters,
 )
@@ -128,14 +122,8 @@ class TestBudgetObject:
         time.sleep(0.02)
         assert budget.expired()
 
-    def test_policy_trio(self):
-        assert current_budget_limits() == (None, None)
+    def test_resolve_budget_none_is_unbounded(self):
         assert resolve_budget(None) is None
-        with budget_policy(subset_budget=7):
-            assert current_budget_limits() == (None, 7)
-            budget = resolve_budget(None)
-            assert budget is not None and budget.subset_budget == 7
-        assert current_budget_limits() == (None, None)
         explicit = Budget(subset_budget=3)
         assert resolve_budget(explicit) is explicit
         with pytest.raises(IdentifiabilityError):
@@ -230,11 +218,10 @@ class TestBudgetTruncation:
         assert config.budget() is not None
         assert EngineConfig().budget() is None
 
-    def test_ambient_budget_policy_reaches_engine(self):
+    def test_explicit_budget_reaches_engine_and_only_that_call(self):
         pathset = _pathset()
-        with budget_policy(subset_budget=40):
-            result = pathset.engine().identifiability()
-        assert result.stats.budget_exhausted is True
+        budgeted = pathset.engine().identifiability(budget=Budget(subset_budget=40))
+        assert budgeted.stats.budget_exhausted is True
         clean = pathset.engine().identifiability()
         assert clean.stats.budget_exhausted is False
 
@@ -460,12 +447,13 @@ class TestResilientPool:
 
     def test_execution_policy_scope(self):
         specs = [TrialSpec(_poison_trial, (i, 1)) for i in range(3)]
-        with execution_policy(max_retries=1, retry_backoff=0.0,
-                              failure_mode="record"):
-            results = run_trials(specs, jobs=2)
+        policy = ExecutionPolicy(
+            max_retries=1, retry_backoff=0.0, failure_mode="record"
+        )
+        results = run_trials(specs, jobs=2, policy=policy)
         assert isinstance(results[1], TrialFailure)
         with pytest.raises(ValueError):
-            run_trials(specs, jobs=1)  # the scope did not leak
+            run_trials(specs, jobs=1)  # the default policy raises
 
 
 class TestCheckpoint:

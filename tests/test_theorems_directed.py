@@ -20,7 +20,6 @@ from repro.analysis.theory import (
 )
 from repro.analysis.verification import verify
 from repro.api import PlacementSpec, Scenario, ScenarioSpec, TopologySpec
-from repro.core.identifiability import mu
 from repro.monitors.grid_placement import chi_g, reduced_chi_g
 from repro.monitors.tree_placement import chi_t, chi_t_with_missing_leaf
 from repro.routing.mechanisms import RoutingMechanism
@@ -33,28 +32,31 @@ class TestTheorem41Trees:
     @pytest.mark.parametrize("depth,arity", [(2, 2), (3, 2), (2, 3)])
     def test_downward_tree_mu_is_one(self, depth, arity):
         tree = complete_kary_tree(depth, arity)
-        assert mu(tree, chi_t(tree)) == 1
+        assert Scenario.from_components(tree, chi_t(tree)).mu().value == 1
 
     @pytest.mark.parametrize("depth,arity", [(2, 2), (2, 3)])
     def test_upward_tree_mu_is_one(self, depth, arity):
         tree = complete_kary_tree(depth, arity, direction="up")
-        assert mu(tree, chi_t(tree)) == 1
+        assert Scenario.from_components(tree, chi_t(tree)).mu().value == 1
 
     def test_cap_minus_agrees(self):
         tree = complete_kary_tree(2, 2)
-        assert mu(tree, chi_t(tree), RoutingMechanism.CAP_MINUS) == 1
+        scenario = Scenario.from_components(
+            tree, chi_t(tree), RoutingMechanism.CAP_MINUS
+        )
+        assert scenario.mu().value == 1
 
     def test_prediction_matches(self):
         tree = complete_kary_tree(3, 2)
         prediction = predicted_mu_directed_tree(tree)
         assert prediction.exact == 1
-        assert prediction.contains(mu(tree, chi_t(tree)))
+        assert prediction.contains(Scenario.from_components(tree, chi_t(tree)).mu().value)
 
     def test_optimality_removing_leaf_monitor_drops_mu_to_zero(self):
         tree = complete_kary_tree(2, 2)
         leaf = sorted(tree_leaves(tree))[0]
         weakened = chi_t_with_missing_leaf(tree, leaf)
-        assert mu(tree, weakened) == 0
+        assert Scenario.from_components(tree, weakened).mu().value == 0
 
     def test_verification_report_passes(self):
         tree = complete_kary_tree(2, 2)
@@ -67,11 +69,14 @@ class TestTheorem48Grids:
     @pytest.mark.parametrize("n", [3, 4])
     def test_directed_grid_mu_is_two(self, n):
         grid = directed_grid(n)
-        assert mu(grid, chi_g(grid)) == 2
+        assert Scenario.from_components(grid, chi_g(grid)).mu().value == 2
 
     def test_cap_minus_agrees_on_h3(self):
         grid = directed_grid(3)
-        assert mu(grid, chi_g(grid), RoutingMechanism.CAP_MINUS) == 2
+        scenario = Scenario.from_components(
+            grid, chi_g(grid), RoutingMechanism.CAP_MINUS
+        )
+        assert scenario.mu().value == 2
 
     def test_prediction_matches(self):
         grid = directed_grid(4)
@@ -94,12 +99,12 @@ class TestTheorem48Grids:
         weakened = reduced_chi_g(grid)
         pathset = enumerate_paths(grid, weakened, "CSP")
         assert not pathset.separates({(1, 2), (2, 1)}, {(1, 1)})
-        assert mu(grid, weakened) < 2
+        assert Scenario.from_components(grid, weakened).mu().value < 2
 
 
 class TestTheorem49Hypergrids:
     def test_three_dimensional_hypergrid_mu_is_three(self, hypergrid_333):
-        assert mu(hypergrid_333, chi_g(hypergrid_333)) == 3
+        assert Scenario.from_components(hypergrid_333, chi_g(hypergrid_333)).mu().value == 3
 
     def test_four_dimensional_hypergrid_mu_is_four(self):
         """Theorem 4.9 at d = 4: H_{3,4} has 81 nodes and 21,152 paths, and

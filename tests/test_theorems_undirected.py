@@ -16,7 +16,7 @@ from repro.analysis.theory import (
     predicted_mu_undirected_hypergrid,
     predicted_mu_undirected_tree,
 )
-from repro.core.identifiability import mu
+from repro.api.scenario import Scenario
 from repro.monitors.grid_placement import chi_corners
 from repro.monitors.heuristics import random_placement
 from repro.monitors.placement import MonitorPlacement
@@ -30,7 +30,7 @@ class TestTreesUndirected:
     def test_balanced_tree_mu_is_one(self):
         tree = complete_kary_tree(3, 2).to_undirected()
         placement = balanced_leaf_placement(tree)
-        assert mu(tree, placement) == 1
+        assert Scenario.from_components(tree, placement).mu().value == 1
 
     def test_prediction_for_balanced_tree(self):
         tree = complete_kary_tree(3, 2).to_undirected()
@@ -44,7 +44,7 @@ class TestTreesUndirected:
         # All inputs under subtree '0', all outputs under subtree '1'.
         placement = MonitorPlacement.of(inputs={"00", "01"}, outputs={"10", "11"})
         assert not is_monitor_balanced(tree, placement)
-        assert mu(tree, placement) == 0
+        assert Scenario.from_components(tree, placement).mu().value == 0
 
     def test_prediction_for_unbalanced_tree(self):
         tree = complete_kary_tree(2, 2).to_undirected()
@@ -55,20 +55,20 @@ class TestTreesUndirected:
         tree = caterpillar_tree(3, legs=2)
         placement = balanced_leaf_placement(tree)
         assert is_monitor_balanced(tree, placement)
-        assert mu(tree, placement) == 1
+        assert Scenario.from_components(tree, placement).mu().value == 1
 
 
 class TestTheorem54Hypergrids:
     def test_corner_placement_within_bounds(self):
         grid = undirected_grid(3)
         placement = chi_corners(grid)
-        value = mu(grid, placement)
+        value = Scenario.from_components(grid, placement).mu().value
         assert 1 <= value <= 2
 
     def test_corner_placement_h4(self):
         grid = undirected_grid(4)
         placement = chi_corners(grid)
-        assert 1 <= mu(grid, placement) <= 2
+        assert 1 <= Scenario.from_components(grid, placement).mu().value <= 2
 
     def test_prediction_bounds(self):
         grid = undirected_grid(3)
@@ -78,7 +78,10 @@ class TestTheorem54Hypergrids:
     def test_cap_minus_agrees(self):
         grid = undirected_grid(3)
         placement = chi_corners(grid)
-        assert 1 <= mu(grid, placement, RoutingMechanism.CAP_MINUS, max_size=3) <= 2
+        scenario = Scenario.from_components(
+            grid, placement, RoutingMechanism.CAP_MINUS
+        )
+        assert 1 <= scenario.mu(max_size=3).value <= 2
 
     @given(seed=st.integers(0, 30))
     @settings(max_examples=8, deadline=None)
@@ -87,7 +90,7 @@ class TestTheorem54Hypergrids:
         [d-1, d] on the 3x3 grid."""
         grid = undirected_grid(3)
         placement = random_placement(grid, 2, 2, rng=seed)
-        value = mu(grid, placement)
+        value = Scenario.from_components(grid, placement).mu().value
         assert 1 <= value <= 2
 
     def test_uses_only_2d_monitors(self):

@@ -9,27 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.scenario import Scenario
 from repro.exceptions import IdentifiabilityError
 from repro.monitors import random_placement
 from repro.monitors.grid_placement import chi_g
 from repro.monitors.placement import MonitorPlacement
 from repro.routing.paths import PathSet, enumerate_paths
-from repro.tomography.boolean_system import (
-    BooleanEquation,
-    BooleanSystem,
-    build_system,
-    measurement_vector,
-)
 from repro.tomography.inference import (
     consistent_failure_sets,
     identifiability_implies_unique_localization,
     localization_is_unique,
     localize_failures,
+    measurement_vector,
 )
 from repro.tomography.scenario import TomographySession
 from repro.topology import erdos_renyi_connected
 from repro.topology.grids import directed_grid
 from repro.topology.lines import line_graph
+
+from oracles import BooleanEquation, BooleanSystem, build_system
 
 
 def toy_pathset() -> PathSet:
@@ -153,9 +151,8 @@ class TestTomographySession:
     def test_session_mu_matches_direct_computation(self, directed_grid_3):
         placement = chi_g(directed_grid_3)
         session = TomographySession(directed_grid_3, placement)
-        from repro.core.identifiability import mu
-
-        assert session.mu == mu(directed_grid_3, placement)
+        direct = Scenario.from_components(directed_grid_3, placement).mu()
+        assert session.mu == direct.value
 
     def test_measure_and_localize_roundtrip(self, directed_grid_3):
         session = TomographySession(directed_grid_3, chi_g(directed_grid_3))

@@ -47,7 +47,11 @@ from repro.topology import claranet, erdos_renyi_connected
 from repro.topology.grids import directed_grid
 from repro.monitors.grid_placement import chi_g
 
-from oracles import assert_matches_oracle, naive_maximal_identifiability_detailed
+from oracles import (
+    BooleanSystem,
+    assert_matches_oracle,
+    naive_maximal_identifiability_detailed,
+)
 
 MECHANISMS = ("CSP", "CAP-", "CAP")
 
@@ -421,7 +425,6 @@ class TestElementLocalization:
         mechanisms × failure sizes 0–3 × backends × compression, over the
         node (``BooleanSystem.solutions`` oracle), link and SRLG (raw-width
         naive sweep) universes — the same sets in the same order."""
-        from repro.tomography.boolean_system import BooleanSystem
         from repro.tomography.inference import (
             consistent_element_sets,
             consistent_failure_sets,
@@ -487,7 +490,6 @@ class TestElementLocalization:
         """A compressed class read with mixed bits, or a 1 on a column no
         element touches, is explained by nothing — at raw width and at
         compressed width alike."""
-        from repro.tomography.boolean_system import BooleanSystem
         from repro.tomography.inference import consistent_failure_sets
 
         mixed_seen = dropped_seen = 0
@@ -547,7 +549,6 @@ class TestElementLocalization:
         assert mixed_seen and dropped_seen
 
     def test_localize_failures_universe_filters_candidates(self):
-        from repro.tomography.boolean_system import BooleanSystem
         from repro.tomography.inference import localize_failures
 
         for seed in range(10):
