@@ -3,14 +3,26 @@
 The identifiability machinery never looks at a path beyond the *set of
 elements it touches*, so :class:`PathSet` stores, for every node ``v``, the
 bitmask of indices of paths crossing ``v`` (``P(v)`` in the paper) — and, for
-every link ``(u, v)``, the bitmask of paths traversing it.  The enumerator
-accumulates the node table in the same pass that discovers the paths and
-captures the link *universe* (every edge of the graph); the link masks fall
-out of the consecutive node pairs of the stored paths in one deferred,
-memoised scan on first link-universe query, so node-only consumers never pay
-for them.  Only directly-constructed path sets fall back to re-scanning
-their paths for the node table too.
-Unions over element sets — ``P(U)`` — are then single bitwise ORs.
+every link ``(u, v)``, the bitmask of paths traversing it.  Unions over
+element sets — ``P(U)`` — are then single bitwise ORs.
+
+The enumerator writes the node rows straight from its traversal.  One
+iterative DFS (:func:`_simple_paths`) serves every enumeration here: the
+open family, the CAP/CAP⁻ cycles, :func:`count_paths` and the scoped
+searches of :meth:`PathSet.apply_delta`.  It walks a positional adjacency
+snapshot taken once per call, and it tests descent in O(1) by counting the
+targets still off the path.  In its emission order, the paths through a node
+form one contiguous index run ``[start, end)`` per stay of that node on the
+stack, and a node's runs are disjoint.  So the DFS records *row runs* — one
+``start, end`` pair per stay instead of one index per (path, node)
+incidence — and each ``P(v)`` is built once as
+``mask_from_indices(ends) - mask_from_indices(starts)``.  Cycles and loops
+add one single-index run per node they touch.  The enumerator also captures
+the link *universe* (every edge of the graph); the link masks fall out of
+the consecutive node pairs of the stored paths in one deferred, memoised
+scan on first link-universe query, so node-only consumers never pay for
+them.  Only directly-constructed path sets re-scan their paths for the node
+table too (:func:`~repro.utils.bitset.masks_from_paths`).
 
 The incidence lives here, once: the node rows (and the link rows, once
 derived) are the element×path incidence matrix, one big-int row per element
@@ -55,15 +67,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
     Dict,
     FrozenSet,
+    Generator,
     Iterable,
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -507,7 +522,7 @@ class PathSet:
         return getattr(self, "_evolution", None)
 
     def _engine_from_evolution(
-        self, universe: FailureUniverse, name: object, compress: bool
+        self, universe: FailureUniverse, name: str, compress: bool
     ) -> Optional["SignatureEngine"]:
         """Patch the parent's engine for ``universe`` instead of building one.
 
@@ -622,24 +637,25 @@ class PathSet:
         """
         n_rows = len(self.nodes)
         rows = [self._node_masks[node] for node in self.nodes]
-        if self._link_masks is not None:
-            links = self._links if links is None else links
-            rows.extend(self._link_masks.get(link, 0) for link in links)
+        link_masks = self._link_masks
+        if link_masks is None:
+            links = ()
+        else:
+            if links is None:
+                links = self.links
+            rows.extend(link_masks.get(link, 0) for link in links)
         scatter: List[List[int]] = []
         if -1 in sources:
             directed = bool(self.directed)
             row_of = {node: row for row, node in enumerate(self.nodes)}
-            if self._link_masks is not None:
-                row_of.update(
-                    (link, n_rows + row) for row, link in enumerate(links)
-                )
+            row_of.update((link, n_rows + row) for row, link in enumerate(links))
             scatter = [[] for _ in rows]
             for column in (j for j, source in enumerate(sources) if source < 0):
                 path = new_paths[column]
                 touched = path[:-1] if path[0] == path[-1] else path
                 for node in touched:
                     scatter[row_of[node]].append(column)
-                if self._link_masks is not None:
+                if link_masks is not None:
                     for u, v in zip(path, path[1:]):
                         if u != v:
                             scatter[row_of[canonical_link(u, v, directed)]].append(
@@ -649,7 +665,7 @@ class PathSet:
             rows, sources, len(self.paths), scatter
         )
         node_masks = dict(zip(self.nodes, gathered))
-        if self._link_masks is None:
+        if link_masks is None:
             return node_masks, None
         return node_masks, dict(zip(links, gathered[n_rows:]))
 
@@ -704,7 +720,7 @@ class PathSet:
           instead of re-scanned.
 
         Exactness of the ordering relies on the emission-order invariant of
-        :func:`_iter_simple_paths`: within one source, paths are emitted in
+        :func:`_simple_paths`: within one source, paths are emitted in
         lexicographic order of their adjacency-index vectors (the DFS yields
         before it descends and walks adjacency in insertion order), so
         sorting the merged open family by (source rank, adjacency-index
@@ -803,15 +819,16 @@ class PathSet:
         #    traverses an added link (the old enumeration was exhaustive over
         #    everything else).  The three searches overlap; the set dedups.
         additions: Set[Path] = set()
+        adjacency = _adjacency(graph)
         kept_inputs = placement.inputs - added_inputs
         for source in added_inputs:
             additions.update(
-                _iter_simple_paths(graph, source, placement.outputs, cutoff)
+                _simple_paths(adjacency, source, placement.outputs, cutoff)
             )
         if added_outputs:
             for source in kept_inputs:
                 additions.update(
-                    _iter_simple_paths(graph, source, added_outputs, cutoff)
+                    _simple_paths(adjacency, source, added_outputs, cutoff)
                 )
         for tail, head in added_links:
             if tail == head:
@@ -821,16 +838,17 @@ class PathSet:
                 for source in kept_inputs:
                     additions.update(
                         _paths_through_edge(
-                            graph, source, placement.outputs, a, b, cutoff
+                            adjacency, source, placement.outputs, a, b, cutoff
                         )
                     )
 
         # 3. Order the merged open family exactly as a fresh enumeration
         #    would: grouped by source in repr order, lexicographic in the
         #    adjacency-index vector within one source.
-        adjacency = graph.adj
+        nodes = adjacency.nodes
         positions = {
-            u: {v: i for i, v in enumerate(adjacency[u])} for u in graph.nodes
+            nodes[u]: {nodes[v]: i for i, v in enumerate(row)}
+            for u, row in enumerate(adjacency.neighbours)
         }
         source_rank = {
             source: rank
@@ -855,33 +873,11 @@ class PathSet:
         #    generator — their dedup representative depends on emission order
         #    over the post-delta adjacency, so surviving cycles are detected
         #    by tuple identity rather than filtered.
-        closed: List[Path] = []
-        if mechanism.allows_cycles or mechanism.allows_dlp:
-            seen: Set[Path] = set()
-            if mechanism.allows_cycles:
-                for anchor in sorted(placement.dlp_candidates, key=repr):
-                    for cycle in _monitor_cycles(graph, anchor, cutoff):
-                        if cycle not in seen:
-                            seen.add(cycle)
-                            closed.append(cycle)
-            if mechanism.allows_dlp:
-                for anchor in sorted(placement.dlp_candidates, key=repr):
-                    loop = (anchor, anchor)
-                    if loop not in seen:
-                        seen.add(loop)
-                        closed.append(loop)
+        closed = list(
+            _closed_paths(adjacency, directed, placement, mechanism, cutoff)
+        )
 
-        total = len(open_family) + len(closed)
-        if total > max_paths:
-            raise PathExplosionError(
-                f"more than max_paths={max_paths} measurement paths; "
-                "increase the cap or use a smaller topology"
-            )
-        if total == 0:
-            raise RoutingError(
-                "no measurement path exists for this placement under "
-                f"{mechanism.value}; identifiability would be undefined"
-            )
+        _check_family_size(len(open_family) + len(closed), max_paths, mechanism)
 
         new_paths: List[Path] = [item[2] for item in open_family]
         sources: List[int] = [
@@ -945,73 +941,143 @@ def _columns(width: int) -> "SignatureBackend":
     return resolve_backend(None, width)
 
 
-def _iter_simple_paths(
-    graph: AnyGraph,
+class _Adjacency(NamedTuple):
+    """A positional snapshot of a graph's adjacency, read once per
+    enumeration so the traversals index plain tuples and flag arrays instead
+    of networkx views and hashed node sets.
+
+    Node ``i`` is ``nodes[i]`` (``graph.adj`` insertion order) and its
+    neighbours — successors for directed graphs — are the positions
+    ``neighbours[i]``, in adjacency order, so emission order is unchanged.
+    ``singletons[i]`` is the 1-tuple ``(nodes[i],)`` a path is extended by.
+    """
+
+    nodes: Tuple[Node, ...]
+    position: Dict[Node, int]
+    neighbours: Tuple[Tuple[int, ...], ...]
+    singletons: Tuple[Path, ...]
+
+    def neighbours_of(self, node: Node) -> Tuple[Node, ...]:
+        """The neighbours of ``node``, in adjacency order."""
+        nodes = self.nodes
+        return tuple(nodes[i] for i in self.neighbours[self.position[node]])
+
+
+def _adjacency(graph: AnyGraph) -> _Adjacency:
+    """The :class:`_Adjacency` snapshot of ``graph``."""
+    nodes = tuple(graph.adj)
+    position = {node: i for i, node in enumerate(nodes)}
+    neighbours = tuple(
+        tuple(position[v] for v in graph.adj[u]) for u in nodes
+    )
+    return _Adjacency(
+        nodes, position, neighbours, tuple((node,) for node in nodes)
+    )
+
+
+def _simple_paths(
+    adjacency: _Adjacency,
     source: Node,
     targets: Iterable[Node],
     cutoff: Optional[int],
-    forbidden: Optional[AbstractSet[Node]] = None,
-) -> Iterator[Path]:
+    forbidden: Iterable[Node] = (),
+    runs: Optional[List[List[int]]] = None,
+    base: int = 0,
+) -> Generator[Path, None, int]:
     """Yield all simple paths from ``source`` to any of ``targets``.
 
-    A native iterative multi-target DFS: one traversal per source covers
-    every target, so path prefixes shared between targets are walked only
-    once — and, unlike ``networkx.all_simple_paths``, the on-path node set is
-    carried explicitly, the generator emits tuples directly, and no wrapper
-    generators sit between the traversal and the caller.  Paths from a node
-    to itself are excluded (the DLP/cycle cases are handled by the callers).
+    The one iterative multi-target DFS every enumeration in this module
+    runs: a single traversal per source covers every target, so prefixes
+    shared between targets are walked once.  Paths from a node to itself are
+    excluded (the cycle and loop families are built on top of it).
 
-    ``cutoff`` limits the path length in *edges* (``None`` = unlimited).
-    The traversal descends into a child only while some target lies outside
-    the current path, matching the classic pruning of the networkx
-    implementation; emission order is depth-first in adjacency order — i.e.
-    lexicographic in the path's adjacency-index vector, an invariant
-    :meth:`PathSet.apply_delta` relies on to merge incremental results into
-    from-scratch order.
+    ``cutoff`` limits the path length in *edges* (``None`` = unlimited).  The
+    traversal descends into a child only while some target lies off the
+    path, tracked as a count of such targets, so the test is O(1).  Emission
+    is depth-first in adjacency order — lexicographic in the path's
+    adjacency-index vector, an invariant :meth:`PathSet.apply_delta` relies on
+    to merge incremental results into from-scratch order.
 
-    ``forbidden`` excludes a node set from the traversal entirely (used by
-    the delta layer's two-segment composition); forbidden nodes are never
-    visited and never count as targets.
+    ``forbidden`` excludes a node set from the traversal entirely (the delta
+    layer's two-segment composition); forbidden nodes are never visited and
+    never count as targets.
+
+    With ``runs`` (one list per node position), the paths are numbered from
+    ``base`` and every node's incidence is recorded as *row runs*: the paths
+    emitted while a node sits on the stack form one contiguous index range,
+    appended to its list as ``start, end`` (a target reached as a leaf gets a
+    single-index run).  A node's runs are disjoint and ascending, so its
+    ``P(v)`` row is ``mask_from_indices(ends) - mask_from_indices(starts)``.
+    The return value is ``base`` plus the number of paths emitted.
     """
-    target_set = {t for t in targets if t != source}
-    if forbidden:
-        if source in forbidden:
-            return
-        target_set -= set(forbidden)
-    if not target_set:
-        return
-    if source not in graph:
+    position = adjacency.position
+    if source not in position:
         raise RoutingError(f"source node {source!r} is not in the graph")
-    adjacency = graph.adj
-    max_nodes = graph.number_of_nodes() if cutoff is None else cutoff + 1
-    if max_nodes < 2:
-        return  # no room for even a 1-edge path (cutoff <= 0 / trivial graph)
-    path: List[Node] = [source]
-    # Folding the forbidden set into the on-path set blocks both descent and
-    # emission; backtracking only ever pops appended path nodes, so the
-    # forbidden members stay put for the whole traversal.
-    on_path = {source} | set(forbidden) if forbidden else {source}
-    stack: List[Iterator[Node]] = [iter(adjacency[source])]
+    # Per position: 0 = free, 1 = a free target, 2 = on the path or
+    # forbidden.  Backtracking restores a node's flag from ``is_target``.
+    is_target = bytearray(len(position))
+    for target in targets:
+        if target in position:
+            is_target[position[target]] = 1
+    state = bytearray(is_target)
+    for node in forbidden:
+        state[position[node]] = 2
+    origin = position[source]
+    if state[origin] == 2:
+        return base
+    state[origin] = 2
+    remaining = state.count(1)  # targets off the path; >= 1 while exploring
+    # The deepest prefix (in nodes) that may still be extended by one edge.
+    limit = len(position) - 1 if cutoff is None else cutoff
+    if not remaining or limit < 1:
+        return base  # no target, or no room for a 1-edge path (cutoff <= 0)
+    neighbours, singletons = adjacency.neighbours, adjacency.singletons
+    count = base
+    prefix: Path = (source,)
+    prefixes: List[Path] = [()]
+    trail = [origin]
+    starts = [base]
+    stack: List[Iterator[int]] = [iter(neighbours[origin])]
     while stack:
-        descended = False
         for child in stack[-1]:
-            if child in on_path:
+            flag = state[child]
+            if flag == 2:
                 continue
-            if child in target_set:
-                yield tuple(path) + (child,)
-            if len(path) < max_nodes - 1 and not target_set <= on_path | {child}:
-                path.append(child)
-                on_path.add(child)
-                stack.append(iter(adjacency[child]))
-                descended = True
-                break
-        if not descended:
+            if flag:
+                extended = prefix + singletons[child]
+                yield extended
+                count += 1
+                if remaining == 1 or len(prefix) >= limit:
+                    if runs is not None:
+                        runs[child].extend((count - 1, count))
+                    continue
+                remaining -= 1
+                starts.append(count - 1)
+            elif len(prefix) >= limit:
+                continue
+            else:
+                extended = prefix + singletons[child]
+                starts.append(count)
+            prefixes.append(prefix)
+            prefix = extended
+            trail.append(child)
+            state[child] = 2
+            stack.append(iter(neighbours[child]))
+            break
+        else:
             stack.pop()
-            on_path.discard(path.pop())
+            node = trail.pop()
+            flag = state[node] = is_target[node]
+            remaining += flag
+            start = starts.pop()
+            if runs is not None and count > start:
+                runs[node].extend((start, count))
+            prefix = prefixes.pop()
+    return count
 
 
 def _paths_through_edge(
-    graph: AnyGraph,
+    adjacency: _Adjacency,
     source: Node,
     targets: AbstractSet[Node],
     tail: Node,
@@ -1025,8 +1091,9 @@ def _paths_through_edge(
     ``tail`` that avoids ``head`` (the path visits ``head`` only after the
     edge), the edge itself, and a simple suffix from ``head`` to a target
     avoiding every prefix node — so enumerating (prefix, suffix) pairs with
-    the forbidden-set DFS finds each qualifying path exactly once.  For
-    undirected graphs the caller invokes this twice, once per orientation.
+    the forbidden-set DFS finds each qualifying path exactly once, in
+    from-scratch order.  For undirected graphs the caller invokes this
+    twice, once per orientation.
     """
     if source == head:
         return  # the edge would re-enter the source: never simple
@@ -1036,8 +1103,8 @@ def _paths_through_edge(
         prefixes: Iterable[Path] = ((tail,),)
     else:
         prefix_cutoff = None if cutoff is None else cutoff - 1
-        prefixes = _iter_simple_paths(
-            graph, source, {tail}, prefix_cutoff, forbidden={head}
+        prefixes = _simple_paths(
+            adjacency, source, (tail,), prefix_cutoff, forbidden=(head,)
         )
     for prefix in prefixes:
         with_edge = prefix + (head,)
@@ -1046,26 +1113,28 @@ def _paths_through_edge(
         remaining = None if cutoff is None else cutoff - len(prefix)
         if remaining is not None and remaining < 1:
             continue
-        for suffix in _iter_simple_paths(
-            graph, head, targets, remaining, forbidden=frozenset(prefix)
+        for suffix in _simple_paths(
+            adjacency, head, targets, remaining, forbidden=prefix
         ):
             yield prefix + suffix
 
 
 def _monitor_cycles(
-    graph: AnyGraph, anchor: Node, cutoff: Optional[int]
+    adjacency: _Adjacency, directed: bool, anchor: Node, cutoff: Optional[int]
 ) -> Iterator[Path]:
     """Yield simple cycles through ``anchor`` as closed node tuples.
 
     Used by CAP/CAP⁻ for paths that start and end at the same monitor node.
     A cycle is represented by its node sequence starting and ending at the
-    anchor, e.g. ``(a, b, c, a)``.
+    anchor, e.g. ``(a, b, c, a)``; ``cutoff`` bounds its length in edges,
+    the first one (out of the anchor) included.
     """
-    if graph.is_directed():
-        for successor in graph.successors(anchor):
+    inner_cutoff = None if cutoff is None else cutoff - 1
+    if directed:
+        for successor in adjacency.neighbours_of(anchor):
             if successor == anchor:
                 continue
-            for path in _iter_simple_paths(graph, successor, {anchor}, cutoff):
+            for path in _simple_paths(adjacency, successor, (anchor,), inner_cutoff):
                 yield (anchor,) + path
     else:
         # Dedup by the canonical *edge* set, not the node set: two genuinely
@@ -1075,8 +1144,8 @@ def _monitor_cycles(
         # suppressed.  A simple cycle never repeats an undirected edge, so a
         # frozenset of unordered endpoint pairs is a faithful canonical form.
         seen: set = set()
-        for neighbour in graph.neighbors(anchor):
-            for path in _iter_simple_paths(graph, neighbour, {anchor}, cutoff):
+        for neighbour in adjacency.neighbours_of(anchor):
+            for path in _simple_paths(adjacency, neighbour, (anchor,), inner_cutoff):
                 if len(path) < 3:
                     # (neighbour, anchor) would retrace the same edge.
                     continue
@@ -1089,45 +1158,87 @@ def _monitor_cycles(
                     yield cycle
 
 
-def _generate_measurement_paths(
-    graph: AnyGraph,
+def _closed_paths(
+    adjacency: _Adjacency,
+    directed: bool,
     placement: MonitorPlacement,
     mechanism: RoutingMechanism,
     cutoff: Optional[int],
 ) -> Iterator[Path]:
-    """Yield the measurement paths of ``P(G|χ)`` in canonical order, deduped.
+    """Yield the CAP⁻ cycle and CAP loop families in canonical order, deduped.
 
-    The CSP family needs no dedup: paths from different sources differ in
-    their first node, and the multi-target DFS emits each simple path from
-    one source exactly once.  Duplicates can only arise inside the CAP/CAP⁻
-    cycle and self-path families, so the ``seen`` set is scoped there — the
-    (usually much larger) CSP family is streamed straight through without
-    hashing every tuple.
+    Duplicates can only arise here — the same cycle reached from two
+    anchors — so the ``seen`` set is scoped to these (small) families and
+    the open family is never hashed.
     """
-    placement.validate(graph)
+    if not (mechanism.allows_cycles or mechanism.allows_dlp):
+        return
+    anchors = sorted(placement.dlp_candidates, key=repr)
+    seen: Set[Path] = set()
+    if mechanism.allows_cycles:
+        # Paths that start and end on the same node which is both an input
+        # and an output node: monitor-anchored simple cycles (>= 2 edges).
+        for anchor in anchors:
+            for cycle in _monitor_cycles(adjacency, directed, anchor, cutoff):
+                if cycle not in seen:
+                    seen.add(cycle)
+                    yield cycle
+    if mechanism.allows_dlp:
+        # Degenerate loop paths: the single-node loop m·(vv)·M.
+        for anchor in anchors:
+            loop = (anchor, anchor)
+            if loop not in seen:
+                seen.add(loop)
+                yield loop
 
-    # Simple input -> output paths with distinct endpoints (all mechanisms).
-    # One multi-target traversal per source; see _iter_simple_paths.
+
+def _measurement_paths(
+    adjacency: _Adjacency,
+    directed: bool,
+    placement: MonitorPlacement,
+    mechanism: RoutingMechanism,
+    cutoff: Optional[int],
+    runs: Optional[List[List[int]]] = None,
+) -> Iterator[Path]:
+    """Yield the measurement paths of ``P(G|χ)`` in canonical order.
+
+    The open family (simple input → output paths with distinct endpoints,
+    all mechanisms) is one multi-target DFS per source in ``repr`` order;
+    it needs no dedup, since paths from different sources differ in their
+    first node.  The closed families follow.  With ``runs``, every path's
+    node incidence is recorded as row runs (see :func:`_simple_paths`); a
+    closed path records one single-index run per node it touches.
+    """
+    count = 0
     for source in sorted(placement.inputs, key=repr):
-        yield from _iter_simple_paths(graph, source, placement.outputs, cutoff)
+        count = yield from _simple_paths(
+            adjacency, source, placement.outputs, cutoff, runs=runs, base=count
+        )
+    position = adjacency.position
+    for path in _closed_paths(adjacency, directed, placement, mechanism, cutoff):
+        if runs is not None:
+            # A closed tuple repeats only its anchor: dropping the last node
+            # leaves exactly the distinct touched nodes.
+            for node in path[:-1]:
+                runs[position[node]].extend((count, count + 1))
+        count += 1
+        yield path
 
-    if mechanism.allows_cycles or mechanism.allows_dlp:
-        seen: set = set()
-        if mechanism.allows_cycles:
-            # Paths that start and end on the same node which is both an input
-            # and an output node: monitor-anchored simple cycles (>= 2 edges).
-            for anchor in sorted(placement.dlp_candidates, key=repr):
-                for cycle in _monitor_cycles(graph, anchor, cutoff):
-                    if cycle not in seen:
-                        seen.add(cycle)
-                        yield cycle
-        if mechanism.allows_dlp:
-            # Degenerate loop paths: the single-node loop m·(vv)·M.
-            for anchor in sorted(placement.dlp_candidates, key=repr):
-                loop = (anchor, anchor)
-                if loop not in seen:
-                    seen.add(loop)
-                    yield loop
+
+def _check_family_size(
+    total: int, max_paths: int, mechanism: RoutingMechanism
+) -> None:
+    """Raise when a measurement-path family of ``total`` paths is unusable."""
+    if total > max_paths:
+        raise PathExplosionError(
+            f"more than max_paths={max_paths} measurement paths; "
+            "increase the cap or use a smaller topology"
+        )
+    if total == 0:
+        raise RoutingError(
+            "no measurement path exists for this placement under "
+            f"{mechanism.value}; identifiability would be undefined"
+        )
 
 
 def enumerate_paths(
@@ -1139,11 +1250,13 @@ def enumerate_paths(
 ) -> PathSet:
     """Enumerate the measurement paths ``P(G|χ)`` under a routing mechanism.
 
-    The node masks ``P(v)`` are accumulated *while the paths are generated* —
-    each path contributes its index to the per-node incidence lists as it is
-    emitted, and the big-int masks are built once at the end
-    (:func:`repro.utils.bitset.mask_from_indices`), so the path tuples are
-    never re-scanned after enumeration.
+    The node rows ``P(v)`` are written by the traversal itself: in DFS
+    emission order the paths through a node form one contiguous index run
+    per stay on the stack, so the DFS records ``start, end`` pairs instead
+    of one index per (path, node) incidence, and each row is built once as
+    ``mask_from_indices(ends) - mask_from_indices(starts)``
+    (:func:`repro.utils.bitset.mask_from_indices`).  The path tuples are
+    never re-scanned.
 
     Parameters
     ----------
@@ -1178,36 +1291,26 @@ def enumerate_paths(
             {canonical_link(u, v, directed) for u, v in graph.edges()}, key=repr
         )
     )
-
-    paths: List[Path] = []
-    index_lists: Dict[Node, List[int]] = {node: [] for node in node_universe}
-    for path in _generate_measurement_paths(graph, placement, mechanism, cutoff):
-        index = len(paths)
-        paths.append(path)
-        if len(paths) > max_paths:
-            raise PathExplosionError(
-                f"more than max_paths={max_paths} measurement paths; "
-                "increase the cap or use a smaller topology"
-            )
-        # Every emitted path is simple apart from a possibly repeated
-        # endpoint (cycles, degenerate loops), so dropping the last node of
-        # a closed tuple leaves exactly the distinct touched nodes — no
-        # ``set(path)`` per path needed.
-        touched = path[:-1] if path[0] == path[-1] else path
-        for node in touched:
-            index_lists[node].append(index)
-
-    if not paths:
-        raise RoutingError(
-            "no measurement path exists for this placement under "
-            f"{mechanism.value}; identifiability would be undefined"
+    placement.validate(graph)
+    adjacency = _adjacency(graph)
+    runs: List[List[int]] = [[] for _ in adjacency.nodes]
+    paths = tuple(
+        islice(
+            _measurement_paths(
+                adjacency, directed, placement, mechanism, cutoff, runs
+            ),
+            max(max_paths, 0) + 1,
         )
-    masks = {
-        node: mask_from_indices(indices) for node, indices in index_lists.items()
-    }
+    )
+    _check_family_size(len(paths), max_paths, mechanism)
+    position = adjacency.position
+    masks: Dict[Node, int] = {}
+    for node in node_universe:
+        bounds = runs[position[node]]
+        masks[node] = mask_from_indices(bounds[1::2]) - mask_from_indices(bounds[::2])
     return PathSet(
         node_universe,
-        tuple(paths),
+        paths,
         masks,
         directed=directed,
         _links=link_universe,
@@ -1236,24 +1339,17 @@ def count_paths(
 ) -> int:
     """``|P(G|χ)|`` (as in Tables 3-5), streamed off the enumeration.
 
-    Counts the paths as the traversal emits them — no :class:`PathSet`, no
-    node masks, no stored tuples (beyond the scoped cycle-family dedup set).
-    Semantics match :func:`enumerate_paths` exactly: the same
-    :class:`PathExplosionError` guard applies and an empty path family
-    raises :class:`RoutingError`.
+    Runs the same traversal as :func:`enumerate_paths` but records no row
+    runs and keeps no :class:`PathSet` or path tuples (beyond the scoped
+    cycle-family dedup set).  Semantics match :func:`enumerate_paths`
+    exactly: the same :class:`PathExplosionError` guard applies and an
+    empty path family raises :class:`RoutingError`.
     """
     mechanism = RoutingMechanism.parse(mechanism)
-    count = 0
-    for _ in _generate_measurement_paths(graph, placement, mechanism, cutoff):
-        count += 1
-        if count > max_paths:
-            raise PathExplosionError(
-                f"more than max_paths={max_paths} measurement paths; "
-                "increase the cap or use a smaller topology"
-            )
-    if count == 0:
-        raise RoutingError(
-            "no measurement path exists for this placement under "
-            f"{mechanism.value}; identifiability would be undefined"
-        )
-    return count
+    placement.validate(graph)
+    family = _measurement_paths(
+        _adjacency(graph), bool(graph.is_directed()), placement, mechanism, cutoff
+    )
+    total = sum(1 for _ in islice(family, max(max_paths, 0) + 1))
+    _check_family_size(total, max_paths, mechanism)
+    return total

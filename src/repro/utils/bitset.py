@@ -109,8 +109,8 @@ def masks_from_paths(nodes: Sequence, paths: Sequence[Sequence]) -> dict:
 
     Raises :class:`ValueError` when a path touches a node outside ``nodes``;
     the routing layer re-raises that as a :class:`~repro.exceptions.RoutingError`.
-    This is the single mask-construction primitive shared by
-    :class:`repro.routing.paths.PathSet` and the signature engine.
+    Only directly-constructed :class:`repro.routing.paths.PathSet` objects
+    use it: the enumerator writes its rows from the traversal's row runs.
     """
     index_lists: dict = {node: [] for node in nodes}
     for index, path in enumerate(paths):
@@ -132,7 +132,7 @@ def masks_for_nodes(
     ``membership[node]`` must be an iterable of path indices smaller than
     ``universe_size``.
     """
-    result = {}
+    result: dict = {}
     for node in node_order:
         indices = list(membership.get(node, ()))
         for index in indices:

@@ -4,11 +4,12 @@
 by column gathers, and ``PathSet.engine`` patches each parent engine into
 the next one.  Any drift would compound along a walk, so the law is checked
 after *every* step of walks of 8–10 link flaps and monitor edits, on random
-directed and undirected graphs under CSP, CAP⁻ and CAP, on every available
-backend: the evolved path set equals a fresh ``enumerate_paths`` (paths and
-their order, node masks, link masks when derived, the ``PathEvolution``
-survivors / added / removed), and every patched engine equals a fresh
-``SignatureEngine`` (plan members, touch keys, packed rows and keys).
+directed and undirected graphs under CSP, CAP⁻ and CAP (CAP⁻ also under a
+path-length cutoff), on every available backend: the evolved path set
+equals a fresh ``enumerate_paths`` (paths and their order, node masks, link
+masks when derived, the ``PathEvolution`` survivors / added / removed), and
+every patched engine equals a fresh ``SignatureEngine`` (plan members, touch
+keys, packed rows and keys).
 
 Walks are generated as explicit JSON-able cases, so a shrunk failure can be
 committed as ``tests/corpus/evolve_chain_*.json`` and replayed as is.
@@ -71,7 +72,10 @@ def _graph(case, edges):
 def _has_paths(case, edges, inputs, outputs) -> bool:
     try:
         count_paths(
-            _graph(case, edges), MonitorPlacement(inputs, outputs), case["mechanism"]
+            _graph(case, edges),
+            MonitorPlacement(inputs, outputs),
+            case["mechanism"],
+            case.get("cutoff"),
         )
     except RoutingError:
         return False
@@ -101,9 +105,9 @@ def _flap(graph, delta):
 
 
 @st.composite
-def walks(draw):
-    """A random graph, placement and mechanism plus a walk of 8–10 deltas,
-    each leaving at least one measurement path."""
+def walks(draw, mechanisms=MECHANISMS, cutoffs=(None,)):
+    """A random graph, placement, mechanism and path-length cutoff plus a
+    walk of 8–10 deltas, each leaving at least one measurement path."""
     directed = draw(st.booleans())
     n = draw(st.integers(4, 7))
     edges = set()
@@ -118,7 +122,8 @@ def walks(draw):
     case = {
         "directed": directed,
         "n_nodes": n,
-        "mechanism": draw(st.sampled_from(MECHANISMS)),
+        "mechanism": draw(st.sampled_from(mechanisms)),
+        "cutoff": draw(st.sampled_from(cutoffs)),
         "links_derived": draw(st.booleans()),
         "edges": sorted(edges),
         "inputs": sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))),
@@ -224,11 +229,13 @@ def _assert_pathset_parity(parent, evolved, fresh, tag):
 
 
 def _run_walk(case, backend):
-    mechanism = case["mechanism"]
+    mechanism, cutoff = case["mechanism"], case.get("cutoff")
     edges, inputs, outputs = set(map(tuple, case["edges"])), case["inputs"], case["outputs"]
     graph = _graph(case, case["edges"])
     with auto_backend(backend):
-        pathset = enumerate_paths(graph, MonitorPlacement(inputs, outputs), mechanism)
+        pathset = enumerate_paths(
+            graph, MonitorPlacement(inputs, outputs), mechanism, cutoff
+        )
         for universe in _universes(pathset, case):
             pathset.engine(backend, compress=True, universe=universe)
         for number, step in enumerate(case["steps"]):
@@ -240,8 +247,8 @@ def _run_walk(case, backend):
                 **{name: tuple(map(tuple, step[name])) if "links" in name
                    else tuple(step[name]) for name in DELTA_FIELDS if name in step}
             )
-            evolved = pathset.apply_delta(graph, placement, mechanism, delta)
-            fresh = enumerate_paths(graph, placement, mechanism)
+            evolved = pathset.apply_delta(graph, placement, mechanism, delta, cutoff)
+            fresh = enumerate_paths(graph, placement, mechanism, cutoff)
             _assert_pathset_parity(pathset, evolved, fresh, tag)
             for universe in _universes(evolved, case):
                 patched = evolved.engine(backend, compress=True, universe=universe)
@@ -261,6 +268,17 @@ def _run_walk(case, backend):
 )
 @given(case=walks())
 def test_chained_evolve_parity(case):
+    for backend in BACKENDS:
+        _run_walk(case, backend)
+
+
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(case=walks(mechanisms=("CAP-",), cutoffs=(1, 2, 3, 4)))
+def test_cap_minus_cutoff_walk(case):
+    """Link flaps under CAP⁻ with a path-length cutoff: the re-emitted
+    cycle family and the scoped additions obey the cutoff at every step."""
     for backend in BACKENDS:
         _run_walk(case, backend)
 

@@ -13,6 +13,9 @@ from repro.monitors.grid_placement import chi_g
 from repro.routing.mechanisms import RoutingMechanism
 from repro.routing.paths import (
     PathSet,
+    PathSetDelta,
+    _adjacency,
+    _paths_through_edge,
     count_paths,
     enumerate_paths,
     path_length_histogram,
@@ -214,12 +217,42 @@ def test_number_of_grid_paths_grows_with_n(n):
         assert larger > smaller
 
 
+@st.composite
+def random_graphs(draw, max_nodes=7):
+    """A random directed or undirected simple graph on 2..max_nodes nodes."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(2, max_nodes))
+    pairs = [
+        (u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n))
+    graph = nx.DiGraph() if directed else nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(edges)
+    return graph
+
+
+@st.composite
+def random_cases(draw):
+    """(graph, placement, mechanism, cutoff) for the enumeration oracle."""
+    graph = draw(random_graphs())
+    nodes = st.sets(st.sampled_from(sorted(graph.nodes)), min_size=1, max_size=3)
+    placement = MonitorPlacement.of(inputs=draw(nodes), outputs=draw(nodes))
+    mechanism = draw(st.sampled_from(("CSP", "CAP-", "CAP")))
+    cutoff = draw(st.sampled_from((None, 1, 2, 3, 4)))
+    return graph, placement, mechanism, cutoff
+
+
 class TestNativeEnumerationOracle:
     """The native multi-target DFS must reproduce the networkx path family."""
 
     @staticmethod
-    def _nx_reference_paths(graph, placement, mechanism):
-        """Pre-refactor reference: nx.all_simple_paths + a global dedup set."""
+    def _nx_reference_paths(graph, placement, mechanism, cutoff=None):
+        """Pre-refactor reference: nx.all_simple_paths + a global dedup set,
+        with every path (cycles included) longer than ``cutoff`` edges
+        dropped.  Filtering keeps the depth-first order, and the two
+        orientations of an undirected cycle have the same length, so it
+        commutes with the dedup."""
         from repro.routing.mechanisms import RoutingMechanism
 
         mechanism = RoutingMechanism.parse(mechanism)
@@ -227,6 +260,8 @@ class TestNativeEnumerationOracle:
         seen: set = set()
 
         def push(path):
+            if cutoff is not None and len(path) - 1 > cutoff:
+                return
             if path not in seen:
                 seen.add(path)
                 paths.append(path)
@@ -310,6 +345,119 @@ class TestNativeEnumerationOracle:
         pathset = enumerate_paths(graph, placement, "CAP")
         rederived = masks_from_paths(pathset.nodes, pathset.paths)
         assert {n: pathset.paths_through(n) for n in pathset.nodes} == rederived
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=random_cases())
+    def test_exact_oracle(self, case):
+        """Paths in order, row-run masks, count and the max_paths guard all
+        match the networkx reference, for every mechanism and cutoff."""
+        from repro.utils.bitset import masks_from_paths
+
+        graph, placement, mechanism, cutoff = case
+        expected = self._nx_reference_paths(graph, placement, mechanism, cutoff)
+        if not expected:
+            with pytest.raises(RoutingError):
+                enumerate_paths(graph, placement, mechanism, cutoff)
+            with pytest.raises(RoutingError):
+                count_paths(graph, placement, mechanism, cutoff)
+            return
+        pathset = enumerate_paths(graph, placement, mechanism, cutoff)
+        assert list(pathset.paths) == expected
+        assert pathset._node_masks == masks_from_paths(pathset.nodes, pathset.paths)
+        n = pathset.n_paths
+        assert count_paths(graph, placement, mechanism, cutoff) == n
+        assert enumerate_paths(graph, placement, mechanism, cutoff, n).paths == (
+            pathset.paths
+        )
+        assert count_paths(graph, placement, mechanism, cutoff, n) == n
+        for function in (enumerate_paths, count_paths):
+            with pytest.raises(PathExplosionError):
+                function(graph, placement, mechanism, cutoff, n - 1)
+
+
+class TestCycleCutoff:
+    """CAP/CAP⁻ monitor cycles obey ``cutoff`` like every other path: the
+    anchor's outgoing edge counts towards the limit."""
+
+    EDGES = (("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"))
+
+    @pytest.mark.parametrize("directed", (True, False))
+    def test_cycle_longer_than_cutoff_is_dropped(self, directed):
+        graph = (nx.DiGraph if directed else nx.Graph)(self.EDGES)
+        placement = MonitorPlacement.of(inputs={"a"}, outputs={"a", "d"})
+        if directed:
+            # Only 3-edge paths exist — (a, b, c, d) and the cycle
+            # (a, b, c, a) — so a 2-edge cutoff leaves no measurement path.
+            with pytest.raises(RoutingError):
+                enumerate_paths(graph, placement, "CAP-", cutoff=2)
+            with pytest.raises(RoutingError):
+                count_paths(graph, placement, "CAP-", cutoff=2)
+        else:
+            paths = enumerate_paths(graph, placement, "CAP-", cutoff=2).paths
+            assert paths == (("a", "c", "d"),)
+        assert ("a", "b", "c", "a") in enumerate_paths(
+            graph, placement, "CAP-", cutoff=3
+        ).paths
+
+    @pytest.mark.parametrize("directed", (True, False))
+    @pytest.mark.parametrize("cutoff", (1, 2, 3, 4))
+    def test_cutoff_filters_the_full_family(self, directed, cutoff):
+        graph = (nx.DiGraph if directed else nx.Graph)(self.EDGES + (("a", "d"),))
+        placement = MonitorPlacement.of(inputs={"a"}, outputs={"a", "d"})
+        for mechanism in ("CAP-", "CAP"):
+            full = enumerate_paths(graph, placement, mechanism).paths
+            cut = enumerate_paths(graph, placement, mechanism, cutoff=cutoff).paths
+            assert cut == tuple(path for path in full if len(path) - 1 <= cutoff)
+
+    @pytest.mark.parametrize("directed", (True, False))
+    def test_apply_delta_respects_cutoff(self, directed):
+        kind = nx.DiGraph if directed else nx.Graph
+        before = kind(self.EDGES + (("a", "d"),))
+        after = kind(self.EDGES + (("a", "d"), ("b", "d")))
+        placement = MonitorPlacement.of(inputs={"a"}, outputs={"a", "d"})
+        pathset = enumerate_paths(before, placement, "CAP-", cutoff=2)
+        evolved = pathset.apply_delta(
+            after, placement, "CAP-", PathSetDelta(add_links=(("b", "d"),)), cutoff=2
+        )
+        fresh = enumerate_paths(after, placement, "CAP-", cutoff=2)
+        assert evolved.paths == fresh.paths
+        assert evolved._node_masks == fresh._node_masks
+        assert ("a", "b", "c", "a") not in evolved.paths
+        assert all(len(path) - 1 <= 2 for path in evolved.paths)
+
+
+class TestPathsThroughEdge:
+    """The delta layer's two-segment search yields exactly the from-scratch
+    paths through one edge, in from-scratch order."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        graph=random_graphs(),
+        data=st.data(),
+        cutoff=st.sampled_from((None, 1, 2, 3, 4)),
+    )
+    def test_matches_filtered_reference(self, graph, data, cutoff):
+        edges = sorted(graph.edges)
+        if not edges:
+            return
+        tail, head = data.draw(st.sampled_from(edges))
+        if not graph.is_directed() and data.draw(st.booleans()):
+            tail, head = head, tail
+        nodes = sorted(graph.nodes)
+        source = data.draw(st.sampled_from(nodes))
+        targets = frozenset(data.draw(st.sets(st.sampled_from(nodes), min_size=1)))
+        expected = [
+            tuple(path)
+            for path in nx.all_simple_paths(graph, source, targets - {source})
+            if (cutoff is None or len(path) - 1 <= cutoff)
+            and (tail, head) in zip(path, path[1:])
+        ]
+        actual = list(
+            _paths_through_edge(
+                _adjacency(graph), source, targets, tail, head, cutoff
+            )
+        )
+        assert actual == expected
 
 
 class TestCountPathsStreaming:
