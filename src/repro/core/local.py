@@ -4,69 +4,63 @@ footnote in Section 2).
 The paper's µ asks every pair of small node sets to be separable.  The
 *local* variant of [16, 2] only asks separation for pairs that differ inside a
 designated subset ``S ⊆ V`` of "interesting" nodes: the condition
-``U △ W ≠ ∅`` is replaced by ``(U ∩ S) △ (W ∩ S) ≠ ∅``.
+``U △ W ≠ ∅`` is replaced by ``(U ∩ S) △ (W ∩ S) ≠ ∅``.  Local µ_S is the
+largest ``k`` for which every such pair with ``|U|, |W| ≤ k`` has
+``P(U) ≠ P(W)``.
 
 Local identifiability is what degenerate loop paths trivially boost (Section
 9): a DLP node ``v`` separates ``{v}`` from everything else, so its local
 identifiability w.r.t. ``S = {v}`` is as large as the universe.  The module
 exists both as public API and to back the DLP discussion tests.
 
-The local subset sweep runs on the signature engine
-(:meth:`PathSet.engine <repro.routing.paths.PathSet.engine>`): subsets are
-read off the engine's chunked frontier instead of recomputing ``P(U)`` per
-subset, and exact-verified signature keys group the S-projections.
+The reduction to the µ search
+-----------------------------
+
+Call ``W`` an *S-dominator* of ``v`` when ``v ∈ S∖W`` and
+``P(v) ⊆ P(W)``, and let ``m_S`` be the smallest size of an S-dominator.
+
+* ``W`` and ``W ∪ {v}`` differ inside ``S`` (in ``v``) and have the same
+  path set, so local identifiability fails at size ``m_S + 1``:
+  µ_S ≤ m_S.
+* Any failing pair ``(A, B)`` — ``P(A) = P(B)`` and
+  ``(A ∩ S) △ (B ∩ S) ≠ ∅`` — has some ``v ∈ (A △ B) ∩ S``; name the sides
+  so that ``v ∈ A∖B``.  Then ``P(v) ⊆ P(A) = P(B)``, so ``B`` is an
+  S-dominator of ``v`` and the pair fails at size ``max(|A|, |B|) ≥ m_S``:
+  µ_S ≥ m_S − 1.  Hence µ_S ∈ {m_S − 1, m_S}.
+* µ_S = m_S − 1 exactly when a failing pair has both sides of size at most
+  ``m_S``.  Its side ``B`` without ``v`` is then a *minimum* S-dominator of
+  ``v``, and its side ``A ∋ v`` has ``|A| ≤ m_S`` and ``P(A) = P(B)``.
+  Conversely any such ``A`` and ``B`` fail at size ``m_S``.  Writing
+  ``A = {v} ∪ A'``, ``P(A) = P(B)`` says that every row of ``A'`` lies
+  inside ``P(B)`` and that ``A'`` hits ``P(B)∖P(v)``.  So µ_S = m_S − 1
+  iff, for some ``v ∈ S`` and some minimum S-dominator ``B`` of ``v``,
+  ``P(B)∖P(v)`` is covered by at most ``m_S − 1`` elements whose rows lie
+  inside ``P(B)``.
+
+Both steps are the bounded hitting-set search of the µ search
+(:class:`~repro.engine.signatures.SignatureEngine`, module docstring "The µ
+search"): finding ``m_S`` is its iterative deepening with the dominated
+targets restricted to ``S``, and the decision is the same descent with
+target ``P(B)∖P(v)``, the elements whose rows leave ``P(B)`` excluded, at
+depths ``0 .. m_S − 1``.  Three edge cases: ``m_S = 0`` (a scope element on
+no path, confusable with ∅) gives 0; no S-dominator up to the cap gives the
+cap; and ``S = V`` is µ itself (capped).
+
+These functions are thin clients of
+:meth:`SignatureEngine.local_identifiability
+<repro.engine.signatures.SignatureEngine.local_identifiability>`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro._typing import Node
 from repro.core.identifiability import UniverseLike, resolve_universe
 from repro.engine.backends import BackendSpec
+from repro.engine.signatures import _require_int
 from repro.exceptions import IdentifiabilityError
 from repro.routing.paths import PathSet
-
-
-def _local_search(
-    pathset: PathSet,
-    scope_set: FrozenSet[Node],
-    cap: int,
-    backend: BackendSpec = None,
-    compress: Optional[bool] = None,
-    universe: UniverseLike = None,
-) -> int:
-    """Largest k ≤ cap with local k-identifiability (cap when none fails).
-
-    Walks subsets in increasing size through the engine's digest stream
-    (:meth:`SignatureEngine.iter_subset_digests`); a failure at size s is two
-    subsets with the same signature but different S-projections, giving
-    ``s − 1``.  Digest matches are exact-verified through
-    :meth:`SignatureEngine.union_key`, so distinct signatures sharing a
-    digest never merge.
-    """
-    engine = pathset.engine(backend, compress, universe=universe)
-    # digest -> [[representative subset, its exact key (computed lazily),
-    # the S-projections observed for that key], ...]
-    buckets: Dict[int, List[List[Any]]] = {}
-    for subset, digest in engine.iter_subset_digests(range(0, cap + 1)):
-        projection = frozenset(subset) & scope_set
-        groups = buckets.get(digest)
-        if groups is None:
-            buckets[digest] = [[subset, None, {projection}]]
-            continue
-        exact = engine.union_key(subset)
-        for group in groups:
-            if group[1] is None:
-                group[1] = engine.union_key(group[0])
-            if group[1] == exact:
-                if any(other != projection for other in group[2]):
-                    return len(subset) - 1
-                group[2].add(projection)
-                break
-        else:
-            groups.append([subset, exact, {projection}])
-    return cap
 
 
 def is_locally_k_identifiable(
@@ -83,18 +77,12 @@ def is_locally_k_identifiable(
     require ``P(U) △ P(W) ≠ ∅``.  ``scope`` must consist of elements of the
     chosen failure universe (nodes by default).
     """
-    if k < 0:
+    if _require_int("k", k) < 0:
         raise IdentifiabilityError(f"k must be >= 0, got {k}")
-    scope_set = frozenset(scope)
-    resolved = resolve_universe(pathset, universe)
-    unknown = scope_set - frozenset(resolved.elements)
-    if unknown:
-        raise IdentifiabilityError(
-            f"scope elements {sorted(map(repr, unknown))} not in universe"
-        )
-    if k == 0:
-        return True
-    return _local_search(pathset, scope_set, k, backend, compress, resolved) >= k
+    engine = pathset.engine(
+        backend, compress, universe=resolve_universe(pathset, universe)
+    )
+    return engine.local_identifiability(scope, k) >= k
 
 
 def local_maximal_identifiability(
@@ -111,11 +99,10 @@ def local_maximal_identifiability(
     the global measure, local identifiability can legitimately reach the size
     of the universe when ``S`` is a single well-covered element.
     """
-    scope_set = frozenset(scope)
-    resolved = resolve_universe(pathset, universe)
-    n = len(resolved.elements)
-    cap = n if max_size is None else max(0, min(max_size, n))
-    return _local_search(pathset, scope_set, cap, backend, compress, resolved)
+    engine = pathset.engine(
+        backend, compress, universe=resolve_universe(pathset, universe)
+    )
+    return engine.local_identifiability(scope, max_size)
 
 
 def local_identifiability_per_node(
@@ -129,14 +116,12 @@ def local_identifiability_per_node(
 
     This is the per-element measure used informally in the DLP discussion: a
     DLP node reaches the cap, while an element sharing all its paths with a
-    neighbour stays at 0.  ``max_size`` caps the (expensive) per-element
-    searches.
+    neighbour stays at 0.  ``max_size`` caps the per-element searches.
     """
-    resolved = resolve_universe(pathset, universe)
+    engine = pathset.engine(
+        backend, compress, universe=resolve_universe(pathset, universe)
+    )
     return {
-        element: local_maximal_identifiability(
-            pathset, {element}, max_size=max_size, backend=backend,
-            compress=compress, universe=resolved,
-        )
-        for element in resolved.elements
+        element: engine.local_identifiability({element}, max_size)
+        for element in engine.elements
     }

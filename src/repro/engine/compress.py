@@ -29,10 +29,10 @@ preserves equality and inclusion in both directions::
     P(U) ⊆ P(W)  ⇔  φ(P(U)) ⊆ φ(P(W))
     φ(P(U) ∪ P(W)) = φ(P(U)) ∪ φ(P(W))
 
-Since the µ search (a hitting-set search over the path columns, see "The µ
-search" in :mod:`repro.engine.signatures`), ``iter_subset_signatures``, the
-separability tables and the equivalence-class fast path are compositions of
-exactly these three primitives over node rows, running them on the
+Since the µ and local µ search (a hitting-set search over the path columns,
+see "The µ search" in :mod:`repro.engine.signatures`), the separability
+tables and the equivalence-class fast path are compositions of exactly
+these three primitives over node rows, running them on the
 compressed rows takes the *same branches* in the same order and yields
 bit-identical results — µ, witnesses, ``searched_up_to``, exhaustion — at a
 fraction of the per-union cost.  (Gale duality offers the same picture: the paths form a point

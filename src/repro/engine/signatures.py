@@ -97,15 +97,26 @@ without enumerating subsets at all:
    without the memo (a budget-truncated result never fills the slot), and
    an engine patched by :meth:`SignatureEngine.from_delta` starts empty.  A
    hit records a search of no work and carries ``SearchStats(0, 0, 0)``.
+7. **Local µ.**  Local identifiability w.r.t. a scope ``S`` is the same
+   search with the dominated targets restricted to ``S``
+   (:meth:`SignatureEngine.local_identifiability`; the reduction is proved
+   in :mod:`repro.core.local`).  With ``m_S`` the smallest dominator of an
+   element of ``S``, µ_S ∈ {m_S − 1, m_S}: a scope element on no path gives
+   0, no dominator up to the cap gives the cap, and otherwise µ_S = m_S − 1
+   iff for some size-``m_S`` dominator ``B`` of some ``v ∈ S`` the columns
+   ``P(B)∖P(v)`` are hit by at most ``m_S − 1`` elements whose rows lie
+   inside ``P(B)`` — the same descent, run on that target with every
+   element whose row leaves ``P(B)`` excluded, deepening from 0.  With
+   ``S = V`` it is µ, capped.
 
 The subset frontier
 -------------------
 
-The separability census, the digest stream and local µ still enumerate
-subsets.  The size-``s`` subsets sharing their first ``s - 1`` indices form
-a contiguous *run* whose last elements are the rows ``prefix[-1]+1 .. n-1``
-of the stacked signature matrix (:func:`_prefix_runs`, which carries prefix
-unions incrementally through :func:`_combination_frontier`).
+The separability census still enumerates subsets.  The size-``s`` subsets
+sharing their first ``s - 1`` indices form a contiguous *run* whose last
+elements are the rows ``prefix[-1]+1 .. n-1`` of the stacked signature
+matrix (:func:`_prefix_runs`, which carries prefix unions incrementally
+through :func:`_combination_frontier`).
 :func:`_block_chunks` gathers runs into chunks of :data:`DEFAULT_BLOCK_SIZE`
 rows and evaluates each chunk with two batched backend ops: ``block_scan``
 (row-wise union against the run's prefix) and ``block_digests`` (64-bit row
@@ -158,6 +169,15 @@ def _require_int(name: str, value: Any) -> int:
     return value
 
 
+def _search_cap(max_size: Optional[int], n: int) -> int:
+    """The size cap of a search over ``n`` elements (``None``: ``n``)."""
+    if max_size is None:
+        return n
+    if _require_int("max_size", max_size) < 0:
+        raise IdentifiabilityError(f"max_size must be >= 0, got {max_size}")
+    return min(max_size, n)
+
+
 # -- search observability -----------------------------------------------------
 
 
@@ -194,7 +214,7 @@ class SearchCounters:
     searches: int
     subsets_enumerated: int
     dominance_prunes: int
-    #: Subset-frontier chunks evaluated (census, digest stream, local µ).
+    #: Subset-frontier chunks evaluated (census).
     blocks_evaluated: int = 0
     #: Census rows whose digest no other row shared — grouped without a
     #: single exact key computation.
@@ -327,7 +347,7 @@ def _block_chunks(
     backend: SignatureBackend,
     matrix: Any,
     size: int,
-) -> Iterator[Tuple[List[Tuple[int, ...]], Any, List[int]]]:
+) -> Iterator[Tuple[List[Tuple[int, ...]], List[int]]]:
     """Materialise the size-``size`` frontier in chunks of up to
     :data:`DEFAULT_BLOCK_SIZE` candidate subsets, one batched backend
     evaluation each — the engine's only frontier evaluator.
@@ -337,8 +357,8 @@ def _block_chunks(
     leaves the backend ops nothing to amortise.  Each chunk gathers rows
     across consecutive runs — splitting a run when it straddles the chunk
     boundary — stacks one prefix union per run piece, and makes a single
-    ``block_scan`` + ``block_digests`` call.  Yields ``(subsets, unions,
-    digests)`` with rows in exact lexicographic order.
+    ``block_scan`` + ``block_digests`` call.  Yields ``(subsets, digests)``
+    with rows in exact lexicographic order.
     """
     block_size = DEFAULT_BLOCK_SIZE
     prefixes: List[Any] = []
@@ -346,7 +366,7 @@ def _block_chunks(
     metas: List[Tuple[Tuple[int, ...], int, int]] = []
     filled = 0
 
-    def _evaluate() -> Tuple[List[Tuple[int, ...]], Any, List[int]]:
+    def _evaluate() -> Tuple[List[Tuple[int, ...]], List[int]]:
         _COUNTERS["blocks_evaluated"] += 1
         unions = backend.block_scan(matrix, backend.stack(prefixes), spans)
         digests = backend.block_digests(unions)
@@ -355,7 +375,7 @@ def _block_chunks(
             for prefix_indices, lo, hi in metas
             for last in range(lo, hi)
         ]
-        return subsets, unions, digests
+        return subsets, digests
 
     for prefix_indices, prefix, last_lo, last_hi in _prefix_runs(
         signatures, backend, size
@@ -417,8 +437,8 @@ class _LazyCoverers(Dict[int, Tuple[int, ...]]):
 
 
 class _DominatorSearch:
-    """The bounded hitting-set search of the µ reduction (module docstring,
-    "The µ search").
+    """The bounded hitting-set search of the µ reduction and of its local
+    variant (module docstring, "The µ search").
 
     ``rows[i]`` is element ``i``'s row, ``coverers[c]`` the ascending
     element positions on column ``c``, and ``buckets`` splits the covered
@@ -448,19 +468,22 @@ class _DominatorSearch:
         if self.budget.spend(spent):
             raise _BudgetExpired
 
-    def dominators(self, level: int) -> Dict[Tuple[int, ...], int]:
-        """Every size-``level`` dominator (ascending positions) mapped to the
-        smallest element it dominates — empty when there is none.  Assumes
-        no smaller dominator exists, so every leaf has exactly ``level``
+    def hitting_sets(
+        self, jobs: Iterable[Tuple[int, int]], size: int
+    ) -> List[List[Tuple[int, ...]]]:
+        """For each ``(unhit, excluded)`` job, every set of ``size`` elements
+        outside the ``excluded`` mask whose rows cover the non-empty column
+        mask ``unhit`` (ascending positions, each set once).  Assumes no
+        smaller such set exists, so every leaf has exactly ``size``
         elements.  Raises :class:`_BudgetExpired` when the budget runs out.
         """
         rows, coverers, buckets, budget = (
             self.rows, self.coverers, self.buckets, self.budget
         )
-        found: Dict[Tuple[int, ...], int] = {}
+        results: List[List[Tuple[int, ...]]] = []
+        found: List[Tuple[int, ...]] = []
         chosen: List[int] = []
         nodes = self.nodes
-        v = 0
 
         def descend(unhit: int, excluded: int, remaining: int) -> None:
             nonlocal nodes
@@ -476,7 +499,7 @@ class _DominatorSearch:
                     if not excluded >> w & 1:
                         nodes += 1
                         if unhit & rows[w] == unhit:
-                            found.setdefault(tuple(sorted(chosen + [w])), v)
+                            found.append(tuple(sorted(chosen + [w])))
                 return
             if budget is not None and nodes - self._charged >= _POLL_STRIDE:
                 self._charge(nodes)
@@ -490,13 +513,54 @@ class _DominatorSearch:
                     excluded |= 1 << w
 
         try:
-            for v, target in enumerate(rows):
-                descend(target, 1 << v, level)
+            for unhit, excluded in jobs:
+                found = []
+                results.append(found)
+                descend(unhit, excluded, size)
                 if budget is not None:
                     self._charge(nodes)
         finally:
             self.nodes = nodes
+        return results
+
+    def dominators(
+        self, level: int, targets: Sequence[int]
+    ) -> Dict[Tuple[int, ...], List[int]]:
+        """Every size-``level`` dominator of a ``targets`` position (ascending
+        positions) mapped to the targets it dominates, ascending — empty when
+        there is none.  Assumes no target has a smaller dominator.
+        """
+        rows = self.rows
+        jobs = [(rows[v], 1 << v) for v in targets]
+        found: Dict[Tuple[int, ...], List[int]] = {}
+        for v, dominators in zip(targets, self.hitting_sets(jobs, level)):
+            for dominator in dominators:
+                found.setdefault(dominator, []).append(v)
         return found
+
+    def local_collision(self, found: Dict[Tuple[int, ...], List[int]]) -> bool:
+        """Whether the size-``m`` dominators ``found`` decide local µ at
+        ``m − 1``: some dominator ``B`` of a target ``v`` has ``P(B)∖P(v)``
+        hit by at most ``m − 1`` elements whose rows lie inside ``P(B)``
+        (module docstring, "The µ search", item 7), searched by iterative
+        deepening."""
+        rows = self.rows
+        for dominator, dominated in found.items():
+            union = 0
+            for i in dominator:
+                union |= rows[i]
+            outside = 0
+            for w, row in enumerate(rows):
+                if row & ~union:
+                    outside |= 1 << w
+            for v in dominated:
+                rest = union & ~rows[v]
+                if not rest or any(
+                    self.hitting_sets([(rest, outside)], size)[0]
+                    for size in range(1, len(dominator))
+                ):
+                    return True
+        return False
 
 
 # -- witnesses and results ----------------------------------------------------
@@ -863,57 +927,6 @@ class SignatureEngine:
             seen[key] = node
         return None
 
-    # -- subset enumeration --------------------------------------------------
-    def _subset_rows(
-        self, sizes: Iterable[int], nodes: Optional[Iterable[Node]]
-    ) -> Iterator[Tuple[Tuple[Node, ...], Any, int]]:
-        """``(subset, union, digest)`` for every subset of each size, read
-        off the chunked frontier in lexicographic order within a size."""
-        universe = self._resolve_universe(nodes)
-        backend = self.backend
-        signatures = [self._signatures[node] for node in universe]
-        matrix = backend.stack(signatures)
-        for size in sizes:
-            if size < 0:
-                raise IdentifiabilityError(f"subset size must be >= 0, got {size}")
-            if size == 0:
-                empty = backend.stack([backend.empty()])
-                yield (), empty[0], backend.block_digests(empty)[0]
-                continue
-            for subsets, unions, digests in _block_chunks(
-                signatures, backend, matrix, size
-            ):
-                for j, indices in enumerate(subsets):
-                    yield tuple(universe[i] for i in indices), unions[j], digests[j]
-
-    def iter_subset_signatures(
-        self, sizes: Iterable[int], nodes: Optional[Iterable[Node]] = None
-    ) -> Iterator[Tuple[Tuple[Node, ...], object]]:
-        """Yield ``(subset, signature_key)`` for every subset of each size.
-
-        Subsets of one size are produced in lexicographic (canonical node
-        order) order — the same order as ``itertools.combinations`` — with
-        each signature read off the chunked frontier.
-        """
-        key = self.backend.key
-        for subset, union, _digest in self._subset_rows(sizes, nodes):
-            yield subset, key(union)
-
-    def iter_subset_digests(
-        self, sizes: Iterable[int], nodes: Optional[Iterable[Node]] = None
-    ) -> Iterator[Tuple[Tuple[Node, ...], int]]:
-        """Like :meth:`iter_subset_signatures` but yielding the chunks' row
-        digests instead of exact keys.
-
-        Subsets still appear in lexicographic order.  Equal keys always share
-        a digest; distinct keys may rarely collide, so digest-equal subsets
-        must be exact-verified (e.g. via :meth:`union_key`) before being
-        treated as confusable.  This is the substrate of the local
-        identifiability sweep.
-        """
-        for subset, _union, digest in self._subset_rows(sizes, nodes):
-            yield subset, digest
-
     # -- the exact µ search --------------------------------------------------
     def identifiability(
         self,
@@ -944,11 +957,9 @@ class SignatureEngine:
         universe = self._resolve_universe(nodes)
         if not universe:
             raise IdentifiabilityError("the element universe is empty")
-        if max_size is not None and _require_int("max_size", max_size) < 0:
-            raise IdentifiabilityError(f"max_size must be >= 0, got {max_size}")
-        budget = resolve_budget(budget)
         n = len(universe)
-        cap = n if max_size is None else min(max_size, n)
+        cap = _search_cap(max_size, n)
+        budget = resolve_budget(budget)
         memoized = universe is self.nodes
         hit = self._memo_answer(cap) if memoized and budget is None else None
         if cap == 0:
@@ -1084,7 +1095,7 @@ class SignatureEngine:
             budget.start()
         for level in range(1, cap + 1):
             try:
-                found = search.dominators(level)
+                found = search.dominators(level, range(n))
             except _BudgetExpired:
                 # Level ``level`` is incomplete: every smaller one is done.
                 return result(max(level - 1, 1), budget_exhausted=True)
@@ -1107,8 +1118,40 @@ class SignatureEngine:
             return result(level, None, level, found, len(by_union))
         dominator = min(found)
         smaller = nodes_of(dominator)
-        witness = ConfusablePair(smaller, smaller | {universe[found[dominator]]})
+        witness = ConfusablePair(smaller, smaller | {universe[found[dominator][0]]})
         return result(level, witness, level + 1, found, len(by_union))
+
+    def local_identifiability(
+        self, scope: Iterable[Node], max_size: Optional[int] = None
+    ) -> int:
+        """Local maximal identifiability w.r.t. ``scope``: the largest
+        ``k ≤ max_size`` (default: the universe size) such that any two sets
+        of at most ``k`` elements that differ inside ``scope`` have
+        different path sets.
+
+        The dominance search with its targets restricted to ``scope``
+        (module docstring, "The µ search", item 7); it records one search in
+        the process-global counters.
+        """
+        in_scope = frozenset(self._resolve_universe(frozenset(scope)))
+        cap = _search_cap(max_size, len(self.nodes))
+        targets = [i for i, node in enumerate(self.nodes) if node in in_scope]
+        rows, coverers, buckets = self._search_columns(self.nodes)
+        search = _DominatorSearch(rows, coverers, buckets, None)
+        found: Dict[Tuple[int, ...], List[int]] = {}
+        value = cap
+        if any(not rows[v] for v in targets):
+            value = 0  # m_S = 0: a scope element on no path is confusable with ∅
+        else:
+            for level in range(1, cap + 1):
+                found = search.dominators(level, targets)
+                if found:
+                    value = level - 1 if search.local_collision(found) else level
+                    break
+        _record_search(
+            SearchStats(search.nodes, len(found), 0, False, search.nodes)
+        )
+        return value
 
     # -- separation queries --------------------------------------------------
     def separates(self, first: Iterable[Node], second: Iterable[Node]) -> bool:
@@ -1139,7 +1182,7 @@ class SignatureEngine:
         if budget is not None:
             budget.start()
         buckets: Dict[int, List[Tuple[int, ...]]] = {}
-        for subsets, _unions, digests in _block_chunks(
+        for subsets, digests in _block_chunks(
             signatures, backend, backend.stack(signatures), size
         ):
             for indices, digest in zip(subsets, digests):

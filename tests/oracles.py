@@ -10,6 +10,7 @@ same kind of oracle for localisation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import (
@@ -207,8 +208,23 @@ def naive_local_mu(
 ) -> int:
     """Local maximal identifiability w.r.t. ``scope`` by brute force: the
     first size at which two subsets share a signature but differ inside the
-    scope, minus one (``cap`` when no size up to it fails)."""
-    scope = frozenset(scope)
+    scope, minus one (``cap`` when no size up to it fails).
+
+    Memoised per instance: a scope that never fails sweeps every subset, and
+    several suites ask for the same small instances."""
+    return _naive_local_mu(
+        tuple(elements),
+        tuple(masks[element] for element in elements),
+        frozenset(scope),
+        cap,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _naive_local_mu(
+    elements: Tuple[Any, ...], rows: Tuple[int, ...], scope: FrozenSet[Any], cap: int
+) -> int:
+    masks = dict(zip(elements, rows))
     projections: Dict[int, set] = {}
     for size in range(0, cap + 1):
         for subset in itertools.combinations(elements, size):

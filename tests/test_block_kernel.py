@@ -1,13 +1,13 @@
 """The µ search and the subset frontier against the naive oracles.
 
-µ runs the dominance search; the separability census, the digest stream and
-local µ run the one frontier evaluator (:func:`_block_chunks`).  These
-suites hold both to the brute-force oracles in ``tests/oracles.py`` — same
-µ, ``searched_up_to`` and ``exhausted_search`` as the
-``itertools.combinations`` sweep, the canonical witness pair, the same
-census — across every routing mechanism, failure universe, backend (numpy
-vectorized ops and the pure-python fallback) and compression setting.  A
-budget-truncated µ is a certified lower bound, identical on every engine.
+µ and local µ run the dominance search; the separability census runs the
+one frontier evaluator (:func:`_block_chunks`).  These suites hold both to
+the brute-force oracles in ``tests/oracles.py`` — same µ, ``searched_up_to``
+and ``exhausted_search`` as the ``itertools.combinations`` sweep, the
+canonical witness pair, the same local µ, the same census — across every
+routing mechanism, failure universe, backend (numpy vectorized ops and the
+pure-python fallback) and compression setting.  A budget-truncated µ is a
+certified lower bound, identical on every engine.
 """
 
 from __future__ import annotations
@@ -26,7 +26,11 @@ from repro.api.spec import (
     TopologySpec,
 )
 from repro.core.identifiability import maximal_identifiability
-from repro.core.local import local_maximal_identifiability
+from repro.core.local import (
+    is_locally_k_identifiable,
+    local_identifiability_per_node,
+    local_maximal_identifiability,
+)
 from repro.core.separability import inseparable_pairs_of_size
 from repro.core.truncated import truncated_identifiability
 from repro.engine import signatures as sig
@@ -167,37 +171,27 @@ class TestBlockParityMatrix:
             ) == set(naive_inseparable_pairs(universe, 2))
 
     def test_local_search_parity(self):
-        for seed in range(4):
+        """Local µ of singleton and pair scopes equals the naive sweep on
+        every universe, backend, compression setting and cap."""
+        for seed, kind in itertools.product(range(4), KINDS):
             pathset = _pathset(seed, "CSP")
-            universe = pathset.universe("node")
-            for element in list(pathset.nodes)[:4]:
-                cap = min(3, len(universe.elements))
+            universe = _universe(pathset, kind)
+            elements = universe.elements
+            scopes = [{element} for element in elements[:3]] + [set(elements[:2])]
+            for cap in (0, 1, 2, 3, None):
+                bound = len(elements) if cap is None else min(cap, len(elements))
+                expected = [
+                    naive_local_mu(elements, universe.masks, scope, bound)
+                    for scope in scopes
+                ]
+                for backend, compress in itertools.product(BACKENDS, (True, False)):
+                    engine = pathset.engine(backend, compress, universe=universe)
+                    assert [
+                        engine.local_identifiability(scope, cap) for scope in scopes
+                    ] == expected, (seed, kind, cap, backend, compress)
                 assert local_maximal_identifiability(
-                    pathset, {element}, max_size=3
-                ) == naive_local_mu(
-                    universe.elements, universe.masks, {element}, cap
-                ), (seed, element)
-
-    def test_digest_stream_parity(self):
-        """iter_subset_digests / iter_subset_signatures: combinations order,
-        self-consistent digests, exact keys."""
-        pathset = _pathset(1, "CSP")
-        engine = pathset.engine()
-        expected = [
-            combo
-            for size in range(0, 3)
-            for combo in itertools.combinations(engine.nodes, size)
-        ]
-        digests = list(engine.iter_subset_digests(range(0, 3)))
-        keys = list(engine.iter_subset_signatures(range(0, 3)))
-        assert [subset for subset, _ in digests] == expected
-        assert [subset for subset, _ in keys] == expected
-        assert all(key == engine.union_key(subset) for subset, key in keys)
-        # Equal unions must share a digest.
-        by_key = {}
-        for subset, digest in digests:
-            by_key.setdefault(engine.union_key(subset), set()).add(digest)
-        assert all(len(group) == 1 for group in by_key.values())
+                    pathset, scopes[0], max_size=cap, universe=universe
+                ) == expected[0], (seed, kind, cap)
 
 
 class TestStatsAndCounters:
@@ -265,8 +259,8 @@ class TestTypedSizeValidation:
         engine = pathset.engine()
         with pytest.raises(IdentifiabilityError):
             engine.identifiability(max_size=-1)
-        with pytest.raises(IdentifiabilityError):
-            list(engine.iter_subset_signatures([-1]))
+        with pytest.raises(IdentifiabilityError, match="max_size must be >= 0"):
+            local_maximal_identifiability(pathset, {engine.nodes[0]}, max_size=-1)
 
     @pytest.mark.parametrize("bad", BAD_SIZES)
     def test_engine_rejects_non_int_sizes(self, bad):
@@ -277,14 +271,20 @@ class TestTypedSizeValidation:
             engine.inseparable_pairs(bad)
         with pytest.raises(IdentifiabilityError, match="must be an int"):
             engine.separability_matrix(bad)
+        with pytest.raises(IdentifiabilityError, match="must be an int"):
+            engine.local_identifiability({engine.nodes[0]}, bad)
 
     @pytest.mark.parametrize("bad", BAD_SIZES)
     def test_core_clients_reject_non_int_sizes(self, bad):
         pathset = _pathset(0, "CSP")
+        scope = pathset.nodes[0]
         for call in (
             lambda: maximal_identifiability(pathset, max_size=bad),
             lambda: truncated_identifiability(pathset, bad),
             lambda: inseparable_pairs_of_size(pathset, bad),
+            lambda: local_maximal_identifiability(pathset, {scope}, max_size=bad),
+            lambda: is_locally_k_identifiable(pathset, {scope}, bad),
+            lambda: local_identifiability_per_node(pathset, max_size=bad),
         ):
             with pytest.raises(IdentifiabilityError, match="must be an int"):
                 call()

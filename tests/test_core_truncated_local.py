@@ -102,6 +102,29 @@ class TestLocalIdentifiability:
         with pytest.raises(IdentifiabilityError):
             is_locally_k_identifiable(toy_pathset(), {"z"}, 1)
 
+    @pytest.mark.parametrize("k", (0, 1, 3))
+    def test_unknown_scope_raises_in_every_entry_point(self, k):
+        pathset = toy_pathset()
+        for call in (
+            lambda: is_locally_k_identifiable(pathset, {"a", "z"}, k),
+            lambda: local_maximal_identifiability(pathset, {"z"}, max_size=k),
+            lambda: local_maximal_identifiability(pathset, {"z"}),
+            lambda: pathset.engine().local_identifiability({"z"}, k),
+        ):
+            with pytest.raises(IdentifiabilityError, match="not in the engine"):
+                call()
+
+    def test_negative_sizes_raise(self):
+        pathset = toy_pathset()
+        with pytest.raises(IdentifiabilityError, match="k must be >= 0"):
+            is_locally_k_identifiable(pathset, {"a"}, -1)
+        for call in (
+            lambda: local_maximal_identifiability(pathset, {"a"}, max_size=-1),
+            lambda: local_identifiability_per_node(pathset, max_size=-1),
+        ):
+            with pytest.raises(IdentifiabilityError, match="max_size must be >= 0"):
+                call()
+
     def test_local_at_least_global(self):
         pathset = toy_pathset()
         global_mu = maximal_identifiability(pathset)

@@ -38,7 +38,11 @@ from repro.routing.paths import PathSet, enumerate_paths
 from repro.topology.random_graphs import erdos_renyi_connected
 from repro.utils.bitset import bits_of
 
-from oracles import assert_matches_oracle, naive_maximal_identifiability_detailed
+from oracles import (
+    assert_matches_oracle,
+    naive_local_mu,
+    naive_maximal_identifiability_detailed,
+)
 
 MECHANISMS = ("CSP", "CAP-", "CAP")
 
@@ -130,11 +134,14 @@ class TestEngineNaiveParity:
 
     @pytest.mark.parametrize("seed", (2, 5, 8))
     def test_local_identifiability_unchanged(self, seed):
-        """The engine-backed local sweep visits subsets in the naive order."""
+        """Engine-backed local µ equals the naive local sweep."""
         _, _, pathset = random_instance(seed, "CSP")
         scope = (pathset.nodes[0],)
         value = local_maximal_identifiability(pathset, scope, max_size=3)
-        assert 0 <= value <= 3
+        universe = pathset.universe("node")
+        assert value == naive_local_mu(
+            universe.elements, universe.masks, scope, min(3, len(universe.elements))
+        )
 
     def test_uncovered_node_early_exit(self):
         pathset = PathSet(nodes=("a", "b", "z"), paths=(("a", "b"),))
@@ -172,20 +179,6 @@ class TestSignatureEngine:
     def test_engine_is_memoised_per_backend(self):
         pathset = PathSet(nodes=("a", "b"), paths=(("a", "b"), ("a",)))
         assert pathset.engine("python") is pathset.engine("python")
-
-    def test_iter_subset_signatures_matches_combinations_order(self):
-        pathset = PathSet(
-            nodes=("a", "b", "c", "d"),
-            paths=(("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")),
-        )
-        engine = pathset.engine("python")
-        subsets = [s for s, _ in engine.iter_subset_signatures([2, 3])]
-        expected = list(itertools.combinations(pathset.nodes, 2)) + list(
-            itertools.combinations(pathset.nodes, 3)
-        )
-        assert subsets == expected
-        for subset, key in engine.iter_subset_signatures([2]):
-            assert key == pathset.paths_through_set(subset)
 
     def test_measurement_vector_matches_per_path_scan(self):
         _, _, pathset = random_instance(6, "CSP")

@@ -1,14 +1,16 @@
 """What search sharding used to split, on the one subset sweep.
 
 The sharded sweep and its ``search_jobs`` knob are gone: the census queries
-and local µ run on the single frontier evaluator.  These suites keep the
-parity guarantees sharding was held to — every entry point, backend and
-compression setting returns the same census and the same local µ, and a
-document carrying the retired ``search_jobs`` key still parses to the same
-engine config.
+run on the single frontier evaluator and local µ on the dominance search.
+These suites keep the parity guarantees sharding was held to — every entry
+point, backend and compression setting returns the same census and the same
+local µ, and a document carrying the retired ``search_jobs`` key still
+parses to the same engine config.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core.separability import inseparable_pairs_of_size
 from repro.engine.backends import available_backends
 
 from oracles import naive_inseparable_pairs, naive_local_mu
+from test_block_kernel import _universe
 
 BACKENDS = tuple(sorted(available_backends()))
 
@@ -56,24 +59,26 @@ class TestShardedParity:
             )
 
     def test_local_search_parity(self):
-        for seed in range(4):
+        for seed, kind in itertools.product(range(4), ("node", "link", "srlg")):
             pathset = _pathset(seed, "CSP")
-            universe = pathset.universe("node")
-            elements = list(pathset.nodes)
+            universe = _universe(pathset, kind)
+            elements = universe.elements
             for scope in ({elements[0]}, {elements[1]}, set(elements[:2])):
-                cap = min(3, len(universe.elements))
-                expected = naive_local_mu(
-                    universe.elements, universe.masks, scope, cap
-                )
-                for backend in BACKENDS:
-                    for compress in (True, False):
-                        assert local_maximal_identifiability(
-                            pathset,
-                            scope,
-                            max_size=3,
-                            backend=backend,
-                            compress=compress,
-                        ) == expected, (seed, sorted(scope, key=repr), backend)
+                for cap in (0, 1, 2, 3, None):
+                    bound = len(elements) if cap is None else min(cap, len(elements))
+                    expected = naive_local_mu(elements, universe.masks, scope, bound)
+                    for backend in BACKENDS:
+                        for compress in (True, False):
+                            assert local_maximal_identifiability(
+                                pathset,
+                                scope,
+                                max_size=cap,
+                                backend=backend,
+                                compress=compress,
+                                universe=universe,
+                            ) == expected, (
+                                seed, kind, sorted(scope, key=repr), cap, backend
+                            )
 
 
 class TestSpecAndRunner:
