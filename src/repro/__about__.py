@@ -1,3 +1,3 @@
 """Package metadata."""
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"

@@ -9,8 +9,8 @@ the experiment drivers (:mod:`repro.experiments`):
   runs the exact µ search as a bounded hitting-set search for the smallest
   dominating set — the same µ as the naive ``itertools.combinations``
   sweep, with a canonical witness, at a fraction of the cost.  The
-  separability census runs one chunked subset frontier with prefix-union
-  carrying and batched row evaluation.
+  separability census groups the same big-int rows' subset unions in one
+  pass over ``itertools.combinations``.
 * :mod:`repro.engine.backends` provides two interchangeable signature
   representations: Python big-int bitmasks and numpy ``uint64``-packed rows.
 * :mod:`repro.engine.compress` collapses duplicate path columns (and drops
@@ -66,7 +66,6 @@ from repro.engine.cache import (
     pathset_cache,
 )
 from repro.engine.signatures import (
-    DEFAULT_BLOCK_SIZE,
     ConfusablePair,
     IdentifiabilityResult,
     SearchCounters,
@@ -87,7 +86,6 @@ __all__ = [
     "search_counters",
     "reset_search_counters",
     "record_external_search",
-    "DEFAULT_BLOCK_SIZE",
     # backends
     "SignatureBackend",
     "PythonBackend",

@@ -52,12 +52,13 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
 #: "auto" switches to the numpy backend at this many measurement paths.
 #:
 #: The crossover is where numpy's fixed per-op call overhead is repaid by
-#: word-parallel row ops: below it CPython big-int ops win outright.  The
-#: subset census alone favours big ints to much wider universes, since both
-#: backends run the same chunked ops
-#: (``benchmarks/bench_backend_crossover.py`` records that ladder); the
-#: value is set by the whole scenario, where localization and measurement
-#: over a few thousand compressed columns run faster on numpy.  It is read
+#: word-parallel row ops: below it CPython big-int ops win outright.  The µ
+#: search, local µ and the separability census run on big-int rows whatever
+#: the backend, so the backend decides the signature layer: packing, unions,
+#: keys and the measurement vector (``benchmarks/bench_backend_crossover.py``
+#: records that ladder, engine build included), plus localization and the
+#: column primitives.  Measurement and localization over a few thousand
+#: compressed columns run faster on numpy.  It is read
 #: at resolution time, which the backend-parity tests use to run the
 #: ``"auto"`` column primitives on each backend.
 NUMPY_MIN_PATHS = 256
@@ -117,52 +118,6 @@ class SignatureBackend(abc.ABC):
     @abc.abstractmethod
     def indicator_vector(self, signature) -> Tuple[int, ...]:
         """The 0/1 vector of length ``n_paths`` (the Boolean measurement)."""
-
-    # -- batched block ops ---------------------------------------------------
-    #
-    # The subset census evaluates the combination frontier in chunks:
-    # ``stack`` packs signatures into a single block operand once, then each
-    # chunk is one ``block_scan`` (row-wise union against a shared prefix)
-    # followed by one ``block_digests`` (row digests, exact-verified by the
-    # engine on collision).  The defaults below are a pure-python fallback
-    # built on the scalar ops, so the census runs on any backend; vectorized
-    # backends override them.
-
-    def stack(self, signatures):
-        """Pack signatures into a block operand, one row per signature.
-
-        Rows must be addressable as ``stacked[i]`` yielding a signature
-        interchangeable with the scalar ops.
-        """
-        return list(signatures)
-
-    def block_scan(self, matrix, prefixes, spans):
-        """Evaluate one chunk of candidate rows spanning many prefix runs.
-
-        ``matrix`` is :meth:`stack` of the element signatures, ``prefixes``
-        is :meth:`stack` of one prefix union per run touched by the chunk,
-        and ``spans`` is a list of ``(prefix_row, lo, hi)`` triples: rows
-        ``matrix[lo:hi]`` are each evaluated against ``prefixes[prefix_row]``,
-        spans concatenated in order.  Returns the unions over the
-        concatenated rows, each a signature interchangeable with the scalar
-        ops.
-        """
-        union = self.union
-        return [
-            union(prefixes[prefix_row], row)
-            for prefix_row, lo, hi in spans
-            for row in matrix[lo:hi]
-        ]
-
-    def block_digests(self, unions):
-        """64-bit digests of a block of union rows, as a list of ints.
-
-        Digests follow the PR-6 contract: collisions are allowed (the engine
-        exact-verifies via :meth:`key` on every match) but equal signatures
-        must digest equally *within one backend instance*.
-        """
-        key = self.key
-        return [hash(key(row)) for row in unions]
 
     def mask(self, signature) -> int:
         """The Python big-int bitmask of a signature (the inverse of
@@ -300,7 +255,7 @@ class PythonBackend(SignatureBackend):
 
     def indicator_vector(self, signature: int) -> Tuple[int, ...]:
         vector = [0] * self.n_paths
-        for index in bits_of(signature):
+        for index in bit_indices(signature):
             vector[index] = 1
         return tuple(vector)
 
@@ -320,15 +275,6 @@ class NumpyBackend(SignatureBackend):
             )
         super().__init__(n_paths)
         self.n_words = max(1, -(-n_paths // 64))
-        # Per-word fold weights for block_digests: distinct odd constants so
-        # the XOR fold is word-position dependent (permuted words collide no
-        # more often than unrelated rows).
-        weights = (
-            _np.uint64(0x9E3779B97F4A7C15)
-            * (_np.uint64(2) * _np.arange(self.n_words, dtype=_np.uint64) + _np.uint64(1))
-        )
-        weights.setflags(write=False)
-        self._digest_weights = weights
 
     def pack(self, mask: int):
         # frombuffer over the little-endian byte encoding yields a read-only
@@ -362,45 +308,6 @@ class NumpyBackend(SignatureBackend):
             signature.view(_np.uint8), bitorder="little", count=self.n_paths
         )
         return tuple(unpacked.tolist())
-
-    def stack(self, signatures):
-        if not signatures:
-            return _np.zeros((0, self.n_words), dtype="<u8")
-        stacked = _np.vstack(signatures)
-        stacked.setflags(write=False)
-        return stacked
-
-    def block_scan(self, matrix, prefixes, spans):
-        # Each span is a *contiguous* matrix slice, so the chunk's unions are
-        # written span-by-span into one preallocated buffer with a broadcast
-        # OR over a view — no gathered row copy, no prefix broadcast copy.
-        total = sum(hi - lo for _, lo, hi in spans)
-        unions = _np.empty((total, self.n_words), dtype="<u8")
-        base = 0
-        for prefix_row, lo, hi in spans:
-            count = hi - lo
-            _np.bitwise_or(
-                matrix[lo:hi], prefixes[prefix_row], out=unions[base:base + count]
-            )
-            base += count
-        unions.setflags(write=False)
-        return unions
-
-    def block_digests(self, unions):
-        # Weighted fold first — one multiply and one XOR reduction over the
-        # (B, W) block — then a splitmix64-style finalizer on the folded
-        # (B,) column only.  Folding before finalising keeps the pass count
-        # (and memory traffic) flat in W; uint64 arithmetic wraps mod 2**64
-        # (C semantics), which is exactly what the mix wants.  Collisions
-        # are exact-verified by the engine, so the per-word odd multipliers
-        # only have to keep accidental cancellation rare.
-        folded = _np.bitwise_xor.reduce(unions * self._digest_weights, axis=1)
-        folded = _np.bitwise_xor(folded, folded >> _np.uint64(30))
-        folded = folded * _np.uint64(0xBF58476D1CE4E5B9)
-        folded ^= folded >> _np.uint64(27)
-        folded = folded * _np.uint64(0x94D049BB133111EB)
-        folded ^= folded >> _np.uint64(31)
-        return folded.tolist()
 
     def mask(self, signature) -> int:
         return int.from_bytes(signature.tobytes(), "little")

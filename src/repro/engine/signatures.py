@@ -109,19 +109,16 @@ without enumerating subsets at all:
    element whose row leaves ``P(B)`` excluded, deepening from 0.  With
    ``S = V`` it is µ, capped.
 
-The subset frontier
--------------------
+The separability census
+-----------------------
 
-The separability census still enumerates subsets.  The size-``s`` subsets
-sharing their first ``s - 1`` indices form a contiguous *run* whose last
-elements are the rows ``prefix[-1]+1 .. n-1`` of the stacked signature
-matrix (:func:`_prefix_runs`, which carries prefix unions incrementally
-through :func:`_combination_frontier`).
-:func:`_block_chunks` gathers runs into chunks of :data:`DEFAULT_BLOCK_SIZE`
-rows and evaluates each chunk with two batched backend ops: ``block_scan``
-(row-wise union against the run's prefix) and ``block_digests`` (64-bit row
-digests).  The numpy backend vectorizes both; every other backend runs the
-pure-python fallback of the same API.
+The census (:meth:`SignatureEngine.inseparable_pairs`,
+:meth:`SignatureEngine.separability_matrix`) is the one query that still
+enumerates subsets: a single pass over ``itertools.combinations`` ORs each
+prefix union with the last element's big-int row — the µ search's rows, the
+same on every backend and compression setting — and groups the subsets in a
+dict keyed by that exact union.  Dict insertion order is the census order:
+groups by first appearance, members in lexicographic order.
 """
 
 from __future__ import annotations
@@ -154,12 +151,6 @@ from repro.engine.compress import (
 from repro.exceptions import BudgetExceededError, IdentifiabilityError
 from repro.resilience.budget import Budget, resolve_budget
 from repro.utils.bitset import mask_from_indices
-
-#: Frontier rows one chunk materialises (large enough to amortise the
-#: per-chunk numpy call overhead, small enough that a chunk of uint64 union
-#: rows stays cache-resident).
-DEFAULT_BLOCK_SIZE = 1024
-
 
 def _require_int(name: str, value: Any) -> int:
     """Reject anything but a real ``int`` (``bool`` included) with a typed
@@ -214,10 +205,10 @@ class SearchCounters:
     searches: int
     subsets_enumerated: int
     dominance_prunes: int
-    #: Subset-frontier chunks evaluated (census).
+    #: Separability census passes (one per ``inseparable_pairs`` or
+    #: ``separability_matrix`` call).
     blocks_evaluated: int = 0
-    #: Census rows whose digest no other row shared — grouped without a
-    #: single exact key computation.
+    #: Census subsets whose union no other subset of their size shares.
     block_rows_pruned: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -266,144 +257,16 @@ def record_external_search(
     _COUNTERS["block_rows_pruned"] += block_rows_pruned
 
 
+#: ``(rows, coverers, buckets)`` of one search universe; see
+#: :meth:`SignatureEngine._search_columns`.
+_Columns = Tuple[Tuple[int, ...], Any, Tuple[int, ...]]
+
 #: The stats of a query answered without a search (cap 0 or a memo hit).
 _NO_WORK = SearchStats(0, 0, 0)
 
 
 def _record_search(stats: SearchStats) -> None:
     record_external_search(1, stats.subsets_enumerated, stats.dominance_prunes)
-
-
-# -- the chunked combination frontier -----------------------------------------
-
-
-def _combination_frontier(
-    signatures: Sequence[Any], backend: SignatureBackend, size: int
-) -> Iterator[Tuple[List[int], Any, Any]]:
-    """Enumerate the size-``size`` subsets in lexicographic order, carrying
-    incremental prefix unions.
-
-    Yields ``(indices, rest, last_signature)`` where ``indices`` is the
-    **live** index list (snapshot before the next advance), ``rest`` is the
-    union of the first ``size - 1`` signatures and ``last_signature`` the
-    last element's row.
-    """
-    n = len(signatures)
-    if size < 1 or size > n:
-        return
-    union, empty = backend.union, backend.empty
-    indices = list(range(size))
-    # prefix[d] is the union of the signatures at indices[:d].
-    prefix: List[Any] = [empty()] * size
-    for depth in range(size - 1):
-        prefix[depth + 1] = union(prefix[depth], signatures[indices[depth]])
-    while True:
-        yield indices, prefix[size - 1], signatures[indices[size - 1]]
-        # Advance to the next combination, recomputing only the prefix
-        # unions right of the bumped position.
-        position = size - 1
-        while position >= 0 and indices[position] == position + n - size:
-            position -= 1
-        if position < 0:
-            return
-        indices[position] += 1
-        for depth in range(position + 1, size):
-            indices[depth] = indices[depth - 1] + 1
-        for depth in range(position, size - 1):
-            prefix[depth + 1] = union(prefix[depth], signatures[indices[depth]])
-
-
-def _prefix_runs(
-    signatures: Sequence[Any], backend: SignatureBackend, size: int
-) -> Iterator[Tuple[Tuple[int, ...], Any, int, int]]:
-    """The frontier as maximal runs of size-``size`` subsets sharing their
-    first ``size - 1`` indices.
-
-    Yields ``(prefix_indices, prefix_union, last_lo, last_hi)`` — the run's
-    subsets are ``prefix_indices + (j,)`` for ``j`` in ``[last_lo, last_hi)``,
-    i.e. contiguous *rows* of the stacked signature matrix, which is what
-    lets one broadcast union/digest op evaluate the whole run.
-    Runs appear in lexicographic prefix order, so concatenating them (and the
-    rows within each) reproduces the ``itertools.combinations`` order.  One
-    backend union per *run* replaces one per subset.
-    """
-    n = len(signatures)
-    if size == 1:
-        if n:
-            yield (), backend.empty(), 0, n
-        return
-    union = backend.union
-    for indices, rest, last_signature in _combination_frontier(
-        signatures, backend, size - 1
-    ):
-        last_lo = indices[size - 2] + 1
-        if last_lo >= n:
-            continue  # prefix ends at n-1: no room for a last element
-        yield tuple(indices), union(rest, last_signature), last_lo, n
-
-
-def _block_chunks(
-    signatures: Sequence[Any],
-    backend: SignatureBackend,
-    matrix: Any,
-    size: int,
-) -> Iterator[Tuple[List[Tuple[int, ...]], List[int]]]:
-    """Materialise the size-``size`` frontier in chunks of up to
-    :data:`DEFAULT_BLOCK_SIZE` candidate subsets, one batched backend
-    evaluation each — the engine's only frontier evaluator.
-
-    Chunks *span* prefix runs: boosted cells split the frontier into many
-    short runs (a handful of rows each), so batching within a single run
-    leaves the backend ops nothing to amortise.  Each chunk gathers rows
-    across consecutive runs — splitting a run when it straddles the chunk
-    boundary — stacks one prefix union per run piece, and makes a single
-    ``block_scan`` + ``block_digests`` call.  Yields ``(subsets, digests)``
-    with rows in exact lexicographic order.
-    """
-    block_size = DEFAULT_BLOCK_SIZE
-    prefixes: List[Any] = []
-    spans: List[Tuple[int, int, int]] = []
-    metas: List[Tuple[Tuple[int, ...], int, int]] = []
-    filled = 0
-
-    def _evaluate() -> Tuple[List[Tuple[int, ...]], List[int]]:
-        _COUNTERS["blocks_evaluated"] += 1
-        unions = backend.block_scan(matrix, backend.stack(prefixes), spans)
-        digests = backend.block_digests(unions)
-        subsets = [
-            prefix_indices + (last,)
-            for prefix_indices, lo, hi in metas
-            for last in range(lo, hi)
-        ]
-        return subsets, digests
-
-    for prefix_indices, prefix, last_lo, last_hi in _prefix_runs(
-        signatures, backend, size
-    ):
-        lo = last_lo
-        while lo < last_hi:
-            hi = min(lo + (block_size - filled), last_hi)
-            prefixes.append(prefix)
-            spans.append((len(prefixes) - 1, lo, hi))
-            metas.append((prefix_indices, lo, hi))
-            filled += hi - lo
-            lo = hi
-            if filled >= block_size:
-                yield _evaluate()
-                prefixes, spans, metas, filled = [], [], [], 0
-    if spans:
-        yield _evaluate()
-
-
-def _subset_key(
-    signatures: Sequence[Any], backend: SignatureBackend, indices: Sequence[int]
-) -> Any:
-    """Recompute the exact union key of a subset (digest verification)."""
-    union = backend.union
-    signature = backend.empty()
-    for index in indices:
-        signature = union(signature, signatures[index])
-    return backend.key(signature)
 
 
 # -- the dominance search -----------------------------------------------------
@@ -422,7 +285,12 @@ _POLL_STRIDE = 256
 
 class _LazyCoverers(Dict[int, Tuple[int, ...]]):
     """``column -> coverers`` (ascending row positions), each computed from
-    the rows on first use — the search reads only its branching columns."""
+    the rows on first use — the search reads only its branching columns.
+
+    An engine shares its full universe's instance across threads.  That is
+    benign: an entry is a pure function of the immutable rows and is stored
+    by one dict assignment, so a racing thread either misses and computes
+    the same tuple itself or reads the finished one."""
 
     def __init__(self, rows: Sequence[int]) -> None:
         super().__init__()
@@ -684,6 +552,8 @@ class SignatureEngine:
         }
         #: The search memo: the last exact full-universe µ result.
         self._memo: Optional[IdentifiabilityResult] = None
+        #: The full universe's search columns, built on first use.
+        self._columns: Optional[_Columns] = None
 
     @property
     def n_columns(self) -> int:
@@ -827,6 +697,7 @@ class SignatureEngine:
             for element, signature in engine._signatures.items()
         }
         engine._memo = None
+        engine._columns = None
         return engine
 
     # -- signature accessors -------------------------------------------------
@@ -1012,24 +883,27 @@ class SignatureEngine:
         ):
             self._memo = result
 
-    def _search_columns(
-        self, universe: Tuple[Node, ...]
-    ) -> Tuple[List[int], Any, List[int]]:
+    def _search_columns(self, universe: Tuple[Node, ...]) -> _Columns:
         """``(rows, coverers, buckets)`` for the µ search over ``universe``:
         the element rows, each column's coverers (``coverers[c]``, ascending
         positions in ``universe``), and one mask per coverer count — the
         covered columns with 1, 2, ... coverers, ascending, empty ones
         skipped.
 
-        The full universe of an engine built through compression reads the
-        coverers its compression pass kept; any other universe finds a
-        column's coverers on first use.  Nothing here depends on the backend
-        or on compression (module docstring, "The µ search", item 3).
+        The full universe's columns are built once per engine and shared by
+        µ, local µ and the census; a ``nodes=``-restricted universe builds
+        its own.  The full universe of an engine built through compression
+        reads the coverers its compression pass kept; any other universe
+        finds a column's coverers on first use.  Nothing here depends on the
+        backend or on compression (module docstring, "The µ search", item 3).
         """
-        backend = self.backend
-        rows = [backend.mask(self._signatures[node]) for node in universe]
+        full = universe is self.nodes
+        if full and self._columns is not None:
+            return self._columns
+        mask = self.backend.mask
+        rows = tuple(mask(self._signatures[node]) for node in universe)
         coverers: Any = self._coverers
-        if universe is not self.nodes or coverers is None:
+        if not full or coverers is None:
             coverers = _LazyCoverers(rows)
         # A bit-sliced counter: planes[i] holds bit i of every column's
         # coverer count, one ripple-carry add per row.
@@ -1054,7 +928,10 @@ class SignatureEngine:
                 high = mask & plane
                 split += [part for part in (mask ^ high, high) if part]
             buckets = split
-        return rows, coverers, buckets
+        columns = (rows, coverers, tuple(buckets))
+        if full:
+            self._columns = columns  # one attribute store: never torn
+        return columns
 
     def _dominance_search(
         self, universe: Tuple[Node, ...], cap: int, budget: Optional[Budget]
@@ -1166,46 +1043,36 @@ class SignatureEngine:
     ) -> Tuple[Tuple[Node, ...], List[List[Tuple[int, ...]]]]:
         """The resolved universe plus the signature-equality groups of all its
         size-``size`` subsets, ordered by first appearance (groups and
-        members in lexicographic order).
+        members in lexicographic order); module docstring, "The
+        separability census".
 
-        Digest buckets from the chunked frontier are split into exact groups
-        by recomputed union keys.  A census is all-or-nothing: an expired
-        ``budget`` raises :class:`BudgetExceededError` (a partially
-        enumerated census would be silently wrong, not a certified lower
-        bound)."""
+        A census is all-or-nothing: an expired ``budget`` raises
+        :class:`BudgetExceededError` (a partially enumerated census would be
+        silently wrong, not a certified lower bound)."""
         if _require_int("size", size) < 1:
             raise IdentifiabilityError(f"size must be >= 1, got {size}")
         universe = self._resolve_universe(nodes)
         budget = resolve_budget(budget)
-        backend = self.backend
-        signatures = [self._signatures[node] for node in universe]
+        rows = self._search_columns(universe)[0]
+        n = len(rows)
         if budget is not None:
             budget.start()
-        buckets: Dict[int, List[Tuple[int, ...]]] = {}
-        for subsets, digests in _block_chunks(
-            signatures, backend, backend.stack(signatures), size
-        ):
-            for indices, digest in zip(subsets, digests):
-                buckets.setdefault(digest, []).append(indices)
+        _COUNTERS["blocks_evaluated"] += 1
+        groups: Dict[int, List[Tuple[int, ...]]] = {}
+        for prefix in itertools.combinations(range(n), size - 1):
+            union = 0
+            for i in prefix:
+                union |= rows[i]
+            for last in range(prefix[-1] + 1 if prefix else 0, n):
+                groups.setdefault(union | rows[last], []).append(prefix + (last,))
                 if budget is not None and budget.spend():
                     raise BudgetExceededError(
                         f"size-{size} subset census exceeded its search budget"
                     )
-        groups: List[List[Tuple[int, ...]]] = []
-        for members in buckets.values():
-            if len(members) == 1:
-                _COUNTERS["block_rows_pruned"] += 1
-                groups.append(members)
-                continue
-            by_key: Dict[Any, List[Tuple[int, ...]]] = {}
-            for indices in members:
-                by_key.setdefault(
-                    _subset_key(signatures, backend, indices), []
-                ).append(indices)
-            groups.extend(by_key.values())
-        # First-appearance order == ascending first member (lexicographic).
-        groups.sort(key=lambda members: members[0])
-        return universe, groups
+        _COUNTERS["block_rows_pruned"] += sum(
+            len(members) == 1 for members in groups.values()
+        )
+        return universe, list(groups.values())
 
     def separability_matrix(
         self,

@@ -409,29 +409,37 @@ class TestEngineConfigIsolation:
         )
 
     @pytest.mark.parametrize(
-        "configs",
+        "cell, configs",
         [
             (
-                EngineConfig(backend="python", compress=False),
-                EngineConfig(
-                    backend="numpy" if numpy_available() else "auto",
-                    compress=True,
+                # Compression merges 64 paths into 24 columns here, so the
+                # configs' engines differ with or without numpy installed.
+                (TopologySpec("dataxchange"), PlacementSpec("mdmp", {"d": 2})),
+                (
+                    EngineConfig(backend="python", compress=False),
+                    EngineConfig(
+                        backend="numpy" if numpy_available() else "auto",
+                        compress=True,
+                    ),
                 ),
             ),
-            (EngineConfig(subset_budget=50), EngineConfig()),
+            (
+                (
+                    TopologySpec("directed_hypergrid", {"n": 3, "d": 3}),
+                    PlacementSpec("chi_g"),
+                ),
+                (EngineConfig(subset_budget=50), EngineConfig()),
+            ),
         ],
         ids=["python-raw-vs-numpy-compressed", "budgeted-vs-unbounded"],
     )
-    def test_threaded_scenarios_match_their_solo_runs(self, configs):
+    def test_threaded_scenarios_match_their_solo_runs(self, cell, configs):
         """Two configs interleaved on threads each get exactly their solo
         result — witness and ``searched_up_to`` included — because no
         engine setting lives outside the spec."""
+        topology, placement = cell
         specs = [
-            ScenarioSpec(
-                topology=TopologySpec("directed_hypergrid", {"n": 3, "d": 3}),
-                placement=PlacementSpec("chi_g"),
-                engine=config,
-            )
+            ScenarioSpec(topology=topology, placement=placement, engine=config)
             for config in configs
         ]
         clear_pathset_cache()

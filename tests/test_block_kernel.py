@@ -1,17 +1,17 @@
-"""The µ search and the subset frontier against the naive oracles.
+"""The µ search and the separability census against the naive oracles.
 
-µ and local µ run the dominance search; the separability census runs the
-one frontier evaluator (:func:`_block_chunks`).  These suites hold both to
+µ and local µ run the dominance search; the separability census groups
+the subsets' big-int unions in one pass.  These suites hold both to
 the brute-force oracles in ``tests/oracles.py`` — same µ, ``searched_up_to``
 and ``exhausted_search`` as the ``itertools.combinations`` sweep, the
 canonical witness pair, the same local µ, the same census — across every
-routing mechanism, failure universe, backend (numpy vectorized ops and the
-pure-python fallback) and compression setting.  A budget-truncated µ is a
-certified lower bound, identical on every engine.
+routing mechanism, failure universe, backend and compression setting.  A
+budget-truncated µ is a certified lower bound, identical on every engine.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 
@@ -33,9 +33,8 @@ from repro.core.local import (
 )
 from repro.core.separability import inseparable_pairs_of_size
 from repro.core.truncated import truncated_identifiability
-from repro.engine import signatures as sig
 from repro.engine.backends import PythonBackend, available_backends, numpy_available
-from repro.engine.signatures import SearchStats, SignatureEngine, search_counters
+from repro.engine.signatures import SearchStats, search_counters
 from repro.exceptions import IdentifiabilityError
 from repro.resilience.budget import Budget
 
@@ -45,6 +44,7 @@ from oracles import (
     naive_inseparable_pairs,
     naive_local_mu,
     naive_maximal_identifiability_detailed,
+    union_mask,
 )
 
 MECHANISMS = ("CSP", "CAP-", "CAP")
@@ -99,24 +99,6 @@ class TestBlockParityMatrix:
             assert len(stats) == 1, (seed, mechanism, kind, stats)
             assert len(truncated) == 1, (seed, mechanism, kind, truncated)
 
-    def test_block_size_does_not_change_results(self, monkeypatch):
-        """Chunk boundaries inside and across prefix runs change neither the
-        census nor µ."""
-        for seed in range(6):
-            pathset = _pathset(seed, "CSP")
-            universe = _universe(pathset, "link")
-            oracle = naive_maximal_identifiability_detailed(
-                pathset, universe=universe
-            )
-            pairs = set(naive_inseparable_pairs(universe, 2))
-            for block_size in (1, 2, 3, 7, 4096):
-                monkeypatch.setattr(sig, "DEFAULT_BLOCK_SIZE", block_size)
-                engine = SignatureEngine.from_universe(universe)
-                assert set(engine.inseparable_pairs(2)) == pairs, (seed, block_size)
-                assert_matches_oracle(
-                    engine.identifiability(), oracle, (seed, block_size)
-                )
-
     @pytest.mark.parametrize(
         "backend", ["python"] + (["numpy"] if numpy_available() else [])
     )
@@ -170,6 +152,42 @@ class TestBlockParityMatrix:
                 inseparable_pairs_of_size(pathset, 2, universe=universe)
             ) == set(naive_inseparable_pairs(universe, 2))
 
+    def test_census_order_on_restricted_universes(self):
+        """A restricted universe's census: groups by first appearance,
+        members in lexicographic order, on every backend and compression
+        setting, and the matrix over the same subsets."""
+        for seed, kind in itertools.product(range(3), KINDS):
+            pathset = _pathset(seed, "CSP")
+            universe = _universe(pathset, kind)
+            masks = universe.masks
+            elements = tuple(sorted(universe.elements[1:], key=repr))
+            for size in (1, 2, 3):
+                subsets = [
+                    frozenset(combo)
+                    for combo in itertools.combinations(elements, size)
+                ]
+                groups = {}
+                for subset in subsets:
+                    groups.setdefault(union_mask(masks, subset), []).append(subset)
+                pairs = tuple(
+                    (first, second)
+                    for members in groups.values()
+                    for i, first in enumerate(members)
+                    for second in members[i + 1 :]
+                )
+                matrix = [
+                    (pair, union_mask(masks, pair[0]) != union_mask(masks, pair[1]))
+                    for pair in itertools.combinations(subsets, 2)
+                ]
+                for backend, compress in itertools.product(BACKENDS, (True, False)):
+                    engine = pathset.engine(backend, compress, universe=universe)
+                    context = (seed, kind, size, backend, compress)
+                    census = engine.inseparable_pairs(size, nodes=elements)
+                    assert census == pairs, context
+                    assert list(
+                        engine.separability_matrix(size, nodes=elements).items()
+                    ) == matrix, context
+
     def test_local_search_parity(self):
         """Local µ of singleton and pair scopes equals the naive sweep on
         every universe, backend, compression setting and cap."""
@@ -196,10 +214,18 @@ class TestBlockParityMatrix:
 
 class TestStatsAndCounters:
     def test_block_counters_accumulate(self):
-        """µ searches count into ``searches``; frontier chunks are the
-        census's, and µ evaluates none."""
+        """µ searches count into ``searches``; ``blocks_evaluated`` counts
+        census passes (µ makes none) and ``block_rows_pruned`` the census
+        subsets whose union no other subset shares."""
         pathset = _pathset(1, "CSP")
         engine = pathset.engine()
+        masks = {node: pathset.paths_through(node) for node in engine.nodes}
+        unions = collections.Counter(
+            union_mask(masks, subset)
+            for subset in itertools.combinations(engine.nodes, 2)
+        )
+        unique = sum(count == 1 for count in unions.values())
+        assert 0 < unique < len(unions)
         before = search_counters()
         result = engine.identifiability()
         after = search_counters()
@@ -212,8 +238,8 @@ class TestStatsAndCounters:
         engine.inseparable_pairs(2)
         census = search_counters()
         assert census.searches == after.searches
-        assert census.blocks_evaluated > after.blocks_evaluated
-        assert census.block_rows_pruned > after.block_rows_pruned
+        assert census.blocks_evaluated == after.blocks_evaluated + 1
+        assert census.block_rows_pruned == after.block_rows_pruned + unique
 
     def test_result_stats_and_counters(self):
         pathset = _pathset(1, "CSP")
@@ -315,51 +341,8 @@ class TestTypedSizeValidation:
 
 
 class TestBackendBatchedOps:
-    """The pure-python fallback implements the same batched-op contract."""
-
-    def test_python_backend_block_ops(self):
-        backend = PythonBackend(8)
-        rows = [backend.pack(1 << i) for i in range(5)]
-        stacked = backend.stack(rows)
-        prefixes = backend.stack([backend.pack(1 << 1), backend.pack(1 << 4)])
-        # Two spans against two different prefixes in one chunk.
-        unions = backend.block_scan(stacked, prefixes, [(0, 1, 4), (1, 4, 5)])
-        assert len(unions) == 4
-        assert backend.key(unions[0]) == backend.key(prefixes[0])
-        assert backend.key(unions[3]) == backend.key(prefixes[1])
-        assert backend.key(unions[1]) == backend.key(
-            backend.union(backend.pack(1 << 1), rows[2])
-        )
-        digests = backend.block_digests(unions)
-        assert len(digests) == 4 and all(isinstance(d, int) for d in digests)
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_numpy_backend_block_ops_match_scalar_ops(self):
-        from repro.engine.backends import NumpyBackend
-
-        backend = NumpyBackend(130)  # forces multi-word rows
-        rows = [
-            backend.pack((1 << i) | (1 << ((i * 37) % 130)) | (1 << 129))
-            for i in range(9)
-        ]
-        stacked = backend.stack(rows)
-        prefix_a = backend.pack((1 << 3) | (1 << 64) | (1 << 128))
-        prefix_b = backend.pack((1 << 129) | (1 << 5))
-        prefixes = backend.stack([prefix_a, prefix_b])
-        spans = [(0, 0, 4), (1, 4, 9)]
-        unions = backend.block_scan(stacked, prefixes, spans)
-        expected = [(prefix_a, row) for row in rows[0:4]] + [
-            (prefix_b, row) for row in rows[4:9]
-        ]
-        for j, (prefix, row) in enumerate(expected):
-            assert backend.key(unions[j]) == backend.key(
-                backend.union(prefix, row)
-            )
-        digests = backend.block_digests(stacked)
-        # Equal rows hash equal; the mix must separate these distinct rows.
-        assert len(set(digests)) == len(rows)
-        again = backend.block_digests(backend.stack(rows))
-        assert digests == again
+    """The python backend alone carries µ and the census, and its bit
+    iteration matches numpy's."""
 
     @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     def test_numpy_bits_round_trip_matches_python_backend(self):
@@ -387,7 +370,7 @@ class TestBackendBatchedOps:
                 assert from_numpy == from_python == indices, (width, indices)
 
     def test_kernel_block_legal_without_numpy(self, monkeypatch):
-        """µ and the census run on the pure-python fallback when numpy is
+        """µ and the census run on the python backend when numpy is
         absent."""
         from repro.engine import backends
 
@@ -401,7 +384,7 @@ class TestBackendBatchedOps:
         assert set(engine.inseparable_pairs(2)) == set(
             naive_inseparable_pairs(pathset.universe("node"), 2)
         )
-        assert search_counters().blocks_evaluated > before
+        assert search_counters().blocks_evaluated == before + 1
 
 
 class TestSpecRunnerAndWorkers:

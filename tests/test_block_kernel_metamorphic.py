@@ -1,8 +1,8 @@
 """Engine-level metamorphic oracle: for *random* small instances and caps
 the µ search must agree with the naive oracles on everything observable —
 µ, ``searched_up_to``/``exhausted_search`` and the canonical witness — and
-search the same tree on every backend × compression engine, and the subset
-census must reproduce the full separability census at every chunk size.
+search the same tree on every backend × compression engine, and the
+separability census must reproduce the naive one.
 
 Hypothesis drives the instance generator (a raw ``(element-masks, n_paths)``
 pair plus a cap fed straight into :class:`SignatureEngine`, no graph layer
@@ -24,7 +24,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.engine import signatures as sig  # noqa: E402
 from repro.engine.backends import available_backends  # noqa: E402
 from repro.engine.signatures import SignatureEngine  # noqa: E402
 
@@ -46,14 +45,12 @@ def instances(draw):
     ]
     compress = draw(st.booleans())
     backend = draw(st.sampled_from(sorted(available_backends())))
-    block_size = draw(st.sampled_from([1, 2, 3, 1024]))
     cap = draw(st.sampled_from([0, 1, 2, 3, None]))
     return {
         "n_paths": n_paths,
         "masks": masks,
         "compress": compress,
         "backend": backend,
-        "block_size": block_size,
         "cap": cap,
     }
 
@@ -74,33 +71,26 @@ def _assert_instance_parity(instance) -> None:
     masks = dict(zip(engine.nodes, instance["masks"]))
     n = len(engine.nodes)
     cap = instance.get("cap")
-    previous = sig.DEFAULT_BLOCK_SIZE
-    # ``block_size`` sets the chunk boundary, so tiny chunks split prefix
-    # runs exactly as the 1024-row default does on large frontiers.
-    sig.DEFAULT_BLOCK_SIZE = instance["block_size"]
-    try:
-        result = engine.identifiability(max_size=cap)
-        assert_matches_oracle(result, naive_oracle(engine.nodes, masks, cap), instance)
-        # Every backend × compression engine runs the same search tree.
-        for backend, compress in itertools.product(
-            available_backends(), (True, False)
-        ):
-            other = _engine(instance, backend, compress).identifiability(max_size=cap)
-            assert other == result, (instance, backend, compress)
-            assert other.stats == result.stats, (instance, backend, compress)
-        for size in range(1, min(n, 3) + 1):
-            pairs = engine.inseparable_pairs(size)
-            subsets = list(itertools.combinations(engine.nodes, size))
-            expected = {
-                (frozenset(first), frozenset(second))
-                for i, first in enumerate(subsets)
-                for second in subsets[i + 1 :]
-                if union_mask(masks, first) == union_mask(masks, second)
-            }
-            assert len(pairs) == len(expected), (instance, size)
-            assert set(pairs) == expected, (instance, size)
-    finally:
-        sig.DEFAULT_BLOCK_SIZE = previous
+    result = engine.identifiability(max_size=cap)
+    assert_matches_oracle(result, naive_oracle(engine.nodes, masks, cap), instance)
+    # Every backend × compression engine runs the same search tree.
+    for backend, compress in itertools.product(
+        available_backends(), (True, False)
+    ):
+        other = _engine(instance, backend, compress).identifiability(max_size=cap)
+        assert other == result, (instance, backend, compress)
+        assert other.stats == result.stats, (instance, backend, compress)
+    for size in range(1, min(n, 3) + 1):
+        pairs = engine.inseparable_pairs(size)
+        subsets = list(itertools.combinations(engine.nodes, size))
+        expected = {
+            (frozenset(first), frozenset(second))
+            for i, first in enumerate(subsets)
+            for second in subsets[i + 1 :]
+            if union_mask(masks, first) == union_mask(masks, second)
+        }
+        assert len(pairs) == len(expected), (instance, size)
+        assert set(pairs) == expected, (instance, size)
 
 
 class TestMetamorphicOracle:

@@ -229,6 +229,13 @@ class TestBackends:
         assert pathset.engine("python").measurement_vector(
             failed
         ) == pathset.engine("numpy").measurement_vector(failed)
+        # A dense raw engine wider than one 64-bit word.
+        width = 200
+        masks = {"a": ((1 << width) - 1) ^ (1 << 3) ^ (1 << 130), "b": 1 << 3}
+        expected = tuple(int(i != 130) for i in range(width))
+        for backend in ("python", "numpy"):
+            engine = SignatureEngine(("a", "b"), masks, width, backend, False)
+            assert engine.measurement_vector({"a", "b"}) == expected, backend
 
     @needs_numpy
     def test_backend_classes_parity(self):

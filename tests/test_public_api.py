@@ -80,7 +80,6 @@ EXPECTED_ENGINE_ALL = [
     "CacheStats",
     "CompressionPlan",
     "ConfusablePair",
-    "DEFAULT_BLOCK_SIZE",
     "IdentifiabilityResult",
     "NUMPY_MIN_PATHS",
     "NumpyBackend",

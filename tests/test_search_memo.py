@@ -239,6 +239,25 @@ class TestMemoCounters:
             }, cap
             assert hit.stats == SearchStats(0, 0, 0), cap
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_full_universe_columns_are_built_once(self, backend, monkeypatch):
+        """µ, local µ and the census read the full universe's rows from one
+        build per engine; a restricted universe builds its own."""
+        engine = _grid_engine(backend)
+        calls = []
+        mask = engine.backend.mask
+        monkeypatch.setattr(
+            engine.backend, "mask", lambda row: calls.append(row) or mask(row)
+        )
+        n = len(engine.nodes)
+        engine.local_identifiability({engine.nodes[0]}, 3)
+        engine.local_identifiability({engine.nodes[1]}, 3)
+        engine.identifiability(max_size=3)
+        engine.inseparable_pairs(2)
+        assert len(calls) == n
+        engine.identifiability(nodes=engine.nodes[:4])
+        assert len(calls) == n + 4
+
     def test_exhausted_slot_searches_afresh_past_its_cap(self):
         engine = _grid_engine()
 
