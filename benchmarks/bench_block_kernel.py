@@ -14,8 +14,8 @@ the d-4 log-N Agrid boost), node **and** link universes:
   every level up to the cap without finding a dominator — its whole
   search tree, the worst case of a capped query.
 
-Each cell times the search on the numpy backend (when installed) and asserts
-**hard bit-parity** against the same search on the python backend: same µ,
+Each cell times the search on the default (compressed) engine and asserts
+**hard bit-parity** against the same search on the raw engine: same µ,
 same witness, same ``searched_up_to`` and the same search tree
 (``tree_nodes``, ``subsets_enumerated``, ``table_entries``).  The recorded
 ``block_seconds`` — the historical name of the timed search, kept so the
@@ -33,7 +33,7 @@ from typing import Dict, Optional
 from conftest import run_once
 
 from repro.agrid.algorithm import agrid
-from repro.engine.backends import numpy_available
+from repro.engine.columns import numpy_available
 from repro.routing.paths import enumerate_paths
 from repro.topology import zoo
 
@@ -55,9 +55,7 @@ def _timed(engine, max_size: Optional[int], nodes):
 
 
 def _certification_cell(pathset, kind: str) -> Dict[str, object]:
-    engine = pathset.engine(
-        "numpy" if numpy_available() else "python", universe=kind
-    )
+    engine = pathset.engine(universe=kind)
     # Excise confusable witnesses until the residual universe certifies up
     # to size 3: the timed searches then run every level to the cap.
     residual = list(engine.nodes)
@@ -71,11 +69,11 @@ def _certification_cell(pathset, kind: str) -> Dict[str, object]:
         excision_rounds += 1
 
     result, block_seconds = _timed(engine, 3, residual)
-    fallback, python_seconds = _timed(
-        pathset.engine("python", universe=kind), 3, residual
+    fallback, raw_seconds = _timed(
+        pathset.engine(compress=False, universe=kind), 3, residual
     )
 
-    # Hard bit-parity across the backends: dataclass equality covers value,
+    # Hard bit-parity with the raw engine: dataclass equality covers value,
     # witness, searched_up_to and exhausted_search; the search tree must
     # match too.
     assert result == fallback, (result, fallback)
@@ -90,12 +88,12 @@ def _certification_cell(pathset, kind: str) -> Dict[str, object]:
         "excision_rounds": excision_rounds,
         "n_elements": len(engine.nodes),
         "n_residual": len(residual),
-        "n_words": getattr(engine.backend, "n_words", None),
+        "n_columns": engine.n_columns,
         "frontier_size_3": math.comb(len(residual), 3),
         "subsets_enumerated": result.stats.subsets_enumerated,
         "tree_nodes": result.stats.tree_nodes,
         "block_seconds": block_seconds,
-        "python_seconds": python_seconds,
+        "raw_seconds": raw_seconds,
     }
 
 
@@ -122,8 +120,8 @@ def test_block_kernel_claranet(benchmark, bench_seed):
 
     benchmark.extra_info["experiment"] = (
         "Dominance µ search on Claranet d-4 residual certification cells "
-        f"(node + link universes, {PROBE_BUDGET}-path probe budget), numpy "
-        "vs python backend"
+        f"(node + link universes, {PROBE_BUDGET}-path probe budget), compressed "
+        "vs raw engine"
     )
     benchmark.extra_info["numpy"] = numpy_available()
     benchmark.extra_info["probe_budget"] = PROBE_BUDGET

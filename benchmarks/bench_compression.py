@@ -69,7 +69,7 @@ def _raw_pipeline(graph, placement) -> Dict[str, object]:
         for node in set(path):
             masks[node] |= bit
     engine = SignatureEngine(
-        node_universe, masks, len(paths), backend=None, compress=False
+        node_universe, masks, len(paths), compress=False
     )
     cap = structural_upper_bound(graph, placement).combined + 1
     result = engine.identifiability(max_size=cap)

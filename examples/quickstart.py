@@ -89,7 +89,7 @@ def demo_bounds_agrid_and_json() -> None:
         topology=TopologySpec("claranet"),
         placement=PlacementSpec("mdmp", {"d": 3}),
         seed=2018,
-        engine=EngineConfig(backend="auto", compress=True),
+        engine=EngineConfig(compress=True),
     )
     scenario = Scenario(spec)
     bounds = scenario.bounds()

@@ -16,8 +16,8 @@ The package provides:
   enumeration.
 * **Signature engine** (:mod:`repro.engine`) — the shared substrate for all
   identifiability queries: interned path-mask signatures, equivalence-class
-  collapsing, incremental subset search with dominance pruning, python/numpy
-  backends and the keyed pathset cache.
+  collapsing, the exact dominance search for µ, big-int signatures with
+  numpy column kernels, and the keyed pathset cache.
 * **Identifiability core** (:mod:`repro.core`) — exact maximal identifiability
   µ, truncated µ_α, local identifiability, structural upper bounds and
   separation primitives (thin clients of the engine).
@@ -75,7 +75,6 @@ from repro.api.spec import (
 from repro.failures import FailureUniverse
 from repro.engine import (
     SignatureEngine,
-    available_backends,
     cached_enumerate_paths,
 )
 from repro.core import (
@@ -126,7 +125,6 @@ __all__ = [
     "verify",
     # signature engine
     "SignatureEngine",
-    "available_backends",
     "cached_enumerate_paths",
     # routing
     "PathSet",

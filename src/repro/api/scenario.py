@@ -227,7 +227,7 @@ class Scenario:
         config."""
         config = self.spec.engine
         return self.pathset.engine(
-            config.backend, config.compress, universe=self.universe
+            compress=config.compress, universe=self.universe
         )
 
     # -- evolution -----------------------------------------------------------
@@ -391,7 +391,6 @@ class Scenario:
         result = maximal_identifiability_detailed(
             self.pathset,
             max_size=cap,
-            backend=config.backend,
             compress=config.compress,
             universe=None if node_mode else universe,
             budget=config.budget(),
@@ -449,7 +448,6 @@ class Scenario:
         result = truncated_identifiability_detailed(
             self.pathset,
             alpha,
-            backend=config.backend,
             compress=config.compress,
             universe=None if universe.kind == "node" else universe,
             budget=config.budget(),
@@ -714,9 +712,8 @@ class Scenario:
     def describe(self) -> str:
         """One-line human-readable summary."""
         return (
-            f"Scenario({self.spec.display_name()}, "
-            f"engine={self.spec.engine.backend}"
-            f"{'' if self.spec.engine.compress else ',raw'}, seed={self.spec.seed!r})"
+            f"Scenario({self.spec.display_name()}"
+            f"{'' if self.spec.engine.compress else ', raw'}, seed={self.spec.seed!r})"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -18,7 +18,7 @@ Schema (version 2)::
       "routing":   {"mechanism": "CSP", "cutoff": null, "max_paths": null},
       "failures":  {"model": "uniform", "size": 1, "n_trials": 10,
                     "universe": {"kind": "node", "groups": {}}},
-      "engine":    {"backend": "auto", "compress": true, "cache": true},
+      "engine":    {"compress": true, "cache": true},
       "seed": 2018,                                  # int, string or null
       "analyses": [{"analysis": "mu", "params": {}}]
     }
@@ -31,7 +31,7 @@ groups; node labels use the literal-spec codec, so tuple labels are lists).
 Version-1 documents parse unchanged and auto-upgrade to node mode — a v1
 spec and its v2 upgrade build bit-identical scenarios.
 
-The engine axes (``backend``, ``compress``, ``cache``, the budgets) are
+The engine axes (``compress``, ``cache``, the budgets) are
 **spec-scoped**: the engine has no process-global policy to read, so
 scenarios with different engine configs coexist in one process.
 """
@@ -88,18 +88,19 @@ def _expect_mapping(payload: Any, kind: str) -> Dict[str, Any]:
 
 #: Engine keys of earlier v2 documents that no longer select anything; they
 #: parse and are dropped.
-_RETIRED_ENGINE_FIELDS = frozenset({"search_jobs", "kernel", "block_size"})
+_RETIRED_ENGINE_FIELDS = frozenset(
+    {"search_jobs", "kernel", "block_size", "backend"}
+)
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Spec-scoped engine policy: which signature backend, whether to
-    compress the signature universe, and whether to use the pathset cache.
+    """Spec-scoped engine policy: whether to compress the signature
+    universe, whether to use the pathset cache, and the search budgets.
 
-    Defaults match the library defaults (``auto`` backend, compression on,
-    cache on, unbounded): a default-constructed config computes exactly what
-    ``backend=None, compress=None, budget=None`` computes at the pathset
-    level.
+    Defaults match the library defaults (compression on, cache on,
+    unbounded): a default-constructed config computes exactly what
+    ``compress=None, budget=None`` computes at the pathset level.
 
     ``time_budget`` (wall-clock seconds) and ``subset_budget`` bound each
     search cooperatively.  ``subset_budget`` counts search-tree nodes for µ
@@ -120,12 +121,12 @@ class EngineConfig:
     --cache-size``) escapes the historical hard-coded 128 entries.  Additive
     in schema v2, execution-only (never changes any reported value).
 
-    The retired sweep knobs ``search_jobs``, ``kernel`` and ``block_size``
-    are still accepted by :meth:`from_dict` so existing v2 documents parse,
-    and discarded: no value of them ever changed a reported result.
+    The retired knobs ``search_jobs``, ``kernel``, ``block_size`` and
+    ``backend`` are still accepted by :meth:`from_dict` so existing v2
+    documents parse, and discarded: no value of them ever changed a reported
+    result.
     """
 
-    backend: str = "auto"
     compress: bool = True
     cache: bool = True
     time_budget: Optional[float] = None
@@ -133,9 +134,6 @@ class EngineConfig:
     cache_maxsize: Optional[int] = None
 
     def __post_init__(self) -> None:
-        from repro.engine.backends import normalize_backend_spec
-
-        object.__setattr__(self, "backend", normalize_backend_spec(self.backend))
         object.__setattr__(self, "compress", bool(self.compress))
         object.__setattr__(self, "cache", bool(self.cache))
         if self.time_budget is not None:
@@ -179,7 +177,6 @@ class EngineConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "backend": self.backend,
             "compress": self.compress,
             "cache": self.cache,
             "time_budget": self.time_budget,
@@ -191,7 +188,6 @@ class EngineConfig:
     def from_dict(cls, payload: Mapping[str, Any]) -> "EngineConfig":
         data = _expect_mapping(payload, "engine config")
         unknown = set(data) - _RETIRED_ENGINE_FIELDS - {
-            "backend",
             "compress",
             "cache",
             "time_budget",
@@ -201,7 +197,6 @@ class EngineConfig:
         if unknown:
             raise SpecError(f"unknown engine config fields {sorted(unknown)}")
         return cls(
-            backend=data.get("backend", "auto"),
             compress=data.get("compress", True),
             cache=data.get("cache", True),
             time_budget=data.get("time_budget"),

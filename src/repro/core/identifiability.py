@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
 from repro._typing import Node
-from repro.engine.backends import BackendSpec
 from repro.engine.signatures import (
     ConfusablePair,
     IdentifiabilityResult,
@@ -90,7 +89,7 @@ def maximal_identifiability_detailed(
     pathset: PathSet,
     max_size: Optional[int] = None,
     nodes: Optional[Iterable[Node]] = None,
-    backend: BackendSpec = None,
+    *,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
     budget: Optional["Budget"] = None,
@@ -108,9 +107,6 @@ def maximal_identifiability_detailed(
     nodes:
         Restrict the universe to these elements (defaults to the whole
         universe).  Used by the local-identifiability and what-if analyses.
-    backend:
-        Signature backend: ``None``/``"auto"``, ``"python"``, ``"numpy"`` or
-        a :class:`~repro.engine.backends.SignatureBackend` instance.
     compress:
         Signature-universe compression (see :mod:`repro.engine.compress`);
         ``None`` means ``True``.  The computed result is identical either
@@ -144,7 +140,7 @@ def maximal_identifiability_detailed(
             return IdentifiabilityResult(
                 value=0, witness=witness, searched_up_to=1, exhausted_search=False
             )
-    return pathset.engine(backend, compress, universe=resolved).identifiability(
+    return pathset.engine(compress=compress, universe=resolved).identifiability(
         max_size=max_size, nodes=nodes, budget=budget
     )
 
@@ -153,7 +149,7 @@ def maximal_identifiability(
     pathset: PathSet,
     max_size: Optional[int] = None,
     nodes: Optional[Iterable[Node]] = None,
-    backend: BackendSpec = None,
+    *,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
     budget: Optional["Budget"] = None,
@@ -161,7 +157,8 @@ def maximal_identifiability(
     """µ of the failure universe with respect to ``pathset`` (Definition 2.2,
     generalised from nodes to arbitrary failure elements)."""
     return maximal_identifiability_detailed(
-        pathset, max_size, nodes, backend, compress, universe, budget
+        pathset, max_size, nodes,
+        compress=compress, universe=universe, budget=budget,
     ).value
 
 
@@ -169,7 +166,7 @@ def is_k_identifiable(
     pathset: PathSet,
     k: int,
     nodes: Optional[Iterable[Node]] = None,
-    backend: BackendSpec = None,
+    *,
     universe: UniverseLike = None,
 ) -> bool:
     """Definition 2.1: is the failure universe k-identifiable w.r.t.
@@ -182,7 +179,7 @@ def is_k_identifiable(
     if k == 0:
         return True
     result = maximal_identifiability_detailed(
-        pathset, max_size=k, nodes=nodes, backend=backend, universe=universe
+        pathset, max_size=k, nodes=nodes, universe=universe
     )
     return result.value >= k
 
@@ -191,19 +188,19 @@ def find_confusable_pair(
     pathset: PathSet,
     max_size: Optional[int] = None,
     nodes: Optional[Iterable[Node]] = None,
-    backend: BackendSpec = None,
+    *,
     universe: UniverseLike = None,
 ) -> Optional[ConfusablePair]:
     """Smallest confusable pair (the witness of Section 2.0.1), if any."""
     return maximal_identifiability_detailed(
-        pathset, max_size, nodes, backend, universe=universe
+        pathset, max_size, nodes, universe=universe
     ).witness
 
 
 def separability_matrix(
     pathset: PathSet,
     size: int,
-    backend: BackendSpec = None,
+    *,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
     budget: Optional[Budget] = None,
@@ -219,6 +216,6 @@ def separability_matrix(
     A census has no sound partial result, so an expired ``budget`` raises
     :class:`~repro.exceptions.BudgetExceededError` instead of truncating.
     """
-    return pathset.engine(backend, compress, universe=universe).separability_matrix(
+    return pathset.engine(compress=compress, universe=universe).separability_matrix(
         size, budget=budget
     )

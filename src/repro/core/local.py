@@ -57,7 +57,6 @@ from typing import Dict, Iterable, Optional
 
 from repro._typing import Node
 from repro.core.identifiability import UniverseLike, resolve_universe
-from repro.engine.backends import BackendSpec
 from repro.engine.signatures import _require_int
 from repro.exceptions import IdentifiabilityError
 from repro.routing.paths import PathSet
@@ -67,7 +66,7 @@ def is_locally_k_identifiable(
     pathset: PathSet,
     scope: Iterable[Node],
     k: int,
-    backend: BackendSpec = None,
+    *,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
 ) -> bool:
@@ -80,7 +79,7 @@ def is_locally_k_identifiable(
     if _require_int("k", k) < 0:
         raise IdentifiabilityError(f"k must be >= 0, got {k}")
     engine = pathset.engine(
-        backend, compress, universe=resolve_universe(pathset, universe)
+        compress=compress, universe=resolve_universe(pathset, universe)
     )
     return engine.local_identifiability(scope, k) >= k
 
@@ -89,7 +88,7 @@ def local_maximal_identifiability(
     pathset: PathSet,
     scope: Iterable[Node],
     max_size: Optional[int] = None,
-    backend: BackendSpec = None,
+    *,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
 ) -> int:
@@ -100,7 +99,7 @@ def local_maximal_identifiability(
     of the universe when ``S`` is a single well-covered element.
     """
     engine = pathset.engine(
-        backend, compress, universe=resolve_universe(pathset, universe)
+        compress=compress, universe=resolve_universe(pathset, universe)
     )
     return engine.local_identifiability(scope, max_size)
 
@@ -108,7 +107,7 @@ def local_maximal_identifiability(
 def local_identifiability_per_node(
     pathset: PathSet,
     max_size: int = 3,
-    backend: BackendSpec = None,
+    *,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
 ) -> Dict[Node, int]:
@@ -119,7 +118,7 @@ def local_identifiability_per_node(
     neighbour stays at 0.  ``max_size`` caps the per-element searches.
     """
     engine = pathset.engine(
-        backend, compress, universe=resolve_universe(pathset, universe)
+        compress=compress, universe=resolve_universe(pathset, universe)
     )
     return {
         element: engine.local_identifiability({element}, max_size)

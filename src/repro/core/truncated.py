@@ -24,7 +24,6 @@ from repro.core.identifiability import (
     UniverseLike,
     maximal_identifiability_detailed,
 )
-from repro.engine.backends import BackendSpec
 from repro.engine.signatures import _require_int
 from repro.exceptions import IdentifiabilityError
 from repro.resilience.budget import Budget
@@ -35,7 +34,7 @@ from repro.topology.base import average_degree, min_degree
 def truncated_identifiability_detailed(
     pathset: PathSet,
     alpha: int,
-    backend: BackendSpec = None,
+    *,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
     budget: Optional["Budget"] = None,
@@ -52,7 +51,7 @@ def truncated_identifiability_detailed(
     if _require_int("alpha", alpha) < 1:
         raise IdentifiabilityError(f"alpha must be >= 1, got {alpha}")
     return maximal_identifiability_detailed(
-        pathset, max_size=alpha, backend=backend, compress=compress,
+        pathset, max_size=alpha, compress=compress,
         universe=universe, budget=budget,
     )
 
@@ -60,7 +59,7 @@ def truncated_identifiability_detailed(
 def truncated_identifiability(
     pathset: PathSet,
     alpha: int,
-    backend: BackendSpec = None,
+    *,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
     budget: Optional["Budget"] = None,
@@ -72,7 +71,7 @@ def truncated_identifiability(
     values).
     """
     return truncated_identifiability_detailed(
-        pathset, alpha, backend, compress, universe, budget
+        pathset, alpha, compress=compress, universe=universe, budget=budget
     ).value
 
 

@@ -11,10 +11,14 @@ the experiment drivers (:mod:`repro.experiments`):
   sweep, with a canonical witness, at a fraction of the cost.  The
   separability census groups the same big-int rows' subset unions in one
   pass over ``itertools.combinations``.
-* :mod:`repro.engine.backends` provides two interchangeable signature
-  representations: Python big-int bitmasks and numpy ``uint64``-packed rows.
+* A signature — ``P(U)``, the paths touched by an element set — is a Python
+  big int (bit ``j`` set iff path ``j`` is touched), so unions are ``|`` and
+  equality is ``==``.  :mod:`repro.engine.columns` holds the two incidence
+  column primitives, ``gather_columns`` and ``dedup_columns``, each with a
+  numpy bit-matrix kernel (run whenever numpy is importable) and a big-int
+  kernel (the only one without numpy).
 * :mod:`repro.engine.compress` collapses duplicate path columns (and drops
-  all-zero columns) before the signatures are packed, shrinking the mask
+  all-zero columns) before the rows are interned, shrinking the mask
   width every query pays for; results are bit-identical and the
   :class:`CompressionPlan` expands measurement vectors back to original path
   indices.  On by default; ``compress=False`` (or
@@ -23,33 +27,23 @@ the experiment drivers (:mod:`repro.experiments`):
   engines built on them) under content keys, so experiment tables stop
   re-enumerating identical ``(graph, placement, mechanism)`` triples.
 
-Backend selection
------------------
+Engine settings
+---------------
 
-The backend is an argument, never ambient state: a
-:class:`repro.Scenario` carries it in its spec's
-:class:`~repro.api.spec.EngineConfig`, and the pathset-level functions take
-``backend=``.  ``None`` and ``"auto"`` choose the numpy backend when numpy is
-importable and the path universe has at least
-:data:`~repro.engine.backends.NUMPY_MIN_PATHS` paths, and the
-dependency-free python backend otherwise::
+Settings are arguments, never ambient state: a :class:`repro.Scenario`
+carries them in its spec's :class:`~repro.api.spec.EngineConfig`, and the
+pathset-level functions take ``compress=`` and ``budget=``::
 
-    engine = pathset.engine(backend="numpy")   # this engine only
+    engine = pathset.engine(compress=False)   # this engine only
 
-numpy is optional: nothing in the library requires it, and building a
-``"numpy"`` engine raises a clear error when it is missing.
+numpy is optional: nothing in the library requires it, and every result is
+the same with and without it.
 """
 
-from repro.engine.backends import (
-    NUMPY_MIN_PATHS,
-    NumpyBackend,
-    PythonBackend,
-    SignatureBackend,
-    available_backends,
-    normalize_backend_spec,
+from repro.engine.columns import (
+    dedup_columns,
+    gather_columns,
     numpy_available,
-    resolve_backend,
-    resolve_backend_name,
 )
 from repro.engine.compress import (
     CompressionPlan,
@@ -86,16 +80,10 @@ __all__ = [
     "search_counters",
     "reset_search_counters",
     "record_external_search",
-    # backends
-    "SignatureBackend",
-    "PythonBackend",
-    "NumpyBackend",
-    "available_backends",
+    # column kernels
+    "gather_columns",
+    "dedup_columns",
     "numpy_available",
-    "normalize_backend_spec",
-    "resolve_backend",
-    "resolve_backend_name",
-    "NUMPY_MIN_PATHS",
     # compression
     "CompressionPlan",
     "compress_universe",

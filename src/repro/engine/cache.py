@@ -12,12 +12,11 @@ limits — so mutating or rebuilding an equal graph still hits.
 Because the cached object is the same :class:`PathSet` instance, the
 signature engines memoised on it (:meth:`PathSet.engine`) are reused too: a
 cache hit skips the path enumeration, the signature interning *and* the
-duplicate-column compression.  Neither the backend, the compression flag nor
-the failure universe belongs in the enumeration key — they are engine-level
-axes, keyed on the :class:`PathSet` itself (engines and their compression
-plans are memoised per universe *fingerprint*, backend and compression
-flag) — so one cache entry serves every (universe, backend, compression)
-combination: a node-mode and a link-mode measurement of the same
+duplicate-column compression.  Neither the compression flag nor the failure
+universe belongs in the enumeration key — they are engine-level axes, keyed
+on the :class:`PathSet` itself (engines and their compression plans are
+memoised per universe *fingerprint* and compression flag) — so one cache
+entry serves every (universe, compression) combination: a node-mode and a link-mode measurement of the same
 ``(graph, placement, mechanism)`` triple enumerate paths exactly once.
 
 The module-level :func:`cached_enumerate_paths` is the drop-in replacement

@@ -1,0 +1,225 @@
+"""The incidence column kernels: gather and dedup path columns of big-int rows.
+
+A *signature* is a Python big integer used as a bitmask — bit ``j`` set iff
+path ``j`` is touched — and every query of the engine reduces to ``|`` and
+``==`` over such ints.  The element×path incidence is one big-int row per
+element, and two primitives edit it column-wise: :func:`gather_columns`
+(select, move and add path columns) carries ``PathSet.apply_delta``, the
+engine patch and :meth:`CompressionPlan.compress_mask
+<repro.engine.compress.CompressionPlan.compress_mask>`, and
+:func:`dedup_columns` (duplicate-column classes) carries compression.
+
+Each primitive has two kernels that return the same result on every input:
+the numpy kernel on unpacked bit matrices, and the big-int kernel on the rows
+themselves.  The numpy kernel runs whenever numpy is importable: it wins every
+measured call shape (``benchmarks/bench_backend_crossover.py`` records the
+ladder).  numpy is optional; without it the big-int kernel is the only one.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Dict, List, Sequence, Tuple
+
+from repro.exceptions import IdentifiabilityError
+from repro.utils.bitset import bit_indices, mask_from_indices
+
+try:  # numpy is an optional dependency; the big-int kernels always work.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised only on numpy-less installs
+    _np = None
+
+_Classes = Tuple[Tuple[int, ...], ...]
+
+
+def numpy_available() -> bool:
+    """Whether the numpy column kernels can run in this environment."""
+    return _np is not None
+
+
+def gather_columns(
+    rows: Sequence[int],
+    sources: Sequence[int],
+    width: int,
+    scatter: Sequence[Sequence[int]] = (),
+) -> List[int]:
+    """Select, move and add columns of ``width``-bit rows.
+
+    Column ``j`` of every result row is column ``sources[j]`` of the input
+    row, or all-zero when ``sources[j]`` is ``-1``; then, when ``scatter`` is
+    given (one column list per row), the columns in ``scatter[r]`` are set in
+    result row ``r``.  Non-negative sources must be distinct (a gather moves
+    columns, it never copies one).  A representative gather — ``sources`` =
+    one column per duplicate class — compresses class-closed rows.  Raises
+    :class:`~repro.exceptions.IdentifiabilityError` for a row wider than
+    ``width``, a source outside ``[-1, width)`` or repeated, and a scatter
+    that does not fit the result.
+    """
+    rows = list(rows)
+    sources = list(sources)
+    _check_rows(rows, width)
+    n_sources = len(sources) - sources.count(-1)
+    if sources and (min(sources) < -1 or max(sources) >= width):
+        raise IdentifiabilityError(
+            f"source column out of range for rows of width {width}"
+        )
+    if len(set(sources)) - (n_sources < len(sources)) != n_sources:
+        raise IdentifiabilityError("gather sources must be distinct columns")
+    if scatter and (
+        len(scatter) != len(rows)
+        or any(
+            columns and (min(columns) < 0 or max(columns) >= len(sources))
+            for columns in scatter
+        )
+    ):
+        raise IdentifiabilityError(
+            f"scatter does not fit the {len(rows)}x{len(sources)} result"
+        )
+    if not rows:
+        return []
+    kernel = _gather_bigint if _np is None else _gather_numpy
+    return kernel(rows, sources, width, scatter)
+
+
+def dedup_columns(
+    rows: Sequence[int], width: int
+) -> Tuple[_Classes, _Classes, List[int]]:
+    """Collapse duplicate columns of ``width``-bit rows.
+
+    Returns ``(members, keys, deduped)``: one class per distinct nonzero
+    column, in first-appearance order; ``members[k]`` the ascending columns
+    of class ``k``, ``keys[k]`` the ascending row positions its columns have
+    set, and ``deduped`` the rows over the class columns (bit ``k`` = the
+    column of class ``k``).  All-zero columns are dropped.  Raises
+    :class:`~repro.exceptions.IdentifiabilityError` for a row wider than
+    ``width``.
+    """
+    rows = list(rows)
+    _check_rows(rows, width)
+    kernel = _dedup_bigint if _np is None else _dedup_numpy
+    return kernel(rows, width)
+
+
+def _check_rows(rows: Sequence[int], width: int) -> None:
+    for mask in rows:
+        if mask < 0 or mask.bit_length() > width:
+            raise IdentifiabilityError(
+                f"row mask is wider than the declared universe "
+                f"({mask.bit_length()} > {width} bits)"
+            )
+
+
+# -- the big-int kernels ------------------------------------------------------
+
+
+def _gather_bigint(rows, sources, width, scatter) -> List[int]:
+    lookup = {source: j for j, source in enumerate(sources) if source >= 0}.get
+    return [
+        mask_from_indices(
+            [j for i in bit_indices(mask) if (j := lookup(i)) is not None]
+            + list(extra)
+        )
+        for mask, extra in zip(rows, scatter or [()] * len(rows))
+    ]
+
+
+def _dedup_bigint(rows, width):
+    touch: List[List[int]] = [[] for _ in range(width)]
+    for position, mask in enumerate(rows):
+        for column in bit_indices(mask):
+            touch[column].append(position)
+    classes: Dict[Tuple[int, ...], List[int]] = {}
+    for column, positions in enumerate(touch):
+        if positions:  # an all-zero column constrains nothing; drop it
+            classes.setdefault(tuple(positions), []).append(column)
+    # Dict order is first-appearance order, since columns run ascending.
+    keys = tuple(classes)
+    deduped: List[List[int]] = [[] for _ in rows]
+    for k, key in enumerate(keys):
+        for position in key:
+            deduped[position].append(k)
+    return (
+        tuple(tuple(group) for group in classes.values()),
+        keys,
+        [mask_from_indices(indices) for indices in deduped],
+    )
+
+
+# -- the numpy kernels --------------------------------------------------------
+
+
+def _gather_numpy(rows, sources, width, scatter) -> List[int]:
+    # Column ``width`` of the unpacked matrix is padding that reads 0, so a
+    # ``-1`` source gathers an all-zero column.
+    bits = _unpack_rows(rows, width + 1)
+    index = _np.asarray(sources, dtype=_np.intp)
+    out = bits[:, _np.where(index < 0, width, index)]
+    if scatter:
+        lengths = [len(columns) for columns in scatter]
+        out[
+            _np.repeat(_np.arange(len(rows)), lengths),
+            _np.fromiter(
+                itertools.chain.from_iterable(scatter), _np.intp, sum(lengths)
+            ),
+        ] = 1
+    return _pack_rows(out)
+
+
+def _dedup_numpy(rows, width):
+    bits = _unpack_rows(rows, width)
+    # One hashable-by-content key per column: its packed bits, padded to
+    # whole uint64 words (a single word for up to 64 rows).
+    n_words = max(1, -(-len(rows) // 64))
+    columns = _np.zeros((width, n_words * 8), dtype=_np.uint8)
+    columns[:, : (len(rows) + 7) // 8] = _np.packbits(
+        bits.T, axis=1, bitorder="little"
+    )
+    keys = columns.view(
+        _np.uint64 if n_words == 1 else _np.dtype((_np.void, n_words * 8))
+    ).reshape(width)
+    _, first, inverse = _np.unique(keys, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(width)
+    # Classes in first-appearance order, the all-zero column dropped.
+    kept = _np.flatnonzero(bits[:, first].any(axis=0))
+    kept = kept[_np.argsort(first[kept])]
+    rank = _np.full(len(first), len(kept), dtype=_np.intp)
+    rank[kept] = _np.arange(len(kept))
+    class_of = rank[inverse]
+    by_class = _np.argsort(class_of, kind="stable")
+    counts = _np.bincount(class_of, minlength=len(kept) + 1)[:-1].tolist()
+    members = _split_runs(by_class.tolist(), counts)
+    deduped = bits[:, first[kept]]
+    touched = _np.nonzero(deduped.T)[1]
+    keys_out = _split_runs(touched.tolist(), deduped.sum(axis=0).tolist())
+    return members, keys_out, _pack_rows(deduped)
+
+
+def _unpack_rows(rows: Sequence[int], count: int):
+    """The ``(len(rows), count)`` 0/1 ``uint8`` matrix of rows at most
+    ``count`` bits wide."""
+    n_bytes = (count + 7) // 8
+    packed = _np.frombuffer(
+        b"".join(mask.to_bytes(n_bytes, "little") for mask in rows), dtype=_np.uint8
+    ).reshape(len(rows), n_bytes)
+    return _np.unpackbits(packed, axis=1, count=count, bitorder="little")
+
+
+def _pack_rows(bits) -> List[int]:
+    """Big-int masks of the rows of a 0/1 matrix (inverse of _unpack_rows)."""
+    packed = _np.packbits(bits, axis=1, bitorder="little")
+    n_bytes = packed.shape[1]
+    data = packed.tobytes()
+    return [
+        int.from_bytes(data[start:start + n_bytes], "little")
+        for start in range(0, len(data), n_bytes)
+    ] if n_bytes else [0] * len(bits)
+
+
+def _split_runs(flat: List[int], counts: List[int]) -> _Classes:
+    """``flat`` cut into consecutive tuples of the given lengths."""
+    runs = []
+    start = 0
+    for count in counts:
+        runs.append(tuple(flat[start:start + count]))
+        start += count
+    return tuple(runs)

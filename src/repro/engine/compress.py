@@ -47,9 +47,8 @@ observed vector into compressed columns for localisation and reports a
 vector that is not class-closed (no element set can produce it) as ``None``.
 
 The collapse itself is one column dedup
-(:meth:`SignatureBackend.dedup_columns
-<repro.engine.backends.SignatureBackend.dedup_columns>`) over the rows —
-numpy bit matrices or the big-int fallback, identical plans either way — and
+(:func:`~repro.engine.columns.dedup_columns`) over the rows — the numpy or
+the big-int kernel, identical plans either way — and
 :meth:`CompressionPlan.compress_mask` is one representative gather.  After a
 churn step :meth:`CompressionPlan.patch` moves the surviving members and
 files the added columns by touch key (one pass over the plan's members, not
@@ -71,7 +70,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro._typing import Node
-from repro.engine.backends import BackendSpec, resolve_backend
+from repro.engine.columns import dedup_columns, gather_columns
 from repro.exceptions import IdentifiabilityError
 from repro.utils.bitset import bits_of, mask_from_indices
 
@@ -145,8 +144,7 @@ class CompressionPlan:
         rows — the only masks the engine builds) into the compressed space:
         a representative gather, bit ``k`` read off column
         ``representatives[k]``."""
-        columns = resolve_backend(None, self.n_original)
-        return columns.gather_columns([mask], self.representatives, self.n_original)[0]
+        return gather_columns([mask], self.representatives, self.n_original)[0]
 
     def expand_mask(self, compressed_mask: int) -> int:
         """Map a compressed-space mask back to original path indices."""
@@ -287,18 +285,15 @@ def compress_universe(
     nodes: Sequence[Node],
     node_masks: Mapping[Node, int],
     n_paths: int,
-    backend: BackendSpec = None,
 ) -> Tuple[CompressionPlan, Dict[Node, int]]:
     """Collapse duplicate path columns of a ``node -> P(v)`` mask table.
 
     Returns the :class:`CompressionPlan` and the compressed mask table over
     ``plan.n_compressed`` columns: one column dedup
-    (:meth:`SignatureBackend.dedup_columns
-    <repro.engine.backends.SignatureBackend.dedup_columns>`) over the
-    incidence rows, grouping columns by their touch-set (the tuple of node
-    positions, canonical because the node order is fixed).  ``backend``
-    picks the column backend the way an engine's is picked, against the raw
-    width ``n_paths``; every backend returns the same plan and rows.
+    (:func:`~repro.engine.columns.dedup_columns`) over the incidence rows,
+    grouping columns by their touch-set (the tuple of node positions,
+    canonical because the node order is fixed).  Both column kernels return
+    the same plan and rows.
     """
     rows = [node_masks[node] for node in nodes]
     for node, mask in zip(nodes, rows):
@@ -307,8 +302,6 @@ def compress_universe(
                 f"mask of {node!r} is wider than the declared universe "
                 f"({mask.bit_length()} > {n_paths} bits)"
             )
-    members, touch_keys, compressed = resolve_backend(
-        backend, n_paths
-    ).dedup_columns(rows, n_paths)
+    members, touch_keys, compressed = dedup_columns(rows, n_paths)
     plan = CompressionPlan(n_original=n_paths, members=members, touch_keys=touch_keys)
     return plan, dict(zip(nodes, compressed))

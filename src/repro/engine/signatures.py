@@ -3,10 +3,11 @@
 Every quantity the paper computes — µ, µ_α, local identifiability,
 separability tables, Boolean measurement vectors — reduces to questions about
 *signatures*: ``P(U)``, the set of measurement paths touched by a set of
-failure elements.  :class:`SignatureEngine` interns the per-element
-signatures once (packed by a :mod:`~repro.engine.backends` backend),
-collapses elements into signature equivalence classes, and answers all
-downstream queries without ever going back to the raw paths.
+failure elements.  A signature is a Python big int, bit ``j`` set iff path
+``j`` is touched, so a union is ``|`` and an equality test is ``==``.
+:class:`SignatureEngine` interns the per-element rows once, collapses
+elements into signature equivalence classes, and answers all downstream
+queries without ever going back to the raw paths.
 
 The engine is **element-generic**: a row can be a node's ``P(v)``, a link's
 traversal mask, or a shared-risk link group's union mask — the signature
@@ -33,10 +34,10 @@ The engine computes the same µ, ``searched_up_to`` and exhaustion semantics
 without enumerating subsets at all:
 
 1. **Equivalence-class fast path.**  One O(|V|) pass compares the interned
-   per-node signature keys.  An uncovered node (empty signature) is
-   confusable with ∅ and two nodes in the same class are confusable with each
-   other, so any non-singleton class certifies µ = 0 immediately.  Past this
-   point every signature is distinct and non-empty, i.e. µ ≥ 1.
+   per-node rows.  An uncovered node (empty signature) is confusable with ∅
+   and two nodes in the same class are confusable with each other, so any
+   non-singleton class certifies µ = 0 immediately.  Past this point every
+   signature is distinct and non-empty, i.e. µ ≥ 1.
 2. **The reduction.**  Call ``W`` a *dominator* when some ``v ∉ W`` has
    ``P(v) ⊆ P(W)``, and let ``m`` be the smallest dominator size.  Then
    ``W`` and ``W ∪ {v}`` collide, so the first failing level is at most
@@ -53,7 +54,7 @@ without enumerating subsets at all:
 3. **Hitting sets over the columns.**  ``W`` dominates ``v`` iff ``W`` hits
    every path column of ``P(v)``, i.e. contains a *coverer* (an element on
    that path) of each.  The full universe of an engine built through
-   compression reads every column's coverers from that pass (one backend
+   compression reads every column's coverers from that pass (one
    ``dedup_columns`` call); any other universe finds a column's coverers
    from the rows on first use, and the search only asks for its branching
    columns.  A bit-sliced counter over the rows splits the columns into
@@ -69,12 +70,11 @@ without enumerating subsets at all:
    first un-hit column completes ``W`` iff it covers every remaining
    column.  Each candidate coverer tried is one *tree node*, the unit of
    :class:`SearchStats` ``tree_nodes`` and of a µ ``subset_budget``.  Every
-   engine over the same rows searches the same tree: the rows are the same
-   big ints on every backend, and compression keeps each class of equal
-   columns under its first member's position, while every row (and so
-   every un-hit set) holds all of a class or none of it — so the first
-   un-hit raw column and the first un-hit compressed column belong to the
-   same class, with the same coverers.
+   engine over the same rows searches the same tree: compression keeps
+   each class of equal columns under its first member's position, while
+   every row (and so every un-hit set) holds all of a class or none of
+   it — so the first un-hit raw column and the first un-hit compressed
+   column belong to the same class, with the same coverers.
 5. **Results and witnesses.**  No dominator up to the cap: exhausted at the
    cap.  Otherwise, with ``m`` found: two equal-union size-``m`` dominators
    give µ = m − 1 with ``searched_up_to = m`` and witness ``(W, U)``, the
@@ -115,10 +115,9 @@ The separability census
 The census (:meth:`SignatureEngine.inseparable_pairs`,
 :meth:`SignatureEngine.separability_matrix`) is the one query that still
 enumerates subsets: a single pass over ``itertools.combinations`` ORs each
-prefix union with the last element's big-int row — the µ search's rows, the
-same on every backend and compression setting — and groups the subsets in a
-dict keyed by that exact union.  Dict insertion order is the census order:
-groups by first appearance, members in lexicographic order.
+prefix union with the last element's row — the µ search's rows — and groups
+the subsets in a dict keyed by that exact union.  Dict insertion order is the
+census order: groups by first appearance, members in lexicographic order.
 """
 
 from __future__ import annotations
@@ -139,11 +138,7 @@ from typing import (
 )
 
 from repro._typing import Node
-from repro.engine.backends import (
-    BackendSpec,
-    SignatureBackend,
-    resolve_backend,
-)
+from repro.engine.columns import gather_columns
 from repro.engine.compress import (
     CompressionPlan,
     compress_universe,
@@ -263,6 +258,17 @@ _Columns = Tuple[Tuple[int, ...], Any, Tuple[int, ...]]
 
 #: The stats of a query answered without a search (cap 0 or a memo hit).
 _NO_WORK = SearchStats(0, 0, 0)
+
+#: ``"0"``/``"1"`` characters to the bytes 0/1 (see :func:`_indicator`).
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _indicator(signature: int, width: int) -> Tuple[int, ...]:
+    """The 0/1 vector of a ``width``-bit signature, bit 0 first: the binary
+    digits of ``signature`` with a sentinel bit at ``width``, reversed and
+    mapped to bytes in C."""
+    digits = format(signature | 1 << width, "b")[:0:-1]
+    return tuple(digits.encode().translate(_BITS))
 
 
 def _record_search(stats: SearchStats) -> None:
@@ -476,7 +482,7 @@ class IdentifiabilityResult:
         :class:`SearchStats` diagnostics for the search that produced this
         result.  Excluded from equality/repr: two results are the same
         finding even when the work that produced them differed (e.g. a
-        different backend or compression setting).
+        different compression setting or a memo hit).
     """
 
     value: int
@@ -504,9 +510,6 @@ class SignatureEngine:
         ``|P|``, the width of the *original* signature universe.  Reported
         unchanged even under compression — only the internal column width
         shrinks.
-    backend:
-        ``None`` (``"auto"``), a backend name, or a
-        :class:`~repro.engine.backends.SignatureBackend` instance.
     compress:
         Collapse duplicate path columns into a compressed universe (see
         :mod:`repro.engine.compress` for the soundness argument).  ``None``
@@ -521,7 +524,7 @@ class SignatureEngine:
         nodes: Sequence[Node],
         node_masks: Mapping[Node, int],
         n_paths: int,
-        backend: BackendSpec = None,
+        *,
         compress: Optional[bool] = None,
     ) -> None:
         self.nodes: Tuple[Node, ...] = tuple(nodes)
@@ -534,7 +537,7 @@ class SignatureEngine:
         self._coverers: Optional[Tuple[Tuple[int, ...], ...]] = None
         if compress:
             plan, compressed_masks = compress_universe(
-                self.nodes, node_masks, n_paths, backend
+                self.nodes, node_masks, n_paths
             )
             self._coverers = plan.touch_keys
             if plan.is_identity:
@@ -542,14 +545,7 @@ class SignatureEngine:
             else:
                 node_masks = compressed_masks
         self.compression = plan
-        width = plan.n_compressed if plan is not None else n_paths
-        self.backend: SignatureBackend = resolve_backend(backend, width)
-        pack = self.backend.pack
-        self._signatures = {node: pack(node_masks[node]) for node in self.nodes}
-        key = self.backend.key
-        self._keys = {
-            node: key(signature) for node, signature in self._signatures.items()
-        }
+        self._signatures = {node: node_masks[node] for node in self.nodes}
         #: The search memo: the last exact full-universe µ result.
         self._memo: Optional[IdentifiabilityResult] = None
         #: The full universe's search columns, built on first use.
@@ -573,20 +569,20 @@ class SignatureEngine:
 
     @classmethod
     def from_pathset(
-        cls, pathset, backend: BackendSpec = None, compress: Optional[bool] = None
+        cls, pathset, *, compress: Optional[bool] = None
     ) -> "SignatureEngine":
         """Build an engine over a :class:`~repro.routing.paths.PathSet`'s
         node universe.
 
         Prefer :meth:`PathSet.engine() <repro.routing.paths.PathSet.engine>`,
-        which memoises the engine per (universe, backend, compression).
+        which memoises the engine per (universe, compression).
         """
         masks = {node: pathset.paths_through(node) for node in pathset.nodes}
-        return cls(pathset.nodes, masks, pathset.n_paths, backend, compress)
+        return cls(pathset.nodes, masks, pathset.n_paths, compress=compress)
 
     @classmethod
     def from_universe(
-        cls, universe, backend: BackendSpec = None, compress: Optional[bool] = None
+        cls, universe, *, compress: Optional[bool] = None
     ) -> "SignatureEngine":
         """Build an engine over a :class:`~repro.failures.FailureUniverse`.
 
@@ -595,7 +591,7 @@ class SignatureEngine:
         fingerprint.
         """
         return cls(
-            universe.elements, universe.masks, universe.n_paths, backend, compress
+            universe.elements, universe.masks, universe.n_paths, compress=compress
         )
 
     @classmethod
@@ -605,7 +601,6 @@ class SignatureEngine:
         elements: Sequence[Node],
         masks: Mapping[Node, int],
         n_paths: int,
-        backend: BackendSpec = None,
         *,
         survivors: Mapping[int, int],
         added: Sequence[Tuple[int, Tuple[int, ...]]],
@@ -632,8 +627,7 @@ class SignatureEngine:
         parent's compressed columns; the dirty rows are compressed from
         their post-delta masks by one representative gather.  The result is
         structurally identical to ``SignatureEngine(elements, masks,
-        n_paths, backend, True)``: same plan, same backend choice, same
-        packed rows and keys.
+        n_paths)``: same plan, same rows.
 
         Raises :class:`~repro.exceptions.IdentifiabilityError` when the
         incremental route is unavailable (parent uncompressed, un-patchable
@@ -656,15 +650,12 @@ class SignatureEngine:
         elements = tuple(elements)
         on_added = {position for _, key in added for position in key}
         lost_mask = mask_from_indices(lost)
-        parent_signatures = parent._signatures
-        parent_mask = parent.backend.mask
         clean: List[Node] = []
         clean_rows: List[int] = []
         dirty: List[Node] = []
         for position, element in enumerate(elements):
-            signature = parent_signatures.get(element)
-            if signature is not None and position not in on_added:
-                row = parent_mask(signature)
+            row = parent._signatures.get(element)
+            if row is not None and position not in on_added:
                 if not row & lost_mask:
                     clean.append(element)
                     clean_rows.append(row)
@@ -673,11 +664,8 @@ class SignatureEngine:
         sources = [-1] * plan.n_compressed
         for old_class, new_class in class_remap.items():
             sources[new_class] = old_class
-        columns = resolve_backend(backend, n_paths)
-        translated = columns.gather_columns(
-            clean_rows, sources, parent_plan.n_compressed
-        )
-        compressed = columns.gather_columns(
+        translated = gather_columns(clean_rows, sources, parent_plan.n_compressed)
+        compressed = gather_columns(
             [masks[element] for element in dirty], plan.representatives, n_paths
         )
         rows = dict(zip(clean, translated))
@@ -688,27 +676,19 @@ class SignatureEngine:
         engine.n_paths = n_paths
         engine.compression = plan
         engine._coverers = plan.touch_keys
-        engine.backend = resolve_backend(backend, plan.n_compressed)
-        pack = engine.backend.pack
-        key = engine.backend.key
-        engine._signatures = {element: pack(rows[element]) for element in elements}
-        engine._keys = {
-            element: key(signature)
-            for element, signature in engine._signatures.items()
-        }
+        engine._signatures = {element: rows[element] for element in elements}
         engine._memo = None
         engine._columns = None
         return engine
 
     # -- signature accessors -------------------------------------------------
-    def signature(self, node: Node):
-        """The packed signature of ``P(v)``.
+    def signature(self, node: Node) -> int:
+        """The signature of ``P(v)``.
 
-        Packed signatures (and the keys derived from them) live in the
-        engine's internal column space — the compressed universe when
-        ``self.compression`` is set.  They are opaque: compare them via
-        :meth:`signature_key`, and use ``self.compression.expand_mask`` /
-        ``expand_indices`` to translate back to original path indices.
+        Signatures live in the engine's internal column space — the
+        compressed universe when ``self.compression`` is set; use
+        ``self.compression.expand_mask`` / ``expand_indices`` to translate
+        back to original path indices.
         """
         try:
             return self._signatures[node]
@@ -717,26 +697,12 @@ class SignatureEngine:
                 f"{node!r} is not in the engine's element universe"
             ) from exc
 
-    def signature_key(self, node: Node):
-        """The hashable key of ``P(v)`` (equal keys iff equal path sets)."""
-        try:
-            return self._keys[node]
-        except KeyError as exc:
-            raise IdentifiabilityError(
-                f"{node!r} is not in the engine's element universe"
-            ) from exc
-
-    def union_signature(self, nodes: Iterable[Node]):
-        """The packed signature of ``P(U) = ∪_{u in U} P(u)``."""
-        backend = self.backend
-        signature = backend.empty()
+    def union_signature(self, nodes: Iterable[Node]) -> int:
+        """The signature of ``P(U) = ∪_{u in U} P(u)``."""
+        signature = 0
         for node in nodes:
-            signature = backend.union(signature, self.signature(node))
+            signature |= self.signature(node)
         return signature
-
-    def union_key(self, nodes: Iterable[Node]):
-        """The hashable key of ``P(U)``."""
-        return self.backend.key(self.union_signature(nodes))
 
     def measurement_vector(self, failed: Iterable[Node]) -> Tuple[int, ...]:
         """The Boolean measurement of Equation (1): bit ``i`` is 1 iff path
@@ -749,9 +715,16 @@ class SignatureEngine:
         """
         return self.indicator_vector(self.union_signature(failed))
 
-    def indicator_vector(self, signature) -> Tuple[int, ...]:
-        """The original-width 0/1 vector of a packed signature."""
-        vector = self.backend.indicator_vector(signature)
+    def indicator_vector(self, signature: int) -> Tuple[int, ...]:
+        """The original-width 0/1 vector of a signature over this engine's
+        columns.  Raises :class:`~repro.exceptions.IdentifiabilityError` for
+        a negative signature or one with a bit at or above ``n_columns``
+        (e.g. an original-width mask passed to a compressed engine)."""
+        if signature < 0 or signature >> self.n_columns:
+            raise IdentifiabilityError(
+                f"signature does not fit the engine's {self.n_columns} columns"
+            )
+        vector = _indicator(signature, self.n_columns)
         if self.compression is not None:
             return self.compression.expand_indicator(vector)
         return vector
@@ -766,9 +739,9 @@ class SignatureEngine:
         pairwise confusable.  Classes are ordered by first appearance in the
         canonical node order; members keep that order too.
         """
-        grouped: Dict[object, List[Node]] = {}
+        grouped: Dict[int, List[Node]] = {}
         for node in self._resolve_universe(nodes):
-            grouped.setdefault(self._keys[node], []).append(node)
+            grouped.setdefault(self._signatures[node], []).append(node)
         return tuple(tuple(members) for members in grouped.values())
 
     def confusable_singletons(
@@ -786,16 +759,14 @@ class SignatureEngine:
     def _confusable_singletons(
         self, universe: Tuple[Node, ...]
     ) -> Optional[ConfusablePair]:
-        backend = self.backend
-        empty_key = backend.key(backend.empty())
-        seen: Dict[object, Node] = {}
+        seen: Dict[int, Node] = {}
         for node in universe:
-            key = self._keys[node]
-            if key == empty_key:
+            row = self._signatures[node]
+            if not row:
                 return ConfusablePair(frozenset(), frozenset({node}))
-            if key in seen:
-                return ConfusablePair(frozenset({seen[key]}), frozenset({node}))
-            seen[key] = node
+            if row in seen:
+                return ConfusablePair(frozenset({seen[row]}), frozenset({node}))
+            seen[row] = node
         return None
 
     # -- the exact µ search --------------------------------------------------
@@ -894,14 +865,13 @@ class SignatureEngine:
         µ, local µ and the census; a ``nodes=``-restricted universe builds
         its own.  The full universe of an engine built through compression
         reads the coverers its compression pass kept; any other universe
-        finds a column's coverers on first use.  Nothing here depends on the
-        backend or on compression (module docstring, "The µ search", item 3).
+        finds a column's coverers on first use.  Nothing here depends on
+        compression (module docstring, "The µ search", item 3).
         """
         full = universe is self.nodes
         if full and self._columns is not None:
             return self._columns
-        mask = self.backend.mask
-        rows = tuple(mask(self._signatures[node]) for node in universe)
+        rows = tuple(map(self._signatures.__getitem__, universe))
         coverers: Any = self._coverers
         if not full or coverers is None:
             coverers = _LazyCoverers(rows)
@@ -1033,7 +1003,7 @@ class SignatureEngine:
     # -- separation queries --------------------------------------------------
     def separates(self, first: Iterable[Node], second: Iterable[Node]) -> bool:
         """Whether some measurement path touches exactly one of the two sets."""
-        return self.union_key(first) != self.union_key(second)
+        return self.union_signature(first) != self.union_signature(second)
 
     def _subset_census(
         self,
@@ -1143,5 +1113,5 @@ class SignatureEngine:
         )
         return (
             f"SignatureEngine(|V|={len(self.nodes)}, |P|={self.n_paths}, "
-            f"{width}, classes={len(classes)}, backend={self.backend.name})"
+            f"{width}, classes={len(classes)})"
         )

@@ -148,8 +148,8 @@ def measure_network(
     cache normalises them, so equal requests always share one entry however
     the defaults are spelled.
 
-    ``engine`` scopes the signature-engine configuration (backend,
-    compression, cache use, budgets) to this measurement; ``None`` means
+    ``engine`` scopes the signature-engine configuration (compression,
+    cache use, budgets) to this measurement; ``None`` means
     ``EngineConfig()``.
 
     ``universe`` selects the failure universe µ ranges over: ``None`` /
@@ -174,7 +174,7 @@ def measure_network(
     resolved = _resolve_measure_universe(pathset, universe)
     if truncation is not None:
         mu_value = truncated_identifiability(
-            pathset, truncation, backend=engine.backend, compress=engine.compress,
+            pathset, truncation, compress=engine.compress,
             universe=resolved, budget=engine.budget(),
         )
     else:
@@ -184,7 +184,6 @@ def measure_network(
         mu_value = maximal_identifiability_detailed(
             pathset,
             max_size=bound.combined + 1,
-            backend=engine.backend,
             compress=engine.compress,
             universe=resolved,
             budget=engine.budget(),

@@ -59,7 +59,6 @@ from repro.api.spec import (
 from repro.engine import (
     cache_stats,
     clear_pathset_cache,
-    numpy_available,
     search_counters,
 )
 from repro.exceptions import SpecError
@@ -264,8 +263,8 @@ def run_spec_sections(
     ``trials`` overrides every spec's failure-campaign trial count; ``seed``
     is applied (offset by the scenario's position, so repeated specs stay
     decorrelated) to specs that do not pin their own seed; ``engine``
-    replaces every spec's engine config (how the CLI ``--backend`` /
-    ``--no-compress`` flags reach a spec batch — an explicit flag wins over
+    replaces every spec's engine config (how the CLI ``--no-compress`` /
+    ``--time-budget`` flags reach a spec batch — an explicit flag wins over
     the file).  Scenarios are fanned out over ``jobs`` worker processes —
     one pickled :class:`~repro.api.spec.ScenarioSpec` per trial — under the
     execution ``policy`` (default: ``ExecutionPolicy()``).
@@ -696,14 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the rendered output to FILE instead of stdout",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["auto", "python", "numpy"],
-        help="signature-engine backend for every µ computation, carried "
-        "to pool workers inside each trial's engine config (default: auto; "
-        "with --spec/--churn, the scenario's own config)",
-    )
-    parser.add_argument(
         "--universe",
         default="node",
         metavar="KIND",
@@ -853,17 +844,14 @@ def _validate_arguments(parser: argparse.ArgumentParser, args) -> None:
         )
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
-    if args.backend == "numpy" and not numpy_available():
-        parser.error("--backend numpy needs numpy, which is not installed")
 
 
 def _engine_config(args) -> Optional[EngineConfig]:
     """The engine config the flags ask for, or ``None`` when no engine flag
     is given (each spec then keeps its own config)."""
-    if args.backend is None and not args.no_compress and args.time_budget is None:
+    if not args.no_compress and args.time_budget is None:
         return None
     return EngineConfig(
-        backend=args.backend or "auto",
         compress=not args.no_compress,
         time_budget=args.time_budget,
     )
@@ -872,7 +860,7 @@ def _engine_config(args) -> Optional[EngineConfig]:
 def main(argv: List[str] | None = None) -> int:
     """Console-script entry point.
 
-    The ``--backend``, ``--no-compress`` and ``--time-budget`` flags build
+    The ``--no-compress`` and ``--time-budget`` flags build
     one :class:`~repro.api.spec.EngineConfig` and the resilience flags one
     :class:`~repro.resilience.pool.ExecutionPolicy`; both are passed down
     explicitly (the config inside every trial's spec), so invoking ``main``

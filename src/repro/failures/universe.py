@@ -20,8 +20,8 @@ Everything the engine computes over ``P(U)`` — µ, truncated µ_α, local
 identifiability, separability tables, Boolean measurement vectors — is a
 Boolean-lattice query over unions of element rows, so the same
 :class:`~repro.engine.signatures.SignatureEngine` machinery (compression,
-backends, subset DFS) serves every kind unchanged; the universe only decides
-*which rows* exist.
+column kernels, dominance search) serves every kind unchanged; the universe
+only decides *which rows* exist.
 
 Universes are built from a :class:`~repro.routing.paths.PathSet` (which owns
 the per-node and per-link masks accumulated during enumeration) via

@@ -29,9 +29,9 @@ derived) are the element×path incidence matrix, one big-int row per element
 with bit ``j`` = path column ``j``.  Everything that edits it by columns —
 :meth:`PathSet.restrict_to_paths`, the survivor move and added-path scatter
 of :meth:`PathSet.apply_delta`, the added columns' touch keys read by the
-engine patch — is one call to the column primitives on the
-:class:`~repro.engine.backends.SignatureBackend` seam (numpy bit matrices,
-or the big-int fallback), picked the way an engine's backend is picked.  A
+engine patch — is one call to the column primitives of
+:mod:`repro.engine.columns` (numpy bit matrices when numpy imports, big
+ints without it).  A
 churn step looks for removed paths only among the columns of ``P(link)`` or
 ``P(u) & P(v)``; what still scales with ``|P|`` is the order-key sort of
 the merged family, one survivor pass over the path tuples, the
@@ -43,8 +43,8 @@ identifiability queries go through the
 :class:`~repro.engine.signatures.SignatureEngine` exposed by
 :meth:`PathSet.engine`, which interns the masks of one
 :class:`~repro.failures.FailureUniverse` (nodes by default; links and
-shared-risk link groups via :meth:`PathSet.universe`) once per backend and
-shares them across the core, tomography and experiment layers.
+shared-risk link groups via :meth:`PathSet.universe`) once per compression
+setting and shares them across the core, tomography and experiment layers.
 
 Enumeration per mechanism
 -------------------------
@@ -105,7 +105,6 @@ from repro.utils.bitset import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine sits above)
-    from repro.engine.backends import SignatureBackend
     from repro.engine.signatures import SignatureEngine
 
 #: Paths longer than this (in nodes) are never enumerated unless the caller
@@ -435,32 +434,24 @@ class PathSet:
     # -- signature engine ---------------------------------------------------
     def engine(
         self,
-        backend=None,
+        *,
         compress: Optional[bool] = None,
         universe: Optional[FailureUniverse | str] = None,
     ) -> "SignatureEngine":
         """The :class:`~repro.engine.signatures.SignatureEngine` over one of
         this path set's failure universes (node masks by default).
 
-        Engines are memoised per (universe fingerprint, normalised backend
-        spec, compression flag), so every consumer of the same
-        :class:`PathSet` — the identifiability core, the tomography layer,
-        the experiment drivers — shares one interned signature store per
-        universe.  ``backend`` is ``None`` or ``"auto"`` (see
-        :func:`~repro.engine.backends.resolve_backend_name`), a name forcing
-        that backend, or a :class:`~repro.engine.backends.SignatureBackend`
-        instance used as-is (not memoised).  An ``"auto"`` spec is kept
-        symbolic here and resolved by the engine against the width it
-        actually operates on — the compressed column count — so this route
-        and a direct :meth:`SignatureEngine.from_pathset` pick the same
-        backend.  ``compress`` switches the duplicate-column collapse for
-        this engine; ``None`` means ``True``.  ``universe`` is ``None``
+        Engines are memoised per (universe fingerprint, compression flag),
+        so every consumer of the same :class:`PathSet` — the
+        identifiability core, the tomography layer, the experiment drivers
+        — shares one interned signature store per universe.  ``compress``
+        switches the duplicate-column collapse for this engine; ``None``
+        means ``True``.  ``universe`` is ``None``
         (node mode), a kind name (``"node"``/``"link"``), or a
         :class:`~repro.failures.FailureUniverse` built over this path set
         (the only way to reach SRLG mode, which needs its groups).
         """
         # Imported lazily: the engine layer sits above routing.
-        from repro.engine.backends import SignatureBackend, normalize_backend_spec
         from repro.engine.signatures import SignatureEngine
 
         if universe is None or isinstance(universe, str):
@@ -470,48 +461,29 @@ class PathSet:
             # compute over foreign masks AND poison the fingerprint-keyed
             # memo below for every later caller — refuse it outright.
             universe.check_built_over(self)
-        if compress is None:
-            compress = True
+        compress = True if compress is None else bool(compress)
         elements, masks = universe.elements, universe.masks
-        if isinstance(backend, SignatureBackend):
-            return SignatureEngine(
-                elements, masks, len(self.paths), backend, compress
-            )
-        from repro.engine.backends import NUMPY_MIN_PATHS, numpy_available
-
-        name = normalize_backend_spec(backend)
-        if name == "auto" and (
-            not numpy_available() or len(self.paths) < NUMPY_MIN_PATHS
-        ):
-            # Below the numpy threshold the compressed width is too (it can
-            # only shrink), so "auto" is decidable without building the plan.
-            name = "python"
         if universe.owner is not self:
             # A hand-built (owner-less) universe passed the width check, but
             # its fingerprint says nothing about its content — memoising it
             # would poison the cache for the canonical universe of the same
             # kind.  Build an un-memoised engine instead.
-            return SignatureEngine(elements, masks, len(self.paths), name, compress)
-        key = (universe.fingerprint, name, bool(compress))
+            return SignatureEngine(
+                elements, masks, len(self.paths), compress=compress
+            )
+        key = (universe.fingerprint, compress)
         cached = self._engines.get(key)
         if cached is None:
             # An evolved path set first tries to patch its parent's engine
-            # for the same (universe, backend, compression) — re-interning
-            # only the rows the delta dirtied — and falls back to a full
-            # build when the parent has no matching engine to patch.
-            cached = self._engine_from_evolution(universe, name, bool(compress))
-        if cached is None:
-            cached = SignatureEngine(
-                elements, masks, len(self.paths), name, compress
-            )
-        if key not in self._engines:
+            # for the same (universe, compression) — re-interning only the
+            # rows the delta dirtied — and falls back to a full build when
+            # the parent has no matching engine to patch.
+            cached = self._engine_from_evolution(universe, compress)
+            if cached is None:
+                cached = SignatureEngine(
+                    elements, masks, len(self.paths), compress=compress
+                )
             self._engines[key] = cached
-            # Alias the concrete backend name so a later explicit request
-            # (e.g. engine("python") after a default engine()) shares
-            # this instance instead of re-interning the signatures.
-            self._engines.setdefault(
-                (universe.fingerprint, cached.backend.name, bool(compress)), cached
-            )
         return cached
 
     # -- delta/evolution plumbing -------------------------------------------
@@ -522,7 +494,7 @@ class PathSet:
         return getattr(self, "_evolution", None)
 
     def _engine_from_evolution(
-        self, universe: FailureUniverse, name: str, compress: bool
+        self, universe: FailureUniverse, compress: bool
     ) -> Optional["SignatureEngine"]:
         """Patch the parent's engine for ``universe`` instead of building one.
 
@@ -530,16 +502,16 @@ class PathSet:
         evolution record, compression off, no matching parent engine, or a
         patched plan that degenerates — so :meth:`engine` can fall back to
         the full construction.  When it succeeds, the result is structurally
-        identical to a fresh :class:`SignatureEngine` (same plan, same packed
-        rows, same keys): only rows whose elements the delta dirtied are
-        re-interned from their masks, every other row is translated from the
-        parent's packed signature by a class-index remap.
+        identical to a fresh :class:`SignatureEngine` (same plan, same
+        rows): only rows whose elements the delta dirtied are re-interned
+        from their masks, every other row is translated from the parent's
+        row by a class-index remap.
         """
         evolution = self.evolution
         if evolution is None or not compress:
             return None
         parent = evolution.parent
-        parent_engine = parent._engines.get((universe.fingerprint, name, compress))
+        parent_engine = parent._engines.get((universe.fingerprint, compress))
         if parent_engine is None or parent_engine.compression is None:
             return None
         added = self._added_touch_keys(evolution, universe)
@@ -560,7 +532,6 @@ class PathSet:
                 universe.elements,
                 universe.masks,
                 len(self.paths),
-                name,
                 survivors=evolution.survivors,
                 added=added,
                 element_remap=element_remap,
@@ -578,10 +549,11 @@ class PathSet:
         added = evolution.added
         keys: List[Tuple[int, ...]] = [()] * len(added)
         if added:
-            columns = _columns(len(self.paths))
+            from repro.engine.columns import dedup_columns, gather_columns
+
             rows = [universe.masks[element] for element in universe.elements]
-            gathered = columns.gather_columns(rows, added, len(self.paths))
-            members, touch_keys, _ = columns.dedup_columns(gathered, len(added))
+            gathered = gather_columns(rows, added, len(self.paths))
+            members, touch_keys, _ = dedup_columns(gathered, len(added))
             for group, key in zip(members, touch_keys):
                 for j in group:
                     keys[j] = key
@@ -661,9 +633,9 @@ class PathSet:
                             scatter[row_of[canonical_link(u, v, directed)]].append(
                                 column
                             )
-        gathered = _columns(len(self.paths)).gather_columns(
-            rows, sources, len(self.paths), scatter
-        )
+        from repro.engine.columns import gather_columns
+
+        gathered = gather_columns(rows, sources, len(self.paths), scatter)
         node_masks = dict(zip(self.nodes, gathered))
         if link_masks is None:
             return node_masks, None
@@ -931,14 +903,6 @@ class PathSet:
             f"PathSet(|V|={len(self.nodes)}, |P|={len(self.paths)}, "
             f"uncovered={len(self.uncovered_nodes())})"
         )
-
-
-def _columns(width: int) -> "SignatureBackend":
-    """The backend running the incidence column primitives for rows of
-    ``width`` bits, picked the way an engine's backend is picked."""
-    from repro.engine.backends import resolve_backend
-
-    return resolve_backend(None, width)
 
 
 class _Adjacency(NamedTuple):

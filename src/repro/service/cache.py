@@ -10,10 +10,10 @@ compile-relevant spec subset (topology, placement, routing, seed).
 
 A hit hands every request its *own* :class:`~repro.api.scenario.Scenario`
 that adopts the shared artifacts — per-request engine config (budgets,
-backend overrides) and per-request memoisation (``_mu_report``) never leak
+compression) and per-request memoisation (``_mu_report``) never leak
 between clients, while the :class:`~repro.routing.paths.PathSet` instance is
-shared, so the signature engines memoised on it (per universe fingerprint,
-backend and compression flag) are reused across requests too.
+shared, so the signature engines memoised on it (per universe fingerprint
+and compression flag) are reused across requests too.
 
 This wraps, rather than replaces, the per-process caches underneath: the
 global :class:`~repro.engine.cache.PathSetCache` still deduplicates path

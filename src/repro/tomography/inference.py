@@ -7,13 +7,13 @@ unique — this module turns that statement into an operational localiser and a
 report object used by the examples and the what-if analyses.
 
 There is one localiser, :func:`consistent_signature_sets`, and it runs on a
-:class:`~repro.engine.signatures.SignatureEngine`'s packed rows.  A set of
+:class:`~repro.engine.signatures.SignatureEngine`'s big-int rows.  A set of
 elements explains the observations iff the union of its rows equals the
 failing paths, so a candidate element is one whose row is a non-empty subset
 of them (it touches a failing path and no healthy one), and a candidate set
 is consistent iff its union is exactly the failing mask.  Both tests are
-backend ``union`` + ``key`` equality, so under the engine's column
-compression they run at the compressed width: every row is class-closed, and
+``|`` and ``==`` on ints, so under the engine's column compression they run
+at the compressed width: every row is class-closed, and
 the compressed image preserves union and equality (see
 :mod:`repro.engine.compress`).  An observation vector that is not itself
 class-closed — a compressed class whose member paths read different bits, or
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro._typing import MeasurementVector, Node
 from repro.engine.signatures import SignatureEngine
@@ -44,10 +44,10 @@ def measurement_vector(pathset: PathSet, failure_set: Iterable[Node]) -> Measure
 
     This is the forward model of Boolean network tomography — a path reports 1
     iff at least one of its nodes is in the failure set.  Computed from the
-    packed signatures of the pathset's engine: the observation vector is the
-    indicator of ``P(F)``, the union signature of the failed nodes, unpacked
-    in one vectorized pass (numpy backend) or one sparse bit walk (python
-    backend) instead of scanning every node of every path.  Under the default
+    signatures of the pathset's engine: the observation vector is the
+    indicator of ``P(F)``, the union signature of the failed nodes, read off
+    its binary digits in one C-level pass instead of scanning every node of
+    every path.  Under the default
     signature-universe compression the union runs over distinct path columns
     only and the engine expands the indicator back through its
     :class:`~repro.engine.compress.CompressionPlan`, so the vector is always
@@ -103,8 +103,10 @@ class LocalizationResult:
         return truth in self.consistent_sets
 
 
-def fold_observations(engine: SignatureEngine, observations: Sequence[int]) -> Any:
-    """The packed signature of the failing paths, in ``engine``'s columns.
+def fold_observations(
+    engine: SignatureEngine, observations: Sequence[int]
+) -> Optional[int]:
+    """The signature of the failing paths, in ``engine``'s columns.
 
     ``observations`` is an original-width 0/1 vector.  Returns ``None`` when
     the vector is not class-closed under the engine's compression — a
@@ -127,17 +129,17 @@ def fold_observations(engine: SignatureEngine, observations: Sequence[int]) -> A
         if observations is None:
             return None
     failing = itertools.compress(range(len(observations)), observations)
-    return engine.backend.pack(mask_from_indices(failing))
+    return mask_from_indices(failing)
 
 
 def consistent_signature_sets(
     engine: SignatureEngine,
-    failing: Any,
+    failing: Optional[int],
     max_failures: int,
     allowed: Optional[Iterable[Node]] = None,
 ) -> Tuple[FrozenSet[Node], ...]:
     """All element sets of size ≤ ``max_failures`` whose union signature is
-    ``failing`` (a packed signature in ``engine``'s columns, or ``None`` for
+    ``failing`` (a signature in ``engine``'s columns, or ``None`` for
     a vector :func:`fold_observations` found inconsistent).
 
     Candidates are the elements whose row is a non-empty subset of
@@ -149,26 +151,22 @@ def consistent_signature_sets(
         raise IdentifiabilityError(f"max_failures must be >= 0, got {max_failures}")
     if failing is None:
         return ()
-    backend = engine.backend
-    union, key = backend.union, backend.key
-    target = key(failing)
-    empty = key(backend.empty())
     allowed = None if allowed is None else frozenset(allowed)
     rows = {}
     for element in engine.elements:
         if allowed is not None and element not in allowed:
             continue
         row = engine.signature(element)
-        if key(row) != empty and key(union(row, failing)) == target:
+        if row and row | failing == failing:
             rows[element] = row
     candidates = sorted(rows, key=repr)
     solutions = []
     for size in range(min(max_failures, len(candidates)) + 1):
         for combo in itertools.combinations(candidates, size):
-            covered = backend.empty()
+            covered = 0
             for element in combo:
-                covered = union(covered, rows[element])
-            if key(covered) == target:
+                covered |= rows[element]
+            if covered == failing:
                 solutions.append(frozenset(combo))
     return tuple(solutions)
 

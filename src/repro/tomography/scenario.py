@@ -14,10 +14,9 @@ measurement path set and can
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro._typing import AnyGraph, MeasurementVector, Node
-from repro.engine.backends import BackendSpec
 from repro.engine.signatures import SignatureEngine
 from repro.exceptions import IdentifiabilityError
 from repro.core.bounds import structural_upper_bound
@@ -98,7 +97,6 @@ class TomographySession:
         mechanism: RoutingMechanism | str = RoutingMechanism.CSP,
         cutoff: Optional[int] = None,
         max_paths: Optional[int] = None,
-        backend: BackendSpec = None,
         compress: Optional[bool] = None,
         pathset: Optional[PathSet] = None,
         universe: Optional["FailureUniverse | str"] = None,
@@ -117,12 +115,12 @@ class TomographySession:
         #: The failure universe of the session (node mode by default).
         self.universe: FailureUniverse = resolve_universe(pathset, universe)
         #: The shared signature engine; every identifiability and measurement
-        #: query of the session runs on these packed signatures.
+        #: query of the session runs on these signatures.
         self.engine: SignatureEngine = self.pathset.engine(
-            backend, compress, universe=self.universe
+            compress=compress, universe=self.universe
         )
         #: ``(observations, union signature)`` of the last :meth:`measure`.
-        self._measured: Optional[Tuple[MeasurementVector, Any]] = None
+        self._measured: Optional[Tuple[MeasurementVector, int]] = None
 
     @classmethod
     def from_scenario(cls, scenario: "Scenario") -> "TomographySession":
@@ -137,7 +135,6 @@ class TomographySession:
             scenario.graph,
             scenario.placement,
             scenario.mechanism,
-            backend=config.backend,
             compress=config.compress,
             pathset=scenario.pathset,
             universe=scenario.universe,

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import contextlib
-import sys
 from typing import Iterator
 
 import networkx as nx
 import pytest
 
-from repro.engine import backends
+from repro.engine import SignatureEngine, columns
 from repro.monitors import MonitorPlacement, chi_corners, chi_g, chi_t, mdmp_placement
 from repro.routing import RoutingMechanism, enumerate_paths
 from repro.topology import (
@@ -90,19 +89,36 @@ def diamond_placement() -> MonitorPlacement:
     return MonitorPlacement.of(inputs={"s"}, outputs={"t"})
 
 
+#: The column kernels of this environment, as :func:`auto_backend` names.
+BACKENDS = ("numpy", "python") if columns.numpy_available() else ("python",)
+
+#: ``(kernel, compress)`` engine configurations of the parity matrices.  A
+#: raw engine interns its rows as given and runs no column kernel, so one
+#: uncompressed configuration covers it.
+ENGINE_CONFIGS = tuple((name, True) for name in BACKENDS) + (("python", False),)
+
+
 @contextlib.contextmanager
 def auto_backend(name: str) -> Iterator[None]:
-    """Make ``"auto"`` resolve to ``name`` at every width inside the block.
+    """Run every column primitive on the ``name`` kernel inside the block.
 
-    The incidence column primitives of ``PathSet.apply_delta`` and
-    ``CompressionPlan.compress_mask`` pick their backend the way an
-    ``"auto"`` engine does, by width; moving the crossover to 0 (numpy) or
-    past any width (python) lets the backend-parity tests run them on each
-    backend.
+    The incidence column primitives (``gather_columns``, ``dedup_columns``)
+    run the numpy kernel whenever numpy imports; hiding numpy from
+    :mod:`repro.engine.columns` for ``"python"`` runs them on the big-int
+    kernel, so the kernel-parity tests run compression,
+    ``PathSet.apply_delta`` and the engine patch on each.
     """
-    saved = backends.NUMPY_MIN_PATHS
-    backends.NUMPY_MIN_PATHS = 0 if name == "numpy" else sys.maxsize
+    saved = columns._np
+    if name == "python":
+        columns._np = None
     try:
         yield
     finally:
-        backends.NUMPY_MIN_PATHS = saved
+        columns._np = saved
+
+
+def kernel_engine(name: str, universe, compress: bool = True) -> SignatureEngine:
+    """A fresh (unmemoised) engine over ``universe`` whose compression ran on
+    the ``name`` column kernel."""
+    with auto_backend(name):
+        return SignatureEngine.from_universe(universe, compress=compress)

@@ -37,7 +37,6 @@ from repro.api.spec import (
 from repro.core.bounds import structural_upper_bound
 from repro.core.identifiability import maximal_identifiability_detailed
 from repro.core.truncated import default_truncation_level
-from repro.engine.backends import numpy_available
 from repro.engine.cache import clear_pathset_cache
 from repro.exceptions import IdentifiabilityError, SpecError
 from repro.monitors import chi_g, mdmp_placement, random_placement
@@ -66,13 +65,11 @@ def _random_spec(rng: random.Random, mechanism: str) -> ScenarioSpec:
         placement = PlacementSpec("mdmp", {"d": 2})
     else:
         placement = PlacementSpec("random", {"n_inputs": 2, "n_outputs": 2})
-    backend = rng.choice(("auto", "python") + (("numpy",) if numpy_available() else ()))
     return ScenarioSpec(
         topology=topology,
         placement=placement,
         routing=RoutingSpec(mechanism=mechanism),
         engine=EngineConfig(
-            backend=backend,
             compress=rng.random() < 0.5,
             cache=rng.random() < 0.5,
         ),
@@ -140,8 +137,8 @@ class TestSpecRoundTrip:
             FailureModel(model="adversarial")
         with pytest.raises(SpecError):
             FailureModel(n_trials=0)
-        with pytest.raises(Exception):
-            EngineConfig(backend="fortran")
+        with pytest.raises(TypeError):
+            EngineConfig(backend="python")
 
     @pytest.mark.parametrize(
         "failures",
@@ -370,12 +367,11 @@ class TestEngineConfigIsolation:
         topology = TopologySpec("claranet")
         placement = PlacementSpec("mdmp", {"d": 4})
         configs = [
-            EngineConfig(backend="python", compress=True),
-            EngineConfig(backend="python", compress=False),
-            EngineConfig(backend="auto", compress=True, cache=False),
+            EngineConfig(compress=True),
+            EngineConfig(compress=False),
+            EngineConfig(compress=True, cache=False),
+            EngineConfig(compress=False, cache=False),
         ]
-        if numpy_available():
-            configs.append(EngineConfig(backend="numpy", compress=False))
         return [
             ScenarioSpec(topology=topology, placement=placement, engine=config)
             for config in configs
@@ -392,7 +388,7 @@ class TestEngineConfigIsolation:
         assert all(report == reference for report in mu_values)
         assert mu_again == mu_values
         assert len({report.value for report in truncated}) == 1
-        # Engines are genuinely distinct (per backend/compress combination),
+        # Engines are genuinely distinct (per compress/cache combination),
         # not a shared global.
         engines = {id(scenario.engine) for scenario in scenarios}
         assert len(engines) == len(scenarios)
@@ -403,7 +399,7 @@ class TestEngineConfigIsolation:
         scenario = Scenario(spec)
         engine = scenario.engine
         return (
-            (engine.backend.name, engine.compression is not None),
+            engine.compression,
             scenario.mu(),
             scenario.truncated(2),
         )
@@ -413,15 +409,9 @@ class TestEngineConfigIsolation:
         [
             (
                 # Compression merges 64 paths into 24 columns here, so the
-                # configs' engines differ with or without numpy installed.
+                # raw and the compressed engine differ.
                 (TopologySpec("dataxchange"), PlacementSpec("mdmp", {"d": 2})),
-                (
-                    EngineConfig(backend="python", compress=False),
-                    EngineConfig(
-                        backend="numpy" if numpy_available() else "auto",
-                        compress=True,
-                    ),
-                ),
+                (EngineConfig(compress=False), EngineConfig(compress=True)),
             ),
             (
                 (
@@ -549,7 +539,6 @@ class TestSpecRunner:
         code = runner.main(
             [
                 "--spec", str(spec_path),
-                "--backend", "python",
                 "--no-compress",
                 "--format", "json",
                 "--output", str(out_path),
@@ -558,7 +547,6 @@ class TestSpecRunner:
         assert code == 0
         engine = json.loads(out_path.read_text())["sections"][0]["data"]["spec"]["engine"]
         assert engine == {
-            "backend": "python",
             "compress": False,
             "cache": True,
             "time_budget": None,

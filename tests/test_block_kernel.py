@@ -5,7 +5,7 @@ the subsets' big-int unions in one pass.  These suites hold both to
 the brute-force oracles in ``tests/oracles.py`` — same µ, ``searched_up_to``
 and ``exhausted_search`` as the ``itertools.combinations`` sweep, the
 canonical witness pair, the same local µ, the same census — across every
-routing mechanism, failure universe, backend and compression setting.  A
+routing mechanism, failure universe, column kernel and compression setting.  A
 budget-truncated µ is a certified lower bound, identical on every engine.
 """
 
@@ -33,11 +33,11 @@ from repro.core.local import (
 )
 from repro.core.separability import inseparable_pairs_of_size
 from repro.core.truncated import truncated_identifiability
-from repro.engine.backends import PythonBackend, available_backends, numpy_available
 from repro.engine.signatures import SearchStats, search_counters
 from repro.exceptions import IdentifiabilityError
 from repro.resilience.budget import Budget
 
+from conftest import BACKENDS, ENGINE_CONFIGS, kernel_engine
 from oracles import (
     assert_budget_law,
     assert_matches_oracle,
@@ -51,7 +51,6 @@ MECHANISMS = ("CSP", "CAP-", "CAP")
 KINDS = ("node", "link", "srlg")
 N_SEEDS = 20
 SUBSET_BUDGET = 25
-BACKENDS = tuple(sorted(available_backends()))
 
 
 def _pathset(seed: int, mechanism: str):
@@ -71,7 +70,7 @@ def _universe(pathset, kind: str):
 
 
 class TestBlockParityMatrix:
-    """The acceptance matrix: seeds × mechanisms × universes × backends ×
+    """The acceptance matrix: seeds × mechanisms × universes × column kernels ×
     compression × budget, every cell against the naive oracles."""
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
@@ -84,8 +83,8 @@ class TestBlockParityMatrix:
                 pathset, universe=universe
             )
             stats, truncated = set(), set()
-            for backend, compress in itertools.product(BACKENDS, (True, False)):
-                engine = pathset.engine(backend, compress, universe=universe)
+            for backend, compress in ENGINE_CONFIGS:
+                engine = kernel_engine(backend, universe, compress)
                 context = (seed, mechanism, kind, backend, compress)
                 result = engine.identifiability()
                 assert_matches_oracle(result, exact, context)
@@ -99,13 +98,11 @@ class TestBlockParityMatrix:
             assert len(stats) == 1, (seed, mechanism, kind, stats)
             assert len(truncated) == 1, (seed, mechanism, kind, truncated)
 
-    @pytest.mark.parametrize(
-        "backend", ["python"] + (["numpy"] if numpy_available() else [])
-    )
+    @pytest.mark.parametrize("backend", sorted(BACKENDS, reverse=True))
     def test_parity_on_each_backend(self, backend):
         for seed in range(8):
             pathset = _pathset(seed, "CAP")
-            engine = pathset.engine(backend, universe=_universe(pathset, "node"))
+            engine = kernel_engine(backend, _universe(pathset, "node"))
             assert_matches_oracle(
                 engine.identifiability(),
                 naive_maximal_identifiability_detailed(pathset),
@@ -130,7 +127,7 @@ class TestBlockParityMatrix:
             pathset = _pathset(seed, "CSP")
             universe = _universe(pathset, "link")
             for backend in BACKENDS:
-                engine = pathset.engine(backend, universe=universe)
+                engine = kernel_engine(backend, universe)
                 for size in (1, 2):
                     pairs = engine.inseparable_pairs(size)
                     oracle = naive_inseparable_pairs(universe, size)
@@ -154,7 +151,7 @@ class TestBlockParityMatrix:
 
     def test_census_order_on_restricted_universes(self):
         """A restricted universe's census: groups by first appearance,
-        members in lexicographic order, on every backend and compression
+        members in lexicographic order, on every column kernel and compression
         setting, and the matrix over the same subsets."""
         for seed, kind in itertools.product(range(3), KINDS):
             pathset = _pathset(seed, "CSP")
@@ -179,8 +176,8 @@ class TestBlockParityMatrix:
                     (pair, union_mask(masks, pair[0]) != union_mask(masks, pair[1]))
                     for pair in itertools.combinations(subsets, 2)
                 ]
-                for backend, compress in itertools.product(BACKENDS, (True, False)):
-                    engine = pathset.engine(backend, compress, universe=universe)
+                for backend, compress in ENGINE_CONFIGS:
+                    engine = kernel_engine(backend, universe, compress)
                     context = (seed, kind, size, backend, compress)
                     census = engine.inseparable_pairs(size, nodes=elements)
                     assert census == pairs, context
@@ -190,7 +187,7 @@ class TestBlockParityMatrix:
 
     def test_local_search_parity(self):
         """Local µ of singleton and pair scopes equals the naive sweep on
-        every universe, backend, compression setting and cap."""
+        every universe, column kernel, compression setting and cap."""
         for seed, kind in itertools.product(range(4), KINDS):
             pathset = _pathset(seed, "CSP")
             universe = _universe(pathset, kind)
@@ -202,8 +199,8 @@ class TestBlockParityMatrix:
                     naive_local_mu(elements, universe.masks, scope, bound)
                     for scope in scopes
                 ]
-                for backend, compress in itertools.product(BACKENDS, (True, False)):
-                    engine = pathset.engine(backend, compress, universe=universe)
+                for backend, compress in ENGINE_CONFIGS:
+                    engine = kernel_engine(backend, universe, compress)
                     assert [
                         engine.local_identifiability(scope, cap) for scope in scopes
                     ] == expected, (seed, kind, cap, backend, compress)
@@ -341,42 +338,18 @@ class TestTypedSizeValidation:
 
 
 class TestBackendBatchedOps:
-    """The python backend alone carries µ and the census, and its bit
-    iteration matches numpy's."""
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_numpy_bits_round_trip_matches_python_backend(self):
-        """NumpyBackend.bits() must match PythonBackend.bits()."""
-        from repro.engine.backends import NumpyBackend
-
-        for width in (1, 63, 64, 65, 127, 130, 300):
-            numpy_backend = NumpyBackend(width)
-            python_backend = PythonBackend(width)
-            cases = [
-                [],
-                [0],
-                [width - 1],
-                [0, width - 1],
-                list(range(0, width, 7)),
-                list(range(width)),
-            ]
-            for raw in cases:
-                indices = sorted(set(raw))
-                mask = sum(1 << i for i in indices)
-                from_numpy = list(numpy_backend.bits(numpy_backend.pack(mask)))
-                from_python = list(
-                    python_backend.bits(python_backend.pack(mask))
-                )
-                assert from_numpy == from_python == indices, (width, indices)
+    """The big-int column kernel alone carries compression when numpy is
+    absent."""
 
     def test_kernel_block_legal_without_numpy(self, monkeypatch):
-        """µ and the census run on the python backend when numpy is
+        """µ and the census run on the big-int kernel when numpy is
         absent."""
-        from repro.engine import backends
+        from repro.engine import columns
 
-        monkeypatch.setattr(backends, "_np", None)
+        monkeypatch.setattr(columns, "_np", None)
         pathset = _pathset(0, "CSP")
-        engine = pathset.engine("python")
+        engine = pathset.engine()
+        assert engine.compression is not None
         assert_matches_oracle(
             engine.identifiability(), naive_maximal_identifiability_detailed(pathset)
         )
@@ -389,16 +362,16 @@ class TestBackendBatchedOps:
 
 class TestSpecRunnerAndWorkers:
     def test_engine_config_round_trip_and_validation(self):
-        config = EngineConfig(backend="python", subset_budget=40)
+        config = EngineConfig(compress=False, subset_budget=40)
         payload = config.to_dict()
         assert EngineConfig.from_dict(payload) == config
         # The retired sweep keys of earlier v2 documents parse and are dropped.
         legacy = EngineConfig.from_dict(
-            dict(payload, search_jobs=3, kernel="scalar", block_size=64)
+            dict(payload, search_jobs=3, kernel="scalar", block_size=64, backend="numpy")
         )
         assert legacy == config
         assert legacy.to_dict() == payload
-        for retired in ("search_jobs", "kernel", "block_size"):
+        for retired in ("search_jobs", "kernel", "block_size", "backend"):
             assert retired not in payload
             with pytest.raises(TypeError):
                 EngineConfig(**{retired: 1})
@@ -415,7 +388,9 @@ class TestSpecRunnerAndWorkers:
 
     def _legacy_document(self, spec: ScenarioSpec) -> dict:
         document = spec.to_dict()
-        document["engine"].update(search_jobs=2, kernel="scalar", block_size=8)
+        document["engine"].update(
+            search_jobs=2, kernel="scalar", block_size=8, backend="python"
+        )
         return document
 
     def test_scenario_facade_parity(self):

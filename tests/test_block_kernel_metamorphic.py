@@ -1,7 +1,7 @@
 """Engine-level metamorphic oracle: for *random* small instances and caps
 the µ search must agree with the naive oracles on everything observable —
 µ, ``searched_up_to``/``exhausted_search`` and the canonical witness — and
-search the same tree on every backend × compression engine, and the
+search the same tree on every column kernel × compression engine, and the
 separability census must reproduce the naive one.
 
 Hypothesis drives the instance generator (a raw ``(element-masks, n_paths)``
@@ -24,9 +24,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.engine.backends import available_backends  # noqa: E402
 from repro.engine.signatures import SignatureEngine  # noqa: E402
 
+from conftest import BACKENDS, ENGINE_CONFIGS, auto_backend  # noqa: E402
 from oracles import assert_matches_oracle, naive_oracle, union_mask  # noqa: E402
 
 CORPUS_GLOB = os.path.join(
@@ -44,7 +44,7 @@ def instances(draw):
         for _ in range(n_elements)
     ]
     compress = draw(st.booleans())
-    backend = draw(st.sampled_from(sorted(available_backends())))
+    backend = draw(st.sampled_from(BACKENDS))
     cap = draw(st.sampled_from([0, 1, 2, 3, None]))
     return {
         "n_paths": n_paths,
@@ -56,14 +56,15 @@ def instances(draw):
 
 
 def _engine(instance, backend=None, compress=None) -> SignatureEngine:
+    """The instance's engine, compressed on the ``backend`` column kernel."""
     nodes = [f"e{i}" for i in range(len(instance["masks"]))]
-    return SignatureEngine(
-        nodes,
-        dict(zip(nodes, instance["masks"])),
-        instance["n_paths"],
-        backend=instance["backend"] if backend is None else backend,
-        compress=instance["compress"] if compress is None else compress,
-    )
+    with auto_backend(instance["backend"] if backend is None else backend):
+        return SignatureEngine(
+            nodes,
+            dict(zip(nodes, instance["masks"])),
+            instance["n_paths"],
+            compress=instance["compress"] if compress is None else compress,
+        )
 
 
 def _assert_instance_parity(instance) -> None:
@@ -73,10 +74,8 @@ def _assert_instance_parity(instance) -> None:
     cap = instance.get("cap")
     result = engine.identifiability(max_size=cap)
     assert_matches_oracle(result, naive_oracle(engine.nodes, masks, cap), instance)
-    # Every backend × compression engine runs the same search tree.
-    for backend, compress in itertools.product(
-        available_backends(), (True, False)
-    ):
+    # Every column kernel × compression engine runs the same search tree.
+    for backend, compress in ENGINE_CONFIGS:
         other = _engine(instance, backend, compress).identifiability(max_size=cap)
         assert other == result, (instance, backend, compress)
         assert other.stats == result.stats, (instance, backend, compress)
@@ -110,6 +109,6 @@ class TestMetamorphicOracle:
         """Shrunk instances from past Hypothesis failures, frozen forever."""
         with open(path, "r", encoding="utf-8") as handle:
             instance = json.load(handle)
-        if instance["backend"] not in available_backends():
+        if instance["backend"] not in BACKENDS:
             instance = dict(instance, backend="python")
         _assert_instance_parity(instance)

@@ -1,11 +1,11 @@
-"""The incidence column primitives on the ``SignatureBackend`` seam.
+"""The incidence column primitives of :mod:`repro.engine.columns`.
 
 ``gather_columns`` (select, move and add columns; a representative gather
 when the sources are one column per duplicate class) and ``dedup_columns``
 (duplicate-column classes in first-appearance order) carry the churn write
-path and compression.  The law held here: every available backend returns
-exactly what a bit-by-bit reference returns — so numpy and the big-int
-fallback are bit-identical — on widths that are and are not multiples of 8
+path and compression.  The law held here: every available kernel returns
+exactly what a bit-by-bit reference returns — so the numpy and the big-int
+kernels are bit-identical — on widths that are and are not multiples of 8
 and 64, on zero rows, zero columns and rows whose every column drops; and
 malformed inputs raise :class:`IdentifiabilityError`, never a raw numpy or
 Python error.
@@ -17,22 +17,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.backends import (
-    NumpyBackend,
-    PythonBackend,
-    available_backends,
-)
+from repro.engine.columns import dedup_columns, gather_columns, numpy_available
 from repro.engine.compress import CompressionPlan, compress_universe
 from repro.exceptions import IdentifiabilityError
 
 from conftest import auto_backend
 
-BACKENDS = tuple(sorted(available_backends()))
+BACKENDS = ("numpy", "python") if numpy_available() else ("python",)
 WIDTHS = (0, 1, 7, 8, 9, 63, 64, 65, 130)
 
 
-def _backend(name: str, width: int):
-    return NumpyBackend(width) if name == "numpy" else PythonBackend(width)
+def _gather(name: str, *args):
+    """``gather_columns`` on the ``name`` kernel."""
+    with auto_backend(name):
+        return gather_columns(*args)
+
+
+def _dedup(name: str, *args):
+    """``dedup_columns`` on the ``name`` kernel."""
+    with auto_backend(name):
+        return dedup_columns(*args)
 
 
 def _bit(mask: int, j: int) -> int:
@@ -102,29 +106,26 @@ class TestGatherColumns:
         rows, width, sources, scatter = case
         expected = reference_gather(rows, sources, scatter)
         for name in BACKENDS:
-            got = _backend(name, width).gather_columns(rows, sources, width, scatter)
+            got = _gather(name, rows, sources, width, scatter)
             assert got == expected, name
 
     @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("width", WIDTHS)
     def test_every_column_dropped(self, name, width):
         rows = [(1 << width) - 1, 0, (1 << width) - 1 >> 1]
-        backend = _backend(name, width)
-        assert backend.gather_columns(rows, [], width) == [0, 0, 0]
-        assert backend.gather_columns(rows, [-1] * 5, width) == [0, 0, 0]
+        assert _gather(name, rows, [], width) == [0, 0, 0]
+        assert _gather(name, rows, [-1] * 5, width) == [0, 0, 0]
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_zero_rows_and_zero_width(self, name):
-        backend = _backend(name, 0)
-        assert backend.gather_columns([], [], 0) == []
-        assert backend.gather_columns([0, 0], [-1, -1], 0, [[1], []]) == [2, 0]
+        assert _gather(name, [], [], 0) == []
+        assert _gather(name, [0, 0], [-1, -1], 0, [[1], []]) == [2, 0]
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_identity_and_reverse(self, name):
         rows = [0b1011001, 0b0110110]
-        backend = _backend(name, 7)
-        assert backend.gather_columns(rows, range(7), 7) == rows
-        reverse = backend.gather_columns(rows, range(6, -1, -1), 7)
+        assert _gather(name, rows, range(7), 7) == rows
+        reverse = _gather(name, rows, range(6, -1, -1), 7)
         assert reverse == [int(format(r, "07b")[::-1], 2) for r in rows]
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -142,7 +143,7 @@ class TestGatherColumns:
     )
     def test_typed_errors(self, name, rows, sources, width, scatter):
         with pytest.raises(IdentifiabilityError):
-            _backend(name, width).gather_columns(rows, sources, width, scatter)
+            _gather(name, rows, sources, width, scatter)
 
 
 class TestDedupColumns:
@@ -152,34 +153,34 @@ class TestDedupColumns:
         rows, width = case
         expected = reference_dedup(rows, width)
         for name in BACKENDS:
-            got = _backend(name, width).dedup_columns(rows, width)
+            got = _dedup(name, rows, width)
             assert got == expected, name
 
     @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("width", WIDTHS)
     def test_all_zero_columns_drop(self, name, width):
-        assert _backend(name, width).dedup_columns([0, 0], width) == ((), (), [0, 0])
+        assert _dedup(name, [0, 0], width) == ((), (), [0, 0])
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_no_rows(self, name):
-        assert _backend(name, 9).dedup_columns([], 9) == ((), (), [])
+        assert _dedup(name, [], 9) == ((), (), [])
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_wide_element_sets(self, name):
         # More than 64 rows: column keys span several words.
         rows = [(1 << 70) | (1 << (r % 5)) for r in range(70)] + [1 << 69]
         expected = reference_dedup(rows, 71)
-        assert _backend(name, 71).dedup_columns(rows, 71) == expected
+        assert _dedup(name, rows, 71) == expected
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_row_wider_than_width(self, name):
         with pytest.raises(IdentifiabilityError):
-            _backend(name, 4).dedup_columns([0b10000], 4)
+            _dedup(name, [0b10000], 4)
 
 
 class TestPlanOnPrimitives:
     """compress_universe is one dedup; compress_mask one representative
-    gather — identical plans and rows from every backend."""
+    gather — identical plans and rows from every kernel."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=row_sets())
@@ -187,7 +188,10 @@ class TestPlanOnPrimitives:
         rows, width = case
         nodes = tuple(f"v{i}" for i in range(len(rows)))
         masks = dict(zip(nodes, rows))
-        results = [compress_universe(nodes, masks, width, name) for name in BACKENDS]
+        results = []
+        for name in BACKENDS:
+            with auto_backend(name):
+                results.append(compress_universe(nodes, masks, width))
         for plan, compressed in results:
             assert plan == results[0][0]
             assert plan.touch_keys == results[0][0].touch_keys

@@ -148,7 +148,7 @@ class TestCompressionPlan:
                 continue
             subset = frozenset(pathset.nodes[:2])
             signature = engine.union_signature(subset)
-            expanded = plan.expand_indices(engine.backend.bits(signature))
+            expanded = plan.expand_indices(bits_of(signature))
             assert expanded == tuple(bits_of(pathset.paths_through_set(subset)))
 
     def test_all_zero_columns_are_dropped(self):

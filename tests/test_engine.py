@@ -2,13 +2,14 @@
 
 The engine must be a drop-in replacement for the naive reference sweep: same
 µ, same exhaustion semantics, the canonical witness — on every routing
-mechanism and on both backends — plus the keyed pathset cache used by the
+mechanism and on both column kernels — plus the keyed pathset cache used by the
 experiment drivers.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -19,17 +20,16 @@ from repro.core.identifiability import (
 )
 from repro.core.local import local_maximal_identifiability
 from repro.engine import (
-    NUMPY_MIN_PATHS,
     PathSetCache,
     SignatureEngine,
-    available_backends,
     cache_stats,
     cached_enumerate_paths,
     clear_pathset_cache,
+    columns,
+    gather_columns,
     numpy_available,
     pathset_cache,
 )
-from repro.engine.backends import normalize_backend_spec, resolve_backend_name
 from repro.exceptions import IdentifiabilityError
 from repro.experiments.common import measure_network
 from repro.monitors.heuristics import mdmp_placement, random_placement
@@ -38,6 +38,7 @@ from repro.routing.paths import PathSet, enumerate_paths
 from repro.topology.random_graphs import erdos_renyi_connected
 from repro.utils.bitset import bits_of
 
+from conftest import kernel_engine
 from oracles import (
     assert_matches_oracle,
     naive_local_mu,
@@ -177,8 +178,13 @@ class TestSignatureEngine:
         assert frozenset({"d"}) in as_sets
 
     def test_engine_is_memoised_per_backend(self):
+        """One engine per (universe, compression flag): there is no other
+        engine setting to key on."""
         pathset = PathSet(nodes=("a", "b"), paths=(("a", "b"), ("a",)))
-        assert pathset.engine("python") is pathset.engine("python")
+        assert pathset.engine() is pathset.engine(compress=True)
+        raw = pathset.engine(compress=False)
+        assert raw is pathset.engine(compress=False)
+        assert raw is not pathset.engine()
 
     def test_measurement_vector_matches_per_path_scan(self):
         _, _, pathset = random_instance(6, "CSP")
@@ -198,22 +204,73 @@ class TestSignatureEngine:
         with pytest.raises(IdentifiabilityError):
             pathset.engine().identifiability(nodes=["ghost"])
 
+    @pytest.mark.parametrize("compress", (True, False))
+    @pytest.mark.parametrize("width", (0, 1, 7, 8, 63, 64, 65, 1000))
+    def test_indicator_vector_matches_bit_reference(self, width, compress):
+        """The C-level indicator equals a bit-by-bit read of the signature,
+        expanded to original path indices under compression, for empty,
+        full and random signatures."""
+        rng = random.Random(width)
+        # Four column patterns, so compression merges and drops columns.
+        patterns = [0, 0b011, 0b101, 0b110]
+        columns = [rng.choice(patterns) for _ in range(width)]
+        elements = ("a", "b", "c")
+        masks = {
+            element: sum(1 << j for j, touch in enumerate(columns) if touch >> i & 1)
+            for i, element in enumerate(elements)
+        }
+        engine = SignatureEngine(elements, masks, width, compress=compress)
+        plan = engine.compression
+        if compress and width > len(patterns):
+            assert plan is not None  # pigeonhole: a column merged or dropped
+        signatures = [0, engine.union_signature(elements)]
+        signatures += [
+            rng.getrandbits(engine.n_columns) for _ in range(5)
+        ] if plan is None else [
+            engine.union_signature(rng.sample(elements, k)) for k in (1, 2)
+        ]
+        if plan is None:
+            signatures.append((1 << width) - 1)
+        for signature in signatures:
+            original = signature if plan is None else plan.expand_mask(signature)
+            vector = engine.indicator_vector(signature)
+            assert vector == tuple(original >> j & 1 for j in range(width))
+            assert all(type(bit) is int for bit in vector)
+        for k in range(len(elements) + 1):
+            for failed in itertools.combinations(elements, k):
+                union = 0
+                for element in failed:
+                    union |= masks[element]
+                assert engine.measurement_vector(failed) == tuple(
+                    union >> j & 1 for j in range(width)
+                )
+        # A signature wider than the engine's columns (on a compressed
+        # engine: an original-width mask) is rejected, never truncated.
+        for oversized in (1 << engine.n_columns, -1):
+            with pytest.raises(IdentifiabilityError):
+                engine.indicator_vector(oversized)
+
 
 # ---------------------------------------------------------------------------
-# Backend parity and selection
+# Column-kernel parity and selection
 # ---------------------------------------------------------------------------
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
 
 class TestBackends:
+    """Compression runs on either column kernel; every engine result is the
+    same on both."""
+
     @needs_numpy
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     @pytest.mark.parametrize("seed", (0, 2, 5, 9, 13))
     def test_python_numpy_parity(self, seed, mechanism):
         _, _, pathset = random_instance(seed, mechanism)
-        py = pathset.engine("python").identifiability(max_size=4)
-        np_result = pathset.engine("numpy").identifiability(max_size=4)
+        py, np_result = (
+            kernel_engine(name, pathset.universe("node")).identifiability(max_size=4)
+            for name in ("python", "numpy")
+        )
         assert py.value == np_result.value
         assert py.exhausted_search == np_result.exhausted_search
         assert py.searched_up_to == np_result.searched_up_to
@@ -226,56 +283,64 @@ class TestBackends:
     def test_backend_measurement_vector_parity(self):
         _, _, pathset = random_instance(4, "CAP")
         failed = frozenset(pathset.nodes[:2])
-        assert pathset.engine("python").measurement_vector(
-            failed
-        ) == pathset.engine("numpy").measurement_vector(failed)
+        vectors = {
+            kernel_engine(name, pathset.universe("node")).measurement_vector(failed)
+            for name in ("python", "numpy")
+        }
+        assert len(vectors) == 1
         # A dense raw engine wider than one 64-bit word.
         width = 200
         masks = {"a": ((1 << width) - 1) ^ (1 << 3) ^ (1 << 130), "b": 1 << 3}
         expected = tuple(int(i != 130) for i in range(width))
-        for backend in ("python", "numpy"):
-            engine = SignatureEngine(("a", "b"), masks, width, backend, False)
-            assert engine.measurement_vector({"a", "b"}) == expected, backend
+        engine = SignatureEngine(("a", "b"), masks, width, compress=False)
+        assert engine.measurement_vector({"a", "b"}) == expected
 
     @needs_numpy
     def test_backend_classes_parity(self):
         _, _, pathset = random_instance(10, "CSP")
-        py_classes = {
-            frozenset(c) for c in pathset.engine("python").equivalence_classes()
-        }
-        np_classes = {
-            frozenset(c) for c in pathset.engine("numpy").equivalence_classes()
-        }
+        py_classes, np_classes = (
+            {
+                frozenset(c)
+                for c in kernel_engine(
+                    name, pathset.universe("node")
+                ).equivalence_classes()
+            }
+            for name in ("python", "numpy")
+        )
         assert py_classes == np_classes
 
-    def test_none_backend_spec_means_auto(self):
-        assert normalize_backend_spec(None) == "auto"
-        assert normalize_backend_spec(" Python ") == "python"
-        assert resolve_backend_name(None, 10 ** 6) == resolve_backend_name(
-            "auto", 10 ** 6
-        )
-        assert resolve_backend_name("python", 10 ** 6) == "python"
-
     def test_unknown_backend_spec_rejected(self):
-        with pytest.raises(IdentifiabilityError):
-            normalize_backend_spec("fortran")
-        with pytest.raises(IdentifiabilityError):
-            PathSet(nodes=("a",), paths=(("a",),)).engine("fortran")
+        """A stale positional backend name is a TypeError, never silently
+        bound to ``compress``."""
+        pathset = PathSet(nodes=("a",), paths=(("a",),))
+        with pytest.raises(TypeError):
+            pathset.engine("python")
+        with pytest.raises(TypeError):
+            SignatureEngine(("a",), {"a": 1}, 1, "numpy")
+        with pytest.raises(TypeError):
+            SignatureEngine.from_pathset(pathset, "numpy")
+        with pytest.raises(TypeError):
+            maximal_identifiability(pathset, None, None, "python")
 
-    def test_auto_policy_switches_on_path_count(self):
-        expected_large = "numpy" if numpy_available() else "python"
-        assert resolve_backend_name("auto", NUMPY_MIN_PATHS) == expected_large
-        assert resolve_backend_name("auto", NUMPY_MIN_PATHS - 1) == "python"
-
-    def test_available_backends_always_has_python(self):
-        assert "python" in available_backends()
-
-    @needs_numpy
-    def test_mu_accepts_backend_override(self):
-        _, _, pathset = random_instance(3, "CSP")
-        assert maximal_identifiability(pathset, backend="numpy") == (
-            maximal_identifiability(pathset, backend="python")
-        )
+    def test_auto_policy_switches_on_path_count(self, monkeypatch):
+        """The numpy kernel runs whenever numpy imports, at every width; the
+        big-int kernel runs without it."""
+        calls = []
+        for name in ("_gather_numpy", "_gather_bigint"):
+            kernel = getattr(columns, name)
+            monkeypatch.setattr(
+                columns,
+                name,
+                lambda *args, name=name, kernel=kernel: calls.append(name)
+                or kernel(*args),
+            )
+        for width in (1, 1000):
+            assert gather_columns([1], [0], width) == [1]
+        expected = "_gather_numpy" if numpy_available() else "_gather_bigint"
+        assert calls == [expected] * 2
+        monkeypatch.setattr(columns, "_np", None)
+        assert gather_columns([1], [0], 1) == [1]
+        assert calls[-1] == "_gather_bigint"
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +385,7 @@ class TestPathSetCache:
         placement = mdmp_placement(graph, 2)
         first = cache.get_or_enumerate(graph, placement, "CSP")
         second = cache.get_or_enumerate(graph, placement, "CSP")
-        assert first.engine("python") is second.engine("python")
+        assert first.engine() is second.engine()
 
     def test_experiment_runner_hits_cache(self):
         """Repeated table rows over one (graph, placement, mechanism) triple

@@ -7,7 +7,7 @@ same order, same links, same µ report (value, witness, ``searched_up_to``),
 same separability census and same localization campaign.  The matrix test
 sweeps 20 seeds × 3 mechanisms × {node, link, srlg} over small random
 graphs; the engine tests additionally require the *internals* (compression
-plan, signature keys, backend choice) to match, so the incremental
+plan, signature rows) to match, so the incremental
 re-intern is structurally equal to a fresh build, not merely
 observationally.
 
@@ -198,8 +198,7 @@ class TestEngineInternals:
         scratch = Scenario(ScenarioSpec.from_dict(evolved.spec.to_dict()))
         left, right = evolved.engine, scratch.engine
         assert left.compression == right.compression
-        assert left.backend.name == right.backend.name
-        assert left._keys == right._keys
+        assert left._signatures == right._signatures
         assert left.nodes == right.nodes
         assert left.n_paths == right.n_paths
 
@@ -344,7 +343,7 @@ class TestRestrictWithSrlg:
         fresh = SignatureEngine(
             universe.elements, universe.masks, restricted.n_paths
         )
-        assert engine._keys == fresh._keys
+        assert engine._signatures == fresh._signatures
 
 
 class TestDeltaSpec:

@@ -5,11 +5,11 @@ by column gathers, and ``PathSet.engine`` patches each parent engine into
 the next one.  Any drift would compound along a walk, so the law is checked
 after *every* step of walks of 8–10 link flaps and monitor edits, on random
 directed and undirected graphs under CSP, CAP⁻ and CAP (CAP⁻ also under a
-path-length cutoff), on every available backend: the evolved path set
+path-length cutoff), on every available column kernel: the evolved path set
 equals a fresh ``enumerate_paths`` (paths and their order, node masks, link
 masks when derived, the ``PathEvolution`` survivors / added / removed), and
 every patched engine equals a fresh ``SignatureEngine`` (plan members, touch
-keys, packed rows and keys).
+keys, rows).
 
 Walks are generated as explicit JSON-able cases, so a shrunk failure can be
 committed as ``tests/corpus/evolve_chain_*.json`` and replayed as is.
@@ -34,13 +34,11 @@ from hypothesis import strategies as st
 from repro.api.scenario import Scenario
 from repro.api.spec import (
     DeltaSpec,
-    EngineConfig,
     FailureModel,
     PlacementSpec,
     ScenarioSpec,
     TopologySpec,
 )
-from repro.engine.backends import available_backends
 from repro.engine.cache import clear_pathset_cache
 from repro.engine.signatures import SignatureEngine
 from repro.exceptions import IdentifiabilityError, RoutingError
@@ -48,9 +46,8 @@ from repro.monitors.placement import MonitorPlacement
 from repro.routing.paths import PathSetDelta, count_paths, enumerate_paths
 from repro.tomography.scenario import TomographySession
 
-from conftest import auto_backend
+from conftest import BACKENDS, auto_backend
 
-BACKENDS = tuple(sorted(available_backends()))
 MECHANISMS = ("CSP", "CAP-", "CAP")
 CORPUS_GLOB = os.path.join(os.path.dirname(__file__), "corpus", "evolve_chain_*.json")
 DELTA_FIELDS = (
@@ -195,12 +192,10 @@ def _universes(pathset, case):
 def _engine_state(engine):
     plan = engine.compression
     return {
-        "backend": engine.backend.name,
         "elements": engine.elements,
         "members": None if plan is None else plan.members,
         "touch_keys": None if plan is None else plan.touch_keys,
-        "rows": {e: engine.backend.mask(engine.signature(e)) for e in engine.elements},
-        "keys": engine._keys,
+        "rows": {e: engine.signature(e) for e in engine.elements},
     }
 
 
@@ -237,7 +232,7 @@ def _run_walk(case, backend):
             graph, MonitorPlacement(inputs, outputs), mechanism, cutoff
         )
         for universe in _universes(pathset, case):
-            pathset.engine(backend, compress=True, universe=universe)
+            pathset.engine(compress=True, universe=universe)
         for number, step in enumerate(case["steps"]):
             tag = f"{backend}/step {number}: {step}"
             edges, inputs, outputs = _step(edges, inputs, outputs, step)
@@ -251,10 +246,9 @@ def _run_walk(case, backend):
             fresh = enumerate_paths(graph, placement, mechanism, cutoff)
             _assert_pathset_parity(pathset, evolved, fresh, tag)
             for universe in _universes(evolved, case):
-                patched = evolved.engine(backend, compress=True, universe=universe)
+                patched = evolved.engine(compress=True, universe=universe)
                 rebuilt = SignatureEngine.from_universe(
                     fresh.universe(universe.kind, dict(universe.groups or ()) or None),
-                    backend,
                     compress=True,
                 )
                 assert _engine_state(patched) == _engine_state(rebuilt), (
@@ -321,36 +315,37 @@ def test_uncovered_after_flap_gives_mu_zero(backend):
     """Cutting every link of the grid centre leaves it on no path: µ = 0 with
     witness ∅ / {centre}, identical to a rebuild, and the localizer explains
     the all-zero observation by ∅ alone."""
-    spec = ScenarioSpec(
-        topology=TopologySpec("undirected_grid", {"n": 3}),
-        placement=PlacementSpec("chi_corners"),
-        failures=FailureModel(n_trials=6, size=1),
-        seed=5,
-    ).with_engine(EngineConfig(backend=backend))
-    base = Scenario(spec)
-    assert base.mu().value > 0
-    evolved = base.evolve(DeltaSpec(remove_links=CENTRE_LINKS, label="cut centre"))
-    assert evolved.pathset.uncovered_nodes() == {CENTRE}
-    report = evolved.mu()
-    assert report.value == 0
-    result = evolved.identifiability()
-    assert {result.witness.first, result.witness.second} == {
-        frozenset(), frozenset({CENTRE})
-    }
+    with auto_backend(backend):
+        spec = ScenarioSpec(
+            topology=TopologySpec("undirected_grid", {"n": 3}),
+            placement=PlacementSpec("chi_corners"),
+            failures=FailureModel(n_trials=6, size=1),
+            seed=5,
+        )
+        base = Scenario(spec)
+        assert base.mu().value > 0
+        evolved = base.evolve(DeltaSpec(remove_links=CENTRE_LINKS, label="cut centre"))
+        assert evolved.pathset.uncovered_nodes() == {CENTRE}
+        report = evolved.mu()
+        assert report.value == 0
+        result = evolved.identifiability()
+        assert {result.witness.first, result.witness.second} == {
+            frozenset(), frozenset({CENTRE})
+        }
 
-    clear_pathset_cache()
-    rebuilt = Scenario(ScenarioSpec.from_dict(evolved.spec.to_dict()))
-    assert rebuilt.pathset.paths == evolved.pathset.paths
-    assert report.to_dict() == rebuilt.mu().to_dict()
-    assert (
-        evolved.localization_campaign().to_dict()
-        == rebuilt.localization_campaign().to_dict()
-    )
+        clear_pathset_cache()
+        rebuilt = Scenario(ScenarioSpec.from_dict(evolved.spec.to_dict()))
+        assert rebuilt.pathset.paths == evolved.pathset.paths
+        assert report.to_dict() == rebuilt.mu().to_dict()
+        assert (
+            evolved.localization_campaign().to_dict()
+            == rebuilt.localization_campaign().to_dict()
+        )
 
-    session = TomographySession.from_scenario(evolved)
-    zeros = evolved.engine.measurement_vector({CENTRE})
-    assert zeros == (0,) * evolved.pathset.n_paths
-    assert session.localize(zeros, 1).consistent_sets == (frozenset(),)
+        session = TomographySession.from_scenario(evolved)
+        zeros = evolved.engine.measurement_vector({CENTRE})
+        assert zeros == (0,) * evolved.pathset.n_paths
+        assert session.localize(zeros, 1).consistent_sets == (frozenset(),)
 
 
 # -- apply_delta input validation ----------------------------------------------

@@ -222,10 +222,15 @@ class TestRunner:
         for section in sections:
             assert section.title in text
 
-    def test_main_backend_selection_is_scoped(self, tmp_path):
+    def test_main_backend_selection_is_scoped(self, tmp_path, capsys):
+        """The engine flags live in one run's engine config; the removed
+        ``--backend`` flag is an argparse error."""
+        with pytest.raises(SystemExit):
+            runner.main(["--tables", "ablation", "--backend", "python"])
+        assert "--backend" in capsys.readouterr().err
         out = tmp_path / "out.txt"
         runner.main(
-            ["--tables", "ablation", "--trials", "1", "--backend", "python",
+            ["--tables", "ablation", "--trials", "1", "--no-compress",
              "--output", str(out)]
         )
         assert "Ablation" in out.read_text()

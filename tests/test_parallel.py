@@ -44,9 +44,8 @@ def _seeded_draw(seed: str) -> float:
 
 
 def _engine_of(spec: ScenarioSpec) -> tuple:
-    """The backend and compression of the engine a trial's spec builds."""
-    engine = spec.build().engine
-    return engine.backend.name, engine.compression is not None
+    """Whether the engine a trial's spec builds is compressed."""
+    return spec.build().engine.compression is not None
 
 
 class TestRunTrials:
@@ -81,11 +80,11 @@ class TestRunTrials:
         spec = ScenarioSpec(
             topology=TopologySpec("directed_grid", {"n": 3}),
             placement=PlacementSpec("chi_g"),
-            engine=EngineConfig(backend="python", compress=False),
+            engine=EngineConfig(compress=False),
         )
         specs = [TrialSpec(_engine_of, (spec,)) for _ in range(2)]
-        assert run_trials(specs, jobs=1) == [("python", False)] * 2
-        assert run_trials(specs, jobs=2) == [("python", False)] * 2
+        assert run_trials(specs, jobs=1) == [False] * 2
+        assert run_trials(specs, jobs=2) == [False] * 2
 
 
 class TestSeedDerivation:
@@ -133,7 +132,7 @@ class TestDriverParity:
         assert serial == parallel
 
     def test_explicit_engine_config_keeps_parallel_results(self):
-        raw = EngineConfig(backend="python", compress=False)
+        raw = EngineConfig(compress=False)
         default = run_random_graph_cell(5, 4, "log", rng=3, jobs=2)
         explicit = run_random_graph_cell(5, 4, "log", rng=3, jobs=2, engine=raw)
         assert explicit == default

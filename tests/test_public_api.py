@@ -52,7 +52,6 @@ EXPECTED_ALL = [
     "UniverseSpec",
     "__version__",
     "agrid",
-    "available_backends",
     "cached_enumerate_paths",
     "chi_corners",
     "chi_g",
@@ -81,28 +80,22 @@ EXPECTED_ENGINE_ALL = [
     "CompressionPlan",
     "ConfusablePair",
     "IdentifiabilityResult",
-    "NUMPY_MIN_PATHS",
-    "NumpyBackend",
     "PathSetCache",
-    "PythonBackend",
     "SearchCounters",
     "SearchStats",
-    "SignatureBackend",
     "SignatureEngine",
-    "available_backends",
     "cache_stats",
     "cached_enumerate_paths",
     "clear_pathset_cache",
     "compress_universe",
+    "dedup_columns",
+    "gather_columns",
     "graph_fingerprint",
-    "normalize_backend_spec",
     "normalize_limits",
     "numpy_available",
     "pathset_cache",
     "record_external_search",
     "reset_search_counters",
-    "resolve_backend",
-    "resolve_backend_name",
     "search_counters",
 ]
 
@@ -144,7 +137,6 @@ EXPECTED_SPEC_SCHEMA = {
         "universe": {"kind": "node", "groups": {}},
     },
     "engine": {
-        "backend": "auto",
         "compress": True,
         "cache": True,
         "time_budget": None,
@@ -182,7 +174,7 @@ class TestPublicSurface:
     @pytest.mark.parametrize(
         "module",
         [
-            "repro.engine.backends",
+            "repro.engine.columns",
             "repro.engine.compress",
             "repro.resilience.budget",
             "repro.resilience.pool",
@@ -209,7 +201,6 @@ class TestPublicSurface:
 
     def test_engine_config_defaults_snapshot(self):
         assert repro.EngineConfig().to_dict() == {
-            "backend": "auto",
             "compress": True,
             "cache": True,
             "time_budget": None,

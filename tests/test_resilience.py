@@ -7,7 +7,7 @@ The central invariants:
   at a completed search level, reports ``exhausted_search=False`` and
   ``stats.budget_exhausted=True``, and its value is a certified lower bound
   on the exact µ — and a subset budget (search-tree nodes for µ) truncates
-  at the same point on every run and every backend × compression engine,
+  at the same point on every run and every column kernel × compression engine,
   serial or through the trial pool, and never earlier for a larger budget;
 * a crash-riddled parallel run (seeded worker kills, injected errors) that
   converges produces output **bit-identical** to a clean serial run, because
@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.api.spec import EngineConfig, PlacementSpec, ScenarioSpec, TopologySpec
-from repro.engine.backends import available_backends
 from repro.exceptions import (
     BudgetExceededError,
     ExperimentError,
@@ -54,6 +53,8 @@ from repro.resilience.pool import (
     pool_counters,
     reset_pool_counters,
 )
+
+from conftest import ENGINE_CONFIGS, kernel_engine
 
 
 def _pathset(seed: int = 1, n: int = 12, monitors: int = 3):
@@ -276,7 +277,7 @@ def _grid_pathset(n: int, d: int):
 
 class TestBudgetLaws:
     """The µ subset budget counts search-tree nodes.  Over a ladder of node
-    budgets, on every backend × compression engine of cells with µ ≥ 1 in
+    budgets, on every column kernel × compression engine of cells with µ ≥ 1 in
     the node and link universes: a truncated result is a certified lower
     bound (``value == searched_up_to ≤ µ``, no witness, not exhausted),
     every engine truncates identically, and a larger budget never stops
@@ -292,9 +293,8 @@ class TestBudgetLaws:
             universe = pathset.universe(kind)
             exact = pathset.engine(universe=universe).identifiability()
             engines = [
-                pathset.engine(backend, compress, universe=universe)
-                for backend in available_backends()
-                for compress in (True, False)
+                kernel_engine(backend, universe, compress)
+                for backend, compress in ENGINE_CONFIGS
             ]
             previous = 0
             for subsets in self.BUDGETS:

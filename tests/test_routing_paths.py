@@ -563,18 +563,3 @@ class TestReviewRegressions:
         restricted = pathset.restrict_to_paths(iter([2, 0]))
         assert restricted.paths == (("a", "c"), ("a", "b"))
         assert restricted.paths_through("a") == 0b11
-
-    def test_engine_auto_backend_resolved_at_compressed_width(self):
-        from repro.engine import NUMPY_MIN_PATHS, numpy_available
-        from repro.engine.signatures import SignatureEngine
-
-        if not numpy_available():
-            pytest.skip("needs numpy to observe the auto switch")
-        # A universe wide enough for numpy raw, but compressing far below
-        # the threshold: every path shares one touch-set.
-        n = NUMPY_MIN_PATHS + 10
-        pathset = PathSet(nodes=("a", "b"), paths=(("a", "b"),) * n)
-        memoised = pathset.engine()  # auto policy
-        direct = SignatureEngine.from_pathset(pathset)
-        assert memoised.backend.name == direct.backend.name == "python"
-        assert pathset.engine(compress=False).backend.name == "numpy"

@@ -38,11 +38,12 @@ from repro.api.spec import (
     ScenarioSpec,
     TopologySpec,
 )
-from repro.engine.backends import available_backends
 from repro.engine.cache import clear_pathset_cache
 from repro.engine.signatures import SearchStats, SignatureEngine, search_counters
 from repro.resilience.budget import Budget
+from repro.utils.bitset import bits_of
 
+from conftest import BACKENDS, auto_backend, kernel_engine
 from oracles import (
     assert_budget_law,
     assert_matches_oracle,
@@ -50,7 +51,6 @@ from oracles import (
     union_mask,
 )
 
-BACKENDS = tuple(sorted(available_backends()))
 MECHANISMS = ("CSP", "CAP-", "CAP")
 CORPUS_GLOB = os.path.join(os.path.dirname(__file__), "corpus", "search_memo_*.json")
 
@@ -76,19 +76,23 @@ def _universe(pathset, kind: str):
 
 def _build(cell):
     """``(elements, masks, make_engine)`` of a cell; ``make_engine()`` builds
-    a fresh engine (empty memo) every call."""
+    a fresh engine (empty memo) every call, compressed on the cell's column
+    kernel."""
     backend = cell["backend"] if cell["backend"] in BACKENDS else "python"
     compress = cell["compress"]
     if cell["source"] == "masks":
         elements = tuple(f"e{i}" for i in range(len(cell["masks"])))
         masks = dict(zip(elements, cell["masks"]))
         n_paths = cell["n_paths"]
-        return elements, masks, lambda: SignatureEngine(
-            elements, masks, n_paths, backend=backend, compress=compress
-        )
+
+        def make_engine() -> SignatureEngine:
+            with auto_backend(backend):
+                return SignatureEngine(elements, masks, n_paths, compress=compress)
+
+        return elements, masks, make_engine
     universe = _universe(_pathset(cell["seed"], cell["mechanism"]), cell["source"])
     return universe.elements, dict(universe.masks), lambda: (
-        SignatureEngine.from_universe(universe, backend=backend, compress=compress)
+        kernel_engine(backend, universe, compress)
     )
 
 
@@ -213,7 +217,8 @@ def _grid_engine(backend: str = "python") -> SignatureEngine:
     pathset = repro.enumerate_paths(
         repro.directed_grid(4), repro.chi_g(repro.directed_grid(4))
     )
-    return SignatureEngine.from_pathset(pathset, backend=backend)
+    with auto_backend(backend):
+        return SignatureEngine.from_pathset(pathset)
 
 
 def _delta(before, after):
@@ -240,23 +245,21 @@ class TestMemoCounters:
             assert hit.stats == SearchStats(0, 0, 0), cap
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_full_universe_columns_are_built_once(self, backend, monkeypatch):
+    def test_full_universe_columns_are_built_once(self, backend):
         """µ, local µ and the census read the full universe's rows from one
         build per engine; a restricted universe builds its own."""
         engine = _grid_engine(backend)
-        calls = []
-        mask = engine.backend.mask
-        monkeypatch.setattr(
-            engine.backend, "mask", lambda row: calls.append(row) or mask(row)
-        )
-        n = len(engine.nodes)
         engine.local_identifiability({engine.nodes[0]}, 3)
+        columns = engine._columns
+        assert columns is not None and len(columns[0]) == len(engine.nodes)
         engine.local_identifiability({engine.nodes[1]}, 3)
         engine.identifiability(max_size=3)
         engine.inseparable_pairs(2)
-        assert len(calls) == n
+        assert engine._columns is columns
+        restricted = engine._search_columns(engine.nodes[:4])
+        assert len(restricted[0]) == 4
         engine.identifiability(nodes=engine.nodes[:4])
-        assert len(calls) == n + 4
+        assert engine._columns is columns
 
     def test_exhausted_slot_searches_afresh_past_its_cap(self):
         engine = _grid_engine()
@@ -415,16 +418,15 @@ class TestIndicatorGather:
             )
             for i, element in enumerate(elements)
         }
-        engine = SignatureEngine(
-            elements, masks, n_paths, backend=backend, compress=True
-        )
+        with auto_backend(backend):
+            engine = SignatureEngine(elements, masks, n_paths, compress=True)
         plan = engine.compression
         assert plan is not None and plan.n_compressed < n_paths
         assert all(plan._column_classes[j] == plan.n_compressed for j in range(10))
         for size in range(len(elements) + 1):
             for failed in itertools.combinations(elements, size):
                 signature = engine.union_signature(failed)
-                expected = _expand_by_members(plan, engine.backend.bits(signature))
+                expected = _expand_by_members(plan, bits_of(signature))
                 vector = engine.indicator_vector(signature)
                 assert vector == expected, failed
                 assert all(type(bit) is int for bit in vector)

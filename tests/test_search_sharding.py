@@ -3,7 +3,7 @@
 The sharded sweep and its ``search_jobs`` knob are gone: the census queries
 run on the single frontier evaluator and local µ on the dominance search.
 These suites keep the parity guarantees sharding was held to — every entry
-point, backend and compression setting returns the same census and the same
+point, column kernel and compression setting returns the same census and the same
 local µ, and a document carrying the retired ``search_jobs`` key still
 parses to the same engine config.
 """
@@ -18,12 +18,10 @@ import repro
 from repro.api.spec import EngineConfig, SpecError
 from repro.core.local import local_maximal_identifiability
 from repro.core.separability import inseparable_pairs_of_size
-from repro.engine.backends import available_backends
 
+from conftest import ENGINE_CONFIGS, kernel_engine
 from oracles import naive_inseparable_pairs, naive_local_mu
 from test_block_kernel import _universe
-
-BACKENDS = tuple(sorted(available_backends()))
 
 
 def _pathset(seed: int, mechanism: str):
@@ -39,20 +37,17 @@ class TestShardedParity:
             universe = pathset.universe("link")
             reference = pathset.engine(universe=universe).inseparable_pairs(2)
             assert set(reference) == set(naive_inseparable_pairs(universe, 2))
-            for backend in BACKENDS:
-                for compress in (True, False):
-                    engine = pathset.engine(
-                        backend, compress=compress, universe=universe
-                    )
-                    context = (seed, backend, compress)
-                    # Same pairs in the same order on every configuration.
-                    assert engine.inseparable_pairs(2) == reference, context
-                    matrix = engine.separability_matrix(2)
-                    assert {
-                        frozenset(pair)
-                        for pair, separable in matrix.items()
-                        if not separable
-                    } == {frozenset(pair) for pair in reference}, context
+            for backend, compress in ENGINE_CONFIGS:
+                engine = kernel_engine(backend, universe, compress)
+                context = (seed, backend, compress)
+                # Same pairs in the same order on every configuration.
+                assert engine.inseparable_pairs(2) == reference, context
+                matrix = engine.separability_matrix(2)
+                assert {
+                    frozenset(pair)
+                    for pair, separable in matrix.items()
+                    if not separable
+                } == {frozenset(pair) for pair in reference}, context
             assert (
                 inseparable_pairs_of_size(pathset, 2, universe=universe)
                 == reference
@@ -67,18 +62,21 @@ class TestShardedParity:
                 for cap in (0, 1, 2, 3, None):
                     bound = len(elements) if cap is None else min(cap, len(elements))
                     expected = naive_local_mu(elements, universe.masks, scope, bound)
-                    for backend in BACKENDS:
-                        for compress in (True, False):
-                            assert local_maximal_identifiability(
-                                pathset,
-                                scope,
-                                max_size=cap,
-                                backend=backend,
-                                compress=compress,
-                                universe=universe,
-                            ) == expected, (
-                                seed, kind, sorted(scope, key=repr), cap, backend
-                            )
+                    for compress in (True, False):
+                        context = (seed, kind, sorted(scope, key=repr), cap, compress)
+                        assert local_maximal_identifiability(
+                            pathset,
+                            scope,
+                            max_size=cap,
+                            compress=compress,
+                            universe=universe,
+                        ) == expected, context
+                    for backend, compress in ENGINE_CONFIGS:
+                        assert kernel_engine(
+                            backend, universe, compress
+                        ).local_identifiability(scope, cap) == expected, (
+                            seed, kind, sorted(scope, key=repr), cap, backend, compress
+                        )
 
 
 class TestSpecAndRunner:

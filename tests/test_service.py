@@ -580,7 +580,7 @@ _MUTATIONS = [
     lambda doc: {**doc, "analyses": [{"analysis": "no-such-analysis"}]},
     lambda doc: {**doc, "analyses": [{"analysis": "mu", "params": {"max_size": "x"}}]},
     lambda doc: {**doc, "analyses": {"not": "a list"}},
-    lambda doc: {**doc, "engine": {"backend": "quantum"}},
+    lambda doc: {**doc, "engine": {"backend": "auto", "kernels": "quantum"}},
     lambda doc: {**doc, "engine": {"cache_maxsize": 0}},
     lambda doc: {**doc, "seed": 1.5},
     lambda doc: {**doc, "schema_version": 99},
@@ -607,6 +607,19 @@ class TestAnalyzeFuzz:
         status, body = request(fuzz_server, "POST", "/v1/analyze", document)
         assert status == 200, body
         assert "bounds" in body["analyses"]
+
+    def test_retired_engine_backend_still_200(self, fuzz_server):
+        """Bodies written for the removed ``engine.backend`` field parse,
+        and the field is dropped from the echoed spec."""
+        document = {
+            "topology": {"name": "dataxchange"},
+            "placement": {"strategy": "mdmp", "params": {"d": 2}},
+            "engine": {"backend": "numpy", "compress": True},
+            "analyses": [{"analysis": "mu"}],
+        }
+        status, body = request(fuzz_server, "POST", "/v1/analyze", document)
+        assert status == 200, body
+        assert "backend" not in body["spec"]["engine"]
 
     @settings(
         max_examples=60,

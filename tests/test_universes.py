@@ -47,6 +47,7 @@ from repro.topology import claranet, erdos_renyi_connected
 from repro.topology.grids import directed_grid
 from repro.monitors.grid_placement import chi_g
 
+from conftest import BACKENDS, kernel_engine
 from oracles import (
     BooleanSystem,
     assert_matches_oracle,
@@ -227,12 +228,12 @@ class TestUniverseObjects:
             n_paths=pathset.n_paths,
             _masks={node: pathset.paths_through(node) for node in subset},
         )
-        sub_engine = pathset.engine("python", universe=hand_built)
+        sub_engine = pathset.engine(universe=hand_built)
         assert sub_engine.elements == subset
         # The canonical node engine is untouched by the ad-hoc one.
-        node_engine = pathset.engine("python")
+        node_engine = pathset.engine()
         assert node_engine.elements == pathset.nodes
-        assert pathset.engine("python", universe=hand_built) is not sub_engine
+        assert pathset.engine(universe=hand_built) is not sub_engine
 
     def test_element_localiser_rejects_malformed_observations(self):
         from repro.tomography.inference import (
@@ -245,9 +246,9 @@ class TestUniverseObjects:
         malformed = (good[:-1], good + [0], [2] + good[1:], [0.5] + good[1:],
                      ["1"] + good[1:], [[1]] + good[1:])
         for universe in localiser_universes(pathset):
-            for backend, compress in localiser_configs():
+            for compress in (True, False):
                 session = repro.TomographySession(
-                    graph, placement, pathset=pathset, backend=backend,
+                    graph, placement, pathset=pathset,
                     compress=compress, universe=universe,
                 )
                 for vector in malformed:
@@ -335,22 +336,18 @@ class TestEngineNaiveParity:
                     assert witness is not None
 
     def test_backend_and_compression_parity_on_link_universe(self):
-        from repro.engine.backends import numpy_available
-
         _, _, pathset = random_instance(3, "CSP")
         universe = pathset.universe("link")
         reference = maximal_identifiability_detailed(
-            pathset, universe=universe, backend="python", compress=True
+            pathset, universe=universe, compress=True
         )
         raw = maximal_identifiability_detailed(
-            pathset, universe=universe, backend="python", compress=False
+            pathset, universe=universe, compress=False
         )
         assert raw == reference
-        if numpy_available():
-            packed = maximal_identifiability_detailed(
-                pathset, universe=universe, backend="numpy", compress=True
-            )
-            assert packed == reference
+        for backend in BACKENDS:
+            engine = kernel_engine(backend, universe)
+            assert engine.identifiability() == reference, backend
 
     def test_truncated_link_mu_is_capped_mu(self):
         _, _, pathset = random_instance(7, "CSP")
@@ -361,11 +358,11 @@ class TestEngineNaiveParity:
     def test_engines_memoised_per_universe(self):
         graph = claranet()
         pathset = enumerate_paths(graph, mdmp_placement(graph, 3))
-        node_engine = pathset.engine("python")
-        link_engine = pathset.engine("python", universe="link")
+        node_engine = pathset.engine()
+        link_engine = pathset.engine(universe="link")
         assert node_engine is not link_engine
-        assert pathset.engine("python", universe="link") is link_engine
-        assert pathset.engine("python") is node_engine
+        assert pathset.engine(universe="link") is link_engine
+        assert pathset.engine() is node_engine
         assert link_engine.elements == pathset.links
 
 
@@ -411,18 +408,10 @@ def localiser_universes(pathset):
     )
 
 
-def localiser_configs():
-    return [
-        (backend, compress)
-        for backend in repro.engine.backends.available_backends()
-        for compress in (True, False)
-    ]
-
-
 class TestElementLocalization:
     def test_node_mode_generic_localiser_matches_boolean_system(self):
         """Parity matrix for the single engine-backed localiser: 20 seeds ×
-        mechanisms × failure sizes 0–3 × backends × compression, over the
+        mechanisms × failure sizes 0–3 × compression, over the
         node (``BooleanSystem.solutions`` oracle), link and SRLG (raw-width
         naive sweep) universes — the same sets in the same order."""
         from repro.tomography.inference import (
@@ -437,11 +426,10 @@ class TestElementLocalization:
             for seed in range(20):
                 graph, placement, pathset = random_instance(seed, mechanism)
                 for universe in localiser_universes(pathset):
-                    for backend, compress in localiser_configs():
+                    for compress in (True, False):
                         session = repro.TomographySession(
                             graph, placement, mechanism, pathset=pathset,
-                            backend=backend, compress=compress,
-                            universe=universe,
+                            compress=compress, universe=universe,
                         )
                         rng = random.Random(f"{seed}:{universe.kind}")
                         for size in range(4):
@@ -467,7 +455,7 @@ class TestElementLocalization:
                                 )
                             if all(map(universe.mask, failure)):
                                 assert failure in oracle  # truth is consistent
-                            context = (mechanism, seed, universe.kind, backend,
+                            context = (mechanism, seed, universe.kind,
                                        compress, size)
                             # Localised from the measured union signature,
                             # then from a copy that has to be folded.
@@ -499,7 +487,7 @@ class TestElementLocalization:
                 for universe in localiser_universes(pathset):
                     compressed = repro.TomographySession(
                         graph, placement, mechanism, pathset=pathset,
-                        backend="python", compress=True, universe=universe,
+                        compress=True, universe=universe,
                     )
                     plan = compressed.engine.compression
                     if plan is None:
@@ -539,11 +527,10 @@ class TestElementLocalization:
                         # The session just measured ``base``; localising a
                         # different vector must not reuse that signature.
                         assert compressed.localize(vector, 2).consistent_sets == ()
-                        for backend, compress in localiser_configs():
+                        for compress in (True, False):
                             session = repro.TomographySession(
                                 graph, placement, mechanism, pathset=pathset,
-                                backend=backend, compress=compress,
-                                universe=universe,
+                                compress=compress, universe=universe,
                             )
                             assert session.localize(vector, 2).consistent_sets == ()
         assert mixed_seen and dropped_seen
@@ -628,7 +615,6 @@ V1_UPGRADED_SNAPSHOT = {
         "universe": {"kind": "node", "groups": {}},
     },
     "engine": {
-        "backend": "auto",
         "compress": True,
         "cache": True,
         "time_budget": None,
