@@ -16,6 +16,12 @@ distinct one) and one Table 6 cell (Erdős–Rényi n = 10, d = sqrt(log n)).
 Every reported number — µ, the confusable witness, |P|, the per-trial
 improvements — must be bit-identical between the two pipelines, and the
 boosted Table 3 cell must come out ≥ 1.5× faster end to end.
+
+A third cell is the identity universe of the directed-grid results: H_{4,3}
+under χ_g, whose 14,838 path columns are all distinct and covered.  Its plan
+must be the identity, the raw and compressed engines must agree on µ and
+the witness, and the ``compress_universe`` time is recorded (the dedup
+builds nothing on an identity, so that time is the cost of finding out).
 """
 
 from __future__ import annotations
@@ -31,11 +37,14 @@ from conftest import run_once
 
 from repro.agrid.algorithm import agrid
 from repro.core.bounds import structural_upper_bound
+from repro.engine.compress import compress_universe
 from repro.engine.signatures import SignatureEngine
 from repro.experiments.common import DIMENSION_RULES
+from repro.monitors.grid_placement import chi_g
 from repro.monitors.heuristics import mdmp_placement
 from repro.routing.paths import enumerate_paths
 from repro.topology import zoo
+from repro.topology.grids import directed_hypergrid
 from repro.topology.random_graphs import (
     DEFAULT_EDGE_PROBABILITY,
     erdos_renyi_connected,
@@ -174,6 +183,28 @@ def _table6_suite(seed: int, n_nodes: int = 10, n_trials: int = 10) -> Dict[str,
     }
 
 
+def _identity_suite(repeats: int = 5) -> Dict[str, object]:
+    """H_{4,3} under χ_g: the identity plan, raw-vs-compressed parity and
+    the best ``compress_universe`` time over ``repeats`` calls."""
+    grid = directed_hypergrid(4, 3)
+    pathset = enumerate_paths(grid, chi_g(grid))
+    masks = {node: pathset.paths_through(node) for node in pathset.nodes}
+    seconds = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        plan, _ = compress_universe(pathset.nodes, masks, pathset.n_paths)
+        seconds = min(seconds, time.perf_counter() - start)
+    raw = SignatureEngine.from_pathset(pathset, compress=False).identifiability()
+    compressed = SignatureEngine.from_pathset(pathset, compress=True).identifiability()
+    return {
+        "n_paths": pathset.n_paths,
+        "is_identity": plan.is_identity,
+        "raw": {"mu": raw.value, "witness": raw.witness},
+        "compressed": {"mu": compressed.value, "witness": compressed.witness},
+        "compress_seconds": seconds,
+    }
+
+
 def test_compression_pipeline_table3(benchmark, bench_seed):
     measured = run_once(benchmark, _table3_suite, bench_seed)
 
@@ -207,3 +238,22 @@ def test_compression_pipeline_table6(benchmark, bench_seed):
         "Table 6 cell (n=10, sqrt(log n)), raw vs compressed+mask-native pipeline"
     )
     benchmark.extra_info["measured"] = measured
+
+
+def test_compression_identity_hypergrid(benchmark):
+    measured = run_once(benchmark, _identity_suite)
+
+    assert measured["is_identity"], measured
+    assert measured["raw"] == measured["compressed"], measured
+    assert measured["raw"]["mu"] == 3  # µ = d on the d-dimensional hypergrid
+
+    benchmark.extra_info["experiment"] = (
+        "H_{4,3} / chi_g identity universe: compress_universe time and "
+        "raw-vs-compressed parity"
+    )
+    benchmark.extra_info["measured"] = {
+        "n_paths": measured["n_paths"],
+        "is_identity": measured["is_identity"],
+        "mu": measured["raw"]["mu"],
+        "compress_seconds": measured["compress_seconds"],
+    }

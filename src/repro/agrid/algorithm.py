@@ -22,7 +22,7 @@ ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import networkx as nx
 
@@ -30,7 +30,6 @@ from repro._typing import Node
 from repro.exceptions import TopologyError
 from repro.monitors.heuristics import mdmp_placement
 from repro.monitors.placement import MonitorPlacement
-from repro.topology.base import min_degree
 from repro.utils.seeds import RngLike, resolve_rng
 
 #: Signature of an edge-selection strategy: given the working graph, the node

@@ -8,7 +8,7 @@ theorem it encodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import networkx as nx
 

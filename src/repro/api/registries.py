@@ -31,7 +31,7 @@ and a pickled spec computes identically in any process.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, List
 
 from repro.agrid.algorithm import agrid, far_away_selector, low_degree_selector
 from repro.api.serialize import decode_node

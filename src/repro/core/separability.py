@@ -152,7 +152,7 @@ def inseparable_pairs_of_size(
     size: int,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
-    budget: Optional["Budget"] = None,
+    budget: Optional[Budget] = None,
 ) -> Tuple[Tuple[FrozenSet[Node], FrozenSet[Node]], ...]:
     """All unordered pairs of distinct element sets of exactly ``size``
     elements with identical path sets.  Exponential; meant for diagnostics on

@@ -37,7 +37,7 @@ def truncated_identifiability_detailed(
     *,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
-    budget: Optional["Budget"] = None,
+    budget: Optional[Budget] = None,
 ) -> IdentifiabilityResult:
     """µ_α with diagnostics: the engine search capped at subset size α.
 
@@ -62,7 +62,7 @@ def truncated_identifiability(
     *,
     compress: Optional[bool] = None,
     universe: UniverseLike = None,
-    budget: Optional["Budget"] = None,
+    budget: Optional[Budget] = None,
 ) -> int:
     """µ_α(G): the truncated maximal identifiability.
 

@@ -16,14 +16,13 @@ embeddings between small DAGs by backtracking.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 import networkx as nx
 
 from repro._typing import Node
 from repro.exceptions import EmbeddingError
-from repro.embeddings.poset import distance, leq, reachability_order
+from repro.embeddings.poset import distance, reachability_order
 from repro.monitors.placement import MonitorPlacement
 from repro.topology.base import require_dag
 

@@ -10,11 +10,11 @@ Theorem 6.2.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import networkx as nx
 
-from repro._typing import Node, Path
+from repro._typing import Node
 from repro.exceptions import EmbeddingError, TopologyError
 from repro.routing.paths import PathSet
 from repro.topology.base import require_dag

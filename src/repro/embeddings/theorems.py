@@ -10,7 +10,7 @@ results to their own topologies (Section 7.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import networkx as nx
 

@@ -13,10 +13,10 @@ the experiment drivers (:mod:`repro.experiments`):
   pass over ``itertools.combinations``.
 * A signature — ``P(U)``, the paths touched by an element set — is a Python
   big int (bit ``j`` set iff path ``j`` is touched), so unions are ``|`` and
-  equality is ``==``.  :mod:`repro.engine.columns` holds the two incidence
-  column primitives, ``gather_columns`` and ``dedup_columns``, each with a
-  numpy bit-matrix kernel (run whenever numpy is importable) and a big-int
-  kernel (the only one without numpy).
+  equality is ``==``.  :mod:`repro.engine.columns` holds the incidence
+  column primitives, ``gather_columns``, ``dedup_columns`` and
+  ``column_keys``, each with a numpy bit-matrix kernel (run whenever numpy
+  is importable) and a big-int kernel (the only one without numpy).
 * :mod:`repro.engine.compress` collapses duplicate path columns (and drops
   all-zero columns) before the rows are interned, shrinking the mask
   width every query pays for; results are bit-identical and the

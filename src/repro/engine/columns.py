@@ -1,13 +1,15 @@
-"""The incidence column kernels: gather and dedup path columns of big-int rows.
+"""The incidence column kernels: gather, dedup and transpose big-int rows' columns.
 
 A *signature* is a Python big integer used as a bitmask — bit ``j`` set iff
 path ``j`` is touched — and every query of the engine reduces to ``|`` and
 ``==`` over such ints.  The element×path incidence is one big-int row per
-element, and two primitives edit it column-wise: :func:`gather_columns`
-(select, move and add path columns) carries ``PathSet.apply_delta``, the
-engine patch and :meth:`CompressionPlan.compress_mask
-<repro.engine.compress.CompressionPlan.compress_mask>`, and
-:func:`dedup_columns` (duplicate-column classes) carries compression.
+element, and three primitives read or edit it column-wise:
+:func:`gather_columns` (select, move and add path columns) carries
+``PathSet.apply_delta``, the engine patch and :meth:`CompressionPlan.compress_mask
+<repro.engine.compress.CompressionPlan.compress_mask>`; :func:`dedup_columns`
+(duplicate-column classes) carries compression; and :func:`column_keys` (each
+column's touch key, the rows it is set in) is read only on demand — by a
+plan's ``touch_keys`` and the touch keys of delta-added columns.
 
 Each primitive has two kernels that return the same result on every input:
 the numpy kernel on unpacked bit matrices, and the big-int kernel on the rows
@@ -19,10 +21,10 @@ ladder).  numpy is optional; without it the big-int kernel is the only one.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import IdentifiabilityError
-from repro.utils.bitset import bit_indices, mask_from_indices
+from repro.utils.bitset import bit_indices, mask_from_indices, union_masks
 
 try:  # numpy is an optional dependency; the big-int kernels always work.
     import numpy as _np
@@ -83,20 +85,35 @@ def gather_columns(
 
 def dedup_columns(
     rows: Sequence[int], width: int
-) -> Tuple[_Classes, _Classes, List[int]]:
+) -> Tuple[Optional[_Classes], List[int]]:
     """Collapse duplicate columns of ``width``-bit rows.
 
-    Returns ``(members, keys, deduped)``: one class per distinct nonzero
-    column, in first-appearance order; ``members[k]`` the ascending columns
-    of class ``k``, ``keys[k]`` the ascending row positions its columns have
-    set, and ``deduped`` the rows over the class columns (bit ``k`` = the
-    column of class ``k``).  All-zero columns are dropped.  Raises
+    Returns ``(members, deduped)``: one class per distinct nonzero column, in
+    first-appearance order; ``members[k]`` the ascending columns of class
+    ``k``, and ``deduped`` the rows over the class columns (bit ``k`` = the
+    column of class ``k``).  All-zero columns are dropped.  When every column
+    is distinct and nonzero — the identity — nothing is built: ``members`` is
+    ``None`` and ``deduped`` holds the input rows unchanged.  The classes'
+    touch keys are not built either; :func:`column_keys` of ``deduped`` reads
+    them when asked.  Raises :class:`~repro.exceptions.IdentifiabilityError`
+    for a row wider than ``width``.
+    """
+    rows = list(rows)
+    _check_rows(rows, width)
+    kernel = _dedup_bigint if _np is None else _dedup_numpy
+    return kernel(rows, width)
+
+
+def column_keys(rows: Sequence[int], width: int) -> _Classes:
+    """The touch key of each column of ``width``-bit rows: ``keys[c]`` is the
+    ascending positions of the rows with column ``c`` set (``()`` for an
+    all-zero column) — the incidence transposed into tuples.  Raises
     :class:`~repro.exceptions.IdentifiabilityError` for a row wider than
     ``width``.
     """
     rows = list(rows)
     _check_rows(rows, width)
-    kernel = _dedup_bigint if _np is None else _dedup_numpy
+    kernel = _keys_bigint if _np is None else _keys_numpy
     return kernel(rows, width)
 
 
@@ -124,25 +141,35 @@ def _gather_bigint(rows, sources, width, scatter) -> List[int]:
 
 
 def _dedup_bigint(rows, width):
+    # Column c's key is the int whose bit p is bit c of row p.
+    keys = [0] * width
+    for position, mask in enumerate(rows):
+        bit = 1 << position
+        for column in bit_indices(mask):
+            keys[column] |= bit
+    if all(keys) and len(set(keys)) == width:
+        return None, rows
+    classes: Dict[int, List[int]] = {}
+    for column, key in enumerate(keys):
+        if key:  # an all-zero column constrains nothing; drop it
+            classes.setdefault(key, []).append(column)
+    # Dict order is first-appearance order, since columns run ascending.
+    deduped: List[List[int]] = [[] for _ in rows]
+    for k, key in enumerate(classes):
+        for position in bit_indices(key):
+            deduped[position].append(k)
+    return (
+        tuple(tuple(group) for group in classes.values()),
+        [mask_from_indices(indices) for indices in deduped],
+    )
+
+
+def _keys_bigint(rows, width) -> _Classes:
     touch: List[List[int]] = [[] for _ in range(width)]
     for position, mask in enumerate(rows):
         for column in bit_indices(mask):
             touch[column].append(position)
-    classes: Dict[Tuple[int, ...], List[int]] = {}
-    for column, positions in enumerate(touch):
-        if positions:  # an all-zero column constrains nothing; drop it
-            classes.setdefault(tuple(positions), []).append(column)
-    # Dict order is first-appearance order, since columns run ascending.
-    keys = tuple(classes)
-    deduped: List[List[int]] = [[] for _ in rows]
-    for k, key in enumerate(keys):
-        for position in key:
-            deduped[position].append(k)
-    return (
-        tuple(tuple(group) for group in classes.values()),
-        keys,
-        [mask_from_indices(indices) for indices in deduped],
-    )
+    return tuple(map(tuple, touch))
 
 
 # -- the numpy kernels --------------------------------------------------------
@@ -172,11 +199,15 @@ def _dedup_numpy(rows, width):
     n_words = max(1, -(-len(rows) // 64))
     columns = _np.zeros((width, n_words * 8), dtype=_np.uint8)
     columns[:, : (len(rows) + 7) // 8] = _np.packbits(
-        bits.T, axis=1, bitorder="little"
+        _np.ascontiguousarray(bits.T), axis=1, bitorder="little"
     )
     keys = columns.view(
         _np.uint64 if n_words == 1 else _np.dtype((_np.void, n_words * 8))
     ).reshape(width)
+    ordered = _np.sort(keys)
+    distinct = (ordered[1:] != ordered[:-1]).all()
+    if distinct and union_masks(rows).bit_count() == width:
+        return None, rows  # every column distinct and nonzero: the identity
     _, first, inverse = _np.unique(keys, return_index=True, return_inverse=True)
     inverse = inverse.reshape(width)
     # Classes in first-appearance order, the all-zero column dropped.
@@ -188,10 +219,13 @@ def _dedup_numpy(rows, width):
     by_class = _np.argsort(class_of, kind="stable")
     counts = _np.bincount(class_of, minlength=len(kept) + 1)[:-1].tolist()
     members = _split_runs(by_class.tolist(), counts)
-    deduped = bits[:, first[kept]]
-    touched = _np.nonzero(deduped.T)[1]
-    keys_out = _split_runs(touched.tolist(), deduped.sum(axis=0).tolist())
-    return members, keys_out, _pack_rows(deduped)
+    return members, _pack_rows(bits[:, first[kept]])
+
+
+def _keys_numpy(rows, width) -> _Classes:
+    bits = _unpack_rows(rows, width)
+    touched = _np.nonzero(bits.T)[1]
+    return _split_runs(touched.tolist(), bits.sum(axis=0).tolist())
 
 
 def _unpack_rows(rows: Sequence[int], count: int):

@@ -49,11 +49,15 @@ vector that is not class-closed (no element set can produce it) as ``None``.
 The collapse itself is one column dedup
 (:func:`~repro.engine.columns.dedup_columns`) over the rows — the numpy or
 the big-int kernel, identical plans either way — and
-:meth:`CompressionPlan.compress_mask` is one representative gather.  After a
-churn step :meth:`CompressionPlan.patch` moves the surviving members and
-files the added columns by touch key (one pass over the plan's members, not
-the incidence), and the engine translates clean rows by one class-remap
-gather; see :meth:`repro.engine.signatures.SignatureEngine.from_delta`.
+:meth:`CompressionPlan.compress_mask` is one representative gather.  The
+dedup builds only the classes: on an identity universe (every column
+distinct and covered, as on the directed grids under χ_g) it builds nothing
+and returns the rows as they are, and a plan's per-class touch keys are read
+off its compressed rows on first use.  Only churn reads them: after a churn
+step :meth:`CompressionPlan.patch` moves the surviving members and files the
+added columns by touch key (one pass over the plan's members, not the
+incidence), and the engine translates clean rows by one class-remap gather;
+see :meth:`repro.engine.signatures.SignatureEngine.from_delta`.
 
 Compression is on by default: ``compress=None`` means ``True`` in
 :meth:`repro.routing.paths.PathSet.engine` and
@@ -70,7 +74,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro._typing import Node
-from repro.engine.columns import dedup_columns, gather_columns
+from repro.engine.columns import column_keys, dedup_columns, gather_columns
 from repro.exceptions import IdentifiabilityError
 from repro.utils.bitset import bits_of, mask_from_indices
 
@@ -92,14 +96,28 @@ class CompressionPlan:
 
     n_original: int
     members: Tuple[Tuple[int, ...], ...]
-    #: Per-class touch key — the ascending element positions every member
-    #: column touches — retained (compare-excluded) by
-    #: :func:`compress_universe` so :meth:`patch` can match delta-added
-    #: columns against existing classes without re-transposing the matrix.
-    #: ``None`` for hand-built plans, which then cannot be patched.
-    touch_keys: Optional[Tuple[Tuple[int, ...], ...]] = dataclasses_field(
+    #: The element rows over the compressed columns (bit ``k`` = class
+    #: ``k``), retained (compare-excluded) by :func:`compress_universe` so
+    #: :attr:`touch_keys` can be read off them on first use.  ``None`` for
+    #: hand-built and patched plans.
+    compressed_rows: Optional[Tuple[int, ...]] = dataclasses_field(
         default=None, compare=False, repr=False
     )
+
+    @cached_property
+    def touch_keys(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
+        """Per-class touch key — the ascending element positions every
+        member column touches — so :meth:`patch` can match delta-added
+        columns against existing classes without re-transposing the matrix.
+
+        Read off :attr:`compressed_rows` on first use (one
+        :func:`~repro.engine.columns.column_keys` transpose); a patched plan
+        carries the keys :meth:`patch` computed.  ``None`` for hand-built
+        plans, which then cannot be patched.
+        """
+        if self.compressed_rows is None:
+            return None
+        return column_keys(self.compressed_rows, self.n_compressed)
 
     @property
     def n_compressed(self) -> int:
@@ -265,10 +283,10 @@ class CompressionPlan:
         )
         new_class = {key: k for k, (_, key) in enumerate(entries)}
         plan = CompressionPlan(
-            n_original=n_original,
-            members=tuple(group for group, _ in entries),
-            touch_keys=tuple(key for _, key in entries),
+            n_original=n_original, members=tuple(group for group, _ in entries)
         )
+        # The keys are known here: fill the lazy attribute's slot.
+        plan.__dict__["touch_keys"] = tuple(key for _, key in entries)
         return plan, {old: new_class[key] for old, key in moved}, lost
 
     def describe(self) -> str:
@@ -293,7 +311,7 @@ def compress_universe(
     (:func:`~repro.engine.columns.dedup_columns`) over the incidence rows,
     grouping columns by their touch-set (the tuple of node positions,
     canonical because the node order is fixed).  Both column kernels return
-    the same plan and rows.
+    the same plan and rows; the plan's touch keys are read on first use.
     """
     rows = [node_masks[node] for node in nodes]
     for node, mask in zip(nodes, rows):
@@ -302,6 +320,10 @@ def compress_universe(
                 f"mask of {node!r} is wider than the declared universe "
                 f"({mask.bit_length()} > {n_paths} bits)"
             )
-    members, touch_keys, compressed = dedup_columns(rows, n_paths)
-    plan = CompressionPlan(n_original=n_paths, members=members, touch_keys=touch_keys)
+    members, compressed = dedup_columns(rows, n_paths)
+    if members is None:  # the identity: each column its own class
+        members = tuple(zip(range(n_paths)))
+    plan = CompressionPlan(
+        n_original=n_paths, members=members, compressed_rows=tuple(compressed)
+    )
     return plan, dict(zip(nodes, compressed))

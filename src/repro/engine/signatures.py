@@ -53,12 +53,12 @@ without enumerating subsets at all:
    condition of Ma et al., IMC 2014, turned into an exact algorithm.)
 3. **Hitting sets over the columns.**  ``W`` dominates ``v`` iff ``W`` hits
    every path column of ``P(v)``, i.e. contains a *coverer* (an element on
-   that path) of each.  The full universe of an engine built through
-   compression reads every column's coverers from that pass (one
-   ``dedup_columns`` call); any other universe finds a column's coverers
-   from the rows on first use, and the search only asks for its branching
-   columns.  A bit-sliced counter over the rows splits the columns into
-   one mask per coverer count, with no per-column Python work.
+   that path) of each.  A column's coverers are found from the rows on
+   first use (one byte per row), and the search only asks for its
+   branching columns; the full universe of an engine patched after a churn
+   step reads them from the touch keys the patch computed.  A bit-sliced
+   counter over the rows splits the columns into one mask per coverer
+   count, with no per-column Python work.
 4. **Iterative deepening.**  Level ``ℓ = 1 .. cap`` searches, for each
    ``v``, the hitting sets of size ``ℓ`` that avoid ``v``: branch on the
    first un-hit column of ``P(v)`` in (coverer count, column index) order,
@@ -139,10 +139,7 @@ from typing import (
 
 from repro._typing import Node
 from repro.engine.columns import gather_columns
-from repro.engine.compress import (
-    CompressionPlan,
-    compress_universe,
-)
+from repro.engine.compress import CompressionPlan, compress_universe
 from repro.exceptions import BudgetExceededError, IdentifiabilityError
 from repro.resilience.budget import Budget, resolve_budget
 from repro.utils.bitset import mask_from_indices
@@ -289,9 +286,21 @@ class _BudgetExpired(Exception):
 _POLL_STRIDE = 256
 
 
+#: ``_BIT_OF[s]`` maps each byte to its bit ``s`` (0 or 1), for bytes.translate.
+_BIT_OF = tuple(
+    bytes.maketrans(bytes(range(256)), bytes(byte >> s & 1 for byte in range(256)))
+    for s in range(8)
+)
+
+
 class _LazyCoverers(Dict[int, Tuple[int, ...]]):
     """``column -> coverers`` (ascending row positions), each computed from
     the rows on first use — the search reads only its branching columns.
+
+    The rows are laid out once as a byte table, byte ``b`` of row ``i`` at
+    ``b * len(rows) + i``, so column ``c``'s byte of every row is one slice:
+    a lookup costs O(rows) in C, where ``row & (1 << c)`` would cost
+    O(width) per row.
 
     An engine shares its full universe's instance across threads.  That is
     benign: an entry is a pure function of the immutable rows and is stored
@@ -300,14 +309,26 @@ class _LazyCoverers(Dict[int, Tuple[int, ...]]):
 
     def __init__(self, rows: Sequence[int]) -> None:
         super().__init__()
-        self.rows = rows
+        n_rows = len(rows)
+        n_bytes = (max(rows, default=0).bit_length() + 7) // 8
+        table = bytearray(n_rows * n_bytes)
+        for i, row in enumerate(rows):
+            table[i::n_rows] = row.to_bytes(n_bytes, "little")
+        self._table = bytes(table)
+        self._n_rows = n_rows
 
     def __missing__(self, column: int) -> Tuple[int, ...]:
-        bit = 1 << column
-        found = self[column] = tuple(
-            i for i, row in enumerate(self.rows) if row & bit
-        )
-        return found
+        start = (column >> 3) * self._n_rows
+        # One 0/1 byte per row; past every row's width the slice is empty.
+        segment = self._table[start:start + self._n_rows]
+        hits = segment.translate(_BIT_OF[column & 7])
+        found: List[int] = []
+        i = hits.find(1)
+        while i >= 0:
+            found.append(i)
+            i = hits.find(1, i + 1)
+        self[column] = result = tuple(found)
+        return result
 
 
 class _DominatorSearch:
@@ -533,13 +554,12 @@ class SignatureEngine:
             compress = True
         plan: Optional[CompressionPlan] = None
         #: Each internal column's coverers (ascending element positions),
-        #: when a compression pass computed them; see :meth:`_search_columns`.
+        #: when a churn patch computed them; see :meth:`_search_columns`.
         self._coverers: Optional[Tuple[Tuple[int, ...], ...]] = None
         if compress:
             plan, compressed_masks = compress_universe(
                 self.nodes, node_masks, n_paths
             )
-            self._coverers = plan.touch_keys
             if plan.is_identity:
                 plan = None  # nothing merged or dropped: skip the indirection
             else:
@@ -863,10 +883,11 @@ class SignatureEngine:
 
         The full universe's columns are built once per engine and shared by
         µ, local µ and the census; a ``nodes=``-restricted universe builds
-        its own.  The full universe of an engine built through compression
-        reads the coverers its compression pass kept; any other universe
-        finds a column's coverers on first use.  Nothing here depends on
-        compression (module docstring, "The µ search", item 3).
+        its own.  The full universe of an engine patched by
+        :meth:`from_delta` reads the coverers its patched plan carries (the
+        touch keys); any other universe finds a column's coverers on first
+        use.  Nothing here depends on compression (module docstring, "The µ
+        search", item 3).
         """
         full = universe is self.nodes
         if full and self._columns is not None:

@@ -13,15 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import networkx as nx
-
 from repro.api.spec import EngineConfig
 from repro.experiments.common import (
     AgridComparison,
     compare_with_agrid,
     resolve_dimension,
 )
-from repro.exceptions import ExperimentError
 from repro.routing.mechanisms import RoutingMechanism
 from repro.topology import zoo
 from repro.utils.seeds import RngLike, spawn_rng

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.api.scenario import Scenario
-from repro.api.serialize import json_key as _json_key
 from repro.api.serialize import to_jsonable
 from repro.api.spec import (
     DeltaSpec,

@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
 from repro._typing import AnyGraph, Node
 from repro.exceptions import MonitorPlacementError

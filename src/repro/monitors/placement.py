@@ -13,7 +13,7 @@ relies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable
 
 from repro._typing import AnyGraph, Node

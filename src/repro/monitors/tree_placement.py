@@ -14,7 +14,7 @@ trees.  Lemma 5.2: if the tree is not monitor-balanced then µ < 1; Theorem
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet
+from typing import Dict
 
 import networkx as nx
 

@@ -544,20 +544,16 @@ class PathSet:
     ) -> List[Tuple[int, Tuple[int, ...]]]:
         """``(column, touch key)`` for every delta-added path column: the
         ascending positions of the universe elements whose rows have the
-        column set, read off one gather and one dedup of the added columns
-        (duplicate added columns share one key tuple)."""
+        column set, read off one gather of the added columns and its
+        transpose."""
         added = evolution.added
-        keys: List[Tuple[int, ...]] = [()] * len(added)
-        if added:
-            from repro.engine.columns import dedup_columns, gather_columns
+        if not added:
+            return []
+        from repro.engine.columns import column_keys, gather_columns
 
-            rows = [universe.masks[element] for element in universe.elements]
-            gathered = gather_columns(rows, added, len(self.paths))
-            members, touch_keys, _ = dedup_columns(gathered, len(added))
-            for group, key in zip(members, touch_keys):
-                for j in group:
-                    keys[j] = key
-        return list(zip(added, keys))
+        rows = [universe.masks[element] for element in universe.elements]
+        gathered = gather_columns(rows, added, len(self.paths))
+        return list(zip(added, column_keys(gathered, len(added))))
 
     def restrict_to_paths(self, indices: Sequence[int]) -> "PathSet":
         """A new :class:`PathSet` over the same universe with a subset of paths.

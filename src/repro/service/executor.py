@@ -29,7 +29,7 @@ import asyncio
 import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.exceptions import ReproError
 from repro.resilience.pool import TrialFailure, _record_pool_event

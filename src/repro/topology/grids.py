@@ -18,7 +18,6 @@ from typing import Iterator, Tuple
 
 import networkx as nx
 
-from repro._typing import Node
 from repro.exceptions import TopologyError
 
 GridNode = Tuple[int, ...]

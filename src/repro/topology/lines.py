@@ -9,11 +9,11 @@ maximal identifiability drops below 1, so meaningful topologies are
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import networkx as nx
 
-from repro._typing import AnyGraph, Node, Path
+from repro._typing import AnyGraph, Path
 from repro.exceptions import TopologyError
 from repro.topology.base import neighbourhood, underlying_undirected
 

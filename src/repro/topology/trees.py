@@ -16,7 +16,7 @@ decomposition used by Definition 5.1).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
 import networkx as nx
 

@@ -10,7 +10,7 @@ so experiments are reproducible end to end.
 from __future__ import annotations
 
 import random
-from typing import Optional, Union
+from typing import Union
 
 RngLike = Union[int, str, random.Random, None]
 

@@ -23,10 +23,15 @@ from repro.engine import (
     SignatureEngine,
     compress_universe,
 )
+from repro.engine import compress as compress_module
+from repro.engine.signatures import _LazyCoverers
 from repro.exceptions import IdentifiabilityError
-from repro.routing.paths import PathSet
+from repro.monitors import chi_g
+from repro.routing.paths import PathSet, enumerate_paths
+from repro.topology.grids import directed_hypergrid
 from repro.utils.bitset import bits_of, masks_for_nodes
 
+from conftest import BACKENDS, auto_backend, kernel_engine
 from test_engine import MECHANISMS, PARITY_SEEDS, random_instance
 
 
@@ -226,3 +231,94 @@ class TestCompressionPolicy:
         assert "raw" in _compressible_pathset().engine(compress=False).describe()
         plan = engine.compression
         assert "4 -> 3 columns" in plan.describe()
+
+
+# ---------------------------------------------------------------------------
+# Compression builds only what is read
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def hypergrid_pathset() -> PathSet:
+    """H_{4,3} under χ_g: 14,838 paths, every column distinct and covered."""
+    grid = directed_hypergrid(4, 3)
+    return enumerate_paths(grid, chi_g(grid))
+
+
+@pytest.fixture
+def key_reads(monkeypatch):
+    """The ``column_keys`` calls a plan makes, recorded."""
+    calls = []
+    real = compress_module.column_keys
+
+    def counting(rows, width):
+        calls.append(width)
+        return real(rows, width)
+
+    monkeypatch.setattr(compress_module, "column_keys", counting)
+    return calls
+
+
+class TestBuildOnlyWhatIsRead:
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_identity_plan_reads_touch_keys_on_demand(
+        self, name, hypergrid_pathset, key_reads
+    ):
+        pathset = hypergrid_pathset
+        nodes = pathset.nodes
+        masks = {node: pathset.paths_through(node) for node in nodes}
+        with auto_backend(name):
+            plan, table = compress_universe(nodes, masks, pathset.n_paths)
+            assert plan.is_identity
+            assert key_reads == [] and "touch_keys" not in vars(plan)
+            keys = plan.touch_keys
+            assert plan.touch_keys is keys  # materialised once
+        assert key_reads == [pathset.n_paths]
+        # The eager plan: each column its own class, keyed by the ascending
+        # positions of the nodes on its path.
+        position = {node: i for i, node in enumerate(nodes)}
+        assert plan.members == tuple((j,) for j in range(pathset.n_paths))
+        assert keys == tuple(
+            tuple(sorted({position[node] for node in path})) for path in pathset.paths
+        )
+        assert table == masks
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_fresh_engine_reads_no_touch_keys(self, name, hypergrid_pathset, key_reads):
+        engine = kernel_engine(name, hypergrid_pathset.universe("node"))
+        assert engine.compression is None  # the identity plan is dropped
+        assert engine.identifiability(max_size=3).value == 3  # µ = d
+        assert key_reads == []
+
+    def test_compressed_engine_reads_no_touch_keys(self, key_reads):
+        engine = _compressible_pathset().engine(compress=True)
+        assert engine.compression is not None
+        engine.identifiability()
+        assert key_reads == [] and "touch_keys" not in vars(engine.compression)
+        assert engine.compression.touch_keys == ((0, 1), (1, 2), (0, 1, 2))
+
+
+class TestLazyCoverers:
+    @staticmethod
+    def naive(rows, column):
+        return tuple(i for i, row in enumerate(rows) if row >> column & 1)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (0b1011, 1 << 20 | 1, 0b110),  # rows shorter than the widest
+            (1 << 64, (1 << 64) - 1, 0, 1 << 63),  # a byte boundary on top
+            (0, 0),
+            (1,),
+        ],
+    )
+    def test_matches_a_naive_scan(self, rows):
+        coverers = _LazyCoverers(rows)
+        top = max(rows).bit_length() - 1
+        if top >= 0:  # the top column of the widest row
+            assert coverers[top] == self.naive(rows, top) != ()
+        for column in range(top + 17):
+            assert coverers[column] == self.naive(rows, column), column
+
+    def test_empty_universe(self):
+        coverers = _LazyCoverers(())
+        assert coverers[0] == coverers[9] == ()
