@@ -89,7 +89,7 @@ def demo_srlg() -> None:
     print()
 
 
-def demo_measurement_report() -> None:
+def demo_path_statistics() -> None:
     print("=== Measurement report now carries path statistics ===")
     report = scenario_for(UniverseSpec(kind="link")).measurement()
     print(f"  universe = {report.universe}, mu = {report.mu}")
@@ -107,7 +107,7 @@ def main() -> None:
     demo_node_vs_link()
     demo_link_localization()
     demo_srlg()
-    demo_measurement_report()
+    demo_path_statistics()
 
 
 if __name__ == "__main__":

@@ -107,8 +107,7 @@ class MeasurementReport(AnalysisReport):
     #: Histogram ``length (in edges, as str) -> path count`` of the
     #: measurement paths (:func:`repro.routing.paths.path_length_histogram`),
     #: so path statistics are reachable from the report without dropping to
-    #: the routing layer.  ``None`` on adapters that lack the path set (the
-    #: Agrid comparison halves).
+    #: the routing layer.
     path_lengths: Optional[Dict[str, int]] = None
 
     @property

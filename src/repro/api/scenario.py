@@ -31,7 +31,7 @@ Quickstart::
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro._typing import AnyGraph
 from repro.api.registries import build_placement, build_topology, resolve_mechanism
@@ -60,6 +60,9 @@ from repro.exceptions import SpecError
 from repro.monitors.placement import MonitorPlacement
 from repro.routing.mechanisms import RoutingMechanism
 from repro.utils.seeds import RngLike, resolve_rng, spawn_rng
+
+if TYPE_CHECKING:
+    from repro.agrid.algorithm import AgridResult
 
 #: Salts deriving the analysis-local RNG streams from the spec seed, so each
 #: stochastic analysis is reproducible and independent of the construction
@@ -523,10 +526,9 @@ class Scenario:
         """µ plus the structural statistics — one Tables-3-5 column,
         extended with the path-length histogram and the failure universe.
 
-        Computed from the scenario's own (cached) path set and µ report —
-        the same values :func:`repro.experiments.common.measure_network`
-        produces for these inputs, without a second enumeration when the
-        pathset cache is disabled.
+        Computed from the scenario's own (cached) path set and µ report, so
+        it never enumerates a second time.  The Agrid analyses and the paper
+        tables measure every G and G^A through this method.
         """
         from repro.routing.paths import path_length_histogram
         from repro.topology.base import min_degree
@@ -565,32 +567,31 @@ class Scenario:
             universe=universe.kind,
         )
 
-    def agrid_comparison(
-        self, dimension: Optional[int] = None, rng: RngLike = None
-    ) -> AgridComparisonReport:
-        """Measure G against its Agrid boost G^A (the Tables 3-13 core step)."""
-        from repro.experiments.common import compare_with_agrid, resolve_dimension
+    def _agrid(
+        self, dimension: Optional[int], rng: RngLike
+    ) -> Tuple[AgridComparisonReport, "AgridResult"]:
+        """Boost this scenario's graph under its routing, engine and failure
+        settings; ``dimension`` defaults to the ``d = log N`` rule and ``rng``
+        to a stream derived from the spec seed."""
+        from repro.experiments.common import resolve_dimension
 
         if dimension is None:
             dimension = resolve_dimension("log", self.graph)
         if rng is None and self.spec.seed is not None:
             rng = spawn_rng(_seed_to_int(self.spec.seed), _AGRID_SALT)
-        universe = self.spec.failures.universe
-        comparison = compare_with_agrid(
-            self.graph,
-            dimension,
-            rng=rng,
-            mechanism=self.mechanism,
-            max_paths=self.spec.routing.max_paths,
-            engine=self.spec.engine,
-            universe=universe,
+        routing = self.spec.routing
+        return _agrid_comparison(
+            self.graph, dimension, rng, self.mechanism, routing.cutoff,
+            routing.max_paths, self.spec.engine, self.spec.failures,
         )
-        return AgridComparisonReport(
-            dimension=comparison.dimension,
-            original=_measurement_report(comparison.original, universe.kind),
-            boosted=_measurement_report(comparison.boosted, universe.kind),
-            n_added_edges=comparison.n_added_edges,
-        )
+
+    def agrid_comparison(
+        self, dimension: Optional[int] = None, rng: RngLike = None
+    ) -> AgridComparisonReport:
+        """Measure G against its Agrid boost G^A (the Tables 3-13 core step),
+        both under this spec's routing limits, engine config and failure
+        universe."""
+        return self._agrid(dimension, rng)[0]
 
     def agrid_tradeoff(
         self,
@@ -607,45 +608,23 @@ class Scenario:
         with the identifiability-scaled per-test cost model over ``horizon``
         test rounds and a uniform per-link installation cost.
         """
-        from repro.agrid.algorithm import agrid
         from repro.agrid.tradeoffs import (
             identifiability_scaled_test_cost,
             static_tradeoff,
             uniform_edge_cost,
         )
-        from repro.experiments.common import measure_network, resolve_dimension
 
-        if dimension is None:
-            dimension = resolve_dimension("log", self.graph)
-        if rng is None and self.spec.seed is not None:
-            rng = spawn_rng(_seed_to_int(self.spec.seed), _AGRID_SALT)
-        result = agrid(self.graph, dimension, rng=resolve_rng(rng))
-        config = self.spec.engine
-        universe = self.spec.failures.universe
-        original = measure_network(
-            self.graph, result.placement_original, self.mechanism, engine=config,
-            universe=universe,
-        )
-        boosted = measure_network(
-            result.boosted, result.placement_boosted, self.mechanism,
-            engine=config, universe=universe,
-        )
+        comparison, result = self._agrid(dimension, rng)
         tradeoff = static_tradeoff(
             result.added_edges,
             times=range(horizon),
             baseline_test_cost=identifiability_scaled_test_cost(
-                test_cost, original.mu, scale
+                test_cost, comparison.original.mu, scale
             ),
             boosted_test_cost=identifiability_scaled_test_cost(
-                test_cost, boosted.mu, scale
+                test_cost, comparison.boosted.mu, scale
             ),
             edge_cost=uniform_edge_cost(edge_cost),
-        )
-        comparison = AgridComparisonReport(
-            dimension=dimension,
-            original=_measurement_report(original, universe.kind),
-            boosted=_measurement_report(boosted, universe.kind),
-            n_added_edges=result.n_added_edges,
         )
         return AgridTradeoffReport(
             comparison=comparison,
@@ -720,17 +699,43 @@ class Scenario:
         return self.describe()
 
 
-def _measurement_report(measured, universe: str = "node") -> MeasurementReport:
-    """Adapt :class:`~repro.experiments.common.NetworkMeasurement`."""
-    return MeasurementReport(
-        mu=measured.mu,
-        n_paths=measured.n_paths,
-        n_edges=measured.n_edges,
-        min_degree=measured.min_degree,
-        n_inputs=measured.n_inputs,
-        n_outputs=measured.n_outputs,
-        universe=universe,
+def _agrid_comparison(
+    graph: AnyGraph,
+    dimension: int,
+    rng: RngLike,
+    mechanism: RoutingMechanism | str,
+    cutoff: Optional[int],
+    max_paths: Optional[int],
+    engine: Optional[EngineConfig],
+    failures: FailureModel,
+) -> Tuple[AgridComparisonReport, "AgridResult"]:
+    """Run Agrid once on ``graph`` and measure G and G^A on its MDMP
+    placements — the step every Agrid table of Section 8 repeats.
+
+    ``rng`` is consumed by Agrid alone.  Each half is the
+    :meth:`Scenario.measurement` of a :meth:`Scenario.from_components`
+    scenario with the given routing limits, engine config and failure model,
+    so a table cell and a ``--spec`` analysis measure through one code path.
+    The :class:`~repro.agrid.algorithm.AgridResult` is returned alongside
+    for callers that need the added edges.
+    """
+    from repro.agrid.algorithm import agrid
+
+    result = agrid(graph, dimension, rng=resolve_rng(rng))
+
+    def measure(measured: AnyGraph, placement: MonitorPlacement) -> MeasurementReport:
+        return Scenario.from_components(
+            measured, placement, mechanism, cutoff=cutoff, max_paths=max_paths,
+            engine=engine, failures=failures,
+        ).measurement()
+
+    report = AgridComparisonReport(
+        dimension=dimension,
+        original=measure(graph, result.placement_original),
+        boosted=measure(result.boosted, result.placement_boosted),
+        n_added_edges=result.n_added_edges,
     )
+    return report, result
 
 
 def _seed_to_int(seed: int | str) -> int:

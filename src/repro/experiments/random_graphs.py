@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.api.registries import build_topology
+from repro.api.scenario import _agrid_comparison
 from repro.api.spec import (
     EngineConfig,
     FailureModel,
@@ -25,7 +26,7 @@ from repro.api.spec import (
     TopologySpec,
 )
 from repro.exceptions import ExperimentError
-from repro.experiments.common import DIMENSION_RULES, coerce_universe_spec, compare_with_agrid
+from repro.experiments.common import DIMENSION_RULES, coerce_universe_spec
 from repro.experiments.parallel import TrialSpec, run_trials
 from repro.resilience.pool import ExecutionPolicy
 from repro.routing.mechanisms import RoutingMechanism
@@ -92,13 +93,10 @@ def random_graph_trial(spec: ScenarioSpec, dimension_rule: str) -> int:
     # Agrid needs d <= n - 1 new-neighbour candidates and MDMP needs 2d
     # distinct monitor nodes, so cap the dimension accordingly.
     dimension = min(dimension, n_nodes - 1, n_nodes // 2)
-    comparison = compare_with_agrid(
-        graph,
-        dimension,
-        rng=trial_rng,
-        mechanism=spec.mechanism,
-        engine=spec.engine,
-        universe=spec.failures.universe,
+    routing = spec.routing
+    comparison, _ = _agrid_comparison(
+        graph, dimension, trial_rng, spec.mechanism, routing.cutoff,
+        routing.max_paths, spec.engine, spec.failures,
     )
     return comparison.improvement
 

@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.api.spec import EngineConfig
-from repro.experiments.common import (
-    AgridComparison,
-    compare_with_agrid,
-    resolve_dimension,
-)
+from repro.api.results import AgridComparisonReport
+from repro.api.scenario import _agrid_comparison
+from repro.api.spec import EngineConfig, FailureModel
+from repro.experiments.common import coerce_universe_spec, resolve_dimension
 from repro.routing.mechanisms import RoutingMechanism
 from repro.topology import zoo
 from repro.utils.seeds import RngLike, spawn_rng
@@ -38,8 +36,8 @@ class RealNetworkResult:
 
     network: str
     n_nodes: int
-    sqrt_log: AgridComparison
-    log: AgridComparison
+    sqrt_log: AgridComparisonReport
+    log: AgridComparisonReport
 
     def rows(self) -> Tuple[Tuple[str, object, object, object, object], ...]:
         """The table rows in the paper's layout: metric, G, G^A, G, G^A."""
@@ -90,32 +88,19 @@ def run_real_network(
     bit-identical default — or ``"link"``).
     """
     graph = zoo.load(name)
-    n = graph.number_of_nodes()
-    d_sqrt = resolve_dimension("sqrt_log", graph)
-    d_log = resolve_dimension("log", graph)
-    sqrt_comparison = compare_with_agrid(
-        graph,
-        d_sqrt,
-        rng=spawn_rng(rng, 1),
-        mechanism=mechanism,
-        max_paths=max_paths,
-        engine=engine,
-        universe=universe,
-    )
-    log_comparison = compare_with_agrid(
-        graph,
-        d_log,
-        rng=spawn_rng(rng, 2),
-        mechanism=mechanism,
-        max_paths=max_paths,
-        engine=engine,
-        universe=universe,
-    )
+    failures = FailureModel(universe=coerce_universe_spec(universe))
+
+    def compare(slot: int, rule: str) -> AgridComparisonReport:
+        return _agrid_comparison(
+            graph, resolve_dimension(rule, graph), spawn_rng(rng, slot),
+            mechanism, None, max_paths, engine, failures,
+        )[0]
+
     return RealNetworkResult(
         network=graph.name or name,
-        n_nodes=n,
-        sqrt_log=sqrt_comparison,
-        log=log_comparison,
+        n_nodes=graph.number_of_nodes(),
+        sqrt_log=compare(1, "sqrt_log"),
+        log=compare(2, "log"),
     )
 
 

@@ -26,7 +26,7 @@ from repro.api.spec import (
 )
 from repro.core.truncated import default_truncation_level
 from repro.exceptions import ExperimentError
-from repro.experiments.common import coerce_universe_spec, measure_network, resolve_dimension
+from repro.experiments.common import coerce_universe_spec, resolve_dimension
 from repro.experiments.parallel import TrialSpec, run_trials
 from repro.resilience.pool import ExecutionPolicy
 from repro.routing.mechanisms import RoutingMechanism
@@ -145,22 +145,20 @@ def run_truncated_experiment(
     base_topology = TopologySpec.from_graph(graph)
     placement = PlacementSpec("mdmp", {"d": d})
 
-    # The truncation level is the average degree of the graph being measured.
-    # The seed slot the pre-spec code spent on the base graph's (deterministic)
-    # MDMP placement is still consumed, so seed streams line up exactly.
-    original_truncation = default_truncation_level(graph)
-    original_measure = measure_network(
-        graph,
+    # The base graph is one more sample: its literal topology, measured in
+    # the seed slot the driver has always spent on it.
+    original_mu, original_truncation = truncated_trial(
         ScenarioSpec(
-            topology=base_topology, placement=placement, seed=spawn_seed(rng, 0)
-        ).build().placement,
-        mechanism,
-        truncation=original_truncation,
-        engine=engine,
-        universe=universe,
+            topology=base_topology,
+            placement=placement,
+            routing=routing,
+            failures=failures,
+            engine=engine,
+            seed=spawn_seed(rng, 0),
+        )
     )
     original = TruncatedDistribution(
-        truncation=original_truncation, counts={original_measure.mu: 1}
+        truncation=original_truncation, counts={original_mu: 1}
     )
 
     specs = [

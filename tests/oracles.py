@@ -6,6 +6,13 @@ masks for every subset — with no signature engine in between, so the
 engine's µ search and subset census can be held to it bit for bit.  The
 clause-level Boolean system of Equation (1) at the end of the module is the
 same kind of oracle for localisation.
+
+The ``core_*`` functions are a reference of a different kind: µ and µ_α
+computed straight from :func:`~repro.routing.paths.enumerate_paths` and the
+:mod:`repro.core` searches, with µ capped one level above the Section-3
+structural bound.  They hold the experiment drivers and the
+:class:`~repro.api.scenario.Scenario` facade to the library's own core
+without going through either.
 """
 
 from __future__ import annotations
@@ -27,8 +34,11 @@ from typing import (
 )
 
 from repro._typing import Node, Path
+from repro.core.bounds import structural_upper_bound
+from repro.core.identifiability import maximal_identifiability_detailed
+from repro.core.truncated import truncated_identifiability
 from repro.exceptions import IdentifiabilityError
-from repro.routing.paths import PathSet
+from repro.routing.paths import PathSet, enumerate_paths
 from repro.tomography.inference import measurement_vector
 
 
@@ -399,3 +409,17 @@ def build_system(pathset: PathSet, failure_set: Iterable[Node]) -> BooleanSystem
     """Measurement system obtained by measuring ``pathset`` under ``failure_set``."""
     observations = measurement_vector(pathset, failure_set)
     return BooleanSystem.from_measurements(pathset, observations)
+
+
+def core_mu(graph, placement, mechanism: str = "CSP") -> int:
+    """Node-mode µ from a fresh enumeration, capped at the structural bound + 1."""
+    bound = structural_upper_bound(graph, placement, mechanism)
+    return maximal_identifiability_detailed(
+        enumerate_paths(graph, placement, mechanism),
+        max_size=bound.combined + 1,
+    ).value
+
+
+def core_truncated_mu(graph, placement, alpha: int, mechanism: str = "CSP") -> int:
+    """Node-mode µ_α from a fresh enumeration."""
+    return truncated_identifiability(enumerate_paths(graph, placement, mechanism), alpha)

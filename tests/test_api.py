@@ -44,6 +44,8 @@ from repro.routing import RoutingMechanism, enumerate_paths
 from repro.topology import claranet, directed_grid, erdos_renyi_connected
 from repro.utils.seeds import spawn_seed
 
+from oracles import core_mu, core_truncated_mu
+
 MECHANISMS = ("CSP", "CAP-", "CAP")
 
 
@@ -263,22 +265,72 @@ class TestFacadeParity:
         assert unbounded.localization_campaign(1, 2).mu == unbounded.mu().value == 3
 
 
+class TestAgridRoutingLimits:
+    """Both Agrid analyses measure the path family the spec's routing
+    declares — ``max_paths`` and ``cutoff`` included."""
+
+    @staticmethod
+    def _spec(**routing) -> ScenarioSpec:
+        return ScenarioSpec(
+            topology=TopologySpec("dataxchange"),
+            placement=PlacementSpec("mdmp", {"d": 2}),
+            routing=RoutingSpec(**routing),
+            seed=5,
+        )
+
+    def test_max_paths_below_the_boosted_family_fails_both(self):
+        from repro.exceptions import PathExplosionError
+
+        unlimited = Scenario(self._spec()).agrid_comparison(dimension=2, rng=7)
+        cap = unlimited.boosted.n_paths - 1
+        assert unlimited.original.n_paths <= cap  # only G^A overflows
+        scenario = Scenario(self._spec(max_paths=cap))
+        with pytest.raises(PathExplosionError):
+            scenario.agrid_comparison(dimension=2, rng=7)
+        with pytest.raises(PathExplosionError):
+            scenario.agrid_tradeoff(dimension=2, rng=7)
+
+    def test_cutoff_reaches_both_halves(self):
+        from repro.agrid.algorithm import agrid
+
+        scenario = Scenario(self._spec(cutoff=3))
+        boost = agrid(scenario.graph, 2, rng=7)
+        expected = tuple(
+            Scenario.from_components(graph, placement, cutoff=3).pathset.n_paths
+            for graph, placement in (
+                (scenario.graph, boost.placement_original),
+                (boost.boosted, boost.placement_boosted),
+            )
+        )
+        unlimited = Scenario(self._spec()).agrid_comparison(dimension=2, rng=7)
+        assert expected[0] < unlimited.original.n_paths
+        assert expected[1] < unlimited.boosted.n_paths
+        for comparison in (
+            scenario.agrid_comparison(dimension=2, rng=7),
+            scenario.agrid_tradeoff(dimension=2, rng=7).comparison,
+        ):
+            assert (comparison.original.n_paths, comparison.boosted.n_paths) == expected
+
+
 class TestDriverSpecParity:
-    """Each driver trial fed a pickled ScenarioSpec must equal the hand-rolled
-    pre-spec computation (same seed, same shared-RNG consumption order)."""
+    """Each driver trial fed a pickled ScenarioSpec must equal the same
+    computation done by hand (same seed, same shared-RNG consumption order),
+    with µ taken from ``enumerate_paths`` and :mod:`repro.core` alone."""
 
     def test_random_graph_trial(self):
-        from repro.experiments.common import DIMENSION_RULES, compare_with_agrid
+        from repro.agrid.algorithm import agrid
+        from repro.experiments.common import DIMENSION_RULES
         from repro.experiments.random_graphs import random_graph_trial
 
         seed = spawn_seed(11, 0)
-        # Legacy flow, reproduced inline.
+        # The trial's flow, reproduced inline.
         legacy_rng = random.Random(seed)
         graph = erdos_renyi_connected(6, 0.4, legacy_rng)
         d = min(DIMENSION_RULES["log"](6, graph), 5, 3)
-        expected = compare_with_agrid(
-            graph, d, rng=legacy_rng, mechanism=RoutingMechanism.CSP
-        ).improvement
+        boost = agrid(graph, d, rng=legacy_rng)
+        expected = core_mu(boost.boosted, boost.placement_boosted) - core_mu(
+            graph, boost.placement_original
+        )
         spec = ScenarioSpec(
             topology=TopologySpec(
                 "erdos_renyi_connected", {"n_nodes": 6, "probability": 0.4}
@@ -290,19 +342,15 @@ class TestDriverSpecParity:
 
     def test_truncated_trial(self):
         from repro.agrid.algorithm import agrid
-        from repro.experiments.common import measure_network
         from repro.experiments.truncated import truncated_trial
 
         graph = repro.topology.eunetwork_small()
         seed = spawn_seed(13, 1)
         result = agrid(graph, 3, rng=random.Random(seed))
         truncation = default_truncation_level(result.boosted)
-        expected = measure_network(
-            result.boosted,
-            result.placement_boosted,
-            RoutingMechanism.CSP,
-            truncation=truncation,
-        ).mu
+        expected = core_truncated_mu(
+            result.boosted, result.placement_boosted, truncation
+        )
         spec = ScenarioSpec(
             topology=TopologySpec(
                 "agrid",
@@ -314,17 +362,13 @@ class TestDriverSpecParity:
         assert truncated_trial(spec) == (expected, truncation)
 
     def test_random_monitor_trial(self):
-        from repro.experiments.common import measure_network
         from repro.experiments.random_monitors import random_monitor_trial
 
         graph = repro.topology.getnet()
         seed_a, seed_b = spawn_seed(17, 1), spawn_seed(17, 2)
         placement_a = random_placement(graph, 3, 3, rng=random.Random(seed_a))
         placement_b = random_placement(graph, 3, 3, rng=random.Random(seed_b))
-        expected = (
-            measure_network(graph, placement_a, RoutingMechanism.CSP).mu,
-            measure_network(graph, placement_b, RoutingMechanism.CSP).mu,
-        )
+        expected = (core_mu(graph, placement_a), core_mu(graph, placement_b))
         topology = TopologySpec.from_graph(graph)
         placement = PlacementSpec("random", {"n_inputs": 3, "n_outputs": 3})
         specs = tuple(
@@ -336,14 +380,13 @@ class TestDriverSpecParity:
     def test_ablation_trial(self):
         from repro.agrid.algorithm import agrid
         from repro.experiments.ablation import ablation_trial
-        from repro.experiments.common import measure_network
 
         graph = repro.topology.eunetwork_small()
         seed = spawn_seed(19, 4)
         legacy_rng = random.Random(seed)
         boost = agrid(graph, 3, rng=legacy_rng)
         placement = random_placement(boost.boosted, 3, 3, rng=legacy_rng)
-        expected = measure_network(boost.boosted, placement, RoutingMechanism.CSP).mu
+        expected = core_mu(boost.boosted, placement)
         spec = ScenarioSpec(
             topology=TopologySpec(
                 "agrid",

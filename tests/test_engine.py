@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.api.scenario import Scenario
 from repro.core.identifiability import (
     maximal_identifiability,
     maximal_identifiability_detailed,
@@ -31,7 +32,6 @@ from repro.engine import (
     pathset_cache,
 )
 from repro.exceptions import IdentifiabilityError
-from repro.experiments.common import measure_network
 from repro.monitors.heuristics import mdmp_placement, random_placement
 from repro.monitors.placement import MonitorPlacement
 from repro.routing.paths import PathSet, enumerate_paths
@@ -394,8 +394,8 @@ class TestPathSetCache:
         graph = erdos_renyi_connected(7, 0.5, rng=5)
         placement = mdmp_placement(graph, 2)
         before = cache_stats()
-        measure_network(graph, placement, "CSP")
-        measure_network(graph, placement, "CSP", truncation=2)
+        Scenario.from_components(graph, placement, "CSP").measurement()
+        Scenario.from_components(graph, placement, "CSP").truncated(2)
         after = cache_stats()
         assert after.misses - before.misses == 1
         assert after.hits - before.hits == 1

@@ -6,15 +6,21 @@ harness runs the paper-sized versions.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.agrid.algorithm import agrid
+from repro.api.scenario import Scenario
+from repro.api.spec import FailureModel, UniverseSpec
 from repro.exceptions import ExperimentError
 from repro.experiments.ablation import placement_ablation, selector_ablation
 from repro.experiments.common import (
-    compare_with_agrid,
     dimension_log,
     dimension_sqrt_log,
-    measure_network,
     resolve_dimension,
 )
 from repro.experiments.random_graphs import (
@@ -31,7 +37,11 @@ from repro.experiments.real_networks import (
 from repro.experiments.truncated import run_truncated_experiment
 from repro.experiments import runner
 from repro.monitors.heuristics import mdmp_placement
+from repro.routing.paths import enumerate_paths
 from repro.topology.zoo import dataxchange, eunetwork_small, getnet, gridnetwork
+from repro.utils.seeds import spawn_rng
+
+from oracles import core_mu
 
 
 class TestDimensionRules:
@@ -57,30 +67,27 @@ class TestDimensionRules:
             dimension_log(1)
 
 
-class TestCommonHelpers:
-    def test_measure_network_fields(self):
+class TestAgridMeasurement:
+    def test_measurement_fields(self):
         graph = eunetwork_small()
         placement = mdmp_placement(graph, 2)
-        measurement = measure_network(graph, placement)
+        measurement = Scenario.from_components(graph, placement).measurement()
         assert measurement.n_edges == graph.number_of_edges()
         assert measurement.n_monitors == 4
-        assert measurement.mu >= 0
+        assert measurement.n_paths == enumerate_paths(graph, placement).n_paths
+        assert measurement.mu == core_mu(graph, placement)
 
-    def test_compare_with_agrid_never_decreases(self):
-        comparison = compare_with_agrid(eunetwork_small(), 2, rng=0)
+    def test_agrid_comparison_never_decreases(self):
+        graph = eunetwork_small()
+        scenario = Scenario.from_components(graph, mdmp_placement(graph, 2))
+        comparison = scenario.agrid_comparison(2, rng=0)
         assert comparison.improvement >= 0
         assert comparison.boosted.min_degree >= 2
-
-    def test_compare_with_custom_placement_builder(self):
-        from repro.monitors.heuristics import random_placement
-
-        comparison = compare_with_agrid(
-            eunetwork_small(),
-            2,
-            rng=0,
-            placement_builder=lambda g, d: random_placement(g, d, d, rng=1),
+        boost = agrid(graph, 2, rng=0)
+        assert comparison.original.mu == core_mu(graph, boost.placement_original)
+        assert comparison.boosted.mu == core_mu(
+            boost.boosted, boost.placement_boosted
         )
-        assert comparison.original.n_monitors == 4
 
 
 class TestRealNetworks:
@@ -94,6 +101,28 @@ class TestRealNetworks:
 
     def test_table_registry_names(self):
         assert set(REAL_NETWORK_TABLES) == {"claranet", "eunetworks", "dataxchange"}
+
+    @pytest.mark.parametrize("universe", ["node", "link"])
+    def test_halves_are_facade_measurements(self, universe):
+        """Each half of a real table is the facade's measurement of Agrid's
+        MDMP placement on G or G^A, path-length histogram included."""
+        result = run_real_network("dataxchange", rng=7, universe=universe)
+        graph = dataxchange()
+        failures = FailureModel(universe=UniverseSpec(kind=universe))
+        for slot, rule, comparison in (
+            (1, "sqrt_log", result.sqrt_log),
+            (2, "log", result.log),
+        ):
+            boost = agrid(graph, resolve_dimension(rule, graph), rng=spawn_rng(7, slot))
+            for half, measured, placement in (
+                (comparison.original, graph, boost.placement_original),
+                (comparison.boosted, boost.boosted, boost.placement_boosted),
+            ):
+                expected = Scenario.from_components(
+                    measured, placement, failures=failures
+                ).measurement()
+                assert half == expected
+                assert half.universe == universe and half.path_lengths
 
     def test_run_real_network_on_small_net_is_consistent(self):
         result = run_real_network("dataxchange", rng=7)
@@ -190,6 +219,22 @@ class TestRunner:
         assert args.format == "text"
         assert args.output is None
         assert args.trials is None
+
+    def test_module_entry_runs_without_runtime_warning(self):
+        """``python -m repro.experiments.runner`` must not find the runner
+        already imported by its package (runpy's RuntimeWarning)."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (str(src), env.get("PYTHONPATH")) if part
+        )
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.experiments.runner", "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 0
+        assert completed.stderr == ""
 
     def test_run_single_group(self):
         sections = runner.run("ablation", seed=1, trials=2)

@@ -767,18 +767,20 @@ class TestEndToEnd:
         assert serial.n_nodes == node.n_nodes
         assert serial.dimension == node.dimension
 
-    def test_measure_network_shares_cache_across_universes(self):
+    def test_measurement_shares_cache_across_universes(self):
         from repro.engine.cache import cache_stats, clear_pathset_cache
-        from repro.experiments.common import measure_network
 
         clear_pathset_cache()
         graph = claranet()
         placement = mdmp_placement(graph, 3)
-        node_measure = measure_network(graph, placement)
-        link_measure = measure_network(graph, placement, universe="link")
+        node_measure = Scenario.from_components(graph, placement).measurement()
+        link_measure = Scenario.from_components(
+            graph, placement, failures=FailureModel(universe=UniverseSpec(kind="link"))
+        ).measurement()
         stats = cache_stats()
         assert stats.misses == 1 and stats.hits == 1  # one enumeration, shared
         assert node_measure.n_paths == link_measure.n_paths
+        assert (node_measure.universe, link_measure.universe) == ("node", "link")
 
     def test_agrid_analyses_honour_spec_universe(self):
         spec = ScenarioSpec(
