@@ -10,7 +10,8 @@ trajectory is computed two ways:
   <repro.routing.paths.PathSet.apply_delta>` plus a dirty-rows-only engine
   patch (:meth:`SignatureEngine.from_delta
   <repro.engine.signatures.SignatureEngine.from_delta>`); once both flap
-  states have been seen the (parent fingerprint, delta fingerprint) cache
+  states have been seen, the pathset cache (keyed on each state's graph
+  adjacency, placement, mechanism and limits, like a fresh enumeration)
   cycles between two interned path sets and a step costs only the µ search.
 * **rebuild chain** — full recomputation: every post-delta spec (captured
   as a JSON dict in an untimed pass) is built from scratch with the engine

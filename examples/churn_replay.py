@@ -9,7 +9,9 @@ Claranet topology three ways and shows they agree bit-for-bit:
 1. **evolve** — ``Scenario.evolve(delta)`` per step, patching the path set
    and re-interning only the dirty signature rows;
 2. **rebuild** — building each step's serialised post-delta spec from
-   scratch, the ground truth evolve must match;
+   scratch with the pathset cache off (with it on, the rebuild would be
+   handed the evolved entry, which shares its key), the ground truth evolve
+   must match path for path;
 3. **inverse** — undoing the last delta with ``DeltaSpec.inverse()`` and
    checking the trajectory returns to where it was.
 
@@ -19,9 +21,11 @@ Run:  python examples/churn_replay.py
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from repro import DeltaSpec, Scenario, ScenarioSpec
+from repro.engine import clear_pathset_cache
 
 CHURN_FILE = Path(__file__).parent / "specs" / "churn" / "claranet_flaps.json"
 
@@ -41,11 +45,14 @@ def main() -> None:
         trajectory.append(current)
 
         # Ground truth: the evolved scenario's spec is a literal, serialisable
-        # ScenarioSpec — build it from scratch and compare every report.
-        rebuilt = Scenario(ScenarioSpec.from_dict(current.spec.to_dict()))
+        # ScenarioSpec — build it from scratch, re-enumerating with the cache
+        # off, and compare the path family (order included) and every report.
+        spec = ScenarioSpec.from_dict(current.spec.to_dict())
+        rebuilt = Scenario(spec.with_engine(replace(spec.engine, cache=False)))
         evolved_mu = current.mu()
         agreed = (
-            evolved_mu == rebuilt.mu()
+            current.pathset.paths == rebuilt.pathset.paths
+            and evolved_mu == rebuilt.mu()
             and current.measurement() == rebuilt.measurement()
         )
         print(
@@ -56,9 +63,13 @@ def main() -> None:
             raise SystemExit(f"step {step} diverged from a fresh build")
 
     # Undo the last delta: the inverse must land exactly on the previous step.
+    # The undone state has the previous step's cache key, so clear the cache
+    # first: the undo then runs the patch instead of returning that entry.
     last = deltas[-1]
+    clear_pathset_cache()
     undone = current.evolve(last.inverse())
     previous = trajectory[-2]
+    assert undone.pathset is not previous.pathset
     assert undone.mu() == previous.mu(), (undone.mu(), previous.mu())
     assert undone.measurement() == previous.measurement()
     print(f"\ninverse({last.label}) restores step {len(deltas) - 2}: ok")

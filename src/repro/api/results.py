@@ -103,12 +103,12 @@ class MeasurementReport(AnalysisReport):
     n_inputs: int
     n_outputs: int
     #: The failure universe µ was computed over.
-    universe: str = "node"
+    universe: str
     #: Histogram ``length (in edges, as str) -> path count`` of the
     #: measurement paths (:func:`repro.routing.paths.path_length_histogram`),
     #: so path statistics are reachable from the report without dropping to
     #: the routing layer.
-    path_lengths: Optional[Dict[str, int]] = None
+    path_lengths: Dict[str, int]
 
     @property
     def n_monitors(self) -> int:

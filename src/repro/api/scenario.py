@@ -170,29 +170,31 @@ class Scenario:
         """The measurement paths ``P(G|χ)`` (cached per scenario; enumerated
         through the keyed pathset cache unless ``engine.cache`` is off)."""
         if self._pathset is None:
-            from repro.engine.cache import cached_enumerate_paths
-            from repro.routing.paths import enumerate_paths
-
-            routing = self.spec.routing
-            if self.spec.engine.cache:
-                self._apply_cache_maxsize()
-                self._pathset = cached_enumerate_paths(
-                    self.graph,
-                    self.placement,
-                    self.mechanism,
-                    cutoff=routing.cutoff,
-                    max_paths=routing.max_paths,
-                )
-            else:
-                kwargs: Dict[str, Any] = {}
-                if routing.cutoff is not None:
-                    kwargs["cutoff"] = routing.cutoff
-                if routing.max_paths is not None:
-                    kwargs["max_paths"] = routing.max_paths
-                self._pathset = enumerate_paths(
-                    self.graph, self.placement, self.mechanism, **kwargs
-                )
+            self._pathset = self._route()
         return self._pathset
+
+    def _route(self, patch=None):
+        """This scenario's path set: ``patch(graph, placement, mechanism,
+        cutoff, max_paths)`` when given (an evolve step), else a fresh
+        enumeration.  With ``engine.cache`` on, both are filed in the
+        pathset cache under this scenario's own (post-delta) enumeration
+        inputs, so a fresh scenario of an evolved spec finds its entry."""
+        from repro.engine.cache import normalize_limits, pathset_cache
+        from repro.routing.paths import enumerate_paths
+
+        routing = self.spec.routing
+        args = (
+            self.graph,
+            self.placement,
+            self.mechanism,
+            *normalize_limits(routing.cutoff, routing.max_paths),
+        )
+        if not self.spec.engine.cache:
+            return enumerate_paths(*args) if patch is None else patch(*args)
+        self._apply_cache_maxsize()
+        if patch is None:
+            return pathset_cache().get_or_enumerate(*args)
+        return pathset_cache().get_or_evolve(*args, lambda: patch(*args))
 
     def _apply_cache_maxsize(self) -> None:
         """Push the spec's ``engine.cache_maxsize`` (if any) into the
@@ -246,9 +248,11 @@ class Scenario:
         scenario's path set (:meth:`PathSet.apply_delta
         <repro.routing.paths.PathSet.apply_delta>`) rather than re-enumerated,
         and the signature engines are re-interned only on the dirty rows.
-        When the spec's engine cache is on, evolved path sets are memoised
-        under (parent fingerprint, delta fingerprint), so replayed churn
-        sequences pay for each distinct transition once.
+        When the spec's engine cache is on, the evolved path set is filed
+        under the post-delta enumeration inputs (the rebuilt literal graph's
+        adjacency, the placement, the mechanism and the limits) — the key a
+        fresh ``Scenario`` of the returned spec computes — so replayed churn
+        sequences pay for each distinct state once.
 
         The node universe is fixed: delta links must connect existing nodes
         and monitors must name existing nodes.  Removing a link that an SRLG
@@ -258,8 +262,7 @@ class Scenario:
         from dataclasses import replace
 
         from repro.api.spec import DeltaSpec, UniverseSpec
-        from repro.engine.cache import normalize_limits, pathset_cache
-        from repro.routing.paths import PathSet, PathSetDelta
+        from repro.routing.paths import PathSetDelta
 
         if isinstance(delta, dict):
             delta = DeltaSpec.from_dict(delta)
@@ -350,27 +353,13 @@ class Scenario:
             add_outputs=delta.add_outputs,
             remove_outputs=delta.remove_outputs,
         )
-        routing = self.spec.routing
-
-        def build() -> PathSet:
-            kwargs: Dict[str, Any] = {}
-            if routing.cutoff is not None:
-                kwargs["cutoff"] = routing.cutoff
-            if routing.max_paths is not None:
-                kwargs["max_paths"] = routing.max_paths
-            return self.pathset.apply_delta(
-                evolved.graph, evolved.placement, self.mechanism, path_delta,
-                **kwargs,
+        evolved._pathset = evolved._route(
+            lambda graph, placement, mechanism, cutoff, max_paths: (
+                self.pathset.apply_delta(
+                    graph, placement, mechanism, path_delta, cutoff, max_paths
+                )
             )
-
-        if self.spec.engine.cache:
-            self._apply_cache_maxsize()
-            limits = normalize_limits(routing.cutoff, routing.max_paths)
-            evolved._pathset = pathset_cache().get_or_evolve(
-                self.pathset, (delta.fingerprint(), limits), build
-            )
-        else:
-            evolved._pathset = build()
+        )
         return evolved
 
     # -- analyses ------------------------------------------------------------

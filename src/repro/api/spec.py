@@ -589,27 +589,6 @@ class DeltaSpec:
             or self.remove_outputs
         )
 
-    def fingerprint(self) -> Tuple[Any, ...]:
-        """A hashable content key (order-insensitive, label-excluded) used
-        by the evolve-keyed :class:`~repro.engine.cache.PathSetCache`."""
-        groups: Optional[Tuple[Tuple[str, str], ...]] = None
-        if self.srlg_groups is not None:
-            groups = tuple(
-                sorted(
-                    (name, json.dumps(members, sort_keys=True))
-                    for name, members in self.srlg_groups.items()
-                )
-            )
-        return (
-            tuple(sorted(self.add_links, key=repr)),
-            tuple(sorted(self.remove_links, key=repr)),
-            tuple(sorted(self.add_inputs, key=repr)),
-            tuple(sorted(self.remove_inputs, key=repr)),
-            tuple(sorted(self.add_outputs, key=repr)),
-            tuple(sorted(self.remove_outputs, key=repr)),
-            groups,
-        )
-
     def inverse(
         self, previous_universe: Optional[UniverseSpec] = None
     ) -> "DeltaSpec":

@@ -24,8 +24,9 @@ the experiment drivers (:mod:`repro.experiments`):
   indices.  On by default; ``compress=False`` (or
   ``EngineConfig(compress=False)``) builds a raw engine.
 * :mod:`repro.engine.cache` memoises enumerated path sets (and thereby the
-  engines built on them) under content keys, so experiment tables stop
-  re-enumerating identical ``(graph, placement, mechanism)`` triples.
+  engines built on them) under their enumeration inputs, so experiment
+  tables stop re-enumerating identical ``(graph, placement, mechanism)``
+  triples.
 
 Engine settings
 ---------------

@@ -5,9 +5,17 @@ row — ``networkx.all_simple_paths`` over all monitor pairs — and the table
 drivers routinely revisit the same ``(graph, placement, mechanism)`` triple
 (both dimension rules on the same network, repeated µ_α levels, ablation
 variants sharing a baseline).  :class:`PathSetCache` memoises the enumerated
-:class:`~repro.routing.paths.PathSet` under a *content* key — graph
-directedness, node set, edge set, placement, mechanism and the enumeration
-limits — so mutating or rebuilding an equal graph still hits.
+:class:`~repro.routing.paths.PathSet` under a key of exactly what the
+enumeration reads — the graph's directedness and adjacency in iteration
+order (:func:`graph_fingerprint`), the placement, the mechanism and the
+enumeration limits — so rebuilding a graph with the same adjacency still
+hits, and a graph whose adjacency order differs (which permutes the paths)
+does not.
+
+Evolved path sets (:meth:`PathSetCache.get_or_evolve`) share that key: an
+evolved entry is filed under the *post-delta* enumeration inputs, so a
+fresh scenario of the post-delta spec finds it, and two delta routes that
+reach one adjacency share one entry.
 
 Because the cached object is the same :class:`PathSet` instance, the
 signature engines memoised on it (:meth:`PathSet.engine`) are reused too: a
@@ -69,17 +77,18 @@ class CacheStats:
 
 
 def graph_fingerprint(graph: AnyGraph) -> Hashable:
-    """A hashable content key for a graph: directedness, nodes and edges.
+    """A hashable content key for a graph: directedness and adjacency.
 
-    Undirected edges are canonicalised as frozensets so ``(u, v)`` and
-    ``(v, u)`` fingerprint identically; a self-loop becomes the singleton
-    frozenset.  Equal-content graphs — even distinct objects — share a key.
+    Exactly what the path enumerator reads (the positional adjacency
+    snapshot of :mod:`repro.routing.paths`): every node with its neighbours,
+    both in ``graph.adj`` iteration order.  The order is part of the key
+    because it fixes the DFS emission order, hence the order of the
+    enumerated paths; a graph whose link was removed and re-added lists that
+    neighbour last and enumerates a permutation of the original family.
+    Equal-adjacency graphs — even distinct objects — share a key.
     """
-    if graph.is_directed():
-        edges: Hashable = frozenset(graph.edges())
-    else:
-        edges = frozenset(frozenset(edge) for edge in graph.edges())
-    return (graph.is_directed(), frozenset(graph.nodes()), edges)
+    adj = graph.adj
+    return (graph.is_directed(), tuple((u, tuple(adj[u])) for u in adj))
 
 
 def normalize_limits(
@@ -132,37 +141,6 @@ class PathSetCache:
         self.misses = 0
         self.evictions = 0
 
-    @staticmethod
-    def _key(
-        graph: AnyGraph,
-        placement: MonitorPlacement,
-        mechanism: RoutingMechanism,
-        cutoff: Optional[int],
-        max_paths: int,
-    ) -> Hashable:
-        """Key construction over already-normalised inputs."""
-        return (
-            graph_fingerprint(graph),
-            placement,
-            mechanism,
-            cutoff,
-            max_paths,
-        )
-
-    @staticmethod
-    def key_for(
-        graph: AnyGraph,
-        placement: MonitorPlacement,
-        mechanism: RoutingMechanism | str = RoutingMechanism.CSP,
-        cutoff: Optional[int] = DEFAULT_CUTOFF,
-        max_paths: Optional[int] = DEFAULT_MAX_PATHS,
-    ) -> Hashable:
-        """The cache key of one enumeration request (limits normalised, so
-        equal requests share an entry however the defaults are spelled)."""
-        mechanism = RoutingMechanism.parse(mechanism)
-        cutoff, max_paths = normalize_limits(cutoff, max_paths)
-        return PathSetCache._key(graph, placement, mechanism, cutoff, max_paths)
-
     def get_or_enumerate(
         self,
         graph: AnyGraph,
@@ -174,35 +152,50 @@ class PathSetCache:
         """The cached :class:`PathSet`, enumerating on first sight of the key."""
         mechanism = RoutingMechanism.parse(mechanism)
         cutoff, max_paths = normalize_limits(cutoff, max_paths)
-        key = self._key(graph, placement, mechanism, cutoff, max_paths)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return cached
-            self.misses += 1
-        pathset = enumerate_paths(graph, placement, mechanism, cutoff, max_paths)
-        return self._insert(key, pathset)
+        return self._lookup(
+            graph,
+            placement,
+            mechanism,
+            cutoff,
+            max_paths,
+            lambda: enumerate_paths(graph, placement, mechanism, cutoff, max_paths),
+        )
 
     def get_or_evolve(
         self,
-        parent: PathSet,
-        delta_fingerprint: Hashable,
-        build: "Callable[[], PathSet]",
+        graph: AnyGraph,
+        placement: MonitorPlacement,
+        mechanism: RoutingMechanism | str,
+        cutoff: Optional[int],
+        max_paths: Optional[int],
+        build: Callable[[], PathSet],
     ) -> PathSet:
-        """The cached *evolved* path set of ``(parent, delta)``.
+        """The cached *evolved* path set, patched by ``build`` on a miss.
 
-        Evolved path sets are keyed by (parent content fingerprint, delta
-        fingerprint) rather than by enumeration inputs: the parent's
-        fingerprint covers everything its own key covered (it is a digest of
-        the enumerated content), so chains of deltas hit the cache — a
-        replayed flap sequence pays for each distinct (state, delta) pair
-        once.  Entries share the LRU bound and counters with the enumeration
-        entries; a hit returns the same :class:`PathSet` instance, so the
-        engines memoised on it are reused too.
+        ``graph`` and ``placement`` are the **post-delta** inputs, and the
+        entry is keyed on them exactly as :meth:`get_or_enumerate` keys a
+        fresh enumeration: :meth:`PathSet.apply_delta
+        <repro.routing.paths.PathSet.apply_delta>` returns what enumerating
+        those inputs would.  So a replayed flap sequence pays for each
+        distinct state once, two delta routes to one adjacency share an
+        entry, and a fresh enumeration of an evolved state hits it.
         """
-        key = ("evolve", parent.fingerprint(), delta_fingerprint)
+        mechanism = RoutingMechanism.parse(mechanism)
+        cutoff, max_paths = normalize_limits(cutoff, max_paths)
+        return self._lookup(graph, placement, mechanism, cutoff, max_paths, build)
+
+    def _lookup(
+        self,
+        graph: AnyGraph,
+        placement: MonitorPlacement,
+        mechanism: RoutingMechanism,
+        cutoff: Optional[int],
+        max_paths: int,
+        build: Callable[[], PathSet],
+    ) -> PathSet:
+        """The entry of normalised enumeration inputs, built on a miss
+        (outside the lock; the first insert wins a build race)."""
+        key = (graph_fingerprint(graph), placement, mechanism, cutoff, max_paths)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -211,11 +204,6 @@ class PathSetCache:
                 return cached
             self.misses += 1
         pathset = build()
-        return self._insert(key, pathset)
-
-    def _insert(self, key: Hashable, pathset: PathSet) -> PathSet:
-        """Publish a freshly built entry, resolving build races in favour of
-        the first insert (so every caller shares one instance)."""
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:

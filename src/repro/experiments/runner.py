@@ -43,7 +43,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.api.scenario import Scenario
@@ -409,9 +409,10 @@ def run_churn_sections(
 
     Each step evolves the previous scenario (:meth:`Scenario.evolve`, so
     untouched paths, compression classes and signature rows are reused, and
-    repeated transitions hit the evolve-keyed cache).  With ``verify=True``
-    every evolved step is additionally rebuilt *from scratch* from its own
-    serialised spec and the two µ/measurement reports are required to be
+    revisited states hit the pathset cache).  With ``verify=True``
+    every evolved step is additionally rebuilt *from scratch*, with the
+    pathset cache off, from its own serialised spec, and the two path
+    families (order included) and µ/measurement reports are required to be
     bit-identical — an :class:`~repro.exceptions.ExperimentError` names the
     first diverging step otherwise.
     """
@@ -455,9 +456,16 @@ def run_churn_sections(
         mu = current.mu()
         verified: Optional[bool] = None
         if verify:
-            rebuilt = Scenario(ScenarioSpec.from_dict(current.spec.to_dict()))
+            # With the cache on, the rebuild would hit the evolved entry
+            # (one key for both) and compare the path set with itself.
+            rebuilt = Scenario(
+                ScenarioSpec.from_dict(current.spec.to_dict()).with_engine(
+                    replace(current.spec.engine, cache=False)
+                )
+            )
             if (
-                mu.to_dict() != rebuilt.mu().to_dict()
+                current.pathset.paths != rebuilt.pathset.paths
+                or mu.to_dict() != rebuilt.mu().to_dict()
                 or current.measurement().to_dict()
                 != rebuilt.measurement().to_dict()
             ):

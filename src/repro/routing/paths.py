@@ -34,9 +34,8 @@ engine patch — is one call to the column primitives of
 ints without it).  A
 churn step looks for removed paths only among the columns of ``P(link)`` or
 ``P(u) & P(v)``; what still scales with ``|P|`` is the order-key sort of
-the merged family, one survivor pass over the path tuples, the
-:meth:`PathSet.fingerprint` digest and, with the paths through an added
-link, the DFS that finds them.
+the merged family, one survivor pass over the path tuples and, with the
+paths through an added link, the DFS that finds them.
 
 All heavy
 identifiability queries go through the
@@ -65,7 +64,6 @@ Enumeration per mechanism
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import (
@@ -149,9 +147,8 @@ class PathEvolution:
     """How an evolved :class:`PathSet` relates to its parent.
 
     Stashed (compare-excluded) on the path sets :meth:`PathSet.apply_delta`
-    returns, so downstream layers — :meth:`PathSet.engine`'s dirty-row
-    re-interning, the evolve-keyed :class:`~repro.engine.cache.PathSetCache`
-    entries — can tell *what changed* without re-deriving it.
+    returns, so :meth:`PathSet.engine`'s dirty-row re-interning can tell
+    *what changed* without re-deriving it.
 
     Attributes
     ----------
@@ -636,25 +633,6 @@ class PathSet:
         if link_masks is None:
             return node_masks, None
         return node_masks, dict(zip(links, gathered[n_rows:]))
-
-    def fingerprint(self) -> str:
-        """A stable content digest of this path set (memoised).
-
-        Covers directedness, the node universe, the link universe and the
-        ordered path family — everything that determines every downstream
-        artefact (masks, universes, engines).  Used by
-        :class:`~repro.engine.cache.PathSetCache` to key evolved path sets
-        by (parent fingerprint, delta fingerprint) so chains of deltas hit
-        the cache.
-        """
-        cached = getattr(self, "_fingerprint", None)
-        if cached is not None:
-            return cached
-        digest = hashlib.sha256(
-            repr((bool(self.directed), self.nodes, self.links, self.paths)).encode()
-        ).hexdigest()
-        object.__setattr__(self, "_fingerprint", digest)
-        return digest
 
     def apply_delta(
         self,

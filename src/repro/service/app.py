@@ -19,7 +19,7 @@ Endpoints
     same document ``repro-experiments --churn`` reads.  The response is a
     chunked ndjson stream: one line per step (the runner's step-entry shape,
     riding :meth:`Scenario.evolve <repro.api.scenario.Scenario.evolve>` so
-    repeated transitions hit the evolve-keyed cache), then a summary line
+    revisited states hit the pathset cache), then a summary line
     ``{"done": true, ...}``.
 
 ``GET /healthz``

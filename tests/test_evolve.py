@@ -230,14 +230,64 @@ class TestEngineInternals:
 
 class TestEvolveCache:
     def test_get_or_evolve_hits_on_repeat(self, grid_base):
-        base = Scenario(ScenarioSpec.from_dict(grid_base.spec.to_dict()))
-        delta = DeltaSpec(remove_links=(((1, 1), (1, 2)),))
-        first = base.evolve(delta)
-        stats_before = pathset_cache().stats()
-        second = base.evolve(delta)
-        stats_after = pathset_cache().stats()
-        assert second.pathset is first.pathset
-        assert stats_after.hits == stats_before.hits + 1
+        evolved = grid_base.evolve(DeltaSpec(remove_links=(((1, 1), (1, 2)),)))
+        inputs = (evolved.graph, evolved.placement, "CSP", None, None)
+        builds = []
+
+        def build():
+            builds.append(1)
+            return evolved.pathset
+
+        cache = PathSetCache()
+        first = cache.get_or_evolve(*inputs, build)
+        second = cache.get_or_evolve(*inputs, build)
+        assert first is second is evolved.pathset
+        assert len(builds) == 1
+        # An evolved entry is keyed like a fresh enumeration of its inputs.
+        assert cache.get_or_enumerate(*inputs) is first
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.size) == (2, 1, 1)
+
+    def test_flapped_graph_does_not_hit_the_base_entry(self):
+        """A removed and re-added link lists its neighbour last, which
+        permutes the enumeration: the cache must not serve the base's paths
+        for it."""
+        base_spec = ScenarioSpec(
+            topology=TopologySpec("undirected_grid", {"n": 3}),
+            placement=PlacementSpec("chi_corners"),
+            seed=3,
+        )
+        link = ((1, 2), (2, 2))
+        flapped = (
+            Scenario(base_spec)
+            .evolve(DeltaSpec(remove_links=(link,)))
+            .evolve(DeltaSpec(add_links=(link,)))
+            .spec
+        )
+        clear_pathset_cache()
+        Scenario(ScenarioSpec.from_dict(base_spec.to_dict())).pathset
+        cached = Scenario(ScenarioSpec.from_dict(flapped.to_dict())).pathset
+        uncached = Scenario(flapped.with_engine(EngineConfig(cache=False))).pathset
+        assert cached.paths == uncached.paths
+
+    def test_fresh_scenario_of_evolved_spec_hits_the_evolved_entry(self, grid_base):
+        evolved = grid_base.evolve(DeltaSpec(remove_links=(((1, 1), (1, 2)),)))
+        entry = evolved.pathset
+        hits = pathset_cache().stats().hits
+        fresh = Scenario(ScenarioSpec.from_dict(evolved.spec.to_dict()))
+        assert fresh.pathset is entry
+        assert pathset_cache().stats().hits == hits + 1
+
+    def test_delta_routes_to_one_adjacency_share_an_entry(self, grid_base):
+        first = ((1, 1), (1, 2))
+        second = ((3, 2), (3, 3))
+        stepwise = grid_base.evolve(DeltaSpec(remove_links=(first,))).evolve(
+            DeltaSpec(remove_links=(second,))
+        )
+        misses = pathset_cache().stats().misses
+        at_once = grid_base.evolve(DeltaSpec(remove_links=(second, first)))
+        assert at_once.pathset is stepwise.pathset
+        assert pathset_cache().stats().misses == misses
 
     def test_chained_flap_hits_cache_in_steady_state(self, grid_base):
         base = Scenario(ScenarioSpec.from_dict(grid_base.spec.to_dict()))
@@ -255,26 +305,23 @@ class TestEvolveCache:
 
     def test_eviction_counter(self):
         cache = PathSetCache(maxsize=1)
-        cache.get_or_evolve(
-            Scenario(
+        for n in (2, 3):
+            scenario = Scenario(
                 ScenarioSpec(
-                    topology=TopologySpec("undirected_grid", {"n": 2}),
+                    topology=TopologySpec("undirected_grid", {"n": n}),
                     placement=PlacementSpec("chi_corners"),
                 )
-            ).pathset,
-            ("d1",),
-            lambda: None,
-        )
-        assert cache.stats().evictions == 0
-        parent = Scenario(
-            ScenarioSpec(
-                topology=TopologySpec("undirected_grid", {"n": 3}),
-                placement=PlacementSpec("chi_corners"),
             )
-        ).pathset
-        cache.get_or_evolve(parent, ("d2",), lambda: None)
+            cache.get_or_evolve(
+                scenario.graph,
+                scenario.placement,
+                "CSP",
+                None,
+                None,
+                lambda: scenario.pathset,
+            )
+            assert cache.stats().evictions == n - 2
         stats = cache.stats()
-        assert stats.evictions == 1
         assert stats.size == 1
         assert "1 evictions" in str(stats)
 
@@ -358,12 +405,6 @@ class TestDeltaSpec:
         )
         again = DeltaSpec.from_json(delta.to_json())
         assert again == delta
-        assert again.fingerprint() == delta.fingerprint()
-
-    def test_fingerprint_is_order_insensitive_and_ignores_label(self):
-        a = DeltaSpec(remove_links=((1, 2), (3, 4)), label="x")
-        b = DeltaSpec(remove_links=((3, 4), (1, 2)), label="y")
-        assert a.fingerprint() == b.fingerprint()
 
     def test_validation(self):
         with pytest.raises(SpecError):
@@ -422,6 +463,20 @@ def _report_triple(scenario: Scenario):
     )
 
 
+def _round_trip(base: Scenario, delta: DeltaSpec) -> Scenario:
+    """``base`` evolved by ``delta`` and then by its inverse.  The pathset
+    cache is cleared before each step: a round trip that restores the
+    adjacency has the base's key, and a hit would hand back a cached entry
+    without running the patch."""
+    clear_pathset_cache()
+    evolved = base.evolve(delta)
+    evolved.pathset
+    clear_pathset_cache()
+    back = evolved.evolve(delta.inverse())
+    assert back.pathset is not base.pathset
+    return back
+
+
 class TestMetamorphicInverse:
     """apply(delta) then apply(inverse(delta)) ≡ original, at report level.
 
@@ -459,10 +514,7 @@ class TestMetamorphicInverse:
         assume(not delta.is_noop())
         baseline = _report_triple(grid_base)
         try:
-            evolved = grid_base.evolve(delta)
-            evolved.pathset
-            back = evolved.evolve(delta.inverse())
-            back.pathset
+            back = _round_trip(grid_base, delta)
         except EVOLVE_ERRORS:
             assume(False)
         assert _report_triple(back) == baseline
@@ -475,7 +527,7 @@ class TestMetamorphicInverse:
         list, so the path family may be a permutation of the original —
         reports must still match exactly."""
         delta = DeltaSpec(remove_links=(((1, 2), (2, 2)),))
-        back = grid_base.evolve(delta).evolve(delta.inverse())
+        back = _round_trip(grid_base, delta)
         assert sorted(back.pathset.paths) == sorted(grid_base.pathset.paths)
         assert _report_triple(back) == _report_triple(grid_base)
         _assert_bit_identical(back, "flap regression")
@@ -494,14 +546,15 @@ class TestMetamorphicInverse:
         delta = DeltaSpec(
             remove_links=(((1, 1), (2, 1)),), add_links=(((1, 1), (3, 3)),)
         )
+        clear_pathset_cache()
         evolved = base.evolve(delta)
         _assert_bit_identical(evolved, "CAP- evolve")
-        back = evolved.evolve(delta.inverse())
+        back = _round_trip(base, delta)
         assert _report_triple(back) == _report_triple(base)
 
     def test_regression_monitor_round_trip(self, grid_base):
         delta = DeltaSpec(add_inputs=((2, 2),), add_outputs=((2, 1),))
-        back = grid_base.evolve(delta).evolve(delta.inverse())
+        back = _round_trip(grid_base, delta)
         assert back.pathset.paths == grid_base.pathset.paths
         assert _report_triple(back) == _report_triple(grid_base)
 
@@ -580,6 +633,31 @@ class TestChurnRunner:
         monkeypatch.setattr(Scenario, "measurement", flaky)
         with pytest.raises(ExperimentError, match="churn step"):
             run_churn_sections(base_spec, deltas, verify=True)
+
+    def test_verify_rebuilds_with_the_cache_off(self, tmp_path, monkeypatch):
+        """A step whose patched path order is wrong must not pass by the
+        rebuild hitting the evolved entry in the pathset cache."""
+        from repro.routing.paths import PathSet
+
+        path = tmp_path / "churn.json"
+        path.write_text(json.dumps(self._churn_payload()))
+        base_spec, deltas = load_churn_file(str(path))
+        original = PathSet.apply_delta
+
+        def swapped(self, *args, **kwargs):
+            evolved = original(self, *args, **kwargs)
+            order = list(range(evolved.n_paths))
+            order[0], order[1] = order[1], order[0]
+            return evolved.restrict_to_paths(order)
+
+        monkeypatch.setattr(PathSet, "apply_delta", swapped)
+        try:
+            with pytest.raises(ExperimentError, match="churn step 1"):
+                run_churn_sections(base_spec, deltas, verify=True)
+        finally:
+            # The swapped path set sits in the cache under the real key of
+            # that state; no later test may be handed it.
+            clear_pathset_cache()
 
 
 class TestUniverseArgument:
