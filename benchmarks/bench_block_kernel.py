@@ -34,6 +34,7 @@ from conftest import run_once
 
 from repro.agrid.algorithm import agrid
 from repro.engine.columns import numpy_available
+from repro.engine.signatures import SignatureEngine
 from repro.routing.paths import enumerate_paths
 from repro.topology import zoo
 
@@ -70,7 +71,9 @@ def _certification_cell(pathset, kind: str) -> Dict[str, object]:
 
     result, block_seconds = _timed(engine, 3, residual)
     fallback, raw_seconds = _timed(
-        pathset.engine(compress=False, universe=kind), 3, residual
+        SignatureEngine.from_universe(pathset.universe(kind), compress=False),
+        3,
+        residual,
     )
 
     # Hard bit-parity with the raw engine: dataclass equality covers value,

@@ -93,7 +93,7 @@ def _raw_pipeline(graph, placement) -> Dict[str, object]:
 def _optimized_pipeline(graph, placement) -> Dict[str, object]:
     """The shipped pipeline: native DFS enumeration + compressed engine."""
     pathset = enumerate_paths(graph, placement)
-    engine = pathset.engine(compress=True)
+    engine = pathset.engine()
     cap = structural_upper_bound(graph, placement).combined + 1
     result = engine.identifiability(max_size=cap)
     return {
@@ -195,7 +195,7 @@ def _identity_suite(repeats: int = 5) -> Dict[str, object]:
         plan, _ = compress_universe(pathset.nodes, masks, pathset.n_paths)
         seconds = min(seconds, time.perf_counter() - start)
     raw = SignatureEngine.from_pathset(pathset, compress=False).identifiability()
-    compressed = SignatureEngine.from_pathset(pathset, compress=True).identifiability()
+    compressed = SignatureEngine.from_pathset(pathset).identifiability()
     return {
         "n_paths": pathset.n_paths,
         "is_identity": plan.is_identity,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import repro
 from repro import (
-    EngineConfig,
     PlacementSpec,
     Scenario,
     ScenarioSpec,
@@ -89,7 +88,6 @@ def demo_bounds_agrid_and_json() -> None:
         topology=TopologySpec("claranet"),
         placement=PlacementSpec("mdmp", {"d": 3}),
         seed=2018,
-        engine=EngineConfig(compress=True),
     )
     scenario = Scenario(spec)
     bounds = scenario.bounds()

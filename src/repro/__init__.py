@@ -73,10 +73,7 @@ from repro.api.spec import (
     UniverseSpec,
 )
 from repro.failures import FailureUniverse
-from repro.engine import (
-    SignatureEngine,
-    cached_enumerate_paths,
-)
+from repro.engine import SignatureEngine
 from repro.core import (
     is_k_identifiable,
     maximal_identifiability,
@@ -125,7 +122,6 @@ __all__ = [
     "verify",
     # signature engine
     "SignatureEngine",
-    "cached_enumerate_paths",
     # routing
     "PathSet",
     "RoutingMechanism",

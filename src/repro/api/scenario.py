@@ -191,20 +191,9 @@ class Scenario:
         )
         if not self.spec.engine.cache:
             return enumerate_paths(*args) if patch is None else patch(*args)
-        self._apply_cache_maxsize()
         if patch is None:
             return pathset_cache().get_or_enumerate(*args)
         return pathset_cache().get_or_evolve(*args, lambda: patch(*args))
-
-    def _apply_cache_maxsize(self) -> None:
-        """Push the spec's ``engine.cache_maxsize`` (if any) into the
-        process-wide pathset cache before using it.  The bound is global by
-        design — it tunes the shared cache, not a per-scenario one."""
-        maxsize = self.spec.engine.cache_maxsize
-        if maxsize is not None:
-            from repro.engine.cache import pathset_cache
-
-            pathset_cache().resize(maxsize)
 
     @property
     def universe(self):
@@ -228,12 +217,8 @@ class Scenario:
     @property
     def engine(self):
         """The :class:`~repro.engine.signatures.SignatureEngine` over this
-        scenario's failure universe, built with the spec-scoped engine
-        config."""
-        config = self.spec.engine
-        return self.pathset.engine(
-            compress=config.compress, universe=self.universe
-        )
+        scenario's failure universe."""
+        return self.pathset.engine(universe=self.universe)
 
     # -- evolution -----------------------------------------------------------
     def evolve(self, delta) -> "Scenario":
@@ -379,13 +364,11 @@ class Scenario:
             )
             bound_value = bound.combined
             cap = bound.combined + 1
-        config = self.spec.engine
         result = maximal_identifiability_detailed(
             self.pathset,
             max_size=cap,
-            compress=config.compress,
             universe=None if node_mode else universe,
-            budget=config.budget(),
+            budget=self.spec.engine.budget(),
         )
         return result, bound_value
 
@@ -435,14 +418,12 @@ class Scenario:
 
         if alpha is None:
             alpha = default_truncation_level(self.graph)
-        config = self.spec.engine
         universe = self.universe
         result = truncated_identifiability_detailed(
             self.pathset,
             alpha,
-            compress=config.compress,
             universe=None if universe.kind == "node" else universe,
-            budget=config.budget(),
+            budget=self.spec.engine.budget(),
         )
         return TruncatedMuReport(
             value=result.value,
@@ -679,10 +660,7 @@ class Scenario:
 
     def describe(self) -> str:
         """One-line human-readable summary."""
-        return (
-            f"Scenario({self.spec.display_name()}"
-            f"{'' if self.spec.engine.compress else ', raw'}, seed={self.spec.seed!r})"
-        )
+        return f"Scenario({self.spec.display_name()}, seed={self.spec.seed!r})"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()

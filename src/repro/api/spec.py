@@ -18,7 +18,7 @@ Schema (version 2)::
       "routing":   {"mechanism": "CSP", "cutoff": null, "max_paths": null},
       "failures":  {"model": "uniform", "size": 1, "n_trials": 10,
                     "universe": {"kind": "node", "groups": {}}},
-      "engine":    {"compress": true, "cache": true},
+      "engine":    {"cache": true},
       "seed": 2018,                                  # int, string or null
       "analyses": [{"analysis": "mu", "params": {}}]
     }
@@ -31,7 +31,7 @@ groups; node labels use the literal-spec codec, so tuple labels are lists).
 Version-1 documents parse unchanged and auto-upgrade to node mode — a v1
 spec and its v2 upgrade build bit-identical scenarios.
 
-The engine axes (``compress``, ``cache``, the budgets) are
+The engine axes (``cache`` and the budgets) are
 **spec-scoped**: the engine has no process-global policy to read, so
 scenarios with different engine configs coexist in one process.
 """
@@ -89,18 +89,27 @@ def _expect_mapping(payload: Any, kind: str) -> Dict[str, Any]:
 #: Engine keys of earlier v2 documents that no longer select anything; they
 #: parse and are dropped.
 _RETIRED_ENGINE_FIELDS = frozenset(
-    {"search_jobs", "kernel", "block_size", "backend"}
+    {
+        "search_jobs",
+        "kernel",
+        "block_size",
+        "backend",
+        "compress",
+        "cache_maxsize",
+    }
 )
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Spec-scoped engine policy: whether to compress the signature
-    universe, whether to use the pathset cache, and the search budgets.
+    """Spec-scoped engine policy: whether to use the pathset cache, and the
+    search budgets.
 
-    Defaults match the library defaults (compression on, cache on,
-    unbounded): a default-constructed config computes exactly what
-    ``compress=None, budget=None`` computes at the pathset level.
+    Defaults match the library defaults (cache on, unbounded): a
+    default-constructed config computes exactly what ``budget=None``
+    computes at the pathset level.  The signature universe is always
+    compressed (see :mod:`repro.engine.compress`): duplicate path columns
+    cannot change any reported value, so there is nothing to choose.
 
     ``time_budget`` (wall-clock seconds) and ``subset_budget`` bound each
     search cooperatively.  ``subset_budget`` counts search-tree nodes for µ
@@ -112,29 +121,20 @@ class EngineConfig:
     additive too — v1/v2 documents without them parse unchanged and mean
     "unbounded".
 
-    ``cache_maxsize`` tunes the LRU bound of the process-wide
-    :class:`~repro.engine.cache.PathSetCache` a cached scenario enumerates
-    through (``None`` — the default and the meaning of documents without the
-    field — keeps the current bound).  Like the cache itself the bound is
-    process-global: a scenario carrying the knob *resizes* the shared cache
-    on first use, which is how a service working set (``repro-serve
-    --cache-size``) escapes the historical hard-coded 128 entries.  Additive
-    in schema v2, execution-only (never changes any reported value).
-
-    The retired knobs ``search_jobs``, ``kernel``, ``block_size`` and
-    ``backend`` are still accepted by :meth:`from_dict` so existing v2
-    documents parse, and discarded: no value of them ever changed a reported
-    result.
+    The retired knobs ``search_jobs``, ``kernel``, ``block_size``,
+    ``backend``, ``compress`` and ``cache_maxsize`` are still accepted by
+    :meth:`from_dict` so existing v2 documents parse, and discarded: none
+    of them ever changed a reported result.  The capacity of the shared
+    pathset cache is a process setting
+    (:meth:`~repro.engine.cache.PathSetCache.resize`, ``repro-serve
+    --cache-size``), not something a spec can reach.
     """
 
-    compress: bool = True
     cache: bool = True
     time_budget: Optional[float] = None
     subset_budget: Optional[int] = None
-    cache_maxsize: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "compress", bool(self.compress))
         object.__setattr__(self, "cache", bool(self.cache))
         if self.time_budget is not None:
             if (
@@ -156,15 +156,6 @@ class EngineConfig:
                 f"engine subset_budget must be a positive int or null, "
                 f"got {self.subset_budget!r}"
             )
-        if self.cache_maxsize is not None and (
-            isinstance(self.cache_maxsize, bool)
-            or not isinstance(self.cache_maxsize, int)
-            or self.cache_maxsize < 1
-        ):
-            raise SpecError(
-                f"engine cache_maxsize must be an int >= 1 or null, "
-                f"got {self.cache_maxsize!r}"
-            )
 
     def budget(self) -> Optional[Budget]:
         """A fresh per-search :class:`~repro.resilience.Budget` from this
@@ -177,31 +168,25 @@ class EngineConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "compress": self.compress,
             "cache": self.cache,
             "time_budget": self.time_budget,
             "subset_budget": self.subset_budget,
-            "cache_maxsize": self.cache_maxsize,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "EngineConfig":
         data = _expect_mapping(payload, "engine config")
         unknown = set(data) - _RETIRED_ENGINE_FIELDS - {
-            "compress",
             "cache",
             "time_budget",
             "subset_budget",
-            "cache_maxsize",
         }
         if unknown:
             raise SpecError(f"unknown engine config fields {sorted(unknown)}")
         return cls(
-            compress=data.get("compress", True),
             cache=data.get("cache", True),
             time_budget=data.get("time_budget"),
             subset_budget=data.get("subset_budget"),
-            cache_maxsize=data.get("cache_maxsize"),
         )
 
 

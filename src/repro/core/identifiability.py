@@ -90,7 +90,6 @@ def maximal_identifiability_detailed(
     max_size: Optional[int] = None,
     nodes: Optional[Iterable[Node]] = None,
     *,
-    compress: Optional[bool] = None,
     universe: UniverseLike = None,
     budget: Optional["Budget"] = None,
 ) -> IdentifiabilityResult:
@@ -107,10 +106,6 @@ def maximal_identifiability_detailed(
     nodes:
         Restrict the universe to these elements (defaults to the whole
         universe).  Used by the local-identifiability and what-if analyses.
-    compress:
-        Signature-universe compression (see :mod:`repro.engine.compress`);
-        ``None`` means ``True``.  The computed result is identical either
-        way.
     universe:
         The failure universe µ ranges over: ``None``/``"node"`` (the paper's
         node measure, bit-identical to the historical behaviour), ``"link"``,
@@ -140,7 +135,7 @@ def maximal_identifiability_detailed(
             return IdentifiabilityResult(
                 value=0, witness=witness, searched_up_to=1, exhausted_search=False
             )
-    return pathset.engine(compress=compress, universe=resolved).identifiability(
+    return pathset.engine(universe=resolved).identifiability(
         max_size=max_size, nodes=nodes, budget=budget
     )
 
@@ -150,15 +145,13 @@ def maximal_identifiability(
     max_size: Optional[int] = None,
     nodes: Optional[Iterable[Node]] = None,
     *,
-    compress: Optional[bool] = None,
     universe: UniverseLike = None,
     budget: Optional["Budget"] = None,
 ) -> int:
     """µ of the failure universe with respect to ``pathset`` (Definition 2.2,
     generalised from nodes to arbitrary failure elements)."""
     return maximal_identifiability_detailed(
-        pathset, max_size, nodes,
-        compress=compress, universe=universe, budget=budget,
+        pathset, max_size, nodes, universe=universe, budget=budget
     ).value
 
 
@@ -201,7 +194,6 @@ def separability_matrix(
     pathset: PathSet,
     size: int,
     *,
-    compress: Optional[bool] = None,
     universe: UniverseLike = None,
     budget: Optional[Budget] = None,
 ) -> Dict[Tuple[FrozenSet[Node], FrozenSet[Node]], bool]:
@@ -216,6 +208,6 @@ def separability_matrix(
     A census has no sound partial result, so an expired ``budget`` raises
     :class:`~repro.exceptions.BudgetExceededError` instead of truncating.
     """
-    return pathset.engine(compress=compress, universe=universe).separability_matrix(
+    return pathset.engine(universe=universe).separability_matrix(
         size, budget=budget
     )

@@ -67,7 +67,6 @@ def is_locally_k_identifiable(
     scope: Iterable[Node],
     k: int,
     *,
-    compress: Optional[bool] = None,
     universe: UniverseLike = None,
 ) -> bool:
     """Local k-identifiability w.r.t. the scope ``S``.
@@ -78,9 +77,7 @@ def is_locally_k_identifiable(
     """
     if _require_int("k", k) < 0:
         raise IdentifiabilityError(f"k must be >= 0, got {k}")
-    engine = pathset.engine(
-        compress=compress, universe=resolve_universe(pathset, universe)
-    )
+    engine = pathset.engine(universe=resolve_universe(pathset, universe))
     return engine.local_identifiability(scope, k) >= k
 
 
@@ -89,7 +86,6 @@ def local_maximal_identifiability(
     scope: Iterable[Node],
     max_size: Optional[int] = None,
     *,
-    compress: Optional[bool] = None,
     universe: UniverseLike = None,
 ) -> int:
     """The largest k such that the universe is locally k-identifiable w.r.t. S.
@@ -98,9 +94,7 @@ def local_maximal_identifiability(
     the global measure, local identifiability can legitimately reach the size
     of the universe when ``S`` is a single well-covered element.
     """
-    engine = pathset.engine(
-        compress=compress, universe=resolve_universe(pathset, universe)
-    )
+    engine = pathset.engine(universe=resolve_universe(pathset, universe))
     return engine.local_identifiability(scope, max_size)
 
 
@@ -108,7 +102,6 @@ def local_identifiability_per_node(
     pathset: PathSet,
     max_size: int = 3,
     *,
-    compress: Optional[bool] = None,
     universe: UniverseLike = None,
 ) -> Dict[Node, int]:
     """Local maximal identifiability of every singleton scope ``S = {v}``.
@@ -117,9 +110,7 @@ def local_identifiability_per_node(
     DLP node reaches the cap, while an element sharing all its paths with a
     neighbour stays at 0.  ``max_size`` caps the per-element searches.
     """
-    engine = pathset.engine(
-        compress=compress, universe=resolve_universe(pathset, universe)
-    )
+    engine = pathset.engine(universe=resolve_universe(pathset, universe))
     return {
         element: engine.local_identifiability({element}, max_size)
         for element in engine.elements

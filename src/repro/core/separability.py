@@ -150,7 +150,7 @@ def _simple_paths_or_single(
 def inseparable_pairs_of_size(
     pathset: PathSet,
     size: int,
-    compress: Optional[bool] = None,
+    *,
     universe: UniverseLike = None,
     budget: Optional[Budget] = None,
 ) -> Tuple[Tuple[FrozenSet[Node], FrozenSet[Node]], ...]:
@@ -164,6 +164,6 @@ def inseparable_pairs_of_size(
     An expired ``budget`` raises
     :class:`~repro.exceptions.BudgetExceededError` (no partial census).
     """
-    return pathset.engine(compress=compress, universe=universe).inseparable_pairs(
+    return pathset.engine(universe=universe).inseparable_pairs(
         size, budget=budget
     )

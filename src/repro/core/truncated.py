@@ -35,7 +35,6 @@ def truncated_identifiability_detailed(
     pathset: PathSet,
     alpha: int,
     *,
-    compress: Optional[bool] = None,
     universe: UniverseLike = None,
     budget: Optional[Budget] = None,
 ) -> IdentifiabilityResult:
@@ -51,8 +50,7 @@ def truncated_identifiability_detailed(
     if _require_int("alpha", alpha) < 1:
         raise IdentifiabilityError(f"alpha must be >= 1, got {alpha}")
     return maximal_identifiability_detailed(
-        pathset, max_size=alpha, compress=compress,
-        universe=universe, budget=budget,
+        pathset, max_size=alpha, universe=universe, budget=budget
     )
 
 
@@ -60,7 +58,6 @@ def truncated_identifiability(
     pathset: PathSet,
     alpha: int,
     *,
-    compress: Optional[bool] = None,
     universe: UniverseLike = None,
     budget: Optional[Budget] = None,
 ) -> int:
@@ -71,7 +68,7 @@ def truncated_identifiability(
     values).
     """
     return truncated_identifiability_detailed(
-        pathset, alpha, compress=compress, universe=universe, budget=budget
+        pathset, alpha, universe=universe, budget=budget
     ).value
 
 

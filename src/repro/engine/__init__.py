@@ -21,8 +21,9 @@ the experiment drivers (:mod:`repro.experiments`):
   all-zero columns) before the rows are interned, shrinking the mask
   width every query pays for; results are bit-identical and the
   :class:`CompressionPlan` expands measurement vectors back to original path
-  indices.  On by default; ``compress=False`` (or
-  ``EngineConfig(compress=False)``) builds a raw engine.
+  indices.  Every engine above this package is compressed; only the
+  :class:`SignatureEngine` constructors still build the raw reference
+  engine the parity tests compare against.
 * :mod:`repro.engine.cache` memoises enumerated path sets (and thereby the
   engines built on them) under their enumeration inputs, so experiment
   tables stop re-enumerating identical ``(graph, placement, mechanism)``
@@ -33,9 +34,9 @@ Engine settings
 
 Settings are arguments, never ambient state: a :class:`repro.Scenario`
 carries them in its spec's :class:`~repro.api.spec.EngineConfig`, and the
-pathset-level functions take ``compress=`` and ``budget=``::
+pathset-level functions take ``universe=`` and ``budget=``::
 
-    engine = pathset.engine(compress=False)   # this engine only
+    engine = pathset.engine(universe="link")  # this path set's link engine
 
 numpy is optional: nothing in the library requires it, and every result is
 the same with and without it.
@@ -54,7 +55,6 @@ from repro.engine.cache import (
     CacheStats,
     PathSetCache,
     cache_stats,
-    cached_enumerate_paths,
     clear_pathset_cache,
     graph_fingerprint,
     normalize_limits,
@@ -91,7 +91,6 @@ __all__ = [
     # cache
     "PathSetCache",
     "CacheStats",
-    "cached_enumerate_paths",
     "cache_stats",
     "clear_pathset_cache",
     "normalize_limits",

@@ -20,17 +20,17 @@ reach one adjacency share one entry.
 Because the cached object is the same :class:`PathSet` instance, the
 signature engines memoised on it (:meth:`PathSet.engine`) are reused too: a
 cache hit skips the path enumeration, the signature interning *and* the
-duplicate-column compression.  Neither the compression flag nor the failure
-universe belongs in the enumeration key — they are engine-level axes, keyed
-on the :class:`PathSet` itself (engines and their compression plans are
-memoised per universe *fingerprint* and compression flag) — so one cache
-entry serves every (universe, compression) combination: a node-mode and a link-mode measurement of the same
-``(graph, placement, mechanism)`` triple enumerate paths exactly once.
+duplicate-column compression.  The failure universe does not belong in the
+enumeration key — it is an engine-level axis, keyed on the :class:`PathSet`
+itself (engines and their compression plans are memoised per universe
+*fingerprint*) — so one cache entry serves every universe: a node-mode and a
+link-mode measurement of the same ``(graph, placement, mechanism)`` triple
+enumerate paths exactly once.
 
-The module-level :func:`cached_enumerate_paths` is the drop-in replacement
-for :func:`~repro.routing.paths.enumerate_paths` used by the experiment
-drivers; :func:`cache_stats` / :func:`clear_pathset_cache` expose the global
-cache to the CLI and to tests.
+:func:`pathset_cache` is the process-wide instance a cached
+:class:`~repro.api.scenario.Scenario` enumerates through;
+:func:`cache_stats` / :func:`clear_pathset_cache` expose it to the CLI and
+to tests.
 """
 
 from __future__ import annotations
@@ -113,9 +113,8 @@ def normalize_limits(
 
 
 #: Default LRU bound of a :class:`PathSetCache` (the historical hard-coded
-#: value; tune per process via :meth:`PathSetCache.resize`, per spec via
-#: ``EngineConfig.cache_maxsize``, or per service via ``repro-serve
-#: --cache-size``).
+#: value; tune per process via :meth:`PathSetCache.resize`, or per service
+#: via ``repro-serve --cache-size``).
 DEFAULT_CACHE_MAXSIZE = 128
 
 
@@ -221,10 +220,9 @@ class PathSetCache:
     def resize(self, maxsize: int) -> None:
         """Change the LRU bound, evicting oldest entries down to it.
 
-        How ``EngineConfig.cache_maxsize`` and the service ``--cache-size``
-        knob reach the process cache: the bound was hard-coded at
-        :data:`DEFAULT_CACHE_MAXSIZE` before, which a long-lived server's
-        working set cannot live with.
+        How the service ``--cache-size`` knob reaches the process cache: the
+        bound was hard-coded at :data:`DEFAULT_CACHE_MAXSIZE` before, which a
+        long-lived server's working set cannot live with.
         """
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
@@ -274,29 +272,13 @@ class PathSetCache:
             return len(self._entries)
 
 
-#: The process-wide cache used by the experiment drivers.
+#: The process-wide cache every cached scenario enumerates through.
 _GLOBAL_CACHE = PathSetCache()
 
 
 def pathset_cache() -> PathSetCache:
     """The global :class:`PathSetCache` instance."""
     return _GLOBAL_CACHE
-
-
-def cached_enumerate_paths(
-    graph: AnyGraph,
-    placement: MonitorPlacement,
-    mechanism: RoutingMechanism | str = RoutingMechanism.CSP,
-    cutoff: Optional[int] = DEFAULT_CUTOFF,
-    max_paths: Optional[int] = DEFAULT_MAX_PATHS,
-) -> PathSet:
-    """Drop-in cached variant of :func:`repro.routing.paths.enumerate_paths`.
-
-    Both limits accept ``None`` for "the default"; they are normalised by
-    :func:`normalize_limits` before keying, so explicit-default and
-    omitted-default requests share one cache entry.
-    """
-    return _GLOBAL_CACHE.get_or_enumerate(graph, placement, mechanism, cutoff, max_paths)
 
 
 def cache_stats() -> CacheStats:

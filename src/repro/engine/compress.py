@@ -59,11 +59,11 @@ added columns by touch key (one pass over the plan's members, not the
 incidence), and the engine translates clean rows by one class-remap gather;
 see :meth:`repro.engine.signatures.SignatureEngine.from_delta`.
 
-Compression is on by default: ``compress=None`` means ``True`` in
-:meth:`repro.routing.paths.PathSet.engine` and
-:class:`~repro.engine.signatures.SignatureEngine`.  The raw behaviour is
-chosen per engine — ``compress=False`` or ``EngineConfig(compress=False)``,
-which is what the CLI runner's ``--no-compress`` builds.
+Compression is not an option: :meth:`repro.routing.paths.PathSet.engine`,
+and so every layer above the engine, always compresses.  Only the
+:class:`~repro.engine.signatures.SignatureEngine` constructors can still
+skip it, to build the raw reference engine that the parity tests and
+benchmarks compare against.
 """
 
 from __future__ import annotations

@@ -503,7 +503,7 @@ class IdentifiabilityResult:
         :class:`SearchStats` diagnostics for the search that produced this
         result.  Excluded from equality/repr: two results are the same
         finding even when the work that produced them differed (e.g. a
-        different compression setting or a memo hit).
+        raw reference engine or a memo hit).
     """
 
     value: int
@@ -533,11 +533,12 @@ class SignatureEngine:
         shrinks.
     compress:
         Collapse duplicate path columns into a compressed universe (see
-        :mod:`repro.engine.compress` for the soundness argument).  ``None``
-        (the default) means ``True``.
-        Every result — µ, witnesses, ``searched_up_to``, separability
-        tables, measurement vectors — is bit-identical either way; only the
-        per-union cost changes.
+        :mod:`repro.engine.compress` for the soundness argument).  Every
+        result — µ, witnesses, ``searched_up_to``, separability tables,
+        measurement vectors — is bit-identical either way; only the
+        per-union cost changes.  ``False`` builds the uncompressed
+        reference engine the parity tests and benchmarks compare against;
+        nothing else in the library asks for it.
     """
 
     def __init__(
@@ -546,12 +547,10 @@ class SignatureEngine:
         node_masks: Mapping[Node, int],
         n_paths: int,
         *,
-        compress: Optional[bool] = None,
+        compress: bool = True,
     ) -> None:
         self.nodes: Tuple[Node, ...] = tuple(nodes)
         self.n_paths = n_paths
-        if compress is None:
-            compress = True
         plan: Optional[CompressionPlan] = None
         #: Each internal column's coverers (ascending element positions),
         #: when a churn patch computed them; see :meth:`_search_columns`.
@@ -588,22 +587,18 @@ class SignatureEngine:
         return self.nodes
 
     @classmethod
-    def from_pathset(
-        cls, pathset, *, compress: Optional[bool] = None
-    ) -> "SignatureEngine":
+    def from_pathset(cls, pathset, *, compress: bool = True) -> "SignatureEngine":
         """Build an engine over a :class:`~repro.routing.paths.PathSet`'s
         node universe.
 
         Prefer :meth:`PathSet.engine() <repro.routing.paths.PathSet.engine>`,
-        which memoises the engine per (universe, compression).
+        which memoises the compressed engine per universe.
         """
         masks = {node: pathset.paths_through(node) for node in pathset.nodes}
         return cls(pathset.nodes, masks, pathset.n_paths, compress=compress)
 
     @classmethod
-    def from_universe(
-        cls, universe, *, compress: Optional[bool] = None
-    ) -> "SignatureEngine":
+    def from_universe(cls, universe, *, compress: bool = True) -> "SignatureEngine":
         """Build an engine over a :class:`~repro.failures.FailureUniverse`.
 
         Prefer :meth:`PathSet.engine(universe=...)
@@ -650,14 +645,14 @@ class SignatureEngine:
         n_paths)``: same plan, same rows.
 
         Raises :class:`~repro.exceptions.IdentifiabilityError` when the
-        incremental route is unavailable (parent uncompressed, un-patchable
-        plan or identity patch result); callers fall back to the full
-        constructor.
+        incremental route is unavailable (an identity parent plan, an
+        un-patchable plan or an identity patch result); callers fall back to
+        the full constructor.
         """
         parent_plan = parent.compression
         if parent_plan is None:
             raise IdentifiabilityError(
-                "parent engine is uncompressed; build the engine fresh"
+                "parent plan is the identity; build the engine fresh"
             )
         plan, class_remap, lost = parent_plan.patch(
             survivors, added, n_paths, element_remap=element_remap

@@ -22,9 +22,8 @@ serial run of the same specs — the scheduling only changes wall-clock time.
 The table drivers package each trial as a pickled
 :class:`repro.api.spec.ScenarioSpec` (plus at most a couple of scalar
 arguments): seed, topology source, placement strategy, mechanism **and
-engine config** all travel inside the spec, so ``--no-compress`` and
-``--time-budget`` reach the workers with no process-global state to
-propagate.
+engine config** all travel inside the spec, so ``--time-budget`` reaches
+the workers with no process-global state to propagate.
 """
 
 from __future__ import annotations

@@ -262,11 +262,11 @@ def run_spec_sections(
     ``trials`` overrides every spec's failure-campaign trial count; ``seed``
     is applied (offset by the scenario's position, so repeated specs stay
     decorrelated) to specs that do not pin their own seed; ``engine``
-    replaces every spec's engine config (how the CLI ``--no-compress`` /
-    ``--time-budget`` flags reach a spec batch — an explicit flag wins over
-    the file).  Scenarios are fanned out over ``jobs`` worker processes —
-    one pickled :class:`~repro.api.spec.ScenarioSpec` per trial — under the
-    execution ``policy`` (default: ``ExecutionPolicy()``).
+    replaces every spec's engine config (how the CLI ``--time-budget`` flag
+    reaches a spec batch — an explicit flag wins over the file).  Scenarios
+    are fanned out over ``jobs`` worker processes — one pickled
+    :class:`~repro.api.spec.ScenarioSpec` per trial — under the execution
+    ``policy`` (default: ``ExecutionPolicy()``).
     """
     prepared: List[ScenarioSpec] = []
     for index, spec in enumerate(specs):
@@ -715,13 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(schema v2)",
     )
     parser.add_argument(
-        "--no-compress",
-        action="store_true",
-        help="disable signature-universe compression (duplicate path columns "
-        "are collapsed by default; every reported value is identical either "
-        "way, only the µ-computation speed changes)",
-    )
-    parser.add_argument(
         "--cache-stats",
         action="store_true",
         help="print the pathset-cache hit/miss/eviction counters (worker "
@@ -856,19 +849,16 @@ def _validate_arguments(parser: argparse.ArgumentParser, args) -> None:
 def _engine_config(args) -> Optional[EngineConfig]:
     """The engine config the flags ask for, or ``None`` when no engine flag
     is given (each spec then keeps its own config)."""
-    if not args.no_compress and args.time_budget is None:
+    if args.time_budget is None:
         return None
-    return EngineConfig(
-        compress=not args.no_compress,
-        time_budget=args.time_budget,
-    )
+    return EngineConfig(time_budget=args.time_budget)
 
 
 def main(argv: List[str] | None = None) -> int:
     """Console-script entry point.
 
-    The ``--no-compress`` and ``--time-budget`` flags build
-    one :class:`~repro.api.spec.EngineConfig` and the resilience flags one
+    The ``--time-budget`` flag builds one
+    :class:`~repro.api.spec.EngineConfig` and the resilience flags one
     :class:`~repro.resilience.pool.ExecutionPolicy`; both are passed down
     explicitly (the config inside every trial's spec), so invoking ``main``
     as a library function changes no process-global engine state.

@@ -17,7 +17,7 @@ The tree is the same with and without compression, so with only
 a ``subset_budget`` the truncation point is a pure function of the search
 and therefore deterministic, which is what the budget-law tests rely on.
 
-The limits travel explicitly, like the compression flag: an
+The limits travel explicitly: an
 :class:`~repro.api.spec.EngineConfig` carries ``time_budget`` /
 ``subset_budget`` (the runner's ``--time-budget`` builds one), every spec
 sent to a pool worker carries its config, and :meth:`EngineConfig.budget`

@@ -40,10 +40,10 @@ paths through an added link, the DFS that finds them.
 All heavy
 identifiability queries go through the
 :class:`~repro.engine.signatures.SignatureEngine` exposed by
-:meth:`PathSet.engine`, which interns the masks of one
+:meth:`PathSet.engine`, which compresses and interns the masks of one
 :class:`~repro.failures.FailureUniverse` (nodes by default; links and
-shared-risk link groups via :meth:`PathSet.universe`) once per compression
-setting and shares them across the core, tomography and experiment layers.
+shared-risk link groups via :meth:`PathSet.universe`) once and shares them
+across the core, tomography and experiment layers.
 
 Enumeration per mechanism
 -------------------------
@@ -432,21 +432,21 @@ class PathSet:
     def engine(
         self,
         *,
-        compress: Optional[bool] = None,
         universe: Optional[FailureUniverse | str] = None,
     ) -> "SignatureEngine":
-        """The :class:`~repro.engine.signatures.SignatureEngine` over one of
-        this path set's failure universes (node masks by default).
+        """The compressed
+        :class:`~repro.engine.signatures.SignatureEngine` over one of this
+        path set's failure universes (node masks by default).
 
-        Engines are memoised per (universe fingerprint, compression flag),
-        so every consumer of the same :class:`PathSet` — the
-        identifiability core, the tomography layer, the experiment drivers
-        — shares one interned signature store per universe.  ``compress``
-        switches the duplicate-column collapse for this engine; ``None``
-        means ``True``.  ``universe`` is ``None``
+        Engines are memoised per universe fingerprint, so every consumer of
+        the same :class:`PathSet` — the identifiability core, the
+        tomography layer, the experiment drivers — shares one interned
+        signature store per universe.  ``universe`` is ``None``
         (node mode), a kind name (``"node"``/``"link"``), or a
         :class:`~repro.failures.FailureUniverse` built over this path set
-        (the only way to reach SRLG mode, which needs its groups).
+        (the only way to reach SRLG mode, which needs its groups).  Only
+        the :class:`~repro.engine.signatures.SignatureEngine` constructors
+        still build the uncompressed reference engine.
         """
         # Imported lazily: the engine layer sits above routing.
         from repro.engine.signatures import SignatureEngine
@@ -458,29 +458,23 @@ class PathSet:
             # compute over foreign masks AND poison the fingerprint-keyed
             # memo below for every later caller — refuse it outright.
             universe.check_built_over(self)
-        compress = True if compress is None else bool(compress)
         elements, masks = universe.elements, universe.masks
         if universe.owner is not self:
             # A hand-built (owner-less) universe passed the width check, but
             # its fingerprint says nothing about its content — memoising it
             # would poison the cache for the canonical universe of the same
             # kind.  Build an un-memoised engine instead.
-            return SignatureEngine(
-                elements, masks, len(self.paths), compress=compress
-            )
-        key = (universe.fingerprint, compress)
-        cached = self._engines.get(key)
+            return SignatureEngine(elements, masks, len(self.paths))
+        cached = self._engines.get(universe.fingerprint)
         if cached is None:
             # An evolved path set first tries to patch its parent's engine
-            # for the same (universe, compression) — re-interning only the
-            # rows the delta dirtied — and falls back to a full build when
-            # the parent has no matching engine to patch.
-            cached = self._engine_from_evolution(universe, compress)
+            # for the same universe — re-interning only the rows the delta
+            # dirtied — and falls back to a full build when the parent has
+            # no matching engine to patch.
+            cached = self._engine_from_evolution(universe)
             if cached is None:
-                cached = SignatureEngine(
-                    elements, masks, len(self.paths), compress=compress
-                )
-            self._engines[key] = cached
+                cached = SignatureEngine(elements, masks, len(self.paths))
+            self._engines[universe.fingerprint] = cached
         return cached
 
     # -- delta/evolution plumbing -------------------------------------------
@@ -491,24 +485,23 @@ class PathSet:
         return getattr(self, "_evolution", None)
 
     def _engine_from_evolution(
-        self, universe: FailureUniverse, compress: bool
+        self, universe: FailureUniverse
     ) -> Optional["SignatureEngine"]:
         """Patch the parent's engine for ``universe`` instead of building one.
 
         Returns ``None`` whenever the incremental route is unavailable — no
-        evolution record, compression off, no matching parent engine, or a
-        patched plan that degenerates — so :meth:`engine` can fall back to
-        the full construction.  When it succeeds, the result is structurally
+        evolution record, no matching parent engine, a parent plan that is
+        the identity, or a patched plan that degenerates — so
+        :meth:`engine` can fall back to the full construction.  When it succeeds, the result is structurally
         identical to a fresh :class:`SignatureEngine` (same plan, same
         rows): only rows whose elements the delta dirtied are re-interned
         from their masks, every other row is translated from the parent's
         row by a class-index remap.
         """
         evolution = self.evolution
-        if evolution is None or not compress:
+        if evolution is None:
             return None
-        parent = evolution.parent
-        parent_engine = parent._engines.get((universe.fingerprint, compress))
+        parent_engine = evolution.parent._engines.get(universe.fingerprint)
         if parent_engine is None or parent_engine.compression is None:
             return None
         added = self._added_touch_keys(evolution, universe)

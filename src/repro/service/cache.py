@@ -9,17 +9,18 @@ on top of the same compiled artifacts, so the service caches exactly those:
 compile-relevant spec subset (topology, placement, routing, seed).
 
 A hit hands every request its *own* :class:`~repro.api.scenario.Scenario`
-that adopts the shared artifacts — per-request engine config (budgets,
-compression) and per-request memoisation (``_mu_report``) never leak
+that adopts the shared artifacts — per-request engine config (budgets, the
+cache switch) and per-request memoisation (``_mu_report``) never leak
 between clients, while the :class:`~repro.routing.paths.PathSet` instance is
-shared, so the signature engines memoised on it (per universe fingerprint
-and compression flag) are reused across requests too.
+shared, so the signature engines memoised on it (per universe fingerprint)
+are reused across requests too.  No request reaches the capacity of the
+shared caches: that is the server's ``--cache-size``.
 
 This wraps, rather than replaces, the per-process caches underneath: the
 global :class:`~repro.engine.cache.PathSetCache` still deduplicates path
 sets by *content* (two different specs producing the same graph+placement
-share one path set), and evolve chains still hit its
-``(parent, delta)``-keyed entries.  The scenario cache adds the by-*spec*
+share one path set), and evolved path sets are filed under the same
+post-delta enumeration key.  The scenario cache adds the by-*spec*
 layer on top so a repeat request skips even the graph/placement rebuild.
 """
 

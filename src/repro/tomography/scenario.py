@@ -97,7 +97,7 @@ class TomographySession:
         mechanism: RoutingMechanism | str = RoutingMechanism.CSP,
         cutoff: Optional[int] = None,
         max_paths: Optional[int] = None,
-        compress: Optional[bool] = None,
+        *,
         pathset: Optional[PathSet] = None,
         universe: Optional["FailureUniverse | str"] = None,
     ) -> None:
@@ -116,9 +116,7 @@ class TomographySession:
         self.universe: FailureUniverse = resolve_universe(pathset, universe)
         #: The shared signature engine; every identifiability and measurement
         #: query of the session runs on these signatures.
-        self.engine: SignatureEngine = self.pathset.engine(
-            compress=compress, universe=self.universe
-        )
+        self.engine: SignatureEngine = self.pathset.engine(universe=self.universe)
         #: ``(observations, union signature)`` of the last :meth:`measure`.
         self._measured: Optional[Tuple[MeasurementVector, int]] = None
 
@@ -126,16 +124,14 @@ class TomographySession:
     def from_scenario(cls, scenario: "Scenario") -> "TomographySession":
         """A session over a :class:`repro.api.scenario.Scenario`'s pipeline.
 
-        Reuses the scenario's already-enumerated path set, its spec-scoped
-        engine configuration and its failure universe, so the session shares
-        the interned signatures instead of re-enumerating.
+        Reuses the scenario's already-enumerated path set and its failure
+        universe, so the session shares the interned signatures instead of
+        re-enumerating.
         """
-        config = scenario.spec.engine
         return cls(
             scenario.graph,
             scenario.placement,
             scenario.mechanism,
-            compress=config.compress,
             pathset=scenario.pathset,
             universe=scenario.universe,
         )

@@ -71,10 +71,7 @@ def _random_spec(rng: random.Random, mechanism: str) -> ScenarioSpec:
         topology=topology,
         placement=placement,
         routing=RoutingSpec(mechanism=mechanism),
-        engine=EngineConfig(
-            compress=rng.random() < 0.5,
-            cache=rng.random() < 0.5,
-        ),
+        engine=EngineConfig(cache=rng.random() < 0.5),
         seed=rng.randrange(2**32),
     )
 
@@ -409,12 +406,7 @@ class TestEngineConfigIsolation:
     def _specs(self):
         topology = TopologySpec("claranet")
         placement = PlacementSpec("mdmp", {"d": 4})
-        configs = [
-            EngineConfig(compress=True),
-            EngineConfig(compress=False),
-            EngineConfig(compress=True, cache=False),
-            EngineConfig(compress=False, cache=False),
-        ]
+        configs = [EngineConfig(), EngineConfig(cache=False)]
         return [
             ScenarioSpec(topology=topology, placement=placement, engine=config)
             for config in configs
@@ -431,8 +423,8 @@ class TestEngineConfigIsolation:
         assert all(report == reference for report in mu_values)
         assert mu_again == mu_values
         assert len({report.value for report in truncated}) == 1
-        # Engines are genuinely distinct (per compress/cache combination),
-        # not a shared global.
+        # Engines are genuinely distinct (the uncached scenario enumerates
+        # its own path set), not a shared global.
         engines = {id(scenario.engine) for scenario in scenarios}
         assert len(engines) == len(scenarios)
 
@@ -451,10 +443,11 @@ class TestEngineConfigIsolation:
         "cell, configs",
         [
             (
-                # Compression merges 64 paths into 24 columns here, so the
-                # raw and the compressed engine differ.
+                # Compression merges 64 paths into 24 columns here; a
+                # one-node search budget stops µ at level 1 without a
+                # witness, the unbounded search finds one at level 2.
                 (TopologySpec("dataxchange"), PlacementSpec("mdmp", {"d": 2})),
-                (EngineConfig(compress=False), EngineConfig(compress=True)),
+                (EngineConfig(subset_budget=1), EngineConfig()),
             ),
             (
                 (
@@ -464,7 +457,7 @@ class TestEngineConfigIsolation:
                 (EngineConfig(subset_budget=50), EngineConfig()),
             ),
         ],
-        ids=["python-raw-vs-numpy-compressed", "budgeted-vs-unbounded"],
+        ids=["compressed-truncated-vs-unbounded", "budgeted-vs-unbounded"],
     )
     def test_threaded_scenarios_match_their_solo_runs(self, cell, configs):
         """Two configs interleaved on threads each get exactly their solo
@@ -582,20 +575,22 @@ class TestSpecRunner:
         code = runner.main(
             [
                 "--spec", str(spec_path),
-                "--no-compress",
+                "--time-budget", "3600",
                 "--format", "json",
                 "--output", str(out_path),
             ]
         )
         assert code == 0
         engine = json.loads(out_path.read_text())["sections"][0]["data"]["spec"]["engine"]
-        assert engine == {
-            "compress": False,
-            "cache": True,
-            "time_budget": None,
-            "subset_budget": None,
-            "cache_maxsize": None,
-        }
+        assert engine == {"cache": True, "time_budget": 3600.0, "subset_budget": None}
+
+    def test_cli_no_compress_flag_is_retired(self, capsys):
+        from repro.experiments import runner
+
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["--tables", "real", "--no-compress"])
+        assert exit_info.value.code == 2
+        assert "--no-compress" in capsys.readouterr().err
 
     def test_write_output_atomic_replaces_existing_content(self, tmp_path):
         from repro.experiments.runner import write_output_atomic

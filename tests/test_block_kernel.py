@@ -362,16 +362,28 @@ class TestBackendBatchedOps:
 
 class TestSpecRunnerAndWorkers:
     def test_engine_config_round_trip_and_validation(self):
-        config = EngineConfig(compress=False, subset_budget=40)
+        config = EngineConfig(cache=False, subset_budget=40)
         payload = config.to_dict()
         assert EngineConfig.from_dict(payload) == config
-        # The retired sweep keys of earlier v2 documents parse and are dropped.
+        # The retired keys of earlier v2 documents parse and are dropped.
         legacy = EngineConfig.from_dict(
-            dict(payload, search_jobs=3, kernel="scalar", block_size=64, backend="numpy")
+            dict(
+                payload,
+                search_jobs=3,
+                kernel="scalar",
+                block_size=64,
+                backend="numpy",
+                compress=False,
+                cache_maxsize=1,
+            )
         )
         assert legacy == config
         assert legacy.to_dict() == payload
-        for retired in ("search_jobs", "kernel", "block_size", "backend"):
+        retired_fields = (
+            "search_jobs", "kernel", "block_size", "backend", "compress",
+            "cache_maxsize",
+        )
+        for retired in retired_fields:
             assert retired not in payload
             with pytest.raises(TypeError):
                 EngineConfig(**{retired: 1})

@@ -52,10 +52,10 @@ class TestCompressedRawParity:
     @pytest.mark.parametrize("seed", PARITY_SEEDS)
     def test_mu_witness_and_search_parity(self, seed, mechanism):
         _, _, pathset = random_instance(seed, mechanism)
-        raw = maximal_identifiability_detailed(pathset, max_size=4, compress=False)
-        compressed = maximal_identifiability_detailed(
-            pathset, max_size=4, compress=True
+        raw = SignatureEngine.from_pathset(pathset, compress=False).identifiability(
+            max_size=4
         )
+        compressed = pathset.engine().identifiability(max_size=4)
         assert compressed.value == raw.value
         assert compressed.searched_up_to == raw.searched_up_to
         assert compressed.exhausted_search == raw.exhausted_search
@@ -74,16 +74,16 @@ class TestCompressedRawParity:
     @pytest.mark.parametrize("seed", PARITY_SEEDS)
     def test_separability_matrix_parity(self, seed, mechanism):
         _, _, pathset = random_instance(seed, mechanism)
-        raw = pathset.engine(compress=False)
-        compressed = pathset.engine(compress=True)
+        raw = SignatureEngine.from_pathset(pathset, compress=False)
+        compressed = pathset.engine()
         assert compressed.separability_matrix(2) == raw.separability_matrix(2)
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     @pytest.mark.parametrize("seed", PARITY_SEEDS)
     def test_measurement_vector_parity(self, seed, mechanism):
         _, _, pathset = random_instance(seed, mechanism)
-        raw = pathset.engine(compress=False)
-        compressed = pathset.engine(compress=True)
+        raw = SignatureEngine.from_pathset(pathset, compress=False)
+        compressed = pathset.engine()
         failure_sets = (
             frozenset(),
             frozenset(pathset.nodes[:1]),
@@ -98,13 +98,11 @@ class TestCompressedRawParity:
     @pytest.mark.parametrize("seed", (0, 5, 11, 17))
     def test_equivalence_classes_and_truncated_parity(self, seed):
         _, _, pathset = random_instance(seed, "CAP")
-        raw = pathset.engine(compress=False)
-        compressed = pathset.engine(compress=True)
+        raw = SignatureEngine.from_pathset(pathset, compress=False)
+        compressed = pathset.engine()
         assert compressed.equivalence_classes() == raw.equivalence_classes()
-        trunc_raw = truncated_identifiability_detailed(pathset, 2, compress=False)
-        trunc_compressed = truncated_identifiability_detailed(
-            pathset, 2, compress=True
-        )
+        trunc_raw = raw.identifiability(max_size=2)
+        trunc_compressed = truncated_identifiability_detailed(pathset, 2)
         assert trunc_compressed.value == trunc_raw.value
         assert trunc_compressed.searched_up_to == trunc_raw.searched_up_to
 
@@ -116,7 +114,7 @@ class TestCompressedRawParity:
 class TestCompressionPlan:
     def test_duplicate_columns_are_merged(self):
         pathset = _compressible_pathset()
-        engine = pathset.engine(compress=True)
+        engine = pathset.engine()
         plan = engine.compression
         assert plan is not None
         assert plan.n_original == 4
@@ -128,7 +126,7 @@ class TestCompressionPlan:
         assert engine.n_paths == 4  # reported width stays the original
 
     def test_class_of_remap_is_consistent(self):
-        plan = _compressible_pathset().engine(compress=True).compression
+        plan = _compressible_pathset().engine().compression
         for compressed_index, group in enumerate(plan.members):
             for original_index in group:
                 assert plan.class_of[original_index] == compressed_index
@@ -137,7 +135,7 @@ class TestCompressionPlan:
         """Node rows are class-closed, so compress∘expand is the identity."""
         for seed in range(10):
             _, _, pathset = random_instance(seed, "CAP-")
-            plan = pathset.engine(compress=True).compression
+            plan = pathset.engine().compression
             if plan is None:  # identity universes carry no plan
                 continue
             for node in pathset.nodes:
@@ -147,7 +145,7 @@ class TestCompressionPlan:
     def test_expand_indices_matches_raw_union(self):
         for seed in (1, 4, 8):
             _, _, pathset = random_instance(seed, "CAP")
-            engine = pathset.engine(compress=True)
+            engine = pathset.engine()
             plan = engine.compression
             if plan is None:
                 continue
@@ -172,7 +170,7 @@ class TestCompressionPlan:
 
     def test_identity_universe_skips_the_plan(self):
         pathset = PathSet(nodes=("a", "b"), paths=(("a",), ("b",), ("a", "b")))
-        engine = pathset.engine(compress=True)
+        engine = pathset.engine()
         assert engine.compression is None  # every column distinct: no gain
         assert engine.n_columns == engine.n_paths == 3
 
@@ -183,7 +181,7 @@ class TestCompressionPlan:
     def test_multiplicities_and_drops_partition_the_universe(self):
         for seed in range(8):
             _, _, pathset = random_instance(seed, "CAP")
-            plan = pathset.engine(compress=True).compression
+            plan = pathset.engine().compression
             if plan is None:
                 continue
             kept = sum(plan.multiplicity)
@@ -194,41 +192,36 @@ class TestCompressionPlan:
 
 
 # ---------------------------------------------------------------------------
-# The compress argument and memoisation
+# Compression is on above the engine; only the constructors build raw
 # ---------------------------------------------------------------------------
 
 class TestCompressionPolicy:
     def test_default_policy_is_on(self):
         pathset = _compressible_pathset()
-        engine = pathset.engine()
-        assert engine.compression is not None
-        assert pathset.engine(compress=None) is engine
-        assert pathset.engine(compress=True) is engine
+        assert pathset.engine().compression is not None
         masks = masks_for_nodes(("a", "b"), {"a": [0, 1], "b": [0, 1, 2]}, 3)
         assert SignatureEngine(("a", "b"), masks, 3).compression is not None
 
     def test_compress_false_builds_a_raw_engine(self):
         pathset = _compressible_pathset()
-        assert pathset.engine(compress=False).compression is None
-        # An explicit raw engine leaves the default engine compressed.
+        assert SignatureEngine.from_pathset(pathset, compress=False).compression is None
+        # A raw reference engine leaves the memoised engine compressed.
         assert pathset.engine().compression is not None
 
-    def test_engines_memoised_per_compression_flag(self):
+    def test_compress_is_not_an_option_above_the_engine(self):
         pathset = _compressible_pathset()
-        assert pathset.engine(compress=True) is pathset.engine(compress=True)
-        assert pathset.engine(compress=False) is pathset.engine(compress=False)
-        assert pathset.engine(compress=True) is not pathset.engine(compress=False)
-
-    def test_mu_accepts_compress_override(self):
-        _, _, pathset = random_instance(7, "CSP")
-        assert maximal_identifiability(pathset, compress=True) == (
+        with pytest.raises(TypeError):
+            pathset.engine(compress=False)
+        with pytest.raises(TypeError):
             maximal_identifiability(pathset, compress=False)
-        )
+        with pytest.raises(TypeError):
+            maximal_identifiability_detailed(pathset, compress=False)
 
     def test_describe_reports_compressed_width(self):
-        engine = _compressible_pathset().engine(compress=True)
+        engine = _compressible_pathset().engine()
         assert "columns=3" in engine.describe()
-        assert "raw" in _compressible_pathset().engine(compress=False).describe()
+        raw = SignatureEngine.from_pathset(_compressible_pathset(), compress=False)
+        assert "raw" in raw.describe()
         plan = engine.compression
         assert "4 -> 3 columns" in plan.describe()
 
@@ -290,7 +283,7 @@ class TestBuildOnlyWhatIsRead:
         assert key_reads == []
 
     def test_compressed_engine_reads_no_touch_keys(self, key_reads):
-        engine = _compressible_pathset().engine(compress=True)
+        engine = _compressible_pathset().engine()
         assert engine.compression is not None
         engine.identifiability()
         assert key_reads == [] and "touch_keys" not in vars(engine.compression)

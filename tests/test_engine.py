@@ -24,7 +24,6 @@ from repro.engine import (
     PathSetCache,
     SignatureEngine,
     cache_stats,
-    cached_enumerate_paths,
     clear_pathset_cache,
     columns,
     gather_columns,
@@ -176,15 +175,6 @@ class TestSignatureEngine:
         assert frozenset({"b", "c"}) in as_sets
         assert frozenset({"a"}) in as_sets
         assert frozenset({"d"}) in as_sets
-
-    def test_engine_is_memoised_per_backend(self):
-        """One engine per (universe, compression flag): there is no other
-        engine setting to key on."""
-        pathset = PathSet(nodes=("a", "b"), paths=(("a", "b"), ("a",)))
-        assert pathset.engine() is pathset.engine(compress=True)
-        raw = pathset.engine(compress=False)
-        assert raw is pathset.engine(compress=False)
-        assert raw is not pathset.engine()
 
     def test_measurement_vector_matches_per_path_scan(self):
         _, _, pathset = random_instance(6, "CSP")
@@ -404,7 +394,7 @@ class TestPathSetCache:
         clear_pathset_cache()
         graph = erdos_renyi_connected(6, 0.5, rng=6)
         placement = mdmp_placement(graph, 2)
-        cached_enumerate_paths(graph, placement, "CSP")
+        pathset_cache().get_or_enumerate(graph, placement, "CSP")
         assert len(pathset_cache()) == 1
         clear_pathset_cache()
         assert len(pathset_cache()) == 0

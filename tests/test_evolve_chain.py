@@ -232,7 +232,7 @@ def _run_walk(case, backend):
             graph, MonitorPlacement(inputs, outputs), mechanism, cutoff
         )
         for universe in _universes(pathset, case):
-            pathset.engine(compress=True, universe=universe)
+            pathset.engine(universe=universe)
         for number, step in enumerate(case["steps"]):
             tag = f"{backend}/step {number}: {step}"
             edges, inputs, outputs = _step(edges, inputs, outputs, step)
@@ -246,10 +246,9 @@ def _run_walk(case, backend):
             fresh = enumerate_paths(graph, placement, mechanism, cutoff)
             _assert_pathset_parity(pathset, evolved, fresh, tag)
             for universe in _universes(evolved, case):
-                patched = evolved.engine(compress=True, universe=universe)
+                patched = evolved.engine(universe=universe)
                 rebuilt = SignatureEngine.from_universe(
-                    fresh.universe(universe.kind, dict(universe.groups or ()) or None),
-                    compress=True,
+                    fresh.universe(universe.kind, dict(universe.groups or ()) or None)
                 )
                 assert _engine_state(patched) == _engine_state(rebuilt), (
                     f"{tag} [{universe.kind}]"

@@ -275,7 +275,7 @@ class TestRunner:
         assert "--backend" in capsys.readouterr().err
         out = tmp_path / "out.txt"
         runner.main(
-            ["--tables", "ablation", "--trials", "1", "--no-compress",
+            ["--tables", "ablation", "--trials", "1", "--time-budget", "3600",
              "--output", str(out)]
         )
         assert "Ablation" in out.read_text()

@@ -43,9 +43,10 @@ def _seeded_draw(seed: str) -> float:
     return random.Random(seed).random()
 
 
-def _engine_of(spec: ScenarioSpec) -> tuple:
-    """Whether the engine a trial's spec builds is compressed."""
-    return spec.build().engine.compression is not None
+def _mu_of(spec: ScenarioSpec) -> tuple:
+    """µ, ``searched_up_to`` and the budget flag of a trial's spec."""
+    result = spec.build().identifiability()
+    return result.value, result.searched_up_to, result.stats.budget_exhausted
 
 
 class TestRunTrials:
@@ -76,15 +77,17 @@ class TestRunTrials:
         spec = TrialSpec(_square, kwargs={"value": 3}, label="sq")
         assert spec.run() == 9
 
-    def test_backend_override_reaches_serial_and_parallel_trials(self):
+    def test_engine_config_reaches_serial_and_parallel_trials(self):
+        # µ = 2 on the 3x3 directed grid under χ_g; a one-node search budget
+        # truncates it at the certified level-1 lower bound.
         spec = ScenarioSpec(
             topology=TopologySpec("directed_grid", {"n": 3}),
             placement=PlacementSpec("chi_g"),
-            engine=EngineConfig(compress=False),
+            engine=EngineConfig(subset_budget=1),
         )
-        specs = [TrialSpec(_engine_of, (spec,)) for _ in range(2)]
-        assert run_trials(specs, jobs=1) == [False] * 2
-        assert run_trials(specs, jobs=2) == [False] * 2
+        specs = [TrialSpec(_mu_of, (spec,)) for _ in range(2)]
+        assert run_trials(specs, jobs=1) == [(1, 1, True)] * 2
+        assert run_trials(specs, jobs=2) == [(1, 1, True)] * 2
 
 
 class TestSeedDerivation:
@@ -132,9 +135,11 @@ class TestDriverParity:
         assert serial == parallel
 
     def test_explicit_engine_config_keeps_parallel_results(self):
-        raw = EngineConfig(compress=False)
+        generous = EngineConfig(time_budget=3600)
         default = run_random_graph_cell(5, 4, "log", rng=3, jobs=2)
-        explicit = run_random_graph_cell(5, 4, "log", rng=3, jobs=2, engine=raw)
+        explicit = run_random_graph_cell(
+            5, 4, "log", rng=3, jobs=2, engine=generous
+        )
         assert explicit == default
 
 

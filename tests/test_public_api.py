@@ -52,7 +52,6 @@ EXPECTED_ALL = [
     "UniverseSpec",
     "__version__",
     "agrid",
-    "cached_enumerate_paths",
     "chi_corners",
     "chi_g",
     "chi_t",
@@ -85,7 +84,6 @@ EXPECTED_ENGINE_ALL = [
     "SearchStats",
     "SignatureEngine",
     "cache_stats",
-    "cached_enumerate_paths",
     "clear_pathset_cache",
     "compress_universe",
     "dedup_columns",
@@ -136,13 +134,7 @@ EXPECTED_SPEC_SCHEMA = {
         "n_trials": 10,
         "universe": {"kind": "node", "groups": {}},
     },
-    "engine": {
-        "compress": True,
-        "cache": True,
-        "time_budget": None,
-        "subset_budget": None,
-        "cache_maxsize": None,
-    },
+    "engine": {"cache": True, "time_budget": None, "subset_budget": None},
     "seed": None,
     "analyses": [{"analysis": "mu", "params": {}}],
 }
@@ -201,11 +193,9 @@ class TestPublicSurface:
 
     def test_engine_config_defaults_snapshot(self):
         assert repro.EngineConfig().to_dict() == {
-            "compress": True,
             "cache": True,
             "time_budget": None,
             "subset_budget": None,
-            "cache_maxsize": None,
         }
 
     def test_available_analyses_snapshot(self):

@@ -62,15 +62,9 @@ class TestShardedParity:
                 for cap in (0, 1, 2, 3, None):
                     bound = len(elements) if cap is None else min(cap, len(elements))
                     expected = naive_local_mu(elements, universe.masks, scope, bound)
-                    for compress in (True, False):
-                        context = (seed, kind, sorted(scope, key=repr), cap, compress)
-                        assert local_maximal_identifiability(
-                            pathset,
-                            scope,
-                            max_size=cap,
-                            compress=compress,
-                            universe=universe,
-                        ) == expected, context
+                    assert local_maximal_identifiability(
+                        pathset, scope, max_size=cap, universe=universe
+                    ) == expected, (seed, kind, sorted(scope, key=repr), cap)
                     for backend, compress in ENGINE_CONFIGS:
                         assert kernel_engine(
                             backend, universe, compress

@@ -22,7 +22,6 @@ import repro
 from repro.api.scenario import Scenario
 from repro.api.spec import EngineConfig, ScenarioSpec
 from repro.engine.cache import (
-    DEFAULT_CACHE_MAXSIZE,
     PathSetCache,
     clear_pathset_cache,
     pathset_cache,
@@ -181,7 +180,13 @@ class TestEndpoints:
     def test_retired_engine_keys_still_parse(self, server):
         document = dict(
             CLARANET_SPEC,
-            engine={"search_jobs": 2, "kernel": "scalar", "block_size": 8},
+            engine={
+                "search_jobs": 2,
+                "kernel": "scalar",
+                "block_size": 8,
+                "compress": False,
+                "cache_maxsize": 0,
+            },
         )
         status, body = request(server, "POST", "/v1/analyze", document)
         assert status == 200, body
@@ -490,36 +495,8 @@ class TestPathSetCacheConcurrency:
 
 
 class TestCacheMaxsizeKnob:
-    """Satellite: ``engine.cache_maxsize`` reaches the process cache."""
-
-    def restore(self):
-        pathset_cache().resize(DEFAULT_CACHE_MAXSIZE)
-
-    def test_spec_knob_resizes_global_cache(self):
-        try:
-            spec = ScenarioSpec.from_dict(
-                {
-                    "topology": {"name": "claranet"},
-                    "placement": {"strategy": "mdmp", "params": {"d": 3}},
-                    "seed": 2018,
-                    "engine": {"cache_maxsize": 3},
-                }
-            )
-            assert spec.engine.cache_maxsize == 3
-            Scenario(spec).pathset
-            assert pathset_cache().maxsize == 3
-        finally:
-            self.restore()
-
-    def test_knob_round_trips_and_validates(self):
-        config = EngineConfig(cache_maxsize=5)
-        assert EngineConfig.from_dict(config.to_dict()) == config
-        with pytest.raises(SpecError):
-            EngineConfig(cache_maxsize=0)
-        with pytest.raises(SpecError):
-            EngineConfig(cache_maxsize=True)
-        with pytest.raises(SpecError):
-            EngineConfig(cache_maxsize="big")
+    """``PathSetCache.resize``: how ``repro-serve --cache-size`` sizes the
+    process cache (no spec or request can reach it)."""
 
     def test_resize_evicts_down_and_counts(self):
         graph = repro.claranet()
@@ -581,7 +558,6 @@ _MUTATIONS = [
     lambda doc: {**doc, "analyses": [{"analysis": "mu", "params": {"max_size": "x"}}]},
     lambda doc: {**doc, "analyses": {"not": "a list"}},
     lambda doc: {**doc, "engine": {"backend": "auto", "kernels": "quantum"}},
-    lambda doc: {**doc, "engine": {"cache_maxsize": 0}},
     lambda doc: {**doc, "seed": 1.5},
     lambda doc: {**doc, "schema_version": 99},
     lambda doc: {**doc, "surprise": True},
@@ -609,17 +585,22 @@ class TestAnalyzeFuzz:
         assert "bounds" in body["analyses"]
 
     def test_retired_engine_backend_still_200(self, fuzz_server):
-        """Bodies written for the removed ``engine.backend`` field parse,
-        and the field is dropped from the echoed spec."""
+        """Bodies written for the removed ``engine.backend``, ``compress``
+        and ``cache_maxsize`` fields parse, the fields are dropped from the
+        echoed spec, and a request cannot resize the shared pathset
+        cache."""
+        maxsize = pathset_cache().maxsize
         document = {
             "topology": {"name": "dataxchange"},
             "placement": {"strategy": "mdmp", "params": {"d": 2}},
-            "engine": {"backend": "numpy", "compress": True},
+            "engine": {"backend": "numpy", "compress": False, "cache_maxsize": 1},
             "analyses": [{"analysis": "mu"}],
         }
         status, body = request(fuzz_server, "POST", "/v1/analyze", document)
         assert status == 200, body
-        assert "backend" not in body["spec"]["engine"]
+        for retired in ("backend", "compress", "cache_maxsize"):
+            assert retired not in body["spec"]["engine"]
+        assert pathset_cache().maxsize == maxsize
 
     @settings(
         max_examples=60,

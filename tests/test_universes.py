@@ -39,6 +39,7 @@ from repro.core.identifiability import (
 )
 from repro.core.separability import verify_k_identifiability_by_separation
 from repro.core.truncated import truncated_identifiability
+from repro.engine import SignatureEngine
 from repro.exceptions import IdentifiabilityError, SpecError
 from repro.failures.universe import build_universe, canonical_link
 from repro.monitors import mdmp_placement, random_placement
@@ -247,9 +248,8 @@ class TestUniverseObjects:
                      ["1"] + good[1:], [[1]] + good[1:])
         for universe in localiser_universes(pathset):
             for compress in (True, False):
-                session = repro.TomographySession(
-                    graph, placement, pathset=pathset,
-                    compress=compress, universe=universe,
+                session = localiser_session(
+                    graph, placement, "CSP", pathset, universe, compress
                 )
                 for vector in malformed:
                     with pytest.raises(IdentifiabilityError):
@@ -338,13 +338,9 @@ class TestEngineNaiveParity:
     def test_backend_and_compression_parity_on_link_universe(self):
         _, _, pathset = random_instance(3, "CSP")
         universe = pathset.universe("link")
-        reference = maximal_identifiability_detailed(
-            pathset, universe=universe, compress=True
-        )
-        raw = maximal_identifiability_detailed(
-            pathset, universe=universe, compress=False
-        )
-        assert raw == reference
+        reference = maximal_identifiability_detailed(pathset, universe=universe)
+        raw = SignatureEngine.from_universe(universe, compress=False)
+        assert raw.identifiability() == reference
         for backend in BACKENDS:
             engine = kernel_engine(backend, universe)
             assert engine.identifiability() == reference, backend
@@ -396,6 +392,19 @@ def naive_consistent_sets(universe, observations, max_failures):
     )
 
 
+def localiser_session(graph, placement, mechanism, pathset, universe, compress):
+    """A session over ``pathset``; ``compress=False`` swaps in the raw
+    reference engine the compressed default is compared against."""
+    session = repro.TomographySession(
+        graph, placement, mechanism, pathset=pathset, universe=universe
+    )
+    if not compress:
+        session.engine = SignatureEngine.from_universe(
+            session.universe, compress=False
+        )
+    return session
+
+
 def localiser_universes(pathset):
     """The node, link and an SRLG universe (some links left ungrouped, so
     the SRLG universe has element-free, dropped path columns)."""
@@ -427,9 +436,9 @@ class TestElementLocalization:
                 graph, placement, pathset = random_instance(seed, mechanism)
                 for universe in localiser_universes(pathset):
                     for compress in (True, False):
-                        session = repro.TomographySession(
-                            graph, placement, mechanism, pathset=pathset,
-                            compress=compress, universe=universe,
+                        session = localiser_session(
+                            graph, placement, mechanism, pathset, universe,
+                            compress,
                         )
                         rng = random.Random(f"{seed}:{universe.kind}")
                         for size in range(4):
@@ -487,7 +496,7 @@ class TestElementLocalization:
                 for universe in localiser_universes(pathset):
                     compressed = repro.TomographySession(
                         graph, placement, mechanism, pathset=pathset,
-                        compress=True, universe=universe,
+                        universe=universe,
                     )
                     plan = compressed.engine.compression
                     if plan is None:
@@ -528,9 +537,9 @@ class TestElementLocalization:
                         # different vector must not reuse that signature.
                         assert compressed.localize(vector, 2).consistent_sets == ()
                         for compress in (True, False):
-                            session = repro.TomographySession(
-                                graph, placement, mechanism, pathset=pathset,
-                                compress=compress, universe=universe,
+                            session = localiser_session(
+                                graph, placement, mechanism, pathset,
+                                universe, compress,
                             )
                             assert session.localize(vector, 2).consistent_sets == ()
         assert mixed_seen and dropped_seen
@@ -614,13 +623,7 @@ V1_UPGRADED_SNAPSHOT = {
         "n_trials": 10,
         "universe": {"kind": "node", "groups": {}},
     },
-    "engine": {
-        "compress": True,
-        "cache": True,
-        "time_budget": None,
-        "subset_budget": None,
-        "cache_maxsize": None,
-    },
+    "engine": {"cache": True, "time_budget": None, "subset_budget": None},
     "seed": 7,
     "analyses": [{"analysis": "mu", "params": {}}],
 }
