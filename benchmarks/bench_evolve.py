@@ -110,11 +110,11 @@ def _flap_replay(seed: int) -> Dict[str, Any]:
         current = current.evolve(delta)
         current.mu()
         evolved_steps.append(_step_record(current, time.perf_counter() - start))
-    cache = pathset_cache()
+    stats = pathset_cache().stats()
     cache_stats = {
-        "hits": cache.hits,
-        "misses": cache.misses,
-        "evictions": cache.evictions,
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "evictions": stats.evictions,
     }
 
     # Rebuild chain: full recomputation of every captured spec, cache off.

@@ -44,6 +44,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    List,
     Mapping,
     Optional,
     Sequence,
@@ -711,6 +712,14 @@ class ScenarioSpec:
     def with_engine(self, engine: EngineConfig) -> "ScenarioSpec":
         return replace(self, engine=engine)
 
+    def with_time_budget(self, seconds: Optional[float]) -> "ScenarioSpec":
+        """Override only the engine's ``time_budget`` (the CLI
+        ``--time-budget`` and the service's ``?budget=``); the spec's other
+        engine settings stand, and ``None`` returns the spec unchanged."""
+        if seconds is None:
+            return self
+        return replace(self, engine=replace(self.engine, time_budget=seconds))
+
     def with_trials(self, n_trials: int) -> "ScenarioSpec":
         """Override the failure-campaign trial count (the CLI ``--trials``)."""
         return replace(self, failures=replace(self.failures, n_trials=n_trials))
@@ -817,6 +826,30 @@ def load_spec_batch(document: str) -> Tuple[ScenarioSpec, ...]:
     if not isinstance(entries, list) or not entries:
         raise SpecError("spec document contains no scenarios")
     return tuple(ScenarioSpec.from_dict(entry) for entry in entries)
+
+
+def parse_churn_document(
+    payload: Any, what: str = "churn document"
+) -> Tuple[ScenarioSpec, List[DeltaSpec]]:
+    """Parse a decoded churn document, ``{"base": <ScenarioSpec>, "deltas":
+    [<DeltaSpec>, ...]}`` (the ``--churn`` file and the ``/v1/churn`` body),
+    into ``(base, deltas)``.  Both keys are required; ``what`` names the
+    document in error messages."""
+    if not isinstance(payload, dict):
+        raise SpecError(
+            f"{what} must be an object with 'base' and 'deltas', "
+            f"got {type(payload).__name__}"
+        )
+    unknown = set(payload) - {"base", "deltas"}
+    if unknown:
+        raise SpecError(f"unknown {what} fields {sorted(unknown)}")
+    if "base" not in payload or "deltas" not in payload:
+        raise SpecError(f"{what} requires both 'base' and 'deltas'")
+    deltas = payload["deltas"]
+    if not isinstance(deltas, list):
+        raise SpecError(f"'deltas' must be a list, got {type(deltas).__name__}")
+    base = ScenarioSpec.from_dict(payload["base"])
+    return base, [DeltaSpec.from_dict(entry) for entry in deltas]
 
 
 if False:  # pragma: no cover - typing-only import without a runtime cycle

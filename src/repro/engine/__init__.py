@@ -66,7 +66,6 @@ from repro.engine.signatures import (
     SearchCounters,
     SearchStats,
     SignatureEngine,
-    record_external_search,
     reset_search_counters,
     search_counters,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "SearchCounters",
     "search_counters",
     "reset_search_counters",
-    "record_external_search",
     # column kernels
     "gather_columns",
     "dedup_columns",

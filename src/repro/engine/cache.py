@@ -35,8 +35,6 @@ to tests.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Tuple
 
@@ -49,6 +47,7 @@ from repro.routing.paths import (
     PathSet,
     enumerate_paths,
 )
+from repro.utils.counters import KeyedLRU
 
 
 @dataclass(frozen=True)
@@ -118,27 +117,20 @@ def normalize_limits(
 DEFAULT_CACHE_MAXSIZE = 128
 
 
-class PathSetCache:
+class PathSetCache(KeyedLRU[PathSet]):
     """LRU cache of enumerated path sets keyed by enumeration inputs.
 
-    Thread-safe: an internal lock protects the entry table and the counters,
-    so concurrent lookups from a service's async handlers and worker threads
-    keep ``hits + misses == lookups`` exact.  The enumeration (or evolve
-    build) itself runs *outside* the lock — two threads racing on the same
-    cold key may both enumerate, but only the first insert wins and both
-    callers receive the same cached instance, so the engines memoised on it
-    stay shared.
+    A :class:`~repro.utils.counters.KeyedLRU`: thread-safe, so concurrent
+    lookups from a service's async handlers and worker threads keep
+    ``hits + misses == lookups`` exact.  The enumeration (or evolve build)
+    itself runs *outside* the lock — two threads racing on the same cold
+    key may both enumerate, but only the first insert wins and both callers
+    receive the same cached instance, so the engines memoised on it stay
+    shared.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_MAXSIZE) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[Hashable, PathSet]" = OrderedDict()
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(maxsize)
 
     def get_or_enumerate(
         self,
@@ -151,14 +143,11 @@ class PathSetCache:
         """The cached :class:`PathSet`, enumerating on first sight of the key."""
         mechanism = RoutingMechanism.parse(mechanism)
         cutoff, max_paths = normalize_limits(cutoff, max_paths)
-        return self._lookup(
-            graph,
-            placement,
-            mechanism,
-            cutoff,
-            max_paths,
+        key = (graph_fingerprint(graph), placement, mechanism, cutoff, max_paths)
+        return self.get_or_build(
+            key,
             lambda: enumerate_paths(graph, placement, mechanism, cutoff, max_paths),
-        )
+        )[0]
 
     def get_or_evolve(
         self,
@@ -181,41 +170,8 @@ class PathSetCache:
         """
         mechanism = RoutingMechanism.parse(mechanism)
         cutoff, max_paths = normalize_limits(cutoff, max_paths)
-        return self._lookup(graph, placement, mechanism, cutoff, max_paths, build)
-
-    def _lookup(
-        self,
-        graph: AnyGraph,
-        placement: MonitorPlacement,
-        mechanism: RoutingMechanism,
-        cutoff: Optional[int],
-        max_paths: int,
-        build: Callable[[], PathSet],
-    ) -> PathSet:
-        """The entry of normalised enumeration inputs, built on a miss
-        (outside the lock; the first insert wins a build race)."""
         key = (graph_fingerprint(graph), placement, mechanism, cutoff, max_paths)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return cached
-            self.misses += 1
-        pathset = build()
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                self._entries.move_to_end(key)
-                return existing
-            self._entries[key] = pathset
-            self._evict()
-            return pathset
-
-    def _evict(self) -> None:
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        return self.get_or_build(key, build)[0]
 
     def resize(self, maxsize: int) -> None:
         """Change the LRU bound, evicting oldest entries down to it.
@@ -230,46 +186,9 @@ class PathSetCache:
             self.maxsize = maxsize
             self._evict()
 
-    def record_external(self, hits: int, misses: int, evictions: int = 0) -> None:
-        """Fold hit/miss/eviction counters observed elsewhere into this
-        cache's stats.
-
-        The parallel experiment runner gives every pool worker its own
-        process-local cache; after the fan-out, each worker's deltas are
-        merged back here so ``--cache-stats`` describes the whole run.  The
-        entries themselves stay in the workers (shipping path sets back would
-        cost more than re-enumerating), so ``size`` keeps counting only this
-        process's entries.
-        """
-        if hits < 0 or misses < 0 or evictions < 0:
-            raise ValueError(
-                f"counters must be >= 0, got {hits=} {misses=} {evictions=}"
-            )
-        with self._lock:
-            self.hits += hits
-            self.misses += misses
-            self.evictions += evictions
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
     def stats(self) -> CacheStats:
         with self._lock:
-            return CacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                size=len(self._entries),
-                evictions=self.evictions,
-            )
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+            return CacheStats(size=len(self._entries), **self.counters.snapshot())
 
 
 #: The process-wide cache every cached scenario enumerates through.

@@ -123,7 +123,7 @@ census order: groups by first appearance, members in lexicographic order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (
     Any,
     Dict,
@@ -143,6 +143,7 @@ from repro.engine.compress import CompressionPlan, compress_universe
 from repro.exceptions import BudgetExceededError, IdentifiabilityError
 from repro.resilience.budget import Budget, resolve_budget
 from repro.utils.bitset import mask_from_indices
+from repro.utils.counters import Counters
 
 def _require_int(name: str, value: Any) -> int:
     """Reject anything but a real ``int`` (``bool`` included) with a typed
@@ -204,49 +205,21 @@ class SearchCounters:
     block_rows_pruned: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "searches": self.searches,
-            "subsets_enumerated": self.subsets_enumerated,
-            "dominance_prunes": self.dominance_prunes,
-            "blocks_evaluated": self.blocks_evaluated,
-            "block_rows_pruned": self.block_rows_pruned,
-        }
+        return asdict(self)
 
 
-_COUNTERS: Dict[str, int] = {
-    "searches": 0,
-    "subsets_enumerated": 0,
-    "dominance_prunes": 0,
-    "blocks_evaluated": 0,
-    "block_rows_pruned": 0,
-}
+#: The process-global search counters, named as :class:`SearchCounters`.
+SEARCH_COUNTERS = Counters(f.name for f in fields(SearchCounters))
 
 
 def search_counters() -> SearchCounters:
     """Snapshot of the process-global search counters."""
-    return SearchCounters(**_COUNTERS)
+    return SearchCounters(**SEARCH_COUNTERS.snapshot())
 
 
 def reset_search_counters() -> None:
     """Zero the process-global search counters (pool-worker initialisation)."""
-    for name in _COUNTERS:
-        _COUNTERS[name] = 0
-
-
-def record_external_search(
-    searches: int = 0,
-    subsets_enumerated: int = 0,
-    dominance_prunes: int = 0,
-    blocks_evaluated: int = 0,
-    block_rows_pruned: int = 0,
-) -> None:
-    """Fold counters reported by worker processes into this process's totals
-    (the search-counter analogue of ``PathSetCache.record_external``)."""
-    _COUNTERS["searches"] += searches
-    _COUNTERS["subsets_enumerated"] += subsets_enumerated
-    _COUNTERS["dominance_prunes"] += dominance_prunes
-    _COUNTERS["blocks_evaluated"] += blocks_evaluated
-    _COUNTERS["block_rows_pruned"] += block_rows_pruned
+    SEARCH_COUNTERS.reset()
 
 
 #: ``(rows, coverers, buckets)`` of one search universe; see
@@ -269,7 +242,13 @@ def _indicator(signature: int, width: int) -> Tuple[int, ...]:
 
 
 def _record_search(stats: SearchStats) -> None:
-    record_external_search(1, stats.subsets_enumerated, stats.dominance_prunes)
+    SEARCH_COUNTERS.merge(
+        {
+            "searches": 1,
+            "subsets_enumerated": stats.subsets_enumerated,
+            "dominance_prunes": stats.dominance_prunes,
+        }
+    )
 
 
 # -- the dominance search -----------------------------------------------------
@@ -551,6 +530,9 @@ class SignatureEngine:
     ) -> None:
         self.nodes: Tuple[Node, ...] = tuple(nodes)
         self.n_paths = n_paths
+        #: ``False`` only for the raw reference engine (``compress=False``);
+        #: an identity plan is compressed with nothing to merge.
+        self.compressed = compress
         plan: Optional[CompressionPlan] = None
         #: Each internal column's coverers (ascending element positions),
         #: when a churn patch computed them; see :meth:`_search_columns`.
@@ -689,6 +671,7 @@ class SignatureEngine:
         engine = cls.__new__(cls)
         engine.nodes = elements
         engine.n_paths = n_paths
+        engine.compressed = True
         engine.compression = plan
         engine._coverers = plan.touch_keys
         engine._signatures = {element: rows[element] for element in elements}
@@ -1043,7 +1026,7 @@ class SignatureEngine:
         n = len(rows)
         if budget is not None:
             budget.start()
-        _COUNTERS["blocks_evaluated"] += 1
+        SEARCH_COUNTERS.add("blocks_evaluated")
         groups: Dict[int, List[Tuple[int, ...]]] = {}
         for prefix in itertools.combinations(range(n), size - 1):
             union = 0
@@ -1055,8 +1038,8 @@ class SignatureEngine:
                     raise BudgetExceededError(
                         f"size-{size} subset census exceeded its search budget"
                     )
-        _COUNTERS["block_rows_pruned"] += sum(
-            len(members) == 1 for members in groups.values()
+        SEARCH_COUNTERS.add(
+            "block_rows_pruned", sum(len(members) == 1 for members in groups.values())
         )
         return universe, list(groups.values())
 
@@ -1124,9 +1107,7 @@ class SignatureEngine:
     def describe(self) -> str:
         """One-line summary used by examples and benchmarks."""
         classes = self.equivalence_classes()
-        width = (
-            f"columns={self.n_columns}" if self.compression is not None else "raw"
-        )
+        width = f"columns={self.n_columns}" if self.compressed else "raw"
         return (
             f"SignatureEngine(|V|={len(self.nodes)}, |P|={self.n_paths}, "
             f"{width}, classes={len(classes)})"

@@ -10,10 +10,11 @@ picklable arguments, including a precomputed seed string from
   exactly the pre-parallel serial path, sharing the process-global
   :class:`~repro.engine.cache.PathSetCache`.
 * ``jobs>1`` fans the specs out over a ``ProcessPoolExecutor``.  Every worker
-  is a fresh process with its own process-global cache; each trial reports
-  its worker-cache hit/miss deltas back so the parent can fold them into its
-  own cache counters (:meth:`PathSetCache.record_external`) for
-  ``--cache-stats``.
+  is a fresh process with its own process-global cache and search counters;
+  each trial ships back one ``{table: delta}`` dict of what it added to
+  them, and the parent merges it (:meth:`Counters.merge
+  <repro.utils.counters.Counters.merge>`) so ``--cache-stats`` and
+  ``--search-stats`` describe the whole run.
 
 Because every trial's randomness is fully determined by its seed string and
 results are returned in spec order, a parallel run is **bit-identical** to a
@@ -37,11 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.cache import pathset_cache
-from repro.engine.signatures import (
-    record_external_search,
-    reset_search_counters,
-    search_counters,
-)
+from repro.engine.signatures import SEARCH_COUNTERS
 from repro.exceptions import ExperimentError
 from repro.resilience.chaos import ChaosConfig, chaos_hook, install_chaos
 from repro.resilience.checkpoint import (
@@ -49,11 +46,8 @@ from repro.resilience.checkpoint import (
     active_checkpoint,
     fingerprint_call,
 )
-from repro.resilience.pool import (
-    ExecutionPolicy,
-    TrialFailure,
-    _record_pool_event,
-)
+from repro.resilience.pool import POOL_COUNTERS, ExecutionPolicy, TrialFailure
+from repro.utils.counters import Counters
 
 
 @dataclass(frozen=True)
@@ -79,19 +73,14 @@ class TrialSpec:
 class TrialResult:
     """The outcome of one executed :class:`TrialSpec`.
 
-    ``cache_hits``/``cache_misses`` are the deltas the trial produced on its
-    executing process's global :class:`PathSetCache` — the currency the
-    parent uses to merge worker statistics after a fan-out.
-    ``search_counters`` carries the trial's subset-search counter deltas the
-    same way (``--search-stats``).
+    ``counters`` maps each of :func:`_counter_tables` to what the trial
+    added to it in its executing process — the one delta the parent merges
+    after a fan-out.
     """
 
     index: int
     value: Any
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    search_counters: Dict[str, int] = field(default_factory=dict)
+    counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -105,6 +94,12 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
+def _counter_tables() -> Dict[str, Counters]:
+    """The process counters a trial adds to (the pool counters are kept by
+    the parent alone)."""
+    return {"search": SEARCH_COUNTERS, "pathset": pathset_cache().counters}
+
+
 def _init_worker(chaos: Optional[ChaosConfig] = None) -> None:
     """Pool initializer: arm the fault-injection hook, start a clean cache.
 
@@ -112,35 +107,27 @@ def _init_worker(chaos: Optional[ChaosConfig] = None) -> None:
     the only setting a worker needs from the parent; the engine config rides
     in each trial's pickled spec.  Clearing makes worker caches behave
     identically under ``fork`` (which inherits a copy of the parent's
-    entries) and ``spawn`` (which starts empty), and makes the reported
-    deltas describe this run only.
+    entries) and ``spawn`` (which starts empty).
     """
     install_chaos(chaos)
     pathset_cache().clear()
-    reset_search_counters()
+    SEARCH_COUNTERS.reset()
 
 
 def _run_spec(indexed_spec: Tuple[int, TrialSpec]) -> TrialResult:
-    """Worker-side execution of one spec, with cache-delta bookkeeping."""
+    """Worker-side execution of one spec, with counter-delta bookkeeping."""
     index, spec = indexed_spec
-    cache = pathset_cache()
-    hits_before, misses_before = cache.hits, cache.misses
-    evictions_before = cache.evictions
-    searches_before = search_counters()
+    tables = _counter_tables()
+    before = {name: table.snapshot() for name, table in tables.items()}
     value = spec.run()
-    before = searches_before.as_dict()
-    deltas = {
-        name: value - before[name]
-        for name, value in search_counters().as_dict().items()
-    }
-    return TrialResult(
-        index=index,
-        value=value,
-        cache_hits=cache.hits - hits_before,
-        cache_misses=cache.misses - misses_before,
-        cache_evictions=cache.evictions - evictions_before,
-        search_counters=deltas,
-    )
+    counters = {}
+    for name, table in tables.items():
+        then = before[name]
+        counters[name] = {
+            counter: count - then[counter]
+            for counter, count in table.snapshot().items()
+        }
+    return TrialResult(index=index, value=value, counters=counters)
 
 
 def _run_spec_attempt(task: Tuple[int, TrialSpec, int]) -> TrialResult:
@@ -169,28 +156,11 @@ def _checkpoint_keys(spec_list: List[TrialSpec]) -> List[str]:
 
 
 def _merge_worker_counters(results: Iterable[TrialResult]) -> None:
-    """Fold worker-side cache/search deltas into the parent's counters."""
-    results = list(results)
-    pathset_cache().record_external(
-        hits=sum(result.cache_hits for result in results),
-        misses=sum(result.cache_misses for result in results),
-        evictions=sum(result.cache_evictions for result in results),
-    )
-    record_external_search(
-        searches=sum(r.search_counters.get("searches", 0) for r in results),
-        subsets_enumerated=sum(
-            r.search_counters.get("subsets_enumerated", 0) for r in results
-        ),
-        dominance_prunes=sum(
-            r.search_counters.get("dominance_prunes", 0) for r in results
-        ),
-        blocks_evaluated=sum(
-            r.search_counters.get("blocks_evaluated", 0) for r in results
-        ),
-        block_rows_pruned=sum(
-            r.search_counters.get("block_rows_pruned", 0) for r in results
-        ),
-    )
+    """Fold every worker trial's counter deltas into the parent's tables."""
+    tables = _counter_tables()
+    for result in results:
+        for name, delta in result.counters.items():
+            tables[name].merge(delta)
 
 
 def _run_serial(
@@ -218,7 +188,7 @@ def _run_serial(
             except Exception as error:  # noqa: BLE001 - retry boundary
                 failures += 1
                 if failures > policy.max_retries:
-                    _record_pool_event("trial_failures")
+                    POOL_COUNTERS.add("trial_failures")
                     if policy.failure_mode == "raise":
                         raise
                     value = TrialFailure(
@@ -229,7 +199,7 @@ def _run_serial(
                         attempts=failures,
                     )
                     break
-                _record_pool_event("retries")
+                POOL_COUNTERS.add("retries")
                 time.sleep(policy.backoff_seconds(index, failures))
             else:
                 if checkpoint is not None:
@@ -281,7 +251,7 @@ def _run_resilient(
         count = failure_counts.get(index, 0) + 1
         failure_counts[index] = count
         if count > policy.max_retries:
-            _record_pool_event("trial_failures")
+            POOL_COUNTERS.add("trial_failures")
             message = str(error) or kind
             if policy.failure_mode == "raise":
                 raise ExperimentError(
@@ -296,7 +266,7 @@ def _run_resilient(
                 attempts=count,
             )
             return
-        _record_pool_event("retries")
+        POOL_COUNTERS.add("retries")
         delay = policy.backoff_seconds(index, attempt + 1)
         pending.append((index, attempt + 1, time.monotonic() + delay))
 
@@ -366,8 +336,8 @@ def _run_resilient(
                     charge(index, attempt, "error", error)
 
             if crashed:
-                _record_pool_event("worker_crashes")
-                _record_pool_event("pool_rebuilds")
+                POOL_COUNTERS.add("worker_crashes")
+                POOL_COUNTERS.add("pool_rebuilds")
                 survivors = list(futures.values())
                 futures.clear()
                 pool.shutdown(wait=False, cancel_futures=True)
@@ -385,8 +355,8 @@ def _run_resilient(
             if timed_out:
                 # A running task cannot be cancelled; tear the pool down and
                 # resubmit the innocent bystanders at their current attempt.
-                _record_pool_event("timeouts", len(timed_out))
-                _record_pool_event("pool_rebuilds")
+                POOL_COUNTERS.add("timeouts", len(timed_out))
+                POOL_COUNTERS.add("pool_rebuilds")
                 for process in getattr(pool, "_processes", {}).values():
                     process.terminate()
                 victims = [futures[future] for future in timed_out]

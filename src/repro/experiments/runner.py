@@ -54,6 +54,7 @@ from repro.api.spec import (
     ScenarioSpec,
     UniverseSpec,
     load_spec_batch,
+    parse_churn_document,
 )
 from repro.engine import (
     cache_stats,
@@ -254,17 +255,18 @@ def run_spec_sections(
     jobs: int = 1,
     trials: Optional[int] = None,
     seed: Optional[int] = None,
-    engine: Optional[EngineConfig] = None,
+    time_budget: Optional[float] = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> List[Section]:
     """Run a batch of user-defined scenarios, one section per scenario.
 
     ``trials`` overrides every spec's failure-campaign trial count; ``seed``
     is applied (offset by the scenario's position, so repeated specs stay
-    decorrelated) to specs that do not pin their own seed; ``engine``
-    replaces every spec's engine config (how the CLI ``--time-budget`` flag
-    reaches a spec batch — an explicit flag wins over the file).  Scenarios
-    are fanned out over ``jobs`` worker processes — one pickled
+    decorrelated) to specs that do not pin their own seed; ``time_budget``
+    overrides every spec's engine ``time_budget`` and nothing else of its
+    engine config (how the CLI ``--time-budget`` flag reaches a spec batch —
+    an explicit flag wins over the file).  Scenarios are fanned out over
+    ``jobs`` worker processes — one pickled
     :class:`~repro.api.spec.ScenarioSpec` per trial — under the execution
     ``policy`` (default: ``ExecutionPolicy()``).
     """
@@ -274,9 +276,7 @@ def run_spec_sections(
             spec = spec.with_trials(trials)
         if spec.seed is None and seed is not None:
             spec = spec.with_seed(seed + index)
-        if engine is not None:
-            spec = spec.with_engine(engine)
-        prepared.append(spec)
+        prepared.append(spec.with_time_budget(time_budget))
     trial_specs = [
         TrialSpec(
             _run_scenario_spec,
@@ -374,7 +374,8 @@ def parse_universe_argument(value: str):
 
 def load_churn_file(path: str):
     """Parse a ``--churn`` document: ``{"base": <ScenarioSpec>, "deltas":
-    [<DeltaSpec>, ...]}``.  Returns ``(base_spec, deltas)``."""
+    [<DeltaSpec>, ...]}`` (:func:`~repro.api.spec.parse_churn_document`).
+    Returns ``(base_spec, deltas)``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -382,22 +383,7 @@ def load_churn_file(path: str):
         raise SpecError(f"cannot read churn file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"churn file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SpecError(
-            f"churn file {path!r} must be a {{'base': ..., 'deltas': [...]}} "
-            f"object, got {type(payload).__name__}"
-        )
-    unknown = set(payload) - {"base", "deltas"}
-    if unknown:
-        raise SpecError(f"unknown churn file fields {sorted(unknown)}")
-    if "base" not in payload:
-        raise SpecError(f"churn file {path!r} is missing its 'base' scenario")
-    deltas_payload = payload.get("deltas", [])
-    if not isinstance(deltas_payload, list):
-        raise SpecError(f"churn file {path!r} 'deltas' must be a list")
-    base_spec = ScenarioSpec.from_dict(payload["base"])
-    deltas = [DeltaSpec.from_dict(entry) for entry in deltas_payload]
-    return base_spec, deltas
+    return parse_churn_document(payload, what="churn file")
 
 
 def run_churn_sections(
@@ -514,14 +500,14 @@ def run_churn_sections(
 
 
 def run_churn_file(
-    path: str, verify: bool = False, engine: Optional[EngineConfig] = None
+    path: str, verify: bool = False, time_budget: Optional[float] = None
 ) -> List[Section]:
     """Load a ``--churn`` document and replay its delta sequence
-    (``engine``, when given, replaces the base scenario's engine config)."""
+    (``time_budget``, when given, overrides the base scenario's)."""
     base_spec, deltas = load_churn_file(path)
-    if engine is not None:
-        base_spec = base_spec.with_engine(engine)
-    return run_churn_sections(base_spec, deltas, verify=verify)
+    return run_churn_sections(
+        base_spec.with_time_budget(time_budget), deltas, verify=verify
+    )
 
 
 def expand_spec_paths(paths: Iterable[str]) -> List[str]:
@@ -564,7 +550,7 @@ def run_spec_files(
     jobs: int = 1,
     trials: Optional[int] = None,
     seed: Optional[int] = None,
-    engine: Optional[EngineConfig] = None,
+    time_budget: Optional[float] = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> List[Section]:
     """Load one or more ``--spec`` documents (files or directories) and run
@@ -579,7 +565,12 @@ def run_spec_files(
         specs.extend(_load_spec_file(path))
     clear_pathset_cache()
     return run_spec_sections(
-        specs, jobs=jobs, trials=trials, seed=seed, engine=engine, policy=policy
+        specs,
+        jobs=jobs,
+        trials=trials,
+        seed=seed,
+        time_budget=time_budget,
+        policy=policy,
     )
 
 
@@ -588,12 +579,17 @@ def run_spec_file(
     jobs: int = 1,
     trials: Optional[int] = None,
     seed: Optional[int] = None,
-    engine: Optional[EngineConfig] = None,
+    time_budget: Optional[float] = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> List[Section]:
     """Load a single ``--spec`` JSON document and run its scenario batch."""
     return run_spec_files(
-        [path], jobs=jobs, trials=trials, seed=seed, engine=engine, policy=policy
+        [path],
+        jobs=jobs,
+        trials=trials,
+        seed=seed,
+        time_budget=time_budget,
+        policy=policy,
     )
 
 
@@ -736,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the search truncates at the last fully completed level "
         "(exhausted_search=false, stats.budget_exhausted=true — a certified "
         "lower bound), carried to pool workers inside each trial's engine "
-        "config",
+        "config; a spec's other engine settings stand",
     )
     parser.add_argument(
         "--trial-timeout",
@@ -846,22 +842,15 @@ def _validate_arguments(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
 
 
-def _engine_config(args) -> Optional[EngineConfig]:
-    """The engine config the flags ask for, or ``None`` when no engine flag
-    is given (each spec then keeps its own config)."""
-    if args.time_budget is None:
-        return None
-    return EngineConfig(time_budget=args.time_budget)
-
-
 def main(argv: List[str] | None = None) -> int:
     """Console-script entry point.
 
-    The ``--time-budget`` flag builds one
-    :class:`~repro.api.spec.EngineConfig` and the resilience flags one
-    :class:`~repro.resilience.pool.ExecutionPolicy`; both are passed down
-    explicitly (the config inside every trial's spec), so invoking ``main``
-    as a library function changes no process-global engine state.
+    The ``--time-budget`` flag overrides only the ``time_budget`` of each
+    spec's (or churn base's) :class:`~repro.api.spec.EngineConfig`, and is
+    the whole engine config of the paper tables; the resilience flags build
+    one :class:`~repro.resilience.pool.ExecutionPolicy`.  Both are passed
+    down explicitly (the config inside every trial's spec), so invoking
+    ``main`` as a library function changes no process-global engine state.
     ``Ctrl-C`` cancels the outstanding pool futures, leaves every
     already-journaled trial durable on disk, and exits with the conventional
     status 130.
@@ -881,10 +870,6 @@ def main(argv: List[str] | None = None) -> int:
         chaos = ChaosConfig.from_string(os.environ.get("REPRO_CHAOS"))
     except Exception as exc:  # noqa: BLE001 - env parse errors exit cleanly
         parser.error(f"invalid REPRO_CHAOS value: {exc}")
-    # An explicit engine flag overrides a spec batch's (or churn base's)
-    # engine configs; with no flag, each spec's own (or default) config
-    # stands.
-    engine = _engine_config(args)
     policy = ExecutionPolicy(
         trial_timeout=args.trial_timeout,
         max_retries=args.max_retries or 0,
@@ -897,7 +882,9 @@ def main(argv: List[str] | None = None) -> int:
         with checkpoint_scope(journal):
             if args.churn:
                 sections = run_churn_file(
-                    args.churn, verify=args.churn_verify, engine=engine
+                    args.churn,
+                    verify=args.churn_verify,
+                    time_budget=args.time_budget,
                 )
             elif args.spec:
                 sections = run_spec_files(
@@ -905,7 +892,7 @@ def main(argv: List[str] | None = None) -> int:
                     jobs=args.jobs,
                     trials=args.trials,
                     seed=args.seed,
-                    engine=engine,
+                    time_budget=args.time_budget,
                     policy=policy,
                 )
                 failed = any(
@@ -915,7 +902,9 @@ def main(argv: List[str] | None = None) -> int:
             else:
                 sections = run(
                     args.tables, args.seed, jobs=args.jobs, trials=args.trials,
-                    universe=universe, engine=engine, policy=policy,
+                    universe=universe,
+                    engine=EngineConfig(time_budget=args.time_budget),
+                    policy=policy,
                 )
             if args.format == "json":
                 payload = render_json(sections, args.seed, args.jobs)

@@ -15,20 +15,22 @@ never *what* it computes — successful output stays bit-identical to serial.
 The jitter itself is seeded per ``(trial, attempt)`` so a resilient run's
 schedule is reproducible too.
 
-The process-global retry counters mirror ``search_counters``: drivers and the
-benchmark harness snapshot them around a run to report how much fault
-handling actually happened (``BENCH_JSON`` records them so clean hosts can
-assert zero retries).
+The process-global retry counters are a :class:`~repro.utils.counters.Counters`
+table, like the search counters: the experiment runner and the benchmark
+harness snapshot them around a run to report how much fault handling
+actually happened (``BENCH_JSON`` records them so clean hosts can assert
+zero retries).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional
 
 from repro.exceptions import ExperimentError
 from repro.resilience.chaos import ChaosConfig
+from repro.utils.counters import Counters
 
 #: Upper bound on one backoff sleep, seconds (keeps a long retry ladder from
 #: stalling the batch).
@@ -118,14 +120,6 @@ class ExecutionPolicy:
 
 # -- retry observability ------------------------------------------------------
 
-_POOL_COUNTERS: Dict[str, int] = {
-    "retries": 0,
-    "timeouts": 0,
-    "worker_crashes": 0,
-    "pool_rebuilds": 0,
-    "trial_failures": 0,
-}
-
 
 @dataclass(frozen=True)
 class PoolCounters:
@@ -139,25 +133,18 @@ class PoolCounters:
     trial_failures: int
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "worker_crashes": self.worker_crashes,
-            "pool_rebuilds": self.pool_rebuilds,
-            "trial_failures": self.trial_failures,
-        }
+        return asdict(self)
+
+
+#: The process-global fault-handling counters, named as :class:`PoolCounters`.
+POOL_COUNTERS = Counters(f.name for f in fields(PoolCounters))
 
 
 def pool_counters() -> PoolCounters:
     """Snapshot of the accumulated fault-handling counters."""
-    return PoolCounters(**_POOL_COUNTERS)
+    return PoolCounters(**POOL_COUNTERS.snapshot())
 
 
 def reset_pool_counters() -> None:
     """Zero the fault-handling counters."""
-    for name in _POOL_COUNTERS:
-        _POOL_COUNTERS[name] = 0
-
-
-def _record_pool_event(name: str, count: int = 1) -> None:
-    _POOL_COUNTERS[name] += count
+    POOL_COUNTERS.reset()

@@ -56,11 +56,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.scenario import Scenario
-from repro.api.spec import AnalysisSpec, DeltaSpec, ScenarioSpec
-from repro.engine.cache import cache_stats, pathset_cache
-from repro.engine.signatures import search_counters
+from repro.api.spec import AnalysisSpec, DeltaSpec, ScenarioSpec, parse_churn_document
+from repro.engine.cache import pathset_cache
+from repro.engine.signatures import SEARCH_COUNTERS
 from repro.exceptions import SpecError
-from repro.resilience.pool import pool_counters
+from repro.resilience.pool import POOL_COUNTERS
 from repro.service.cache import ScenarioCache
 from repro.service.executor import (
     AnalysisExecutor,
@@ -175,34 +175,44 @@ class Metrics:
         emit("repro_max_inflight", executor.max_inflight)
 
         scenario = cache.stats()
-        lines.append(
-            "# HELP repro_scenario_cache Compiled-scenario cache counters."
+        pathsets = pathset_cache()
+        tables = (
+            (
+                "scenario_cache",
+                "Compiled-scenario cache counters.",
+                cache.counters.snapshot().items(),
+                (
+                    ("entries", scenario.entries),
+                    ("bytes", scenario.nbytes),
+                    ("hit_rate", f"{scenario.hit_rate:.6f}"),
+                ),
+            ),
+            (
+                "pathset_cache",
+                "Path-set cache counters.",
+                pathsets.counters.snapshot().items(),
+                (("entries", len(pathsets)),),
+            ),
+            (
+                "pool",
+                "Resilient-pool counters.",
+                sorted(POOL_COUNTERS.snapshot().items()),
+                (),
+            ),
+            (
+                "search",
+                "Search counters (µ searches run, subsets enumerated, "
+                "prunes, census blocks evaluated).",
+                sorted(SEARCH_COUNTERS.snapshot().items()),
+                (),
+            ),
         )
-        emit("repro_scenario_cache_hits_total", scenario.hits)
-        emit("repro_scenario_cache_misses_total", scenario.misses)
-        emit("repro_scenario_cache_evictions_total", scenario.evictions)
-        emit("repro_scenario_cache_bypasses_total", scenario.bypasses)
-        emit("repro_scenario_cache_entries", scenario.entries)
-        emit("repro_scenario_cache_bytes", scenario.nbytes)
-        emit("repro_scenario_cache_hit_rate", f"{scenario.hit_rate:.6f}")
-
-        pathset = cache_stats()
-        lines.append("# HELP repro_pathset_cache Path-set cache counters.")
-        emit("repro_pathset_cache_hits_total", pathset.hits)
-        emit("repro_pathset_cache_misses_total", pathset.misses)
-        emit("repro_pathset_cache_evictions_total", pathset.evictions)
-        emit("repro_pathset_cache_entries", pathset.size)
-
-        lines.append("# HELP repro_pool Resilient-pool counters (see PR 8).")
-        for name, value in sorted(pool_counters().as_dict().items()):
-            emit(f"repro_pool_{name}_total", value)
-
-        lines.append(
-            "# HELP repro_search Search counters (µ searches run, "
-            "subsets enumerated, prunes, census blocks evaluated)."
-        )
-        for name, value in sorted(search_counters().as_dict().items()):
-            emit(f"repro_search_{name}_total", value)
+        for table, help_text, totals, gauges in tables:
+            lines.append(f"# HELP repro_{table} {help_text}")
+            for name, value in totals:
+                emit(f"repro_{table}_{name}_total", value)
+            for name, value in gauges:
+                emit(f"repro_{table}_{name}", value)
         return "\n".join(lines) + "\n"
 
 
@@ -219,12 +229,6 @@ def _parse_budget(query: Dict[str, List[str]]) -> Optional[float]:
     if budget <= 0:
         raise SpecError(f"budget must be > 0 seconds, got {budget}")
     return budget
-
-
-def _with_budget(spec: ScenarioSpec, budget: Optional[float]) -> ScenarioSpec:
-    if budget is None:
-        return spec
-    return replace(spec, engine=replace(spec.engine, time_budget=budget))
 
 
 def _parse_analyze_payload(body: bytes) -> ScenarioSpec:
@@ -261,24 +265,7 @@ def _parse_churn_payload(body: bytes) -> Tuple[ScenarioSpec, List[DeltaSpec]]:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError(f"request body is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SpecError(
-            f"churn document must be an object with 'base' and 'deltas', "
-            f"got {type(payload).__name__}"
-        )
-    unknown = set(payload) - {"base", "deltas"}
-    if unknown:
-        raise SpecError(f"unknown churn document fields {sorted(unknown)}")
-    if "base" not in payload or "deltas" not in payload:
-        raise SpecError("churn document requires both 'base' and 'deltas'")
-    base = ScenarioSpec.from_dict(payload["base"])
-    deltas_payload = payload["deltas"]
-    if not isinstance(deltas_payload, list):
-        raise SpecError(
-            f"'deltas' must be a list, got {type(deltas_payload).__name__}"
-        )
-    deltas = [DeltaSpec.from_dict(entry) for entry in deltas_payload]
-    return base, deltas
+    return parse_churn_document(payload)
 
 
 class ScenarioServer:
@@ -559,7 +546,7 @@ class ScenarioServer:
     ) -> int:
         try:
             spec = _parse_analyze_payload(request.body)
-            spec = _with_budget(spec, _parse_budget(request.query))
+            spec = spec.with_time_budget(_parse_budget(request.query))
         except CLIENT_ERROR_TYPES as exc:
             return self._respond(writer, request, 400, {"error": str(exc)})
 
@@ -591,7 +578,7 @@ class ScenarioServer:
     ) -> int:
         try:
             base, deltas = _parse_churn_payload(request.body)
-            base = _with_budget(base, _parse_budget(request.query))
+            base = base.with_time_budget(_parse_budget(request.query))
         except CLIENT_ERROR_TYPES as exc:
             return self._respond(writer, request, 400, {"error": str(exc)})
         if not self.executor.try_acquire():

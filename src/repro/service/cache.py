@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.api.scenario import Scenario
 from repro.api.spec import ScenarioSpec
+from repro.utils.counters import KeyedLRU
 
 #: The spec sections that determine the compiled artifacts.  ``analyses``,
 #: ``label``, ``engine`` and ``failures`` are deliberately excluded:
@@ -90,14 +89,15 @@ class ScenarioCacheStats:
         return self.hits / total if total else 0.0
 
 
-class ScenarioCache:
+class ScenarioCache(KeyedLRU[CompiledScenario]):
     """Lock-protected LRU over compiled scenarios, keyed by spec fingerprint.
 
-    Same concurrency contract as :class:`~repro.engine.cache.PathSetCache`:
-    lookups and counter updates happen under the lock, compilation happens
-    outside it (a compile can take seconds — holding the lock would serialise
-    every cold request), and when two requests race on the same cold
-    fingerprint the first insert wins so both adopt one set of artifacts.
+    The same :class:`~repro.utils.counters.KeyedLRU` as
+    :class:`~repro.engine.cache.PathSetCache`: lookups and counter updates
+    happen under the lock, compilation happens outside it (a compile can
+    take seconds — holding the lock would serialise every cold request),
+    and when two requests race on the same cold fingerprint the first
+    insert wins so both adopt one set of artifacts.
 
     Eviction is LRU, bounded by entry count and optionally by total
     approximate bytes (``max_bytes``).  At least one entry is always kept —
@@ -105,19 +105,12 @@ class ScenarioCache:
     """
 
     def __init__(self, maxsize: int = 64, max_bytes: Optional[int] = None) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1 (or None), got {max_bytes}")
-        self.maxsize = maxsize
-        self.max_bytes = max_bytes
-        self._entries: "OrderedDict[str, CompiledScenario]" = OrderedDict()
-        self._lock = threading.RLock()
-        self._nbytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.bypasses = 0
+        super().__init__(
+            maxsize,
+            max_bytes=max_bytes,
+            sizeof=lambda entry: entry.nbytes,
+            extra_counters=("bypasses",),
+        )
 
     def get_or_compile(self, spec: ScenarioSpec) -> Tuple[Scenario, bool, str]:
         """A scenario for ``spec``, compiled or adopted from cache.
@@ -131,23 +124,14 @@ class ScenarioCache:
         """
         fingerprint = spec_fingerprint(spec)
         if not spec.engine.cache:
-            with self._lock:
-                self.bypasses += 1
+            self.counters.add("bypasses")
             scenario = Scenario(spec)
             scenario.pathset  # noqa: B018 - force compilation now, uncached
             return scenario, False, fingerprint
-
-        with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is not None:
-                self._entries.move_to_end(fingerprint)
-                self.hits += 1
-                return self._adopt(spec, entry), True, fingerprint
-            self.misses += 1
-
-        entry = self._compile(spec, fingerprint)
-        entry = self._insert(entry)
-        return self._adopt(spec, entry), False, fingerprint
+        entry, hit = self.get_or_build(
+            fingerprint, lambda: self._compile(spec, fingerprint)
+        )
+        return self._adopt(spec, entry), hit, fingerprint
 
     def _compile(self, spec: ScenarioSpec, fingerprint: str) -> CompiledScenario:
         started = time.perf_counter()
@@ -162,27 +146,6 @@ class ScenarioCache:
             compile_seconds=time.perf_counter() - started,
         )
 
-    def _insert(self, entry: CompiledScenario) -> CompiledScenario:
-        with self._lock:
-            existing = self._entries.get(entry.fingerprint)
-            if existing is not None:
-                self._entries.move_to_end(entry.fingerprint)
-                return existing
-            self._entries[entry.fingerprint] = entry
-            self._nbytes += entry.nbytes
-            self._evict()
-            return entry
-
-    def _evict(self) -> None:
-        while len(self._entries) > self.maxsize or (
-            self.max_bytes is not None
-            and self._nbytes > self.max_bytes
-            and len(self._entries) > 1
-        ):
-            _, dropped = self._entries.popitem(last=False)
-            self._nbytes -= dropped.nbytes
-            self.evictions += 1
-
     @staticmethod
     def _adopt(spec: ScenarioSpec, entry: CompiledScenario) -> Scenario:
         """A per-request scenario sharing the cached compiled artifacts."""
@@ -192,26 +155,10 @@ class ScenarioCache:
         scenario._pathset = entry.pathset
         return scenario
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._nbytes = 0
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.bypasses = 0
-
     def stats(self) -> ScenarioCacheStats:
         with self._lock:
             return ScenarioCacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                evictions=self.evictions,
-                bypasses=self.bypasses,
+                **self.counters.snapshot(),
                 entries=len(self._entries),
-                nbytes=self._nbytes,
+                nbytes=self.nbytes,
             )
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)

@@ -32,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro.exceptions import ReproError
-from repro.resilience.pool import TrialFailure, _record_pool_event
+from repro.resilience.pool import POOL_COUNTERS, TrialFailure
 
 #: Exception types that mean "the request was wrong", not "the server broke".
 #: ``ReproError`` covers the whole library hierarchy (SpecError, budget
@@ -131,30 +131,7 @@ class AnalysisExecutor:
                 error=f"{type(exc).__name__}: {exc}",
                 attempts=1,
             )
-            _record_pool_event("trial_failures")
-            raise QuarantinedError(failure) from exc
-        finally:
-            self.release()
-
-    def run_sync(self, func: Callable[[], Any], label: str = "") -> Any:
-        """Synchronous twin of :meth:`run` (same admission and quarantine
-        semantics), for callers outside the event loop."""
-        if not self.try_acquire():
-            raise ServiceOverloadedError(self.max_inflight)
-        index = next(self._request_ids)
-        try:
-            return self._pool.submit(func).result()
-        except CLIENT_ERROR_TYPES:
-            raise
-        except BaseException as exc:
-            failure = TrialFailure(
-                index=index,
-                label=label or f"request-{index}",
-                kind="error",
-                error=f"{type(exc).__name__}: {exc}",
-                attempts=1,
-            )
-            _record_pool_event("trial_failures")
+            POOL_COUNTERS.add("trial_failures")
             raise QuarantinedError(failure) from exc
         finally:
             self.release()

@@ -444,10 +444,12 @@ class TestSpecRunnerAndWorkers:
                 TrialResult(
                     index=0,
                     value=None,
-                    search_counters={
-                        "searches": 1,
-                        "blocks_evaluated": 5,
-                        "block_rows_pruned": 9,
+                    counters={
+                        "search": {
+                            "searches": 1,
+                            "blocks_evaluated": 5,
+                            "block_rows_pruned": 9,
+                        }
                     },
                 )
             ]

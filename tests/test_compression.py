@@ -225,6 +225,21 @@ class TestCompressionPolicy:
         plan = engine.compression
         assert "4 -> 3 columns" in plan.describe()
 
+    def test_describe_calls_only_the_reference_engine_raw(self):
+        """An identity plan leaves ``compression`` unset, but the engine is
+        still the compressed one: it prints its width, not ``raw``."""
+        from repro.api.scenario import Scenario
+
+        grid = directed_hypergrid(3, 2)
+        scenario = Scenario.from_components(grid, chi_g(grid))
+        engine = scenario.engine
+        assert engine.compression is None
+        assert f"columns={engine.n_paths}," in engine.describe()
+        assert "raw" not in engine.describe()
+        raw = SignatureEngine.from_pathset(scenario.pathset, compress=False)
+        assert "raw" in raw.describe()
+        assert "columns=" not in raw.describe()
+
 
 # ---------------------------------------------------------------------------
 # Compression builds only what is read

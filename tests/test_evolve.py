@@ -325,13 +325,13 @@ class TestEvolveCache:
         assert stats.size == 1
         assert "1 evictions" in str(stats)
 
-    def test_record_external_folds_evictions(self):
+    def test_counter_merge_folds_evictions(self):
         cache = PathSetCache()
-        cache.record_external(hits=2, misses=3, evictions=4)
+        cache.counters.merge({"hits": 2, "misses": 3, "evictions": 4})
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.evictions) == (2, 3, 4)
         with pytest.raises(ValueError):
-            cache.record_external(hits=0, misses=0, evictions=-1)
+            cache.counters.merge({"evictions": -1})
         cache.clear()
         assert cache.stats().evictions == 0
 
@@ -611,6 +611,14 @@ class TestChurnRunner:
         no_base.write_text(json.dumps({"deltas": []}))
         with pytest.raises(SpecError, match="base"):
             load_churn_file(str(no_base))
+
+    def test_churn_file_requires_deltas(self, tmp_path):
+        """The CLI and ``/v1/churn`` share one parser: ``deltas`` is required
+        (an empty list replays the base alone)."""
+        path = tmp_path / "nodeltas.json"
+        path.write_text(json.dumps({"base": self._churn_payload()["base"]}))
+        with pytest.raises(SpecError, match="deltas"):
+            load_churn_file(str(path))
 
     def test_verify_failure_is_loud(self, tmp_path, monkeypatch):
         import dataclasses

@@ -267,6 +267,35 @@ class TestRunner:
         for section in sections:
             assert section.title in text
 
+    def test_time_budget_flag_keeps_the_spec_engine_settings(self, tmp_path):
+        """``--time-budget`` overrides only ``time_budget``: the spec's own
+        ``subset_budget`` still truncates µ and ``cache: false`` stands."""
+        import json
+
+        spec = {
+            "topology": {"name": "dataxchange"},
+            "placement": {"strategy": "mdmp", "params": {"d": 3}},
+            "seed": 1,
+            "engine": {"cache": False, "subset_budget": 1},
+            "analyses": [{"analysis": "mu"}],
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out.json"
+        runner.main(
+            ["--spec", str(spec_path), "--time-budget", "3600", "--format",
+             "json", "--output", str(out)]
+        )
+        data = json.loads(out.read_text())["sections"][0]["data"]
+        assert data["spec"]["engine"] == {
+            "cache": False,
+            "time_budget": 3600.0,
+            "subset_budget": 1,
+        }
+        mu = data["analyses"]["mu"]
+        assert mu["searched_up_to"] == 1
+        assert mu["witness"] is None
+
     def test_main_backend_selection_is_scoped(self, tmp_path, capsys):
         """The engine flags live in one run's engine config; the removed
         ``--backend`` flag is an argparse error."""

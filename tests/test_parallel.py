@@ -153,10 +153,17 @@ class TestCacheStatsMerging:
         assert stats.hits + stats.misses >= 8
         clear_pathset_cache()
 
-    def test_record_external_validates(self):
-        cache = pathset_cache()
-        with pytest.raises(ValueError):
-            cache.record_external(-1, 0)
+    def test_worker_delta_validates(self):
+        """A malformed worker delta is rejected whole, before it counts."""
+        from repro.experiments.parallel import TrialResult, _merge_worker_counters
+
+        before = cache_stats()
+        for delta in ({"hits": 2, "misses": -1}, {"hits": 2, "lookups": 1}):
+            with pytest.raises((ValueError, KeyError)):
+                _merge_worker_counters(
+                    [TrialResult(index=0, value=None, counters={"pathset": delta})]
+                )
+        assert cache_stats() == before
 
     def test_normalize_limits(self):
         assert normalize_limits(None, None) == normalize_limits()

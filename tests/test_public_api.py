@@ -92,7 +92,6 @@ EXPECTED_ENGINE_ALL = [
     "normalize_limits",
     "numpy_available",
     "pathset_cache",
-    "record_external_search",
     "reset_search_counters",
     "search_counters",
 ]
@@ -175,6 +174,21 @@ class TestPublicSurface:
     def test_engine_setting_modules_have_no_global_statement(self, module):
         tree = ast.parse(inspect.getsource(importlib.import_module(module)))
         assert not any(isinstance(node, ast.Global) for node in ast.walk(tree))
+
+    @pytest.mark.parametrize(
+        "module, owner, name",
+        [
+            ("repro.engine.signatures", None, "record_external_search"),
+            ("repro.engine.cache", "PathSetCache", "record_external"),
+            ("repro.service.executor", "AnalysisExecutor", "run_sync"),
+        ],
+    )
+    def test_names_removed_in_11_are_gone(self, module, owner, name):
+        """The 11.0.0 removals (README "Migration to 11.0.0")."""
+        target = importlib.import_module(module)
+        if owner is not None:
+            target = getattr(target, owner)
+        assert not hasattr(target, name)
 
     def test_schema_version(self):
         assert SCHEMA_VERSION == 2

@@ -8,6 +8,7 @@ read-mostly tests; counter- and capacity-sensitive tests get their own.
 
 from __future__ import annotations
 
+import asyncio
 import glob
 import json
 import os
@@ -214,6 +215,61 @@ class TestEndpoints:
         ):
             assert family in text, f"missing metric family {family}"
 
+    def test_metrics_names_are_pinned(self):
+        """Every sample line ``/metrics`` prints, name and labels, in order,
+        after a fixed request sequence on a fresh server."""
+        with BackgroundServer(cache_size=4, workers=1, max_inflight=4) as fresh:
+            request(fresh, "GET", "/healthz")
+            request(fresh, "POST", "/v1/analyze", CLARANET_SPEC)
+            request(fresh, "POST", "/v1/analyze", CLARANET_SPEC)
+            request(fresh, "POST", "/v1/analyze", {"nope": 1})
+            status, raw = request(fresh, "GET", "/metrics")
+        assert status == 200
+        names = [
+            line.split(" ")[0]
+            for line in raw.decode("utf-8").splitlines()
+            if not line.startswith("#")
+        ]
+        buckets = [
+            f'repro_request_latency_seconds_bucket{{le="{bound}"}}'
+            for bound in (
+                "0.005", "0.025", "0.1", "0.25", "0.5", "1.0", "2.5", "5.0",
+                "10.0", "30.0", "+Inf",
+            )
+        ]
+        assert names == [
+            "repro_uptime_seconds",
+            'repro_requests_total{path="/healthz",status="200"}',
+            'repro_requests_total{path="/v1/analyze",status="200"}',
+            'repro_requests_total{path="/v1/analyze",status="400"}',
+            *buckets,
+            "repro_request_latency_seconds_sum",
+            "repro_request_latency_seconds_count",
+            "repro_inflight",
+            "repro_max_inflight",
+            "repro_scenario_cache_hits_total",
+            "repro_scenario_cache_misses_total",
+            "repro_scenario_cache_evictions_total",
+            "repro_scenario_cache_bypasses_total",
+            "repro_scenario_cache_entries",
+            "repro_scenario_cache_bytes",
+            "repro_scenario_cache_hit_rate",
+            "repro_pathset_cache_hits_total",
+            "repro_pathset_cache_misses_total",
+            "repro_pathset_cache_evictions_total",
+            "repro_pathset_cache_entries",
+            "repro_pool_pool_rebuilds_total",
+            "repro_pool_retries_total",
+            "repro_pool_timeouts_total",
+            "repro_pool_trial_failures_total",
+            "repro_pool_worker_crashes_total",
+            "repro_search_block_rows_pruned_total",
+            "repro_search_blocks_evaluated_total",
+            "repro_search_dominance_prunes_total",
+            "repro_search_searches_total",
+            "repro_search_subsets_enumerated_total",
+        ]
+
     def test_payload_too_large_413(self):
         with BackgroundServer(
             cache_size=2, workers=1, max_inflight=2, max_body_bytes=64
@@ -390,7 +446,7 @@ class TestExecutor:
         try:
             assert executor.try_acquire()
             with pytest.raises(ServiceOverloadedError):
-                executor.run_sync(lambda: None)
+                asyncio.run(executor.run(lambda: None))
             executor.release()
         finally:
             executor.shutdown()
@@ -399,7 +455,9 @@ class TestExecutor:
         executor = AnalysisExecutor(workers=1, max_inflight=2)
         try:
             with pytest.raises(SpecError):
-                executor.run_sync(lambda: (_ for _ in ()).throw(SpecError("bad")))
+                asyncio.run(
+                    executor.run(lambda: (_ for _ in ()).throw(SpecError("bad")))
+                )
         finally:
             executor.shutdown()
 
@@ -410,9 +468,11 @@ class TestExecutor:
         before = pool_counters().trial_failures
         try:
             with pytest.raises(QuarantinedError) as excinfo:
-                executor.run_sync(
-                    lambda: (_ for _ in ()).throw(OSError("disk on fire")),
-                    label="doomed",
+                asyncio.run(
+                    executor.run(
+                        lambda: (_ for _ in ()).throw(OSError("disk on fire")),
+                        label="doomed",
+                    )
                 )
         finally:
             executor.shutdown()
