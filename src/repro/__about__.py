@@ -1,3 +1,3 @@
 """Package metadata."""
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"

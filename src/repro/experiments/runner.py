@@ -386,6 +386,24 @@ def load_churn_file(path: str):
     return parse_churn_document(payload, what="churn file")
 
 
+def churn_step_entry(
+    step: int, label: str, scenario: Scenario
+) -> Dict[str, Any]:
+    """One churn step's entry: the shape ``--churn`` writes and
+    ``/v1/churn`` streams (``verified`` stays ``None`` unless the runner
+    checks the step against a rebuild)."""
+    mu = scenario.mu()
+    return {
+        "step": step,
+        "label": label,
+        "mu": mu.value,
+        "searched_up_to": mu.searched_up_to,
+        "n_paths": mu.n_paths,
+        "spec": scenario.spec.to_dict(),
+        "verified": None,
+    }
+
+
 def run_churn_sections(
     base_spec: ScenarioSpec,
     deltas: Iterable[DeltaSpec],
@@ -415,6 +433,7 @@ def run_churn_sections(
         # call, so the journal key is a payload fingerprint.  Evolving the
         # chain is cheap; the journal skips the µ (re)computation.
         key = ""
+        entry: Optional[Dict[str, Any]] = None
         if journal is not None:
             key = fingerprint_payload(
                 {
@@ -427,57 +446,37 @@ def run_churn_sections(
             )
             if key in journal:
                 entry = journal.restore(key)
-                steps.append(entry)
-                verified = entry["verified"]
-                rows.append(
-                    (
-                        step,
-                        label,
-                        entry["mu"],
-                        entry["n_paths"],
-                        "ok" if verified else ("-" if verified is None else "FAIL"),
+        if entry is None:
+            entry = churn_step_entry(step, label, current)
+            if verify:
+                # With the cache on, the rebuild would hit the evolved entry
+                # (one key for both) and compare the path set with itself.
+                rebuilt = Scenario(
+                    ScenarioSpec.from_dict(current.spec.to_dict()).with_engine(
+                        replace(current.spec.engine, cache=False)
                     )
                 )
-                return
-        mu = current.mu()
-        verified: Optional[bool] = None
-        if verify:
-            # With the cache on, the rebuild would hit the evolved entry
-            # (one key for both) and compare the path set with itself.
-            rebuilt = Scenario(
-                ScenarioSpec.from_dict(current.spec.to_dict()).with_engine(
-                    replace(current.spec.engine, cache=False)
-                )
-            )
-            if (
-                current.pathset.paths != rebuilt.pathset.paths
-                or mu.to_dict() != rebuilt.mu().to_dict()
-                or current.measurement().to_dict()
-                != rebuilt.measurement().to_dict()
-            ):
-                raise ExperimentError(
-                    f"churn step {step} ({label!r}): evolved scenario "
-                    f"diverges from a from-scratch rebuild of its spec"
-                )
-            verified = True
-        entry = {
-            "step": step,
-            "label": label,
-            "mu": mu.value,
-            "searched_up_to": mu.searched_up_to,
-            "n_paths": mu.n_paths,
-            "spec": current.spec.to_dict(),
-            "verified": verified,
-        }
+                if (
+                    current.pathset.paths != rebuilt.pathset.paths
+                    or current.mu().to_dict() != rebuilt.mu().to_dict()
+                    or current.measurement().to_dict()
+                    != rebuilt.measurement().to_dict()
+                ):
+                    raise ExperimentError(
+                        f"churn step {step} ({label!r}): evolved scenario "
+                        f"diverges from a from-scratch rebuild of its spec"
+                    )
+                entry["verified"] = True
+            if journal is not None:
+                journal.record(key, entry, label=f"churn step {step}: {label}")
         steps.append(entry)
-        if journal is not None:
-            journal.record(key, entry, label=f"churn step {step}: {label}")
+        verified = entry["verified"]
         rows.append(
             (
                 step,
                 label,
-                mu.value,
-                mu.n_paths,
+                entry["mu"],
+                entry["n_paths"],
                 "ok" if verified else ("-" if verified is None else "FAIL"),
             )
         )

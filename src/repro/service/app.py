@@ -37,21 +37,21 @@ method → 405; oversized body → 413; no free in-flight slot → 429; a genuin
 server-side failure → 500 carrying the quarantined
 :class:`~repro.resilience.pool.TrialFailure` record.
 
-Everything is stdlib: one asyncio event loop, hand-rolled HTTP/1.1 framing
-(keep-alive, Content-Length bodies, chunked responses for streams), and the
-:class:`~repro.service.executor.AnalysisExecutor` thread pool for the
-CPU-bound work.
+Everything is stdlib: :class:`http.server.ThreadingHTTPServer` serves each
+connection on its own thread (HTTP/1.1 keep-alive, Content-Length bodies,
+chunked responses for streams), and a request's analysis runs on that
+thread under the :class:`~repro.service.executor.AnalysisExecutor` bounds.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -60,6 +60,7 @@ from repro.api.spec import AnalysisSpec, DeltaSpec, ScenarioSpec, parse_churn_do
 from repro.engine.cache import pathset_cache
 from repro.engine.signatures import SEARCH_COUNTERS
 from repro.exceptions import SpecError
+from repro.experiments.runner import churn_step_entry
 from repro.resilience.pool import POOL_COUNTERS
 from repro.service.cache import ScenarioCache
 from repro.service.executor import (
@@ -72,36 +73,12 @@ from repro.service.executor import (
 #: Request bodies above this are refused with 413 before being read.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: How often the accept loop checks for :meth:`ScenarioServer.stop`, which
+#: waits for it (the stdlib default of 0.5 s would slow every stop).
+STOP_POLL_SECONDS = 0.05
+
 #: Latency histogram bucket upper bounds (seconds), prometheus-style.
 LATENCY_BUCKETS = (0.005, 0.025, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-}
-
-
-class _BadRequest(Exception):
-    """Malformed HTTP framing (before we even reach a handler)."""
-
-
-@dataclass
-class _Request:
-    method: str
-    path: str
-    query: Dict[str, List[str]]
-    headers: Dict[str, str]
-    body: bytes
-
-    @property
-    def keep_alive(self) -> bool:
-        return self.headers.get("connection", "").lower() != "close"
-
 
 class Metrics:
     """Thread-safe request counters + latency histogram for ``/metrics``."""
@@ -268,8 +245,112 @@ def _parse_churn_payload(body: bytes) -> Tuple[ScenarioSpec, List[DeltaSpec]]:
     return parse_churn_document(payload)
 
 
+class _Handler(BaseHTTPRequestHandler):
+    """One connection, on its own thread: the stdlib reads the request line
+    and headers, and every method reaches :meth:`ScenarioServer._dispatch`."""
+
+    protocol_version = "HTTP/1.1"
+    # Without it a response's head and body wait on the client's delayed ACK
+    # (about 40 ms per request on Linux).
+    disable_nagle_algorithm = True
+    server: "_HTTPServer"
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """No access log: ``/metrics`` counts the requests."""
+
+    def parse_request(self) -> bool:
+        # The stdlib reads a two-word request line as HTTP/0.9 and lets
+        # malformed header lines through as parser defects; refuse both.
+        if not super().parse_request():
+            return False
+        if self.request_version == "HTTP/0.9" or self.headers.defects:
+            self.send_error(400)
+            return False
+        return True
+
+    def send_error(
+        self, code: int, message: Optional[str] = None, explain: Optional[str] = None
+    ) -> None:
+        """Framing errors answer a JSON body over HTTP/1.1 and close."""
+        self.request_version = self.protocol_version
+        self.close_connection = True
+        self.respond(
+            code, {"error": "malformed HTTP request" if code == 400 else message}
+        )
+
+    def __getattr__(self, name: str) -> Any:
+        # Every method, GET/POST or not, is routed (404/405) by _dispatch.
+        if name.startswith("do_"):
+            return self._serve
+        raise AttributeError(name)
+
+    def _serve(self) -> None:
+        app = self.server.app
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            return self.send_error(400)
+        if length > app.max_body_bytes:
+            return self.send_error(413, "request body exceeds limit")
+        self.body = self.rfile.read(length)
+        if len(self.body) < length:
+            return self.send_error(400)
+        split = urlsplit(self.path)
+        self.route = split.path or "/"
+        self.query = parse_qs(split.query)
+        started = time.perf_counter()
+        try:
+            status = app._dispatch(self)
+        except ConnectionError:
+            raise
+        except Exception as exc:
+            # Last-resort guard: a handler bug must answer 500, not drop the
+            # connection with no response at all.
+            status = self.respond(500, {"error": f"{type(exc).__name__}: {exc}"})
+        app.metrics.observe(self.route, status, time.perf_counter() - started)
+
+    def write_head(
+        self, status: int, content_type: str, *headers: Tuple[str, str]
+    ) -> None:
+        self.send_response_only(status)
+        self.send_header("Content-Type", content_type)
+        for name, value in headers:
+            self.send_header(name, value)
+        self.send_header(
+            "Connection", "close" if self.close_connection else "keep-alive"
+        )
+        self.end_headers()
+
+    def respond(
+        self, status: int, payload: Any, content_type: str = "application/json"
+    ) -> int:
+        body = (
+            payload
+            if isinstance(payload, bytes)
+            else ScenarioServer._json_body(payload)
+        )
+        self.write_head(status, content_type, ("Content-Length", str(len(body))))
+        self.wfile.write(body)
+        return status
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """The listening socket; one daemon thread per accepted connection."""
+
+    def __init__(self, app: "ScenarioServer", port: int) -> None:
+        super().__init__((app.host, port), _Handler)
+        self.app = app
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A client that hangs up mid-exchange is not a server error.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 class ScenarioServer:
-    """The asyncio server: routing, framing and handler dispatch."""
+    """The service: its caches and executor, routing and handlers."""
 
     def __init__(
         self,
@@ -288,8 +369,7 @@ class ScenarioServer:
         self.executor = AnalysisExecutor(workers=workers, max_inflight=max_inflight)
         self.metrics = Metrics()
         self.max_body_bytes = max_body_bytes
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: "set[asyncio.Task]" = set()
+        self._httpd: Optional[_HTTPServer] = None
         # --cache-size is THE capacity knob of a deployment: it bounds the
         # by-spec scenario cache here and widens (never shrinks) the global
         # by-content pathset cache to match, so a working set the operator
@@ -305,222 +385,52 @@ class ScenarioServer:
         return f"http://{self.host}:{self.port}"
 
     # -- lifecycle -----------------------------------------------------------
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def start(self) -> None:
+        """Bind the listening socket; ``port`` and ``url`` are valid after."""
+        self._httpd = _HTTPServer(self, self._requested_port)
+        self.port = self._httpd.server_address[1]
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+    def serve_forever(self) -> None:
+        """Accept connections until :meth:`stop` (from another thread)."""
+        if self._httpd is None:
+            raise RuntimeError("server is not started")
+        self._httpd.serve_forever(STOP_POLL_SECONDS)
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # wait_closed() does not cover in-flight connection handlers (idle
-        # keep-alive readers included) — cancel them so shutdown is silent.
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self.executor.shutdown(wait=False)
-
-    # -- framing -------------------------------------------------------------
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[_Request]:
-        request_line = await reader.readline()
-        if not request_line:
-            return None  # clean EOF between requests
-        try:
-            method, target, _version = (
-                request_line.decode("latin-1").strip().split(" ", 2)
-            )
-        except ValueError:
-            raise _BadRequest("malformed request line")
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise _BadRequest("connection closed inside headers")
-            name, sep, value = line.decode("latin-1").partition(":")
-            if not sep:
-                raise _BadRequest(f"malformed header line {line!r}")
-            headers[name.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length", "0") or "0"
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise _BadRequest(f"invalid Content-Length {raw_length!r}")
-        if length < 0:
-            raise _BadRequest(f"invalid Content-Length {length}")
-        if length > self.max_body_bytes:
-            # Signalled to the handler loop via a dedicated exception so it
-            # can answer 413 instead of a generic 400.
-            raise _PayloadTooLarge(length)
-        body = await reader.readexactly(length) if length else b""
-        split = urlsplit(target)
-        return _Request(
-            method=method.upper(),
-            path=split.path or "/",
-            query=parse_qs(split.query),
-            headers=headers,
-            body=body,
-        )
-
-    @staticmethod
-    def _response_bytes(
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-        keep_alive: bool = True,
-    ) -> bytes:
-        reason = _REASONS.get(status, "Unknown")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"\r\n"
-        )
-        return head.encode("latin-1") + body
+    def stop(self) -> None:
+        """Stop accepting and close the listening socket.  Connection
+        threads are daemons: a keep-alive connection open at this point is
+        served until its client closes it."""
+        if self._httpd is not None:
+            self._httpd.shutdown()
+            self._httpd.server_close()
+            self._httpd = None
 
     @staticmethod
     def _json_body(payload: Any) -> bytes:
         return (json.dumps(payload) + "\n").encode("utf-8")
 
-    # -- connection loop -----------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except _PayloadTooLarge:
-                    writer.write(
-                        self._response_bytes(
-                            413,
-                            self._json_body(
-                                {"error": "request body exceeds limit"}
-                            ),
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    break
-                except (_BadRequest, asyncio.IncompleteReadError, ValueError):
-                    writer.write(
-                        self._response_bytes(
-                            400,
-                            self._json_body({"error": "malformed HTTP request"}),
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                started = time.perf_counter()
-                try:
-                    status = await self._dispatch(request, writer)
-                except (ConnectionResetError, BrokenPipeError):
-                    raise
-                except Exception as exc:
-                    # Last-resort guard: a handler bug must answer 500, not
-                    # drop the connection with no response at all.
-                    status = self._respond(
-                        writer,
-                        request,
-                        500,
-                        {"error": f"{type(exc).__name__}: {exc}"},
-                    )
-                self.metrics.observe(
-                    request.path, status, time.perf_counter() - started
-                )
-                await writer.drain()
-                if not request.keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancelled us mid-request (or mid keep-alive
-            # wait).  End the task *normally*: asyncio.streams re-raises a
-            # cancelled connection task's exception from its done-callback,
-            # which would spam the loop's exception handler at every stop.
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
-
-    async def _dispatch(
-        self, request: _Request, writer: asyncio.StreamWriter
-    ) -> int:
+    def _dispatch(self, request: _Handler) -> int:
         routes = {
             "/healthz": ("GET", self._handle_healthz),
             "/metrics": ("GET", self._handle_metrics),
             "/v1/analyze": ("POST", self._handle_analyze),
             "/v1/churn": ("POST", self._handle_churn),
         }
-        route = routes.get(request.path)
+        route = routes.get(request.route)
         if route is None:
-            return self._respond(
-                writer,
-                request,
-                404,
-                {"error": f"unknown path {request.path!r}"},
+            return request.respond(
+                404, {"error": f"unknown path {request.route!r}"}
             )
         method, handler = route
-        if request.method != method:
-            return self._respond(
-                writer,
-                request,
-                405,
-                {"error": f"{request.path} accepts {method} only"},
+        if request.command != method:
+            return request.respond(
+                405, {"error": f"{request.route} accepts {method} only"}
             )
-        return await handler(request, writer)
-
-    def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        request: _Request,
-        status: int,
-        payload: Any,
-        content_type: str = "application/json",
-    ) -> int:
-        body = (
-            payload
-            if isinstance(payload, bytes)
-            else self._json_body(payload)
-        )
-        writer.write(
-            self._response_bytes(
-                status, body, content_type, keep_alive=request.keep_alive
-            )
-        )
-        return status
+        return handler(request)
 
     # -- handlers ------------------------------------------------------------
-    async def _handle_healthz(
-        self, request: _Request, writer: asyncio.StreamWriter
-    ) -> int:
-        return self._respond(
-            writer,
-            request,
+    def _handle_healthz(self, request: _Handler) -> int:
+        return request.respond(
             200,
             {
                 "status": "ok",
@@ -529,26 +439,18 @@ class ScenarioServer:
             },
         )
 
-    async def _handle_metrics(
-        self, request: _Request, writer: asyncio.StreamWriter
-    ) -> int:
+    def _handle_metrics(self, request: _Handler) -> int:
         text = self.metrics.render(self.cache, self.executor)
-        return self._respond(
-            writer,
-            request,
-            200,
-            text.encode("utf-8"),
-            content_type="text/plain; version=0.0.4",
+        return request.respond(
+            200, text.encode("utf-8"), content_type="text/plain; version=0.0.4"
         )
 
-    async def _handle_analyze(
-        self, request: _Request, writer: asyncio.StreamWriter
-    ) -> int:
+    def _handle_analyze(self, request: _Handler) -> int:
         try:
             spec = _parse_analyze_payload(request.body)
             spec = spec.with_time_budget(_parse_budget(request.query))
         except CLIENT_ERROR_TYPES as exc:
-            return self._respond(writer, request, 400, {"error": str(exc)})
+            return request.respond(400, {"error": str(exc)})
 
         def job() -> Dict[str, Any]:
             scenario, hit, fingerprint = self.cache.get_or_compile(spec)
@@ -562,87 +464,54 @@ class ScenarioServer:
             }
 
         try:
-            result = await self.executor.run(job, label=spec.display_name())
+            result = self.executor.run(job, label=spec.display_name())
         except ServiceOverloadedError as exc:
-            return self._respond(writer, request, 429, {"error": str(exc)})
+            return request.respond(429, {"error": str(exc)})
         except QuarantinedError as exc:
-            return self._respond(
-                writer, request, 500, {"error": str(exc), "failure": exc.failure.to_dict()}
+            return request.respond(
+                500, {"error": str(exc), "failure": exc.failure.to_dict()}
             )
         except CLIENT_ERROR_TYPES as exc:
-            return self._respond(writer, request, 400, {"error": str(exc)})
-        return self._respond(writer, request, 200, result)
+            return request.respond(400, {"error": str(exc)})
+        return request.respond(200, result)
 
-    async def _handle_churn(
-        self, request: _Request, writer: asyncio.StreamWriter
-    ) -> int:
+    def _handle_churn(self, request: _Handler) -> int:
         try:
             base, deltas = _parse_churn_payload(request.body)
             base = base.with_time_budget(_parse_budget(request.query))
         except CLIENT_ERROR_TYPES as exc:
-            return self._respond(writer, request, 400, {"error": str(exc)})
+            return request.respond(400, {"error": str(exc)})
         if not self.executor.try_acquire():
-            return self._respond(
-                writer,
-                request,
-                429,
-                {"error": str(ServiceOverloadedError(self.executor.max_inflight))},
+            return request.respond(
+                429, {"error": str(ServiceOverloadedError(self.executor.max_inflight))}
             )
 
-        # Headers first, then one chunked ndjson line per step.  The step
-        # entries carry exactly the runner's churn step-entry keys, so a
-        # streamed replay is comparable field-for-field with the batch CLI.
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            f"Connection: {'keep-alive' if request.keep_alive else 'close'}\r\n"
-            "\r\n"
-        )
-        writer.write(head.encode("latin-1"))
-
-        async def send_line(payload: Any) -> None:
-            data = (json.dumps(payload) + "\n").encode("utf-8")
-            writer.write(f"{len(data):x}\r\n".encode("latin-1"))
-            writer.write(data + b"\r\n")
-            await writer.drain()
-
-        loop = asyncio.get_running_loop()
-        state: Dict[str, Any] = {"scenario": None}
-
-        def step_job(delta: Optional[DeltaSpec]) -> Dict[str, Any]:
-            if state["scenario"] is None:
-                state["scenario"] = Scenario(base)
-            elif delta is not None:
-                state["scenario"] = state["scenario"].evolve(delta)
-            current: Scenario = state["scenario"]
-            mu = current.mu()
-            return {
-                "mu": mu.value,
-                "searched_up_to": mu.searched_up_to,
-                "n_paths": mu.n_paths,
-                "spec": current.spec.to_dict(),
-            }
+        # Headers first, then one chunked ndjson line per step: the runner's
+        # churn step entry, so a streamed replay is comparable
+        # field-for-field with the batch CLI.
+        def send_line(payload: Any) -> None:
+            data = self._json_body(payload)
+            request.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
 
         try:
+            request.write_head(
+                200, "application/x-ndjson", ("Transfer-Encoding", "chunked")
+            )
+            scenario: Optional[Scenario] = None
             for step in range(len(deltas) + 1):
                 delta = None if step == 0 else deltas[step - 1]
-                label = (
-                    "base"
-                    if delta is None
-                    else (delta.label or f"delta {step}")
-                )
+                label = "base" if delta is None else (delta.label or f"delta {step}")
                 try:
-                    entry = await loop.run_in_executor(
-                        self.executor._pool, step_job, delta
-                    )
+                    with self.executor.job_slots:
+                        scenario = (
+                            Scenario(base) if delta is None else scenario.evolve(delta)
+                        )
+                        entry = churn_step_entry(step, label, scenario)
                 except CLIENT_ERROR_TYPES as exc:
-                    await send_line(
-                        {"step": step, "label": label, "error": str(exc)}
-                    )
+                    send_line({"step": step, "label": label, "error": str(exc)})
                     break
                 except Exception as exc:  # pragma: no cover - defensive
-                    await send_line(
+                    send_line(
                         {
                             "step": step,
                             "label": label,
@@ -650,54 +519,32 @@ class ScenarioServer:
                         }
                     )
                     break
-                await send_line(
-                    {
-                        "step": step,
-                        "label": label,
-                        **entry,
-                        "verified": None,
-                    }
-                )
+                send_line(entry)
             else:
-                await send_line(
-                    {
-                        "done": True,
-                        "base": base.to_dict(),
-                        "n_deltas": len(deltas),
-                    }
+                send_line(
+                    {"done": True, "base": base.to_dict(), "n_deltas": len(deltas)}
                 )
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
+            request.wfile.write(b"0\r\n\r\n")
         finally:
             self.executor.release()
         return 200
 
 
-class _PayloadTooLarge(Exception):
-    def __init__(self, length: int) -> None:
-        super().__init__(f"request body of {length} bytes exceeds the limit")
-        self.length = length
-
-
 class BackgroundServer:
-    """A :class:`ScenarioServer` on its own thread + event loop.
+    """A :class:`ScenarioServer` accepting on its own thread.
 
     The helper the tests, the benchmark and the example client share::
 
         with BackgroundServer(cache_size=32) as server:
             requests_go_to(server.url)
 
-    ``start()`` blocks until the socket is bound (so ``url`` is valid the
-    moment it returns); ``stop()`` shuts the loop down and joins the thread.
+    ``start()`` binds the socket before it returns (so ``url`` is valid the
+    moment it does); ``stop()`` stops accepting and joins the thread.
     """
 
     def __init__(self, **kwargs: Any) -> None:
         self.server = ScenarioServer(**kwargs)
         self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started = threading.Event()
-        self._stop: Optional[asyncio.Event] = None
-        self._startup_error: Optional[BaseException] = None
 
     @property
     def url(self) -> str:
@@ -712,42 +559,19 @@ class BackgroundServer:
     def start(self) -> "BackgroundServer":
         if self._thread is not None:
             raise RuntimeError("server already started")
+        self.server.start()
         self._thread = threading.Thread(
-            target=self._run, name="repro-serve-bg", daemon=True
+            target=self.server.serve_forever,
+            name="repro-serve-bg",
+            daemon=True,
         )
         self._thread.start()
-        self._started.wait(timeout=30)
-        if self._startup_error is not None:
-            raise RuntimeError("server failed to start") from self._startup_error
-        if self.server.port is None:
-            raise RuntimeError("server did not bind within 30s")
         return self
-
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_until_complete(self._main())
-        finally:
-            self._loop.close()
-
-    async def _main(self) -> None:
-        self._stop = asyncio.Event()
-        try:
-            await self.server.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._started.set()
-            return
-        self._started.set()
-        await self._stop.wait()
-        await self.server.stop()
 
     def stop(self) -> None:
         if self._thread is None:
             return
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
+        self.server.stop()
         self._thread.join(timeout=30)
         self._thread = None
 
@@ -779,7 +603,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--workers",
         type=int,
         default=4,
-        help="analysis worker threads (default 4)",
+        help="analyses that run at once (default 4)",
     )
     parser.add_argument(
         "--cache-size",
@@ -820,21 +644,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache_bytes=args.cache_bytes,
     )
 
-    async def serve() -> None:
-        await server.start()
-        print(
-            f"repro-serve listening on {server.url} "
-            f"(workers={args.workers}, cache_size={args.cache_size}, "
-            f"max_inflight={args.max_inflight})",
-            file=sys.stderr,
-            flush=True,
-        )
-        await server.serve_forever()
-
+    server.start()
+    print(
+        f"repro-serve listening on {server.url} "
+        f"(workers={args.workers}, cache_size={args.cache_size}, "
+        f"max_inflight={args.max_inflight})",
+        file=sys.stderr,
+        flush=True,
+    )
     try:
-        asyncio.run(serve())
+        server.serve_forever()
     except KeyboardInterrupt:
         print("repro-serve: shutting down", file=sys.stderr)
+    finally:
+        server.stop()
     return 0
 
 

@@ -1,15 +1,14 @@
-"""Bounded analysis execution for the service's async handlers.
+"""Bounded analysis execution for the service's request threads.
 
-The HTTP layer is a single asyncio event loop; analyses are CPU-bound and
-can run for seconds, so they must never execute on the loop.  The
-:class:`AnalysisExecutor` bridges the two: handlers submit a plain callable,
-it runs on a thread pool (threads, not processes — the workers must share
-the in-process scenario and path-set caches, which is exactly why
-:class:`~repro.engine.cache.PathSetCache` grew its lock), and the handler
-awaits the result without blocking other connections.
+Every connection is served on its own thread, and an analysis runs on the
+thread of the request that asked for it.  Analyses are CPU-bound and can
+run for seconds, so the :class:`AnalysisExecutor` bounds them: a semaphore
+lets at most ``workers`` run at once (the others wait for a free one), and
+the threads share the in-process scenario and path-set caches, which is
+why :class:`~repro.engine.cache.PathSetCache` has a lock.
 
 Admission is bounded: at most ``max_inflight`` requests may hold a slot
-(queued *or* running).  When the bound is hit, submission fails fast with
+(waiting *or* running).  When the bound is hit, submission fails fast with
 :class:`ServiceOverloadedError` — the app maps it to HTTP 429 — instead of
 building an unbounded queue of doomed work.  Combined with per-request
 time budgets (``?budget=`` rides the spec's ``engine.time_budget``, whose
@@ -19,16 +18,14 @@ keeps the contract: a connection always gets *an answer*, never a hang.
 Failures that are not the client's fault are quarantined the same way the
 PR-8 resilient pool quarantines trial crashes: recorded as a
 :class:`~repro.resilience.pool.TrialFailure`, counted in the pool-wide
-``trial_failures`` counter, and surfaced as a structured 500 — the worker
+``trial_failures`` counter, and surfaced as a structured 500 — the request
 thread and the server survive.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro.exceptions import ReproError
@@ -62,12 +59,13 @@ class QuarantinedError(RuntimeError):
 
 
 class AnalysisExecutor:
-    """Thread-pool executor with a hard in-flight bound.
+    """Runs jobs on the calling thread under two bounds.
 
-    ``workers`` caps concurrent execution; ``max_inflight`` caps admission
-    (running + waiting for a thread).  ``max_inflight >= workers`` gives a
-    small queue that absorbs bursts; ``max_inflight == workers`` rejects
-    anything that cannot start immediately.
+    ``workers`` caps concurrent execution (:attr:`job_slots`);
+    ``max_inflight`` caps admission (running + waiting for a job slot).
+    ``max_inflight >= workers`` gives a small queue that absorbs bursts;
+    ``max_inflight == workers`` rejects anything that cannot start
+    immediately.
     """
 
     def __init__(self, workers: int = 4, max_inflight: int = 16) -> None:
@@ -77,9 +75,8 @@ class AnalysisExecutor:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.workers = workers
         self.max_inflight = max_inflight
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve"
-        )
+        #: Held while a job runs: at most ``workers`` jobs at once.
+        self.job_slots = threading.BoundedSemaphore(workers)
         self._lock = threading.Lock()
         self._inflight = 0
         self._request_ids = itertools.count()
@@ -105,25 +102,23 @@ class AnalysisExecutor:
                 raise RuntimeError("release() without a matching try_acquire()")
             self._inflight -= 1
 
-    async def run(self, func: Callable[[], Any], label: str = "") -> Any:
-        """Run ``func`` on the pool and await its result.
+    def run(self, func: Callable[[], Any], label: str = "") -> Any:
+        """Run ``func`` in a job slot and return its result.
 
-        Raises :class:`ServiceOverloadedError` when no slot is free,
-        re-raises client errors (:data:`CLIENT_ERROR_TYPES`) as-is for the
-        app to map to 400, and wraps anything else in
+        Raises :class:`ServiceOverloadedError` when no in-flight slot is
+        free, re-raises client errors (:data:`CLIENT_ERROR_TYPES`) as-is for
+        the app to map to 400, and wraps anything else in
         :class:`QuarantinedError` carrying the :class:`TrialFailure` record.
         """
         if not self.try_acquire():
             raise ServiceOverloadedError(self.max_inflight)
         index = next(self._request_ids)
-        loop = asyncio.get_running_loop()
         try:
-            return await loop.run_in_executor(self._pool, func)
+            with self.job_slots:
+                return func()
         except CLIENT_ERROR_TYPES:
             raise
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
+        except Exception as exc:
             failure = TrialFailure(
                 index=index,
                 label=label or f"request-{index}",
@@ -135,6 +130,3 @@ class AnalysisExecutor:
             raise QuarantinedError(failure) from exc
         finally:
             self.release()
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._pool.shutdown(wait=wait, cancel_futures=True)

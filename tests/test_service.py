@@ -8,11 +8,12 @@ read-mostly tests; counter- and capacity-sensitive tests get their own.
 
 from __future__ import annotations
 
-import asyncio
 import glob
 import json
 import os
+import socket
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -299,6 +300,135 @@ class TestEndpoints:
         assert status == 200 and body["status"] == "ok"
 
 
+def raw_exchange(server, data: bytes, half_close: bool = True) -> bytes:
+    """Send raw bytes and read until the server closes the connection.
+
+    ``half_close`` ends the client's side first, so a server still waiting
+    for a request line, a header or a body sees an EOF instead of hanging.
+    """
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+        sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def split_responses(raw: bytes):
+    """(status, JSON body) of each Content-Length response in ``raw``."""
+    responses = []
+    while raw:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = {
+            name.strip().lower(): value.strip()
+            for name, _, value in (line.partition(":") for line in lines[1:])
+        }
+        length = int(headers["content-length"])
+        responses.append((int(lines[0].split(" ")[1]), json.loads(rest[:length])))
+        raw = rest[length:]
+    return responses
+
+
+class TestFraming:
+    """The HTTP/1.1 framing the server answers with, pinned on raw sockets."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"GARBAGE\r\n\r\n",
+            b"GET /healthz\r\n\r\n",
+            b"POST /v1/analyze HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"POST /v1/analyze HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n",
+            b"POST /v1/analyze HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+        ],
+        ids=["garbage", "two-words", "length-abc", "length-negative",
+             "header-no-colon", "short-body"],
+    )
+    def test_malformed_requests_400(self, server, data):
+        assert split_responses(raw_exchange(server, data)) == [
+            (400, {"error": "malformed HTTP request"})
+        ]
+
+    @pytest.mark.parametrize(
+        "path, status", [("/healthz", 405), ("/nope", 404)]
+    )
+    def test_unhandled_method_reaches_routing(self, server, path, status):
+        data = f"DELETE {path} HTTP/1.1\r\nConnection: close\r\n\r\n".encode()
+        ((answered, body),) = split_responses(raw_exchange(server, data))
+        assert answered == status
+        assert "error" in body
+
+    def test_keep_alive_serves_two_requests(self, server):
+        data = b"GET /healthz HTTP/1.1\r\n\r\n" * 2
+        responses = split_responses(raw_exchange(server, data))
+        assert [status for status, _ in responses] == [200, 200]
+        assert all(body["status"] == "ok" for _, body in responses)
+
+    def test_connection_close_closes_without_client_eof(self, server):
+        data = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        ((status, body),) = split_responses(
+            raw_exchange(server, data, half_close=False)
+        )
+        assert status == 200 and body["status"] == "ok"
+
+
+class TestHealthDuringLongJob:
+    """``/healthz`` answers on its own connection while a long analysis
+    holds the only worker."""
+
+    LONG_SPEC = {
+        "topology": {
+            "name": "agrid",
+            "params": {
+                "base": {"name": "claranet", "params": {}},
+                "dimension": 4,
+                "selector": "uniform",
+            },
+        },
+        "placement": {"strategy": "mdmp", "params": {"d": 4}},
+        "seed": 2018,
+        "failures": {"model": "uniform", "size": 2, "n_trials": 40},
+        "analyses": [
+            {"analysis": "mu"},
+            {"analysis": "localization",
+             "params": {"failure_size": 2, "n_trials": 40}},
+        ],
+    }
+
+    def test_healthz_answers_during_long_analyze(self):
+        clear_pathset_cache()
+        with BackgroundServer(cache_size=2, workers=1, max_inflight=4) as bg:
+            outcome = {}
+
+            def long_request():
+                outcome["status"], _ = request(
+                    bg, "POST", "/v1/analyze", self.LONG_SPEC, timeout=300
+                )
+                outcome["finished"] = time.perf_counter()
+
+            worker = threading.Thread(target=long_request)
+            started = time.perf_counter()
+            worker.start()
+            during = []
+            while worker.is_alive():
+                status, body = request(bg, "GET", "/healthz", timeout=30)
+                answered = time.perf_counter()
+                if worker.is_alive():
+                    during.append((status, body["status"], answered))
+            worker.join()
+        clear_pathset_cache()
+        assert outcome["status"] == 200
+        assert during, "no /healthz answer while the analysis ran"
+        assert all(status == 200 and ok == "ok" for status, ok, _ in during)
+        assert outcome["finished"] - started >= 0.5
+
+
 class TestBudgetedRequests:
     """Satellite: ``?budget=`` answers 200 with a certified lower bound."""
 
@@ -443,39 +573,26 @@ class TestScenarioCache:
 class TestExecutor:
     def test_overload_rejects_fast(self):
         executor = AnalysisExecutor(workers=1, max_inflight=1)
-        try:
-            assert executor.try_acquire()
-            with pytest.raises(ServiceOverloadedError):
-                asyncio.run(executor.run(lambda: None))
-            executor.release()
-        finally:
-            executor.shutdown()
+        assert executor.try_acquire()
+        with pytest.raises(ServiceOverloadedError):
+            executor.run(lambda: None)
+        executor.release()
 
     def test_client_errors_pass_through(self):
         executor = AnalysisExecutor(workers=1, max_inflight=2)
-        try:
-            with pytest.raises(SpecError):
-                asyncio.run(
-                    executor.run(lambda: (_ for _ in ()).throw(SpecError("bad")))
-                )
-        finally:
-            executor.shutdown()
+        with pytest.raises(SpecError):
+            executor.run(lambda: (_ for _ in ()).throw(SpecError("bad")))
 
     def test_server_errors_are_quarantined(self):
         from repro.resilience.pool import pool_counters
 
         executor = AnalysisExecutor(workers=1, max_inflight=2)
         before = pool_counters().trial_failures
-        try:
-            with pytest.raises(QuarantinedError) as excinfo:
-                asyncio.run(
-                    executor.run(
-                        lambda: (_ for _ in ()).throw(OSError("disk on fire")),
-                        label="doomed",
-                    )
-                )
-        finally:
-            executor.shutdown()
+        with pytest.raises(QuarantinedError) as excinfo:
+            executor.run(
+                lambda: (_ for _ in ()).throw(OSError("disk on fire")),
+                label="doomed",
+            )
         failure = excinfo.value.failure
         assert failure.kind == "error"
         assert "disk on fire" in failure.error
