@@ -6,8 +6,8 @@ rebuilt at a ladder of path-universe widths, and the two column kernels of
 :mod:`repro.engine.columns` alternate on two workloads:
 :func:`~repro.engine.compress.compress_universe` (one ``dedup_columns``) and
 a churn-shaped ``gather_columns`` (about 5 % of the columns removed, the
-survivors moved, about 5 % new columns scattered in), the write path of
-``PathSet.apply_delta`` and the engine patch.
+survivors moved, about 5 % new columns scattered in), the shape of a
+churn patch (``SignatureEngine.from_delta``).
 
 Asserted hard at every width: both kernels return the **identical** plan
 (members, and touch keys read on demand on each kernel), compressed rows and

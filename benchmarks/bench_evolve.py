@@ -7,12 +7,11 @@ trajectory is computed two ways:
 
 * **evolved chain** — ``Scenario.evolve(delta)`` per step with the engine
   cache on.  The first few transitions pay :meth:`PathSet.apply_delta
-  <repro.routing.paths.PathSet.apply_delta>` plus a dirty-rows-only engine
-  patch (:meth:`SignatureEngine.from_delta
-  <repro.engine.signatures.SignatureEngine.from_delta>`); once both flap
-  states have been seen, the pathset cache (keyed on each state's graph
-  adjacency, placement, mechanism and limits, like a fresh enumeration)
-  cycles between two interned path sets and a step costs only the µ search.
+  <repro.routing.paths.PathSet.apply_delta>` (the delta check plus a
+  re-enumeration) and a fresh engine; once both flap states have been
+  seen, the pathset cache (keyed on each state's graph adjacency,
+  placement, mechanism and limits, like a fresh enumeration) cycles between
+  two interned path sets and a step costs only the µ search.
 * **rebuild chain** — full recomputation: every post-delta spec (captured
   as a JSON dict in an untimed pass) is built from scratch with the engine
   cache off, re-enumerating and re-interning the whole universe each step.
@@ -20,7 +19,7 @@ trajectory is computed two ways:
 Every step asserts bit-parity between the two chains — µ, witness,
 ``searched_up_to`` and the path count — and the replay must come out at
 least ``BENCH_EVOLVE_MIN_SPEEDUP`` (default 3) times faster end to end.
-The speedup is algorithmic (cache + delta patching), not parallel, so it is
+The speedup is algorithmic (the evolve cache), not parallel, so it is
 asserted unconditionally, including on single-core runners.
 """
 

@@ -6,8 +6,8 @@ the repository's sample churn sequence (``examples/specs/churn/
 claranet_flaps.json``: a link flap, a new peering, monitors joining) on the
 Claranet topology three ways and shows they agree bit-for-bit:
 
-1. **evolve** — ``Scenario.evolve(delta)`` per step, patching the path set
-   and re-interning only the dirty signature rows;
+1. **evolve** — ``Scenario.evolve(delta)`` per step, checking the delta
+   and re-enumerating the post-delta path set;
 2. **rebuild** — building each step's serialised post-delta spec from
    scratch with the pathset cache off (with it on, the rebuild would be
    handed the evolved entry, which shares its key), the ground truth evolve
@@ -64,7 +64,7 @@ def main() -> None:
 
     # Undo the last delta: the inverse must land exactly on the previous step.
     # The undone state has the previous step's cache key, so clear the cache
-    # first: the undo then runs the patch instead of returning that entry.
+    # first: the undo then re-enumerates instead of returning that entry.
     last = deltas[-1]
     clear_pathset_cache()
     undone = current.evolve(last.inverse())

@@ -1,3 +1,3 @@
 """Package metadata."""
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"

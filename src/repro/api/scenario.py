@@ -175,8 +175,8 @@ class Scenario:
 
     def _route(self, patch=None):
         """This scenario's path set: ``patch(graph, placement, mechanism,
-        cutoff, max_paths)`` when given (an evolve step), else a fresh
-        enumeration.  With ``engine.cache`` on, both are filed in the
+        cutoff, max_paths)`` when given (an evolve step's checked
+        re-enumeration), else a fresh enumeration.  With ``engine.cache`` on, both are filed in the
         pathset cache under this scenario's own (post-delta) enumeration
         inputs, so a fresh scenario of an evolved spec finds its entry."""
         from repro.engine.cache import normalize_limits, pathset_cache
@@ -229,14 +229,15 @@ class Scenario:
         SRLG re-definition.  The returned scenario is indistinguishable from
         building the post-delta spec from scratch — its spec is a literal,
         serialisable :class:`ScenarioSpec` and every analysis result is
-        bit-identical — but the measurement paths are *patched* from this
-        scenario's path set (:meth:`PathSet.apply_delta
-        <repro.routing.paths.PathSet.apply_delta>`) rather than re-enumerated,
-        and the signature engines are re-interned only on the dirty rows.
-        When the spec's engine cache is on, the evolved path set is filed
-        under the post-delta enumeration inputs (the rebuilt literal graph's
-        adjacency, the placement, the mechanism and the limits) — the key a
-        fresh ``Scenario`` of the returned spec computes — so replayed churn
+        bit-identical.  The delta is checked against this scenario's path
+        set and the post-delta inputs are re-enumerated
+        (:meth:`PathSet.apply_delta
+        <repro.routing.paths.PathSet.apply_delta>`); the touch-class DP makes
+        that cheaper than patching the old family.  When the spec's engine
+        cache is on, the evolved path set is filed under the post-delta
+        enumeration inputs (the rebuilt literal graph's adjacency, the
+        placement, the mechanism and the limits) — the key a fresh
+        ``Scenario`` of the returned spec computes — so replayed churn
         sequences pay for each distinct state once.
 
         The node universe is fixed: delta links must connect existing nodes

@@ -14,8 +14,8 @@ the experiment drivers (:mod:`repro.experiments`):
 * A signature — ``P(U)``, the paths touched by an element set — is a Python
   big int (bit ``j`` set iff path ``j`` is touched), so unions are ``|`` and
   equality is ``==``.  :mod:`repro.engine.columns` holds the incidence
-  column primitives, ``gather_columns``, ``dedup_columns`` and
-  ``column_keys``, each with a numpy bit-matrix kernel (run whenever numpy
+  column primitives, ``class_rows``, ``gather_columns``, ``dedup_columns``
+  and ``column_keys``, each with a numpy bit-matrix kernel (run whenever numpy
   is importable) and a big-int kernel (the only one without numpy).
 * :mod:`repro.engine.compress` collapses duplicate path columns (and drops
   all-zero columns) before the rows are interned, shrinking the mask

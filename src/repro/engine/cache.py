@@ -13,9 +13,9 @@ hits, and a graph whose adjacency order differs (which permutes the paths)
 does not.
 
 Evolved path sets (:meth:`PathSetCache.get_or_evolve`) share that key: an
-evolved entry is filed under the *post-delta* enumeration inputs, so a
-fresh scenario of the post-delta spec finds it, and two delta routes that
-reach one adjacency share one entry.
+evolve step re-enumerates its post-delta inputs and files the result under
+them, so a fresh scenario of the post-delta spec finds it, and two delta
+routes that reach one adjacency share one entry.
 
 Because the cached object is the same :class:`PathSet` instance, the
 signature engines memoised on it (:meth:`PathSet.engine`) are reused too: a
@@ -81,9 +81,10 @@ def graph_fingerprint(graph: AnyGraph) -> Hashable:
     Exactly what the path enumerator reads (the positional adjacency
     snapshot of :mod:`repro.routing.paths`): every node with its neighbours,
     both in ``graph.adj`` iteration order.  The order is part of the key
-    because it fixes the DFS emission order, hence the order of the
-    enumerated paths; a graph whose link was removed and re-added lists that
-    neighbour last and enumerates a permutation of the original family.
+    because it fixes the class discovery and depth-first orders, hence the
+    column order of the enumerated paths; a graph whose link was removed and
+    re-added lists that neighbour last and can enumerate a permutation of
+    the original family.
     Equal-adjacency graphs — even distinct objects — share a key.
     """
     adj = graph.adj
@@ -158,14 +159,14 @@ class PathSetCache(KeyedLRU[PathSet]):
         max_paths: Optional[int],
         build: Callable[[], PathSet],
     ) -> PathSet:
-        """The cached *evolved* path set, patched by ``build`` on a miss.
+        """The cached *evolved* path set, built by ``build`` on a miss.
 
         ``graph`` and ``placement`` are the **post-delta** inputs, and the
         entry is keyed on them exactly as :meth:`get_or_enumerate` keys a
-        fresh enumeration: :meth:`PathSet.apply_delta
-        <repro.routing.paths.PathSet.apply_delta>` returns what enumerating
-        those inputs would.  So a replayed flap sequence pays for each
-        distinct state once, two delta routes to one adjacency share an
+        fresh enumeration: ``build`` is :meth:`PathSet.apply_delta
+        <repro.routing.paths.PathSet.apply_delta>`, which checks the delta
+        and enumerates those inputs.  So a replayed flap sequence pays for
+        each distinct state once, two delta routes to one adjacency share an
         entry, and a fresh enumeration of an evolved state hits it.
         """
         mechanism = RoutingMechanism.parse(mechanism)

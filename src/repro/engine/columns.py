@@ -1,15 +1,18 @@
-"""The incidence column kernels: gather, dedup and transpose big-int rows' columns.
+"""The incidence column kernels: build, gather, dedup and transpose big-int rows' columns.
 
 A *signature* is a Python big integer used as a bitmask — bit ``j`` set iff
 path ``j`` is touched — and every query of the engine reduces to ``|`` and
 ``==`` over such ints.  The element×path incidence is one big-int row per
-element, and three primitives read or edit it column-wise:
-:func:`gather_columns` (select, move and add path columns) carries
-``PathSet.apply_delta``, the engine patch and :meth:`CompressionPlan.compress_mask
+element, and four primitives write or read it column-wise:
+:func:`class_rows` (rows of an incidence laid out in per-class column runs)
+writes the node rows of every enumerated path set; :func:`gather_columns`
+(select, move and add path columns) carries
+:meth:`PathSet.restrict_to_paths <repro.routing.paths.PathSet.restrict_to_paths>`
+and :meth:`CompressionPlan.compress_mask
 <repro.engine.compress.CompressionPlan.compress_mask>`; :func:`dedup_columns`
 (duplicate-column classes) carries compression; and :func:`column_keys` (each
-column's touch key, the rows it is set in) is read only on demand — by a
-plan's ``touch_keys`` and the touch keys of delta-added columns.
+column's touch key, the rows it is set in) is read only on demand, by a
+plan's ``touch_keys``.
 
 Each primitive has two kernels that return the same result on every input:
 the numpy kernel on unpacked bit matrices, and the big-int kernel on the rows
@@ -37,6 +40,37 @@ _Classes = Tuple[Tuple[int, ...], ...]
 def numpy_available() -> bool:
     """Whether the numpy column kernels can run in this environment."""
     return _np is not None
+
+
+def class_rows(
+    keys: Sequence[int], counts: Sequence[int], n_rows: int
+) -> List[int]:
+    """The ``n_rows`` rows of an incidence laid out in class column runs.
+
+    Class ``k`` takes ``counts[k]`` consecutive columns, right after the
+    columns of classes ``0 .. k − 1``, and all of them are set in row ``r``
+    exactly when bit ``r`` of ``keys[k]`` is set — so each row is one run
+    per class whose key holds it, and no column is visited on its own.
+    Raises :class:`~repro.exceptions.IdentifiabilityError` for a key
+    outside ``[0, 2**n_rows)``, a count below 1, or unequal lengths.
+    """
+    keys = list(keys)
+    counts = list(counts)
+    if len(keys) != len(counts):
+        raise IdentifiabilityError(
+            f"{len(keys)} class keys but {len(counts)} class counts"
+        )
+    if counts and min(counts) < 1:
+        raise IdentifiabilityError("every class takes at least one column")
+    for key in keys:
+        if key < 0 or key.bit_length() > n_rows:
+            raise IdentifiabilityError(
+                f"class key is wider than the {n_rows} rows"
+            )
+    if not n_rows:
+        return []
+    kernel = _class_rows_bigint if _np is None else _class_rows_numpy
+    return kernel(keys, counts, n_rows)
 
 
 def gather_columns(
@@ -129,6 +163,16 @@ def _check_rows(rows: Sequence[int], width: int) -> None:
 # -- the big-int kernels ------------------------------------------------------
 
 
+def _class_rows_bigint(keys, counts, n_rows) -> List[int]:
+    # One ``n_rows``-digit binary string per column, row 0 last, so the
+    # concatenation read backwards with stride ``n_rows`` is one row, highest
+    # column first: every row is one slice and one base-2 ``int``.
+    digits = f"0{n_rows}b"
+    table = "".join(format(key, digits) * count for key, count in zip(keys, counts))
+    last = len(table) - 1
+    return [int(table[last - row::-n_rows] or "0", 2) for row in range(n_rows)]
+
+
 def _gather_bigint(rows, sources, width, scatter) -> List[int]:
     lookup = {source: j for j, source in enumerate(sources) if source >= 0}.get
     return [
@@ -173,6 +217,13 @@ def _keys_bigint(rows, width) -> _Classes:
 
 
 # -- the numpy kernels --------------------------------------------------------
+
+
+def _class_rows_numpy(keys, counts, n_rows) -> List[int]:
+    bits = _unpack_rows(keys, n_rows)
+    if any(count > 1 for count in counts):
+        bits = _np.repeat(bits, _np.asarray(counts, dtype=_np.intp), axis=0)
+    return _pack_rows(bits.T)
 
 
 def _gather_numpy(rows, sources, width, scatter) -> List[int]:

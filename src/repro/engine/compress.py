@@ -53,11 +53,18 @@ the big-int kernel, identical plans either way — and
 dedup builds only the classes: on an identity universe (every column
 distinct and covered, as on the directed grids under χ_g) it builds nothing
 and returns the rows as they are, and a plan's per-class touch keys are read
-off its compressed rows on first use.  Only churn reads them: after a churn
-step :meth:`CompressionPlan.patch` moves the surviving members and files the
-added columns by touch key (one pass over the plan's members, not the
-incidence), and the engine translates clean rows by one class-remap gather;
-see :meth:`repro.engine.signatures.SignatureEngine.from_delta`.
+off its compressed rows on first use.  The enumerator already lays the
+columns out by touch class (:mod:`repro.routing.paths`), so on the node
+universe each class is one run of equal columns and only the closed
+CAP/CAP⁻ paths can repeat an open class.
+
+Churn does not patch plans: a churn step re-enumerates its path set
+(:meth:`repro.routing.paths.PathSet.apply_delta`) and compresses the new
+rows afresh.  :meth:`CompressionPlan.patch` and
+:meth:`repro.engine.signatures.SignatureEngine.from_delta`, which move a
+plan's surviving members and file added columns by touch key, are no longer
+called by the library; they stay, with their tests, while the benchmark's
+span table (``perfbench/spans.py``) names them.
 
 Compression is not an option: :meth:`repro.routing.paths.PathSet.engine`,
 and so every layer above the engine, always compresses.  Only the
@@ -244,7 +251,8 @@ class CompressionPlan:
         Raises :class:`~repro.exceptions.IdentifiabilityError` when this
         plan carries no touch keys, or when a surviving column references a
         vanished element (which contradicts ``survivors`` and signals a
-        caller bug); callers fall back to a fresh build.
+        caller bug); callers fall back to a fresh build.  No library path
+        calls it: churn re-enumerates (module docstring).
         """
         if self.touch_keys is None:
             raise IdentifiabilityError(

@@ -55,8 +55,9 @@ without enumerating subsets at all:
    every path column of ``P(v)``, i.e. contains a *coverer* (an element on
    that path) of each.  A column's coverers are found from the rows on
    first use (one byte per row), and the search only asks for its
-   branching columns; the full universe of an engine patched after a churn
-   step reads them from the touch keys the patch computed.  A bit-sliced
+   branching columns; the full universe of an engine patched by
+   :meth:`SignatureEngine.from_delta` reads them from the touch keys the
+   patch computed.  A bit-sliced
    counter over the rows splits the columns into one mask per coverer
    count, with no per-column Python work.
 4. **Iterative deepening.**  Level ``ℓ = 1 .. cap`` searches, for each
@@ -629,7 +630,9 @@ class SignatureEngine:
         Raises :class:`~repro.exceptions.IdentifiabilityError` when the
         incremental route is unavailable (an identity parent plan, an
         un-patchable plan or an identity patch result); callers fall back to
-        the full constructor.
+        the full constructor.  No library path calls it: a churn step
+        re-enumerates and builds its engines afresh (see
+        :mod:`repro.engine.compress`).
         """
         parent_plan = parent.compression
         if parent_plan is None:

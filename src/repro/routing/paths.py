@@ -6,39 +6,52 @@ bitmask of indices of paths crossing ``v`` (``P(v)`` in the paper) — and, for
 every link ``(u, v)``, the bitmask of paths traversing it.  Unions over
 element sets — ``P(U)`` — are then single bitwise ORs.
 
-The enumerator writes the node rows straight from its traversal.  One
-iterative DFS (:func:`_simple_paths`) serves every enumeration here: the
-open family, the CAP/CAP⁻ cycles, :func:`count_paths` and the scoped
-searches of :meth:`PathSet.apply_delta`.  It walks a positional adjacency
-snapshot taken once per call, and it tests descent in O(1) by counting the
-targets still off the path.  In its emission order, the paths through a node
-form one contiguous index run ``[start, end)`` per stay of that node on the
-stack, and a node's runs are disjoint.  So the DFS records *row runs* — one
-``start, end`` pair per stay instead of one index per (path, node)
-incidence — and each ``P(v)`` is built once as
-``mask_from_indices(ends) - mask_from_indices(starts)``.  Cycles and loops
-add one single-index run per node they touch.  The enumerator also captures
-the link *universe* (every edge of the graph); the link masks fall out of
-the consecutive node pairs of the stored paths in one deferred, memoised
-scan on first link-universe query, so node-only consumers never pay for
-them.  Only directly-constructed path sets re-scan their paths for the node
-table too (:func:`~repro.utils.bitset.masks_from_paths`).
+Touch classes, not paths
+------------------------
 
-The incidence lives here, once: the node rows (and the link rows, once
-derived) are the element×path incidence matrix, one big-int row per element
-with bit ``j`` = path column ``j``.  Everything that edits it by columns —
-:meth:`PathSet.restrict_to_paths`, the survivor move and added-path scatter
-of :meth:`PathSet.apply_delta`, the added columns' touch keys read by the
-engine patch — is one call to the column primitives of
-:mod:`repro.engine.columns` (numpy bit matrices when numpy imports, big
-ints without it).  A
-churn step looks for removed paths only among the columns of ``P(link)`` or
-``P(u) & P(v)``; what still scales with ``|P|`` is the order-key sort of
-the merged family, one survivor pass over the path tuples and, with the
-paths through an added link, the DFS that finds them.
+Under Definition 2.1 a path matters only through its *touch set*, the nodes
+it crosses, so the enumerator counts the open family (simple input → output
+paths) per touch set and never builds a path tuple.  A layered subset DP
+(:func:`_touch_classes`) walks states ``(S, v)`` — ``S`` the node set of a
+simple input-started path, ``v`` its last node — each holding the number of
+such paths.  It extends a state by every neighbour ``w ∉ S``, adds the count
+to class ``S ∪ {w}`` whenever ``w`` is an output, and prunes exactly as the
+DFS does: a state is extended only while some output lies outside ``S``, for
+at most ``cutoff`` layers.  Every DFS prefix maps to one state, so the DP
+visits no more states than the DFS visits prefixes (far fewer on dense
+undirected graphs; on a DAG every state is one path).  ``max_paths`` is
+checked against the running class count, so an explosion aborts inside the
+DP.  A layer of more than ``max_paths`` states — prefixes that rarely reach
+an output — hands the count to the DFS, whose memory is one prefix, so the
+DP never holds more than the cap allows paths.  The CAP/CAP⁻ cycle and loop
+families are small and stay on the DFS.
 
-All heavy
-identifiability queries go through the
+Columns are laid out **class-major**: class ``k`` takes ``count_k``
+consecutive columns, classes in DP discovery order — by path length, then by
+the depth-first position of their first path — and the closed families
+follow, one column each, in depth-first order.  Each ``P(v)`` is then one
+run per (class, node), written for all nodes at once by the column kernel
+:func:`~repro.engine.columns.class_rows`; ``n_paths``,
+:func:`path_length_histogram` and :meth:`PathSet.approximate_nbytes` read
+the class counts (an open class ``S`` holds paths of ``|S| − 1`` edges).
+
+``PathSet.paths`` is lazy
+-------------------------
+
+An enumerated path set builds its path tuples on first read: the
+depth-first enumeration (:func:`_simple_paths`) runs once and its paths are
+stably sorted into class order, so ``paths[j]`` touches exactly the rows
+with bit ``j`` set.  The readers are the link and SRLG universes (link masks
+derive from the paths), :meth:`PathSet.restrict_to_paths`,
+:meth:`PathSet.separating_paths`, :mod:`repro.embeddings.poset`, equality,
+``repr`` and ``--churn-verify``.  Node-universe analyses — µ, µ_α, local µ,
+separability, localization and measurement — never read it.
+
+Churn by re-enumeration: :meth:`PathSet.apply_delta` checks a delta against
+its path set and returns the enumeration of the post-delta inputs, so an
+evolved path set is a fresh one in every respect.
+
+All heavy identifiability queries go through the
 :class:`~repro.engine.signatures.SignatureEngine` exposed by
 :meth:`PathSet.engine`, which compresses and interns the masks of one
 :class:`~repro.failures.FailureUniverse` (nodes by default; links and
@@ -65,13 +78,12 @@ Enumeration per mechanism
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import cached_property
+from itertools import chain, islice
 from typing import (
     TYPE_CHECKING,
-    AbstractSet,
     Dict,
     FrozenSet,
-    Generator,
     Iterable,
     Iterator,
     List,
@@ -95,12 +107,7 @@ from repro.failures.universe import (
 )
 from repro.monitors.placement import MonitorPlacement
 from repro.routing.mechanisms import RoutingMechanism
-from repro.utils.bitset import (
-    bit_indices,
-    bits_of,
-    mask_from_indices,
-    masks_from_paths,
-)
+from repro.utils.bitset import bits_of, mask_from_indices, masks_from_paths
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine sits above)
     from repro.engine.signatures import SignatureEngine
@@ -142,35 +149,27 @@ class PathSetDelta:
         )
 
 
-@dataclass(frozen=True)
-class PathEvolution:
-    """How an evolved :class:`PathSet` relates to its parent.
+class _LazyPaths:
+    """The ``paths`` field of :class:`PathSet`: the tuple it was built with,
+    or — for an enumerated path set, built with ``paths=None`` — the family
+    its :class:`_Family` materialises on first read, kept from then on."""
 
-    Stashed (compare-excluded) on the path sets :meth:`PathSet.apply_delta`
-    returns, so :meth:`PathSet.engine`'s dirty-row re-interning can tell
-    *what changed* without re-deriving it.
+    def __get__(
+        self, pathset: Optional["PathSet"], owner: object = None
+    ) -> Tuple[Path, ...]:
+        if pathset is None:
+            raise AttributeError("paths")  # no class default: the field is required
+        paths = pathset.__dict__["paths"]
+        if paths is None:
+            family = pathset._family
+            if family is None:  # pragma: no cover - __post_init__ refuses it
+                raise RoutingError("path set has neither paths nor a family")
+            paths = family.materialize()
+            pathset.__dict__["paths"] = paths
+        return paths
 
-    Attributes
-    ----------
-    parent:
-        The pre-delta path set.
-    survivors:
-        ``old path index -> new path index`` for every path present in both
-        families (positions change because the evolved family is emitted in
-        canonical from-scratch order).
-    added:
-        New-family indices of paths absent from the parent, ascending.
-    removed:
-        Parent indices of paths absent from the new family, ascending.
-    links_changed:
-        Whether the link universe itself changed (links added or removed).
-    """
-
-    parent: "PathSet"
-    survivors: Mapping[int, int]
-    added: Tuple[int, ...]
-    removed: Tuple[int, ...]
-    links_changed: bool
+    def __set__(self, pathset: "PathSet", paths: Optional[Tuple[Path, ...]]) -> None:
+        pathset.__dict__["paths"] = paths
 
 
 @dataclass(frozen=True)
@@ -183,14 +182,16 @@ class PathSet:
         The node universe ``V`` whose identifiability is studied (all nodes of
         the topology, monitor-attached or not — monitors are external).
     paths:
-        The measurement paths, each an ordered node tuple.
+        The measurement paths, each an ordered node tuple.  An enumerated
+        path set builds them on first read, in its class-major column order
+        (see the module docstring).
     """
 
     nodes: Tuple[Node, ...]
-    paths: Tuple[Path, ...]
+    paths: _LazyPaths = _LazyPaths()
     #: Precomputed ``node -> P(v)`` masks.  Left empty (the default) they are
-    #: derived from ``paths``; the enumerator passes the masks it accumulated
-    #: during its single traversal so the paths are never re-scanned.
+    #: derived from ``paths``; the enumerator passes the rows it wrote from
+    #: its touch classes, so the paths are never built for them.
     _node_masks: Dict[Node, int] = field(repr=False, compare=False, default_factory=dict)
     _engines: Dict[object, "SignatureEngine"] = field(
         repr=False, compare=False, default_factory=dict
@@ -214,8 +215,19 @@ class PathSet:
     _universes: Dict[object, FailureUniverse] = field(
         repr=False, compare=False, default_factory=dict
     )
+    #: The enumerated family behind ``paths=None`` (``None`` for path sets
+    #: built from their paths): class counts, closed paths, and the inputs
+    #: that materialise the path tuples on first read.
+    _family: Optional["_Family"] = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
+        if self.__dict__["paths"] is None and (
+            self._family is None or not self._node_masks
+        ):
+            raise RoutingError(
+                "a path set built without paths needs its enumerated family "
+                "and node masks"
+            )
         if self._node_masks:
             if len(self._node_masks) != len(set(self.nodes)) or any(
                 node not in self._node_masks for node in self.nodes
@@ -242,7 +254,7 @@ class PathSet:
 
     # -- basic accessors ---------------------------------------------------
     def __len__(self) -> int:
-        return len(self.paths)
+        return self.n_paths
 
     def __iter__(self) -> Iterator[Path]:
         return iter(self.paths)
@@ -250,6 +262,8 @@ class PathSet:
     @property
     def n_paths(self) -> int:
         """Number of measurement paths ``|P|`` (reported in Tables 3-5)."""
+        if self._family is not None:
+            return self._family.n_paths
         return len(self.paths)
 
     @property
@@ -261,15 +275,17 @@ class PathSet:
         """A cheap estimate of this path set's resident size in bytes.
 
         Counts the dominant stores — the per-node path masks (big-int bytes)
-        and the path tuples (one pointer per hop plus tuple overhead) — and,
-        when already derived, the link-mask table.  Used by cache byte
-        accounting; deliberately an estimate, not ``sys.getsizeof`` truth.
+        and the path tuples (one pointer per hop plus tuple overhead, counted
+        from the class lengths for an enumerated set, whether or not its
+        tuples were built) — and, when already derived, the link-mask table.
+        Used by cache byte accounting; deliberately an estimate, not
+        ``sys.getsizeof`` truth.
         """
         total = 0
         for mask in self._node_masks.values():
             total += 32 + (mask.bit_length() + 7) // 8
-        for path in self.paths:
-            total += 56 + 8 * len(path)
+        for length, count in _path_lengths(self):
+            total += count * (64 + 8 * length)
         if self._link_masks:
             for mask in self._link_masks.values():
                 total += 32 + (mask.bit_length() + 7) // 8
@@ -464,87 +480,14 @@ class PathSet:
             # its fingerprint says nothing about its content — memoising it
             # would poison the cache for the canonical universe of the same
             # kind.  Build an un-memoised engine instead.
-            return SignatureEngine(elements, masks, len(self.paths))
+            return SignatureEngine(elements, masks, self.n_paths)
         cached = self._engines.get(universe.fingerprint)
         if cached is None:
-            # An evolved path set first tries to patch its parent's engine
-            # for the same universe — re-interning only the rows the delta
-            # dirtied — and falls back to a full build when the parent has
-            # no matching engine to patch.
-            cached = self._engine_from_evolution(universe)
-            if cached is None:
-                cached = SignatureEngine(elements, masks, len(self.paths))
+            cached = SignatureEngine(elements, masks, self.n_paths)
             self._engines[universe.fingerprint] = cached
         return cached
 
-    # -- delta/evolution plumbing -------------------------------------------
-    @property
-    def evolution(self) -> Optional[PathEvolution]:
-        """The :class:`PathEvolution` linking this path set to the parent it
-        was evolved from by :meth:`apply_delta` (``None`` for fresh sets)."""
-        return getattr(self, "_evolution", None)
-
-    def _engine_from_evolution(
-        self, universe: FailureUniverse
-    ) -> Optional["SignatureEngine"]:
-        """Patch the parent's engine for ``universe`` instead of building one.
-
-        Returns ``None`` whenever the incremental route is unavailable — no
-        evolution record, no matching parent engine, a parent plan that is
-        the identity, or a patched plan that degenerates — so
-        :meth:`engine` can fall back to the full construction.  When it succeeds, the result is structurally
-        identical to a fresh :class:`SignatureEngine` (same plan, same
-        rows): only rows whose elements the delta dirtied are re-interned
-        from their masks, every other row is translated from the parent's
-        row by a class-index remap.
-        """
-        evolution = self.evolution
-        if evolution is None:
-            return None
-        parent_engine = evolution.parent._engines.get(universe.fingerprint)
-        if parent_engine is None or parent_engine.compression is None:
-            return None
-        added = self._added_touch_keys(evolution, universe)
-        element_remap: Optional[Dict[int, int]] = None
-        if parent_engine.elements != universe.elements:
-            position = {element: i for i, element in enumerate(universe.elements)}
-            element_remap = {
-                old: position[element]
-                for old, element in enumerate(parent_engine.elements)
-                if element in position
-            }
-        from repro.engine.signatures import SignatureEngine
-        from repro.exceptions import IdentifiabilityError
-
-        try:
-            return SignatureEngine.from_delta(
-                parent_engine,
-                universe.elements,
-                universe.masks,
-                len(self.paths),
-                survivors=evolution.survivors,
-                added=added,
-                element_remap=element_remap,
-            )
-        except IdentifiabilityError:
-            return None
-
-    def _added_touch_keys(
-        self, evolution: PathEvolution, universe: FailureUniverse
-    ) -> List[Tuple[int, Tuple[int, ...]]]:
-        """``(column, touch key)`` for every delta-added path column: the
-        ascending positions of the universe elements whose rows have the
-        column set, read off one gather of the added columns and its
-        transpose."""
-        added = evolution.added
-        if not added:
-            return []
-        from repro.engine.columns import column_keys, gather_columns
-
-        rows = [universe.masks[element] for element in universe.elements]
-        gathered = gather_columns(rows, added, len(self.paths))
-        return list(zip(added, column_keys(gathered, len(added))))
-
+    # -- column edits and churn ---------------------------------------------
     def restrict_to_paths(self, indices: Sequence[int]) -> "PathSet":
         """A new :class:`PathSet` over the same universe with a subset of paths.
 
@@ -557,7 +500,7 @@ class PathSet:
         selected path tuples; the restriction keeps the full link universe.
         """
         indices = list(indices)
-        n = len(self.paths)
+        n = self.n_paths
         seen: set = set()
         for index in indices:
             if not 0 <= index < n:
@@ -567,65 +510,24 @@ class PathSet:
             if index in seen:
                 raise RoutingError(f"duplicate path index {index}")
             seen.add(index)
-        node_masks, link_masks = self._gather_masks(indices)
+        from repro.engine.columns import gather_columns
+
+        rows = [self._node_masks[node] for node in self.nodes]
+        link_masks = self._link_masks
+        links = self.links if link_masks is not None else ()
+        rows.extend(link_masks[link] for link in links)
+        gathered = gather_columns(rows, indices, n)
+        n_nodes = len(self.nodes)
         return PathSet(
             self.nodes,
             tuple(self.paths[i] for i in indices),
-            node_masks,
+            dict(zip(self.nodes, gathered)),
             directed=self.directed,
             _links=self._links,
-            _link_masks=link_masks,
+            _link_masks=(
+                None if link_masks is None else dict(zip(links, gathered[n_nodes:]))
+            ),
         )
-
-    def _gather_masks(
-        self,
-        sources: Sequence[int],
-        links: Optional[Tuple[Link, ...]] = None,
-        new_paths: Sequence[Path] = (),
-    ) -> Tuple[Dict[Node, int], Optional[Dict[Link, int]]]:
-        """The node and link masks over new columns, in one column gather.
-
-        Column ``j`` of the result is column ``sources[j]`` of this path
-        set; a ``-1`` entry is an added column, filled by one scatter of the
-        elements its path ``new_paths[j]`` touches.  Node rows follow
-        :attr:`nodes`, link rows ``links``
-        (default: this path set's links; a link without a mask here starts
-        empty).  Link masks are produced only when this path set has
-        derived them.
-        """
-        n_rows = len(self.nodes)
-        rows = [self._node_masks[node] for node in self.nodes]
-        link_masks = self._link_masks
-        if link_masks is None:
-            links = ()
-        else:
-            if links is None:
-                links = self.links
-            rows.extend(link_masks.get(link, 0) for link in links)
-        scatter: List[List[int]] = []
-        if -1 in sources:
-            directed = bool(self.directed)
-            row_of = {node: row for row, node in enumerate(self.nodes)}
-            row_of.update((link, n_rows + row) for row, link in enumerate(links))
-            scatter = [[] for _ in rows]
-            for column in (j for j, source in enumerate(sources) if source < 0):
-                path = new_paths[column]
-                touched = path[:-1] if path[0] == path[-1] else path
-                for node in touched:
-                    scatter[row_of[node]].append(column)
-                if link_masks is not None:
-                    for u, v in zip(path, path[1:]):
-                        if u != v:
-                            scatter[row_of[canonical_link(u, v, directed)]].append(
-                                column
-                            )
-        from repro.engine.columns import gather_columns
-
-        gathered = gather_columns(rows, sources, len(self.paths), scatter)
-        node_masks = dict(zip(self.nodes, gathered))
-        if link_masks is None:
-            return node_masks, None
-        return node_masks, dict(zip(links, gathered[n_rows:]))
 
     def apply_delta(
         self,
@@ -639,39 +541,16 @@ class PathSet:
         """Evolve this path set under a topology/placement delta.
 
         ``graph`` and ``placement`` are the **post-delta** topology and
-        monitor placement (the caller applies the delta to its own graph;
-        this method only needs to know *what* changed).  The result is
-        bit-identical — paths, order, masks, link universe — to
-        ``enumerate_paths(graph, placement, mechanism, cutoff, max_paths)``,
-        but only the paths the delta can affect are re-enumerated:
-
-        * paths traversing a removed link, starting at a removed input or
-          ending at a removed output are dropped;
-        * new paths are found by three scoped searches — from each added
-          input to every output, from the kept inputs to the added outputs,
-          and through each added link via a two-segment composition
-          (prefix to the link's tail avoiding its head, the link itself,
-          then a suffix DFS forbidden from re-entering the prefix);
-        * the cycle/loop families (CAP/CAP⁻ only) are re-emitted by the
-          canonical generator — they are cheap, and their dedup
-          representative depends on global emission order;
-        * every untouched path *survives* and its mask columns are remapped
-          instead of re-scanned.
-
-        Exactness of the ordering relies on the emission-order invariant of
-        :func:`_simple_paths`: within one source, paths are emitted in
-        lexicographic order of their adjacency-index vectors (the DFS yields
-        before it descends and walks adjacency in insertion order), so
-        sorting the merged open family by (source rank, adjacency-index
-        vector over the post-delta graph) reproduces the from-scratch order
-        without re-running the full DFS.
-
-        The returned path set carries a :class:`PathEvolution` record
-        (``.evolution``) linking it to this parent, which
-        :meth:`engine` uses to patch the parent's signature engines instead
-        of re-interning every row.
+        monitor placement (the caller applies the delta to its own graph).
+        The delta is checked against this path set — same directedness and
+        node universe, removed links present and added ones absent, a graph
+        whose links match, a placement that reflects the monitor edits —
+        and the result is ``enumerate_paths(graph, placement, mechanism,
+        cutoff, max_paths)``: a churn step re-enumerates.  The touch-class
+        DP costs less than patching this family's paths and rows did, and
+        the evolved set is a fresh one in every respect (paths, order,
+        masks, link universe, engines).
         """
-        mechanism = RoutingMechanism.parse(mechanism)
         directed = bool(graph.is_directed())
         if bool(self.directed) != directed:
             raise RoutingError(
@@ -688,7 +567,7 @@ class PathSet:
             canonical_link(u, v, directed) for u, v in delta.remove_links
         }
         added_links = {canonical_link(u, v, directed) for u, v in delta.add_links}
-        old_links = set(self._links) if self._links is not None else set(self.links)
+        old_links = set(self.links)
         missing = removed_links - old_links
         if missing:
             raise RoutingError(
@@ -717,157 +596,12 @@ class PathSet:
             raise RoutingError(
                 "the supplied placement does not reflect the delta's output edits"
             )
-
-        # 1. Open-family survivors: old simple input→output paths that avoid
-        #    every removed link and keep both endpoints monitored.  Only the
-        #    columns of P(link) — or of P(u) & P(v) while link masks are
-        #    underived — can traverse a removed link, and only P(u) can start
-        #    or end at a removed monitor u.
-        paths = self.paths
-        dropped: Set[int] = set()
-        for u, v in removed_links:
-            if self._link_masks is not None:
-                dropped.update(bit_indices(self._link_masks[(u, v)]))
-                continue
-            for index in bit_indices(self._node_masks[u] & self._node_masks[v]):
-                path = paths[index]
-                at = path.index(u)  # open paths are simple: u occurs once
-                if (at + 1 < len(path) and path[at + 1] == v) or (
-                    not directed and at and path[at - 1] == v
-                ):
-                    dropped.add(index)
-        for monitors, end in ((removed_inputs, 0), (removed_outputs, -1)):
-            for u in monitors:
-                dropped.update(
-                    i
-                    for i in bit_indices(self._node_masks.get(u, 0))
-                    if paths[i][end] == u
-                )
-        survivors: List[Tuple[int, Path]] = []
-        old_closed_index: Dict[Path, int] = {}
-        for index, path in enumerate(paths):
-            if path[0] == path[-1]:
-                # Closed families are re-emitted below; identical tuples are
-                # matched back to their old columns as survivors.
-                old_closed_index[path] = index
-            elif index not in dropped:
-                survivors.append((index, path))
-
-        # 2. Open-family additions: every post-delta path missing from the
-        #    old family starts at an added input, ends at an added output, or
-        #    traverses an added link (the old enumeration was exhaustive over
-        #    everything else).  The three searches overlap; the set dedups.
-        additions: Set[Path] = set()
-        adjacency = _adjacency(graph)
-        kept_inputs = placement.inputs - added_inputs
-        for source in added_inputs:
-            additions.update(
-                _simple_paths(adjacency, source, placement.outputs, cutoff)
-            )
-        if added_outputs:
-            for source in kept_inputs:
-                additions.update(
-                    _simple_paths(adjacency, source, added_outputs, cutoff)
-                )
-        for tail, head in added_links:
-            if tail == head:
-                continue  # a self-loop joins the universe but carries no path
-            orientations = ((tail, head),) if directed else ((tail, head), (head, tail))
-            for a, b in orientations:
-                for source in kept_inputs:
-                    additions.update(
-                        _paths_through_edge(
-                            adjacency, source, placement.outputs, a, b, cutoff
-                        )
-                    )
-
-        # 3. Order the merged open family exactly as a fresh enumeration
-        #    would: grouped by source in repr order, lexicographic in the
-        #    adjacency-index vector within one source.
-        nodes = adjacency.nodes
-        positions = {
-            nodes[u]: {nodes[v]: i for i, v in enumerate(row)}
-            for u, row in enumerate(adjacency.neighbours)
-        }
-        source_rank = {
-            source: rank
-            for rank, source in enumerate(sorted(placement.inputs, key=repr))
-        }
-
-        def order_key(path: Path) -> List[int]:
-            u = path[0]
-            vector = [source_rank[u]]
-            for v in path[1:]:
-                vector.append(positions[u][v])
-                u = v
-            return vector
-
-        open_family: List[Tuple[List[int], Optional[int], Path]] = [
-            (order_key(path), index, path) for index, path in survivors
-        ]
-        open_family.extend((order_key(path), None, path) for path in additions)
-        open_family.sort(key=lambda item: item[0])
-
-        # 4. Closed families (CAP/CAP⁻): re-emitted by the canonical
-        #    generator — their dedup representative depends on emission order
-        #    over the post-delta adjacency, so surviving cycles are detected
-        #    by tuple identity rather than filtered.
-        closed = list(
-            _closed_paths(adjacency, directed, placement, mechanism, cutoff)
-        )
-
-        _check_family_size(len(open_family) + len(closed), max_paths, mechanism)
-
-        new_paths: List[Path] = [item[2] for item in open_family]
-        sources: List[int] = [
-            -1 if old_index is None else old_index for _, old_index, _ in open_family
-        ]
-        for path in closed:
-            new_paths.append(path)
-            sources.append(old_closed_index.get(path, -1))
-        survivors_map = {old: new for new, old in enumerate(sources) if old >= 0}
-        added_indices = [new for new, old in enumerate(sources) if old < 0]
-
-        # 5. Masks by one column gather: surviving columns move to their new
-        #    positions, added paths scatter their touched elements.  The link
-        #    universe changes only when links actually changed; the link
-        #    masks are gathered (never re-derived) when the parent had
-        #    already paid for them.
-        links_changed = bool(removed_links or added_links)
-        if links_changed or self._links is None:
-            new_links: Tuple[Link, ...] = tuple(sorted(new_link_set, key=repr))
-        else:
-            new_links = self._links
-        node_masks, link_masks = self._gather_masks(sources, new_links, new_paths)
-
-        removed_indices = tuple(
-            index for index in range(len(self.paths)) if index not in survivors_map
-        )
-        result = PathSet(
-            self.nodes,
-            tuple(new_paths),
-            node_masks,
-            directed=directed,
-            _links=new_links,
-            _link_masks=link_masks,
-        )
-        object.__setattr__(
-            result,
-            "_evolution",
-            PathEvolution(
-                parent=self,
-                survivors=survivors_map,
-                added=tuple(added_indices),
-                removed=removed_indices,
-                links_changed=links_changed,
-            ),
-        )
-        return result
+        return enumerate_paths(graph, placement, mechanism, cutoff, max_paths)
 
     def describe(self) -> str:
         """One-line human-readable summary."""
         return (
-            f"PathSet(|V|={len(self.nodes)}, |P|={len(self.paths)}, "
+            f"PathSet(|V|={len(self.nodes)}, |P|={self.n_paths}, "
             f"uncovered={len(self.uncovered_nodes())})"
         )
 
@@ -911,63 +645,42 @@ def _simple_paths(
     source: Node,
     targets: Iterable[Node],
     cutoff: Optional[int],
-    forbidden: Iterable[Node] = (),
-    runs: Optional[List[List[int]]] = None,
-    base: int = 0,
-) -> Generator[Path, None, int]:
+) -> Iterator[Path]:
     """Yield all simple paths from ``source`` to any of ``targets``.
 
-    The one iterative multi-target DFS every enumeration in this module
-    runs: a single traversal per source covers every target, so prefixes
-    shared between targets are walked once.  Paths from a node to itself are
-    excluded (the cycle and loop families are built on top of it).
+    The one iterative multi-target DFS behind the path tuples, the CAP/CAP⁻
+    cycles and :func:`count_paths`: a single traversal per source covers
+    every target, so prefixes shared between targets are walked once.  Paths
+    from a node to itself are excluded (the cycle and loop families are
+    built on top of it).
 
     ``cutoff`` limits the path length in *edges* (``None`` = unlimited).  The
     traversal descends into a child only while some target lies off the
     path, tracked as a count of such targets, so the test is O(1).  Emission
-    is depth-first in adjacency order — lexicographic in the path's
-    adjacency-index vector, an invariant :meth:`PathSet.apply_delta` relies on
-    to merge incremental results into from-scratch order.
-
-    ``forbidden`` excludes a node set from the traversal entirely (the delta
-    layer's two-segment composition); forbidden nodes are never visited and
-    never count as targets.
-
-    With ``runs`` (one list per node position), the paths are numbered from
-    ``base`` and every node's incidence is recorded as *row runs*: the paths
-    emitted while a node sits on the stack form one contiguous index range,
-    appended to its list as ``start, end`` (a target reached as a leaf gets a
-    single-index run).  A node's runs are disjoint and ascending, so its
-    ``P(v)`` row is ``mask_from_indices(ends) - mask_from_indices(starts)``.
-    The return value is ``base`` plus the number of paths emitted.
+    is depth-first in adjacency order: lexicographic in the path's
+    adjacency-index vector.
     """
     position = adjacency.position
     if source not in position:
         raise RoutingError(f"source node {source!r} is not in the graph")
-    # Per position: 0 = free, 1 = a free target, 2 = on the path or
-    # forbidden.  Backtracking restores a node's flag from ``is_target``.
+    # Per position: 0 = free, 1 = a free target, 2 = on the path.
+    # Backtracking restores a node's flag from ``is_target``.
     is_target = bytearray(len(position))
     for target in targets:
         if target in position:
             is_target[position[target]] = 1
     state = bytearray(is_target)
-    for node in forbidden:
-        state[position[node]] = 2
     origin = position[source]
-    if state[origin] == 2:
-        return base
     state[origin] = 2
     remaining = state.count(1)  # targets off the path; >= 1 while exploring
     # The deepest prefix (in nodes) that may still be extended by one edge.
     limit = len(position) - 1 if cutoff is None else cutoff
     if not remaining or limit < 1:
-        return base  # no target, or no room for a 1-edge path (cutoff <= 0)
+        return  # no target, or no room for a 1-edge path (cutoff <= 0)
     neighbours, singletons = adjacency.neighbours, adjacency.singletons
-    count = base
     prefix: Path = (source,)
     prefixes: List[Path] = [()]
     trail = [origin]
-    starts = [base]
     stack: List[Iterator[int]] = [iter(neighbours[origin])]
     while stack:
         for child in stack[-1]:
@@ -977,18 +690,13 @@ def _simple_paths(
             if flag:
                 extended = prefix + singletons[child]
                 yield extended
-                count += 1
                 if remaining == 1 or len(prefix) >= limit:
-                    if runs is not None:
-                        runs[child].extend((count - 1, count))
                     continue
                 remaining -= 1
-                starts.append(count - 1)
             elif len(prefix) >= limit:
                 continue
             else:
                 extended = prefix + singletons[child]
-                starts.append(count)
             prefixes.append(prefix)
             prefix = extended
             trail.append(child)
@@ -998,56 +706,120 @@ def _simple_paths(
         else:
             stack.pop()
             node = trail.pop()
-            flag = state[node] = is_target[node]
-            remaining += flag
-            start = starts.pop()
-            if runs is not None and count > start:
-                runs[node].extend((start, count))
+            state[node] = is_target[node]
+            remaining += is_target[node]
             prefix = prefixes.pop()
-    return count
 
 
-def _paths_through_edge(
-    adjacency: _Adjacency,
-    source: Node,
-    targets: AbstractSet[Node],
-    tail: Node,
-    head: Node,
-    cutoff: Optional[int],
+def _open_paths(
+    adjacency: _Adjacency, placement: MonitorPlacement, cutoff: Optional[int]
 ) -> Iterator[Path]:
-    """Yield simple ``source``→target paths traversing the edge ``tail→head``.
+    """Yield the open family (simple input → output paths with distinct
+    endpoints, every mechanism) in depth-first order: one multi-target DFS
+    per input in ``repr`` order.  It needs no dedup, since paths from
+    different sources differ in their first node."""
+    for source in sorted(placement.inputs, key=repr):
+        yield from _simple_paths(adjacency, source, placement.outputs, cutoff)
 
-    The delta layer's scoped search for paths through one *added* link: every
-    such path decomposes uniquely into a simple prefix from ``source`` to
-    ``tail`` that avoids ``head`` (the path visits ``head`` only after the
-    edge), the edge itself, and a simple suffix from ``head`` to a target
-    avoiding every prefix node — so enumerating (prefix, suffix) pairs with
-    the forbidden-set DFS finds each qualifying path exactly once, in
-    from-scratch order.  For undirected graphs the caller invokes this
-    twice, once per orientation.
+
+def _path_explosion(max_paths: int) -> PathExplosionError:
+    return PathExplosionError(
+        f"more than max_paths={max_paths} measurement paths; "
+        "increase the cap or use a smaller topology"
+    )
+
+
+def _touch_classes(
+    adjacency: _Adjacency,
+    placement: MonitorPlacement,
+    cutoff: Optional[int],
+    max_paths: int,
+) -> Dict[int, int]:
+    """The open family as ``touch set -> number of paths``, in discovery order.
+
+    A touch set is a bitmask over adjacency positions.  The layered DP of the
+    module docstring: layer ``d`` maps each state ``(S, v)`` to the number of
+    simple input-started paths with node set ``S`` (``|S| = d + 1``) ending
+    at ``v``, in first-reached order.  Extending ``(S, v)`` by a neighbour
+    ``w ∉ S`` adds its count to class ``S ∪ {w}`` when ``w`` is an output
+    (``w ∉ S``, so never the path's own source) and carries it to state
+    ``(S ∪ {w}, w)`` while another layer is allowed and some output lies
+    outside ``S ∪ {w}`` — the DFS's descent rule.  Classes are discovered
+    by path length, then in the depth-first order of their first path,
+    since the states of a layer are reached in depth-first order of their
+    first path.  Raises :class:`PathExplosionError` as soon as the running
+    count passes ``max_paths``.
     """
-    if source == head:
-        return  # the edge would re-enter the source: never simple
-    if cutoff is not None and cutoff < 1:
-        return
-    if source == tail:
-        prefixes: Iterable[Path] = ((tail,),)
-    else:
-        prefix_cutoff = None if cutoff is None else cutoff - 1
-        prefixes = _simple_paths(
-            adjacency, source, (tail,), prefix_cutoff, forbidden=(head,)
-        )
-    for prefix in prefixes:
-        with_edge = prefix + (head,)
-        if head in targets:
-            yield with_edge
-        remaining = None if cutoff is None else cutoff - len(prefix)
-        if remaining is not None and remaining < 1:
-            continue
-        for suffix in _simple_paths(
-            adjacency, head, targets, remaining, forbidden=prefix
-        ):
-            yield prefix + suffix
+    position = adjacency.position
+    outputs = 0
+    for node in placement.outputs:
+        outputs |= 1 << position[node]
+    arcs = tuple(
+        tuple((w, 1 << w, bool(outputs >> w & 1)) for w in row)
+        for row in adjacency.neighbours
+    )
+    limit = len(position) - 1 if cutoff is None else cutoff
+    classes: Dict[int, int] = {}
+    total = 0
+    layer = {
+        (1 << position[source], position[source]): 1
+        for source in sorted(placement.inputs, key=repr)
+    }
+    depth = 0
+    while layer and depth < limit:
+        depth += 1
+        extend = depth < limit
+        grown_layer: Dict[Tuple[int, int], int] = {}
+        for (touched, last), count in layer.items():
+            for node, bit, is_output in arcs[last]:
+                if touched & bit:
+                    continue
+                grown = touched | bit
+                if is_output:
+                    classes[grown] = classes.get(grown, 0) + count
+                    total += count
+                    if total > max_paths:
+                        raise _path_explosion(max_paths)
+                if extend and outputs & ~grown:
+                    state = (grown, node)
+                    grown_layer[state] = grown_layer.get(state, 0) + count
+        if len(grown_layer) > max_paths:
+            # More live prefixes than the cap allows paths, most of them
+            # never reaching an output: count on the DFS, which holds one.
+            return _dfs_touch_classes(adjacency, placement, cutoff, max_paths)
+        layer = grown_layer
+    return classes
+
+
+def _dfs_touch_classes(
+    adjacency: _Adjacency,
+    placement: MonitorPlacement,
+    cutoff: Optional[int],
+    max_paths: int,
+) -> Dict[int, int]:
+    """:func:`_touch_classes` counted on the depth-first open family, in
+    O(n) working memory: the same classes in the same order (depth-first
+    order of their first path, stably sorted by length)."""
+    classes: Dict[int, int] = {}
+    keyed = _keyed_open_paths(adjacency, placement, cutoff)
+    for total, (key, _) in enumerate(keyed, 1):
+        if total > max_paths:
+            raise _path_explosion(max_paths)
+        classes[key] = classes.get(key, 0) + 1
+    return dict(sorted(classes.items(), key=lambda item: item[0].bit_count()))
+
+
+def _keyed_open_paths(
+    adjacency: _Adjacency, placement: MonitorPlacement, cutoff: Optional[int]
+) -> Iterator[Tuple[int, Path]]:
+    """The depth-first open family, each path with its touch set (a bitmask
+    over adjacency positions)."""
+    bit = {node: 1 << i for node, i in adjacency.position.items()}
+    for path in _open_paths(adjacency, placement, cutoff):
+        key = 0
+        for node in path:
+            key |= bit[node]
+        yield key, path
 
 
 def _monitor_cycles(
@@ -1123,53 +895,57 @@ def _closed_paths(
                 yield loop
 
 
-def _measurement_paths(
-    adjacency: _Adjacency,
-    directed: bool,
-    placement: MonitorPlacement,
-    mechanism: RoutingMechanism,
-    cutoff: Optional[int],
-    runs: Optional[List[List[int]]] = None,
-) -> Iterator[Path]:
-    """Yield the measurement paths of ``P(G|χ)`` in canonical order.
-
-    The open family (simple input → output paths with distinct endpoints,
-    all mechanisms) is one multi-target DFS per source in ``repr`` order;
-    it needs no dedup, since paths from different sources differ in their
-    first node.  The closed families follow.  With ``runs``, every path's
-    node incidence is recorded as row runs (see :func:`_simple_paths`); a
-    closed path records one single-index run per node it touches.
-    """
-    count = 0
-    for source in sorted(placement.inputs, key=repr):
-        count = yield from _simple_paths(
-            adjacency, source, placement.outputs, cutoff, runs=runs, base=count
-        )
-    position = adjacency.position
-    for path in _closed_paths(adjacency, directed, placement, mechanism, cutoff):
-        if runs is not None:
-            # A closed tuple repeats only its anchor: dropping the last node
-            # leaves exactly the distinct touched nodes.
-            for node in path[:-1]:
-                runs[position[node]].extend((count, count + 1))
-        count += 1
-        yield path
-
-
 def _check_family_size(
     total: int, max_paths: int, mechanism: RoutingMechanism
 ) -> None:
     """Raise when a measurement-path family of ``total`` paths is unusable."""
     if total > max_paths:
-        raise PathExplosionError(
-            f"more than max_paths={max_paths} measurement paths; "
-            "increase the cap or use a smaller topology"
-        )
+        raise _path_explosion(max_paths)
     if total == 0:
         raise RoutingError(
             "no measurement path exists for this placement under "
             f"{mechanism.value}; identifiability would be undefined"
         )
+
+
+@dataclass(frozen=True)
+class _Family:
+    """An enumerated path family, held as the classes its rows were built from.
+
+    ``keys[k]`` is the touch set of open class ``k`` (a bitmask over
+    adjacency positions) and ``counts[k]`` its number of paths; ``closed``
+    is the CAP/CAP⁻ family that follows the open classes, one column each.
+    ``adjacency``, ``placement`` and ``cutoff`` are the enumeration inputs
+    :meth:`materialize` re-runs the DFS on.
+    """
+
+    adjacency: _Adjacency
+    placement: MonitorPlacement
+    cutoff: Optional[int]
+    keys: Tuple[int, ...]
+    counts: Tuple[int, ...]
+    closed: Tuple[Path, ...]
+
+    @cached_property
+    def n_paths(self) -> int:
+        return sum(self.counts) + len(self.closed)
+
+    def lengths(self) -> Iterator[Tuple[int, int]]:
+        """``(length in edges, number of paths)`` per class and closed path."""
+        for key, count in zip(self.keys, self.counts):
+            yield key.bit_count() - 1, count
+        for path in self.closed:
+            yield len(path) - 1, 1
+
+    def materialize(self) -> Tuple[Path, ...]:
+        """The path tuples in column order: the depth-first open family
+        stably sorted into class order, then the closed family."""
+        rank = {key: k for k, key in enumerate(self.keys)}
+        classes: List[List[Path]] = [[] for _ in self.keys]
+        keyed = _keyed_open_paths(self.adjacency, self.placement, self.cutoff)
+        for key, path in keyed:
+            classes[rank[key]].append(path)
+        return tuple(chain.from_iterable(classes)) + self.closed
 
 
 def enumerate_paths(
@@ -1181,13 +957,12 @@ def enumerate_paths(
 ) -> PathSet:
     """Enumerate the measurement paths ``P(G|χ)`` under a routing mechanism.
 
-    The node rows ``P(v)`` are written by the traversal itself: in DFS
-    emission order the paths through a node form one contiguous index run
-    per stay on the stack, so the DFS records ``start, end`` pairs instead
-    of one index per (path, node) incidence, and each row is built once as
-    ``mask_from_indices(ends) - mask_from_indices(starts)``
-    (:func:`repro.utils.bitset.mask_from_indices`).  The path tuples are
-    never re-scanned.
+    The open family is counted per touch class by the subset DP
+    (:func:`_touch_classes`), the closed CAP/CAP⁻ family is enumerated by
+    the DFS, and the node rows ``P(v)`` are written in class-major column
+    order by :func:`~repro.engine.columns.class_rows`, one run per (class,
+    node).  No open path tuple is built: the returned set's ``paths`` are
+    materialised on first read (see the module docstring).
 
     Parameters
     ----------
@@ -1200,9 +975,9 @@ def enumerate_paths(
     cutoff:
         Optional maximum path length in *edges*; ``None`` enumerates all.
     max_paths:
-        Guard against explosion; :class:`PathExplosionError` is raised when
-        more paths than this would be enumerated (the paper's own exhaustive
-        search stops around 5·10⁶ paths).
+        Guard against explosion; :class:`PathExplosionError` is raised as
+        soon as more paths than this are counted (the paper's own
+        exhaustive search stops around 5·10⁶ paths).
 
     Returns
     -------
@@ -1214,9 +989,8 @@ def enumerate_paths(
     directed = bool(graph.is_directed())
     # The link universe is the *full* edge set of the graph (canonicalised),
     # so an edge no path traverses is an uncovered failure element.  Only the
-    # universe is captured here; the per-link masks derive from the stored
-    # paths on first link-universe query (PathSet._derive_links), keeping the
-    # node-only hot path exactly as fast as before links existed.
+    # universe is captured here; the per-link masks derive from the paths on
+    # first link-universe query (PathSet._derive_links).
     link_universe = tuple(
         sorted(
             {canonical_link(u, v, directed) for u, v in graph.edges()}, key=repr
@@ -1224,40 +998,53 @@ def enumerate_paths(
     )
     placement.validate(graph)
     adjacency = _adjacency(graph)
-    runs: List[List[int]] = [[] for _ in adjacency.nodes]
-    paths = tuple(
-        islice(
-            _measurement_paths(
-                adjacency, directed, placement, mechanism, cutoff, runs
-            ),
-            max(max_paths, 0) + 1,
-        )
+    classes = _touch_classes(adjacency, placement, cutoff, max_paths)
+    room = max(max_paths - sum(classes.values()), 0) + 1
+    closed = tuple(
+        islice(_closed_paths(adjacency, directed, placement, mechanism, cutoff), room)
     )
-    _check_family_size(len(paths), max_paths, mechanism)
+    family = _Family(
+        adjacency, placement, cutoff, tuple(classes), tuple(classes.values()), closed
+    )
+    _check_family_size(family.n_paths, max_paths, mechanism)
     position = adjacency.position
-    masks: Dict[Node, int] = {}
-    for node in node_universe:
-        bounds = runs[position[node]]
-        masks[node] = mask_from_indices(bounds[1::2]) - mask_from_indices(bounds[::2])
+    keys = list(family.keys)
+    for path in closed:
+        key = 0
+        for node in path:
+            key |= 1 << position[node]
+        keys.append(key)
+    from repro.engine.columns import class_rows
+
+    rows = class_rows(keys, family.counts + (1,) * len(closed), len(position))
     return PathSet(
         node_universe,
-        paths,
-        masks,
+        None,
+        {node: rows[position[node]] for node in node_universe},
         directed=directed,
         _links=link_universe,
+        _family=family,
     )
+
+
+def _path_lengths(pathset: PathSet) -> Iterator[Tuple[int, int]]:
+    """``(length in edges, number of paths)`` pairs covering ``pathset``,
+    read off the class counts of an enumerated set."""
+    if pathset._family is not None:
+        return pathset._family.lengths()
+    return ((max(len(path) - 1, 0), 1) for path in pathset.paths)
 
 
 def path_length_histogram(pathset: PathSet) -> Dict[int, int]:
     """Histogram ``length (in edges) -> count`` of the measurement paths.
 
     Useful for the reporting layer and the routing-cost discussion of
-    Section 9 (fewer/shorter paths means cheaper probing).
+    Section 9 (fewer/shorter paths means cheaper probing).  An enumerated
+    path set answers from its class counts without building its paths.
     """
     histogram: Dict[int, int] = {}
-    for path in pathset.paths:
-        length = max(len(path) - 1, 0)
-        histogram[length] = histogram.get(length, 0) + 1
+    for length, count in _path_lengths(pathset):
+        histogram[length] = histogram.get(length, 0) + count
     return dict(sorted(histogram.items()))
 
 
@@ -1268,18 +1055,24 @@ def count_paths(
     cutoff: Optional[int] = DEFAULT_CUTOFF,
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> int:
-    """``|P(G|χ)|`` (as in Tables 3-5), streamed off the enumeration.
+    """``|P(G|χ)|`` (as in Tables 3-5), streamed off the depth-first
+    enumeration.
 
-    Runs the same traversal as :func:`enumerate_paths` but records no row
-    runs and keeps no :class:`PathSet` or path tuples (beyond the scoped
-    cycle-family dedup set).  Semantics match :func:`enumerate_paths`
-    exactly: the same :class:`PathExplosionError` guard applies and an
-    empty path family raises :class:`RoutingError`.
+    Walks every path with the DFS but keeps no :class:`PathSet` or path
+    tuples (beyond the scoped cycle-family dedup set), so it is the
+    independent reference for :func:`enumerate_paths`'s class counts.
+    Semantics match :func:`enumerate_paths` exactly: the same
+    :class:`PathExplosionError` guard applies and an empty path family
+    raises :class:`RoutingError`.
     """
     mechanism = RoutingMechanism.parse(mechanism)
     placement.validate(graph)
-    family = _measurement_paths(
-        _adjacency(graph), bool(graph.is_directed()), placement, mechanism, cutoff
+    adjacency = _adjacency(graph)
+    family = chain(
+        _open_paths(adjacency, placement, cutoff),
+        _closed_paths(
+            adjacency, bool(graph.is_directed()), placement, mechanism, cutoff
+        ),
     )
     total = sum(1 for _ in islice(family, max(max_paths, 0) + 1))
     _check_family_size(total, max_paths, mechanism)

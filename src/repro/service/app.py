@@ -47,12 +47,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import socket
 import sys
 import threading
 import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.scenario import Scenario
@@ -337,11 +338,39 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _HTTPServer(ThreadingHTTPServer):
-    """The listening socket; one daemon thread per accepted connection."""
+    """The listening socket; one daemon thread per accepted connection.
+
+    The open connections are tracked from accept to close, so
+    :meth:`close_connections` can end them at stop time.
+    """
 
     def __init__(self, app: "ScenarioServer", port: int) -> None:
         super().__init__((app.host, port), _Handler)
         self.app = app
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut down every open connection: a handler waiting for the next
+        keep-alive request reads EOF and ends, and a response still being
+        computed is never sent."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its own thread
 
     def handle_error(self, request: Any, client_address: Any) -> None:
         # A client that hangs up mid-exchange is not a server error.
@@ -397,12 +426,13 @@ class ScenarioServer:
         self._httpd.serve_forever(STOP_POLL_SECONDS)
 
     def stop(self) -> None:
-        """Stop accepting and close the listening socket.  Connection
-        threads are daemons: a keep-alive connection open at this point is
-        served until its client closes it."""
+        """Stop accepting, close the listening socket and shut down every
+        open connection: a keep-alive client's next request on it fails
+        instead of being served."""
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
+            self._httpd.close_connections()
             self._httpd = None
 
     @staticmethod

@@ -102,11 +102,11 @@ ENGINE_CONFIGS = tuple((name, True) for name in BACKENDS) + (("python", False),)
 def auto_backend(name: str) -> Iterator[None]:
     """Run every column primitive on the ``name`` kernel inside the block.
 
-    The incidence column primitives (``gather_columns``, ``dedup_columns``)
-    run the numpy kernel whenever numpy imports; hiding numpy from
+    The incidence column primitives (``class_rows``, ``gather_columns``,
+    ``dedup_columns``) run the numpy kernel whenever numpy imports; hiding numpy from
     :mod:`repro.engine.columns` for ``"python"`` runs them on the big-int
-    kernel, so the kernel-parity tests run compression,
-    ``PathSet.apply_delta`` and the engine patch on each.
+    kernel, so the kernel-parity tests run the class rows of
+    ``enumerate_paths``, compression and the engine patch on each.
     """
     saved = columns._np
     if name == "python":

@@ -1,10 +1,11 @@
 """The incidence column primitives of :mod:`repro.engine.columns`.
 
-``gather_columns`` (select, move and add columns; a representative gather
-when the sources are one column per duplicate class), ``dedup_columns``
-(duplicate-column classes in first-appearance order, nothing built on an
-identity) and ``column_keys`` (each column's touch key) carry the churn write
-path and compression.  The law held here: every available kernel returns
+``class_rows`` (rows laid out in per-class column runs), ``gather_columns``
+(select, move and add columns; a representative gather when the sources are
+one column per duplicate class), ``dedup_columns`` (duplicate-column classes
+in first-appearance order, nothing built on an identity) and
+``column_keys`` (each column's touch key) write the enumerated rows and
+carry column edits and compression.  The law held here: every available kernel returns
 exactly what a bit-by-bit reference returns — so the numpy and the big-int
 kernels are bit-identical — on widths that are and are not multiples of 8
 and 64, on zero rows, zero columns and rows whose every column drops; and
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.columns import (
+    class_rows,
     column_keys,
     dedup_columns,
     gather_columns,
@@ -324,3 +326,43 @@ class TestPlanOnPrimitives:
             assert plan.compress_mask(0b101) == 0b01
             with pytest.raises(IdentifiabilityError):
                 plan.compress_mask(0b1000)
+
+
+def reference_class_rows(keys, counts, n_rows):
+    """Column by column: class ``k``'s ``counts[k]`` columns carry ``keys[k]``."""
+    columns = [key for key, count in zip(keys, counts) for _ in range(count)]
+    return [
+        sum(1 << j for j, key in enumerate(columns) if _bit(key, r))
+        for r in range(n_rows)
+    ]
+
+
+class TestClassRows:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n_rows=st.sampled_from((0, 1, 7, 8, 63, 64, 65, 130)),
+        data=st.data(),
+    )
+    def test_backends_match_reference(self, n_rows, data):
+        keys = data.draw(
+            st.lists(st.integers(0, 2 ** n_rows - 1), max_size=12)
+        )
+        counts = data.draw(
+            st.lists(
+                st.integers(1, 5), min_size=len(keys), max_size=len(keys)
+            )
+        )
+        expected = reference_class_rows(keys, counts, n_rows)
+        for name in BACKENDS:
+            with auto_backend(name):
+                assert class_rows(keys, counts, n_rows) == expected, name
+
+    @pytest.mark.parametrize(
+        "keys, counts, n_rows",
+        [((1,), (1, 1), 2), ((1,), (0,), 2), ((4,), (1,), 2), ((-1,), (1,), 2)],
+        ids=["lengths", "zero-count", "wide-key", "negative-key"],
+    )
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_typed_errors(self, keys, counts, n_rows, name):
+        with auto_backend(name), pytest.raises(IdentifiabilityError):
+            class_rows(keys, counts, n_rows)

@@ -1,15 +1,14 @@
 """Chained evolve parity: a churn walk stays bit-identical at every step.
 
-``PathSet.apply_delta`` carries the node and link masks from step to step
-by column gathers, and ``PathSet.engine`` patches each parent engine into
-the next one.  Any drift would compound along a walk, so the law is checked
-after *every* step of walks of 8–10 link flaps and monitor edits, on random
-directed and undirected graphs under CSP, CAP⁻ and CAP (CAP⁻ also under a
-path-length cutoff), on every available column kernel: the evolved path set
-equals a fresh ``enumerate_paths`` (paths and their order, node masks, link
-masks when derived, the ``PathEvolution`` survivors / added / removed), and
-every patched engine equals a fresh ``SignatureEngine`` (plan members, touch
-keys, rows).
+``PathSet.apply_delta`` checks each delta against the path set it evolves
+and re-enumerates the post-delta inputs, and ``PathSet.engine`` builds the
+evolved engines.  The law is checked after *every* step of walks of 8–10
+link flaps and monitor edits, on random directed and undirected graphs under
+CSP, CAP⁻ and CAP (CAP⁻ also under a path-length cutoff), on every
+available column kernel: the evolved path set equals a fresh
+``enumerate_paths`` (paths and their order, node masks, link masks when the
+parent had derived them), and every evolved engine equals a fresh
+``SignatureEngine`` (plan members, touch keys, rows).
 
 Walks are generated as explicit JSON-able cases, so a shrunk failure can be
 committed as ``tests/corpus/evolve_chain_*.json`` and replayed as is.
@@ -209,18 +208,6 @@ def _assert_pathset_parity(parent, evolved, fresh, tag):
         assert evolved.links == fresh.links, tag
         for link in fresh.links:
             assert evolved.paths_through_link(link) == fresh.paths_through_link(link), tag
-    new_index = {path: i for i, path in enumerate(fresh.paths)}
-    survivors = {
-        i: new_index[path] for i, path in enumerate(parent.paths) if path in new_index
-    }
-    evolution = evolved.evolution
-    assert dict(evolution.survivors) == survivors, tag
-    assert evolution.removed == tuple(
-        i for i in range(parent.n_paths) if i not in survivors
-    ), tag
-    assert evolution.added == tuple(
-        i for i in range(fresh.n_paths) if i not in set(survivors.values())
-    ), tag
 
 
 def _run_walk(case, backend):
@@ -280,22 +267,12 @@ def test_cap_minus_cutoff_walk(case):
     "path", sorted(glob.glob(CORPUS_GLOB)), ids=os.path.basename
 )
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_corpus_walks(path, backend, monkeypatch):
-    """Pinned walks replay, and their engines really are patched."""
+def test_corpus_walks(path, backend):
+    """Pinned walks replay."""
     with open(path) as handle:
         case = json.load(handle)
     assert len(case["steps"]) >= 8
-    calls = []
-    original = SignatureEngine.from_delta.__func__
-
-    def counting(cls, *args, **kwargs):
-        engine = original(cls, *args, **kwargs)
-        calls.append(engine)
-        return engine
-
-    monkeypatch.setattr(SignatureEngine, "from_delta", classmethod(counting))
     _run_walk(case, backend)
-    assert calls, "no step took the engine patch route"
 
 
 def test_corpus_is_present():

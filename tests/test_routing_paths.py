@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+from collections import Counter
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from repro.routing.paths import (
     PathSet,
     PathSetDelta,
     _adjacency,
-    _paths_through_edge,
+    _open_paths,
     count_paths,
     enumerate_paths,
     path_length_histogram,
@@ -217,6 +220,19 @@ def test_number_of_grid_paths_grows_with_n(n):
         assert larger > smaller
 
 
+def class_major(paths):
+    """A depth-first ordered path family stably re-sorted into class-major
+    order: the open paths grouped by touch set (their node set), groups in
+    order of their first path by length and then depth-first, and the
+    closed CAP/CAP⁻ family after them as it stands."""
+    opened = [path for path in paths if path[0] != path[-1]]
+    closed = [path for path in paths if path[0] == path[-1]]
+    rank: dict = {}
+    for path in sorted(opened, key=len):
+        rank.setdefault(frozenset(path), len(rank))
+    return sorted(opened, key=lambda path: rank[frozenset(path)]) + closed
+
+
 @st.composite
 def random_graphs(draw, max_nodes=7):
     """A random directed or undirected simple graph on 2..max_nodes nodes."""
@@ -322,7 +338,7 @@ class TestNativeEnumerationOracle:
         placement = chi_g(directed_grid_3)
         expected = self._nx_reference_paths(directed_grid_3, placement, "CSP")
         actual = enumerate_paths(directed_grid_3, placement, "CSP")
-        assert list(actual.paths) == expected  # same depth-first order too
+        assert list(actual.paths) == class_major(expected)  # same order too
 
     @pytest.mark.parametrize("cutoff", (2, 3, 4))
     def test_cutoff_matches_networkx(self, cutoff):
@@ -349,8 +365,9 @@ class TestNativeEnumerationOracle:
     @settings(max_examples=150, deadline=None)
     @given(case=random_cases())
     def test_exact_oracle(self, case):
-        """Paths in order, row-run masks, count and the max_paths guard all
-        match the networkx reference, for every mechanism and cutoff."""
+        """Paths in order (the reference stably re-sorted by class), the
+        class-run masks, count and the max_paths guard all match the
+        networkx reference, for every mechanism and cutoff."""
         from repro.utils.bitset import masks_from_paths
 
         graph, placement, mechanism, cutoff = case
@@ -362,7 +379,7 @@ class TestNativeEnumerationOracle:
                 count_paths(graph, placement, mechanism, cutoff)
             return
         pathset = enumerate_paths(graph, placement, mechanism, cutoff)
-        assert list(pathset.paths) == expected
+        assert list(pathset.paths) == class_major(expected)
         assert pathset._node_masks == masks_from_paths(pathset.nodes, pathset.paths)
         n = pathset.n_paths
         assert count_paths(graph, placement, mechanism, cutoff) == n
@@ -373,6 +390,134 @@ class TestNativeEnumerationOracle:
         for function in (enumerate_paths, count_paths):
             with pytest.raises(PathExplosionError):
                 function(graph, placement, mechanism, cutoff, n - 1)
+
+
+@st.composite
+def dp_cases(draw):
+    """(graph, placement, mechanism, cutoff) for the DP-against-DFS law:
+    directed and undirected graphs with isolated nodes, monitors that may
+    overlap (a node both input and output) and cutoffs from 0 to none."""
+    graph = draw(random_graphs())
+    graph.add_nodes_from(("iso", k) for k in range(draw(st.integers(0, 2))))
+    nodes = st.sets(st.sampled_from(sorted(graph.nodes, key=repr)), min_size=1, max_size=3)
+    inputs = draw(nodes)
+    outputs = draw(nodes) | draw(st.sets(st.sampled_from(sorted(inputs, key=repr))))
+    placement = MonitorPlacement.of(inputs=inputs, outputs=outputs)
+    mechanism = draw(st.sampled_from(("CSP", "CAP-", "CAP")))
+    cutoff = draw(st.sampled_from((None, 0, 1, 2, 3, 4, 6)))
+    return graph, placement, mechanism, cutoff
+
+
+class TestTouchClassDP:
+    """The layered subset DP behind ``enumerate_paths`` against the DFS it
+    replaced, which ``count_paths`` and the lazy ``paths`` still run."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=dp_cases())
+    def test_classes_match_the_dfs(self, case):
+        from repro.utils.bitset import masks_from_paths
+
+        graph, placement, mechanism, cutoff = case
+        try:
+            n = count_paths(graph, placement, mechanism, cutoff)
+        except RoutingError:
+            with pytest.raises(RoutingError):
+                enumerate_paths(graph, placement, mechanism, cutoff)
+            return
+        pathset = enumerate_paths(graph, placement, mechanism, cutoff)
+        assert pathset.__dict__["paths"] is None
+        assert pathset.n_paths == len(pathset) == n
+        histogram = path_length_histogram(pathset)
+        family = pathset._family
+        adjacency = _adjacency(graph)
+        classes = Counter()
+        for key, count in zip(family.keys, family.counts):
+            touched = (node for i, node in enumerate(adjacency.nodes) if key >> i & 1)
+            classes[frozenset(touched)] += count
+        reference = Counter(
+            frozenset(path) for path in nx_simple_paths(graph, placement, cutoff)
+        )
+        assert classes == reference
+        assert len(family.keys) == len(set(family.keys))
+        open_paths = list(_open_paths(adjacency, placement, cutoff))
+        assert sum(family.counts) == len(open_paths)
+        assert pathset.paths[: len(open_paths)] == tuple(class_major(open_paths))
+        assert histogram == dict(
+            sorted(Counter(len(path) - 1 for path in pathset.paths).items())
+        )
+        assert pathset._node_masks == masks_from_paths(pathset.nodes, pathset.paths)
+        for function in (enumerate_paths, count_paths):
+            with pytest.raises(PathExplosionError):
+                function(graph, placement, mechanism, cutoff, n - 1)
+
+    def test_numbers_need_no_path_tuples(self):
+        graph = nx.cycle_graph(6)
+        placement = MonitorPlacement.of(inputs={0, 1}, outputs={0, 3})
+        pathset = enumerate_paths(graph, placement, "CAP")
+        nbytes = pathset.approximate_nbytes()
+        histogram = path_length_histogram(pathset)
+        assert pathset.__dict__["paths"] is None  # nothing above built them
+        per_path = sum(56 + 8 * len(path) for path in pathset.paths)
+        masks = sum(32 + (m.bit_length() + 7) // 8 for m in pathset._node_masks.values())
+        assert nbytes == masks + per_path
+        assert histogram == dict(
+            sorted(Counter(len(path) - 1 for path in pathset.paths).items())
+        )
+
+    def test_cap_aborts_inside_the_dp(self):
+        """Breadth-first layers may grow past where the DFS stopped: the cap
+        is checked against the running count, not after the last layer."""
+        graph = nx.complete_graph(14)
+        placement = MonitorPlacement.of(inputs={0}, outputs={13})
+        started = time.perf_counter()
+        with pytest.raises(PathExplosionError):
+            enumerate_paths(graph, placement, "CSP", max_paths=1000)
+        assert time.perf_counter() - started < 0.5
+
+    def test_sparse_outputs_count_on_the_dfs(self, monkeypatch):
+        """A layer of more states than ``max_paths`` (prefixes wandering a
+        dead-end clique, every one still extended while the output lies
+        outside it) hands the count to the DFS: the same classes in the same
+        order, columns and histogram as an uncapped DP."""
+        from repro.routing import paths as paths_module
+
+        graph = nx.DiGraph(
+            [("s", "t"), ("s", "a"), ("a", "t"), ("a", "b"), ("b", "t"), ("s", "b")]
+        )
+        clique = [f"k{i}" for i in range(7)]
+        graph.add_edges_from(("s", k) for k in clique)
+        graph.add_edges_from((u, v) for u in clique for v in clique if u != v)
+        placement = MonitorPlacement.of(inputs={"s"}, outputs={"t"})
+        uncapped = enumerate_paths(graph, placement, "CSP")
+        handed = []
+        original = paths_module._dfs_touch_classes
+
+        def spy(*args):
+            handed.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(paths_module, "_dfs_touch_classes", spy)
+        capped = enumerate_paths(graph, placement, "CSP", max_paths=20)
+        assert handed
+        assert capped.n_paths == uncapped.n_paths == 4
+        assert capped._family.keys == uncapped._family.keys
+        assert capped._family.counts == uncapped._family.counts
+        assert capped._node_masks == uncapped._node_masks
+        assert capped.paths == uncapped.paths
+        assert path_length_histogram(capped) == path_length_histogram(uncapped)
+        with pytest.raises(PathExplosionError):
+            enumerate_paths(graph, placement, "CSP", max_paths=3)
+
+
+def nx_simple_paths(graph, placement, cutoff):
+    """The open family by ``nx.all_simple_paths`` (networkx reads ``cutoff``
+    0 as no limit, so it is filtered here instead)."""
+    for source in sorted(placement.inputs, key=repr):
+        targets = {t for t in placement.outputs if t != source}
+        if targets:
+            for path in nx.all_simple_paths(graph, source, targets):
+                if cutoff is None or len(path) - 1 <= cutoff:
+                    yield tuple(path)
 
 
 class TestCycleCutoff:
@@ -424,40 +569,6 @@ class TestCycleCutoff:
         assert evolved._node_masks == fresh._node_masks
         assert ("a", "b", "c", "a") not in evolved.paths
         assert all(len(path) - 1 <= 2 for path in evolved.paths)
-
-
-class TestPathsThroughEdge:
-    """The delta layer's two-segment search yields exactly the from-scratch
-    paths through one edge, in from-scratch order."""
-
-    @settings(max_examples=120, deadline=None)
-    @given(
-        graph=random_graphs(),
-        data=st.data(),
-        cutoff=st.sampled_from((None, 1, 2, 3, 4)),
-    )
-    def test_matches_filtered_reference(self, graph, data, cutoff):
-        edges = sorted(graph.edges)
-        if not edges:
-            return
-        tail, head = data.draw(st.sampled_from(edges))
-        if not graph.is_directed() and data.draw(st.booleans()):
-            tail, head = head, tail
-        nodes = sorted(graph.nodes)
-        source = data.draw(st.sampled_from(nodes))
-        targets = frozenset(data.draw(st.sets(st.sampled_from(nodes), min_size=1)))
-        expected = [
-            tuple(path)
-            for path in nx.all_simple_paths(graph, source, targets - {source})
-            if (cutoff is None or len(path) - 1 <= cutoff)
-            and (tail, head) in zip(path, path[1:])
-        ]
-        actual = list(
-            _paths_through_edge(
-                _adjacency(graph), source, targets, tail, head, cutoff
-            )
-        )
-        assert actual == expected
 
 
 class TestCountPathsStreaming:

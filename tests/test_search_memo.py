@@ -358,16 +358,7 @@ class TestMemoThreads:
 
 
 class TestMemoLifetime:
-    def test_evolved_engine_starts_empty_and_keeps_parity(self, monkeypatch):
-        patched = []
-        original = SignatureEngine.from_delta.__func__
-
-        def recording(cls, *args, **kwargs):
-            engine = original(cls, *args, **kwargs)
-            patched.append((engine, engine._memo))
-            return engine
-
-        monkeypatch.setattr(SignatureEngine, "from_delta", classmethod(recording))
+    def test_evolved_engine_starts_empty_and_keeps_parity(self):
         spec = ScenarioSpec(
             topology=TopologySpec("undirected_grid", {"n": 3}),
             placement=PlacementSpec("chi_corners"),
@@ -378,12 +369,10 @@ class TestMemoLifetime:
         base.mu()  # fills the parent engine's slot
         assert base.engine._memo is not None
         evolved = base.evolve(DeltaSpec(add_links=(((1, 1), (2, 2)),)))
+        assert evolved.engine is not base.engine
+        assert evolved.engine._memo is None
         before = search_counters()
         report = evolved.mu()
-        assert patched, "evolved engine was rebuilt from scratch, not patched"
-        engine, memo_at_birth = patched[-1]
-        assert memo_at_birth is None
-        assert engine is evolved.engine
         assert search_counters().subsets_enumerated > before.subsets_enumerated
         clear_pathset_cache()
         scratch = Scenario(ScenarioSpec.from_dict(evolved.spec.to_dict()))

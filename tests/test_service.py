@@ -14,7 +14,7 @@ import os
 import socket
 import threading
 import time
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -377,6 +377,23 @@ class TestFraming:
         )
         assert status == 200 and body["status"] == "ok"
 
+    def test_stop_closes_keep_alive_connections(self):
+        """A keep-alive connection open at ``stop()`` is closed with the
+        server: its next request fails instead of being answered."""
+        background = BackgroundServer(workers=1).start()
+        connection = HTTPConnection("127.0.0.1", background.port, timeout=10)
+        try:
+            connection.request("GET", "/healthz")
+            first = connection.getresponse()
+            assert first.status == 200 and json.loads(first.read())["status"] == "ok"
+            background.stop()
+            with pytest.raises((OSError, HTTPException)):
+                connection.request("GET", "/healthz")
+                connection.getresponse().read()
+        finally:
+            connection.close()
+            background.stop()
+
 
 class TestHealthDuringLongJob:
     """``/healthz`` answers on its own connection while a long analysis
@@ -393,11 +410,11 @@ class TestHealthDuringLongJob:
         },
         "placement": {"strategy": "mdmp", "params": {"d": 4}},
         "seed": 2018,
-        "failures": {"model": "uniform", "size": 2, "n_trials": 40},
+        "failures": {"model": "uniform", "size": 2, "n_trials": 200},
         "analyses": [
             {"analysis": "mu"},
             {"analysis": "localization",
-             "params": {"failure_size": 2, "n_trials": 40}},
+             "params": {"failure_size": 2, "n_trials": 200}},
         ],
     }
 
