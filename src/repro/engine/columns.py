@@ -62,11 +62,8 @@ def class_rows(
         )
     if counts and min(counts) < 1:
         raise IdentifiabilityError("every class takes at least one column")
-    for key in keys:
-        if key < 0 or key.bit_length() > n_rows:
-            raise IdentifiabilityError(
-                f"class key is wider than the {n_rows} rows"
-            )
+    if keys and (min(keys) < 0 or max(keys).bit_length() > n_rows):
+        raise IdentifiabilityError(f"class key is wider than the {n_rows} rows")
     if not n_rows:
         return []
     kernel = _class_rows_bigint if _np is None else _class_rows_numpy
@@ -220,10 +217,20 @@ def _keys_bigint(rows, width) -> _Classes:
 
 
 def _class_rows_numpy(keys, counts, n_rows) -> List[int]:
-    bits = _unpack_rows(keys, n_rows)
-    if any(count > 1 for count in counts):
+    if n_rows <= 64:
+        # Every key fits one machine word: unpack them as one uint64 array.
+        words = _np.fromiter(keys, dtype="<u8", count=len(keys))
+        bits = _np.unpackbits(
+            words.view(_np.uint8).reshape(len(keys), 8),
+            axis=1,
+            count=n_rows,
+            bitorder="little",
+        )
+    else:
+        bits = _unpack_rows(keys, n_rows)
+    if counts and max(counts) > 1:
         bits = _np.repeat(bits, _np.asarray(counts, dtype=_np.intp), axis=0)
-    return _pack_rows(bits.T)
+    return _pack_rows(_np.ascontiguousarray(bits.T))
 
 
 def _gather_numpy(rows, sources, width, scatter) -> List[int]:

@@ -49,14 +49,25 @@ vector that is not class-closed (no element set can produce it) as ``None``.
 The collapse itself is one column dedup
 (:func:`~repro.engine.columns.dedup_columns`) over the rows — the numpy or
 the big-int kernel, identical plans either way — and
-:meth:`CompressionPlan.compress_mask` is one representative gather.  The
-dedup builds only the classes: on an identity universe (every column
-distinct and covered, as on the directed grids under χ_g) it builds nothing
-and returns the rows as they are, and a plan's per-class touch keys are read
-off its compressed rows on first use.  The enumerator already lays the
-columns out by touch class (:mod:`repro.routing.paths`), so on the node
-universe each class is one run of equal columns and only the closed
-CAP/CAP⁻ paths can repeat an open class.
+:meth:`CompressionPlan.compress_mask` is one representative gather.
+
+An enumerated path set's node engine runs no dedup.  The enumerator wrote
+those rows from touch classes (:mod:`repro.routing.paths`): open class
+``k`` is one run of ``counts[k]`` equal columns, and the closed CAP/CAP⁻
+paths follow, one column each.  :meth:`repro.routing.paths.PathSet.engine`
+hands these runs to :func:`compress_universe` as :class:`ColumnRuns`.  The
+open classes are distinct by construction, so a closed path joins an open
+class, or an earlier closed path, by its touch key in one dict, and the
+compressed rows are one :func:`~repro.engine.columns.class_rows` over the
+distinct keys; plan and rows equal the dedup's.  The input picks the
+route: only a path set's own node universe with an enumerated family has
+runs; link, SRLG, restricted and hand-built path sets deduplicate.
+
+Neither route builds what nothing reads.  On an identity universe (every
+column distinct and covered, as on the directed grids under χ_g) the rows
+stay as they are and the plan's one-column members are built on first
+read; a plan read off runs also builds its members on first read; and a
+plan's per-class touch keys are read off its compressed rows on first use.
 
 Churn does not patch plans: a churn step re-enumerates its path set
 (:meth:`repro.routing.paths.PathSet.apply_delta`) and compresses the new
@@ -77,13 +88,60 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from dataclasses import field as dataclasses_field
-from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro._typing import Node
-from repro.engine.columns import column_keys, dedup_columns, gather_columns
+from repro.engine.columns import class_rows, column_keys, dedup_columns, gather_columns
 from repro.exceptions import IdentifiabilityError
 from repro.utils.bitset import bits_of, mask_from_indices
+
+
+class ColumnRuns(NamedTuple):
+    """An incidence laid out in class column runs, as
+    :func:`~repro.engine.columns.class_rows` writes it.
+
+    Class ``k`` takes ``counts[k]`` consecutive columns, set in the row of
+    ``elements[i]`` for every bit ``i`` of ``keys[k]``; the keys are
+    distinct and nonzero.  The ``tail`` columns follow, one per key, and
+    each may repeat a class key or an earlier tail key.
+    """
+
+    elements: Tuple[Node, ...]
+    keys: Tuple[int, ...]
+    counts: Tuple[int, ...]
+    tail: Tuple[int, ...]
+
+
+class _Members:
+    """The ``members`` field of :class:`CompressionPlan`: the classes it was
+    built with, or — for a plan made by ``CompressionPlan._deferred`` —
+    the function that builds them, called on first read and kept from then
+    on."""
+
+    def __get__(
+        self, plan: Optional["CompressionPlan"], owner: object = None
+    ) -> Tuple[Tuple[int, ...], ...]:
+        if plan is None:
+            raise AttributeError("members")  # no class default: the field is required
+        members = plan.__dict__["members"]
+        if callable(members):
+            members = members()
+            plan.__dict__["members"] = members
+        return members
+
+    def __set__(self, plan: "CompressionPlan", members: object) -> None:
+        plan.__dict__["members"] = members
 
 
 @dataclass(frozen=True)
@@ -102,7 +160,7 @@ class CompressionPlan:
     """
 
     n_original: int
-    members: Tuple[Tuple[int, ...], ...]
+    members: _Members = _Members()
     #: The element rows over the compressed columns (bit ``k`` = class
     #: ``k``), retained (compare-excluded) by :func:`compress_universe` so
     #: :attr:`touch_keys` can be read off them on first use.  ``None`` for
@@ -126,7 +184,22 @@ class CompressionPlan:
             return None
         return column_keys(self.compressed_rows, self.n_compressed)
 
-    @property
+    @classmethod
+    def _deferred(
+        cls,
+        n_original: int,
+        n_compressed: int,
+        build: Callable[[], Tuple[Tuple[int, ...], ...]],
+        compressed_rows: Optional[Tuple[int, ...]] = None,
+    ) -> "CompressionPlan":
+        """A plan of ``n_compressed`` classes whose members ``build()``
+        returns when first read: :func:`compress_universe` builds no member
+        tuple that nothing reads."""
+        plan = cls(n_original, build, compressed_rows)
+        plan.__dict__["n_compressed"] = n_compressed
+        return plan
+
+    @cached_property
     def n_compressed(self) -> int:
         """Width of the compressed universe (number of distinct columns)."""
         return len(self.members)
@@ -311,15 +384,22 @@ def compress_universe(
     nodes: Sequence[Node],
     node_masks: Mapping[Node, int],
     n_paths: int,
+    runs: Optional[ColumnRuns] = None,
 ) -> Tuple[CompressionPlan, Dict[Node, int]]:
     """Collapse duplicate path columns of a ``node -> P(v)`` mask table.
 
     Returns the :class:`CompressionPlan` and the compressed mask table over
-    ``plan.n_compressed`` columns: one column dedup
-    (:func:`~repro.engine.columns.dedup_columns`) over the incidence rows,
-    grouping columns by their touch-set (the tuple of node positions,
-    canonical because the node order is fixed).  Both column kernels return
-    the same plan and rows; the plan's touch keys are read on first use.
+    ``plan.n_compressed`` columns, grouping columns by their touch-set.
+    Without ``runs`` that is one column dedup
+    (:func:`~repro.engine.columns.dedup_columns`) over the incidence rows;
+    both column kernels return the same plan and rows.  ``runs`` says how
+    the rows were written (the :class:`ColumnRuns` of the same elements as
+    ``nodes``), and the plan is read off the runs instead: equal keys are
+    one class, and the compressed rows are one
+    :func:`~repro.engine.columns.class_rows` over the distinct keys.  The
+    identity (every column distinct and covered) builds nothing: its
+    members are built when read and its table holds the input rows.  The
+    plan's touch keys are read on first use.
     """
     rows = [node_masks[node] for node in nodes]
     for node, mask in zip(nodes, rows):
@@ -328,10 +408,84 @@ def compress_universe(
                 f"mask of {node!r} is wider than the declared universe "
                 f"({mask.bit_length()} > {n_paths} bits)"
             )
-    members, compressed = dedup_columns(rows, n_paths)
-    if members is None:  # the identity: each column its own class
-        members = tuple(zip(range(n_paths)))
-    plan = CompressionPlan(
-        n_original=n_paths, members=members, compressed_rows=tuple(compressed)
-    )
+    if runs is None:
+        members, compressed = dedup_columns(rows, n_paths)
+        if members is None:
+            plan = _identity_plan(n_paths, rows)
+        else:
+            plan = CompressionPlan(n_paths, members, tuple(compressed))
+    else:
+        plan, compressed = _plan_from_runs(nodes, rows, n_paths, runs)
     return plan, dict(zip(nodes, compressed))
+
+
+def _identity_plan(n_paths: int, rows: List[int]) -> CompressionPlan:
+    """The plan of ``rows`` whose columns are all distinct and covered: one
+    class per column, built when read."""
+    return CompressionPlan._deferred(
+        n_paths, n_paths, partial(_one_column_classes, n_paths), tuple(rows)
+    )
+
+
+def _one_column_classes(n_paths: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(zip(range(n_paths)))
+
+
+def _plan_from_runs(
+    nodes: Sequence[Node], rows: List[int], n_paths: int, runs: ColumnRuns
+) -> Tuple[CompressionPlan, List[int]]:
+    """:func:`compress_universe`'s plan and compressed rows of ``rows``,
+    read off the class runs that wrote them."""
+    keys, counts, tail = runs.keys, runs.counts, runs.tail
+    n_runs = sum(counts)
+    if len(keys) != len(counts) or n_runs + len(tail) != n_paths:
+        raise IdentifiabilityError(f"column runs do not cover the {n_paths} columns")
+    # A tail key joins the class that holds it, or founds one after the
+    # runs; columns come in order, so classes stay in first-appearance order.
+    class_keys = list(keys)
+    joined: Dict[int, List[int]] = {}
+    if tail:
+        index = {key: k for k, key in enumerate(keys)}
+        for column, key in enumerate(tail, n_runs):
+            if key:  # an all-zero column constrains nothing; drop it
+                k = index.setdefault(key, len(class_keys))
+                if k == len(class_keys):
+                    class_keys.append(key)
+                joined.setdefault(k, []).append(column)
+    if len(class_keys) == n_paths:
+        # Every column distinct and covered: the identity.
+        return _identity_plan(n_paths, rows), rows
+    row_of = dict(
+        zip(
+            runs.elements,
+            class_rows(class_keys, [1] * len(class_keys), len(runs.elements)),
+        )
+    )
+    try:
+        compressed = [row_of[node] for node in nodes]
+    except KeyError as exc:
+        raise IdentifiabilityError(
+            "column runs are over other elements than the table"
+        ) from exc
+    build = partial(_run_members, counts, joined, len(class_keys))
+    plan = CompressionPlan._deferred(
+        n_paths, len(class_keys), build, tuple(compressed)
+    )
+    return plan, compressed
+
+
+def _run_members(
+    counts: Sequence[int], joined: Mapping[int, List[int]], n_classes: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """The members of ``n_classes`` run classes: class ``k``'s run of
+    ``counts[k]`` columns, then the tail columns ``joined[k]`` that repeat
+    its key (all of a class founded by the tail)."""
+    members: List[Tuple[int, ...]] = []
+    start = 0
+    for count in counts:
+        members.append(tuple(range(start, start + count)))
+        start += count
+    members.extend(() for _ in range(n_classes - len(counts)))
+    for k, columns in joined.items():
+        members[k] += tuple(columns)
+    return tuple(members)

@@ -140,7 +140,7 @@ from typing import (
 
 from repro._typing import Node
 from repro.engine.columns import gather_columns
-from repro.engine.compress import CompressionPlan, compress_universe
+from repro.engine.compress import ColumnRuns, CompressionPlan, compress_universe
 from repro.exceptions import BudgetExceededError, IdentifiabilityError
 from repro.resilience.budget import Budget, resolve_budget
 from repro.utils.bitset import mask_from_indices
@@ -519,6 +519,11 @@ class SignatureEngine:
         per-union cost changes.  ``False`` builds the uncompressed
         reference engine the parity tests and benchmarks compare against;
         nothing else in the library asks for it.
+    runs:
+        The :class:`~repro.engine.compress.ColumnRuns` the masks were
+        written from, when known (an enumerated path set's node rows):
+        compression reads its plan off them instead of deduplicating the
+        columns.  The plan and rows are the same either way.
     """
 
     def __init__(
@@ -528,6 +533,7 @@ class SignatureEngine:
         n_paths: int,
         *,
         compress: bool = True,
+        runs: Optional[ColumnRuns] = None,
     ) -> None:
         self.nodes: Tuple[Node, ...] = tuple(nodes)
         self.n_paths = n_paths
@@ -539,15 +545,13 @@ class SignatureEngine:
         #: when a churn patch computed them; see :meth:`_search_columns`.
         self._coverers: Optional[Tuple[Tuple[int, ...], ...]] = None
         if compress:
-            plan, compressed_masks = compress_universe(
-                self.nodes, node_masks, n_paths
-            )
+            plan, signatures = compress_universe(self.nodes, node_masks, n_paths, runs)
             if plan.is_identity:
                 plan = None  # nothing merged or dropped: skip the indirection
-            else:
-                node_masks = compressed_masks
+        else:
+            signatures = {node: node_masks[node] for node in self.nodes}
         self.compression = plan
-        self._signatures = {node: node_masks[node] for node in self.nodes}
+        self._signatures = signatures
         #: The search memo: the last exact full-universe µ result.
         self._memo: Optional[IdentifiabilityResult] = None
         #: The full universe's search columns, built on first use.

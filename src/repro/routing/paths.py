@@ -31,9 +31,13 @@ consecutive columns, classes in DP discovery order — by path length, then by
 the depth-first position of their first path — and the closed families
 follow, one column each, in depth-first order.  Each ``P(v)`` is then one
 run per (class, node), written for all nodes at once by the column kernel
-:func:`~repro.engine.columns.class_rows`; ``n_paths``,
-:func:`path_length_histogram` and :meth:`PathSet.approximate_nbytes` read
-the class counts (an open class ``S`` holds paths of ``|S| − 1`` edges).
+:func:`~repro.engine.columns.class_rows`.  ``n_paths`` reads the class
+counts; :func:`path_length_histogram` and
+:meth:`PathSet.approximate_nbytes` read the DP's per-layer totals, since
+layer ``d`` adds exactly the paths of ``d`` edges.  The node engine reads
+its compression plan off the same classes: :meth:`PathSet.engine` hands
+them to :func:`~repro.engine.compress.compress_universe` as column runs, so
+no column dedup runs over an enumerated node universe.
 
 ``PathSet.paths`` is lazy
 -------------------------
@@ -110,6 +114,7 @@ from repro.routing.mechanisms import RoutingMechanism
 from repro.utils.bitset import bits_of, mask_from_indices, masks_from_paths
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine sits above)
+    from repro.engine.compress import ColumnRuns
     from repro.engine.signatures import SignatureEngine
 
 #: Paths longer than this (in nodes) are never enumerated unless the caller
@@ -276,7 +281,7 @@ class PathSet:
 
         Counts the dominant stores — the per-node path masks (big-int bytes)
         and the path tuples (one pointer per hop plus tuple overhead, counted
-        from the class lengths for an enumerated set, whether or not its
+        from the length histogram for an enumerated set, whether or not its
         tuples were built) — and, when already derived, the link-mask table.
         Used by cache byte accounting; deliberately an estimate, not
         ``sys.getsizeof`` truth.
@@ -483,7 +488,12 @@ class PathSet:
             return SignatureEngine(elements, masks, self.n_paths)
         cached = self._engines.get(universe.fingerprint)
         if cached is None:
-            cached = SignatureEngine(elements, masks, self.n_paths)
+            # The enumerated node rows are the family's class runs, so the
+            # plan is read off the runs instead of a column dedup.
+            runs = None
+            if universe.kind == "node" and self._family is not None:
+                runs = self._family.column_runs
+            cached = SignatureEngine(elements, masks, self.n_paths, runs=runs)
             self._engines[universe.fingerprint] = cached
         return cached
 
@@ -734,8 +744,9 @@ def _touch_classes(
     placement: MonitorPlacement,
     cutoff: Optional[int],
     max_paths: int,
-) -> Dict[int, int]:
-    """The open family as ``touch set -> number of paths``, in discovery order.
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """The open family as ``touch set -> number of paths``, in discovery
+    order, and as ``length in edges -> number of paths``.
 
     A touch set is a bitmask over adjacency positions.  The layered DP of the
     module docstring: layer ``d`` maps each state ``(S, v)`` to the number of
@@ -747,8 +758,10 @@ def _touch_classes(
     outside ``S ∪ {w}`` — the DFS's descent rule.  Classes are discovered
     by path length, then in the depth-first order of their first path,
     since the states of a layer are reached in depth-first order of their
-    first path.  Raises :class:`PathExplosionError` as soon as the running
-    count passes ``max_paths``.
+    first path.  Layer ``d`` adds exactly the paths of ``d`` edges, so its
+    running count is the length histogram.  Raises
+    :class:`PathExplosionError` as soon as the running count passes
+    ``max_paths``.
     """
     position = adjacency.position
     outputs = 0
@@ -760,6 +773,7 @@ def _touch_classes(
     )
     limit = len(position) - 1 if cutoff is None else cutoff
     classes: Dict[int, int] = {}
+    lengths: Dict[int, int] = {}
     total = 0
     layer = {
         (1 << position[source], position[source]): 1
@@ -769,6 +783,7 @@ def _touch_classes(
     while layer and depth < limit:
         depth += 1
         extend = depth < limit
+        before = total
         grown_layer: Dict[Tuple[int, int], int] = {}
         for (touched, last), count in layer.items():
             for node, bit, is_output in arcs[last]:
@@ -787,8 +802,10 @@ def _touch_classes(
             # More live prefixes than the cap allows paths, most of them
             # never reaching an output: count on the DFS, which holds one.
             return _dfs_touch_classes(adjacency, placement, cutoff, max_paths)
+        if total > before:
+            lengths[depth] = total - before
         layer = grown_layer
-    return classes
+    return classes, lengths
 
 
 def _dfs_touch_classes(
@@ -796,30 +813,35 @@ def _dfs_touch_classes(
     placement: MonitorPlacement,
     cutoff: Optional[int],
     max_paths: int,
-) -> Dict[int, int]:
+) -> Tuple[Dict[int, int], Dict[int, int]]:
     """:func:`_touch_classes` counted on the depth-first open family, in
     O(n) working memory: the same classes in the same order (depth-first
-    order of their first path, stably sorted by length)."""
+    order of their first path, stably sorted by length) and the same length
+    histogram."""
     classes: Dict[int, int] = {}
+    lengths: Dict[int, int] = {}
     keyed = _keyed_open_paths(adjacency, placement, cutoff)
-    for total, (key, _) in enumerate(keyed, 1):
+    for total, (key, path) in enumerate(keyed, 1):
         if total > max_paths:
             raise _path_explosion(max_paths)
         classes[key] = classes.get(key, 0) + 1
-    return dict(sorted(classes.items(), key=lambda item: item[0].bit_count()))
+        length = len(path) - 1
+        lengths[length] = lengths.get(length, 0) + 1
+    return (
+        dict(sorted(classes.items(), key=lambda item: item[0].bit_count())),
+        dict(sorted(lengths.items())),
+    )
 
 
 def _keyed_open_paths(
     adjacency: _Adjacency, placement: MonitorPlacement, cutoff: Optional[int]
 ) -> Iterator[Tuple[int, Path]]:
     """The depth-first open family, each path with its touch set (a bitmask
-    over adjacency positions)."""
-    bit = {node: 1 << i for node, i in adjacency.position.items()}
+    over adjacency positions).  A simple path repeats no node, so the sum of
+    its node bits is their union."""
+    bit = {node: 1 << i for node, i in adjacency.position.items()}.__getitem__
     for path in _open_paths(adjacency, placement, cutoff):
-        key = 0
-        for node in path:
-            key |= bit[node]
-        yield key, path
+        yield sum(map(bit, path)), path
 
 
 def _monitor_cycles(
@@ -913,10 +935,13 @@ class _Family:
     """An enumerated path family, held as the classes its rows were built from.
 
     ``keys[k]`` is the touch set of open class ``k`` (a bitmask over
-    adjacency positions) and ``counts[k]`` its number of paths; ``closed``
-    is the CAP/CAP⁻ family that follows the open classes, one column each.
-    ``adjacency``, ``placement`` and ``cutoff`` are the enumeration inputs
-    :meth:`materialize` re-runs the DFS on.
+    adjacency positions) and ``counts[k]`` its number of paths;
+    ``open_lengths`` is the open family's ``(length in edges, number of
+    paths)`` histogram, ascending, as the DP layers counted it.  ``closed``
+    is the CAP/CAP⁻ family that follows the open classes, one column each,
+    and ``closed_keys`` are its touch sets.  ``adjacency``, ``placement``
+    and ``cutoff`` are the enumeration inputs :meth:`materialize` re-runs
+    the DFS on.
     """
 
     adjacency: _Adjacency
@@ -924,18 +949,28 @@ class _Family:
     cutoff: Optional[int]
     keys: Tuple[int, ...]
     counts: Tuple[int, ...]
+    open_lengths: Tuple[Tuple[int, int], ...]
     closed: Tuple[Path, ...]
+    closed_keys: Tuple[int, ...]
 
     @cached_property
     def n_paths(self) -> int:
         return sum(self.counts) + len(self.closed)
 
     def lengths(self) -> Iterator[Tuple[int, int]]:
-        """``(length in edges, number of paths)`` per class and closed path."""
-        for key, count in zip(self.keys, self.counts):
-            yield key.bit_count() - 1, count
+        """``(length in edges, number of paths)`` per open path length and
+        per closed path."""
+        yield from self.open_lengths
         for path in self.closed:
             yield len(path) - 1, 1
+
+    @cached_property
+    def column_runs(self) -> "ColumnRuns":
+        """The node incidence as class column runs: the open classes, then
+        the closed paths' touch keys, one column each."""
+        from repro.engine.compress import ColumnRuns
+
+        return ColumnRuns(self.adjacency.nodes, self.keys, self.counts, self.closed_keys)
 
     def materialize(self) -> Tuple[Path, ...]:
         """The path tuples in column order: the depth-first open family
@@ -998,25 +1033,30 @@ def enumerate_paths(
     )
     placement.validate(graph)
     adjacency = _adjacency(graph)
-    classes = _touch_classes(adjacency, placement, cutoff, max_paths)
-    room = max(max_paths - sum(classes.values()), 0) + 1
+    classes, open_lengths = _touch_classes(adjacency, placement, cutoff, max_paths)
+    room = max(max_paths - sum(open_lengths.values()), 0) + 1
     closed = tuple(
         islice(_closed_paths(adjacency, directed, placement, mechanism, cutoff), room)
     )
+    position = adjacency.position
     family = _Family(
-        adjacency, placement, cutoff, tuple(classes), tuple(classes.values()), closed
+        adjacency,
+        placement,
+        cutoff,
+        tuple(classes),
+        tuple(classes.values()),
+        tuple(open_lengths.items()),
+        closed,
+        tuple(sum(1 << position[node] for node in set(path)) for path in closed),
     )
     _check_family_size(family.n_paths, max_paths, mechanism)
-    position = adjacency.position
-    keys = list(family.keys)
-    for path in closed:
-        key = 0
-        for node in path:
-            key |= 1 << position[node]
-        keys.append(key)
     from repro.engine.columns import class_rows
 
-    rows = class_rows(keys, family.counts + (1,) * len(closed), len(position))
+    rows = class_rows(
+        family.keys + family.closed_keys,
+        family.counts + (1,) * len(closed),
+        len(position),
+    )
     return PathSet(
         node_universe,
         None,
@@ -1029,7 +1069,7 @@ def enumerate_paths(
 
 def _path_lengths(pathset: PathSet) -> Iterator[Tuple[int, int]]:
     """``(length in edges, number of paths)`` pairs covering ``pathset``,
-    read off the class counts of an enumerated set."""
+    read off the DP layer totals of an enumerated set."""
     if pathset._family is not None:
         return pathset._family.lengths()
     return ((max(len(path) - 1, 0), 1) for path in pathset.paths)
@@ -1040,7 +1080,7 @@ def path_length_histogram(pathset: PathSet) -> Dict[int, int]:
 
     Useful for the reporting layer and the routing-cost discussion of
     Section 9 (fewer/shorter paths means cheaper probing).  An enumerated
-    path set answers from its class counts without building its paths.
+    path set answers from its DP layer totals without building its paths.
     """
     histogram: Dict[int, int] = {}
     for length, count in _path_lengths(pathset):

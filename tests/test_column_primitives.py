@@ -357,6 +357,24 @@ class TestClassRows:
             with auto_backend(name):
                 assert class_rows(keys, counts, n_rows) == expected, name
 
+    @pytest.mark.parametrize("n_rows", (63, 64, 65))
+    def test_top_bit_at_the_word_boundary(self, n_rows):
+        """Up to 64 rows the numpy kernel unpacks the keys as one uint64
+        array; a key with its top row set must come out the same as on the
+        big-int kernel, on either side of the one-word width."""
+        top = 1 << (n_rows - 1)
+        keys = [top, 2 ** n_rows - 1, 0, top | 1, 0b1011 << (n_rows - 4)]
+        counts = [2, 1, 3, 1, 4]
+        expected = reference_class_rows(keys, counts, n_rows)
+        assert expected[n_rows - 1] != 0
+        rows = {}
+        for name in BACKENDS:
+            with auto_backend(name):
+                rows[name] = class_rows(keys, counts, n_rows)
+                with pytest.raises(IdentifiabilityError):
+                    class_rows(keys + [2 ** n_rows], counts + [1], n_rows)
+        assert all(result == expected for result in rows.values()), rows
+
     @pytest.mark.parametrize(
         "keys, counts, n_rows",
         [((1,), (1, 1), 2), ((1,), (0,), 2), ((4,), (1,), 2), ((-1,), (1,), 2)],

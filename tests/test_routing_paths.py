@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import compress as compress_module
 from repro.exceptions import PathExplosionError, RoutingError
 from repro.monitors.placement import MonitorPlacement
 from repro.monitors.grid_placement import chi_g
@@ -18,13 +20,17 @@ from repro.routing.paths import (
     PathSet,
     PathSetDelta,
     _adjacency,
+    _dfs_touch_classes,
     _open_paths,
+    _touch_classes,
     count_paths,
     enumerate_paths,
     path_length_histogram,
 )
 from repro.topology.grids import directed_grid, undirected_grid
 from repro.topology.lines import line_graph
+
+from conftest import BACKENDS, auto_backend
 
 
 class TestRoutingMechanism:
@@ -507,6 +513,146 @@ class TestTouchClassDP:
         assert path_length_histogram(capped) == path_length_histogram(uncapped)
         with pytest.raises(PathExplosionError):
             enumerate_paths(graph, placement, "CSP", max_paths=3)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=dp_cases())
+    def test_layer_totals_are_the_open_histogram(self, case):
+        """Layer ``d`` of the DP adds the paths of ``d`` edges, so its totals
+        are the open family's length histogram; the DFS fallback counts the
+        same classes and totals."""
+        graph, placement, _, cutoff = case
+        adjacency = _adjacency(graph)
+        open_paths = list(_open_paths(adjacency, placement, cutoff))
+        expected = dict(sorted(Counter(len(path) - 1 for path in open_paths).items()))
+        cap = len(open_paths) + 1
+        classes, lengths = _touch_classes(adjacency, placement, cutoff, cap)
+        assert lengths == expected
+        assert _dfs_touch_classes(adjacency, placement, cutoff, cap) == (
+            classes,
+            lengths,
+        )
+
+    def test_dfs_fallback_records_the_layer_totals(self, monkeypatch):
+        """The sparse-output case of ``test_sparse_outputs_count_on_the_dfs``:
+        the family counted on the DFS carries the same length totals as the
+        DP's, and both equal the materialised histogram."""
+        from repro.routing import paths as paths_module
+
+        graph = nx.DiGraph(
+            [("s", "t"), ("s", "a"), ("a", "t"), ("a", "b"), ("b", "t"), ("s", "b")]
+        )
+        clique = [f"k{i}" for i in range(7)]
+        graph.add_edges_from(("s", k) for k in clique)
+        graph.add_edges_from((u, v) for u in clique for v in clique if u != v)
+        placement = MonitorPlacement.of(inputs={"s"}, outputs={"t"})
+        uncapped = enumerate_paths(graph, placement, "CSP")
+        handed = []
+        original = paths_module._dfs_touch_classes
+
+        def spy(*args):
+            handed.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(paths_module, "_dfs_touch_classes", spy)
+        capped = enumerate_paths(graph, placement, "CSP", max_paths=20)
+        assert handed
+        materialised = tuple(
+            sorted(Counter(len(path) - 1 for path in capped.paths).items())
+        )
+        assert capped._family.open_lengths == materialised
+        assert uncapped._family.open_lengths == materialised == ((1, 1), (2, 2), (3, 1))
+
+
+def assert_engine_reads_the_classes(pathset):
+    """The node engine of an enumerated path set builds its plan from the
+    family's class runs, never running the dedup, and its plan and rows
+    equal the dedup route's."""
+    masks = {node: pathset.paths_through(node) for node in pathset.nodes}
+    plan, rows = compress_module.compress_universe(
+        pathset.nodes, masks, pathset.n_paths
+    )
+    refuse = mock.patch.object(
+        compress_module, "dedup_columns", side_effect=AssertionError("dedup ran")
+    )
+    with refuse:
+        engine = pathset.engine()
+        runs = pathset._family.column_runs
+        from_runs, runs_rows = compress_module.compress_universe(
+            pathset.nodes, pathset._node_masks, pathset.n_paths, runs
+        )
+    assert from_runs == plan  # n_original and members
+    assert from_runs.compressed_rows == plan.compressed_rows
+    assert runs_rows == rows
+    assert from_runs.touch_keys == plan.touch_keys
+    assert (engine.compression is None) == plan.is_identity
+    if engine.compression is not None:
+        assert engine.compression == plan
+    assert {node: engine.signature(node) for node in pathset.nodes} == rows
+    return plan
+
+
+class TestEngineFromClasses:
+    """``PathSet.engine`` on an enumerated node universe: the plan read off
+    the touch classes equals ``compress_universe`` over the same rows by the
+    column dedup, on both column kernels."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=dp_cases())
+    def test_plan_equals_the_dedup_route(self, case):
+        graph, placement, mechanism, cutoff = case
+        try:
+            pathset = enumerate_paths(graph, placement, mechanism, cutoff)
+        except RoutingError:
+            return
+        for name in BACKENDS:
+            with auto_backend(name):
+                assert_engine_reads_the_classes(
+                    enumerate_paths(graph, placement, mechanism, cutoff)
+                )
+        assert pathset.__dict__["paths"] is None  # the engine built no paths
+        pathset.engine()
+        assert pathset.__dict__["paths"] is None
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_closed_paths_join_an_open_class(self, name):
+        """On the triangle with ``a`` both input and output, the cycle
+        (a, b, c, a) touches what the open path (a, b, c) does, and the
+        CAP loop (a, a) is a class of its own."""
+        graph = nx.Graph([("a", "b"), ("b", "c"), ("c", "a")])
+        placement = MonitorPlacement.of(inputs={"a"}, outputs={"a", "c"})
+        with auto_backend(name):
+            for mechanism in ("CAP-", "CAP"):
+                pathset = enumerate_paths(graph, placement, mechanism)
+                plan = assert_engine_reads_the_classes(pathset)
+                joined = [
+                    tuple(pathset.paths[j] for j in group)
+                    for group in plan.members
+                    if len(group) > 1
+                ]
+                assert joined == [(("a", "b", "c"), ("a", "b", "c", "a"))]
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_closed_paths_join_each_other(self, name):
+        """On K4 anchored at ``a`` (input and output, no other monitor) there
+        is no open path; the three Hamiltonian cycles through ``a`` touch
+        the same four nodes and form one class."""
+        graph = nx.complete_graph("abcd")
+        placement = MonitorPlacement.of(inputs={"a"}, outputs={"a"})
+        with auto_backend(name):
+            pathset = enumerate_paths(graph, placement, "CAP-")
+            plan = assert_engine_reads_the_classes(pathset)
+        assert pathset._family.keys == ()
+        assert sorted(map(len, plan.members)) == [1, 1, 1, 3]
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_dag_families_are_the_identity(self, name):
+        grid = directed_grid(4)
+        with auto_backend(name):
+            pathset = enumerate_paths(grid, chi_g(grid))
+            plan = assert_engine_reads_the_classes(pathset)
+        assert plan.is_identity
+        assert pathset.engine().compression is None
 
 
 def nx_simple_paths(graph, placement, cutoff):
