@@ -143,7 +143,7 @@ from repro.engine.columns import gather_columns
 from repro.engine.compress import ColumnRuns, CompressionPlan, compress_universe
 from repro.exceptions import BudgetExceededError, IdentifiabilityError
 from repro.resilience.budget import Budget, resolve_budget
-from repro.utils.bitset import mask_from_indices
+from repro.utils.bitset import indicator, mask_from_indices
 from repro.utils.counters import Counters
 
 def _require_int(name: str, value: Any) -> int:
@@ -229,18 +229,6 @@ _Columns = Tuple[Tuple[int, ...], Any, Tuple[int, ...]]
 
 #: The stats of a query answered without a search (cap 0 or a memo hit).
 _NO_WORK = SearchStats(0, 0, 0)
-
-#: ``"0"``/``"1"`` characters to the bytes 0/1 (see :func:`_indicator`).
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _indicator(signature: int, width: int) -> Tuple[int, ...]:
-    """The 0/1 vector of a ``width``-bit signature, bit 0 first: the binary
-    digits of ``signature`` with a sentinel bit at ``width``, reversed and
-    mapped to bytes in C."""
-    digits = format(signature | 1 << width, "b")[:0:-1]
-    return tuple(digits.encode().translate(_BITS))
-
 
 def _record_search(stats: SearchStats) -> None:
     SEARCH_COUNTERS.merge(
@@ -716,7 +704,12 @@ class SignatureEngine:
         Always reported over the **original** path indices: under
         compression the compressed indicator is mapped back through
         :meth:`CompressionPlan.expand_indicator
-        <repro.engine.compress.CompressionPlan.expand_indicator>`.
+        <repro.engine.compress.CompressionPlan.expand_indicator>`.  The
+        measurement routes (:meth:`TomographySession.measure
+        <repro.tomography.scenario.TomographySession.measure>`,
+        :func:`repro.tomography.inference.measurement_vector`) read the
+        original-width rows instead and skip that gather; this method is
+        the engine-side reference they are tested against.
         """
         return self.indicator_vector(self.union_signature(failed))
 
@@ -729,7 +722,7 @@ class SignatureEngine:
             raise IdentifiabilityError(
                 f"signature does not fit the engine's {self.n_columns} columns"
             )
-        vector = _indicator(signature, self.n_columns)
+        vector = indicator(signature, self.n_columns)
         if self.compression is not None:
             return self.compression.expand_indicator(vector)
         return vector

@@ -14,6 +14,10 @@ building an unbounded queue of doomed work.  Combined with per-request
 time budgets (``?budget=`` rides the spec's ``engine.time_budget``, whose
 cooperative truncation certifies a lower bound instead of hanging) this
 keeps the contract: a connection always gets *an answer*, never a hang.
+One gap remains: the budget caps the µ search, not a ``localization``
+analysis's trial loop, so a document asking for millions of trials holds
+its slot until every trial has run (a 3×3 grid with ``n_trials: 1000000``
+and ``?budget=0.5`` was still running after 8 s).
 
 Failures that are not the client's fault are quarantined the same way the
 PR-8 resilient pool quarantines trial crashes: recorded as a

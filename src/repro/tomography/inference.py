@@ -36,22 +36,18 @@ from repro.engine.signatures import SignatureEngine
 from repro.exceptions import IdentifiabilityError
 from repro.failures.universe import FailureUniverse
 from repro.routing.paths import PathSet
-from repro.utils.bitset import mask_from_indices
+from repro.utils.bitset import indicator, mask_from_indices
 
 
 def measurement_vector(pathset: PathSet, failure_set: Iterable[Node]) -> MeasurementVector:
     """Simulate the end-to-end measurement: 1 for each path crossing a failure.
 
     This is the forward model of Boolean network tomography — a path reports 1
-    iff at least one of its nodes is in the failure set.  Computed from the
-    signatures of the pathset's engine: the observation vector is the
-    indicator of ``P(F)``, the union signature of the failed nodes, read off
-    its binary digits in one C-level pass instead of scanning every node of
-    every path.  Under the default
-    signature-universe compression the union runs over distinct path columns
-    only and the engine expands the indicator back through its
-    :class:`~repro.engine.compress.CompressionPlan`, so the vector is always
-    indexed by the original paths of ``pathset``.
+    iff at least one of its nodes is in the failure set.  The observation
+    vector is the indicator of ``P(F)``: the OR of the failed nodes'
+    original-width rows ``P(v)``, read off its binary digits in one C-level
+    pass instead of scanning every node of every path, so it is indexed by
+    the original paths of ``pathset`` and needs no engine.
     """
     failed = frozenset(failure_set)
     unknown = failed - pathset.node_universe
@@ -59,7 +55,7 @@ def measurement_vector(pathset: PathSet, failure_set: Iterable[Node]) -> Measure
         raise IdentifiabilityError(
             f"failure nodes {sorted(map(repr, unknown))} are outside the node universe"
         )
-    return pathset.engine().measurement_vector(failed)
+    return indicator(pathset.paths_through_set(failed), pathset.n_paths)
 
 
 

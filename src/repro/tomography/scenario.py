@@ -14,6 +14,7 @@ measurement path set and can
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro._typing import AnyGraph, MeasurementVector, Node
@@ -30,6 +31,7 @@ from repro.tomography.inference import (
     consistent_signature_sets,
     fold_observations,
 )
+from repro.utils.bitset import indicator
 from repro.utils.seeds import RngLike, resolve_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api sits above)
@@ -154,15 +156,19 @@ class TomographySession:
     # -- forward model ------------------------------------------------------
     def measure(self, failure_set: Iterable[Node]) -> MeasurementVector:
         """Boolean measurement vector produced by ``failure_set`` (a set of
-        this session's universe elements)."""
+        this session's universe elements).
+
+        The vector is the indicator of ``P(F)``, the OR of the universe's
+        original-width rows, so it needs no trip back through the engine's
+        column compression.  The engine's union signature is kept next to
+        it: localising this very vector (``run_trial``) reuses it instead of
+        folding the vector back into engine columns.
+        """
         failed = frozenset(failure_set)
-        for element in failed:
-            self.universe.mask(element)  # membership check with a clear error
-        signature = self.engine.union_signature(failed)
-        observations = self.engine.indicator_vector(signature)
-        # Localising this very vector (``run_trial``) reuses the union
-        # signature instead of folding the vector back into engine columns.
-        self._measured = (observations, signature)
+        observations = indicator(
+            self.universe.mask_of_set(failed), self.universe.n_paths
+        )
+        self._measured = (observations, self.engine.union_signature(failed))
         return observations
 
     def localize(
@@ -179,6 +185,20 @@ class TomographySession:
         return LocalizationResult(consistent_sets=sets, max_failures=max_failures)
 
     # -- simulation ---------------------------------------------------------
+    @cached_property
+    def _sample_pools(self) -> Tuple[Tuple[Node, ...], Tuple[Node, ...]]:
+        """The ``(preferred, whole)`` pools of :meth:`sample_failure_set`,
+        each sorted by ``repr`` once per session: the non-monitor nodes and
+        all nodes in node mode, the universe's elements twice otherwise."""
+        if not self._node_mode:
+            elements = tuple(sorted(self.universe.elements, key=repr))
+            return elements, elements
+        nodes = self.pathset.node_universe
+        return (
+            tuple(sorted(nodes - self.placement.monitor_nodes, key=repr)),
+            tuple(sorted(nodes, key=repr)),
+        )
+
     def sample_failure_set(self, size: int, rng: RngLike = None) -> FrozenSet[Node]:
         """Uniformly random failure set of the given size.
 
@@ -190,15 +210,8 @@ class TomographySession:
         """
         _check_count("failure size", size, 0)
         generator = resolve_rng(rng)
-        if self._node_mode:
-            non_monitors = sorted(
-                self.pathset.node_universe - self.placement.monitor_nodes, key=repr
-            )
-            pool = non_monitors if len(non_monitors) >= size else sorted(
-                self.pathset.node_universe, key=repr
-            )
-        else:
-            pool = sorted(self.universe.elements, key=repr)
+        preferred, everything = self._sample_pools
+        pool = preferred if len(preferred) >= size else everything
         if size > len(pool):
             raise IdentifiabilityError(
                 f"cannot sample {size} failing elements from a pool of {len(pool)}"

@@ -9,7 +9,7 @@ tens of thousands of paths.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 
 def mask_from_indices(indices: Iterable[int]) -> int:
@@ -96,6 +96,24 @@ def bit_indices(mask: int) -> list:
             base = position << 3
             indices.extend(base + offset for offset in table[byte])
     return indices
+
+
+#: ``"0"``/``"1"`` characters to the bytes 0/1 (see :func:`indicator`).
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def indicator(mask: int, width: int) -> Tuple[int, ...]:
+    """The 0/1 vector of a ``width``-bit mask, bit 0 first.
+
+    The binary digits of ``mask`` with a sentinel bit at ``width`` are
+    reversed and mapped to bytes in C, so the cost is a few O(width) passes
+    with no per-bit Python step.  ``mask`` must fit in ``width`` bits.
+
+    >>> indicator(0b1101, 5)
+    (1, 0, 1, 1, 0)
+    """
+    digits = format(mask | 1 << width, "b")[:0:-1]
+    return tuple(digits.encode().translate(_DIGIT_BITS))
 
 
 def masks_from_paths(nodes: Sequence, paths: Sequence[Sequence]) -> dict:

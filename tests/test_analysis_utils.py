@@ -25,7 +25,13 @@ from repro.monitors.tree_placement import balanced_leaf_placement, chi_t
 from repro.topology.grids import directed_grid, undirected_grid
 from repro.topology.trees import complete_kary_tree
 from repro.topology.zoo import claranet
-from repro.utils.bitset import bit_count, bits_of, mask_from_indices, union_masks
+from repro.utils.bitset import (
+    bit_count,
+    bits_of,
+    indicator,
+    mask_from_indices,
+    union_masks,
+)
 from repro.utils.seeds import resolve_rng, spawn_rng
 from repro.utils.tables import format_percentage, format_table
 
@@ -114,6 +120,18 @@ class TestBitset:
         mask = mask_from_indices(indices)
         assert set(bits_of(mask)) == indices
         assert bit_count(mask) == len(indices)
+
+    @pytest.mark.parametrize("width", (0, 1, 63, 64, 65))
+    def test_indicator_reads_bit_zero_first(self, width):
+        """Empty, full, top-bit-only and alternating masks at and around the
+        word boundary match a bit-by-bit read."""
+        masks = {0, (1 << width) - 1, sum(1 << i for i in range(0, width, 2))}
+        if width:
+            masks.add(1 << width - 1)
+        for mask in masks:
+            vector = indicator(mask, width)
+            assert vector == tuple(mask >> i & 1 for i in range(width))
+            assert type(vector) is tuple and all(type(bit) is int for bit in vector)
 
 
 class TestSeeds:

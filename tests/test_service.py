@@ -410,11 +410,11 @@ class TestHealthDuringLongJob:
         },
         "placement": {"strategy": "mdmp", "params": {"d": 4}},
         "seed": 2018,
-        "failures": {"model": "uniform", "size": 2, "n_trials": 200},
+        "failures": {"model": "uniform", "size": 2, "n_trials": 700},
         "analyses": [
             {"analysis": "mu"},
             {"analysis": "localization",
-             "params": {"failure_size": 2, "n_trials": 200}},
+             "params": {"failure_size": 2, "n_trials": 700}},
         ],
     }
 

@@ -10,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.scenario import Scenario
+from repro.engine.compress import CompressionPlan
+from repro.engine.signatures import SignatureEngine
 from repro.exceptions import IdentifiabilityError
+from repro.failures.universe import FailureUniverse
 from repro.monitors import random_placement
 from repro.monitors.grid_placement import chi_g
 from repro.monitors.placement import MonitorPlacement
+from repro.routing.mechanisms import RoutingMechanism
 from repro.routing.paths import PathSet, enumerate_paths
 from repro.tomography.inference import (
     consistent_failure_sets,
@@ -206,6 +210,86 @@ class TestTomographySession:
         # mu = 0: the failure is detected but cannot be pinned to node 1.
         assert sum(outcome.observations) > 0
         assert not outcome.uniquely_identified
+
+
+def parity_universe(pathset, kind):
+    """One failure universe of ``pathset`` by label: the canonical node and
+    link universes, an SRLG universe grouping every link, one whose groups
+    leave paths untouched (its plan drops columns), and an owner-less node
+    universe over half the nodes."""
+    links = pathset.links
+    if kind in ("node", "link"):
+        return pathset.universe(kind)
+    if kind == "srlg":
+        groups = {f"g{i}": links[i : i + 2] for i in range(0, len(links), 2)}
+        return pathset.universe("srlg", groups=groups)
+    if kind == "srlg-partial":
+        return pathset.universe("srlg", groups={"a": links[:2], "b": links[2:3]})
+    subset = pathset.nodes[::2]
+    return FailureUniverse(
+        kind="node",
+        elements=subset,
+        n_paths=pathset.n_paths,
+        _masks={node: pathset.paths_through(node) for node in subset},
+    )
+
+
+class TestMeasurementParity:
+    """``TomographySession.measure`` builds the vector from the universe's
+    original-width rows; the engine's compressed indicator and a per-path
+    scan of the rows are the references."""
+
+    @pytest.mark.parametrize("compress", (True, False), ids=("compressed", "raw"))
+    @pytest.mark.parametrize(
+        "kind", ("node", "link", "srlg", "srlg-partial", "owner-less")
+    )
+    @pytest.mark.parametrize("mechanism", tuple(RoutingMechanism))
+    def test_measure_matches_engine_and_row_scan(
+        self, mechanism, kind, compress, monkeypatch
+    ):
+        rng = random.Random("measurement-parity")
+        graph = erdos_renyi_connected(7, 0.45, rng)
+        placement = random_placement(graph, 2, 2, rng=rng)
+        pathset = enumerate_paths(graph, placement, mechanism)
+        universe = parity_universe(pathset, kind)
+        session = TomographySession(
+            graph, placement, mechanism, pathset=pathset, universe=universe
+        )
+        if not compress:
+            session.engine = SignatureEngine.from_universe(
+                session.universe, compress=False
+            )
+        engine = session.engine
+        elements = universe.elements
+        if kind == "srlg-partial":
+            # Some path crosses no group: the compressed plan drops it.
+            assert universe.mask_of_set(elements) != (1 << pathset.n_paths) - 1
+            if compress:
+                assert sum(engine.compression.multiplicity) < pathset.n_paths
+        failure_sets = [()] + [
+            combo for size in (1, 2) for combo in itertools.combinations(elements, size)
+        ] + [elements]
+        for failure in failure_sets:
+            observations = session.measure(failure)
+            assert observations == engine.indicator_vector(
+                engine.union_signature(failure)
+            ), (kind, failure)
+            assert observations == tuple(
+                int(any(universe.mask(e) >> j & 1 for e in failure))
+                for j in range(pathset.n_paths)
+            ), (kind, failure)
+            # The measured vector reuses its union signature: no fold.
+            # A copy of it is folded, and must localise the same way.
+            folded = session.localize(list(observations), len(failure))
+            with monkeypatch.context() as patched:
+                patched.setattr(CompressionPlan, "compress_indicator", None)
+                localization = session.localize(observations, len(failure))
+            assert localization == folded, (kind, failure)
+
+    def test_measure_rejects_foreign_elements(self, directed_grid_3):
+        session = TomographySession(directed_grid_3, chi_g(directed_grid_3))
+        with pytest.raises(IdentifiabilityError, match="not in the node"):
+            session.measure({"ghost"})
 
 
 def law_instances():
