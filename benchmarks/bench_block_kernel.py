@@ -33,7 +33,6 @@ from typing import Dict, Optional
 from conftest import run_once
 
 from repro.agrid.algorithm import agrid
-from repro.engine.columns import numpy_available
 from repro.engine.signatures import SignatureEngine
 from repro.routing.paths import enumerate_paths
 from repro.topology import zoo
@@ -126,6 +125,5 @@ def test_block_kernel_claranet(benchmark, bench_seed):
         f"(node + link universes, {PROBE_BUDGET}-path probe budget), compressed "
         "vs raw engine"
     )
-    benchmark.extra_info["numpy"] = numpy_available()
     benchmark.extra_info["probe_budget"] = PROBE_BUDGET
     benchmark.extra_info["measured"] = measured

@@ -1,3 +1,3 @@
 """Package metadata."""
 
-__version__ = "13.1.1"
+__version__ = "14.0.0"

@@ -17,7 +17,7 @@ The package provides:
 * **Signature engine** (:mod:`repro.engine`) — the shared substrate for all
   identifiability queries: interned path-mask signatures, equivalence-class
   collapsing, the exact dominance search for µ, big-int signatures with
-  numpy column kernels, and the keyed pathset cache.
+  numpy column kernels (numpy is a dependency), and the keyed pathset cache.
 * **Identifiability core** (:mod:`repro.core`) — exact maximal identifiability
   µ, truncated µ_α, local identifiability, structural upper bounds and
   separation primitives (thin clients of the engine).

@@ -76,7 +76,7 @@ def _freeze_params(params: Optional[Mapping[str, Any]], kind: str) -> Dict[str, 
     if params is None:
         return {}
     try:
-        return json_normalize(dict(params))
+        return json_normalize(_expect_mapping(params, f"{kind} params"))
     except TypeError as exc:
         raise SpecError(f"{kind} params are not JSON-normalisable: {exc}") from exc
 
@@ -777,6 +777,11 @@ class ScenarioSpec:
         if "topology" not in data or "placement" not in data:
             raise SpecError("scenario spec requires 'topology' and 'placement'")
         analyses_payload: Sequence[Any] = data.get("analyses") or ["mu"]
+        if not isinstance(analyses_payload, (list, tuple)):
+            raise SpecError(
+                f"scenario analyses must be a JSON array, got "
+                f"{type(analyses_payload).__name__}"
+            )
         return cls(
             topology=TopologySpec.from_dict(data["topology"]),
             placement=PlacementSpec.from_dict(data["placement"]),

@@ -15,8 +15,7 @@ the experiment drivers (:mod:`repro.experiments`):
   big int (bit ``j`` set iff path ``j`` is touched), so unions are ``|`` and
   equality is ``==``.  :mod:`repro.engine.columns` holds the incidence
   column primitives, ``class_rows``, ``gather_columns``, ``dedup_columns``
-  and ``column_keys``, each with a numpy bit-matrix kernel (run whenever numpy
-  is importable) and a big-int kernel (the only one without numpy).
+  and ``column_keys``, each one numpy kernel on unpacked bit matrices.
 * :mod:`repro.engine.compress` collapses duplicate path columns (and drops
   all-zero columns) before the rows are interned, shrinking the mask
   width every query pays for; results are bit-identical and the
@@ -38,14 +37,13 @@ pathset-level functions take ``universe=`` and ``budget=``::
 
     engine = pathset.engine(universe="link")  # this path set's link engine
 
-numpy is optional: nothing in the library requires it, and every result is
-the same with and without it.
+numpy is a dependency: it runs the column kernels, and nothing else in the
+engine imports it.
 """
 
 from repro.engine.columns import (
     dedup_columns,
     gather_columns,
-    numpy_available,
 )
 from repro.engine.compress import (
     CompressionPlan,
@@ -82,7 +80,6 @@ __all__ = [
     # column kernels
     "gather_columns",
     "dedup_columns",
-    "numpy_available",
     # compression
     "CompressionPlan",
     "compress_universe",

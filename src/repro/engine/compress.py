@@ -47,8 +47,7 @@ observed vector into compressed columns for localisation and reports a
 vector that is not class-closed (no element set can produce it) as ``None``.
 
 The collapse itself is one column dedup
-(:func:`~repro.engine.columns.dedup_columns`) over the rows — the numpy or
-the big-int kernel, identical plans either way — and
+(:func:`~repro.engine.columns.dedup_columns`) over the rows, and
 :meth:`CompressionPlan.compress_mask` is one representative gather.
 
 An enumerated path set's node engine runs no dedup.  The enumerator wrote

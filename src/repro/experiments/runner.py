@@ -541,7 +541,10 @@ def _load_spec_file(path: str) -> List[ScenarioSpec]:
             document = handle.read()
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path!r}: {exc}") from exc
-    return list(load_spec_batch(document))
+    try:
+        return list(load_spec_batch(document))
+    except SpecError as exc:
+        raise SpecError(f"spec file {path!r}: {exc}") from exc
 
 
 def run_spec_files(
@@ -852,7 +855,8 @@ def main(argv: List[str] | None = None) -> int:
     ``main`` as a library function changes no process-global engine state.
     ``Ctrl-C`` cancels the outstanding pool futures, leaves every
     already-journaled trial durable on disk, and exits with the conventional
-    status 130.
+    status 130.  A malformed ``--spec`` or ``--churn`` document prints one
+    ``error:`` line (no traceback) and exits with status 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -917,6 +921,9 @@ def main(argv: List[str] | None = None) -> int:
                 print(cache_stats(), file=sys.stderr)
             if args.search_stats:
                 print(search_counters(), file=sys.stderr)
+    except SpecError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # The pool shut down (futures cancelled) on the way out; every
         # journaled trial is already durable, so a --checkpoint rerun

@@ -188,16 +188,13 @@ class TomographySession:
     @cached_property
     def _sample_pools(self) -> Tuple[Tuple[Node, ...], Tuple[Node, ...]]:
         """The ``(preferred, whole)`` pools of :meth:`sample_failure_set`,
-        each sorted by ``repr`` once per session: the non-monitor nodes and
-        all nodes in node mode, the universe's elements twice otherwise."""
+        sorted by ``repr`` once per session: the universe's elements, and in
+        node mode the preferred pool leaves out the monitors."""
+        elements = tuple(sorted(self.universe.elements, key=repr))
         if not self._node_mode:
-            elements = tuple(sorted(self.universe.elements, key=repr))
             return elements, elements
-        nodes = self.pathset.node_universe
-        return (
-            tuple(sorted(nodes - self.placement.monitor_nodes, key=repr)),
-            tuple(sorted(nodes, key=repr)),
-        )
+        monitors = self.placement.monitor_nodes
+        return tuple(e for e in elements if e not in monitors), elements
 
     def sample_failure_set(self, size: int, rng: RngLike = None) -> FrozenSet[Node]:
         """Uniformly random failure set of the given size.

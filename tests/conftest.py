@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator
+from typing import ContextManager
 
 import networkx as nx
 import pytest
 
-from repro.engine import SignatureEngine, columns
 from repro.monitors import MonitorPlacement, chi_corners, chi_g, chi_t, mdmp_placement
 from repro.routing import RoutingMechanism, enumerate_paths
 from repro.topology import (
@@ -19,6 +18,8 @@ from repro.topology import (
     undirected_grid,
     undirected_hypergrid,
 )
+
+from oracles import reference_columns
 
 
 @pytest.fixture(scope="session")
@@ -89,36 +90,16 @@ def diamond_placement() -> MonitorPlacement:
     return MonitorPlacement.of(inputs={"s"}, outputs={"t"})
 
 
-#: The column kernels of this environment, as :func:`auto_backend` names.
-BACKENDS = ("numpy", "python") if columns.numpy_available() else ("python",)
+#: The column kernels of the kernel-parametrized tests: ``numpy`` is the
+#: library's own, ``python`` the bit-by-bit references of
+#: :func:`oracles.reference_columns`.
+COLUMN_KERNELS = ("numpy", "python")
 
-#: ``(kernel, compress)`` engine configurations of the parity matrices.  A
-#: raw engine interns its rows as given and runs no column kernel, so one
-#: uncompressed configuration covers it.
-ENGINE_CONFIGS = tuple((name, True) for name in BACKENDS) + (("python", False),)
-
-
-@contextlib.contextmanager
-def auto_backend(name: str) -> Iterator[None]:
-    """Run every column primitive on the ``name`` kernel inside the block.
-
-    The incidence column primitives (``class_rows``, ``gather_columns``,
-    ``dedup_columns``) run the numpy kernel whenever numpy imports; hiding numpy from
-    :mod:`repro.engine.columns` for ``"python"`` runs them on the big-int
-    kernel, so the kernel-parity tests run the class rows of
-    ``enumerate_paths``, compression and the engine patch on each.
-    """
-    saved = columns._np
-    if name == "python":
-        columns._np = None
-    try:
-        yield
-    finally:
-        columns._np = saved
+#: The ``compress`` settings of the parity matrices: the compressed engine
+#: against the raw reference engine, which interns its rows as given.
+ENGINE_CONFIGS = (True, False)
 
 
-def kernel_engine(name: str, universe, compress: bool = True) -> SignatureEngine:
-    """A fresh (unmemoised) engine over ``universe`` whose compression ran on
-    the ``name`` column kernel."""
-    with auto_backend(name):
-        return SignatureEngine.from_universe(universe, compress=compress)
+def column_kernel(name: str) -> ContextManager[None]:
+    """Run every column primitive on the ``name`` kernel inside the block."""
+    return reference_columns() if name == "python" else contextlib.nullcontext()

@@ -7,6 +7,12 @@ engine's µ search and subset census can be held to it bit for bit.  The
 clause-level Boolean system of Equation (1) at the end of the module is the
 same kind of oracle for localisation.
 
+The ``reference_*`` column functions are the bit-by-bit definitions of the
+incidence column primitives of :mod:`repro.engine.columns`;
+:func:`reference_columns` runs the library on them in place of its numpy
+kernels, so a whole enumeration, compression or engine build can be held
+to them.
+
 The ``core_*`` functions are a reference of a different kind: µ and µ_α
 computed straight from :func:`~repro.routing.paths.enumerate_paths` and the
 :mod:`repro.core` searches, with µ capped one level above the Section-3
@@ -17,6 +23,7 @@ without going through either.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from dataclasses import dataclass
@@ -37,6 +44,7 @@ from repro._typing import Node, Path
 from repro.core.bounds import structural_upper_bound
 from repro.core.identifiability import maximal_identifiability_detailed
 from repro.core.truncated import truncated_identifiability
+from repro.engine import columns
 from repro.exceptions import IdentifiabilityError
 from repro.routing.paths import PathSet, enumerate_paths
 from repro.tomography.inference import measurement_vector
@@ -409,6 +417,93 @@ def build_system(pathset: PathSet, failure_set: Iterable[Node]) -> BooleanSystem
     """Measurement system obtained by measuring ``pathset`` under ``failure_set``."""
     observations = measurement_vector(pathset, failure_set)
     return BooleanSystem.from_measurements(pathset, observations)
+
+
+# -- the incidence column primitives, bit by bit ------------------------------
+
+
+def _bit(mask: int, j: int) -> int:
+    return mask >> j & 1
+
+
+def reference_class_rows(keys, counts, n_rows):
+    """Column by column: class ``k``'s ``counts[k]`` columns carry ``keys[k]``."""
+    per_column = [key for key, count in zip(keys, counts) for _ in range(count)]
+    return [
+        sum(1 << j for j, key in enumerate(per_column) if _bit(key, r))
+        for r in range(n_rows)
+    ]
+
+
+def reference_gather(rows, sources, width=None):
+    """Column ``j`` of each row is its column ``sources[j]``; ``-1`` reads 0."""
+    return [
+        sum(
+            1 << j
+            for j, source in enumerate(sources)
+            if source >= 0 and _bit(mask, source)
+        )
+        for mask in rows
+    ]
+
+
+def reference_keys(rows, width):
+    """The rows each column is set in, column by column."""
+    return tuple(
+        tuple(p for p, mask in enumerate(rows) if _bit(mask, column))
+        for column in range(width)
+    )
+
+
+def reference_dedup(rows, width):
+    """``(members, keys, deduped)``: the classes of distinct nonzero columns
+    with their touch keys, in first-appearance order."""
+    classes: Dict[Tuple[int, ...], List[int]] = {}
+    for column, key in enumerate(reference_keys(rows, width)):
+        if key:
+            classes.setdefault(key, []).append(column)
+    keys = tuple(classes)
+    deduped = [
+        sum(1 << k for k, key in enumerate(keys) if p in key) for p in range(len(rows))
+    ]
+    return tuple(tuple(group) for group in classes.values()), keys, deduped
+
+
+def expected_dedup(rows, width):
+    """What ``dedup_columns`` returns: the reference classes and rows, or
+    ``(None, rows)`` when every column is its own nonzero class."""
+    members, _, deduped = reference_dedup(rows, width)
+    if len(members) == width:
+        return None, list(rows)
+    return members, deduped
+
+
+#: The library's column kernels and the references that stand in for them.
+_COLUMN_REFERENCES = {
+    "_class_rows_numpy": reference_class_rows,
+    "_gather_numpy": reference_gather,
+    "_dedup_numpy": expected_dedup,
+    "_keys_numpy": reference_keys,
+}
+
+
+@contextlib.contextmanager
+def reference_columns() -> Iterator[None]:
+    """Run the column primitives on the references above inside the block.
+
+    Each primitive keeps its own input checks and hands the checked input
+    to its reference instead of its numpy kernel, so every caller —
+    ``enumerate_paths``' class rows, compression, ``restrict_to_paths`` and
+    the engine — runs on the definitions.
+    """
+    saved = {name: getattr(columns, name) for name in _COLUMN_REFERENCES}
+    for name, reference in _COLUMN_REFERENCES.items():
+        setattr(columns, name, reference)
+    try:
+        yield
+    finally:
+        for name, kernel in saved.items():
+            setattr(columns, name, kernel)
 
 
 def core_mu(graph, placement, mechanism: str = "CSP") -> int:

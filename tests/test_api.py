@@ -171,6 +171,60 @@ class TestSpecRoundTrip:
             scenario.localization_campaign(**params)
 
 
+def _example_scenario(path: str, index: int = 0):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)["scenarios"][index]
+
+
+def _set_field(scenario, field, value):
+    """``scenario`` with the field at the ``field`` key path replaced."""
+    node = scenario
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    return scenario
+
+
+SRLG_SCENARIO = {
+    "topology": {"name": "claranet"},
+    "placement": {"strategy": "mdmp", "params": {"d": 4}},
+    "failures": {"universe": {"kind": "srlg", "groups": {"g": [[0, 1]]}}},
+}
+
+
+class TestMalformedSpecShapes:
+    """A field of the wrong JSON type is a :class:`SpecError`, never a raw
+    ``ValueError``/``TypeError`` out of the parser."""
+
+    @pytest.mark.parametrize("bad", ["x", [[1]], 5, [1, 2]], ids=repr)
+    @pytest.mark.parametrize(
+        "field",
+        [
+            ("topology", "params"),
+            ("placement", "params"),
+            ("analyses", 0, "params"),
+            ("analyses",),
+            ("failures", "universe", "groups"),
+        ],
+        ids=lambda field: ".".join(map(str, field)),
+    )
+    def test_wrong_shape_is_a_spec_error(self, field, bad):
+        if field[0] == "failures":
+            scenario = json.loads(json.dumps(SRLG_SCENARIO))
+        else:
+            scenario = _example_scenario("examples/specs/claranet.json")
+        ScenarioSpec.from_dict(scenario)  # well-formed before the edit
+        payload = _set_field(scenario, field, bad)
+        with pytest.raises(SpecError):
+            ScenarioSpec.from_dict(payload)
+
+    def test_analyses_string_is_not_a_list_of_names(self):
+        payload = _example_scenario("examples/specs/claranet.json")
+        payload["analyses"] = "mu"
+        with pytest.raises(SpecError, match="analyses must be a JSON array"):
+            ScenarioSpec.from_dict(payload)
+
+
 class TestRegistries:
     def test_unknown_names_raise_spec_error(self):
         with pytest.raises(SpecError):
@@ -583,6 +637,23 @@ class TestSpecRunner:
         assert code == 0
         engine = json.loads(out_path.read_text())["sections"][0]["data"]["spec"]["engine"]
         assert engine == {"cache": True, "time_budget": 3600.0, "subset_budget": None}
+
+    def test_cli_malformed_spec_is_one_error_line(self, tmp_path, capsys):
+        from repro.experiments import runner
+
+        scenario = _example_scenario("examples/specs/claranet.json")
+        scenario["topology"]["params"] = "x"
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps({"scenarios": [scenario]}))
+        code = runner.main(["--spec", str(spec_path), "--trials", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("repro-experiments: error: spec file ")
+        assert "topology params must be a JSON object" in lines[0]
+        assert "Traceback" not in captured.err
 
     def test_cli_no_compress_flag_is_retired(self, capsys):
         from repro.experiments import runner

@@ -5,8 +5,9 @@ the subsets' big-int unions in one pass.  These suites hold both to
 the brute-force oracles in ``tests/oracles.py`` — same µ, ``searched_up_to``
 and ``exhausted_search`` as the ``itertools.combinations`` sweep, the
 canonical witness pair, the same local µ, the same census — across every
-routing mechanism, failure universe, column kernel and compression setting.  A
-budget-truncated µ is a certified lower bound, identical on every engine.
+routing mechanism, failure universe and compression setting (µ also on an
+engine compressed on the column references).  A budget-truncated µ is a
+certified lower bound, identical on every engine.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from repro.core.local import (
 )
 from repro.core.separability import inseparable_pairs_of_size
 from repro.core.truncated import truncated_identifiability
-from repro.engine.signatures import SearchStats, search_counters
+from repro.engine.signatures import SearchStats, SignatureEngine, search_counters
 from repro.exceptions import IdentifiabilityError
 from repro.resilience.budget import Budget
 
-from conftest import BACKENDS, ENGINE_CONFIGS, kernel_engine
+from conftest import COLUMN_KERNELS, ENGINE_CONFIGS, column_kernel
 from oracles import (
     assert_budget_law,
     assert_matches_oracle,
@@ -83,9 +84,9 @@ class TestBlockParityMatrix:
                 pathset, universe=universe
             )
             stats, truncated = set(), set()
-            for backend, compress in ENGINE_CONFIGS:
-                engine = kernel_engine(backend, universe, compress)
-                context = (seed, mechanism, kind, backend, compress)
+            for compress in ENGINE_CONFIGS:
+                engine = SignatureEngine.from_universe(universe, compress=compress)
+                context = (seed, mechanism, kind, compress)
                 result = engine.identifiability()
                 assert_matches_oracle(result, exact, context)
                 stats.add(result.stats)
@@ -98,11 +99,12 @@ class TestBlockParityMatrix:
             assert len(stats) == 1, (seed, mechanism, kind, stats)
             assert len(truncated) == 1, (seed, mechanism, kind, truncated)
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS, reverse=True))
+    @pytest.mark.parametrize("backend", COLUMN_KERNELS)
     def test_parity_on_each_backend(self, backend):
         for seed in range(8):
             pathset = _pathset(seed, "CAP")
-            engine = kernel_engine(backend, _universe(pathset, "node"))
+            with column_kernel(backend):
+                engine = SignatureEngine.from_universe(_universe(pathset, "node"))
             assert_matches_oracle(
                 engine.identifiability(),
                 naive_maximal_identifiability_detailed(pathset),
@@ -126,33 +128,32 @@ class TestBlockParityMatrix:
         for seed in range(4):
             pathset = _pathset(seed, "CSP")
             universe = _universe(pathset, "link")
-            for backend in BACKENDS:
-                engine = kernel_engine(backend, universe)
-                for size in (1, 2):
-                    pairs = engine.inseparable_pairs(size)
-                    oracle = naive_inseparable_pairs(universe, size)
-                    assert len(pairs) == len(oracle), (seed, backend, size)
-                    assert set(pairs) == set(oracle), (seed, backend, size)
-                matrix = engine.separability_matrix(2)
-                assert list(matrix) == list(
-                    itertools.combinations(
-                        [
-                            frozenset(combo)
-                            for combo in itertools.combinations(engine.nodes, 2)
-                        ],
-                        2,
-                    )
+            engine = SignatureEngine.from_universe(universe)
+            for size in (1, 2):
+                pairs = engine.inseparable_pairs(size)
+                oracle = naive_inseparable_pairs(universe, size)
+                assert len(pairs) == len(oracle), (seed, size)
+                assert set(pairs) == set(oracle), (seed, size)
+            matrix = engine.separability_matrix(2)
+            assert list(matrix) == list(
+                itertools.combinations(
+                    [
+                        frozenset(combo)
+                        for combo in itertools.combinations(engine.nodes, 2)
+                    ],
+                    2,
                 )
-                for (first, second), separable in matrix.items():
-                    assert separable == universe.separates(first, second)
+            )
+            for (first, second), separable in matrix.items():
+                assert separable == universe.separates(first, second)
             assert set(
                 inseparable_pairs_of_size(pathset, 2, universe=universe)
             ) == set(naive_inseparable_pairs(universe, 2))
 
     def test_census_order_on_restricted_universes(self):
         """A restricted universe's census: groups by first appearance,
-        members in lexicographic order, on every column kernel and compression
-        setting, and the matrix over the same subsets."""
+        members in lexicographic order, on the compressed and the raw engine,
+        and the matrix over the same subsets."""
         for seed, kind in itertools.product(range(3), KINDS):
             pathset = _pathset(seed, "CSP")
             universe = _universe(pathset, kind)
@@ -176,9 +177,9 @@ class TestBlockParityMatrix:
                     (pair, union_mask(masks, pair[0]) != union_mask(masks, pair[1]))
                     for pair in itertools.combinations(subsets, 2)
                 ]
-                for backend, compress in ENGINE_CONFIGS:
-                    engine = kernel_engine(backend, universe, compress)
-                    context = (seed, kind, size, backend, compress)
+                for compress in ENGINE_CONFIGS:
+                    engine = SignatureEngine.from_universe(universe, compress=compress)
+                    context = (seed, kind, size, compress)
                     census = engine.inseparable_pairs(size, nodes=elements)
                     assert census == pairs, context
                     assert list(
@@ -187,7 +188,7 @@ class TestBlockParityMatrix:
 
     def test_local_search_parity(self):
         """Local µ of singleton and pair scopes equals the naive sweep on
-        every universe, column kernel, compression setting and cap."""
+        every universe, compression setting and cap."""
         for seed, kind in itertools.product(range(4), KINDS):
             pathset = _pathset(seed, "CSP")
             universe = _universe(pathset, kind)
@@ -199,11 +200,11 @@ class TestBlockParityMatrix:
                     naive_local_mu(elements, universe.masks, scope, bound)
                     for scope in scopes
                 ]
-                for backend, compress in ENGINE_CONFIGS:
-                    engine = kernel_engine(backend, universe, compress)
+                for compress in ENGINE_CONFIGS:
+                    engine = SignatureEngine.from_universe(universe, compress=compress)
                     assert [
                         engine.local_identifiability(scope, cap) for scope in scopes
-                    ] == expected, (seed, kind, cap, backend, compress)
+                    ] == expected, (seed, kind, cap, compress)
                 assert local_maximal_identifiability(
                     pathset, scopes[0], max_size=cap, universe=universe
                 ) == expected[0], (seed, kind, cap)
@@ -338,17 +339,14 @@ class TestTypedSizeValidation:
 
 
 class TestBackendBatchedOps:
-    """The big-int column kernel alone carries compression when numpy is
-    absent."""
+    """The search reads only the engine's rows, whichever kernel built them."""
 
-    def test_kernel_block_legal_without_numpy(self, monkeypatch):
-        """µ and the census run on the big-int kernel when numpy is
-        absent."""
-        from repro.engine import columns
-
-        monkeypatch.setattr(columns, "_np", None)
-        pathset = _pathset(0, "CSP")
-        engine = pathset.engine()
+    def test_kernel_block_legal_without_numpy(self):
+        """µ and the census on a path set enumerated and compressed on the
+        column references, with no numpy kernel in the column path."""
+        with column_kernel("python"):
+            pathset = _pathset(0, "CSP")
+            engine = SignatureEngine.from_universe(pathset.universe("node"))
         assert engine.compression is not None
         assert_matches_oracle(
             engine.identifiability(), naive_maximal_identifiability_detailed(pathset)

@@ -1,7 +1,7 @@
 """Engine-level metamorphic oracle: for *random* small instances and caps
 the µ search must agree with the naive oracles on everything observable —
 µ, ``searched_up_to``/``exhausted_search`` and the canonical witness — and
-search the same tree on every column kernel × compression engine, and the
+search the same tree on the compressed and the raw engine, and the
 separability census must reproduce the naive one.
 
 Hypothesis drives the instance generator (a raw ``(element-masks, n_paths)``
@@ -26,7 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.engine.signatures import SignatureEngine  # noqa: E402
 
-from conftest import BACKENDS, ENGINE_CONFIGS, auto_backend  # noqa: E402
+from conftest import ENGINE_CONFIGS  # noqa: E402
 from oracles import assert_matches_oracle, naive_oracle, union_mask  # noqa: E402
 
 CORPUS_GLOB = os.path.join(
@@ -44,27 +44,26 @@ def instances(draw):
         for _ in range(n_elements)
     ]
     compress = draw(st.booleans())
-    backend = draw(st.sampled_from(BACKENDS))
     cap = draw(st.sampled_from([0, 1, 2, 3, None]))
     return {
         "n_paths": n_paths,
         "masks": masks,
         "compress": compress,
-        "backend": backend,
         "cap": cap,
     }
 
 
-def _engine(instance, backend=None, compress=None) -> SignatureEngine:
-    """The instance's engine, compressed on the ``backend`` column kernel."""
+def _engine(instance, compress=None) -> SignatureEngine:
+    """The instance's engine; ``compress`` overrides the instance's setting.
+    The ``backend`` key of instances frozen before numpy was required is
+    ignored."""
     nodes = [f"e{i}" for i in range(len(instance["masks"]))]
-    with auto_backend(instance["backend"] if backend is None else backend):
-        return SignatureEngine(
-            nodes,
-            dict(zip(nodes, instance["masks"])),
-            instance["n_paths"],
-            compress=instance["compress"] if compress is None else compress,
-        )
+    return SignatureEngine(
+        nodes,
+        dict(zip(nodes, instance["masks"])),
+        instance["n_paths"],
+        compress=instance["compress"] if compress is None else compress,
+    )
 
 
 def _assert_instance_parity(instance) -> None:
@@ -75,10 +74,10 @@ def _assert_instance_parity(instance) -> None:
     result = engine.identifiability(max_size=cap)
     assert_matches_oracle(result, naive_oracle(engine.nodes, masks, cap), instance)
     # Every column kernel × compression engine runs the same search tree.
-    for backend, compress in ENGINE_CONFIGS:
-        other = _engine(instance, backend, compress).identifiability(max_size=cap)
-        assert other == result, (instance, backend, compress)
-        assert other.stats == result.stats, (instance, backend, compress)
+    for compress in ENGINE_CONFIGS:
+        other = _engine(instance, compress).identifiability(max_size=cap)
+        assert other == result, (instance, compress)
+        assert other.stats == result.stats, (instance, compress)
     for size in range(1, min(n, 3) + 1):
         pairs = engine.inseparable_pairs(size)
         subsets = list(itertools.combinations(engine.nodes, size))
@@ -109,6 +108,4 @@ class TestMetamorphicOracle:
         """Shrunk instances from past Hypothesis failures, frozen forever."""
         with open(path, "r", encoding="utf-8") as handle:
             instance = json.load(handle)
-        if instance["backend"] not in BACKENDS:
-            instance = dict(instance, backend="python")
         _assert_instance_parity(instance)

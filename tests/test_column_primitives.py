@@ -5,12 +5,13 @@
 one column per duplicate class), ``dedup_columns`` (duplicate-column classes
 in first-appearance order, nothing built on an identity) and
 ``column_keys`` (each column's touch key) write the enumerated rows and
-carry column edits and compression.  The law held here: every available kernel returns
-exactly what a bit-by-bit reference returns — so the numpy and the big-int
-kernels are bit-identical — on widths that are and are not multiples of 8
-and 64, on zero rows, zero columns and rows whose every column drops; and
-malformed inputs raise :class:`IdentifiabilityError`, never a raw numpy or
-Python error.
+carry column edits and compression.  The law held here: the numpy kernels
+return exactly what the bit-by-bit references of :mod:`oracles` return, on
+widths that are and are not multiples of 8 and 64, on zero rows, zero
+columns and rows whose every column drops; and malformed inputs raise
+:class:`IdentifiabilityError`, never a raw numpy or Python error.  The
+pinned cases run on both ``COLUMN_KERNELS``: the library's, and the
+references swapped in under the library's input checks.
 """
 
 from __future__ import annotations
@@ -24,80 +25,38 @@ from repro.engine.columns import (
     column_keys,
     dedup_columns,
     gather_columns,
-    numpy_available,
 )
 from repro.engine.compress import CompressionPlan, compress_universe
 from repro.exceptions import IdentifiabilityError
 
-from conftest import auto_backend
+from conftest import COLUMN_KERNELS, column_kernel
+from oracles import (
+    expected_dedup,
+    reference_class_rows,
+    reference_dedup,
+    reference_gather,
+    reference_keys,
+)
 
-BACKENDS = ("numpy", "python") if numpy_available() else ("python",)
 WIDTHS = (0, 1, 7, 8, 9, 63, 64, 65, 130)
 
 
 def _gather(name: str, *args):
     """``gather_columns`` on the ``name`` kernel."""
-    with auto_backend(name):
+    with column_kernel(name):
         return gather_columns(*args)
 
 
 def _dedup(name: str, *args):
     """``dedup_columns`` on the ``name`` kernel."""
-    with auto_backend(name):
+    with column_kernel(name):
         return dedup_columns(*args)
 
 
 def _keys(name: str, *args):
     """``column_keys`` on the ``name`` kernel."""
-    with auto_backend(name):
+    with column_kernel(name):
         return column_keys(*args)
-
-
-def _bit(mask: int, j: int) -> int:
-    return mask >> j & 1
-
-
-def reference_gather(rows, sources, scatter=()):
-    out = []
-    for r, mask in enumerate(rows):
-        value = 0
-        for j, source in enumerate(sources):
-            if source >= 0 and _bit(mask, source):
-                value |= 1 << j
-        for j in scatter[r] if scatter else ():
-            value |= 1 << j
-        out.append(value)
-    return out
-
-
-def reference_keys(rows, width):
-    return tuple(
-        tuple(p for p, mask in enumerate(rows) if _bit(mask, column))
-        for column in range(width)
-    )
-
-
-def reference_dedup(rows, width):
-    """``(members, keys, deduped)``: the classes of distinct nonzero columns
-    with their touch keys, in first-appearance order."""
-    classes = {}
-    for column, key in enumerate(reference_keys(rows, width)):
-        if key:
-            classes.setdefault(key, []).append(column)
-    keys = tuple(classes)
-    deduped = [
-        sum(1 << k for k, key in enumerate(keys) if p in key) for p in range(len(rows))
-    ]
-    return tuple(tuple(group) for group in classes.values()), keys, deduped
-
-
-def expected_dedup(rows, width):
-    """What ``dedup_columns`` returns: the reference classes and rows, or
-    ``(None, rows)`` when every column is its own nonzero class."""
-    members, _, deduped = reference_dedup(rows, width)
-    if len(members) == width:
-        return None, list(rows)
-    return members, deduped
 
 
 @st.composite
@@ -135,60 +94,49 @@ def gathers(draw):
     picked = draw(st.permutations(range(width)))[: draw(st.integers(0, width))]
     sources = list(picked) + [-1] * max(0, n_out - len(picked))
     sources = draw(st.permutations(sources))[:n_out] if n_out else []
-    scatter = ()
-    if sources and rows and draw(st.booleans()):
-        scatter = [
-            draw(st.lists(st.integers(0, len(sources) - 1), max_size=5, unique=True))
-            for _ in rows
-        ]
-    return rows, width, list(sources), scatter
+    return rows, width, list(sources)
 
 
 class TestGatherColumns:
     @settings(max_examples=150, deadline=None)
     @given(case=gathers())
     def test_backends_match_reference(self, case):
-        rows, width, sources, scatter = case
-        expected = reference_gather(rows, sources, scatter)
-        for name in BACKENDS:
-            got = _gather(name, rows, sources, width, scatter)
-            assert got == expected, name
+        rows, width, sources = case
+        assert gather_columns(rows, sources, width) == reference_gather(rows, sources)
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     @pytest.mark.parametrize("width", WIDTHS)
     def test_every_column_dropped(self, name, width):
         rows = [(1 << width) - 1, 0, (1 << width) - 1 >> 1]
         assert _gather(name, rows, [], width) == [0, 0, 0]
         assert _gather(name, rows, [-1] * 5, width) == [0, 0, 0]
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     def test_zero_rows_and_zero_width(self, name):
         assert _gather(name, [], [], 0) == []
-        assert _gather(name, [0, 0], [-1, -1], 0, [[1], []]) == [2, 0]
+        assert _gather(name, [0, 0], [-1, -1], 0) == [0, 0]
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     def test_identity_and_reverse(self, name):
         rows = [0b1011001, 0b0110110]
         assert _gather(name, rows, range(7), 7) == rows
         reverse = _gather(name, rows, range(6, -1, -1), 7)
         assert reverse == [int(format(r, "07b")[::-1], 2) for r in rows]
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     @pytest.mark.parametrize(
-        "rows, sources, width, scatter",
+        "rows, sources, width",
         [
-            ([0b1000], [0], 3, ()),  # a bit beyond the declared width
-            ([-1], [0], 3, ()),  # negative masks are not rows
-            ([0b1], [3], 3, ()),  # source past the width
-            ([0b1], [-2], 3, ()),  # only -1 means "new column"
-            ([0b1], [0, 0], 3, ()),  # a gather never copies a column
-            ([0b1], [0], 3, [[1]]),  # scatter past the result width
-            ([0b1], [0], 3, [[0], [0]]),  # one scatter list per row
+            ([0b1000], [0], 3),  # a bit beyond the declared width
+            ([-1], [0], 3),  # negative masks are not rows
+            ([0b1], [3], 3),  # source past the width
+            ([0b1], [-2], 3),  # only -1 means "new column"
+            ([0b1], [0, 0], 3),  # a gather never copies a column
         ],
     )
-    def test_typed_errors(self, name, rows, sources, width, scatter):
+    def test_typed_errors(self, name, rows, sources, width):
         with pytest.raises(IdentifiabilityError):
-            _gather(name, rows, sources, width, scatter)
+            _gather(name, rows, sources, width)
 
 
 class TestDedupColumns:
@@ -196,22 +144,19 @@ class TestDedupColumns:
     @given(case=row_sets())
     def test_backends_match_reference(self, case):
         rows, width = case
-        expected = expected_dedup(rows, width)
-        for name in BACKENDS:
-            got = _dedup(name, rows, width)
-            assert got == expected, name
+        assert dedup_columns(rows, width) == expected_dedup(rows, width)
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     @pytest.mark.parametrize("width", WIDTHS)
     def test_all_zero_columns_drop(self, name, width):
         expected = (None, [0, 0]) if width == 0 else ((), [0, 0])
         assert _dedup(name, [0, 0], width) == expected
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     def test_no_rows(self, name):
         assert _dedup(name, [], 9) == ((), [])
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     @pytest.mark.parametrize("width", WIDTHS)
     def test_identity_returns_the_rows(self, name, width):
         # Column j is set in the rows named by the binary digits of j + 1:
@@ -224,7 +169,7 @@ class TestDedupColumns:
         assert members is None
         assert deduped == rows
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     def test_wide_element_sets(self, name):
         # More than 64 rows: column keys span several words.
         rows = [(1 << 70) | (1 << (r % 5)) for r in range(70)] + [1 << 69]
@@ -233,7 +178,7 @@ class TestDedupColumns:
         rows = [1 << r for r in range(70)] + [(1 << 70) - 1]
         assert _dedup(name, rows, 70) == (None, rows)
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     def test_row_wider_than_width(self, name):
         with pytest.raises(IdentifiabilityError):
             _dedup(name, [0b10000], 4)
@@ -244,11 +189,9 @@ class TestColumnKeys:
     @given(case=row_sets(max_rows=70))
     def test_backends_match_reference(self, case):
         rows, width = case
-        expected = reference_keys(rows, width)
-        for name in BACKENDS:
-            assert _keys(name, rows, width) == expected, name
+        assert column_keys(rows, width) == reference_keys(rows, width)
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     def test_degenerate_shapes(self, name):
         assert _keys(name, [], 3) == ((), (), ())
         assert _keys(name, [0, 0], 0) == ()
@@ -258,8 +201,8 @@ class TestColumnKeys:
 
 class TestPlanOnPrimitives:
     """compress_universe is one dedup; compress_mask one representative
-    gather — identical plans and rows from every kernel; touch keys are
-    read on demand, on whichever kernel is active then."""
+    gather — identical plans and rows from the kernels and the references;
+    touch keys are read on demand, on whichever is active then."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=row_sets())
@@ -268,8 +211,8 @@ class TestPlanOnPrimitives:
         nodes = tuple(f"v{i}" for i in range(len(rows)))
         masks = dict(zip(nodes, rows))
         results = []
-        for name in BACKENDS:
-            with auto_backend(name):
+        for name in COLUMN_KERNELS:
+            with column_kernel(name):
                 plan, compressed = compress_universe(nodes, masks, width)
                 keys = plan.touch_keys  # the lazy read, on this kernel
             results.append((plan, keys, compressed))
@@ -286,15 +229,11 @@ class TestPlanOnPrimitives:
         rows, width = case
         members, keys, deduped = reference_dedup(rows, width)
         nodes = tuple(f"v{i}" for i in range(len(rows)))
-        for name in BACKENDS:
-            with auto_backend(name):
-                plan, compressed = compress_universe(
-                    nodes, dict(zip(nodes, rows)), width
-                )
-                assert "touch_keys" not in vars(plan)  # nothing read yet
-                assert plan.touch_keys == keys, name
-            assert plan.members == members, name
-            assert [compressed[node] for node in nodes] == deduped, name
+        plan, compressed = compress_universe(nodes, dict(zip(nodes, rows)), width)
+        assert "touch_keys" not in vars(plan)  # nothing read yet
+        assert plan.touch_keys == keys
+        assert plan.members == members
+        assert [compressed[node] for node in nodes] == deduped
 
     @settings(max_examples=60, deadline=None)
     @given(case=row_sets(), data=st.data())
@@ -319,22 +258,13 @@ class TestPlanOnPrimitives:
             patched.append((new_plan, new_plan.touch_keys, remap, lost))
         assert patched[0] == patched[1]
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     def test_compress_mask_rejects_bits_beyond_the_width(self, name):
         plan = CompressionPlan(n_original=3, members=((0, 2), (1,)))
-        with auto_backend(name):
+        with column_kernel(name):
             assert plan.compress_mask(0b101) == 0b01
             with pytest.raises(IdentifiabilityError):
                 plan.compress_mask(0b1000)
-
-
-def reference_class_rows(keys, counts, n_rows):
-    """Column by column: class ``k``'s ``counts[k]`` columns carry ``keys[k]``."""
-    columns = [key for key, count in zip(keys, counts) for _ in range(count)]
-    return [
-        sum(1 << j for j, key in enumerate(columns) if _bit(key, r))
-        for r in range(n_rows)
-    ]
 
 
 class TestClassRows:
@@ -352,35 +282,30 @@ class TestClassRows:
                 st.integers(1, 5), min_size=len(keys), max_size=len(keys)
             )
         )
-        expected = reference_class_rows(keys, counts, n_rows)
-        for name in BACKENDS:
-            with auto_backend(name):
-                assert class_rows(keys, counts, n_rows) == expected, name
+        assert class_rows(keys, counts, n_rows) == reference_class_rows(
+            keys, counts, n_rows
+        )
 
     @pytest.mark.parametrize("n_rows", (63, 64, 65))
     def test_top_bit_at_the_word_boundary(self, n_rows):
         """Up to 64 rows the numpy kernel unpacks the keys as one uint64
-        array; a key with its top row set must come out the same as on the
-        big-int kernel, on either side of the one-word width."""
+        array; a key with its top row set must come out as the reference
+        has it, on either side of the one-word width."""
         top = 1 << (n_rows - 1)
         keys = [top, 2 ** n_rows - 1, 0, top | 1, 0b1011 << (n_rows - 4)]
         counts = [2, 1, 3, 1, 4]
         expected = reference_class_rows(keys, counts, n_rows)
         assert expected[n_rows - 1] != 0
-        rows = {}
-        for name in BACKENDS:
-            with auto_backend(name):
-                rows[name] = class_rows(keys, counts, n_rows)
-                with pytest.raises(IdentifiabilityError):
-                    class_rows(keys + [2 ** n_rows], counts + [1], n_rows)
-        assert all(result == expected for result in rows.values()), rows
+        assert class_rows(keys, counts, n_rows) == expected
+        with pytest.raises(IdentifiabilityError):
+            class_rows(keys + [2 ** n_rows], counts + [1], n_rows)
 
     @pytest.mark.parametrize(
         "keys, counts, n_rows",
         [((1,), (1, 1), 2), ((1,), (0,), 2), ((4,), (1,), 2), ((-1,), (1,), 2)],
         ids=["lengths", "zero-count", "wide-key", "negative-key"],
     )
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     def test_typed_errors(self, keys, counts, n_rows, name):
-        with auto_backend(name), pytest.raises(IdentifiabilityError):
+        with column_kernel(name), pytest.raises(IdentifiabilityError):
             class_rows(keys, counts, n_rows)

@@ -31,7 +31,7 @@ from repro.routing.paths import PathSet, enumerate_paths
 from repro.topology.grids import directed_hypergrid
 from repro.utils.bitset import bits_of, masks_for_nodes
 
-from conftest import BACKENDS, auto_backend, kernel_engine
+from conftest import COLUMN_KERNELS, column_kernel
 from test_engine import MECHANISMS, PARITY_SEEDS, random_instance
 
 
@@ -267,14 +267,14 @@ def key_reads(monkeypatch):
 
 
 class TestBuildOnlyWhatIsRead:
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     def test_identity_plan_reads_touch_keys_on_demand(
         self, name, hypergrid_pathset, key_reads
     ):
         pathset = hypergrid_pathset
         nodes = pathset.nodes
         masks = {node: pathset.paths_through(node) for node in nodes}
-        with auto_backend(name):
+        with column_kernel(name):
             plan, table = compress_universe(nodes, masks, pathset.n_paths)
             assert plan.is_identity
             assert key_reads == [] and "touch_keys" not in vars(plan)
@@ -290,9 +290,10 @@ class TestBuildOnlyWhatIsRead:
         )
         assert table == masks
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     def test_fresh_engine_reads_no_touch_keys(self, name, hypergrid_pathset, key_reads):
-        engine = kernel_engine(name, hypergrid_pathset.universe("node"))
+        with column_kernel(name):
+            engine = SignatureEngine.from_universe(hypergrid_pathset.universe("node"))
         assert engine.compression is None  # the identity plan is dropped
         assert engine.identifiability(max_size=3).value == 3  # µ = d
         assert key_reads == []

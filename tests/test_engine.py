@@ -25,9 +25,6 @@ from repro.engine import (
     SignatureEngine,
     cache_stats,
     clear_pathset_cache,
-    columns,
-    gather_columns,
-    numpy_available,
     pathset_cache,
 )
 from repro.exceptions import IdentifiabilityError
@@ -37,7 +34,7 @@ from repro.routing.paths import PathSet, enumerate_paths
 from repro.topology.random_graphs import erdos_renyi_connected
 from repro.utils.bitset import bits_of
 
-from conftest import kernel_engine
+from conftest import column_kernel
 from oracles import (
     assert_matches_oracle,
     naive_local_mu,
@@ -242,24 +239,26 @@ class TestSignatureEngine:
 
 
 # ---------------------------------------------------------------------------
-# Column-kernel parity and selection
+# Column-kernel parity
 # ---------------------------------------------------------------------------
 
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def reference_engine(universe) -> SignatureEngine:
+    """A fresh engine over ``universe`` compressed on the column references."""
+    with column_kernel("python"):
+        return SignatureEngine.from_universe(universe)
 
 
 class TestBackends:
-    """Compression runs on either column kernel; every engine result is the
-    same on both."""
+    """Compression on the numpy column kernels and on the bit-by-bit
+    references gives the same engine results."""
 
-    @needs_numpy
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     @pytest.mark.parametrize("seed", (0, 2, 5, 9, 13))
     def test_python_numpy_parity(self, seed, mechanism):
         _, _, pathset = random_instance(seed, mechanism)
         py, np_result = (
-            kernel_engine(name, pathset.universe("node")).identifiability(max_size=4)
-            for name in ("python", "numpy")
+            build(pathset.universe("node")).identifiability(max_size=4)
+            for build in (reference_engine, SignatureEngine.from_universe)
         )
         assert py.value == np_result.value
         assert py.exhausted_search == np_result.exhausted_search
@@ -269,13 +268,12 @@ class TestBackends:
         if py.witness is not None:
             assert_valid_witness(pathset, np_result)
 
-    @needs_numpy
     def test_backend_measurement_vector_parity(self):
         _, _, pathset = random_instance(4, "CAP")
         failed = frozenset(pathset.nodes[:2])
         vectors = {
-            kernel_engine(name, pathset.universe("node")).measurement_vector(failed)
-            for name in ("python", "numpy")
+            build(pathset.universe("node")).measurement_vector(failed)
+            for build in (reference_engine, SignatureEngine.from_universe)
         }
         assert len(vectors) == 1
         # A dense raw engine wider than one 64-bit word.
@@ -285,17 +283,11 @@ class TestBackends:
         engine = SignatureEngine(("a", "b"), masks, width, compress=False)
         assert engine.measurement_vector({"a", "b"}) == expected
 
-    @needs_numpy
     def test_backend_classes_parity(self):
         _, _, pathset = random_instance(10, "CSP")
         py_classes, np_classes = (
-            {
-                frozenset(c)
-                for c in kernel_engine(
-                    name, pathset.universe("node")
-                ).equivalence_classes()
-            }
-            for name in ("python", "numpy")
+            {frozenset(c) for c in build(pathset.universe("node")).equivalence_classes()}
+            for build in (reference_engine, SignatureEngine.from_universe)
         )
         assert py_classes == np_classes
 
@@ -311,26 +303,6 @@ class TestBackends:
             SignatureEngine.from_pathset(pathset, "numpy")
         with pytest.raises(TypeError):
             maximal_identifiability(pathset, None, None, "python")
-
-    def test_auto_policy_switches_on_path_count(self, monkeypatch):
-        """The numpy kernel runs whenever numpy imports, at every width; the
-        big-int kernel runs without it."""
-        calls = []
-        for name in ("_gather_numpy", "_gather_bigint"):
-            kernel = getattr(columns, name)
-            monkeypatch.setattr(
-                columns,
-                name,
-                lambda *args, name=name, kernel=kernel: calls.append(name)
-                or kernel(*args),
-            )
-        for width in (1, 1000):
-            assert gather_columns([1], [0], width) == [1]
-        expected = "_gather_numpy" if numpy_available() else "_gather_bigint"
-        assert calls == [expected] * 2
-        monkeypatch.setattr(columns, "_np", None)
-        assert gather_columns([1], [0], 1) == [1]
-        assert calls[-1] == "_gather_bigint"
 
 
 # ---------------------------------------------------------------------------

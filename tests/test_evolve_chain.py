@@ -4,11 +4,12 @@
 and re-enumerates the post-delta inputs, and ``PathSet.engine`` builds the
 evolved engines.  The law is checked after *every* step of walks of 8–10
 link flaps and monitor edits, on random directed and undirected graphs under
-CSP, CAP⁻ and CAP (CAP⁻ also under a path-length cutoff), on every
-available column kernel: the evolved path set equals a fresh
-``enumerate_paths`` (paths and their order, node masks, link masks when the
-parent had derived them), and every evolved engine equals a fresh
-``SignatureEngine`` (plan members, touch keys, rows).
+CSP, CAP⁻ and CAP (CAP⁻ also under a path-length cutoff): the evolved path
+set equals a fresh ``enumerate_paths`` (paths and their order, node masks,
+link masks when the parent had derived them), and every evolved engine
+equals a fresh ``SignatureEngine`` (plan members, touch keys, rows).  The
+pinned walks replay on the numpy column kernels and on the column
+references of :mod:`oracles`.
 
 Walks are generated as explicit JSON-able cases, so a shrunk failure can be
 committed as ``tests/corpus/evolve_chain_*.json`` and replayed as is.
@@ -45,7 +46,7 @@ from repro.monitors.placement import MonitorPlacement
 from repro.routing.paths import PathSetDelta, count_paths, enumerate_paths
 from repro.tomography.scenario import TomographySession
 
-from conftest import BACKENDS, auto_backend
+from conftest import COLUMN_KERNELS, column_kernel
 
 MECHANISMS = ("CSP", "CAP-", "CAP")
 CORPUS_GLOB = os.path.join(os.path.dirname(__file__), "corpus", "evolve_chain_*.json")
@@ -210,11 +211,11 @@ def _assert_pathset_parity(parent, evolved, fresh, tag):
             assert evolved.paths_through_link(link) == fresh.paths_through_link(link), tag
 
 
-def _run_walk(case, backend):
+def _run_walk(case, backend="numpy"):
     mechanism, cutoff = case["mechanism"], case.get("cutoff")
     edges, inputs, outputs = set(map(tuple, case["edges"])), case["inputs"], case["outputs"]
     graph = _graph(case, case["edges"])
-    with auto_backend(backend):
+    with column_kernel(backend):
         pathset = enumerate_paths(
             graph, MonitorPlacement(inputs, outputs), mechanism, cutoff
         )
@@ -248,8 +249,7 @@ def _run_walk(case, backend):
 )
 @given(case=walks())
 def test_chained_evolve_parity(case):
-    for backend in BACKENDS:
-        _run_walk(case, backend)
+    _run_walk(case)
 
 
 @settings(
@@ -259,14 +259,13 @@ def test_chained_evolve_parity(case):
 def test_cap_minus_cutoff_walk(case):
     """Link flaps under CAP⁻ with a path-length cutoff: the re-emitted
     cycle family and the scoped additions obey the cutoff at every step."""
-    for backend in BACKENDS:
-        _run_walk(case, backend)
+    _run_walk(case)
 
 
 @pytest.mark.parametrize(
     "path", sorted(glob.glob(CORPUS_GLOB)), ids=os.path.basename
 )
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", COLUMN_KERNELS)
 def test_corpus_walks(path, backend):
     """Pinned walks replay."""
     with open(path) as handle:
@@ -286,12 +285,12 @@ CENTRE = (2, 2)
 CENTRE_LINKS = (((1, 2), (2, 2)), ((2, 1), (2, 2)), ((2, 2), (2, 3)), ((2, 2), (3, 2)))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", COLUMN_KERNELS)
 def test_uncovered_after_flap_gives_mu_zero(backend):
     """Cutting every link of the grid centre leaves it on no path: µ = 0 with
     witness ∅ / {centre}, identical to a rebuild, and the localizer explains
     the all-zero observation by ∅ alone."""
-    with auto_backend(backend):
+    with column_kernel(backend):
         spec = ScenarioSpec(
             topology=TopologySpec("undirected_grid", {"n": 3}),
             placement=PlacementSpec("chi_corners"),
@@ -362,9 +361,9 @@ def _without(graph, *links):
         ),
     ],
 )
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", COLUMN_KERNELS)
 def test_apply_delta_validation_errors(make, backend):
     graph, placement, pathset = _square()
     new_graph, new_placement, delta = make(graph, placement)
-    with auto_backend(backend), pytest.raises(RoutingError):
+    with column_kernel(backend), pytest.raises(RoutingError):
         pathset.apply_delta(new_graph, new_placement, "CSP", delta)

@@ -4,7 +4,7 @@ Local µ_S runs the dominance search with its targets restricted to the
 scope ``S`` (:mod:`repro.core.local` proves the reduction: with ``m_S`` the
 smallest S-dominator size, µ_S ∈ {m_S − 1, m_S}).  Hypothesis draws raw
 engine instances — element masks, a scope and a cap, no graph layer in
-between — and holds every column kernel × compression engine to
+between — and holds the compressed and the raw engine to
 ``naive_local_mu`` and to the laws: ``S = V`` is µ (capped), a larger scope
 never raises local µ, and an element with a private path (a DLP node's
 loop) has a singleton scope that reaches the cap.  The seed corpus
@@ -29,7 +29,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.core.local import local_maximal_identifiability  # noqa: E402
 from repro.engine.signatures import SignatureEngine  # noqa: E402
 
-from conftest import BACKENDS, ENGINE_CONFIGS, auto_backend  # noqa: E402
+from conftest import ENGINE_CONFIGS  # noqa: E402
 from oracles import naive_local_mu, union_mask  # noqa: E402
 from test_engine import PARITY_SEEDS, random_instance  # noqa: E402
 
@@ -55,21 +55,21 @@ def instances(draw):
         "masks": masks,
         "scope": sorted(scope),
         "cap": draw(st.sampled_from([0, 1, 2, 3, None])),
-        "backend": draw(st.sampled_from(BACKENDS)),
         "compress": draw(st.booleans()),
     }
 
 
-def _engine(instance, backend=None, compress=None) -> SignatureEngine:
-    """The instance's engine, compressed on the ``backend`` column kernel."""
+def _engine(instance, compress=None) -> SignatureEngine:
+    """The instance's engine; ``compress`` overrides the instance's setting.
+    The ``backend`` key of instances frozen before numpy was required is
+    ignored."""
     nodes = [f"e{i}" for i in range(len(instance["masks"]))]
-    with auto_backend(instance["backend"] if backend is None else backend):
-        return SignatureEngine(
-            nodes,
-            dict(zip(nodes, instance["masks"])),
-            instance["n_paths"],
-            compress=instance["compress"] if compress is None else compress,
-        )
+    return SignatureEngine(
+        nodes,
+        dict(zip(nodes, instance["masks"])),
+        instance["n_paths"],
+        compress=instance["compress"] if compress is None else compress,
+    )
 
 
 def _bound(instance) -> int:
@@ -109,9 +109,9 @@ def _assert_local_parity(instance) -> int:
     scope = _scope(engine, instance["scope"])
     cap, bound = instance["cap"], _bound(instance)
     expected = naive_local_mu(engine.nodes, masks, scope, bound)
-    for backend, compress in ENGINE_CONFIGS:
-        value = _engine(instance, backend, compress).local_identifiability(scope, cap)
-        assert value == expected, (instance, backend, compress)
+    for compress in ENGINE_CONFIGS:
+        value = _engine(instance, compress).local_identifiability(scope, cap)
+        assert value == expected, (instance, compress)
     # The reduction's bracket: µ_S ∈ {m_S − 1, m_S}, 0 at m_S = 0, the cap
     # without an S-dominator.
     m = _smallest_dominator(engine, masks, scope, bound)
@@ -135,8 +135,6 @@ class TestLocalOracle:
         """Frozen instances, each deciding through the outcome it names."""
         with open(path, "r", encoding="utf-8") as handle:
             instance = json.load(handle)
-        if instance["backend"] not in BACKENDS:
-            instance = dict(instance, backend="python")
         value = _assert_local_parity(instance)
         engine = _engine(instance)
         masks = dict(zip(engine.nodes, instance["masks"]))

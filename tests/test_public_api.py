@@ -90,7 +90,6 @@ EXPECTED_ENGINE_ALL = [
     "gather_columns",
     "graph_fingerprint",
     "normalize_limits",
-    "numpy_available",
     "pathset_cache",
     "reset_search_counters",
     "search_counters",

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.api.spec import EngineConfig, PlacementSpec, ScenarioSpec, TopologySpec
+from repro.engine.signatures import SignatureEngine
 from repro.exceptions import (
     BudgetExceededError,
     ExperimentError,
@@ -54,7 +55,7 @@ from repro.resilience.pool import (
     reset_pool_counters,
 )
 
-from conftest import ENGINE_CONFIGS, kernel_engine
+from conftest import ENGINE_CONFIGS
 
 
 def _pathset(seed: int = 1, n: int = 12, monitors: int = 3):
@@ -293,8 +294,8 @@ class TestBudgetLaws:
             universe = pathset.universe(kind)
             exact = pathset.engine(universe=universe).identifiability()
             engines = [
-                kernel_engine(backend, universe, compress)
-                for backend, compress in ENGINE_CONFIGS
+                SignatureEngine.from_universe(universe, compress=compress)
+                for compress in ENGINE_CONFIGS
             ]
             previous = 0
             for subsets in self.BUDGETS:

@@ -30,7 +30,7 @@ from repro.routing.paths import (
 from repro.topology.grids import directed_grid, undirected_grid
 from repro.topology.lines import line_graph
 
-from conftest import BACKENDS, auto_backend
+from conftest import COLUMN_KERNELS, column_kernel
 
 
 class TestRoutingMechanism:
@@ -595,7 +595,7 @@ def assert_engine_reads_the_classes(pathset):
 class TestEngineFromClasses:
     """``PathSet.engine`` on an enumerated node universe: the plan read off
     the touch classes equals ``compress_universe`` over the same rows by the
-    column dedup, on both column kernels."""
+    column dedup, on the numpy kernels and on the column references."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=dp_cases())
@@ -605,8 +605,8 @@ class TestEngineFromClasses:
             pathset = enumerate_paths(graph, placement, mechanism, cutoff)
         except RoutingError:
             return
-        for name in BACKENDS:
-            with auto_backend(name):
+        for name in COLUMN_KERNELS:
+            with column_kernel(name):
                 assert_engine_reads_the_classes(
                     enumerate_paths(graph, placement, mechanism, cutoff)
                 )
@@ -614,14 +614,14 @@ class TestEngineFromClasses:
         pathset.engine()
         assert pathset.__dict__["paths"] is None
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     def test_closed_paths_join_an_open_class(self, name):
         """On the triangle with ``a`` both input and output, the cycle
         (a, b, c, a) touches what the open path (a, b, c) does, and the
         CAP loop (a, a) is a class of its own."""
         graph = nx.Graph([("a", "b"), ("b", "c"), ("c", "a")])
         placement = MonitorPlacement.of(inputs={"a"}, outputs={"a", "c"})
-        with auto_backend(name):
+        with column_kernel(name):
             for mechanism in ("CAP-", "CAP"):
                 pathset = enumerate_paths(graph, placement, mechanism)
                 plan = assert_engine_reads_the_classes(pathset)
@@ -632,23 +632,23 @@ class TestEngineFromClasses:
                 ]
                 assert joined == [(("a", "b", "c"), ("a", "b", "c", "a"))]
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     def test_closed_paths_join_each_other(self, name):
         """On K4 anchored at ``a`` (input and output, no other monitor) there
         is no open path; the three Hamiltonian cycles through ``a`` touch
         the same four nodes and form one class."""
         graph = nx.complete_graph("abcd")
         placement = MonitorPlacement.of(inputs={"a"}, outputs={"a"})
-        with auto_backend(name):
+        with column_kernel(name):
             pathset = enumerate_paths(graph, placement, "CAP-")
             plan = assert_engine_reads_the_classes(pathset)
         assert pathset._family.keys == ()
         assert sorted(map(len, plan.members)) == [1, 1, 1, 3]
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", COLUMN_KERNELS)
     def test_dag_families_are_the_identity(self, name):
         grid = directed_grid(4)
-        with auto_backend(name):
+        with column_kernel(name):
             pathset = enumerate_paths(grid, chi_g(grid))
             plan = assert_engine_reads_the_classes(pathset)
         assert plan.is_identity

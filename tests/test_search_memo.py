@@ -43,7 +43,7 @@ from repro.engine.signatures import SearchStats, SignatureEngine, search_counter
 from repro.resilience.budget import Budget
 from repro.utils.bitset import bits_of
 
-from conftest import BACKENDS, auto_backend, kernel_engine
+from conftest import COLUMN_KERNELS, column_kernel
 from oracles import (
     assert_budget_law,
     assert_matches_oracle,
@@ -76,9 +76,8 @@ def _universe(pathset, kind: str):
 
 def _build(cell):
     """``(elements, masks, make_engine)`` of a cell; ``make_engine()`` builds
-    a fresh engine (empty memo) every call, compressed on the cell's column
-    kernel."""
-    backend = cell["backend"] if cell["backend"] in BACKENDS else "python"
+    a fresh engine (empty memo) every call.  The ``backend`` key of cells
+    recorded before numpy was required is ignored."""
     compress = cell["compress"]
     if cell["source"] == "masks":
         elements = tuple(f"e{i}" for i in range(len(cell["masks"])))
@@ -86,13 +85,12 @@ def _build(cell):
         n_paths = cell["n_paths"]
 
         def make_engine() -> SignatureEngine:
-            with auto_backend(backend):
-                return SignatureEngine(elements, masks, n_paths, compress=compress)
+            return SignatureEngine(elements, masks, n_paths, compress=compress)
 
         return elements, masks, make_engine
     universe = _universe(_pathset(cell["seed"], cell["mechanism"]), cell["source"])
     return universe.elements, dict(universe.masks), lambda: (
-        kernel_engine(backend, universe, compress)
+        SignatureEngine.from_universe(universe, compress=compress)
     )
 
 
@@ -100,7 +98,6 @@ def _build(cell):
 def cells(draw):
     cell = {
         "source": draw(st.sampled_from(("masks", "node", "link", "srlg"))),
-        "backend": draw(st.sampled_from(BACKENDS)),
         "compress": draw(st.booleans()),
     }
     if cell["source"] == "masks":
@@ -213,11 +210,11 @@ class TestCapSequenceLaw:
 # -- counters ------------------------------------------------------------------
 
 
-def _grid_engine(backend: str = "python") -> SignatureEngine:
+def _grid_engine(backend: str = "numpy") -> SignatureEngine:
     pathset = repro.enumerate_paths(
         repro.directed_grid(4), repro.chi_g(repro.directed_grid(4))
     )
-    with auto_backend(backend):
+    with column_kernel(backend):
         return SignatureEngine.from_pathset(pathset)
 
 
@@ -228,7 +225,7 @@ def _delta(before, after):
 
 
 class TestMemoCounters:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", COLUMN_KERNELS)
     def test_hit_counts_one_search_and_no_work(self, backend):
         engine = _grid_engine(backend)
         exact = engine.identifiability(max_size=3)
@@ -244,7 +241,7 @@ class TestMemoCounters:
             }, cap
             assert hit.stats == SearchStats(0, 0, 0), cap
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", COLUMN_KERNELS)
     def test_full_universe_columns_are_built_once(self, backend):
         """µ, local µ and the census read the full universe's rows from one
         build per engine; a restricted universe builds its own."""
@@ -313,43 +310,38 @@ class TestMemoThreads:
     def test_concurrent_queries_see_only_exact_answers(self):
         """Threads racing to fill and read one slot (a shared service
         engine) only ever get a fresh engine's answer for their cap."""
-        engine_cells = [
-            {"source": "srlg", "seed": 28, "mechanism": "CSP", "backend": backend,
-             "compress": True}
-            for backend in BACKENDS
-        ]
+        cell = {"source": "srlg", "seed": 28, "mechanism": "CSP", "compress": True}
         query_caps = [None, 0, 1, 2, 3, 4, 5]
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for cell in engine_cells:
-                _elements, _masks, make_engine = _build(cell)
-                expected = {
-                    cap: make_engine().identifiability(max_size=cap)
-                    for cap in query_caps
-                }
-                shared = make_engine()
-                mismatches = []
+            _elements, _masks, make_engine = _build(cell)
+            expected = {
+                cap: make_engine().identifiability(max_size=cap)
+                for cap in query_caps
+            }
+            shared = make_engine()
+            mismatches = []
 
-                def worker(seed):
-                    rng = random.Random(seed)
-                    for _ in range(60):
-                        cap = rng.choice(query_caps)
-                        if shared.identifiability(max_size=cap) != expected[cap]:
-                            mismatches.append(cap)
+            def worker(seed):
+                rng = random.Random(seed)
+                for _ in range(60):
+                    cap = rng.choice(query_caps)
+                    if shared.identifiability(max_size=cap) != expected[cap]:
+                        mismatches.append(cap)
 
-                threads = [
-                    threading.Thread(target=worker, args=(seed,))
-                    for seed in range(8)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                assert mismatches == [], cell
-                for cap in query_caps:
-                    assert shared.identifiability(max_size=cap) == expected[cap]
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert mismatches == [], cell
+            for cap in query_caps:
+                assert shared.identifiability(max_size=cap) == expected[cap]
         finally:
             sys.setswitchinterval(previous)
 
@@ -392,7 +384,7 @@ def _expand_by_members(plan, bits):
 
 
 class TestIndicatorGather:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", COLUMN_KERNELS)
     def test_gather_equals_member_loop_with_dropped_columns(self, backend):
         rng = random.Random(11)
         n_paths = 150
@@ -407,7 +399,7 @@ class TestIndicatorGather:
             )
             for i, element in enumerate(elements)
         }
-        with auto_backend(backend):
+        with column_kernel(backend):
             engine = SignatureEngine(elements, masks, n_paths, compress=True)
         plan = engine.compression
         assert plan is not None and plan.n_compressed < n_paths

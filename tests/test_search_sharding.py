@@ -3,7 +3,7 @@
 The sharded sweep and its ``search_jobs`` knob are gone: the census queries
 run on the single frontier evaluator and local µ on the dominance search.
 These suites keep the parity guarantees sharding was held to — every entry
-point, column kernel and compression setting returns the same census and the same
+point and compression setting returns the same census and the same
 local µ, and a document carrying the retired ``search_jobs`` key still
 parses to the same engine config.
 """
@@ -18,8 +18,9 @@ import repro
 from repro.api.spec import EngineConfig, SpecError
 from repro.core.local import local_maximal_identifiability
 from repro.core.separability import inseparable_pairs_of_size
+from repro.engine.signatures import SignatureEngine
 
-from conftest import ENGINE_CONFIGS, kernel_engine
+from conftest import ENGINE_CONFIGS
 from oracles import naive_inseparable_pairs, naive_local_mu
 from test_block_kernel import _universe
 
@@ -37,9 +38,9 @@ class TestShardedParity:
             universe = pathset.universe("link")
             reference = pathset.engine(universe=universe).inseparable_pairs(2)
             assert set(reference) == set(naive_inseparable_pairs(universe, 2))
-            for backend, compress in ENGINE_CONFIGS:
-                engine = kernel_engine(backend, universe, compress)
-                context = (seed, backend, compress)
+            for compress in ENGINE_CONFIGS:
+                engine = SignatureEngine.from_universe(universe, compress=compress)
+                context = (seed, compress)
                 # Same pairs in the same order on every configuration.
                 assert engine.inseparable_pairs(2) == reference, context
                 matrix = engine.separability_matrix(2)
@@ -65,11 +66,10 @@ class TestShardedParity:
                     assert local_maximal_identifiability(
                         pathset, scope, max_size=cap, universe=universe
                     ) == expected, (seed, kind, sorted(scope, key=repr), cap)
-                    for backend, compress in ENGINE_CONFIGS:
-                        assert kernel_engine(
-                            backend, universe, compress
-                        ).local_identifiability(scope, cap) == expected, (
-                            seed, kind, sorted(scope, key=repr), cap, backend, compress
+                    for compress in ENGINE_CONFIGS:
+                        engine = SignatureEngine.from_universe(universe, compress=compress)
+                        assert engine.local_identifiability(scope, cap) == expected, (
+                            seed, kind, sorted(scope, key=repr), cap, compress
                         )
 
 

@@ -177,6 +177,28 @@ class TestTomographySession:
         with pytest.raises(IdentifiabilityError):
             session.sample_failure_set(100)
 
+    def test_owner_less_node_universe_samples_its_own_elements(self):
+        """A node universe over some of the nodes draws its failures from
+        those nodes, never from the rest of the path set's nodes."""
+        grid = directed_grid(4)
+        placement = chi_g(grid)
+        pathset = enumerate_paths(grid, placement)
+        subset = pathset.nodes[::2]
+        universe = FailureUniverse(
+            kind="node",
+            elements=subset,
+            n_paths=pathset.n_paths,
+            _masks={node: pathset.paths_through(node) for node in subset},
+        )
+        session = TomographySession(
+            grid, placement, pathset=pathset, universe=universe
+        )
+        report = session.run_campaign(1, 20, rng=1)
+        assert report.n_trials == 20
+        for size in (1, 2):
+            for seed in range(10):
+                assert session.sample_failure_set(size, rng=seed) <= set(subset)
+
     def test_campaign_within_guarantee_has_perfect_rate(self, directed_grid_3):
         session = TomographySession(directed_grid_3, chi_g(directed_grid_3))
         report = session.run_campaign(failure_size=1, n_trials=5, rng=1)
