@@ -1,3 +1,3 @@
 """Package metadata."""
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"

@@ -44,6 +44,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -490,6 +491,18 @@ _DELTA_FIELDS = {
 }
 
 
+def _check_node_labels(attribute: str, labels: Iterable[Any]) -> None:
+    """Refuse a delta entry that cannot name a node: node labels must be
+    hashable, and a JSON object (even one nested in a tuple label) is not."""
+    for label in labels:
+        try:
+            hash(label)
+        except TypeError:
+            raise SpecError(
+                f"delta {attribute} entry {label!r} is not a node label"
+            ) from None
+
+
 @dataclass(frozen=True)
 class DeltaSpec:
     """A JSON-round-trippable scenario delta for :meth:`Scenario.evolve
@@ -540,6 +553,7 @@ class DeltaSpec:
                     raise SpecError(
                         f"delta {attribute} entry {link!r} is not a (u, v) link"
                     )
+                _check_node_labels(attribute, pair)
                 links.append(pair)
             if len(set(links)) != len(links):
                 raise SpecError(f"delta {attribute} lists a link twice")
@@ -548,6 +562,7 @@ class DeltaSpec:
             "add_inputs", "remove_inputs", "add_outputs", "remove_outputs"
         ):
             nodes = tuple(getattr(self, attribute))
+            _check_node_labels(attribute, nodes)
             if len(set(nodes)) != len(nodes):
                 raise SpecError(f"delta {attribute} lists a node twice")
             object.__setattr__(self, attribute, nodes)

@@ -66,23 +66,14 @@ __all__ = [
 def resolve_universe(pathset: PathSet, universe: UniverseLike) -> FailureUniverse:
     """Canonicalise a ``universe=`` argument into a :class:`FailureUniverse`.
 
-    ``None`` and ``"node"`` resolve to the pathset's node universe; a kind
-    name resolves through :meth:`PathSet.universe` (memoised); a
+    ``None`` and ``"node"`` resolve to the pathset's node universe, a kind
+    name to the memoised universe of that kind, and a
     :class:`FailureUniverse` instance passes through after an ownership
-    check (:meth:`FailureUniverse.check_built_over`) — its masks index the
-    owner's path order, and a universe carried over from a different path
-    set (even one with the same path count) would silently compute wrong
-    values.
+    check; anything else raises :class:`IdentifiabilityError`.  The
+    resolution is :meth:`PathSet.universe`'s, so the engine accessor and
+    the thin clients accept and refuse the same arguments.
     """
-    if universe is None or isinstance(universe, str):
-        return pathset.universe(universe or "node")
-    if not isinstance(universe, FailureUniverse):
-        raise IdentifiabilityError(
-            f"universe must be None, a kind name or a FailureUniverse, "
-            f"got {type(universe).__name__}"
-        )
-    universe.check_built_over(pathset)
-    return universe
+    return pathset.universe(universe)
 
 
 def maximal_identifiability_detailed(

@@ -38,10 +38,18 @@ bit-identical results — µ, witnesses, ``searched_up_to``, exhaustion — at a
 fraction of the per-union cost.  (Gale duality offers the same picture: the paths form a point
 configuration and repeated points add nothing to its oriented-matroid data.)
 
-The one engine output phrased in path indices — the Boolean measurement
-vector of Equation (1) — is mapped back through :meth:`CompressionPlan.expand_indices`,
-so callers keep seeing original path indices; the plan records the full
-``class_of`` index remap and per-class ``multiplicity`` for that purpose.
+The measurement routes never map a vector back: the Boolean measurement
+vector of Equation (1) is the indicator of ``P(F)`` over the original-width
+rows (:meth:`TomographySession.measure
+<repro.tomography.scenario.TomographySession.measure>`,
+:func:`repro.tomography.inference.measurement_vector`).  The engine-side
+reference, :meth:`SignatureEngine.measurement_vector
+<repro.engine.signatures.SignatureEngine.measurement_vector>`, expands a
+compressed indicator through :meth:`CompressionPlan.expand_indicator`, and
+:meth:`CompressionPlan.expand_indices` / :meth:`CompressionPlan.expand_mask`
+translate compressed columns for callers that need original path indices;
+the plan records the full ``class_of`` index remap and per-class
+``multiplicity`` for that purpose.
 The reverse direction, :meth:`CompressionPlan.compress_indicator`, folds an
 observed vector into compressed columns for localisation and reports a
 vector that is not class-closed (no element set can produce it) as ``None``.

@@ -6,9 +6,8 @@ cell into a list of :class:`TrialSpec` (a pure, picklable function plus
 picklable arguments, including a precomputed seed string from
 :func:`repro.utils.seeds.spawn_seed`) and hands it to :func:`run_trials`:
 
-* ``jobs=1`` (the default) runs the specs in-process, one after the other —
-  exactly the pre-parallel serial path, sharing the process-global
-  :class:`~repro.engine.cache.PathSetCache`.
+* ``jobs=1`` (the default) runs the specs in-process, one after the other,
+  sharing the process-global :class:`~repro.engine.cache.PathSetCache`.
 * ``jobs>1`` fans the specs out over a ``ProcessPoolExecutor``.  Every worker
   is a fresh process with its own process-global cache and search counters;
   each trial ships back one ``{table: delta}`` dict of what it added to
@@ -24,7 +23,11 @@ The table drivers package each trial as a pickled
 :class:`repro.api.spec.ScenarioSpec` (plus at most a couple of scalar
 arguments): seed, topology source, placement strategy, mechanism **and
 engine config** all travel inside the spec, so ``--time-budget`` reaches
-the workers with no process-global state to propagate.
+the workers with no process-global state to propagate.  The resilience
+settings travel the same way: the :class:`~repro.resilience.pool.ExecutionPolicy`
+carries the chaos plan (shipped inside every submitted task) and the
+checkpoint journal (read in the parent), so a worker needs nothing from its
+initializer but a clean cache.
 """
 
 from __future__ import annotations
@@ -40,12 +43,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from repro.engine.cache import pathset_cache
 from repro.engine.signatures import SEARCH_COUNTERS
 from repro.exceptions import ExperimentError
-from repro.resilience.chaos import ChaosConfig, chaos_hook, install_chaos
-from repro.resilience.checkpoint import (
-    CheckpointJournal,
-    active_checkpoint,
-    fingerprint_call,
-)
+from repro.resilience.chaos import ChaosConfig
+from repro.resilience.checkpoint import fingerprint_call
 from repro.resilience.pool import POOL_COUNTERS, ExecutionPolicy, TrialFailure
 from repro.utils.counters import Counters
 
@@ -100,16 +99,15 @@ def _counter_tables() -> Dict[str, Counters]:
     return {"search": SEARCH_COUNTERS, "pathset": pathset_cache().counters}
 
 
-def _init_worker(chaos: Optional[ChaosConfig] = None) -> None:
-    """Pool initializer: arm the fault-injection hook, start a clean cache.
+def _init_worker() -> None:
+    """Pool initializer: start a clean cache and clean search counters.
 
-    ``chaos`` (``None`` — the default — means workers never inject faults) is
-    the only setting a worker needs from the parent; the engine config rides
-    in each trial's pickled spec.  Clearing makes worker caches behave
-    identically under ``fork`` (which inherits a copy of the parent's
-    entries) and ``spawn`` (which starts empty).
+    A worker needs no setting from the parent: the engine config rides in
+    each trial's pickled spec and the chaos plan in each submitted task.
+    Clearing makes worker caches behave identically under ``fork`` (which
+    inherits a copy of the parent's entries) and ``spawn`` (which starts
+    empty).
     """
-    install_chaos(chaos)
     pathset_cache().clear()
     SEARCH_COUNTERS.reset()
 
@@ -130,15 +128,19 @@ def _run_spec(indexed_spec: Tuple[int, TrialSpec]) -> TrialResult:
     return TrialResult(index=index, value=value, counters=counters)
 
 
-def _run_spec_attempt(task: Tuple[int, TrialSpec, int]) -> TrialResult:
+def _run_spec_attempt(
+    task: Tuple[int, TrialSpec, int, Optional[ChaosConfig]]
+) -> TrialResult:
     """Worker-side execution of one (possibly retried) spec attempt.
 
-    The chaos hook fires *before* the trial runs, so injected faults never
-    leave a half-computed result behind; the attempt number rides along so
-    the injection decision is a pure function of ``(seed, index, attempt)``.
+    The task carries the policy's chaos plan (``None``: no injection), whose
+    fault fires *before* the trial runs, so injected faults never leave a
+    half-computed result behind; the attempt number rides along so the
+    injection decision is a pure function of ``(seed, index, attempt)``.
     """
-    index, spec, attempt = task
-    chaos_hook(index, attempt)
+    index, spec, attempt, chaos = task
+    if chaos is not None:
+        chaos.inject(index, attempt)
     return _run_spec((index, spec))
 
 
@@ -163,18 +165,16 @@ def _merge_worker_counters(results: Iterable[TrialResult]) -> None:
             tables[name].merge(delta)
 
 
-def _run_serial(
-    spec_list: List[TrialSpec],
-    policy: ExecutionPolicy,
-    checkpoint: Optional[CheckpointJournal],
-) -> List[Any]:
+def _run_serial(spec_list: List[TrialSpec], policy: ExecutionPolicy) -> List[Any]:
     """In-process execution with checkpoint skip/record and bounded retry.
 
-    Timeouts and chaos need a process boundary, so neither engages here —
-    a serial run is always the *clean* reference the chaos parity tests
-    compare against.  ``KeyboardInterrupt`` is deliberately not caught:
-    completed trials are already durable in the journal when it propagates.
+    Under the default policy this is a plain loop over the specs.  Timeouts
+    and chaos need a process boundary, so neither engages here — a serial
+    run is always the *clean* reference the chaos parity tests compare
+    against.  ``KeyboardInterrupt`` is deliberately not caught: completed
+    trials are already durable in the journal when it propagates.
     """
+    checkpoint = policy.checkpoint
     keys = _checkpoint_keys(spec_list) if checkpoint is not None else []
     values: List[Any] = []
     for index, spec in enumerate(spec_list):
@@ -213,7 +213,6 @@ def _run_resilient(
     spec_list: List[TrialSpec],
     n_workers: int,
     policy: ExecutionPolicy,
-    checkpoint: Optional[CheckpointJournal],
 ) -> List[Any]:
     """The fault-tolerant submit loop: windowed submission, per-trial
     deadlines, pool rebuild on crash, bounded retry with backoff.
@@ -224,8 +223,10 @@ def _run_resilient(
     so every in-flight trial is charged one failure — convergence under
     chaos holds because injected faults stop at ``max_failures`` attempts.
     Trials that merely shared the pool with a *timed-out* trial are
-    resubmitted at the same attempt number, uncharged.
+    resubmitted at the same attempt number, uncharged.  Every task carries
+    ``policy.chaos`` to the worker that runs it.
     """
+    checkpoint = policy.checkpoint
     keys = _checkpoint_keys(spec_list) if checkpoint is not None else []
     results: Dict[int, TrialResult] = {}
     failures: Dict[int, TrialFailure] = {}
@@ -242,9 +243,7 @@ def _run_resilient(
 
     def make_pool() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_worker,
-            initargs=(policy.chaos,),
+            max_workers=n_workers, initializer=_init_worker
         )
 
     def charge(index: int, attempt: int, kind: str, error: object) -> None:
@@ -288,7 +287,8 @@ def _run_resilient(
                 )
                 try:
                     future = pool.submit(
-                        _run_spec_attempt, (index, spec_list[index], attempt)
+                        _run_spec_attempt,
+                        (index, spec_list[index], attempt, policy.chaos),
                     )
                 except BrokenProcessPool:
                     # The break surfaces through the in-flight futures below;
@@ -392,7 +392,6 @@ def run_trials(
     jobs: Optional[int] = 1,
     *,
     policy: Optional[ExecutionPolicy] = None,
-    checkpoint: Optional[CheckpointJournal] = None,
 ) -> List[Any]:
     """Execute the specs and return their values **in spec order**.
 
@@ -401,14 +400,14 @@ def run_trials(
     they travel inside each trial's arguments (the drivers' pickled
     :class:`~repro.api.spec.ScenarioSpec`).
 
-    ``policy`` (default: ``ExecutionPolicy()``, the plain fast path) selects
-    the fault-tolerant submit loop when any resilience knob is set: per-trial
-    timeouts, bounded retry with exponential backoff, pool rebuild after a
-    worker crash, and poison-trial quarantine.  ``checkpoint`` (default: the
-    ambient :func:`checkpoint_scope
-    <repro.resilience.checkpoint.checkpoint_scope>` journal) skips journaled
-    trials and records fresh completions.  With neither set this is exactly
-    the original fast path.
+    ``policy`` (default: ``ExecutionPolicy()``) is the only way resilience
+    settings reach a trial.  A serial run always takes the in-process loop,
+    which skips and records through ``policy.checkpoint`` and retries up to
+    ``policy.max_retries``.  A parallel run takes the fault-tolerant submit
+    loop when :attr:`ExecutionPolicy.resilient` holds — per-trial timeouts,
+    bounded retry with exponential backoff, pool rebuild after a worker
+    crash, poison-trial quarantine, chaos injection and the journal — and a
+    plain ``pool.map`` otherwise.
 
     Serial and parallel execution of the same specs produce identical values
     — including parallel runs that crashed and retried — only wall-clock
@@ -419,27 +418,21 @@ def run_trials(
     spec_list = list(specs)
     if policy is None:
         policy = ExecutionPolicy()
-    if checkpoint is None:
-        checkpoint = active_checkpoint()
     n_jobs = resolve_jobs(jobs)
     if not spec_list:
         return []
     if n_jobs == 1 or len(spec_list) == 1:
-        if policy.resilient or checkpoint is not None:
-            return _run_serial(spec_list, policy, checkpoint)
-        return [spec.run() for spec in spec_list]
+        return _run_serial(spec_list, policy)
 
     n_workers = min(n_jobs, len(spec_list))
-    if policy.resilient or checkpoint is not None:
-        return _run_resilient(spec_list, n_workers, policy, checkpoint)
+    if policy.resilient:
+        return _run_resilient(spec_list, n_workers, policy)
 
     # Chunking amortises IPC for large batches of cheap trials while still
     # keeping every worker busy until the tail of the batch.
     chunksize = max(1, len(spec_list) // (n_workers * 4))
     with ProcessPoolExecutor(
-        max_workers=n_workers,
-        initializer=_init_worker,
-        initargs=(policy.chaos,),
+        max_workers=n_workers, initializer=_init_worker
     ) as pool:
         results = list(
             pool.map(_run_spec, enumerate(spec_list), chunksize=chunksize)

@@ -71,12 +71,7 @@ from repro.experiments import (
 )
 from repro.experiments.parallel import TrialSpec, run_trials
 from repro.resilience.chaos import ChaosConfig
-from repro.resilience.checkpoint import (
-    CheckpointJournal,
-    active_checkpoint,
-    checkpoint_scope,
-    fingerprint_payload,
-)
+from repro.resilience.checkpoint import CheckpointJournal, fingerprint_payload
 from repro.resilience.pool import ExecutionPolicy, TrialFailure
 from repro.topology import zoo
 from repro.utils.tables import format_table
@@ -408,6 +403,8 @@ def run_churn_sections(
     base_spec: ScenarioSpec,
     deltas: Iterable[DeltaSpec],
     verify: bool = False,
+    *,
+    checkpoint: Optional[CheckpointJournal] = None,
 ) -> List[Section]:
     """Replay a delta sequence over a base scenario, reporting µ over time.
 
@@ -418,7 +415,8 @@ def run_churn_sections(
     pathset cache off, from its own serialised spec, and the two path
     families (order included) and µ/measurement reports are required to be
     bit-identical — an :class:`~repro.exceptions.ExperimentError` names the
-    first diverging step otherwise.
+    first diverging step otherwise.  ``checkpoint`` (default: none) restores
+    checkpointed steps instead of recomputing their µ and records fresh ones.
     """
     from repro.exceptions import ExperimentError
 
@@ -426,7 +424,6 @@ def run_churn_sections(
     scenario = Scenario(base_spec)
     steps: List[Dict[str, Any]] = []
     rows = []
-    journal = active_checkpoint()
 
     def record(step: int, label: str, current: Scenario) -> None:
         # A churn step's unit of work is (step, post-delta spec), not a trial
@@ -434,7 +431,7 @@ def run_churn_sections(
         # chain is cheap; the journal skips the µ (re)computation.
         key = ""
         entry: Optional[Dict[str, Any]] = None
-        if journal is not None:
+        if checkpoint is not None:
             key = fingerprint_payload(
                 {
                     "kind": "churn-step",
@@ -444,8 +441,8 @@ def run_churn_sections(
                     "verify": bool(verify),
                 }
             )
-            if key in journal:
-                entry = journal.restore(key)
+            if key in checkpoint:
+                entry = checkpoint.restore(key)
         if entry is None:
             entry = churn_step_entry(step, label, current)
             if verify:
@@ -467,8 +464,8 @@ def run_churn_sections(
                         f"diverges from a from-scratch rebuild of its spec"
                     )
                 entry["verified"] = True
-            if journal is not None:
-                journal.record(key, entry, label=f"churn step {step}: {label}")
+            if checkpoint is not None:
+                checkpoint.record(key, entry, label=f"churn step {step}: {label}")
         steps.append(entry)
         verified = entry["verified"]
         rows.append(
@@ -499,13 +496,21 @@ def run_churn_sections(
 
 
 def run_churn_file(
-    path: str, verify: bool = False, time_budget: Optional[float] = None
+    path: str,
+    verify: bool = False,
+    time_budget: Optional[float] = None,
+    *,
+    checkpoint: Optional[CheckpointJournal] = None,
 ) -> List[Section]:
     """Load a ``--churn`` document and replay its delta sequence
-    (``time_budget``, when given, overrides the base scenario's)."""
+    (``time_budget``, when given, overrides the base scenario's;
+    ``checkpoint`` is handed to :func:`run_churn_sections`)."""
     base_spec, deltas = load_churn_file(path)
     return run_churn_sections(
-        base_spec.with_time_budget(time_budget), deltas, verify=verify
+        base_spec.with_time_budget(time_budget),
+        deltas,
+        verify=verify,
+        checkpoint=checkpoint,
     )
 
 
@@ -850,10 +855,12 @@ def main(argv: List[str] | None = None) -> int:
     The ``--time-budget`` flag overrides only the ``time_budget`` of each
     spec's (or churn base's) :class:`~repro.api.spec.EngineConfig`, and is
     the whole engine config of the paper tables; the resilience flags build
-    one :class:`~repro.resilience.pool.ExecutionPolicy`.  Both are passed
-    down explicitly (the config inside every trial's spec), so invoking
-    ``main`` as a library function changes no process-global engine state.
-    ``Ctrl-C`` cancels the outstanding pool futures, leaves every
+    one :class:`~repro.resilience.pool.ExecutionPolicy`, ``--checkpoint``
+    journal included (the ``--churn`` replay takes the journal as its
+    ``checkpoint=`` keyword).  All are passed down explicitly (the config
+    inside every trial's spec), so invoking ``main`` as a library function
+    changes no process-global state; the journal is closed when ``main``
+    returns.  ``Ctrl-C`` cancels the outstanding pool futures, leaves every
     already-journaled trial durable on disk, and exits with the conventional
     status 130.  A malformed ``--spec`` or ``--churn`` document prints one
     ``error:`` line (no traceback) and exits with status 2.
@@ -873,54 +880,55 @@ def main(argv: List[str] | None = None) -> int:
         chaos = ChaosConfig.from_string(os.environ.get("REPRO_CHAOS"))
     except Exception as exc:  # noqa: BLE001 - env parse errors exit cleanly
         parser.error(f"invalid REPRO_CHAOS value: {exc}")
+    journal = CheckpointJournal(args.checkpoint) if args.checkpoint else None
     policy = ExecutionPolicy(
         trial_timeout=args.trial_timeout,
         max_retries=args.max_retries or 0,
         failure_mode="record" if args.spec else "raise",
         chaos=chaos,
+        checkpoint=journal,
     )
-    journal = CheckpointJournal(args.checkpoint) if args.checkpoint else None
     failed = False
     try:
-        with checkpoint_scope(journal):
-            if args.churn:
-                sections = run_churn_file(
-                    args.churn,
-                    verify=args.churn_verify,
-                    time_budget=args.time_budget,
-                )
-            elif args.spec:
-                sections = run_spec_files(
-                    args.spec,
-                    jobs=args.jobs,
-                    trials=args.trials,
-                    seed=args.seed,
-                    time_budget=args.time_budget,
-                    policy=policy,
-                )
-                failed = any(
-                    isinstance(section.data, dict) and "failure" in section.data
-                    for section in sections
-                )
-            else:
-                sections = run(
-                    args.tables, args.seed, jobs=args.jobs, trials=args.trials,
-                    universe=universe,
-                    engine=EngineConfig(time_budget=args.time_budget),
-                    policy=policy,
-                )
-            if args.format == "json":
-                payload = render_json(sections, args.seed, args.jobs)
-            else:
-                payload = render_text(sections)
-            if args.output:
-                write_output_atomic(args.output, payload)
-            else:
-                sys.stdout.write(payload)
-            if args.cache_stats:
-                print(cache_stats(), file=sys.stderr)
-            if args.search_stats:
-                print(search_counters(), file=sys.stderr)
+        if args.churn:
+            sections = run_churn_file(
+                args.churn,
+                verify=args.churn_verify,
+                time_budget=args.time_budget,
+                checkpoint=journal,
+            )
+        elif args.spec:
+            sections = run_spec_files(
+                args.spec,
+                jobs=args.jobs,
+                trials=args.trials,
+                seed=args.seed,
+                time_budget=args.time_budget,
+                policy=policy,
+            )
+            failed = any(
+                isinstance(section.data, dict) and "failure" in section.data
+                for section in sections
+            )
+        else:
+            sections = run(
+                args.tables, args.seed, jobs=args.jobs, trials=args.trials,
+                universe=universe,
+                engine=EngineConfig(time_budget=args.time_budget),
+                policy=policy,
+            )
+        if args.format == "json":
+            payload = render_json(sections, args.seed, args.jobs)
+        else:
+            payload = render_text(sections)
+        if args.output:
+            write_output_atomic(args.output, payload)
+        else:
+            sys.stdout.write(payload)
+        if args.cache_stats:
+            print(cache_stats(), file=sys.stderr)
+        if args.search_stats:
+            print(search_counters(), file=sys.stderr)
     except SpecError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
@@ -938,6 +946,9 @@ def main(argv: List[str] | None = None) -> int:
         else:
             print("interrupted", file=sys.stderr)
         return 130
+    finally:
+        if journal is not None:
+            journal.close()
     if journal is not None:
         print(
             f"checkpoint: reused {journal.reused}, recorded "

@@ -8,11 +8,17 @@ Four orthogonal pieces, threaded through every execution layer:
   completed-level truncation in ``identifiability()``.
 * :mod:`~repro.resilience.pool` — the :class:`ExecutionPolicy` knobs of the
   fault-tolerant trial pool (timeouts, bounded retries with backoff + jitter,
-  :class:`TrialFailure` quarantine) plus its observability counters.
+  :class:`TrialFailure` quarantine, the chaos plan and the journal) plus its
+  observability counters.
 * :mod:`~repro.resilience.checkpoint` — the append-only
   :class:`CheckpointJournal` behind ``--checkpoint dir/``.
 * :mod:`~repro.resilience.chaos` — seeded failure injection
   (:class:`ChaosConfig`) for the resilience test-suite and CI smoke jobs.
+
+The layer keeps no process state of its own beyond the fault-handling
+counters: a journal or a chaos plan reaches a trial only through the
+:class:`ExecutionPolicy` passed to ``run_trials`` (the ``--churn`` replay
+takes its journal as a ``checkpoint=`` keyword).
 
 Every guarantee is bit-identity-preserving: a budget truncation is a
 certified lower bound with the exact semantics of the existing truncated-µ
@@ -28,15 +34,9 @@ from repro.resilience.budget import (
 from repro.resilience.chaos import (
     ChaosConfig,
     ChaosInjectedError,
-    chaos_hook,
-    current_chaos,
-    install_chaos,
-    nth_subset_budget,
 )
 from repro.resilience.checkpoint import (
     CheckpointJournal,
-    active_checkpoint,
-    checkpoint_scope,
     fingerprint_call,
     fingerprint_payload,
 )
@@ -54,13 +54,7 @@ __all__ = [
     "resolve_budget",
     "ChaosConfig",
     "ChaosInjectedError",
-    "chaos_hook",
-    "current_chaos",
-    "install_chaos",
-    "nth_subset_budget",
     "CheckpointJournal",
-    "active_checkpoint",
-    "checkpoint_scope",
     "fingerprint_call",
     "fingerprint_payload",
     "ExecutionPolicy",

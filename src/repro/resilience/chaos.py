@@ -1,19 +1,23 @@
 """Deterministic fault injection for the trial pool (test harness).
 
 A :class:`ChaosConfig` describes seeded failures — worker ``os._exit`` kills,
-raised exceptions, injected delays — that the pool initializer installs in
-every worker.  The decision for trial ``i`` on retry attempt ``a`` is a pure
-function of ``(seed, i, a)``, so a chaos run is reproducible: the same trials
-fail the same way on every execution, which lets the resilience tests assert
-*bit-identical* results between a crash-riddled parallel run and a clean
-serial run (retried trials reuse their original pickled spec, seed included).
+raised exceptions, injected delays — for the fault-tolerant pool.  It rides
+in :attr:`ExecutionPolicy.chaos <repro.resilience.pool.ExecutionPolicy>`,
+and the pool ships it inside every submitted task, where the worker calls
+:meth:`ChaosConfig.inject` just before the trial runs; no process holds a
+chaos plan of its own.  The decision for trial ``i`` on retry attempt ``a``
+is a pure function of ``(seed, i, a)``, so a chaos run is reproducible: the
+same trials fail the same way on every execution, which lets the resilience
+tests assert *bit-identical* results between a crash-riddled parallel run
+and a clean serial run (retried trials reuse their original pickled spec,
+seed included).
 
 ``max_failures`` bounds the number of faulty attempts per trial: attempt
 numbers at or past it always run clean, so any ``max_retries >=
 max_failures`` is guaranteed to converge.  The fourth injection mode of the
 harness — nth-subset budget expiry — needs no hook at all:
-:func:`nth_subset_budget` just builds a :class:`~repro.resilience.Budget`
-that expires deterministically after ``n`` enumerated subsets.
+``Budget(subset_budget=n)`` expires deterministically after ``n``
+enumerated subsets.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.exceptions import ExperimentError, ReproError
-from repro.resilience.budget import Budget
 
 
 class ChaosInjectedError(ReproError):
@@ -42,7 +45,7 @@ class ChaosConfig:
     ``delay`` sleeps up to ``max_delay`` seconds and then runs the trial
     normally — combined with a short ``trial_timeout`` it simulates a hung
     worker.  All fields are picklable scalars: the config travels to workers
-    through the pool initializer.
+    inside each submitted task.
     """
 
     seed: int = 0
@@ -92,6 +95,25 @@ class ChaosConfig:
         rng = random.Random(f"chaos-delay:{self.seed}:{index}:{attempt}")
         return rng.uniform(0.0, self.max_delay)
 
+    def inject(self, index: int, attempt: int) -> None:
+        """Execute the injected fault for one trial attempt, if any.
+
+        Called by the pool worker just before running the trial.  ``kill``
+        terminates the worker process abruptly (``os._exit``, no cleanup —
+        the parent sees ``BrokenProcessPool``), ``error`` raises
+        :class:`ChaosInjectedError`, ``delay`` sleeps and then lets the trial
+        proceed.
+        """
+        action = self.action(index, attempt)
+        if action == "kill":
+            os._exit(1)
+        if action == "error":
+            raise ChaosInjectedError(
+                f"injected failure for trial {index} attempt {attempt}"
+            )
+        if action == "delay":
+            time.sleep(self.delay_seconds(index, attempt))
+
     @classmethod
     def from_string(cls, text: Optional[str]) -> Optional["ChaosConfig"]:
         """Parse ``"seed=7,kill=0.3,max_failures=2"`` (the ``REPRO_CHAOS``
@@ -116,48 +138,3 @@ class ChaosConfig:
             else:
                 raise ExperimentError(f"unknown chaos field {name!r}")
         return cls(**values)
-
-
-#: Worker-global chaos plan, installed by the pool initializer (``None`` in
-#: ordinary processes — chaos never engages unless explicitly configured).
-_CHAOS: Optional[ChaosConfig] = None
-
-
-def install_chaos(config: Optional[ChaosConfig]) -> None:
-    """Install (or clear) the process-global chaos plan."""
-    global _CHAOS
-    _CHAOS = config
-
-
-def current_chaos() -> Optional[ChaosConfig]:
-    return _CHAOS
-
-
-def chaos_hook(index: int, attempt: int) -> None:
-    """Execute the injected fault for one trial attempt, if any.
-
-    Called by the pool worker just before running the trial.  ``kill``
-    terminates the worker process abruptly (``os._exit``, no cleanup — the
-    parent sees ``BrokenProcessPool``), ``error`` raises
-    :class:`ChaosInjectedError`, ``delay`` sleeps and then lets the trial
-    proceed.
-    """
-    config = _CHAOS
-    if config is None:
-        return
-    action = config.action(index, attempt)
-    if action == "kill":
-        os._exit(1)
-    if action == "error":
-        raise ChaosInjectedError(
-            f"injected failure for trial {index} attempt {attempt}"
-        )
-    if action == "delay":
-        time.sleep(config.delay_seconds(index, attempt))
-
-
-def nth_subset_budget(n: int) -> Budget:
-    """A budget that deterministically expires after ``n`` enumerated subsets
-    (the 'nth-subset budget expiry' injection mode — pass it to
-    ``identifiability(budget=...)``)."""
-    return Budget(subset_budget=n)

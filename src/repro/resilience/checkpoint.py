@@ -20,10 +20,12 @@ arbitrary Python objects (ints, report dataclasses, tuples) and a JSON
 round-trip would silently change their types.  Everything that reaches the
 journal already crossed a process-pool boundary, so picklability is given.
 
-The ambient journal (``checkpoint_scope`` / ``active_checkpoint``) lets the
-runner arm checkpointing for a whole invocation — ``--spec`` batches,
-Monte-Carlo table sections and ``--churn`` replays — without threading a
-parameter through every driver signature.
+A journal reaches its consumers explicitly: ``run_trials`` reads it from
+:attr:`ExecutionPolicy.checkpoint <repro.resilience.pool.ExecutionPolicy>`
+(so ``--spec`` batches and the Monte-Carlo table sections get it through
+their ``policy=`` argument), and the ``--churn`` replay takes it as its
+``checkpoint=`` keyword.  The runner opens one journal per invocation and
+closes it when the invocation ends.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import json
 import os
 import pickle
 import tempfile
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.exceptions import ExperimentError
 
@@ -182,33 +184,3 @@ class CheckpointJournal:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-#: The ambient journal installed by :func:`checkpoint_scope` (``None`` when
-#: checkpointing is off — the default).
-_ACTIVE: Optional[CheckpointJournal] = None
-
-
-def active_checkpoint() -> Optional[CheckpointJournal]:
-    """The journal armed for the current invocation, if any."""
-    return _ACTIVE
-
-
-@contextlib.contextmanager
-def checkpoint_scope(
-    journal: Optional[CheckpointJournal],
-) -> Iterator[Optional[CheckpointJournal]]:
-    """Arm a journal for every ``run_trials`` / churn replay in the block.
-
-    ``None`` leaves checkpointing untouched (safe to nest unconditionally).
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    try:
-        if journal is not None:
-            _ACTIVE = journal
-        yield _ACTIVE
-    finally:
-        _ACTIVE = previous
-        if journal is not None:
-            journal.close()

@@ -2,11 +2,15 @@
 
 :class:`ExecutionPolicy` bundles the resilience knobs of
 :func:`repro.experiments.parallel.run_trials` — per-trial timeout, bounded
-retries with exponential backoff + jitter, quarantine mode, and an optional
-:class:`~repro.resilience.chaos.ChaosConfig`.  It is passed explicitly: the
-CLI runner builds one policy per invocation (``--trial-timeout`` /
-``--max-retries`` / ``REPRO_CHAOS``) and hands it through the table drivers
-to ``run_trials(..., policy=)``.
+retries with exponential backoff + jitter, quarantine mode, an optional
+:class:`~repro.resilience.chaos.ChaosConfig` and an optional
+:class:`~repro.resilience.checkpoint.CheckpointJournal`.  It is passed
+explicitly: the CLI runner builds one policy per invocation
+(``--trial-timeout`` / ``--max-retries`` / ``REPRO_CHAOS`` /
+``--checkpoint``) and hands it through the table drivers and spec batches
+to ``run_trials(..., policy=)``.  Neither the chaos plan nor the journal is
+ever process state: the pool ships the chaos plan inside each submitted
+task, and the journal is read from the policy in the parent.
 
 Backoff jitter exists to decorrelate retry storms, not to perturb results:
 every trial's randomness travels in its pickled spec (the original
@@ -25,11 +29,12 @@ zero retries).
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Optional
 
 from repro.exceptions import ExperimentError
 from repro.resilience.chaos import ChaosConfig
+from repro.resilience.checkpoint import CheckpointJournal
 from repro.utils.counters import Counters
 
 #: Upper bound on one backoff sleep, seconds (keeps a long retry ladder from
@@ -67,10 +72,13 @@ class TrialFailure:
 class ExecutionPolicy:
     """Resilience knobs for one ``run_trials`` fan-out.
 
-    The default policy (no timeout, no retries, no chaos, ``"raise"``)
-    selects the original fast path — a plain ``pool.map`` with no
-    fault-handling overhead — so existing drivers are untouched unless a
-    knob is set.
+    The default policy (no timeout, no retries, no chaos, no journal,
+    ``"raise"``) keeps a parallel fan-out on the plain ``pool.map`` with no
+    fault-handling overhead, so existing drivers are untouched unless a
+    knob is set.  ``checkpoint`` is the journal of the invocation: journaled
+    trials are restored instead of run, and fresh completions are recorded.
+    It is a live file handle, so it is left out of comparison (two policies
+    with the same knobs are equal whatever they journal to).
     """
 
     trial_timeout: Optional[float] = None
@@ -78,6 +86,7 @@ class ExecutionPolicy:
     retry_backoff: float = 0.05
     failure_mode: str = "raise"
     chaos: Optional[ChaosConfig] = None
+    checkpoint: Optional[CheckpointJournal] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.trial_timeout is not None and self.trial_timeout <= 0:
@@ -100,12 +109,15 @@ class ExecutionPolicy:
 
     @property
     def resilient(self) -> bool:
-        """Whether any knob forces the fault-tolerant submit path."""
+        """Whether any knob forces the fault-tolerant submit path (a
+        journal does too: the plain ``pool.map`` neither skips nor records
+        trials)."""
         return (
             self.trial_timeout is not None
             or self.max_retries > 0
             or self.chaos is not None
             or self.failure_mode != "raise"
+            or self.checkpoint is not None
         )
 
     def backoff_seconds(self, index: int, attempt: int) -> float:

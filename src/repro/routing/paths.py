@@ -100,7 +100,11 @@ from typing import (
 )
 
 from repro._typing import AnyGraph, Node, Path
-from repro.exceptions import PathExplosionError, RoutingError
+from repro.exceptions import (
+    IdentifiabilityError,
+    PathExplosionError,
+    RoutingError,
+)
 from repro.failures.universe import (
     FailureUniverse,
     Link,
@@ -408,10 +412,21 @@ class PathSet:
     # -- failure universes ---------------------------------------------------
     def universe(
         self,
-        kind: str = "node",
+        kind: Optional[FailureUniverse | str] = "node",
         groups: Optional[Mapping[str, Iterable[Iterable[Node]]]] = None,
     ) -> FailureUniverse:
         """The :class:`~repro.failures.FailureUniverse` of the given kind.
+
+        ``kind`` is a kind name (``None`` means ``"node"``) or a built
+        :class:`~repro.failures.FailureUniverse`, which passes through after
+        an ownership check (:meth:`FailureUniverse.check_built_over
+        <repro.failures.FailureUniverse.check_built_over>`): its masks index
+        the owner's path order, and a universe carried over from a different
+        path set (even one with the same path count) would silently compute
+        wrong values.  Anything else raises
+        :class:`~repro.exceptions.IdentifiabilityError`.  This is the one
+        resolution of a ``universe=`` argument; :meth:`engine` and
+        :func:`repro.core.identifiability.resolve_universe` both use it.
 
         Universes are memoised per content fingerprint (``groups`` included
         for SRLGs — normalised first, so a repeated SRLG request costs only
@@ -419,6 +434,15 @@ class PathSet:
         same kind shares one instance — and, through :meth:`engine`, one
         interned signature store.
         """
+        if isinstance(kind, FailureUniverse):
+            kind.check_built_over(self)
+            return kind
+        if kind is not None and not isinstance(kind, str):
+            raise IdentifiabilityError(
+                f"universe must be None, a kind name or a FailureUniverse, "
+                f"got {type(kind).__name__}"
+            )
+        kind = kind or "node"
         if kind == "srlg" and groups is not None:
             canonical = normalize_groups(self, groups)
             cached = self._universes.get(("srlg", canonical))
@@ -472,13 +496,10 @@ class PathSet:
         # Imported lazily: the engine layer sits above routing.
         from repro.engine.signatures import SignatureEngine
 
-        if universe is None or isinstance(universe, str):
-            universe = self.universe(universe or "node")
-        else:
-            # A universe built over a different path set would silently
-            # compute over foreign masks AND poison the fingerprint-keyed
-            # memo below for every later caller — refuse it outright.
-            universe.check_built_over(self)
+        # A universe built over a different path set would silently compute
+        # over foreign masks AND poison the fingerprint-keyed memo below for
+        # every later caller — the resolution refuses it outright.
+        universe = self.universe(universe)
         elements, masks = universe.elements, universe.masks
         if universe.owner is not self:
             # A hand-built (owner-less) universe passed the width check, but

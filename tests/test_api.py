@@ -26,6 +26,7 @@ from repro.api import registries as reg
 from repro.api.scenario import Scenario
 from repro.api.spec import (
     AnalysisSpec,
+    DeltaSpec,
     EngineConfig,
     FailureModel,
     PlacementSpec,
@@ -223,6 +224,23 @@ class TestMalformedSpecShapes:
         payload["analyses"] = "mu"
         with pytest.raises(SpecError, match="analyses must be a JSON array"):
             ScenarioSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("label", [{}, [1, {"a": 1}]], ids=repr)
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "add_links",
+            "remove_links",
+            "add_inputs",
+            "remove_inputs",
+            "add_outputs",
+            "remove_outputs",
+        ],
+    )
+    def test_unhashable_delta_node_label_is_a_spec_error(self, field, label):
+        entry = ["London", label] if field.endswith("_links") else label
+        with pytest.raises(SpecError, match=f"delta {field} entry"):
+            DeltaSpec.from_dict({field: [entry]})
 
 
 class TestRegistries:
@@ -654,6 +672,23 @@ class TestSpecRunner:
         assert lines[0].startswith("repro-experiments: error: spec file ")
         assert "topology params must be a JSON object" in lines[0]
         assert "Traceback" not in captured.err
+
+    def test_cli_malformed_churn_delta_is_one_error_line(self, tmp_path, capsys):
+        from repro.experiments import runner
+
+        document = {
+            "base": _example_scenario("examples/specs/claranet.json"),
+            "deltas": [{"add_inputs": [{}]}],
+        }
+        churn_path = tmp_path / "churn.json"
+        churn_path.write_text(json.dumps(document))
+        assert runner.main(["--churn", str(churn_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("repro-experiments: error: ")
+        assert "add_inputs" in lines[0]
 
     def test_cli_no_compress_flag_is_retired(self, capsys):
         from repro.experiments import runner

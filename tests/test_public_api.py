@@ -104,14 +104,8 @@ EXPECTED_RESILIENCE_ALL = [
     "ExecutionPolicy",
     "PoolCounters",
     "TrialFailure",
-    "active_checkpoint",
-    "chaos_hook",
-    "checkpoint_scope",
-    "current_chaos",
     "fingerprint_call",
     "fingerprint_payload",
-    "install_chaos",
-    "nth_subset_budget",
     "pool_counters",
     "reset_pool_counters",
     "resolve_budget",

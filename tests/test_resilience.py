@@ -36,15 +36,11 @@ from repro.exceptions import (
 )
 from repro.experiments import runner
 from repro.experiments.parallel import TrialSpec, _checkpoint_keys, run_trials
+from repro.experiments.random_monitors import run_random_monitor_experiment
 from repro.resilience.budget import Budget, resolve_budget
-from repro.resilience.chaos import (
-    ChaosConfig,
-    ChaosInjectedError,
-    nth_subset_budget,
-)
+from repro.resilience.chaos import ChaosConfig, ChaosInjectedError
 from repro.resilience.checkpoint import (
     CheckpointJournal,
-    checkpoint_scope,
     fingerprint_call,
     fingerprint_payload,
 )
@@ -54,8 +50,14 @@ from repro.resilience.pool import (
     pool_counters,
     reset_pool_counters,
 )
+from repro.topology import zoo
 
 from conftest import ENGINE_CONFIGS
+
+CHURN_FILE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "examples", "specs", "churn", "claranet_flaps.json",
+)
 
 
 def _pathset(seed: int = 1, n: int = 12, monitors: int = 3):
@@ -139,7 +141,7 @@ class TestBudgetTruncation:
         exact = engine.identifiability()
         outcomes = []
         for _ in range(3):
-            result = engine.identifiability(budget=nth_subset_budget(40))
+            result = engine.identifiability(budget=Budget(subset_budget=40))
             assert result.exhausted_search is False
             assert result.witness is None
             assert result.stats.budget_exhausted is True
@@ -175,7 +177,7 @@ class TestBudgetTruncation:
         pathset = _pathset()
         engine = pathset.engine()
         exact = engine.identifiability()
-        budgeted = engine.identifiability(budget=nth_subset_budget(10**9))
+        budgeted = engine.identifiability(budget=Budget(subset_budget=10**9))
         assert budgeted == exact
         assert budgeted.stats.budget_exhausted is False
 
@@ -192,9 +194,9 @@ class TestBudgetTruncation:
         pathset = _pathset()
         engine = pathset.engine()
         with pytest.raises(BudgetExceededError):
-            engine.inseparable_pairs(2, budget=nth_subset_budget(5))
+            engine.inseparable_pairs(2, budget=Budget(subset_budget=5))
         with pytest.raises(BudgetExceededError):
-            engine.separability_matrix(2, budget=nth_subset_budget(5))
+            engine.separability_matrix(2, budget=Budget(subset_budget=5))
 
     def test_budget_through_scenario_facade(self):
         graph = repro.erdos_renyi_connected(12, 0.35, rng=1)
@@ -248,7 +250,7 @@ class TestBudgetMetamorphic:
     def test_truncated_value_is_a_lower_bound(self, seed, subsets):
         engine = _pathset(seed=seed, n=10, monitors=2).engine()
         exact = engine.identifiability()
-        truncated = engine.identifiability(budget=nth_subset_budget(subsets))
+        truncated = engine.identifiability(budget=Budget(subset_budget=subsets))
         assert truncated.value <= exact.value
         assert truncated.searched_up_to <= exact.searched_up_to
         assert truncated.value == truncated.searched_up_to or (
@@ -265,8 +267,8 @@ class TestBudgetMetamorphic:
     @example(seed=2, narrow=5, extra=1)
     def test_widening_never_retreats(self, seed, narrow, extra):
         engine = _pathset(seed=seed, n=10, monitors=2).engine()
-        small = engine.identifiability(budget=nth_subset_budget(narrow))
-        large = engine.identifiability(budget=nth_subset_budget(narrow + extra))
+        small = engine.identifiability(budget=Budget(subset_budget=narrow))
+        large = engine.identifiability(budget=Budget(subset_budget=narrow + extra))
         assert small.searched_up_to <= large.searched_up_to
         assert small.value <= large.value
 
@@ -301,7 +303,9 @@ class TestBudgetLaws:
             for subsets in self.BUDGETS:
                 outcomes = set()
                 for engine in engines:
-                    result = engine.identifiability(budget=nth_subset_budget(subsets))
+                    result = engine.identifiability(
+                        budget=Budget(subset_budget=subsets)
+                    )
                     outcomes.add((result, result.stats))
                 assert len(outcomes) == 1, (n, d, kind, subsets, outcomes)
                 (result, stats), = outcomes
@@ -461,13 +465,15 @@ class TestCheckpoint:
     def test_pool_resume_skips_journaled_trials(self, tmp_path):
         specs = [TrialSpec(_square_trial, (i,), label=f"t{i}") for i in range(10)]
         journal = CheckpointJournal(str(tmp_path / "ck"))
-        first = run_trials(specs[:6], jobs=2, checkpoint=journal)
+        first = run_trials(
+            specs[:6], jobs=2, policy=ExecutionPolicy(checkpoint=journal)
+        )
         journal.close()
         assert first == [i * i + 1 for i in range(6)]
         assert journal.recorded == 6
 
         resumed = CheckpointJournal(str(tmp_path / "ck"))
-        second = run_trials(specs, jobs=2, checkpoint=resumed)
+        second = run_trials(specs, jobs=2, policy=ExecutionPolicy(checkpoint=resumed))
         resumed.close()
         assert second == [i * i + 1 for i in range(10)]
         assert resumed.reused == 6
@@ -476,22 +482,52 @@ class TestCheckpoint:
     def test_serial_resume_matches_pool_resume(self, tmp_path):
         specs = [TrialSpec(_square_trial, (i,)) for i in range(5)]
         journal = CheckpointJournal(str(tmp_path / "ck"))
-        run_trials(specs, jobs=2, checkpoint=journal)
+        run_trials(specs, jobs=2, policy=ExecutionPolicy(checkpoint=journal))
         journal.close()
         resumed = CheckpointJournal(str(tmp_path / "ck"))
-        assert run_trials(specs, jobs=1, checkpoint=resumed) == [
-            i * i + 1 for i in range(5)
-        ]
+        assert run_trials(
+            specs, jobs=1, policy=ExecutionPolicy(checkpoint=resumed)
+        ) == [i * i + 1 for i in range(5)]
         assert resumed.reused == 5
 
-    def test_checkpoint_scope_is_ambient(self, tmp_path):
-        specs = [TrialSpec(_square_trial, (i,)) for i in range(4)]
+    def test_journal_is_left_out_of_policy_comparison(self, tmp_path):
         journal = CheckpointJournal(str(tmp_path / "ck"))
-        with checkpoint_scope(journal):
-            run_trials(specs, jobs=1)
-        reopened = CheckpointJournal(str(tmp_path / "ck"))
-        assert len(reopened) == 4
-        reopened.close()
+        policy = ExecutionPolicy(checkpoint=journal)
+        assert policy == ExecutionPolicy()
+        assert hash(policy) == hash(ExecutionPolicy())
+        assert policy.resilient and not ExecutionPolicy().resilient
+        journal.close()
+
+    def test_policy_journal_reaches_a_table_driver(self, tmp_path):
+        graph = zoo.claranet()
+        n = 3
+        journal = CheckpointJournal(str(tmp_path / "ck"))
+        first = run_random_monitor_experiment(
+            graph, n_placements=n, rng=5, policy=ExecutionPolicy(checkpoint=journal)
+        )
+        journal.close()
+        assert journal.recorded == n
+
+        resumed = CheckpointJournal(str(tmp_path / "ck"))
+        second = run_random_monitor_experiment(
+            graph, n_placements=n, rng=5, policy=ExecutionPolicy(checkpoint=resumed)
+        )
+        resumed.close()
+        assert resumed.reused == n and resumed.recorded == 0
+        assert second == first
+
+    def test_journal_reaches_a_churn_replay(self, tmp_path):
+        base, deltas = runner.load_churn_file(CHURN_FILE)
+        journal = CheckpointJournal(str(tmp_path / "ck"))
+        first = runner.run_churn_sections(base, deltas, checkpoint=journal)
+        journal.close()
+        assert journal.recorded == len(deltas) + 1
+
+        resumed = CheckpointJournal(str(tmp_path / "ck"))
+        second = runner.run_churn_sections(base, deltas, checkpoint=resumed)
+        resumed.close()
+        assert resumed.reused == len(deltas) + 1 and resumed.recorded == 0
+        assert second == first
 
     def test_duplicate_specs_get_distinct_keys(self):
         spec = TrialSpec(_square_trial, (7,))

@@ -515,6 +515,12 @@ class TestChurnStream:
         assert status == 400
         assert "deltas" in body["error"]
 
+    def test_churn_rejects_an_unhashable_node_label(self, server):
+        document = {"base": CLARANET_SPEC, "deltas": [{"add_inputs": [{}]}]}
+        status, body = request(server, "POST", "/v1/churn", document)
+        assert status == 400
+        assert "add_inputs" in body["error"]
+
     def test_churn_semantic_error_mid_stream(self, server):
         document = {
             "base": CLARANET_SPEC,

@@ -196,6 +196,21 @@ class TestUniverseObjects:
         with pytest.raises(IdentifiabilityError):
             resolve_universe(pathset, 42)
 
+    @pytest.mark.parametrize("bad", [5, 2.5, ("node",)], ids=repr)
+    def test_engine_and_resolve_universe_refuse_alike(self, bad):
+        graph = claranet()
+        pathset = enumerate_paths(graph, mdmp_placement(graph, 3))
+        for call in (
+            lambda: pathset.engine(universe=bad),
+            lambda: pathset.universe(bad),
+            lambda: resolve_universe(pathset, bad),
+        ):
+            with pytest.raises(IdentifiabilityError, match="FailureUniverse"):
+                call()
+        assert pathset.universe(None) is pathset.universe("node")
+        link = pathset.universe("link")
+        assert pathset.universe(link) is link
+
     def test_foreign_universe_rejected_everywhere(self):
         # A universe built over one path set must not silently answer (or
         # poison the engine memo of) a different one — even when the two
