@@ -6,12 +6,12 @@ d-4 monitors, CSP — ~150k measurement paths): a single link flaps
 trajectory is computed two ways:
 
 * **evolved chain** — ``Scenario.evolve(delta)`` per step with the engine
-  cache on.  The first few transitions pay :meth:`PathSet.apply_delta
-  <repro.routing.paths.PathSet.apply_delta>` (the delta check plus a
-  re-enumeration) and a fresh engine; once both flap states have been
-  seen, the pathset cache (keyed on each state's graph adjacency,
-  placement, mechanism and limits, like a fresh enumeration) cycles between
-  two interned path sets and a step costs only the µ search.
+  cache on.  The first few transitions pay a re-enumeration of the
+  post-delta inputs (read by the step's µ) and a fresh engine; once both
+  flap states have been seen, the pathset cache (keyed on each state's
+  graph adjacency, placement, mechanism and limits, like a fresh
+  enumeration) cycles between two interned path sets and a step costs only
+  the µ search.
 * **rebuild chain** — full recomputation: every post-delta spec (captured
   as a JSON dict in an untimed pass) is built from scratch with the engine
   cache off, re-enumerating and re-interning the whole universe each step.

@@ -6,8 +6,8 @@ the repository's sample churn sequence (``examples/specs/churn/
 claranet_flaps.json``: a link flap, a new peering, monitors joining) on the
 Claranet topology three ways and shows they agree bit-for-bit:
 
-1. **evolve** — ``Scenario.evolve(delta)`` per step, checking the delta
-   and re-enumerating the post-delta path set;
+1. **evolve** — ``Scenario.evolve(delta)`` per step, a checked spec edit
+   whose post-delta path set the step's first analysis enumerates;
 2. **rebuild** — building each step's serialised post-delta spec from
    scratch with the pathset cache off (with it on, the rebuild would be
    handed the evolved entry, which shares its key), the ground truth evolve

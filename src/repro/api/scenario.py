@@ -96,10 +96,6 @@ class Scenario:
 
     # -- construction --------------------------------------------------------
     @classmethod
-    def from_spec(cls, spec: ScenarioSpec) -> "Scenario":
-        return cls(spec)
-
-    @classmethod
     def from_components(
         cls,
         graph: AnyGraph,
@@ -173,12 +169,12 @@ class Scenario:
             self._pathset = self._route()
         return self._pathset
 
-    def _route(self, patch=None):
-        """This scenario's path set: ``patch(graph, placement, mechanism,
-        cutoff, max_paths)`` when given (an evolve step's checked
-        re-enumeration), else a fresh enumeration.  With ``engine.cache`` on, both are filed in the
-        pathset cache under this scenario's own (post-delta) enumeration
-        inputs, so a fresh scenario of an evolved spec finds its entry."""
+    def _route(self):
+        """This scenario's path set: ``get_or_enumerate`` in the pathset
+        cache under its enumeration inputs (the graph's adjacency, the
+        placement, the mechanism and the limits), or ``enumerate_paths``
+        with ``engine.cache`` off.  An evolved scenario routes here like any
+        other, so a fresh scenario of its spec shares its entry."""
         from repro.engine.cache import normalize_limits, pathset_cache
         from repro.routing.paths import enumerate_paths
 
@@ -190,10 +186,8 @@ class Scenario:
             *normalize_limits(routing.cutoff, routing.max_paths),
         )
         if not self.spec.engine.cache:
-            return enumerate_paths(*args) if patch is None else patch(*args)
-        if patch is None:
-            return pathset_cache().get_or_enumerate(*args)
-        return pathset_cache().get_or_evolve(*args, lambda: patch(*args))
+            return enumerate_paths(*args)
+        return pathset_cache().get_or_enumerate(*args)
 
     @property
     def universe(self):
@@ -222,23 +216,22 @@ class Scenario:
 
     # -- evolution -----------------------------------------------------------
     def evolve(self, delta) -> "Scenario":
-        """A new scenario with ``delta`` applied, reusing everything untouched.
+        """The scenario of this one's spec with ``delta`` applied.
 
         ``delta`` is a :class:`~repro.api.spec.DeltaSpec` (or a mapping in its
         JSON shape): link flaps, monitor joins/leaves and optionally a full
-        SRLG re-definition.  The returned scenario is indistinguishable from
-        building the post-delta spec from scratch — its spec is a literal,
-        serialisable :class:`ScenarioSpec` and every analysis result is
-        bit-identical.  The delta is checked against this scenario's path
-        set and the post-delta inputs are re-enumerated
-        (:meth:`PathSet.apply_delta
-        <repro.routing.paths.PathSet.apply_delta>`); the touch-class DP makes
-        that cheaper than patching the old family.  When the spec's engine
-        cache is on, the evolved path set is filed under the post-delta
-        enumeration inputs (the rebuilt literal graph's adjacency, the
-        placement, the mechanism and the limits) — the key a fresh
-        ``Scenario`` of the returned spec computes — so replayed churn
-        sequences pay for each distinct state once.
+        SRLG re-definition.  Evolving is a spec edit: the delta is checked
+        against this scenario's graph and placement (removed links present,
+        added links absent and between existing nodes, monitor edits on
+        nodes of the graph, at least one input and one output left) and the
+        result is ``Scenario(new_spec)`` of the post-delta literal,
+        serialisable :class:`ScenarioSpec`.  Nothing is enumerated here: the
+        evolved path set comes from :attr:`pathset` on first read, keyed in
+        the pathset cache on the post-delta adjacency like any fresh
+        scenario's, so every analysis is bit-identical to a from-scratch
+        build and a replayed churn sequence pays for each distinct state
+        once.  A delta that leaves no measurement path raises at that first
+        analysis (a :class:`~repro.exceptions.RoutingError`), not here.
 
         The node universe is fixed: delta links must connect existing nodes
         and monitors must name existing nodes.  Removing a link that an SRLG
@@ -248,7 +241,6 @@ class Scenario:
         from dataclasses import replace
 
         from repro.api.spec import DeltaSpec, UniverseSpec
-        from repro.routing.paths import PathSetDelta
 
         if isinstance(delta, dict):
             delta = DeltaSpec.from_dict(delta)
@@ -329,24 +321,7 @@ class Scenario:
             failures=failures,
             label=label,
         )
-        evolved = Scenario(new_spec)
-
-        path_delta = PathSetDelta(
-            add_links=delta.add_links,
-            remove_links=delta.remove_links,
-            add_inputs=delta.add_inputs,
-            remove_inputs=delta.remove_inputs,
-            add_outputs=delta.add_outputs,
-            remove_outputs=delta.remove_outputs,
-        )
-        evolved._pathset = evolved._route(
-            lambda graph, placement, mechanism, cutoff, max_paths: (
-                self.pathset.apply_delta(
-                    graph, placement, mechanism, path_delta, cutoff, max_paths
-                )
-            )
-        )
-        return evolved
+        return Scenario(new_spec)
 
     # -- analyses ------------------------------------------------------------
     def _identifiability_detailed(self, max_size: Optional[int]):

@@ -12,10 +12,13 @@ enumeration limits — so rebuilding a graph with the same adjacency still
 hits, and a graph whose adjacency order differs (which permutes the paths)
 does not.
 
-Evolved path sets (:meth:`PathSetCache.get_or_evolve`) share that key: an
-evolve step re-enumerates its post-delta inputs and files the result under
-them, so a fresh scenario of the post-delta spec finds it, and two delta
-routes that reach one adjacency share one entry.
+An evolved scenario (:meth:`Scenario.evolve
+<repro.api.scenario.Scenario.evolve>`) looks its path set up through
+:meth:`PathSetCache.get_or_enumerate` like any other, under its post-delta
+inputs, so a fresh scenario of the post-delta spec shares its entry, and two
+delta routes that reach one adjacency share one entry.
+:meth:`PathSetCache.get_or_evolve`, the same lookup with a caller-supplied
+build, is no longer called by the library.
 
 Because the cached object is the same :class:`PathSet` instance, the
 signature engines memoised on it (:meth:`PathSet.engine`) are reused too: a
@@ -123,9 +126,9 @@ class PathSetCache(KeyedLRU[PathSet]):
 
     A :class:`~repro.utils.counters.KeyedLRU`: thread-safe, so concurrent
     lookups from a service's async handlers and worker threads keep
-    ``hits + misses == lookups`` exact.  The enumeration (or evolve build)
-    itself runs *outside* the lock — two threads racing on the same cold
-    key may both enumerate, but only the first insert wins and both callers
+    ``hits + misses == lookups`` exact.  The enumeration itself runs
+    *outside* the lock — two threads racing on the same cold key may both
+    enumerate, but only the first insert wins and both callers
     receive the same cached instance, so the engines memoised on it stay
     shared.
     """
@@ -163,11 +166,10 @@ class PathSetCache(KeyedLRU[PathSet]):
 
         ``graph`` and ``placement`` are the **post-delta** inputs, and the
         entry is keyed on them exactly as :meth:`get_or_enumerate` keys a
-        fresh enumeration: ``build`` is :meth:`PathSet.apply_delta
-        <repro.routing.paths.PathSet.apply_delta>`, which checks the delta
-        and enumerates those inputs.  So a replayed flap sequence pays for
-        each distinct state once, two delta routes to one adjacency share an
-        entry, and a fresh enumeration of an evolved state hits it.
+        fresh enumeration.  No library path calls it: an evolved scenario
+        enumerates through :meth:`get_or_enumerate`.  It stays, with its
+        tests, while the benchmark's span table (``perfbench/spans.py``)
+        names it.
         """
         mechanism = RoutingMechanism.parse(mechanism)
         cutoff, max_paths = normalize_limits(cutoff, max_paths)

@@ -76,13 +76,16 @@ stay as they are and the plan's one-column members are built on first
 read; a plan read off runs also builds its members on first read; and a
 plan's per-class touch keys are read off its compressed rows on first use.
 
-Churn does not patch plans: a churn step re-enumerates its path set
-(:meth:`repro.routing.paths.PathSet.apply_delta`) and compresses the new
-rows afresh.  :meth:`CompressionPlan.patch` and
-:meth:`repro.engine.signatures.SignatureEngine.from_delta`, which move a
-plan's surviving members and file added columns by touch key, are no longer
-called by the library; they stay, with their tests, while the benchmark's
-span table (``perfbench/spans.py``) names them.
+Churn does not patch plans: :meth:`repro.api.scenario.Scenario.evolve`
+edits the spec, and the evolved scenario enumerates its path set and
+compresses the new rows afresh.  Four churn-patch names are no longer
+called by the library and stay, with their tests, only while the
+benchmark's span table (``perfbench/spans.py``) names them:
+:meth:`CompressionPlan.patch` and
+:meth:`repro.engine.signatures.SignatureEngine.from_delta` (which move a
+plan's surviving members and file added columns by touch key),
+:meth:`repro.routing.paths.PathSet.apply_delta` and
+:meth:`repro.engine.cache.PathSetCache.get_or_evolve`.
 
 Compression is not an option: :meth:`repro.routing.paths.PathSet.engine`,
 and so every layer above the engine, always compresses.  Only the

@@ -61,7 +61,7 @@ from repro.engine import (
     clear_pathset_cache,
     search_counters,
 )
-from repro.exceptions import SpecError
+from repro.exceptions import ExperimentError, ReproError, SpecError
 from repro.experiments import (
     ablation,
     random_graphs,
@@ -408,20 +408,21 @@ def run_churn_sections(
 ) -> List[Section]:
     """Replay a delta sequence over a base scenario, reporting µ over time.
 
-    Each step evolves the previous scenario (:meth:`Scenario.evolve`, so
-    untouched paths, compression classes and signature rows are reused, and
-    revisited states hit the pathset cache).  With ``verify=True``
+    Each step evolves the previous scenario's spec (:meth:`Scenario.evolve`)
+    and computes µ, which enumerates the step's path set through the
+    pathset cache, so revisited states hit it.  A step the library refuses
+    (a delta that does not apply, a placement off the graph, no measurement
+    path left) raises a :class:`~repro.exceptions.SpecError` naming the
+    step, chained to the library's error.  With ``verify=True``
     every evolved step is additionally rebuilt *from scratch*, with the
     pathset cache off, from its own serialised spec, and the two path
     families (order included) and µ/measurement reports are required to be
     bit-identical — an :class:`~repro.exceptions.ExperimentError` names the
     first diverging step otherwise.  ``checkpoint`` (default: none) restores
-    checkpointed steps instead of recomputing their µ and records fresh ones.
+    checkpointed steps instead of recomputing their µ and records fresh ones;
+    a fully journaled replay enumerates nothing.
     """
-    from repro.exceptions import ExperimentError
-
     clear_pathset_cache()
-    scenario = Scenario(base_spec)
     steps: List[Dict[str, Any]] = []
     rows = []
 
@@ -478,10 +479,17 @@ def run_churn_sections(
             )
         )
 
-    record(0, "base", scenario)
-    for step, delta in enumerate(deltas, start=1):
-        scenario = scenario.evolve(delta)
-        record(step, delta.label or f"delta {step}", scenario)
+    scenario = Scenario(base_spec)
+    for step, delta in enumerate([None, *deltas]):
+        label = "base" if delta is None else (delta.label or f"delta {step}")
+        try:
+            if delta is not None:
+                scenario = scenario.evolve(delta)
+            record(step, label, scenario)
+        except ExperimentError:
+            raise
+        except ReproError as exc:
+            raise SpecError(f"churn step {step} ({label!r}): {exc}") from exc
     title = f"Churn replay: {base_spec.display_name()} ({len(steps) - 1} deltas)"
     body = format_table(
         ("step", "delta", "mu", "paths", "verified"), rows, title=title
@@ -581,25 +589,6 @@ def run_spec_files(
     )
 
 
-def run_spec_file(
-    path: str,
-    jobs: int = 1,
-    trials: Optional[int] = None,
-    seed: Optional[int] = None,
-    time_budget: Optional[float] = None,
-    policy: Optional[ExecutionPolicy] = None,
-) -> List[Section]:
-    """Load a single ``--spec`` JSON document and run its scenario batch."""
-    return run_spec_files(
-        [path],
-        jobs=jobs,
-        trials=trials,
-        seed=seed,
-        time_budget=time_budget,
-        policy=policy,
-    )
-
-
 def write_output_atomic(path: str, payload: str) -> None:
     """Write ``payload`` to ``path`` atomically.
 
@@ -662,8 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a dynamic-topology delta sequence instead of the paper "
         'tables: FILE is a JSON {"base": <ScenarioSpec>, "deltas": '
         '[<DeltaSpec>, ...]} document; each step evolves the previous '
-        "scenario incrementally (Scenario.evolve) and the output reports µ "
-        "over time.  Mutually exclusive with --spec",
+        "scenario's spec (Scenario.evolve) and the output reports µ over "
+        "time.  Mutually exclusive with --spec",
     )
     parser.add_argument(
         "--churn-verify",
@@ -862,10 +851,19 @@ def main(argv: List[str] | None = None) -> int:
     changes no process-global state; the journal is closed when ``main``
     returns.  ``Ctrl-C`` cancels the outstanding pool futures, leaves every
     already-journaled trial durable on disk, and exits with the conventional
-    status 130.  A malformed ``--spec`` or ``--churn`` document prints one
-    ``error:`` line (no traceback) and exits with status 2.
+    status 130.  A malformed ``--spec`` or ``--churn`` document, a churn
+    step the library refuses, an ``--output`` path that is a directory or
+    whose directory cannot be made, and a ``--checkpoint`` directory that
+    cannot be opened as a journal each print one ``error:`` line (no
+    traceback) and exit with status 2; the last two are refused before
+    anything runs.
     """
     parser = build_parser()
+
+    def fail(message: object) -> int:
+        print(f"{parser.prog}: error: {message}", file=sys.stderr)
+        return 2
+
     args = parser.parse_args(argv)
     if args.churn and args.spec:
         parser.error("--churn and --spec are mutually exclusive")
@@ -880,7 +878,17 @@ def main(argv: List[str] | None = None) -> int:
         chaos = ChaosConfig.from_string(os.environ.get("REPRO_CHAOS"))
     except Exception as exc:  # noqa: BLE001 - env parse errors exit cleanly
         parser.error(f"invalid REPRO_CHAOS value: {exc}")
-    journal = CheckpointJournal(args.checkpoint) if args.checkpoint else None
+    if args.output:
+        try:
+            os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
+        except OSError as exc:
+            return fail(f"cannot write --output {args.output!r}: {exc}")
+        if os.path.isdir(args.output):
+            return fail(f"cannot write --output {args.output!r}: it is a directory")
+    try:
+        journal = CheckpointJournal(args.checkpoint) if args.checkpoint else None
+    except (OSError, ExperimentError) as exc:
+        return fail(f"cannot open --checkpoint {args.checkpoint!r}: {exc}")
     policy = ExecutionPolicy(
         trial_timeout=args.trial_timeout,
         max_retries=args.max_retries or 0,
@@ -930,8 +938,7 @@ def main(argv: List[str] | None = None) -> int:
         if args.search_stats:
             print(search_counters(), file=sys.stderr)
     except SpecError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
+        return fail(exc)
     except KeyboardInterrupt:
         # The pool shut down (futures cancelled) on the way out; every
         # journaled trial is already durable, so a --checkpoint rerun

@@ -51,9 +51,12 @@ derive from the paths), :meth:`PathSet.restrict_to_paths`,
 ``repr`` and ``--churn-verify``.  Node-universe analyses — µ, µ_α, local µ,
 separability, localization and measurement — never read it.
 
-Churn by re-enumeration: :meth:`PathSet.apply_delta` checks a delta against
-its path set and returns the enumeration of the post-delta inputs, so an
-evolved path set is a fresh one in every respect.
+Churn by re-enumeration: :meth:`Scenario.evolve
+<repro.api.scenario.Scenario.evolve>` edits the spec, and the evolved
+scenario enumerates its post-delta inputs like any fresh one, so an evolved
+path set is a fresh one in every respect.  :meth:`PathSet.apply_delta` (the
+same enumeration behind a check of the delta against a parent path set) is
+no longer called by the library.
 
 All heavy identifiability queries go through the
 :class:`~repro.engine.signatures.SignatureEngine` exposed by
@@ -577,10 +580,14 @@ class PathSet:
         node universe, removed links present and added ones absent, a graph
         whose links match, a placement that reflects the monitor edits —
         and the result is ``enumerate_paths(graph, placement, mechanism,
-        cutoff, max_paths)``: a churn step re-enumerates.  The touch-class
-        DP costs less than patching this family's paths and rows did, and
-        the evolved set is a fresh one in every respect (paths, order,
-        masks, link universe, engines).
+        cutoff, max_paths)``: the evolved set is a fresh one in every
+        respect (paths, order, masks, link universe, engines).
+
+        No library path calls it: :meth:`Scenario.evolve
+        <repro.api.scenario.Scenario.evolve>` checks its delta against the
+        spec and the evolved scenario enumerates its own inputs.  It stays,
+        with its tests, while the benchmark's span table
+        (``perfbench/spans.py``) names it.
         """
         directed = bool(graph.is_directed())
         if bool(self.directed) != directed:

@@ -19,8 +19,8 @@ shared caches: that is the server's ``--cache-size``.
 This wraps, rather than replaces, the per-process caches underneath: the
 global :class:`~repro.engine.cache.PathSetCache` still deduplicates path
 sets by *content* (two different specs producing the same graph+placement
-share one path set), and evolved path sets are filed under the same
-post-delta enumeration key.  The scenario cache adds the by-*spec*
+share one path set), and an evolved scenario looks its path set up under
+its post-delta enumeration key like any other.  The scenario cache adds the by-*spec*
 layer on top so a repeat request skips even the graph/placement rebuild.
 """
 

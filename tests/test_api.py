@@ -690,6 +690,44 @@ class TestSpecRunner:
         assert lines[0].startswith("repro-experiments: error: ")
         assert "add_inputs" in lines[0]
 
+    @pytest.mark.parametrize(
+        "outputs, deltas, step",
+        [
+            # The only links of input (1, 1) go down: no measurement path.
+            (
+                [[2, 2]],
+                [{"label": "cut", "remove_links": [[[1, 1], [1, 2]], [[1, 1], [2, 1]]]}],
+                "churn step 1 ('cut'): no measurement path exists",
+            ),
+            # The base's output monitor is not a node of the graph.
+            ([[9, 9]], [], "churn step 0 ('base'): monitor nodes"),
+        ],
+        ids=["no-path", "off-graph-monitor"],
+    )
+    def test_cli_refused_churn_step_is_one_error_line(
+        self, tmp_path, capsys, outputs, deltas, step
+    ):
+        from repro.experiments import runner
+
+        document = {
+            "base": {
+                "topology": {"name": "undirected_grid", "params": {"n": 2}},
+                "placement": {
+                    "strategy": "explicit",
+                    "params": {"inputs": [[1, 1]], "outputs": outputs},
+                },
+            },
+            "deltas": deltas,
+        }
+        churn_path = tmp_path / "churn.json"
+        churn_path.write_text(json.dumps(document))
+        assert runner.main(["--churn", str(churn_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"repro-experiments: error: {step}")
+
     def test_cli_no_compress_flag_is_retired(self, capsys):
         from repro.experiments import runner
 

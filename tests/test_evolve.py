@@ -282,10 +282,24 @@ class TestEvolveCache:
         stepwise = grid_base.evolve(DeltaSpec(remove_links=(first,))).evolve(
             DeltaSpec(remove_links=(second,))
         )
+        stepwise.pathset
         misses = pathset_cache().stats().misses
         at_once = grid_base.evolve(DeltaSpec(remove_links=(second, first)))
         assert at_once.pathset is stepwise.pathset
         assert pathset_cache().stats().misses == misses
+
+    def test_chained_evolve_enumerates_only_what_an_analysis_reads(self, grid_base):
+        clear_pathset_cache()
+        evolved = (
+            Scenario(ScenarioSpec.from_dict(grid_base.spec.to_dict()))
+            .evolve(DeltaSpec(remove_links=(((1, 1), (1, 2)),)))
+            .evolve(DeltaSpec(remove_links=(((3, 2), (3, 3)),)))
+        )
+        stats = pathset_cache().stats()
+        assert (stats.hits, stats.misses) == (0, 0)
+        evolved.mu()
+        stats = pathset_cache().stats()
+        assert (stats.hits, stats.misses) == (0, 1)
 
     def test_chained_flap_hits_cache_in_steady_state(self, grid_base):
         base = Scenario(ScenarioSpec.from_dict(grid_base.spec.to_dict()))
@@ -641,22 +655,24 @@ class TestChurnRunner:
             run_churn_sections(base_spec, deltas, verify=True)
 
     def test_verify_rebuilds_with_the_cache_off(self, tmp_path, monkeypatch):
-        """A step whose patched path order is wrong must not pass by the
+        """A step whose cached path order is wrong must not pass by the
         rebuild hitting the evolved entry in the pathset cache."""
-        from repro.routing.paths import PathSet
-
         path = tmp_path / "churn.json"
         path.write_text(json.dumps(self._churn_payload()))
         base_spec, deltas = load_churn_file(str(path))
-        original = PathSet.apply_delta
+        original = PathSetCache.get_or_enumerate
+        calls = []
 
         def swapped(self, *args, **kwargs):
-            evolved = original(self, *args, **kwargs)
-            order = list(range(evolved.n_paths))
+            pathset = original(self, *args, **kwargs)
+            calls.append(1)
+            if len(calls) == 1:  # leave the base step intact
+                return pathset
+            order = list(range(pathset.n_paths))
             order[0], order[1] = order[1], order[0]
-            return evolved.restrict_to_paths(order)
+            return pathset.restrict_to_paths(order)
 
-        monkeypatch.setattr(PathSet, "apply_delta", swapped)
+        monkeypatch.setattr(PathSetCache, "get_or_enumerate", swapped)
         try:
             with pytest.raises(ExperimentError, match="churn step 1"):
                 run_churn_sections(base_spec, deltas, verify=True)

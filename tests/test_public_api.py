@@ -183,6 +183,14 @@ class TestPublicSurface:
             target = getattr(target, owner)
         assert not hasattr(target, name)
 
+    def test_names_removed_in_16_are_gone(self):
+        """The 16.0.0 removals (README "Migration to 16.0.0")."""
+        from repro.api.scenario import Scenario
+        from repro.experiments import runner
+
+        assert not hasattr(Scenario, "from_spec")
+        assert not hasattr(runner, "run_spec_file")
+
     def test_schema_version(self):
         assert SCHEMA_VERSION == 2
         from repro.api.spec import SUPPORTED_SCHEMA_VERSIONS

@@ -529,6 +529,22 @@ class TestCheckpoint:
         assert resumed.reused == len(deltas) + 1 and resumed.recorded == 0
         assert second == first
 
+    def test_journaled_churn_rerun_enumerates_nothing(self, tmp_path):
+        """Evolving is a spec edit, so a rerun whose every step is journaled
+        restores them all without enumerating one path set."""
+        from repro.engine import cache_stats
+
+        base, deltas = runner.load_churn_file(CHURN_FILE)
+        journal = CheckpointJournal(str(tmp_path / "ck"))
+        runner.run_churn_sections(base, deltas, checkpoint=journal)
+        journal.close()
+        resumed = CheckpointJournal(str(tmp_path / "ck"))
+        runner.run_churn_sections(base, deltas, checkpoint=resumed)
+        resumed.close()
+        assert resumed.reused == len(deltas) + 1
+        stats = cache_stats()
+        assert (stats.hits, stats.misses) == (0, 0)
+
     def test_duplicate_specs_get_distinct_keys(self):
         spec = TrialSpec(_square_trial, (7,))
         keys = _checkpoint_keys([spec, spec, spec])
@@ -690,6 +706,38 @@ class TestRunnerResilience:
         second_err = capsys.readouterr().err
         assert "reused 2" in second_err
         assert json.loads(out.read_text()) == first
+
+    def test_unusable_checkpoint_is_one_error_line(self, tmp_path, capsys):
+        not_a_directory = tmp_path / "file"
+        not_a_directory.write_text("")
+        malformed = tmp_path / "malformed"
+        malformed.mkdir()
+        (malformed / "journal.jsonl").write_text('{"x":1}\n')
+        for checkpoint in (not_a_directory, malformed):
+            code = runner.main(["--tables", "real", "--checkpoint", str(checkpoint)])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, captured.err
+            assert lines[0].startswith("repro-experiments: error: cannot open --checkpoint")
+
+    def test_unwritable_output_is_refused_before_the_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("the batch ran before --output was checked")
+
+        monkeypatch.setattr(runner, "run", refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for output in (blocker / "x.json", tmp_path):
+            code = runner.main(["--tables", "real", "--output", str(output)])
+            assert code == 2
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, captured.err
+            assert lines[0].startswith("repro-experiments: error: cannot write --output")
 
     def test_time_budget_flag_truncates_but_completes(self, tmp_path):
         spec_file = self._spec_file(tmp_path, n=1)
