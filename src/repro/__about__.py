@@ -1,3 +1,3 @@
 """Package metadata."""
 
-__version__ = "16.0.0"
+__version__ = "17.0.0"

@@ -138,10 +138,13 @@ class Scenario:
         if self._graph is None or self._placement is None:
             rng = resolve_rng(self.spec.seed)
             if self._graph is None:
-                self._graph = build_topology(self.spec.topology, rng)
+                self._graph = _build(
+                    "topology", build_topology, self.spec.topology, rng
+                )
             if self._placement is None:
-                self._placement = build_placement(
-                    self.spec.placement, self._graph, rng
+                self._placement = _build(
+                    "placement", build_placement, self.spec.placement,
+                    self._graph, rng,
                 )
                 self._placement.validate(self._graph)
 
@@ -610,6 +613,8 @@ class Scenario:
                 f"available: {self.available_analyses()}"
             )
         method = getattr(self, method_name)
+        # A builder's TypeError is the spec's, not the analysis parameters'.
+        self._materialize()
         try:
             return method(**dict(request.params))
         except TypeError as exc:
@@ -640,6 +645,15 @@ class Scenario:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()
+
+
+def _build(what: str, builder, part, *args):
+    """``builder(part, *args)``, its TypeError/ValueError on bad params
+    reported as a :class:`SpecError` naming the ``what`` and its params."""
+    try:
+        return builder(part, *args)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"invalid {what} {part.to_dict()!r}: {exc}") from exc
 
 
 def _agrid_comparison(

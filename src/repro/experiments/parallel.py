@@ -28,6 +28,11 @@ settings travel the same way: the :class:`~repro.resilience.pool.ExecutionPolicy
 carries the chaos plan (shipped inside every submitted task) and the
 checkpoint journal (read in the parent), so a worker needs nothing from its
 initializer but a clean cache.
+
+Both loops that honour a policy, serial and fault-tolerant, keep their books
+through one :class:`_TrialLedger` (journal keys, restore, record, and retry
+or quarantine of a failed attempt), so a quarantined trial is the same value
+at any ``jobs``, and the ``--churn`` replay journals through the same code.
 """
 
 from __future__ import annotations
@@ -45,7 +50,12 @@ from repro.engine.signatures import SEARCH_COUNTERS
 from repro.exceptions import ExperimentError
 from repro.resilience.chaos import ChaosConfig
 from repro.resilience.checkpoint import fingerprint_call
-from repro.resilience.pool import POOL_COUNTERS, ExecutionPolicy, TrialFailure
+from repro.resilience.pool import (
+    POOL_COUNTERS,
+    ExecutionPolicy,
+    TrialFailure,
+    backoff_seconds,
+)
 from repro.utils.counters import Counters
 
 
@@ -112,9 +122,17 @@ def _init_worker() -> None:
     SEARCH_COUNTERS.reset()
 
 
-def _run_spec(indexed_spec: Tuple[int, TrialSpec]) -> TrialResult:
-    """Worker-side execution of one spec, with counter-delta bookkeeping."""
-    index, spec = indexed_spec
+def _run_spec(task: Tuple[int, TrialSpec, int, Optional[ChaosConfig]]) -> TrialResult:
+    """Worker-side execution of one spec attempt, with counter-delta bookkeeping.
+
+    The task carries the policy's chaos plan (``None``: no injection), whose
+    fault fires *before* the trial runs, so injected faults never leave a
+    half-computed result behind; the attempt number rides along so the
+    injection decision is a pure function of ``(seed, index, attempt)``.
+    """
+    index, spec, attempt, chaos = task
+    if chaos is not None:
+        chaos.inject(index, attempt)
     tables = _counter_tables()
     before = {name: table.snapshot() for name, table in tables.items()}
     value = spec.run()
@@ -126,22 +144,6 @@ def _run_spec(indexed_spec: Tuple[int, TrialSpec]) -> TrialResult:
             for counter, count in table.snapshot().items()
         }
     return TrialResult(index=index, value=value, counters=counters)
-
-
-def _run_spec_attempt(
-    task: Tuple[int, TrialSpec, int, Optional[ChaosConfig]]
-) -> TrialResult:
-    """Worker-side execution of one (possibly retried) spec attempt.
-
-    The task carries the policy's chaos plan (``None``: no injection), whose
-    fault fires *before* the trial runs, so injected faults never leave a
-    half-computed result behind; the attempt number rides along so the
-    injection decision is a pure function of ``(seed, index, attempt)``.
-    """
-    index, spec, attempt, chaos = task
-    if chaos is not None:
-        chaos.inject(index, attempt)
-    return _run_spec((index, spec))
 
 
 def _checkpoint_keys(spec_list: List[TrialSpec]) -> List[str]:
@@ -165,46 +167,74 @@ def _merge_worker_counters(results: Iterable[TrialResult]) -> None:
             tables[name].merge(delta)
 
 
+class _TrialLedger:
+    """The per-batch bookkeeping both trial loops share: journal keys, the
+    journaled trials restored up front (:attr:`restored`, by index), record,
+    and the verdict on each failed attempt (:meth:`charge`).  It never
+    raises; each loop applies ``policy.failure_mode`` under its own raise
+    contract (serial re-raises the trial's exception, the pool raises an
+    :class:`ExperimentError` naming the trial)."""
+
+    def __init__(self, spec_list: List[TrialSpec], policy: ExecutionPolicy) -> None:
+        self.specs = spec_list
+        self.max_retries = policy.max_retries
+        self.journal = policy.checkpoint
+        self.keys = _checkpoint_keys(spec_list) if self.journal is not None else []
+        self.restored: Dict[int, Any] = {
+            index: self.journal.restore(key)
+            for index, key in enumerate(self.keys)
+            if key in self.journal
+        }
+        self.failures: Dict[int, int] = {}
+
+    def record(self, index: int, value: Any) -> None:
+        if self.journal is not None:
+            self.journal.record(self.keys[index], value, label=self.specs[index].label)
+
+    def charge(self, index: int, kind: str, error: object) -> "float | TrialFailure":
+        """Count one failed attempt of trial ``index``: the delay before its
+        retry, or its quarantine record when retries are exhausted."""
+        count = self.failures.get(index, 0) + 1
+        self.failures[index] = count
+        if count > self.max_retries:
+            POOL_COUNTERS.add("trial_failures")
+            message = str(error) or type(error).__name__
+            return TrialFailure(index, self.specs[index].label, kind, message, count)
+        POOL_COUNTERS.add("retries")
+        return backoff_seconds(index, count)
+
+
 def _run_serial(spec_list: List[TrialSpec], policy: ExecutionPolicy) -> List[Any]:
-    """In-process execution with checkpoint skip/record and bounded retry.
+    """In-process execution through the trial ledger: journal restore and
+    record, bounded retry, quarantine.
 
     Under the default policy this is a plain loop over the specs.  Timeouts
     and chaos need a process boundary, so neither engages here — a serial
     run is always the *clean* reference the chaos parity tests compare
-    against.  ``KeyboardInterrupt`` is deliberately not caught: completed
-    trials are already durable in the journal when it propagates.
+    against.  Under ``failure_mode="raise"`` the trial's own exception
+    propagates.  ``KeyboardInterrupt`` is deliberately not caught:
+    completed trials are already durable in the journal when it propagates.
     """
-    checkpoint = policy.checkpoint
-    keys = _checkpoint_keys(spec_list) if checkpoint is not None else []
+    ledger = _TrialLedger(spec_list, policy)
     values: List[Any] = []
     for index, spec in enumerate(spec_list):
-        if checkpoint is not None and keys[index] in checkpoint:
-            values.append(checkpoint.restore(keys[index]))
+        if index in ledger.restored:
+            values.append(ledger.restored[index])
             continue
-        failures = 0
         while True:
             try:
                 value = spec.run()
             except Exception as error:  # noqa: BLE001 - retry boundary
-                failures += 1
-                if failures > policy.max_retries:
-                    POOL_COUNTERS.add("trial_failures")
-                    if policy.failure_mode == "raise":
-                        raise
-                    value = TrialFailure(
-                        index=index,
-                        label=spec.label,
-                        kind="error",
-                        error=str(error) or type(error).__name__,
-                        attempts=failures,
-                    )
-                    break
-                POOL_COUNTERS.add("retries")
-                time.sleep(policy.backoff_seconds(index, failures))
+                verdict = ledger.charge(index, "error", error)
+                if not isinstance(verdict, TrialFailure):
+                    time.sleep(verdict)
+                    continue
+                if policy.failure_mode == "raise":
+                    raise
+                value = verdict
             else:
-                if checkpoint is not None:
-                    checkpoint.record(keys[index], value, label=spec.label)
-                break
+                ledger.record(index, value)
+            break
         values.append(value)
     return values
 
@@ -215,7 +245,8 @@ def _run_resilient(
     policy: ExecutionPolicy,
 ) -> List[Any]:
     """The fault-tolerant submit loop: windowed submission, per-trial
-    deadlines, pool rebuild on crash, bounded retry with backoff.
+    deadlines, pool rebuild on crash, and the trial ledger's retry and
+    quarantine.
 
     Retried attempts resubmit the *original* pickled spec (seed included),
     so a successful retry is bit-identical to a first-attempt success.  When
@@ -224,50 +255,32 @@ def _run_resilient(
     chaos holds because injected faults stop at ``max_failures`` attempts.
     Trials that merely shared the pool with a *timed-out* trial are
     resubmitted at the same attempt number, uncharged.  Every task carries
-    ``policy.chaos`` to the worker that runs it.
+    ``policy.chaos`` to the worker that runs it.  Under
+    ``failure_mode="raise"`` an exhausted trial raises an
+    :class:`ExperimentError` naming it.
     """
-    checkpoint = policy.checkpoint
-    keys = _checkpoint_keys(spec_list) if checkpoint is not None else []
-    results: Dict[int, TrialResult] = {}
-    failures: Dict[int, TrialFailure] = {}
-    failure_counts: Dict[int, int] = {}
+    ledger = _TrialLedger(spec_list, policy)
+    values: Dict[int, Any] = dict(ledger.restored)
+    completed: List[TrialResult] = []
     #: (index, attempt, not-before monotonic time)
-    pending: deque = deque()
-    for index in range(len(spec_list)):
-        if checkpoint is not None and keys[index] in checkpoint:
-            results[index] = TrialResult(
-                index=index, value=checkpoint.restore(keys[index])
-            )
-        else:
-            pending.append((index, 0, 0.0))
+    pending: deque = deque(
+        (index, 0, 0.0) for index in range(len(spec_list)) if index not in values
+    )
 
     def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=n_workers, initializer=_init_worker
-        )
+        return ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker)
 
     def charge(index: int, attempt: int, kind: str, error: object) -> None:
-        count = failure_counts.get(index, 0) + 1
-        failure_counts[index] = count
-        if count > policy.max_retries:
-            POOL_COUNTERS.add("trial_failures")
-            message = str(error) or kind
-            if policy.failure_mode == "raise":
-                raise ExperimentError(
-                    f"trial {index} ({spec_list[index].label or 'unlabeled'}) "
-                    f"failed ({kind}) after {count} attempts: {message}"
-                )
-            failures[index] = TrialFailure(
-                index=index,
-                label=spec_list[index].label,
-                kind=kind,
-                error=message,
-                attempts=count,
+        verdict = ledger.charge(index, kind, error)
+        if not isinstance(verdict, TrialFailure):
+            pending.append((index, attempt + 1, time.monotonic() + verdict))
+        elif policy.failure_mode == "raise":
+            raise ExperimentError(
+                f"trial {index} ({verdict.label or 'unlabeled'}) failed "
+                f"({kind}) after {verdict.attempts} attempts: {verdict.error}"
             )
-            return
-        POOL_COUNTERS.add("retries")
-        delay = policy.backoff_seconds(index, attempt + 1)
-        pending.append((index, attempt + 1, time.monotonic() + delay))
+        else:
+            values[index] = verdict
 
     pool = make_pool()
     #: future -> (index, attempt, absolute deadline or None)
@@ -280,15 +293,11 @@ def _run_resilient(
                 if not_before > now:
                     break
                 pending.popleft()
-                deadline = (
-                    now + policy.trial_timeout
-                    if policy.trial_timeout is not None
-                    else None
-                )
+                limit = policy.trial_timeout
+                deadline = None if limit is None else now + limit
                 try:
                     future = pool.submit(
-                        _run_spec_attempt,
-                        (index, spec_list[index], attempt, policy.chaos),
+                        _run_spec, (index, spec_list[index], attempt, policy.chaos)
                     )
                 except BrokenProcessPool:
                     # The break surfaces through the in-flight futures below;
@@ -306,17 +315,11 @@ def _run_resilient(
                     time.sleep(delay)
                 continue
 
-            deadlines = [
-                meta[2] for meta in futures.values() if meta[2] is not None
-            ]
-            deadlines.extend(
-                entry[2] for entry in pending if entry[2] > now
-            )
-            timeout = (
-                max(0.0, min(deadlines) - time.monotonic()) + 0.005
-                if deadlines
-                else None
-            )
+            deadlines = [meta[2] for meta in futures.values() if meta[2] is not None]
+            deadlines += [entry[2] for entry in pending if entry[2] > now]
+            timeout = None
+            if deadlines:
+                timeout = max(0.0, min(deadlines) - time.monotonic()) + 0.005
             done, _ = wait(set(futures), timeout=timeout, return_when=FIRST_COMPLETED)
 
             crashed: List[Tuple[int, int, Optional[float]]] = []
@@ -325,11 +328,9 @@ def _run_resilient(
                 error = future.exception()
                 if error is None:
                     result = future.result()
-                    results[index] = result
-                    if checkpoint is not None:
-                        checkpoint.record(
-                            keys[index], result.value, label=spec_list[index].label
-                        )
+                    values[index] = result.value
+                    completed.append(result)
+                    ledger.record(index, result.value)
                 elif isinstance(error, BrokenProcessPool):
                     crashed.append(meta)
                 else:
@@ -347,44 +348,31 @@ def _run_resilient(
                 continue
 
             now = time.monotonic()
-            timed_out = {
-                future
-                for future, meta in futures.items()
+            victims = [
+                meta for meta in futures.values()
                 if meta[2] is not None and now >= meta[2]
-            }
-            if timed_out:
+            ]
+            if victims:
                 # A running task cannot be cancelled; tear the pool down and
                 # resubmit the innocent bystanders at their current attempt.
-                POOL_COUNTERS.add("timeouts", len(timed_out))
+                POOL_COUNTERS.add("timeouts", len(victims))
                 POOL_COUNTERS.add("pool_rebuilds")
                 for process in getattr(pool, "_processes", {}).values():
                     process.terminate()
-                victims = [futures[future] for future in timed_out]
-                survivors = [
-                    meta
-                    for future, meta in futures.items()
-                    if future not in timed_out
-                ]
+                survivors = [meta for meta in futures.values() if meta not in victims]
                 futures.clear()
                 pool.shutdown(wait=False, cancel_futures=True)
                 pool = make_pool()
                 for index, attempt, _ in survivors:
                     pending.appendleft((index, attempt, 0.0))
+                message = f"exceeded trial_timeout={policy.trial_timeout}s"
                 for index, attempt, _ in victims:
-                    charge(
-                        index,
-                        attempt,
-                        "timeout",
-                        f"exceeded trial_timeout={policy.trial_timeout}s",
-                    )
+                    charge(index, attempt, "timeout", message)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
-    _merge_worker_counters(results.values())
-    return [
-        results[index].value if index in results else failures[index]
-        for index in range(len(spec_list))
-    ]
+    _merge_worker_counters(completed)
+    return [values[index] for index in range(len(spec_list))]
 
 
 def run_trials(
@@ -434,8 +422,7 @@ def run_trials(
     with ProcessPoolExecutor(
         max_workers=n_workers, initializer=_init_worker
     ) as pool:
-        results = list(
-            pool.map(_run_spec, enumerate(spec_list), chunksize=chunksize)
-        )
+        tasks = ((index, spec, 0, None) for index, spec in enumerate(spec_list))
+        results = list(pool.map(_run_spec, tasks, chunksize=chunksize))
     _merge_worker_counters(results)
     return [result.value for result in results]

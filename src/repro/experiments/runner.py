@@ -51,7 +51,9 @@ from repro.api.serialize import to_jsonable
 from repro.api.spec import (
     DeltaSpec,
     EngineConfig,
+    PlacementSpec,
     ScenarioSpec,
+    TopologySpec,
     UniverseSpec,
     load_spec_batch,
     parse_churn_document,
@@ -71,7 +73,7 @@ from repro.experiments import (
 )
 from repro.experiments.parallel import TrialSpec, run_trials
 from repro.resilience.chaos import ChaosConfig
-from repro.resilience.checkpoint import CheckpointJournal, fingerprint_payload
+from repro.resilience.checkpoint import CheckpointJournal
 from repro.resilience.pool import ExecutionPolicy, TrialFailure
 from repro.topology import zoo
 from repro.utils.tables import format_table
@@ -399,6 +401,57 @@ def churn_step_entry(
     }
 
 
+@dataclass(frozen=True)
+class _ChurnState:
+    """A built step of the evolve chain as a trial argument.  The trial
+    measures it as built, so each step is built once and step 0 is the
+    graph step 1 edits; the journal keys it by that graph and placement
+    (``to_dict``), since an unseeded random base draws anew on every run."""
+
+    scenario: Scenario
+
+    def to_dict(self) -> Dict[str, Any]:
+        built = self.scenario
+        return replace(
+            built.spec,
+            topology=TopologySpec.from_graph(built.graph),
+            placement=PlacementSpec.from_placement(built.placement),
+        ).to_dict()
+
+
+def _churn_step(
+    step: int, label: str, state: _ChurnState, verify: bool
+) -> Dict[str, Any]:
+    """One ``--churn`` trial: the entry of a step's scenario, checked
+    against a cache-off rebuild of its spec when ``verify``.
+
+    Module-level so it fingerprints as a trial call.  A library refusal (no
+    measurement path left, an unresolvable universe) is re-raised as a
+    :class:`~repro.exceptions.SpecError` naming the step.
+    """
+    scenario = state.scenario
+
+    def report(view: Scenario):
+        return view.pathset.paths, view.mu().to_dict(), view.measurement().to_dict()
+
+    try:
+        entry = churn_step_entry(step, label, scenario)
+        if verify:
+            # With the cache on, the rebuild would hit the evolved entry
+            # (one key for both) and compare the path set with itself.
+            fresh = ScenarioSpec.from_dict(scenario.spec.to_dict())
+            rebuilt = Scenario(fresh.with_engine(replace(fresh.engine, cache=False)))
+            entry["verified"] = report(scenario) == report(rebuilt)
+    except ReproError as exc:
+        raise SpecError(f"churn step {step} ({label!r}): {exc}") from exc
+    if entry["verified"] is False:
+        raise ExperimentError(
+            f"churn step {step} ({label!r}): evolved scenario "
+            f"diverges from a from-scratch rebuild of its spec"
+        )
+    return entry
+
+
 def run_churn_sections(
     base_spec: ScenarioSpec,
     deltas: Iterable[DeltaSpec],
@@ -408,88 +461,45 @@ def run_churn_sections(
 ) -> List[Section]:
     """Replay a delta sequence over a base scenario, reporting µ over time.
 
-    Each step evolves the previous scenario's spec (:meth:`Scenario.evolve`)
-    and computes µ, which enumerates the step's path set through the
-    pathset cache, so revisited states hit it.  A step the library refuses
-    (a delta that does not apply, a placement off the graph, no measurement
-    path left) raises a :class:`~repro.exceptions.SpecError` naming the
-    step, chained to the library's error.  With ``verify=True``
-    every evolved step is additionally rebuilt *from scratch*, with the
-    pathset cache off, from its own serialised spec, and the two path
-    families (order included) and µ/measurement reports are required to be
-    bit-identical — an :class:`~repro.exceptions.ExperimentError` names the
-    first diverging step otherwise.  ``checkpoint`` (default: none) restores
-    checkpointed steps instead of recomputing their µ and records fresh ones;
-    a fully journaled replay enumerates nothing.
+    The evolve chain is built first, up to the first delta the library
+    refuses (evolving is a spec edit, so this enumerates nothing).  Its
+    scenarios then run as one serial ``run_trials`` batch of
+    :func:`_churn_step` trials, each keyed by its built graph and placement,
+    under the journal ``checkpoint`` (default: none), so a fully journaled replay
+    enumerates nothing.  Each step computes µ through the pathset cache, so
+    revisited states hit it.  A refused delta, or a step the library
+    refuses (no measurement path left), raises a
+    :class:`~repro.exceptions.SpecError` naming the step, chained to the
+    library's error, once the steps before it have run.  With
+    ``verify=True`` every step is also rebuilt from scratch, cache off, from
+    its serialised spec; the path families (order included) and
+    µ/measurement reports must be bit-identical, else an
+    :class:`~repro.exceptions.ExperimentError` names the first diverging
+    step.
     """
     clear_pathset_cache()
-    steps: List[Dict[str, Any]] = []
-    rows = []
-
-    def record(step: int, label: str, current: Scenario) -> None:
-        # A churn step's unit of work is (step, post-delta spec), not a trial
-        # call, so the journal key is a payload fingerprint.  Evolving the
-        # chain is cheap; the journal skips the µ (re)computation.
-        key = ""
-        entry: Optional[Dict[str, Any]] = None
-        if checkpoint is not None:
-            key = fingerprint_payload(
-                {
-                    "kind": "churn-step",
-                    "step": step,
-                    "label": label,
-                    "spec": current.spec.to_dict(),
-                    "verify": bool(verify),
-                }
-            )
-            if key in checkpoint:
-                entry = checkpoint.restore(key)
-        if entry is None:
-            entry = churn_step_entry(step, label, current)
-            if verify:
-                # With the cache on, the rebuild would hit the evolved entry
-                # (one key for both) and compare the path set with itself.
-                rebuilt = Scenario(
-                    ScenarioSpec.from_dict(current.spec.to_dict()).with_engine(
-                        replace(current.spec.engine, cache=False)
-                    )
-                )
-                if (
-                    current.pathset.paths != rebuilt.pathset.paths
-                    or current.mu().to_dict() != rebuilt.mu().to_dict()
-                    or current.measurement().to_dict()
-                    != rebuilt.measurement().to_dict()
-                ):
-                    raise ExperimentError(
-                        f"churn step {step} ({label!r}): evolved scenario "
-                        f"diverges from a from-scratch rebuild of its spec"
-                    )
-                entry["verified"] = True
-            if checkpoint is not None:
-                checkpoint.record(key, entry, label=f"churn step {step}: {label}")
-        steps.append(entry)
-        verified = entry["verified"]
-        rows.append(
-            (
-                step,
-                label,
-                entry["mu"],
-                entry["n_paths"],
-                "ok" if verified else ("-" if verified is None else "FAIL"),
-            )
-        )
-
-    scenario = Scenario(base_spec)
+    trials: List[TrialSpec] = []
+    refused: Optional[ReproError] = None
     for step, delta in enumerate([None, *deltas]):
         label = "base" if delta is None else (delta.label or f"delta {step}")
         try:
-            if delta is not None:
-                scenario = scenario.evolve(delta)
-            record(step, label, scenario)
-        except ExperimentError:
-            raise
+            scenario = Scenario(base_spec) if delta is None else scenario.evolve(delta)
+            scenario.placement  # built here: a build error refuses the step
         except ReproError as exc:
-            raise SpecError(f"churn step {step} ({label!r}): {exc}") from exc
+            refused = exc
+            break
+        trials.append(TrialSpec(
+            _churn_step, (step, label, _ChurnState(scenario), verify),
+            label=f"churn step {step}: {label}",
+        ))
+    steps = run_trials(trials, jobs=1, policy=ExecutionPolicy(checkpoint=checkpoint))
+    if refused is not None:
+        raise SpecError(f"churn step {step} ({label!r}): {refused}") from refused
+    rows = [
+        (entry["step"], entry["label"], entry["mu"], entry["n_paths"],
+         "ok" if entry["verified"] else "-")
+        for entry in steps
+    ]
     title = f"Churn replay: {base_spec.display_name()} ({len(steps) - 1} deltas)"
     body = format_table(
         ("step", "delta", "mu", "paths", "verified"), rows, title=title

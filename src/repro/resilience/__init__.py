@@ -6,10 +6,10 @@ Four orthogonal pieces, threaded through every execution layer:
 * :mod:`~repro.resilience.budget` — cooperative :class:`Budget` deadlines for
   the engine's searches (wall-clock and/or work count), with graceful
   completed-level truncation in ``identifiability()``.
-* :mod:`~repro.resilience.pool` — the :class:`ExecutionPolicy` knobs of the
-  fault-tolerant trial pool (timeouts, bounded retries with backoff + jitter,
-  :class:`TrialFailure` quarantine, the chaos plan and the journal) plus its
-  observability counters.
+* :mod:`~repro.resilience.pool` — the :class:`ExecutionPolicy` knobs of a
+  trial batch (timeouts, bounded retries, :class:`TrialFailure` quarantine,
+  the chaos plan and the journal), the fixed retry backoff schedule, and the
+  fault-handling counters.
 * :mod:`~repro.resilience.checkpoint` — the append-only
   :class:`CheckpointJournal` behind ``--checkpoint dir/``.
 * :mod:`~repro.resilience.chaos` — seeded failure injection
@@ -18,7 +18,8 @@ Four orthogonal pieces, threaded through every execution layer:
 The layer keeps no process state of its own beyond the fault-handling
 counters: a journal or a chaos plan reaches a trial only through the
 :class:`ExecutionPolicy` passed to ``run_trials`` (the ``--churn`` replay
-takes its journal as a ``checkpoint=`` keyword).
+takes its journal as a ``checkpoint=`` keyword for a batch of its steps),
+and the trial ledger of :mod:`repro.experiments.parallel` applies it.
 
 Every guarantee is bit-identity-preserving: a budget truncation is a
 certified lower bound with the exact semantics of the existing truncated-µ
@@ -38,7 +39,6 @@ from repro.resilience.chaos import (
 from repro.resilience.checkpoint import (
     CheckpointJournal,
     fingerprint_call,
-    fingerprint_payload,
 )
 from repro.resilience.pool import (
     ExecutionPolicy,
@@ -56,7 +56,6 @@ __all__ = [
     "ChaosInjectedError",
     "CheckpointJournal",
     "fingerprint_call",
-    "fingerprint_payload",
     "ExecutionPolicy",
     "PoolCounters",
     "TrialFailure",

@@ -20,11 +20,13 @@ arbitrary Python objects (ints, report dataclasses, tuples) and a JSON
 round-trip would silently change their types.  Everything that reaches the
 journal already crossed a process-pool boundary, so picklability is given.
 
-A journal reaches its consumers explicitly: ``run_trials`` reads it from
-:attr:`ExecutionPolicy.checkpoint <repro.resilience.pool.ExecutionPolicy>`
-(so ``--spec`` batches and the Monte-Carlo table sections get it through
-their ``policy=`` argument), and the ``--churn`` replay takes it as its
-``checkpoint=`` keyword.  The runner opens one journal per invocation and
+A journal reaches its consumers explicitly and has one reader and writer:
+``run_trials`` reads it from :attr:`ExecutionPolicy.checkpoint
+<repro.resilience.pool.ExecutionPolicy>` and keys every trial by
+:func:`fingerprint_call`.  ``--spec`` batches and the Monte-Carlo table
+sections get it through their ``policy=`` argument; the ``--churn`` replay
+takes it as its ``checkpoint=`` keyword and runs its steps as one such
+batch of trial calls.  The runner opens one journal per invocation and
 closes it when the invocation ends.
 """
 
@@ -76,15 +78,6 @@ def fingerprint_call(
         "kwargs": _canonical(kwargs),
     }
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
-def fingerprint_payload(payload: Any) -> str:
-    """SHA-256 fingerprint of an arbitrary JSON-stable payload (used by the
-    ``--churn`` replay, whose unit of work is a step, not a trial call)."""
-    encoded = json.dumps(
-        _canonical(payload), sort_keys=True, separators=(",", ":")
-    )
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 

@@ -1,18 +1,19 @@
-"""Fault-tolerance policy and bookkeeping for the trial pool.
+"""Fault-tolerance policy, backoff schedule and counters for trial batches.
 
 :class:`ExecutionPolicy` bundles the resilience knobs of
 :func:`repro.experiments.parallel.run_trials` — per-trial timeout, bounded
-retries with exponential backoff + jitter, quarantine mode, an optional
+retries, quarantine mode, an optional
 :class:`~repro.resilience.chaos.ChaosConfig` and an optional
 :class:`~repro.resilience.checkpoint.CheckpointJournal`.  It is passed
 explicitly: the CLI runner builds one policy per invocation
 (``--trial-timeout`` / ``--max-retries`` / ``REPRO_CHAOS`` /
-``--checkpoint``) and hands it through the table drivers and spec batches
-to ``run_trials(..., policy=)``.  Neither the chaos plan nor the journal is
-ever process state: the pool ships the chaos plan inside each submitted
-task, and the journal is read from the policy in the parent.
+``--checkpoint``) and hands it to ``run_trials(..., policy=)`` through the
+table drivers, spec batches and the ``--churn`` replay.  The policy is data,
+never process state; the trial ledger of :mod:`repro.experiments.parallel`
+applies it to a batch, in the parent.
 
-Backoff jitter exists to decorrelate retry storms, not to perturb results:
+Retries back off on a fixed schedule (:func:`backoff_seconds`), whose
+jitter exists to decorrelate retry storms, not to perturb results:
 every trial's randomness travels in its pickled spec (the original
 ``spawn_seed`` is reused on retry), so jitter affects *when* a retry runs,
 never *what* it computes — successful output stays bit-identical to serial.
@@ -37,9 +38,22 @@ from repro.resilience.chaos import ChaosConfig
 from repro.resilience.checkpoint import CheckpointJournal
 from repro.utils.counters import Counters
 
+#: The first retry's backoff, seconds; each further attempt doubles it.
+RETRY_BACKOFF = 0.05
+
 #: Upper bound on one backoff sleep, seconds (keeps a long retry ladder from
 #: stalling the batch).
 BACKOFF_CAP = 2.0
+
+
+def backoff_seconds(index: int, attempt: int) -> float:
+    """The sleep before retry ``attempt`` (1-based) of trial ``index``:
+    :data:`RETRY_BACKOFF` doubled per earlier attempt, scaled by a jitter in
+    ``[1, 2)`` seeded per ``(index, attempt)``, capped at
+    :data:`BACKOFF_CAP`."""
+    base = RETRY_BACKOFF * (2 ** max(0, attempt - 1))
+    jitter = random.Random(f"backoff:{index}:{attempt}").uniform(0.0, 1.0)
+    return min(BACKOFF_CAP, base * (1.0 + jitter))
 
 
 @dataclass(frozen=True)
@@ -59,13 +73,7 @@ class TrialFailure:
     attempts: int
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "label": self.label,
-            "kind": self.kind,
-            "error": self.error,
-            "attempts": self.attempts,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,6 @@ class ExecutionPolicy:
 
     trial_timeout: Optional[float] = None
     max_retries: int = 0
-    retry_backoff: float = 0.05
     failure_mode: str = "raise"
     chaos: Optional[ChaosConfig] = None
     checkpoint: Optional[CheckpointJournal] = field(default=None, compare=False)
@@ -96,10 +103,6 @@ class ExecutionPolicy:
         if self.max_retries < 0:
             raise ExperimentError(
                 f"max_retries must be >= 0, got {self.max_retries!r}"
-            )
-        if self.retry_backoff < 0:
-            raise ExperimentError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff!r}"
             )
         if self.failure_mode not in ("raise", "record"):
             raise ExperimentError(
@@ -119,15 +122,6 @@ class ExecutionPolicy:
             or self.failure_mode != "raise"
             or self.checkpoint is not None
         )
-
-    def backoff_seconds(self, index: int, attempt: int) -> float:
-        """Exponential backoff with deterministic per-(trial, attempt)
-        jitter, capped at :data:`BACKOFF_CAP`."""
-        if self.retry_backoff == 0:
-            return 0.0
-        base = self.retry_backoff * (2 ** max(0, attempt - 1))
-        jitter = random.Random(f"backoff:{index}:{attempt}").uniform(0.0, 1.0)
-        return min(BACKOFF_CAP, base * (1.0 + jitter))
 
 
 # -- retry observability ------------------------------------------------------

@@ -577,6 +577,57 @@ class TestEngineConfigIsolation:
             assert reports == [solo[assignments[slot]]] * rounds
 
 
+#: Specs whose topology or placement builder chokes on a mistyped param,
+#: each with the part the error must name and the analysis it declares.
+BAD_BUILDER_PARAMS = [
+    (
+        {"topology": {"name": "claranet"},
+         "placement": {"strategy": "mdmp", "params": {"d": "two"}},
+         "analyses": ["mu"]},
+        "invalid placement {'strategy': 'mdmp', 'params': {'d': 'two'}}: ",
+    ),
+    (
+        {"topology": {"name": "undirected_grid", "params": {"n": "3"}},
+         "placement": {"strategy": "mdmp"},
+         "analyses": ["bounds"]},
+        "invalid topology {'name': 'undirected_grid', 'params': {'n': '3'}}: ",
+    ),
+]
+
+
+class TestBuilderParamErrors:
+    """A builder's TypeError on bad params is a spec error naming the
+    topology or placement, never an analysis-parameter error."""
+
+    @pytest.mark.parametrize("document, message", BAD_BUILDER_PARAMS)
+    def test_scenario_names_the_part(self, document, message):
+        spec = ScenarioSpec.from_dict(document)
+        for call in (lambda: Scenario(spec).mu(), lambda: Scenario(spec).run_all()):
+            with pytest.raises(SpecError) as excinfo:
+                call()
+            assert str(excinfo.value).startswith(message)
+            assert "analysis" not in str(excinfo.value)
+
+    @pytest.mark.parametrize("document, message", BAD_BUILDER_PARAMS)
+    def test_spec_batch_failed_section_names_the_part(
+        self, tmp_path, document, message
+    ):
+        from repro.experiments import runner
+
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(document))
+        out_path = tmp_path / "out.json"
+        code = runner.main(
+            ["--spec", str(spec_path), "--format", "json",
+             "--output", str(out_path)]
+        )
+        assert code == 1
+        section = json.loads(out_path.read_text())["sections"][0]
+        assert section["title"].startswith("FAILED: ")
+        assert section["data"]["failure"]["error"].startswith(message)
+        assert message.split(":")[0] in section["text"]
+
+
 class TestSpecRunner:
     def test_run_spec_sections_jobs_parity(self):
         from repro.experiments import runner
@@ -701,8 +752,10 @@ class TestSpecRunner:
             ),
             # The base's output monitor is not a node of the graph.
             ([[9, 9]], [], "churn step 0 ('base'): monitor nodes"),
+            # The same base refused while the evolve chain is built.
+            ([[9, 9]], [{"label": "late"}], "churn step 0 ('base'): monitor nodes"),
         ],
-        ids=["no-path", "off-graph-monitor"],
+        ids=["no-path", "off-graph-monitor", "off-graph-monitor-before-a-delta"],
     )
     def test_cli_refused_churn_step_is_one_error_line(
         self, tmp_path, capsys, outputs, deltas, step

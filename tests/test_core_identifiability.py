@@ -18,8 +18,12 @@ from repro.core.identifiability import (
     maximal_identifiability_detailed,
     separability_matrix,
 )
-from repro.core.separability import verify_k_identifiability_by_separation
+from repro.core.separability import (
+    path_through_avoiding,
+    verify_k_identifiability_by_separation,
+)
 from repro.exceptions import IdentifiabilityError
+from repro.monitors.grid_placement import chi_g
 from repro.monitors.placement import MonitorPlacement
 from repro.routing.paths import PathSet, enumerate_paths
 from repro.topology.lines import line_graph
@@ -202,3 +206,40 @@ class TestProperties:
             return
         fewer = pathset.restrict_to_paths(range(pathset.n_paths - 1))
         assert maximal_identifiability(pathset) >= maximal_identifiability(fewer)
+
+
+class TestPathThroughAvoiding:
+    """The constructive separation primitive of the lower-bound proofs, on
+    H_3 under the grid placement χ_g."""
+
+    EXPECTED = ((1, 1), (2, 1), (2, 2), (2, 3))
+
+    def test_returns_a_simple_input_output_path_through_the_node(
+        self, directed_grid_3
+    ):
+        placement = chi_g(directed_grid_3)
+        for avoid in ((), [(1, 2)]):
+            path = path_through_avoiding(
+                directed_grid_3, placement, (2, 2), avoid=avoid
+            )
+            assert path == self.EXPECTED
+            assert path[0] in placement.inputs and path[-1] in placement.outputs
+            assert len(set(path)) == len(path)
+
+    def test_none_when_every_way_in_is_avoided(self, directed_grid_3):
+        placement = chi_g(directed_grid_3)
+        path = path_through_avoiding(
+            directed_grid_3, placement, (2, 2), avoid=[(1, 2), (2, 1)]
+        )
+        assert path is None
+
+    @pytest.mark.parametrize(
+        "through, avoid", [((1, 2), [(1, 2)]), ((9, 9), [])]
+    )
+    def test_refuses_an_avoided_or_foreign_through_node(
+        self, directed_grid_3, through, avoid
+    ):
+        with pytest.raises(IdentifiabilityError):
+            path_through_avoiding(
+                directed_grid_3, chi_g(directed_grid_3), through, avoid=avoid
+            )

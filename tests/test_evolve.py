@@ -603,6 +603,40 @@ class TestChurnRunner:
         sections = run_churn_sections(*load_churn_file(str(path)))
         assert sections[0].data["verified"] is None
 
+    def test_unseeded_random_base_is_the_one_step_one_evolves(self, monkeypatch):
+        """The base is built once, so step 0 measures the graph and
+        placement step 1 edits even when both are drawn without a seed."""
+        from repro.api import registries
+
+        builder = registries.topologies.get("erdos_renyi_connected")
+        graphs = []
+
+        def recording(params, rng):
+            graphs.append(builder(params, rng))
+            return graphs[-1]
+
+        monkeypatch.setitem(
+            registries.topologies._builders, "erdos_renyi_connected", recording
+        )
+        base_spec = ScenarioSpec(
+            topology=TopologySpec(
+                "erdos_renyi_connected", {"n_nodes": 8, "probability": 0.4}
+            ),
+            placement=PlacementSpec("random", {"n_inputs": 2, "n_outputs": 2}),
+        )
+        steps = run_churn_sections(base_spec, [DeltaSpec(label="noop")])[0].data[
+            "steps"
+        ]
+        assert len(graphs) == 1
+        assert steps[0]["spec"] == base_spec.to_dict()
+        assert steps[1]["spec"]["topology"] == TopologySpec.from_graph(
+            graphs[0]
+        ).to_dict()
+        assert (steps[0]["mu"], steps[0]["n_paths"]) == (
+            steps[1]["mu"],
+            steps[1]["n_paths"],
+        )
+
     def test_malformed_files(self, tmp_path):
         missing = tmp_path / "missing.json"
         with pytest.raises(SpecError, match="cannot read"):

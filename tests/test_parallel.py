@@ -31,12 +31,20 @@ from repro.experiments.random_graphs import run_random_graph_cell, run_table6
 from repro.experiments.random_monitors import run_random_monitor_experiment
 from repro.experiments.truncated import run_truncated_experiment
 from repro.topology.zoo import eunetwork_small, getnet
+from repro.resilience.pool import ExecutionPolicy, TrialFailure
 from repro.utils.seeds import spawn_rng, spawn_seed
 
 
 def _square(value: int) -> int:
     """Module-level so it pickles into pool workers."""
     return value * value
+
+
+def _bare_error(value: int) -> int:
+    """A trial whose exception has no message on odd values."""
+    if value % 2:
+        raise ValueError()
+    return value
 
 
 def _seeded_draw(seed: str) -> float:
@@ -60,6 +68,18 @@ class TestRunTrials:
     def test_parallel_matches_serial(self):
         specs = [TrialSpec(_square, (i,)) for i in range(9)]
         assert run_trials(specs, jobs=2) == run_trials(specs, jobs=1)
+
+    def test_quarantine_is_the_same_serial_and_parallel(self):
+        """A quarantined trial is one value, whichever loop ran it: an
+        exception without a message is recorded under its type name."""
+        specs = [TrialSpec(_bare_error, (i,), label=f"t{i}") for i in range(4)]
+        policy = ExecutionPolicy(failure_mode="record")
+        serial = run_trials(specs, jobs=1, policy=policy)
+        assert run_trials(specs, jobs=2, policy=policy) == serial
+        assert serial[1] == TrialFailure(
+            index=1, label="t1", kind="error", error="ValueError", attempts=1
+        )
+        assert [serial[0], serial[2]] == [0, 2]
 
     def test_seeded_trials_are_schedule_independent(self):
         specs = [TrialSpec(_seeded_draw, (f"seed:{i}",)) for i in range(6)]

@@ -105,7 +105,6 @@ EXPECTED_RESILIENCE_ALL = [
     "PoolCounters",
     "TrialFailure",
     "fingerprint_call",
-    "fingerprint_payload",
     "pool_counters",
     "reset_pool_counters",
     "resolve_budget",
@@ -190,6 +189,19 @@ class TestPublicSurface:
 
         assert not hasattr(Scenario, "from_spec")
         assert not hasattr(runner, "run_spec_file")
+
+    def test_names_removed_in_17_are_gone(self):
+        """The 17.0.0 removals (README "Migration to 17.0.0")."""
+        import dataclasses
+
+        from repro.resilience import checkpoint
+        from repro.resilience.pool import ExecutionPolicy
+
+        assert not hasattr(checkpoint, "fingerprint_payload")
+        assert not hasattr(ExecutionPolicy, "backoff_seconds")
+        assert [field.name for field in dataclasses.fields(ExecutionPolicy)] == [
+            "trial_timeout", "max_retries", "failure_mode", "chaos", "checkpoint",
+        ]
 
     def test_schema_version(self):
         assert SCHEMA_VERSION == 2

@@ -27,26 +27,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.api.spec import EngineConfig, PlacementSpec, ScenarioSpec, TopologySpec
+from repro.api.spec import (
+    DeltaSpec,
+    EngineConfig,
+    PlacementSpec,
+    ScenarioSpec,
+    TopologySpec,
+)
 from repro.engine.signatures import SignatureEngine
 from repro.exceptions import (
     BudgetExceededError,
     ExperimentError,
     IdentifiabilityError,
+    SpecError,
 )
 from repro.experiments import runner
 from repro.experiments.parallel import TrialSpec, _checkpoint_keys, run_trials
 from repro.experiments.random_monitors import run_random_monitor_experiment
 from repro.resilience.budget import Budget, resolve_budget
 from repro.resilience.chaos import ChaosConfig, ChaosInjectedError
-from repro.resilience.checkpoint import (
-    CheckpointJournal,
-    fingerprint_call,
-    fingerprint_payload,
-)
+from repro.resilience.checkpoint import CheckpointJournal, fingerprint_call
+from repro.resilience import pool as pool_module
 from repro.resilience.pool import (
+    BACKOFF_CAP,
     ExecutionPolicy,
     TrialFailure,
+    backoff_seconds,
     pool_counters,
     reset_pool_counters,
 )
@@ -357,16 +363,27 @@ class TestChaosConfig:
             ChaosConfig.from_string("frobnicate=1")
 
 
+@pytest.fixture
+def retry_backoff(monkeypatch):
+    """Set the first-retry backoff (seconds) for one test: the schedule is a
+    module constant of the pool, read by the parent that schedules retries."""
+
+    def set_backoff(seconds: float) -> None:
+        monkeypatch.setattr(pool_module, "RETRY_BACKOFF", seconds)
+
+    return set_backoff
+
+
 class TestResilientPool:
-    def test_chaos_parity_with_clean_serial(self):
+    def test_chaos_parity_with_clean_serial(self, retry_backoff):
         """The headline invariant: a crash-riddled --jobs 4 run is
         bit-identical to a clean serial run of the same specs."""
+        retry_backoff(0.01)
         specs = [TrialSpec(_mu_trial, (i,), label=f"mu{i}") for i in range(8)]
         clean = run_trials(specs, jobs=1)
         reset_pool_counters()
         policy = ExecutionPolicy(
             max_retries=3,
-            retry_backoff=0.01,
             chaos=ChaosConfig(seed=7, kill=0.25, error=0.25, max_failures=1),
         )
         chaotic = run_trials(specs, jobs=4, policy=policy)
@@ -375,31 +392,28 @@ class TestResilientPool:
         assert counters.retries > 0
         assert counters.trial_failures == 0
 
-    def test_injected_error_is_retried_with_original_seed(self):
+    def test_injected_error_is_retried_with_original_seed(self, retry_backoff):
+        retry_backoff(0.0)
         specs = [TrialSpec(_square_trial, (i,)) for i in range(6)]
         policy = ExecutionPolicy(
             max_retries=2,
-            retry_backoff=0.0,
             chaos=ChaosConfig(seed=1, error=1.0, max_failures=1),
         )
         assert run_trials(specs, jobs=2, policy=policy) == [
             i * i + 1 for i in range(6)
         ]
 
-    def test_poison_trial_raises_after_retries(self):
+    def test_poison_trial_raises_after_retries(self, retry_backoff):
+        retry_backoff(0.0)
         specs = [TrialSpec(_poison_trial, (i, 3), label=f"p{i}") for i in range(5)]
         with pytest.raises(ExperimentError, match="p3"):
-            run_trials(
-                specs, jobs=2,
-                policy=ExecutionPolicy(max_retries=1, retry_backoff=0.0),
-            )
+            run_trials(specs, jobs=2, policy=ExecutionPolicy(max_retries=1))
 
-    def test_poison_trial_quarantined_in_record_mode(self):
+    def test_poison_trial_quarantined_in_record_mode(self, retry_backoff):
+        retry_backoff(0.0)
         reset_pool_counters()
         specs = [TrialSpec(_poison_trial, (i, 3), label=f"p{i}") for i in range(5)]
-        policy = ExecutionPolicy(
-            max_retries=1, retry_backoff=0.0, failure_mode="record"
-        )
+        policy = ExecutionPolicy(max_retries=1, failure_mode="record")
         results = run_trials(specs, jobs=2, policy=policy)
         failure = results[3]
         assert isinstance(failure, TrialFailure)
@@ -413,13 +427,13 @@ class TestResilientPool:
         assert isinstance(serial[3], TrialFailure)
         assert [v for i, v in enumerate(serial) if i != 3] == [0, 1, 2, 4]
 
-    def test_timeout_kills_and_quarantines_the_hung_trial(self):
+    def test_timeout_kills_and_quarantines_the_hung_trial(self, retry_backoff):
+        retry_backoff(0.0)
         reset_pool_counters()
         specs = [TrialSpec(_hang_trial, (i, 2), label=f"h{i}") for i in range(5)]
         policy = ExecutionPolicy(
             trial_timeout=1.0,
             max_retries=0,
-            retry_backoff=0.0,
             failure_mode="record",
         )
         results = run_trials(specs, jobs=2, policy=policy)
@@ -431,12 +445,12 @@ class TestResilientPool:
         assert counters.timeouts >= 1
         assert counters.pool_rebuilds >= 1
 
-    def test_worker_kill_rebuilds_the_pool(self):
+    def test_worker_kill_rebuilds_the_pool(self, retry_backoff):
+        retry_backoff(0.01)
         reset_pool_counters()
         specs = [TrialSpec(_square_trial, (i,)) for i in range(6)]
         policy = ExecutionPolicy(
             max_retries=3,
-            retry_backoff=0.01,
             chaos=ChaosConfig(seed=11, kill=1.0, max_failures=1),
         )
         assert run_trials(specs, jobs=2, policy=policy) == [
@@ -446,15 +460,28 @@ class TestResilientPool:
         assert counters.worker_crashes >= 1
         assert counters.pool_rebuilds >= 1
 
+    def test_backoff_schedule(self):
+        """Deterministic per (trial, attempt), doubling with the attempt (the
+        jitter scales the doubled base by [1, 2)) and capped."""
+        for index in range(4):
+            ladder = [backoff_seconds(index, attempt) for attempt in range(1, 12)]
+            assert ladder == [
+                backoff_seconds(index, attempt) for attempt in range(1, 12)
+            ]
+            for attempt, delay in enumerate(ladder, start=1):
+                base = pool_module.RETRY_BACKOFF * 2 ** (attempt - 1)
+                assert min(BACKOFF_CAP, base) <= delay <= min(BACKOFF_CAP, 2 * base)
+            assert ladder[-1] == BACKOFF_CAP
+        assert backoff_seconds(0, 1) != backoff_seconds(1, 1)
+
     def test_default_policy_keeps_the_fast_path(self):
         specs = [TrialSpec(_square_trial, (i,)) for i in range(4)]
         assert run_trials(specs, jobs=2) == [i * i + 1 for i in range(4)]
 
-    def test_execution_policy_scope(self):
+    def test_execution_policy_scope(self, retry_backoff):
+        retry_backoff(0.0)
         specs = [TrialSpec(_poison_trial, (i, 1)) for i in range(3)]
-        policy = ExecutionPolicy(
-            max_retries=1, retry_backoff=0.0, failure_mode="record"
-        )
+        policy = ExecutionPolicy(max_retries=1, failure_mode="record")
         results = run_trials(specs, jobs=2, policy=policy)
         assert isinstance(results[1], TrialFailure)
         with pytest.raises(ValueError):
@@ -545,6 +572,62 @@ class TestCheckpoint:
         stats = cache_stats()
         assert (stats.hits, stats.misses) == (0, 0)
 
+    def test_churn_step_is_journaled_under_its_built_graph(
+        self, tmp_path, monkeypatch
+    ):
+        """An unseeded random base draws a new graph on every run, so a
+        rerun into the same journal restores none of the first run's steps:
+        a step's key is the graph and placement it measured, not its spec."""
+        from repro.api import registries
+
+        builder = registries.topologies.get("erdos_renyi_connected")
+        draws = []
+
+        def drifting(params, rng):
+            # A different node count per call: two draws never coincide.
+            draws.append(builder({**params, "n_nodes": 6 + len(draws)}, rng))
+            return draws[-1]
+
+        monkeypatch.setitem(
+            registries.topologies._builders, "erdos_renyi_connected", drifting
+        )
+        base = ScenarioSpec(
+            topology=TopologySpec("erdos_renyi_connected", {"n_nodes": 6}),
+            placement=PlacementSpec("all_pairs"),
+        )
+        deltas = [DeltaSpec(label="noop")]
+        for run in range(2):
+            journal = CheckpointJournal(str(tmp_path / "ck"))
+            runner.run_churn_sections(base, deltas, checkpoint=journal)
+            journal.close()
+            assert (journal.reused, journal.recorded) == (0, 2)
+        assert len(draws) == 2
+
+    def test_refused_churn_step_journals_the_steps_before_it(self, tmp_path):
+        """Step 2 leaves no measurement path and step 3 is refused outright:
+        the replay still reports step 2, after journaling steps 0-1."""
+        base = ScenarioSpec(
+            topology=TopologySpec("undirected_grid", {"n": 3}),
+            placement=PlacementSpec(
+                "explicit", {"inputs": [[1, 1]], "outputs": [[3, 3]]}
+            ),
+        )
+        deltas = [
+            DeltaSpec(label="trim", remove_links=(((2, 2), (2, 3)),)),
+            DeltaSpec(
+                label="cut",
+                remove_links=(((1, 1), (1, 2)), ((1, 1), (2, 1))),
+            ),
+            DeltaSpec(label="stray", add_links=(((1, 1), (9, 9)),)),
+        ]
+        journal = CheckpointJournal(str(tmp_path / "ck"))
+        with pytest.raises(SpecError, match=r"^churn step 2 \('cut'\): "):
+            runner.run_churn_sections(base, deltas, checkpoint=journal)
+        journal.close()
+        with open(journal.path, encoding="utf-8") as handle:
+            labels = [json.loads(line)["label"] for line in handle]
+        assert labels == ["churn step 0: base", "churn step 1: trim"]
+
     def test_duplicate_specs_get_distinct_keys(self):
         spec = TrialSpec(_square_trial, (7,))
         keys = _checkpoint_keys([spec, spec, spec])
@@ -558,8 +641,6 @@ class TestCheckpoint:
         assert first == fingerprint_call(_square_trial, (1,), {})
         assert first != fingerprint_call(_square_trial, (2,), {})
         assert first != fingerprint_call(_poison_trial, (1,), {})
-        payload = {"spec": EngineConfig().to_dict(), "step": 1}
-        assert fingerprint_payload(payload) == fingerprint_payload(payload)
 
     def test_values_roundtrip_bit_identically(self, tmp_path):
         journal = CheckpointJournal(str(tmp_path / "ck"))

@@ -150,6 +150,24 @@ class TestEndpoints:
         assert "placement" in body["error"]
 
     @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"topology": {"name": "claranet"},
+              "placement": {"strategy": "mdmp", "params": {"d": "two"}},
+              "analyses": ["mu"]},
+             "invalid placement {'strategy': 'mdmp', 'params': {'d': 'two'}}: "),
+            ({"topology": {"name": "undirected_grid", "params": {"n": "3"}},
+              "placement": {"strategy": "mdmp"},
+              "analyses": ["bounds"]},
+             "invalid topology {'name': 'undirected_grid', 'params': {'n': '3'}}: "),
+        ],
+    )
+    def test_bad_builder_params_400_names_the_part(self, server, document, message):
+        status, body = request(server, "POST", "/v1/analyze", document)
+        assert status == 400, body
+        assert body["error"].startswith(message), body
+
+    @pytest.mark.parametrize(
         "failures, params",
         [({"size": True}, {}), ({"size": 1.5}, {}), ({"size": "2"}, {}),
          ({"n_trials": 2.5}, {}), ({}, {"failure_size": True}),
