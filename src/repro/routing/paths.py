@@ -14,16 +14,26 @@ it crosses, so the enumerator counts the open family (simple input → output
 paths) per touch set and never builds a path tuple.  A layered subset DP
 (:func:`_touch_classes`) walks states ``(S, v)`` — ``S`` the node set of a
 simple input-started path, ``v`` its last node — each holding the number of
-such paths.  It extends a state by every neighbour ``w ∉ S``, adds the count
-to class ``S ∪ {w}`` whenever ``w`` is an output, and prunes exactly as the
-DFS does: a state is extended only while some output lies outside ``S``, for
-at most ``cutoff`` layers.  Every DFS prefix maps to one state, so the DP
-visits no more states than the DFS visits prefixes (far fewer on dense
-undirected graphs; on a DAG every state is one path).  ``max_paths`` is
-checked against the running class count, so an explosion aborts inside the
-DP.  A layer of more than ``max_paths`` states — prefixes that rarely reach
-an output — hands the count to the DFS, whose memory is one prefix, so the
-DP never holds more than the cap allows paths.  The CAP/CAP⁻ cycle and loop
+such paths.  A layer is three numpy arrays: ``S`` as uint64 words (one per
+64 adjacency positions), ``v`` and the count.  Every state is extended
+through a padded neighbour table by each neighbour ``w ∉ S``, and one stable
+sort of the candidates on ``(S ∪ {w}, w)`` groups them twice: runs of equal
+``S ∪ {w}`` are the layer's classes, whose counts sum the candidates with
+``w`` an output, and runs of equal ``(S ∪ {w}, w)`` are the next layer's
+states, kept exactly as the DFS prunes: while some output lies outside
+``S ∪ {w}``, for at most ``cutoff`` layers.  Both are put back in the order
+of their first candidate, so classes come in the order the depth-first
+enumeration first reaches them, by length.  Every DFS prefix maps to one
+state, so the DP visits no more states than the DFS visits prefixes (far
+fewer on dense undirected graphs; on a DAG every state is one path).
+
+Counts are exact: prefix counts are not bounded by ``max_paths``, so a layer
+whose candidates could sum past int64 counts on Python ints from then on.
+``max_paths`` is checked against the running class count after every layer,
+so an explosion aborts inside the DP.  A layer of more than ``max_paths``
+states (prefixes that rarely reach an output), or of more candidates than
+:data:`_MAX_CANDIDATES` (the bound on the DP's working arrays), hands the
+count to the DFS, whose memory is one prefix.  The CAP/CAP⁻ cycle and loop
 families are small and stay on the DFS.
 
 Columns are laid out **class-major**: class ``k`` takes ``count_k``
@@ -102,6 +112,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro._typing import AnyGraph, Node, Path
 from repro.exceptions import (
     IdentifiabilityError,
@@ -130,6 +142,20 @@ DEFAULT_CUTOFF: Optional[int] = None
 
 #: Hard guard against path explosion; the paper itself stops at ~5e6 paths.
 DEFAULT_MAX_PATHS = 5_000_000
+
+#: Up to this many positions a DP sort key ``(S ∪ {w}) << 6 | w`` fits one
+#: uint64; past it the touch-set words and ``w`` are sorted by ``lexsort``.
+_PACKED_KEY_POSITIONS = 58
+#: Prefix counts are not bounded by ``max_paths``: a DP layer whose
+#: candidates could sum past this counts on Python ints.
+_INT64_COUNT_LIMIT = int(np.iinfo(np.int64).max)
+#: A DP layer of more candidates (states × padded degree) than this hands
+#: the count to the DFS, bounding the DP's working arrays.
+_MAX_CANDIDATES = 1 << 22
+
+#: Open touch classes: their keys and path counts, in column order, and the
+#: ``(length in edges, number of paths)`` histogram, ascending.
+_TouchClasses = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[Tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -772,68 +798,140 @@ def _touch_classes(
     placement: MonitorPlacement,
     cutoff: Optional[int],
     max_paths: int,
-) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """The open family as ``touch set -> number of paths``, in discovery
-    order, and as ``length in edges -> number of paths``.
+) -> _TouchClasses:
+    """The open family as touch-set keys and their path counts, in discovery
+    order, and as ``(length in edges, number of paths)`` pairs, ascending.
 
     A touch set is a bitmask over adjacency positions.  The layered DP of the
-    module docstring: layer ``d`` maps each state ``(S, v)`` to the number of
-    simple input-started paths with node set ``S`` (``|S| = d + 1``) ending
-    at ``v``, in first-reached order.  Extending ``(S, v)`` by a neighbour
-    ``w ∉ S`` adds its count to class ``S ∪ {w}`` when ``w`` is an output
-    (``w ∉ S``, so never the path's own source) and carries it to state
-    ``(S ∪ {w}, w)`` while another layer is allowed and some output lies
-    outside ``S ∪ {w}`` — the DFS's descent rule.  Classes are discovered
-    by path length, then in the depth-first order of their first path,
-    since the states of a layer are reached in depth-first order of their
-    first path.  Layer ``d`` adds exactly the paths of ``d`` edges, so its
-    running count is the length histogram.  Raises
-    :class:`PathExplosionError` as soon as the running count passes
-    ``max_paths``.
+    module docstring: layer ``d`` holds each state ``(S, v)`` with the number
+    of simple input-started paths with node set ``S`` (``|S| = d + 1``)
+    ending at ``v``, in first-reached order, as three arrays — ``S`` as
+    uint64 words, ``v`` and the count.  Extending ``(S, v)`` by a neighbour
+    ``w ∉ S`` is one candidate; the candidates of a layer, in the loop order
+    of states then neighbours, come from a padded neighbour table.  One
+    stable sort on ``(S ∪ {w}, w)`` groups them twice: a run of equal
+    ``S ∪ {w}`` is a class, whose count sums its candidates with ``w`` an
+    output, and a run of equal ``(S ∪ {w}, w)`` is a next-layer state, kept
+    while another layer is allowed and some output lies outside ``S ∪ {w}``
+    — the DFS's descent rule.  Both are put back in the order of their
+    first candidate, so classes come by path length, then in the
+    depth-first order of their first path.  Layer ``d`` adds exactly the
+    paths of ``d`` edges, so its total is the length histogram.
+
+    Counts are exact: they run in int64 while a layer's candidates cannot
+    sum past its range, and on Python ints from the first layer that could.
+    Raises :class:`PathExplosionError` at the end of the first layer whose
+    running count passes ``max_paths``.  A layer of more candidates than
+    :data:`_MAX_CANDIDATES` or more states than ``max_paths`` hands the
+    count to :func:`_dfs_touch_classes`.
     """
     position = adjacency.position
-    outputs = 0
-    for node in placement.outputs:
-        outputs |= 1 << position[node]
-    arcs = tuple(
-        tuple((w, 1 << w, bool(outputs >> w & 1)) for w in row)
-        for row in adjacency.neighbours
+    n = len(adjacency.nodes)
+    n_words = max(1, -(-n // 64))
+    word = np.arange(n) >> 6
+    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64) & np.uint64(63))
+    is_output = np.zeros(n, dtype=bool)
+    is_output[[position[node] for node in placement.outputs]] = True
+    outputs = np.zeros(n_words, dtype=np.uint64)
+    np.bitwise_or.at(outputs, word[is_output], bit[is_output])
+    degree = max(map(len, adjacency.neighbours), default=0)
+    table = np.full((n, degree), -1, dtype=np.intp)
+    for v, row in enumerate(adjacency.neighbours):
+        table[v, : len(row)] = row
+    last = np.array(
+        [position[source] for source in sorted(placement.inputs, key=repr)],
+        dtype=np.intp,
     )
-    limit = len(position) - 1 if cutoff is None else cutoff
-    classes: Dict[int, int] = {}
-    lengths: Dict[int, int] = {}
+    touched = np.zeros((len(last), n_words), dtype=np.uint64)
+    touched[np.arange(len(last)), word[last]] = bit[last]
+    counts = np.ones(len(last), dtype=np.int64)
+    limit = n - 1 if cutoff is None else cutoff
+    class_words: List[np.ndarray] = []
+    class_counts: List[np.ndarray] = []
+    lengths: List[Tuple[int, int]] = []
     total = 0
-    layer = {
-        (1 << position[source], position[source]): 1
-        for source in sorted(placement.inputs, key=repr)
-    }
     depth = 0
-    while layer and depth < limit:
+    while len(last) and depth < limit:
         depth += 1
-        extend = depth < limit
-        before = total
-        grown_layer: Dict[Tuple[int, int], int] = {}
-        for (touched, last), count in layer.items():
-            for node, bit, is_output in arcs[last]:
-                if touched & bit:
-                    continue
-                grown = touched | bit
-                if is_output:
-                    classes[grown] = classes.get(grown, 0) + count
-                    total += count
-                    if total > max_paths:
-                        raise _path_explosion(max_paths)
-                if extend and outputs & ~grown:
-                    state = (grown, node)
-                    grown_layer[state] = grown_layer.get(state, 0) + count
-        if len(grown_layer) > max_paths:
+        if len(last) * degree > _MAX_CANDIDATES:
+            return _dfs_touch_classes(adjacency, placement, cutoff, max_paths)
+        if counts.dtype != object and int(counts.sum()) * degree > _INT64_COUNT_LIMIT:
+            counts = counts.astype(object)
+        # Candidates in loop order: states in order, neighbours in adjacency
+        # order; ``w ∈ S`` is dropped.
+        neighbours = table[last].ravel()
+        slots = np.flatnonzero(neighbours >= 0)
+        state, w = slots // degree, neighbours[slots]
+        fresh = (touched[state, word[w]] & bit[w]) == 0
+        state, w = state[fresh], w[fresh]
+        grown = touched[state]
+        grown[np.arange(len(w)), word[w]] |= bit[w]
+        is_class = is_output[w]
+        live = np.zeros(len(w), dtype=bool)
+        if depth < limit:
+            live = (outputs & ~grown).any(axis=1)
+        kept = np.flatnonzero(is_class | live)
+        if not len(kept):
+            break
+        n_candidates = len(w)
+        # One stable sort on (S ∪ {w}, w): runs of equal S ∪ {w} are the
+        # classes, runs of equal (S ∪ {w}, w) the next layer's states.
+        if n <= _PACKED_KEY_POSITIONS:
+            key = grown[kept, 0] << np.uint64(6) | w[kept].astype(np.uint64)
+            order = kept[np.argsort(key, kind="stable")]
+        else:
+            order = kept[np.lexsort((w[kept], *grown[kept].T))]
+        grown, w = grown[order], w[order]
+        count = counts[state[order]]
+        class_start = np.ones(len(order), dtype=bool)
+        class_start[1:] = (grown[1:] != grown[:-1]).any(axis=1)
+        state_start = class_start.copy()
+        state_start[1:] |= w[1:] != w[:-1]
+
+        starts = np.flatnonzero(class_start)
+        is_class = is_class[order]
+        sums = np.add.reduceat(np.where(is_class, count, 0), starts)
+        firsts = np.minimum.reduceat(np.where(is_class, order, n_candidates), starts)
+        found = np.flatnonzero(firsts < n_candidates)
+        found = found[np.argsort(firsts[found])]
+        class_words.append(grown[starts[found]])
+        class_counts.append(sums[found])
+        layer_total = int(sums.sum())
+        if layer_total:
+            lengths.append((depth, layer_total))
+            total += layer_total
+            if total > max_paths:
+                raise _path_explosion(max_paths)
+
+        # A stable sort leaves each state's first candidate at its start.
+        starts = np.flatnonzero(state_start)
+        sums = np.add.reduceat(count, starts)
+        alive = np.flatnonzero(live[order[starts]])
+        if len(alive) > max_paths:
             # More live prefixes than the cap allows paths, most of them
             # never reaching an output: count on the DFS, which holds one.
             return _dfs_touch_classes(adjacency, placement, cutoff, max_paths)
-        if total > before:
-            lengths[depth] = total - before
-        layer = grown_layer
-    return classes, lengths
+        alive = alive[np.argsort(order[starts[alive]])]
+        touched = grown[starts[alive]]
+        last = w[starts[alive]]
+        counts = sums[alive]
+    if not class_words:
+        return (), (), ()
+    return (
+        tuple(_ints_of_words(np.concatenate(class_words))),
+        tuple(np.concatenate(class_counts).tolist()),
+        tuple(lengths),
+    )
+
+
+def _ints_of_words(words: np.ndarray) -> List[int]:
+    """The Python ints whose little-endian uint64 words are the rows of
+    ``words``."""
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
+    data = words.astype("<u8").tobytes()
+    size = 8 * words.shape[1]
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
 def _dfs_touch_classes(
@@ -841,7 +939,7 @@ def _dfs_touch_classes(
     placement: MonitorPlacement,
     cutoff: Optional[int],
     max_paths: int,
-) -> Tuple[Dict[int, int], Dict[int, int]]:
+) -> _TouchClasses:
     """:func:`_touch_classes` counted on the depth-first open family, in
     O(n) working memory: the same classes in the same order (depth-first
     order of their first path, stably sorted by length) and the same length
@@ -855,9 +953,11 @@ def _dfs_touch_classes(
         classes[key] = classes.get(key, 0) + 1
         length = len(path) - 1
         lengths[length] = lengths.get(length, 0) + 1
+    ordered = sorted(classes, key=int.bit_count)
     return (
-        dict(sorted(classes.items(), key=lambda item: item[0].bit_count())),
-        dict(sorted(lengths.items())),
+        tuple(ordered),
+        tuple(classes[key] for key in ordered),
+        tuple(sorted(lengths.items())),
     )
 
 
@@ -1020,11 +1120,12 @@ def enumerate_paths(
 ) -> PathSet:
     """Enumerate the measurement paths ``P(G|χ)`` under a routing mechanism.
 
-    The open family is counted per touch class by the subset DP
-    (:func:`_touch_classes`), the closed CAP/CAP⁻ family is enumerated by
-    the DFS, and the node rows ``P(v)`` are written in class-major column
-    order by :func:`~repro.engine.columns.class_rows`, one run per (class,
-    node).  No open path tuple is built: the returned set's ``paths`` are
+    The open family is counted per touch class by the layered subset DP
+    (:func:`_touch_classes`: one stable numpy sort per layer, exact
+    counts), the closed CAP/CAP⁻ family is enumerated by the DFS, and the
+    node rows ``P(v)`` are written in class-major column order by
+    :func:`~repro.engine.columns.class_rows`, one run per (class, node).
+    No open path tuple is built: the returned set's ``paths`` are
     materialised on first read (see the module docstring).
 
     Parameters
@@ -1038,9 +1139,9 @@ def enumerate_paths(
     cutoff:
         Optional maximum path length in *edges*; ``None`` enumerates all.
     max_paths:
-        Guard against explosion; :class:`PathExplosionError` is raised as
-        soon as more paths than this are counted (the paper's own
-        exhaustive search stops around 5·10⁶ paths).
+        Guard against explosion; :class:`PathExplosionError` is raised at
+        the end of the first DP layer whose running count passes it (the
+        paper's own exhaustive search stops around 5·10⁶ paths).
 
     Returns
     -------
@@ -1061,8 +1162,8 @@ def enumerate_paths(
     )
     placement.validate(graph)
     adjacency = _adjacency(graph)
-    classes, open_lengths = _touch_classes(adjacency, placement, cutoff, max_paths)
-    room = max(max_paths - sum(open_lengths.values()), 0) + 1
+    keys, counts, open_lengths = _touch_classes(adjacency, placement, cutoff, max_paths)
+    room = max(max_paths - sum(counts), 0) + 1
     closed = tuple(
         islice(_closed_paths(adjacency, directed, placement, mechanism, cutoff), room)
     )
@@ -1071,9 +1172,9 @@ def enumerate_paths(
         adjacency,
         placement,
         cutoff,
-        tuple(classes),
-        tuple(classes.values()),
-        tuple(open_lengths.items()),
+        keys,
+        counts,
+        open_lengths,
         closed,
         tuple(sum(1 << position[node] for node in set(path)) for path in closed),
     )

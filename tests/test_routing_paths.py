@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.agrid.algorithm import agrid
 from repro.engine import compress as compress_module
 from repro.exceptions import PathExplosionError, RoutingError
 from repro.monitors.placement import MonitorPlacement
 from repro.monitors.grid_placement import chi_g
 from repro.routing.mechanisms import RoutingMechanism
 from repro.routing.paths import (
+    DEFAULT_MAX_PATHS,
     PathSet,
     PathSetDelta,
     _adjacency,
@@ -27,8 +29,9 @@ from repro.routing.paths import (
     enumerate_paths,
     path_length_histogram,
 )
-from repro.topology.grids import directed_grid, undirected_grid
+from repro.topology.grids import directed_grid, directed_hypergrid, undirected_grid
 from repro.topology.lines import line_graph
+from repro.topology.zoo import claranet
 
 from conftest import COLUMN_KERNELS, column_kernel
 
@@ -480,11 +483,12 @@ class TestTouchClassDP:
             enumerate_paths(graph, placement, "CSP", max_paths=1000)
         assert time.perf_counter() - started < 0.5
 
-    def test_sparse_outputs_count_on_the_dfs(self, monkeypatch):
-        """A layer of more states than ``max_paths`` (prefixes wandering a
+    @pytest.fixture
+    def sparse_outputs(self, monkeypatch):
+        """A graph whose DP layers outgrow a cap of 20 (prefixes wandering a
         dead-end clique, every one still extended while the output lies
-        outside it) hands the count to the DFS: the same classes in the same
-        order, columns and histogram as an uncapped DP."""
+        outside it), its placement, and the argument tuples of every hand-off
+        to ``_dfs_touch_classes``."""
         from repro.routing import paths as paths_module
 
         graph = nx.DiGraph(
@@ -494,7 +498,6 @@ class TestTouchClassDP:
         graph.add_edges_from(("s", k) for k in clique)
         graph.add_edges_from((u, v) for u in clique for v in clique if u != v)
         placement = MonitorPlacement.of(inputs={"s"}, outputs={"t"})
-        uncapped = enumerate_paths(graph, placement, "CSP")
         handed = []
         original = paths_module._dfs_touch_classes
 
@@ -503,6 +506,15 @@ class TestTouchClassDP:
             return original(*args)
 
         monkeypatch.setattr(paths_module, "_dfs_touch_classes", spy)
+        return graph, placement, handed
+
+    def test_sparse_outputs_count_on_the_dfs(self, sparse_outputs):
+        """A layer of more states than ``max_paths`` hands the count to the
+        DFS: the same classes in the same order, columns and histogram as an
+        uncapped DP."""
+        graph, placement, handed = sparse_outputs
+        uncapped = enumerate_paths(graph, placement, "CSP")
+        assert not handed
         capped = enumerate_paths(graph, placement, "CSP", max_paths=20)
         assert handed
         assert capped.n_paths == uncapped.n_paths == 4
@@ -514,47 +526,11 @@ class TestTouchClassDP:
         with pytest.raises(PathExplosionError):
             enumerate_paths(graph, placement, "CSP", max_paths=3)
 
-
-    @settings(max_examples=150, deadline=None)
-    @given(case=dp_cases())
-    def test_layer_totals_are_the_open_histogram(self, case):
-        """Layer ``d`` of the DP adds the paths of ``d`` edges, so its totals
-        are the open family's length histogram; the DFS fallback counts the
-        same classes and totals."""
-        graph, placement, _, cutoff = case
-        adjacency = _adjacency(graph)
-        open_paths = list(_open_paths(adjacency, placement, cutoff))
-        expected = dict(sorted(Counter(len(path) - 1 for path in open_paths).items()))
-        cap = len(open_paths) + 1
-        classes, lengths = _touch_classes(adjacency, placement, cutoff, cap)
-        assert lengths == expected
-        assert _dfs_touch_classes(adjacency, placement, cutoff, cap) == (
-            classes,
-            lengths,
-        )
-
-    def test_dfs_fallback_records_the_layer_totals(self, monkeypatch):
-        """The sparse-output case of ``test_sparse_outputs_count_on_the_dfs``:
-        the family counted on the DFS carries the same length totals as the
-        DP's, and both equal the materialised histogram."""
-        from repro.routing import paths as paths_module
-
-        graph = nx.DiGraph(
-            [("s", "t"), ("s", "a"), ("a", "t"), ("a", "b"), ("b", "t"), ("s", "b")]
-        )
-        clique = [f"k{i}" for i in range(7)]
-        graph.add_edges_from(("s", k) for k in clique)
-        graph.add_edges_from((u, v) for u in clique for v in clique if u != v)
-        placement = MonitorPlacement.of(inputs={"s"}, outputs={"t"})
+    def test_dfs_fallback_records_the_layer_totals(self, sparse_outputs):
+        """The family counted on the DFS carries the same length totals as
+        the DP's, and both equal the materialised histogram."""
+        graph, placement, handed = sparse_outputs
         uncapped = enumerate_paths(graph, placement, "CSP")
-        handed = []
-        original = paths_module._dfs_touch_classes
-
-        def spy(*args):
-            handed.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(paths_module, "_dfs_touch_classes", spy)
         capped = enumerate_paths(graph, placement, "CSP", max_paths=20)
         assert handed
         materialised = tuple(
@@ -562,6 +538,85 @@ class TestTouchClassDP:
         )
         assert capped._family.open_lengths == materialised
         assert uncapped._family.open_lengths == materialised == ((1, 1), (2, 2), (3, 1))
+
+    def test_candidate_bound_hands_off_to_the_dfs(self, sparse_outputs, monkeypatch):
+        """A layer of more candidates than the bound on the DP's working
+        arrays is counted on the DFS, with the same result."""
+        from repro.routing import paths as paths_module
+
+        graph, placement, handed = sparse_outputs
+        uncapped = enumerate_paths(graph, placement, "CSP")
+        monkeypatch.setattr(paths_module, "_MAX_CANDIDATES", 16)
+        bounded = enumerate_paths(graph, placement, "CSP")
+        assert handed
+        assert bounded._family == uncapped._family
+        assert bounded.paths == uncapped.paths
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=dp_cases())
+    def test_layer_totals_are_the_open_histogram(self, case):
+        """Layer ``d`` of the DP adds the paths of ``d`` edges, so its totals
+        are the open family's length histogram; the DFS fallback counts the
+        same classes, in the same order, and the same totals."""
+        graph, placement, _, cutoff = case
+        adjacency = _adjacency(graph)
+        open_paths = list(_open_paths(adjacency, placement, cutoff))
+        expected = tuple(sorted(Counter(len(path) - 1 for path in open_paths).items()))
+        cap = len(open_paths) + 1
+        classes = _touch_classes(adjacency, placement, cutoff, cap)
+        keys, counts, lengths = classes
+        assert lengths == expected
+        assert sum(counts) == len(open_paths)
+        assert len(keys) == len(set(keys)) == len(counts)
+        assert _dfs_touch_classes(adjacency, placement, cutoff, cap) == classes
+
+    @pytest.mark.parametrize(
+        "cell",
+        ["hypergrid_4_3", "grid_9", "boosted_claranet"],
+    )
+    def test_cells_match_the_dfs(self, cell):
+        """Fixed cells: H_{4,3} fills one 64-bit word of touch set, the n=9
+        grid needs two (81 positions), and boosted Claranet merges many
+        paths per class.  Keys, their order, counts and histogram equal the
+        DFS's."""
+        if cell == "hypergrid_4_3":
+            graph = directed_hypergrid(4, 3)
+            placement = chi_g(graph)
+        elif cell == "grid_9":
+            graph = directed_grid(9)
+            placement = chi_g(graph)
+        else:
+            boosted = agrid(claranet(), 3, rng=1)
+            graph, placement = boosted.boosted, boosted.placement_boosted
+        adjacency = _adjacency(graph)
+        classes = _touch_classes(adjacency, placement, None, DEFAULT_MAX_PATHS)
+        assert classes == _dfs_touch_classes(
+            adjacency, placement, None, DEFAULT_MAX_PATHS
+        )
+        keys, counts, _ = classes
+        if cell == "boosted_claranet":
+            assert len(keys) < sum(counts)
+        else:
+            assert len(keys) == sum(counts)  # a DAG: one path per class
+
+    @pytest.mark.parametrize("limit", [8, 100])
+    def test_counts_leave_int64_exactly(self, monkeypatch, limit):
+        """Past the overflow limit a layer counts on Python ints: on K6,
+        where many prefixes merge into one state, a lowered limit moves the
+        counts off int64 from the first layer (8) or midway (100), and they
+        stay exact."""
+        from repro.routing import paths as paths_module
+
+        graph = nx.complete_graph(6)
+        placement = MonitorPlacement.of(inputs={0, 1}, outputs={4, 5})
+        adjacency = _adjacency(graph)
+        reference = _dfs_touch_classes(adjacency, placement, None, DEFAULT_MAX_PATHS)
+        assert max(reference[1]) > 1  # counts merge
+        assert _touch_classes(adjacency, placement, None, DEFAULT_MAX_PATHS) == reference
+        monkeypatch.setattr(paths_module, "_INT64_COUNT_LIMIT", limit)
+        classes = _touch_classes(adjacency, placement, None, DEFAULT_MAX_PATHS)
+        assert classes == reference
+        assert all(type(count) is int for count in classes[1])
 
 
 def assert_engine_reads_the_classes(pathset):
